@@ -17,7 +17,6 @@ from .latency import (
     compute_time,
     pipeline_latency,
     plan_hourly_cost,
-    profiling_cost,
     transfer_time,
 )
 from .model import (
@@ -62,12 +61,11 @@ from .search import (
     HistoryStore,
     SearchConfig,
     SurrogatePair,
-    history_propose,
+    acquisition,
     pareto_optimize,
     propose,
     single_query_search,
     update,
-    utility,
 )
 from .sim import MetricsReport, SimConfig, compare, run
 

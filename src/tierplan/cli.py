@@ -15,7 +15,7 @@ import sys
 from . import sim as simmod
 from .landscape import generate_landscape
 from .model import SchemaError, SpaceTooLargeError, load_topology
-from .presets import DEFAULT_SPEED_FACTORS, PIPELINE_TEMPLATES, default_topology, get_pipeline
+from .presets import PIPELINE_TEMPLATES, default_topology, get_pipeline, speed_factors_for
 from .model import Query, load_pipeline
 from .scheduler import (
     greedy_cost,
@@ -67,9 +67,7 @@ def _cmd_plan(args) -> int:
         pipeline=pipeline,
         difficulty=args.difficulty,
         noise_scale=args.noise_scale,
-        tier_speed_factors=DEFAULT_SPEED_FACTORS[-topology.num_tiers :]
-        if topology.num_tiers <= len(DEFAULT_SPEED_FACTORS)
-        else None,
+        tier_speed_factors=speed_factors_for(topology.num_tiers),
         num_tiers=topology.num_tiers,
     )
     query = Query(

@@ -15,6 +15,7 @@ configurations are actually more accurate.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -58,7 +59,7 @@ class GroundTruthLandscape:
     case_stratum: tuple[int, ...]
     case_features: tuple[tuple[float, float], ...]
     accuracy_offset: float = 0.0
-    _mu_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _mu_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if abs(sum(self.stratum_weights) - 1.0) > 1e-9:
@@ -111,24 +112,9 @@ class GroundTruthLandscape:
         )
 
     def with_accuracy_shift(self, delta: float) -> "GroundTruthLandscape":
-        """Drifted copy: every stratum mean moves by ``delta`` (then clipped)."""
-        return GroundTruthLandscape(
-            seed=self.seed,
-            pipeline=self.pipeline,
-            stratum_weights=self.stratum_weights,
-            stratum_base=self.stratum_base,
-            stratum_sigma=self.stratum_sigma,
-            monotone_tendency=self.monotone_tendency,
-            monotone_weights=self.monotone_weights,
-            option_effects=self.option_effects,
-            pair_effects=self.pair_effects,
-            op_base_time_s=self.op_base_time_s,
-            op_output_bytes=self.op_output_bytes,
-            tier_speed_factors=self.tier_speed_factors,
-            case_stratum=self.case_stratum,
-            case_features=self.case_features,
-            accuracy_offset=self.accuracy_offset + delta,
-        )
+        """Drifted copy: every stratum mean moves by ``delta`` (then clipped).
+        The copy starts with an empty mean cache."""
+        return dataclasses.replace(self, accuracy_offset=self.accuracy_offset + delta)
 
     def to_dict(self) -> dict:
         return {
@@ -421,6 +407,18 @@ class TraceEntry:
     l_slo: float
     lifespan: float
     weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.arrival_time) and self.arrival_time >= 0):
+            raise ValueError(f"arrival_time must be finite and >= 0, got {self.arrival_time}")
+        if not (0 < self.a_slo <= 1):
+            raise ValueError(f"a_slo must be in (0, 1], got {self.a_slo}")
+        if not self.l_slo > 0:
+            raise ValueError(f"l_slo must be > 0, got {self.l_slo}")
+        if not self.lifespan > 0:
+            raise ValueError(f"lifespan must be > 0, got {self.lifespan}")
+        if not self.weight > 0:
+            raise ValueError(f"weight must be > 0, got {self.weight}")
 
 
 @dataclass(frozen=True)

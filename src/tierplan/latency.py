@@ -1,4 +1,4 @@
-"""Deterministic end-to-end latency and profiling-cost estimation.
+"""Deterministic end-to-end latency and deployment-cost estimation.
 
 Pipeline latency is the longest path of the operator DAG where nodes carry
 compute time (scaled by tier speed and resource fraction) and edges carry
@@ -161,28 +161,6 @@ def pipeline_latency(
         critical_path=tuple(path),
         total_s=ready[pipeline.sink],
     )
-
-
-def per_case_reference_seconds(timings: OperatorTimings, cached_prefix_len: int = 0) -> float:
-    """Compute seconds per profiled case on the reference tier, skipping the
-    operators covered by a cached prefix."""
-    return float(sum(timings.base_compute_s[cached_prefix_len:]))
-
-
-def profiling_cost(
-    per_case_uncached_s: float,
-    n_cases: int,
-    price_per_hour: float = DEFAULT_GPU_PRICE_PER_HOUR,
-) -> tuple[float, float]:
-    """(GPU-seconds, dollars) for ``n_cases`` at the reference tier price.
-
-    Prefix-cached work has already been removed from the per-case seconds,
-    so a fully cached plan costs zero.
-    """
-    if n_cases < 0:
-        raise ValueError("case count must be >= 0")
-    gpu_seconds = per_case_uncached_s * n_cases
-    return gpu_seconds, gpu_seconds / 3600.0 * price_per_hour
 
 
 def plan_hourly_cost(plan: PlanPoint, topology: TierTopology) -> float:

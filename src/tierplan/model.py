@@ -251,7 +251,6 @@ class ProfileOutcome:
     accuracy_estimate: float
     samples_used: int
     verdict: Verdict
-    latency_estimate: float
     profiling_cost: float  # GPU-seconds charged for this plan
 
 
@@ -281,9 +280,10 @@ def enumerate_plan_space(
     """
     m = len(pipeline)
     config_axes = [range(len(op.knob_domain)) for op in pipeline.operators]
+    allocations = list(product(fractions, repeat=m))
     for placement in monotone_placements(m, topology.num_tiers):
         for config in product(*config_axes):
-            for resources in product(fractions, repeat=m):
+            for resources in allocations:
                 yield PlanPoint(config, placement, resources)
 
 
@@ -305,14 +305,7 @@ def enumerate_search_pool(pipeline: PipelineSpec, topology: TierTopology) -> lis
     Resource fractions are deferred to Pareto pruning, so the search pool
     fixes r = all-ones.
     """
-    m = len(pipeline)
-    ones = (1.0,) * m
-    config_axes = [range(len(op.knob_domain)) for op in pipeline.operators]
-    pool = []
-    for placement in monotone_placements(m, topology.num_tiers):
-        for config in product(*config_axes):
-            pool.append(PlanPoint(config, placement, ones))
-    return pool
+    return list(enumerate_plan_space(pipeline, topology, fractions=(1.0,)))
 
 
 # ---------------------------------------------------------------------------

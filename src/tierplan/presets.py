@@ -13,6 +13,12 @@ from .model import OperatorSpec, PipelineSpec, Tier, TierTopology
 DEFAULT_SPEED_FACTORS = (8.0, 2.5, 1.0)
 
 
+def speed_factors_for(num_tiers: int) -> tuple[float, ...] | None:
+    """The last ``num_tiers`` default speed factors, or None (the landscape
+    generator's own default) for topologies deeper than the preset."""
+    return DEFAULT_SPEED_FACTORS[-num_tiers:] if num_tiers <= len(DEFAULT_SPEED_FACTORS) else None
+
+
 def default_topology(
     device_machines: int = 8,
     mec_machines: int = 4,

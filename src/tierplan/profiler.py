@@ -163,27 +163,6 @@ class PrefixCache:
     entries: dict[tuple[int, tuple[int, ...]], set[int]] = field(default_factory=dict)
     total_bytes: float = 0.0
 
-    def lookup(self, configuration: Sequence[int]) -> int:
-        """Longest k such that the first k operator configs hit a cached entry."""
-        cfg = tuple(configuration)
-        k = 0
-        for i in range(len(cfg)):
-            if (i, cfg[: i + 1]) in self.entries:
-                k = i + 1
-            else:
-                break
-        return k
-
-    def insert(self, prefix: Sequence[int], case_ids: Sequence[int], bytes_per_case: float = 0.0) -> None:
-        """Idempotent insert of one prefix entry covering the given cases."""
-        cfg = tuple(prefix)
-        key = (len(cfg) - 1, cfg)
-        entry = self.entries.setdefault(key, set())
-        for cid in case_ids:
-            if cid not in entry:
-                entry.add(cid)
-                self.total_bytes += bytes_per_case
-
     def charge_case(
         self,
         configuration: Sequence[int],
@@ -209,9 +188,6 @@ class NullCache:
     """Cache stand-in that never hits: full compute is charged every case."""
 
     total_bytes = 0.0
-
-    def lookup(self, configuration: Sequence[int]) -> int:
-        return 0
 
     def charge_case(self, configuration, case_id, per_op_seconds, per_op_bytes) -> float:
         return float(sum(per_op_seconds))
@@ -239,7 +215,7 @@ class ProfilingSession:
     significance level is Bonferroni-spent across the eligible looks so the
     whole sequential procedure keeps its nominal size (an uncorrected
     every-step test would stop spuriously far more often than 1% at the
-    threshold). ``look_correction="none"`` restores the raw per-look level.
+    threshold).
     """
 
     plan: PlanPoint
@@ -247,7 +223,6 @@ class ProfilingSession:
     confidence: float = DEFAULT_CONFIDENCE
     min_samples: int = DEFAULT_MIN_SAMPLES
     n_max: int = DEFAULT_N_MAX
-    look_correction: str = "bonferroni"
     n: int = 0
     mean: float = 0.0
     m2: float = 0.0
@@ -256,8 +231,6 @@ class ProfilingSession:
     def __post_init__(self) -> None:
         if self.n_max < self.min_samples:
             raise ValueError("n_max must be >= min_samples")
-        if self.look_correction not in ("bonferroni", "none"):
-            raise ValueError(f"unknown look correction {self.look_correction!r}")
 
     @property
     def variance(self) -> float:
@@ -265,10 +238,7 @@ class ProfilingSession:
 
     @property
     def step_alpha(self) -> float:
-        alpha = 1.0 - self.confidence
-        if self.look_correction == "bonferroni":
-            return alpha / max(1, self.n_max - self.min_samples + 1)
-        return alpha
+        return (1.0 - self.confidence) / max(1, self.n_max - self.min_samples + 1)
 
     def observe(self, value: float) -> None:
         self.n += 1
@@ -291,6 +261,30 @@ class ProfilingSession:
         return None
 
 
+def _outcome(
+    plan: PlanPoint,
+    mean: float,
+    n: int,
+    verdict: Verdict,
+    charged: float,
+    log: Callable[[dict], None] | None,
+) -> ProfileOutcome:
+    """The profiled verdict, plus its audit row when ``log`` is given."""
+    outcome = ProfileOutcome(accuracy_estimate=mean, samples_used=n, verdict=verdict, profiling_cost=charged)
+    if log is not None:
+        log(
+            {
+                "configuration": list(plan.configuration),
+                "placement": list(plan.placement),
+                "n": n,
+                "verdict": verdict.value,
+                "accuracy_estimate": mean,
+                "gpu_seconds": charged,
+            }
+        )
+    return outcome
+
+
 def profile_plan(
     plan: PlanPoint,
     land: GroundTruthLandscape,
@@ -301,7 +295,6 @@ def profile_plan(
     confidence: float = DEFAULT_CONFIDENCE,
     min_samples: int = DEFAULT_MIN_SAMPLES,
     n_max: int = DEFAULT_N_MAX,
-    look_correction: str = "bonferroni",
     log: Callable[[dict], None] | None = None,
 ) -> ProfileOutcome:
     """Guided-sampling accuracy check of one plan against its SLO.
@@ -312,12 +305,7 @@ def profile_plan(
     reference-tier full-resource compute.
     """
     session = ProfilingSession(
-        plan=plan,
-        a_slo=a_slo,
-        confidence=confidence,
-        min_samples=min_samples,
-        n_max=n_max,
-        look_correction=look_correction,
+        plan=plan, a_slo=a_slo, confidence=confidence, min_samples=min_samples, n_max=n_max
     )
     timings = land.timings_for(plan.configuration)
     charged = 0.0
@@ -331,25 +319,7 @@ def profile_plan(
         verdict = session.decide()
         if verdict is not None:
             break
-    outcome = ProfileOutcome(
-        accuracy_estimate=session.mean,
-        samples_used=session.n,
-        verdict=verdict,
-        latency_estimate=float(sum(timings.base_compute_s)),
-        profiling_cost=charged,
-    )
-    if log is not None:
-        log(
-            {
-                "configuration": list(plan.configuration),
-                "placement": list(plan.placement),
-                "n": outcome.samples_used,
-                "verdict": outcome.verdict.value,
-                "accuracy_estimate": outcome.accuracy_estimate,
-                "gpu_seconds": outcome.profiling_cost,
-            }
-        )
-    return outcome
+    return _outcome(plan, session.mean, session.n, verdict, charged, log)
 
 
 def profile_plan_fixed_n(
@@ -377,22 +347,5 @@ def profile_plan_fixed_n(
             plan.configuration, case, timings.base_compute_s, timings.output_bytes
         )
     mean = total / n_samples
-    outcome = ProfileOutcome(
-        accuracy_estimate=mean,
-        samples_used=n_samples,
-        verdict=Verdict.PASS_ACCURACY if mean > a_slo else Verdict.FAIL_ACCURACY,
-        latency_estimate=float(sum(timings.base_compute_s)),
-        profiling_cost=charged,
-    )
-    if log is not None:
-        log(
-            {
-                "configuration": list(plan.configuration),
-                "placement": list(plan.placement),
-                "n": n_samples,
-                "verdict": outcome.verdict.value,
-                "accuracy_estimate": mean,
-                "gpu_seconds": charged,
-            }
-        )
-    return outcome
+    verdict = Verdict.PASS_ACCURACY if mean > a_slo else Verdict.FAIL_ACCURACY
+    return _outcome(plan, mean, n_samples, verdict, charged, log)

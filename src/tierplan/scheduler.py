@@ -614,7 +614,6 @@ def replan(
     seed: int = 0,
     config: SearchConfig | None = None,
     budget_s: float = 5.0,
-    variance_inflation: float = 25.0,
 ) -> SearchResult:
     """Drift response: re-run the single-query search warm-started from the
     query's own prior surrogate (stale observations retained, trust
@@ -628,5 +627,4 @@ def replan(
         seed=seed,
         config=config,
         warm_pair=prior_pair,
-        variance_inflation=variance_inflation,
     )

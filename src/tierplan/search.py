@@ -38,6 +38,7 @@ from .model import (
     pareto_filter,
 )
 from .profiler import (
+    DEFAULT_MIN_SAMPLES,
     DEFAULT_PLANNER_STRATA,
     NullCache,
     PrefixCache,
@@ -49,6 +50,16 @@ from .profiler import (
 GP_NOISE = 1e-4
 COST_FLOOR_DOLLARS = 1e-6
 GAP_EPS = 1e-6
+#: Simulated optimizer seconds charged per search step on top of profiling.
+STEP_OVERHEAD_S = 0.04
+#: Pools larger than this are subsampled to POOL_SAMPLE_SIZE unprofiled
+#: plans per step before scoring.
+POOL_ENUMERATION_CAP = 20_000
+POOL_SAMPLE_SIZE = 2_000
+#: History models that vote on each proposal (the smallest gaps).
+HISTORY_TOP_K = 10
+#: Observation-noise multiplier for a replan's warm-start surrogate.
+VARIANCE_INFLATION = 25.0
 
 
 class GaussianProcess:
@@ -113,6 +124,13 @@ def encode_config_placement(plan: PlanPoint, pipeline: PipelineSpec, num_tiers: 
     return np.concatenate([head, tail])
 
 
+def encode_pool(plans: list[PlanPoint], pipeline: PipelineSpec, num_tiers: int) -> tuple[np.ndarray, np.ndarray]:
+    """Accuracy-model and latency-model input rows, one per plan."""
+    xa = np.stack([encode_configuration(p, pipeline) for p in plans])
+    xl = np.stack([encode_config_placement(p, pipeline, num_tiers) for p in plans])
+    return xa, xl
+
+
 @dataclass
 class SurrogatePair:
     """Accuracy and latency regressors plus this session's prediction-gap
@@ -135,8 +153,10 @@ class SurrogatePair:
         return len(self.obs_y_a)
 
     def predict(self, plans: list[PlanPoint]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        xa = np.stack([encode_configuration(p, self.pipeline) for p in plans])
-        xl = np.stack([encode_config_placement(p, self.pipeline, self.num_tiers) for p in plans])
+        return self.predict_encoded(*encode_pool(plans, self.pipeline, self.num_tiers))
+
+    def predict_encoded(self, xa: np.ndarray, xl: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(mu_a, sd_a, mu_l, sd_l) at rows already encoded by :func:`encode_pool`."""
         mu_a, sd_a = self.f_a.predict(xa)
         mu_l, sd_l = self.f_l.predict(xl)
         return mu_a, sd_a, mu_l, sd_l
@@ -171,7 +191,7 @@ class SurrogatePair:
         self.f_a.fit(np.stack(self.obs_x_a), np.array(self.obs_y_a))
         self.f_l.fit(np.stack(self.obs_x_l), np.array(self.obs_y_l))
 
-    def inflated_copy(self, factor: float) -> "SurrogatePair":
+    def inflated_copy(self) -> "SurrogatePair":
         """Warm-start copy for replanning: observations retained, predictive
         trust reduced by inflating observation noise."""
         pair = SurrogatePair(pipeline=self.pipeline, num_tiers=self.num_tiers)
@@ -179,8 +199,8 @@ class SurrogatePair:
         pair.obs_y_a = list(self.obs_y_a)
         pair.obs_x_l = list(self.obs_x_l)
         pair.obs_y_l = list(self.obs_y_l)
-        pair.f_a = GaussianProcess(noise=GP_NOISE * factor)
-        pair.f_l = GaussianProcess(noise=GP_NOISE * factor)
+        pair.f_a = GaussianProcess(noise=GP_NOISE * VARIANCE_INFLATION)
+        pair.f_l = GaussianProcess(noise=GP_NOISE * VARIANCE_INFLATION)
         if pair.obs_y_a:
             pair.f_a.fit(np.stack(pair.obs_x_a), np.array(pair.obs_y_a))
             pair.f_l.fit(np.stack(pair.obs_x_l), np.array(pair.obs_y_l))
@@ -217,9 +237,7 @@ class HistoryStore:
         if len(self.pairs) > self.capacity:
             self.pairs.pop(0)
 
-    def session(
-        self, top_k: int = 10, pipeline: PipelineSpec | None = None, num_tiers: int | None = None
-    ) -> "HistorySession":
+    def session(self, pipeline: PipelineSpec | None = None, num_tiers: int | None = None) -> "HistorySession":
         """Snapshot compatible entries: a history model can only score plans
         that share its encoding (same knob sizes and tier count)."""
         pairs = self.pairs
@@ -231,7 +249,7 @@ class HistoryStore:
                 if tuple(len(op.knob_domain) for op in p.pipeline.operators) == sig
                 and (num_tiers is None or p.num_tiers == num_tiers)
             ]
-        return HistorySession([HistoryEntry(pair=p) for p in pairs], top_k)
+        return HistorySession([HistoryEntry(pair=p) for p in pairs])
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -242,18 +260,17 @@ class HistorySession:
     stored model against this query's profiled observations.
 
     History models are frozen for the session, so their scores over a fixed
-    candidate pool are computed once and reused across voting steps; only
-    the gap weights move.
+    candidate pool are computed once (after :meth:`prime`) and reused across
+    voting steps; only the gap weights move.
     """
 
-    def __init__(self, entries: list[HistoryEntry], top_k: int = 10):
+    def __init__(self, entries: list[HistoryEntry]):
         self.entries = entries
-        self.top_k_count = top_k
         self._primed: tuple | None = None
 
     def top_k(self) -> list[HistoryEntry]:
         order = sorted(range(len(self.entries)), key=lambda i: (self.entries[i].gap, i))
-        return [self.entries[i] for i in order[: self.top_k_count]]
+        return [self.entries[i] for i in order[:HISTORY_TOP_K]]
 
     def best_gap(self) -> float:
         return min((e.gap for e in self.entries), default=math.inf)
@@ -264,28 +281,22 @@ class HistorySession:
             e.gap_sum += prediction_gap(float(mu_a[0]), float(mu_l[0]), accuracy, latency_s, l_slo)
             e.gap_n += 1
 
-    def prime(
-        self,
-        pool_xa: np.ndarray,
-        pool_xl: np.ndarray,
-        a_slo: float,
-        l_slo: float,
-        min_samples: int,
-        price_per_hour: float,
-    ) -> None:
-        self._primed = (pool_xa, pool_xl, a_slo, l_slo, min_samples, price_per_hour)
+    def prime(self, pool_xa: np.ndarray, pool_xl: np.ndarray, a_slo: float, l_slo: float) -> None:
+        """Fix the encoded candidate pool and SLOs that votes score."""
+        self._primed = (pool_xa, pool_xl, a_slo, l_slo)
         for e in self.entries:
             e.pool_scores = None
             e.pool_costs = None
 
     def _entry_pool_scores(self, e: HistoryEntry) -> tuple[np.ndarray, np.ndarray]:
         if e.pool_scores is None:
-            xa, xl, a_slo, l_slo, ms, price = self._primed
-            e.pool_scores, e.pool_costs = _score_encoded(e.pair, xa, xl, a_slo, l_slo, ms, price)
+            xa, xl, a_slo, l_slo = self._primed
+            e.pool_scores, e.pool_costs = acquisition(*e.pair.predict_encoded(xa, xl), a_slo, l_slo)
         return e.pool_scores, e.pool_costs
 
     def vote_indices(self, idx: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Weighted-sum vote of the current top-K over pool indices ``idx``."""
+        """Weighted-sum vote of the current top-K over pool indices ``idx``:
+        each model's acquisition scores and costs, weighted by 1/(gap + eps)."""
         entries = self.top_k()
         weights = _gap_weights(entries)
         combined = np.zeros(len(idx))
@@ -313,51 +324,26 @@ def prediction_gap(mu_a: float, mu_l: float, accuracy: float, latency_s: float, 
     return abs(mu_a - accuracy) + abs(mu_l - latency_s) / max(l_slo, 1e-9)
 
 
-def profiling_cost_of_latency(
-    mu_l: float,
-    min_samples: int = 50,
-    price_per_hour: float = latmod.DEFAULT_GPU_PRICE_PER_HOUR,
-) -> float:
-    """Dollars to profile a minimum batch of cases at the predicted per-plan
-    latency, floored to keep the acquisition's cost division bounded."""
-    dollars = max(mu_l, 0.0) * min_samples / 3600.0 * price_per_hour
-    return max(dollars, COST_FLOOR_DOLLARS)
-
-
-def acquisition_score(
-    mu_a: float,
-    sd_a: float,
-    mu_l: float,
-    sd_l: float,
+def acquisition(
+    mu_a: np.ndarray,
+    sd_a: np.ndarray,
+    mu_l: np.ndarray,
+    sd_l: np.ndarray,
     a_slo: float,
     l_slo: float,
-    min_samples: int = 50,
-    price_per_hour: float = latmod.DEFAULT_GPU_PRICE_PER_HOUR,
-) -> float:
-    """Pr[accuracy >= A_slo] * Pr[latency <= L_slo] / C(predicted latency)."""
-    if sd_a <= 0:
-        p_acc = 1.0 if mu_a >= a_slo else 0.0
-    else:
-        p_acc = float(ndtr((mu_a - a_slo) / sd_a))
-    if sd_l <= 0:
-        p_lat = 1.0 if mu_l <= l_slo else 0.0
-    else:
-        p_lat = float(ndtr((l_slo - mu_l) / sd_l))
-    return p_acc * p_lat / profiling_cost_of_latency(mu_l, min_samples, price_per_hour)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pr[accuracy >= A_slo] * Pr[latency <= L_slo] / C per candidate, and C.
 
-
-def utility(
-    plan: PlanPoint,
-    a_slo: float,
-    l_slo: float,
-    surrogates: SurrogatePair,
-    min_samples: int = 50,
-    price_per_hour: float = latmod.DEFAULT_GPU_PRICE_PER_HOUR,
-) -> float:
-    mu_a, sd_a, mu_l, sd_l = surrogates.predict([plan])
-    return acquisition_score(
-        float(mu_a[0]), float(sd_a[0]), float(mu_l[0]), float(sd_l[0]), a_slo, l_slo, min_samples, price_per_hour
+    C is the dollar cost of profiling a minimum batch of cases at the
+    predicted latency, floored to keep the division bounded.
+    """
+    p_acc = ndtr((mu_a - a_slo) / np.maximum(sd_a, 1e-12))
+    p_lat = ndtr((l_slo - mu_l) / np.maximum(sd_l, 1e-12))
+    costs = np.maximum(
+        np.maximum(mu_l, 0.0) * DEFAULT_MIN_SAMPLES / 3600.0 * latmod.DEFAULT_GPU_PRICE_PER_HOUR,
+        COST_FLOOR_DOLLARS,
     )
+    return p_acc * p_lat / costs, costs
 
 
 def _argmax_with_ties(scores: np.ndarray, costs: np.ndarray) -> int:
@@ -367,89 +353,37 @@ def _argmax_with_ties(scores: np.ndarray, costs: np.ndarray) -> int:
     return min(tied, key=lambda i: (costs[i], i))
 
 
-def _score_encoded(
-    pair: SurrogatePair,
-    xa: np.ndarray,
-    xl: np.ndarray,
-    a_slo: float,
-    l_slo: float,
-    min_samples: int,
-    price_per_hour: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    mu_a, sd_a = pair.f_a.predict(xa)
-    mu_l, sd_l = pair.f_l.predict(xl)
-    p_acc = ndtr((mu_a - a_slo) / np.maximum(sd_a, 1e-12))
-    p_lat = ndtr((l_slo - mu_l) / np.maximum(sd_l, 1e-12))
-    costs = np.maximum(np.maximum(mu_l, 0.0) * min_samples / 3600.0 * price_per_hour, COST_FLOOR_DOLLARS)
-    return p_acc * p_lat / costs, costs
-
-
-def _encode_pool(pool: list[PlanPoint], pipeline: PipelineSpec, num_tiers: int) -> tuple[np.ndarray, np.ndarray]:
-    xa = np.stack([encode_configuration(p, pipeline) for p in pool])
-    xl = np.stack([encode_config_placement(p, pipeline, num_tiers) for p in pool])
-    return xa, xl
-
-
-def _score_pool(
-    pool: list[PlanPoint],
-    a_slo: float,
-    l_slo: float,
-    pair: SurrogatePair,
-    min_samples: int,
-    price_per_hour: float,
-    encoded: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    xa, xl = encoded if encoded is not None else _encode_pool(pool, pair.pipeline, pair.num_tiers)
-    return _score_encoded(pair, xa, xl, a_slo, l_slo, min_samples, price_per_hour)
-
-
-def history_propose(
-    pool: list[PlanPoint],
-    a_slo: float,
-    l_slo: float,
-    entries: list[HistoryEntry],
-    min_samples: int = 50,
-    price_per_hour: float = latmod.DEFAULT_GPU_PRICE_PER_HOUR,
-    encoded: tuple[np.ndarray, np.ndarray] | None = None,
-) -> PlanPoint:
-    """Similar past queries vote: weighted sum of per-history utilities with
-    weights proportional to 1/(gap + eps)."""
-    if not entries:
-        raise ValueError("history_propose requires at least one history entry")
-    weights = _gap_weights(entries)
-    combined = np.zeros(len(pool))
-    cost_acc = np.zeros(len(pool))
-    for w, e in zip(weights, entries):
-        scores, costs = _score_pool(pool, a_slo, l_slo, e.pair, min_samples, price_per_hour, encoded)
-        combined += w * scores
-        cost_acc += w * costs
-    return pool[_argmax_with_ties(combined, cost_acc)]
-
-
 def propose(
-    pool: list[PlanPoint],
+    step_idx: list[int],
+    pool_xa: np.ndarray,
+    pool_xl: np.ndarray,
     a_slo: float,
     l_slo: float,
     surrogates: SurrogatePair,
     history: HistorySession | None,
     rng: np.random.Generator,
-    min_samples: int = 50,
-    price_per_hour: float = latmod.DEFAULT_GPU_PRICE_PER_HOUR,
-    encoded: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[PlanPoint, str]:
-    """Next plan to profile plus which branch chose it ('cmbo', 'history' or
-    'cold'). The history vote is used until the session's own prediction gap
-    beats the best history gap."""
-    if not pool:
+) -> tuple[int, str]:
+    """Pool index (one of ``step_idx``) of the next plan to profile, plus the
+    branch that chose it.
+
+    'history': the primed history session votes, until the session's own
+    prediction gap beats the best history gap. 'cold': a uniform pick while
+    the session has no observation. 'cmbo': argmax of the session model's
+    acquisition over the encoded rows ``pool_xa[step_idx]``, ``pool_xl[step_idx]``.
+    Score ties go to the lowest predicted cost.
+    """
+    if not step_idx:
         raise ValueError("propose called with an empty pool")
-    use_history = history is not None and len(history) > 0 and not (surrogates.own_gap() < history.best_gap())
-    if use_history:
-        plan = history_propose(pool, a_slo, l_slo, history.top_k(), min_samples, price_per_hour, encoded)
-        return plan, "history"
-    if surrogates.n_obs == 0:
-        return pool[int(rng.integers(len(pool)))], "cold"
-    scores, costs = _score_pool(pool, a_slo, l_slo, surrogates, min_samples, price_per_hour, encoded)
-    return pool[_argmax_with_ties(scores, costs)], "cmbo"
+    if history is not None and len(history) > 0 and not (surrogates.own_gap() < history.best_gap()):
+        scores, costs = history.vote_indices(step_idx)
+        branch = "history"
+    elif surrogates.n_obs == 0:
+        return step_idx[int(rng.integers(len(step_idx)))], "cold"
+    else:
+        predicted = surrogates.predict_encoded(pool_xa[step_idx], pool_xl[step_idx])
+        scores, costs = acquisition(*predicted, a_slo, l_slo)
+        branch = "cmbo"
+    return step_idx[_argmax_with_ties(scores, costs)], branch
 
 
 def update(
@@ -584,19 +518,19 @@ class CandidateSet:
 
 @dataclass
 class SearchConfig:
-    overhead_s: float = 0.04
-    confidence: float = 0.99
-    min_samples: int = 50
-    n_max: int = 1000
-    planner_strata: int = DEFAULT_PLANNER_STRATA
-    pool_enumeration_cap: int = 20_000
-    pool_sample_size: int = 2_000
-    price_per_hour: float = latmod.DEFAULT_GPU_PRICE_PER_HOUR
+    """Planner ablation switches. Profiling is sequential-guided or a
+    fixed-size random sample of ``fixed_n`` cases."""
+
     use_history: bool = True
     use_cache: bool = True
     profiler_mode: str = "guided"  # or "fixed"
     fixed_n: int = 356
-    history_top_k: int = 10
+
+    def __post_init__(self) -> None:
+        if self.profiler_mode not in ("guided", "fixed"):
+            raise ValueError(f"unknown profiler mode {self.profiler_mode!r}; have 'guided', 'fixed'")
+        if self.fixed_n < 1:
+            raise ValueError(f"fixed_n must be >= 1, got {self.fixed_n}")
 
 
 @dataclass
@@ -621,7 +555,6 @@ def single_query_search(
     seed: int = 0,
     config: SearchConfig | None = None,
     warm_pair: SurrogatePair | None = None,
-    variance_inflation: float = 25.0,
     profile_log=None,
 ) -> SearchResult:
     """Propose -> profile -> Pareto-prune loop under the query's budget.
@@ -630,27 +563,22 @@ def single_query_search(
     sampled cases) plus a fixed per-step optimizer overhead. Returns the
     accumulated candidate set, possibly empty. Passing ``warm_pair`` seeds
     the session with a prior model whose trust is reduced by
-    ``variance_inflation`` (used for drift replanning).
+    ``VARIANCE_INFLATION`` (used for drift replanning).
     """
     cfg = config or SearchConfig()
     rng = np.random.default_rng(seed)
     pipeline = query.pipeline
     pool = enumerate_search_pool(pipeline, topology)
-    pool_index = {plan: i for i, plan in enumerate(pool)}
-    pool_xa, pool_xl = _encode_pool(pool, pipeline, topology.num_tiers)
-    strat = stratify(land.case_features, min(cfg.planner_strata, land.n_cases), seed=seed)
+    pool_xa, pool_xl = encode_pool(pool, pipeline, topology.num_tiers)
+    strat = stratify(land.case_features, min(DEFAULT_PLANNER_STRATA, land.n_cases), seed=seed)
     cache: PrefixCache | NullCache = PrefixCache() if cfg.use_cache else NullCache()
     if warm_pair is not None:
-        surrogates = warm_pair.inflated_copy(variance_inflation)
+        surrogates = warm_pair.inflated_copy()
     else:
         surrogates = SurrogatePair(pipeline=pipeline, num_tiers=topology.num_tiers)
-    hist = (
-        history.session(cfg.history_top_k, pipeline, topology.num_tiers)
-        if (cfg.use_history and history is not None)
-        else None
-    )
+    hist = history.session(pipeline, topology.num_tiers) if (cfg.use_history and history is not None) else None
     if hist is not None:
-        hist.prime(pool_xa, pool_xl, query.a_slo, query.l_slo, cfg.min_samples, cfg.price_per_hour)
+        hist.prime(pool_xa, pool_xl, query.a_slo, query.l_slo)
 
     time_s = 0.0
     gpu_s = 0.0
@@ -672,56 +600,21 @@ def single_query_search(
         if not unprofiled:
             pool_exhausted = True
             break
-        if len(pool) > cfg.pool_enumeration_cap and len(unprofiled) > cfg.pool_sample_size:
-            pick = rng.choice(len(unprofiled), size=cfg.pool_sample_size, replace=False)
+        if len(pool) > POOL_ENUMERATION_CAP and len(unprofiled) > POOL_SAMPLE_SIZE:
+            pick = rng.choice(len(unprofiled), size=POOL_SAMPLE_SIZE, replace=False)
             step_idx = [unprofiled[int(j)] for j in sorted(pick)]
         else:
             step_idx = unprofiled
-        step_pool = [pool[i] for i in step_idx]
-
-        # Same branching as propose(), with the history vote served from the
-        # session's cached per-entry pool scores.
-        use_history = hist is not None and len(hist) > 0 and not (surrogates.own_gap() < hist.best_gap())
-        if use_history:
-            combined, cost_acc = hist.vote_indices(step_idx)
-            plan = step_pool[_argmax_with_ties(combined, cost_acc)]
-            branch = "history"
-        elif surrogates.n_obs == 0:
-            plan = step_pool[int(rng.integers(len(step_pool)))]
-            branch = "cold"
-        else:
-            scores, costs = _score_encoded(
-                surrogates,
-                pool_xa[step_idx],
-                pool_xl[step_idx],
-                query.a_slo,
-                query.l_slo,
-                cfg.min_samples,
-                cfg.price_per_hour,
-            )
-            plan = step_pool[_argmax_with_ties(scores, costs)]
-            branch = "cmbo"
+        idx, branch = propose(step_idx, pool_xa, pool_xl, query.a_slo, query.l_slo, surrogates, hist, rng)
+        plan = pool[idx]
         steps += 1
-        time_s += cfg.overhead_s
-        profiled.add(pool_index[plan])
+        time_s += STEP_OVERHEAD_S
+        profiled.add(idx)
 
         if cfg.profiler_mode == "fixed":
-            outcome = profile_plan_fixed_n(
-                plan, land, cfg.fixed_n, cache, query.a_slo, rng, log=profile_log
-            )
+            outcome = profile_plan_fixed_n(plan, land, cfg.fixed_n, cache, query.a_slo, rng, log=profile_log)
         else:
-            outcome = profile_plan(
-                plan,
-                land,
-                strat,
-                cache,
-                query.a_slo,
-                rng,
-                confidence=cfg.confidence,
-                min_samples=cfg.min_samples,
-                n_max=cfg.n_max,
-                log=profile_log,
-            )
+            outcome = profile_plan(plan, land, strat, cache, query.a_slo, rng, log=profile_log)
         time_s += outcome.profiling_cost
         gpu_s += outcome.profiling_cost
 
@@ -767,7 +660,7 @@ def single_query_search(
         )
 
     candidates = CandidateSet.build(raw_candidates)
-    dollars = gpu_s / 3600.0 * cfg.price_per_hour
+    dollars = gpu_s / 3600.0 * latmod.DEFAULT_GPU_PRICE_PER_HOUR
     if history is not None and surrogates.n_obs > 0:
         history.push(surrogates)
     return SearchResult(

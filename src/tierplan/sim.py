@@ -41,7 +41,7 @@ from .model import (
     load_json_file,
     topology_from_dict,
 )
-from .presets import DEFAULT_SPEED_FACTORS, get_pipeline, default_topology
+from .presets import default_topology, get_pipeline, speed_factors_for
 from .scheduler import (
     DEFAULT_AGING_BETA,
     DeploymentState,
@@ -101,6 +101,17 @@ class SimConfig:
                 raise SchemaError(f"no landscape for pipeline {entry.template!r}")
 
 
+def search_config_from_ablations(ablations: dict, base: SearchConfig) -> SearchConfig:
+    """``base`` with the planner switches named in an ablation mapping
+    (warm_start, prefix_cache, profiler, fixed_n) applied."""
+    return SearchConfig(
+        use_history=bool(ablations.get("warm_start", base.use_history)),
+        use_cache=bool(ablations.get("prefix_cache", base.use_cache)),
+        profiler_mode=ablations.get("profiler", base.profiler_mode),
+        fixed_n=int(ablations.get("fixed_n", base.fixed_n)),
+    )
+
+
 def sim_config_from_file(path: str) -> SimConfig:
     """Build a SimConfig from a JSON file; all validation happens here,
     before any simulation starts."""
@@ -134,9 +145,7 @@ def sim_config_from_file(path: str) -> SimConfig:
             difficulty=difficulty,
             k_true=k_true,
             noise_scale=noise,
-            tier_speed_factors=DEFAULT_SPEED_FACTORS[-topology.num_tiers :]
-            if topology.num_tiers <= len(DEFAULT_SPEED_FACTORS)
-            else None,
+            tier_speed_factors=speed_factors_for(topology.num_tiers),
             num_tiers=topology.num_tiers,
         )
         for i, (name, pipe) in enumerate(sorted(pipelines.items()))
@@ -172,13 +181,10 @@ def sim_config_from_file(path: str) -> SimConfig:
             )
         )
 
-    abl = obj.get("ablations", {})
-    search = SearchConfig(
-        use_history=bool(abl.get("warm_start", True)),
-        use_cache=bool(abl.get("prefix_cache", True)),
-        profiler_mode=abl.get("profiler", "guided"),
-        fixed_n=int(abl.get("fixed_n", 356)),
-    )
+    try:
+        search = search_config_from_ablations(obj.get("ablations", {}), SearchConfig())
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{path}: invalid ablations: {e}") from e
 
     return SimConfig(
         topology=topology,
@@ -597,16 +603,9 @@ def compare(config: SimConfig, variants: dict[str, dict]) -> dict:
     metrics and improvement factors relative to the first variant."""
     results = {}
     for name, overrides in variants.items():
-        search = replace(
-            config.search,
-            use_history=overrides.get("warm_start", config.search.use_history),
-            use_cache=overrides.get("prefix_cache", config.search.use_cache),
-            profiler_mode=overrides.get("profiler", config.search.profiler_mode),
-            fixed_n=overrides.get("fixed_n", config.search.fixed_n),
-        )
         cfg = replace(
             config,
-            search=search,
+            search=search_config_from_ablations(overrides, config.search),
             scheduler_mode=overrides.get("scheduler", config.scheduler_mode),
             output_dir=None,
         )

@@ -90,6 +90,15 @@ class TestGeneration:
             )
 
 
+    def test_drift_after_warm_cache_moves_means(self, vt_pipeline):
+        land = generate_landscape(seed=11, pipeline=vt_pipeline)
+        cfgs = [(0, 0, 0), (2, 3, 4), (1, 2, 0)]
+        before = {(k, c): land.stratum_mean(k, c) for k in range(land.k_true) for c in cfgs}
+        drifted = land.with_accuracy_shift(-0.15)
+        for (k, c), mu in before.items():
+            assert drifted.stratum_mean(k, c) == pytest.approx(max(mu - 0.15, 0.005), abs=1e-12)
+            assert land.stratum_mean(k, c) == mu  # the original is untouched
+
 class TestSampleCase:
     def test_zero_variance_draws_equal_mean(self, vt_pipeline):
         land = generate_landscape(seed=2, pipeline=vt_pipeline, noise_scale=0.0)

@@ -3,15 +3,16 @@ import pytest
 
 from oracles import all_paths_latency
 from tierplan.latency import (
+    DEFAULT_GPU_PRICE_PER_HOUR,
     OperatorTimings,
     compute_time,
-    per_case_reference_seconds,
     pipeline_latency,
     plan_hourly_cost,
-    profiling_cost,
     transfer_time,
 )
-from tierplan.model import OperatorSpec, PipelineSpec, PlanPoint, Tier, TierTopology
+from tierplan.model import OperatorSpec, PipelineSpec, PlanPoint, Query, Tier, TierTopology
+from tierplan.profiler import NullCache, PrefixCache, profile_plan, profile_plan_fixed_n, stratify
+from tierplan.search import single_query_search
 
 MBIT = 125_000.0  # bytes in one megabit
 
@@ -156,18 +157,39 @@ class TestPipelineLatency:
 
 
 class TestProfilingCost:
-    def test_zero_cases_zero_cost(self):
-        assert profiling_cost(0.5, 0) == (0.0, 0.0)
+    """Profiling is charged per sampled case (ProfileOutcome.profiling_cost,
+    via the cache's charge_case) and priced per GPU-hour by the search."""
 
-    def test_full_prefix_hit_costs_nothing(self):
-        timings = OperatorTimings((0.1, 0.2), (1.0, 1.0), (1.0,))
-        assert per_case_reference_seconds(timings, cached_prefix_len=2) == 0.0
-        assert profiling_cost(0.0, 100)[1] == 0.0
+    def test_zero_cases_zero_cost(self, vt_pipeline, vt_landscape, topology):
+        q = Query("z", vt_pipeline, a_slo=0.5, l_slo=1.0, response_budget_s=0.0)
+        res = single_query_search(q, vt_landscape, topology, seed=0)
+        assert (res.gpu_seconds, res.dollars) == (0.0, 0.0)
 
-    def test_hundred_half_second_cases_at_a100_price(self):
-        gpu_s, dollars = profiling_cost(0.5, 100, price_per_hour=3.67)
-        assert gpu_s == 50.0
-        assert dollars == pytest.approx(0.051, abs=5e-4)
+    def test_full_prefix_hit_costs_nothing(self, vt_landscape):
+        plan = PlanPoint((1, 2, 3), (0, 1, 2), (1.0, 1.0, 1.0))
+        cache = PrefixCache()
+        outs = [
+            profile_plan(plan, vt_landscape, stratify(vt_landscape.case_features, 4), cache, 0.5, np.random.default_rng(4))
+            for _ in range(2)
+        ]
+        assert outs[0].profiling_cost > 0.0
+        # the same cases drawn again are fully cached
+        assert outs[1].samples_used == outs[0].samples_used
+        assert outs[1].profiling_cost == 0.0
+
+    def test_hundred_half_second_cases_at_a100_price(self, vt_pipeline, vt_landscape, topology):
+        gpu_s = sum(NullCache().charge_case((0, 0), c, (0.2, 0.3), (1.0, 1.0)) for c in range(100))
+        assert gpu_s == pytest.approx(50.0)
+        assert gpu_s / 3600.0 * DEFAULT_GPU_PRICE_PER_HOUR == pytest.approx(0.051, abs=5e-4)
+        plan = PlanPoint((1, 2, 3), (0, 1, 2), (1.0, 1.0, 1.0))
+        per_case = sum(vt_landscape.timings_for(plan.configuration).base_compute_s)
+        out = profile_plan_fixed_n(plan, vt_landscape, 100, NullCache(), 0.5, np.random.default_rng(0))
+        assert out.profiling_cost == pytest.approx(100 * per_case)
+        # the search prices its charged GPU-seconds at the reference tier's A100 rate
+        q = Query("p", vt_pipeline, a_slo=0.5, l_slo=1.0, response_budget_s=0.5)
+        res = single_query_search(q, vt_landscape, topology, seed=0)
+        assert res.gpu_seconds > 0
+        assert res.dollars == pytest.approx(res.gpu_seconds / 3600.0 * 3.67)
 
 
 class TestPlanCost:

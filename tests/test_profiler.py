@@ -279,23 +279,31 @@ class TestPrefixCache:
         t = vt_landscape.timings_for(cfg)
         first = cache.charge_case(cfg, 7, t.base_compute_s, t.output_bytes)
         assert first == pytest.approx(sum(t.base_compute_s))
-        assert cache.lookup(cfg) == 3
         assert cache.charge_case(cfg, 7, t.base_compute_s, t.output_bytes) == 0.0
+        # entries are per case: another case is charged in full
+        assert cache.charge_case(cfg, 8, t.base_compute_s, t.output_bytes) == pytest.approx(first)
 
     def test_partial_prefix(self, vt_landscape):
         cache = PrefixCache()
         t1 = vt_landscape.timings_for((1, 2, 3))
         cache.charge_case((1, 2, 3), 0, t1.base_compute_s, t1.output_bytes)
-        assert cache.lookup((1, 0, 0)) == 1
         t2 = vt_landscape.timings_for((1, 0, 0))
         charged = cache.charge_case((1, 0, 0), 0, t2.base_compute_s, t2.output_bytes)
         assert charged == pytest.approx(sum(t2.base_compute_s[1:]))
+        # a shared suffix does not hit: the prefix key includes upstream configs
+        t3 = vt_landscape.timings_for((0, 2, 3))
+        assert cache.charge_case((0, 2, 3), 0, t3.base_compute_s, t3.output_bytes) == pytest.approx(
+            sum(t3.base_compute_s)
+        )
 
     def test_insert_is_idempotent(self):
         cache = PrefixCache()
-        cache.insert((1, 2), [0, 1], bytes_per_case=10.0)
+        cache.charge_case((1, 2), 0, (0.1, 0.2), (10.0, 10.0))
+        cache.charge_case((1, 2), 1, (0.1, 0.2), (10.0, 10.0))
         before = cache.total_bytes
-        cache.insert((1, 2), [0, 1], bytes_per_case=10.0)
+        assert before == 40.0
+        assert cache.charge_case((1, 2), 0, (0.1, 0.2), (10.0, 10.0)) == 0.0
+        assert cache.charge_case((1, 2), 1, (0.1, 0.2), (10.0, 10.0)) == 0.0
         assert cache.total_bytes == before
 
     def test_randomized_sequence_matches_replay_trie(self, vt_pipeline):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,18 +23,26 @@ from tierplan.presets import DEFAULT_SPEED_FACTORS, wide_search_pipeline
 from tierplan.search import (
     GaussianProcess,
     HistoryEntry,
+    HistorySession,
     HistoryStore,
-    SearchConfig,
     SurrogatePair,
-    acquisition_score,
-    history_propose,
+    acquisition,
+    encode_pool,
     pareto_optimize,
-    profiling_cost_of_latency,
     propose,
     single_query_search,
     update,
-    utility,
 )
+
+
+def acq(mu_a, sd_a, mu_l, sd_l, a_slo, l_slo):
+    """Acquisition score of one candidate."""
+    scores, _ = acquisition(*(np.array([v]) for v in (mu_a, sd_a, mu_l, sd_l)), a_slo, l_slo)
+    return float(scores[0])
+
+
+def pool_scores(pool, pair, a_slo, l_slo):
+    return acquisition(*pair.predict(pool), a_slo, l_slo)[0]
 
 
 class TestGaussianProcess:
@@ -66,14 +75,23 @@ class TestGaussianProcess:
 
 
 class TestUtility:
+    """The acquisition Pr[acc >= A] * Pr[lat <= L] / C and its cost C."""
+
     def test_confident_feasible_plan_scores_inverse_cost(self):
         mu_l = 0.2
-        got = acquisition_score(0.9, 0.0, mu_l, 0.0, a_slo=0.8, l_slo=0.5)
-        assert got == pytest.approx(1.0 / profiling_cost_of_latency(mu_l))
+        scores, costs = acquisition(
+            np.array([0.9]), np.array([0.0]), np.array([mu_l]), np.array([0.0]), a_slo=0.8, l_slo=0.5
+        )
+        # C: a 50-case minimum batch at the predicted latency, $3.67 per GPU-hour
+        assert costs[0] == pytest.approx(mu_l * 50 / 3600.0 * 3.67)
+        assert scores[0] == pytest.approx(1.0 / costs[0])
+        # negative predicted latency is floored, not rewarded
+        _, floored = acquisition(np.array([0.9]), np.array([0.1]), np.array([-1.0]), np.array([0.1]), 0.8, 0.5)
+        assert floored[0] == 1e-6
 
     def test_accuracy_at_threshold_halves(self):
-        lo = acquisition_score(0.8, 0.1, 0.2, 0.0, a_slo=0.8, l_slo=0.5)
-        full = acquisition_score(2.0, 0.1, 0.2, 0.0, a_slo=0.8, l_slo=0.5)
+        lo = acq(0.8, 0.1, 0.2, 0.0, a_slo=0.8, l_slo=0.5)
+        full = acq(2.0, 0.1, 0.2, 0.0, a_slo=0.8, l_slo=0.5)
         assert lo == pytest.approx(0.5 * full)
 
     def test_ranking_matches_plug_in_reference(self):
@@ -83,7 +101,7 @@ class TestUtility:
             mu_a, sd_a = rng.uniform(0.5, 1.0), rng.uniform(0.01, 0.3)
             mu_l, sd_l = rng.uniform(0.05, 2.0), rng.uniform(0.01, 0.5)
             plans.append((mu_a, sd_a, mu_l, sd_l))
-        got = [acquisition_score(*p, a_slo=0.8, l_slo=0.6) for p in plans]
+        got, _ = acquisition(*np.array(plans).T, a_slo=0.8, l_slo=0.6)
         ref = [
             norm.cdf((mu_a - 0.8) / sd_a)
             * norm.cdf((0.6 - mu_l) / sd_l)
@@ -94,9 +112,9 @@ class TestUtility:
         assert np.allclose(got, ref, rtol=1e-9)
 
     def test_monotonicity_in_accuracy_and_cost(self):
-        base = acquisition_score(0.75, 0.1, 0.3, 0.1, a_slo=0.8, l_slo=0.5)
-        higher_acc = acquisition_score(0.85, 0.1, 0.3, 0.1, a_slo=0.8, l_slo=0.5)
-        costlier = acquisition_score(0.75, 0.1, 0.45, 0.1, a_slo=0.8, l_slo=0.5)
+        base = acq(0.75, 0.1, 0.3, 0.1, a_slo=0.8, l_slo=0.5)
+        higher_acc = acq(0.85, 0.1, 0.3, 0.1, a_slo=0.8, l_slo=0.5)
+        costlier = acq(0.75, 0.1, 0.45, 0.1, a_slo=0.8, l_slo=0.5)
         assert higher_acc >= base
         assert costlier <= base
 
@@ -113,25 +131,47 @@ def two_op_setup(noise=0.0):
     return pipe, topo, land
 
 
+def encoded_pool(pipe, topo):
+    pool = enumerate_search_pool(pipe, topo)
+    xa, xl = encode_pool(pool, pipe, topo.num_tiers)
+    return pool, list(range(len(pool))), xa, xl
+
+
+def primed(entries, xa, xl, a_slo, l_slo):
+    session = HistorySession(entries)
+    session.prime(xa, xl, a_slo, l_slo)
+    return session
+
+
 class TestProposeBranches:
     def test_cold_branch_without_history(self):
         pipe, topo, land = two_op_setup()
-        pool = enumerate_search_pool(pipe, topo)
+        pool, idx, xa, xl = encoded_pool(pipe, topo)
         pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        plan, branch = propose(pool, 0.8, 0.5, pair, None, np.random.default_rng(0))
-        assert branch == "cold" and plan in pool
+        i, branch = propose(idx, xa, xl, 0.8, 0.5, pair, None, np.random.default_rng(0))
+        assert branch == "cold"
+        assert i == int(np.random.default_rng(0).integers(len(pool)))
+        # an empty history session is no history
+        i, branch = propose(idx[3:], xa, xl, 0.8, 0.5, pair, primed([], xa, xl, 0.8, 0.5), np.random.default_rng(0))
+        assert branch == "cold" and i in idx[3:]
 
     def test_cmbo_branch_after_one_observation(self):
         pipe, topo, land = two_op_setup()
-        pool = enumerate_search_pool(pipe, topo)
+        pool, idx, xa, xl = encoded_pool(pipe, topo)
         pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
         pair.fit_new_point(pool[0], 0.9, 0.1)
-        plan, branch = propose(pool, 0.8, 0.5, pair, None, np.random.default_rng(0))
+        i, branch = propose(idx, xa, xl, 0.8, 0.5, pair, None, np.random.default_rng(0))
         assert branch == "cmbo"
+        scores = pool_scores(pool, pair, 0.8, 0.5)
+        assert scores[i] == scores.max()
+        # only the step's candidates are scored
+        step = [j for j in idx if j != i]
+        j, _ = propose(step, xa, xl, 0.8, 0.5, pair, None, np.random.default_rng(0))
+        assert j in step and scores[j] == scores[step].max()
 
     def test_history_wins_when_own_gap_larger(self):
         pipe, topo, land = two_op_setup()
-        pool = enumerate_search_pool(pipe, topo)
+        pool, idx, xa, xl = encoded_pool(pipe, topo)
         own = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
         own.fit_new_point(pool[0], 0.9, 0.1)
         own.record_gap(0.10)
@@ -140,15 +180,27 @@ class TestProposeBranches:
         store = HistoryStore()
         store.push(hist_pair)
         session = store.session()
+        session.prime(xa, xl, 0.8, 0.5)
         session.entries[0].gap_sum, session.entries[0].gap_n = 0.01, 1
-        plan, branch = propose(pool, 0.8, 0.5, own, session, np.random.default_rng(0))
+        i, branch = propose(idx, xa, xl, 0.8, 0.5, own, session, np.random.default_rng(0))
         assert branch == "history"
         session.entries[0].gap_sum = 5.0  # worse than own gap now
-        plan, branch = propose(pool, 0.8, 0.5, own, session, np.random.default_rng(0))
+        i, branch = propose(idx, xa, xl, 0.8, 0.5, own, session, np.random.default_rng(0))
         assert branch == "cmbo"
 
 
 class TestHistoryPropose:
+    """The history branch of propose: gap-weighted votes of history models."""
+
+    def _vote(self, pipe, topo, entries, a_slo, l_slo):
+        pool, idx, xa, xl = encoded_pool(pipe, topo)
+        fresh = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
+        i, branch = propose(
+            idx, xa, xl, a_slo, l_slo, fresh, primed(entries, xa, xl, a_slo, l_slo), np.random.default_rng(0)
+        )
+        assert branch == "history"
+        return i
+
     def test_single_history_equals_its_own_argmax(self):
         pipe, topo, land = two_op_setup()
         pool = enumerate_search_pool(pipe, topo)
@@ -157,23 +209,24 @@ class TestHistoryPropose:
         for plan in [pool[i] for i in rng.choice(len(pool), 5, replace=False)]:
             pair.fit_new_point(plan, float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.05, 0.5)))
         entry = HistoryEntry(pair=pair, gap_sum=0.05, gap_n=1)
-        voted = history_propose(pool, 0.8, 0.5, [entry])
-        scores = [utility(p, 0.8, 0.5, pair) for p in pool]
+        voted = self._vote(pipe, topo, [entry], 0.8, 0.5)
+        scores = pool_scores(pool, pair, 0.8, 0.5)
         best = max(scores)
         tied = [i for i, s in enumerate(scores) if s == best]
-        assert voted == pool[min(tied)]
+        assert voted == min(tied)
 
     def test_two_identical_histories_equal_one(self):
         pipe, topo, land = two_op_setup()
         pool = enumerate_search_pool(pipe, topo)
         pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
         pair.fit_new_point(pool[0], 0.95, 0.1)
-        one = history_propose(pool, 0.8, 0.5, [HistoryEntry(pair=pair, gap_sum=0.1, gap_n=1)])
-        two = history_propose(
-            pool,
+        one = self._vote(pipe, topo, [HistoryEntry(pair=pair, gap_sum=0.1, gap_n=1)], 0.8, 0.5)
+        two = self._vote(
+            pipe,
+            topo,
+            [HistoryEntry(pair=pair, gap_sum=0.1, gap_n=1), HistoryEntry(pair=pair, gap_sum=0.1, gap_n=1)],
             0.8,
             0.5,
-            [HistoryEntry(pair=pair, gap_sum=0.1, gap_n=1), HistoryEntry(pair=pair, gap_sum=0.1, gap_n=1)],
         )
         assert one == two
 
@@ -192,15 +245,17 @@ class TestHistoryPropose:
             HistoryEntry(pair=strong, gap_sum=0.01, gap_n=1),
             HistoryEntry(pair=weak, gap_sum=0.09, gap_n=1),
         ]
-        voted = history_propose(pool, 0.5, 0.5, entries)
+        voted = self._vote(pipe, topo, entries, 0.5, 0.5)
         # hand-computed weighted sum over the two candidate plans
         w = np.array([1 / (0.01 + 1e-6), 1 / (0.09 + 1e-6)])
         w = w / w.sum()
         assert w[0] == pytest.approx(0.9, abs=1e-4)
-        s10 = w[0] * utility(pool[10], 0.5, 0.5, strong) + w[1] * utility(pool[10], 0.5, 0.5, weak)
-        s12 = w[0] * utility(pool[12], 0.5, 0.5, strong) + w[1] * utility(pool[12], 0.5, 0.5, weak)
+        s_strong = pool_scores(pool, strong, 0.5, 0.5)
+        s_weak = pool_scores(pool, weak, 0.5, 0.5)
+        s10 = w[0] * s_strong[10] + w[1] * s_weak[10]
+        s12 = w[0] * s_strong[12] + w[1] * s_weak[12]
         assert s10 > s12
-        assert voted == pool[10]
+        assert voted == 10
 
 
 class TestUpdate:
@@ -208,7 +263,9 @@ class TestUpdate:
         pipe, topo, land = two_op_setup()
         pool = enumerate_search_pool(pipe, topo)
         pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        out = ProfileOutcome(0.87, 50, Verdict.PASS_ACCURACY, 0.2, 1.0)
+        out = ProfileOutcome(
+            accuracy_estimate=0.87, samples_used=50, verdict=Verdict.PASS_ACCURACY, profiling_cost=1.0
+        )
         update(pair, None, pool[3], out, 0.2, l_slo=0.5)
         mu_a, sd_a, mu_l, _ = pair.predict([pool[3]])
         assert abs(float(mu_a[0]) - 0.87) <= 0.02
@@ -233,7 +290,12 @@ class TestUpdate:
         for i in rng.choice(len(pool), 8, replace=False):
             plan = pool[int(i)]
             lat = pipeline_latency(plan, pipe, topo, land.timings_for(plan.configuration)).total_s
-            out = ProfileOutcome(land.accuracy_mean(plan.configuration), 50, Verdict.PASS_ACCURACY, lat, 1.0)
+            out = ProfileOutcome(
+                accuracy_estimate=land.accuracy_mean(plan.configuration),
+                samples_used=50,
+                verdict=Verdict.PASS_ACCURACY,
+                profiling_cost=1.0,
+            )
             update(own, session, plan, out, lat, l_slo=0.5)
         gaps = [e.gap for e in session.entries]
         assert gaps[0] < gaps[1]
@@ -319,6 +381,43 @@ class TestSingleQuerySearch:
         assert seq_a == seq_b
         assert a.candidates == b.candidates
 
+    def test_warm_history_proposal_sequence_is_pinned(self, vt_pipeline, vt_landscape, topology, vt_query):
+        # Values recorded from the earlier inline-branching loop, so a change
+        # to the RNG call order or tie-breaking shows. The history vote leads
+        # until the session's own model outpredicts it, then cmbo takes over.
+        q = dataclasses.replace(vt_query, response_budget_s=2.0)
+        store = HistoryStore()
+        for i in range(2):
+            sib = generate_landscape(seed=12 + i, pipeline=vt_pipeline, parent=vt_landscape, perturbation=1.5)
+            single_query_search(q, sib, topology, history=store, seed=50 + i)
+        res = single_query_search(q, vt_landscape, topology, history=store, seed=7)
+        got = [(t["branch"], tuple(t["configuration"]), tuple(t["placement"])) for t in res.telemetry]
+        assert got == [
+            ("history", (1, 1, 3), (0, 0, 0)),
+            ("history", (1, 1, 3), (0, 0, 1)),
+            ("cmbo", (0, 1, 3), (0, 0, 0)),
+            ("cmbo", (1, 1, 3), (1, 1, 2)),
+        ]
+
+    def test_subsampled_pool_proposal_sequence_is_pinned(self, topology):
+        # 22,680 plans exceed the enumeration cap, so every step scores a
+        # seeded subsample drawn before the cold branch's own draw.
+        ops = tuple(
+            OperatorSpec(i, tuple(f"o{j}" for j in range(n)), base_output_size=1e5)
+            for i, n in enumerate((6, 6, 6, 7))
+        )
+        pipe = PipelineSpec("big", ops, ((0, 1), (1, 2), (2, 3)))
+        land = generate_landscape(seed=5, pipeline=pipe, tier_speed_factors=DEFAULT_SPEED_FACTORS)
+        q = Query("big", pipe, a_slo=0.5, l_slo=1.0, response_budget_s=1.5)
+        res = single_query_search(q, land, topology, seed=3)
+        got = [(t["branch"], tuple(t["configuration"]), tuple(t["placement"])) for t in res.telemetry]
+        assert got == [
+            ("cold", (2, 1, 5, 0), (1, 1, 1, 1)),
+            ("cmbo", (2, 1, 5, 4), (1, 1, 1, 1)),
+            ("cmbo", (2, 0, 5, 0), (1, 1, 1, 1)),
+            ("cmbo", (2, 0, 3, 0), (1, 1, 1, 1)),
+        ]
+
     def test_candidates_meet_both_slos_under_oracle(self, vt_pipeline, vt_landscape, topology, vt_query):
         res = single_query_search(vt_query, vt_landscape, topology, seed=3)
         assert len(res.candidates) > 0
@@ -351,7 +450,7 @@ class TestSingleQuerySearch:
     def test_pool_exhaustion_is_legal_outcome(self):
         pipe, topo, land = two_op_setup()
         q = Query("e", pipe, a_slo=0.999, l_slo=10.0, response_budget_s=1e6)
-        res = single_query_search(q, land, topo, seed=0, config=SearchConfig(n_max=100))
+        res = single_query_search(q, land, topo, seed=0)
         assert res.pool_exhausted
         assert len(res.candidates) == 0  # nothing can reach 0.999
 

@@ -232,6 +232,51 @@ class TestConfigFile:
             )
 
 
+    @pytest.mark.parametrize(
+        "ablations, message",
+        [({"profiler": "guidd"}, "guidd"), ({"profiler": "fixed", "fixed_n": 0}, "fixed_n")],
+        ids=["unknown-profiler", "fixed-n-zero"],
+    )
+    def test_invalid_profiler_options_rejected_at_load(self, tmp_path, capsys, ablations, message):
+        path = self._write(
+            tmp_path,
+            {
+                "schema_version": SCHEMA_VERSION,
+                "pipelines": ["code-generation"],
+                "trace": {"generator": {"duration_s": 5.0, "load": 0.2}},
+                "ablations": ablations,
+            },
+        )
+        with pytest.raises(SchemaError, match=message):
+            sim_config_from_file(path)
+        assert cli_main(["simulate", "--config", path]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("arrival_time", float("nan")),
+            ("arrival_time", float("inf")),
+            ("arrival_time", -1.0),
+            ("a_slo", 0.0),
+            ("a_slo", 1.5),
+            ("l_slo", 0.0),
+            ("lifespan", -5.0),
+            ("weight", 0.0),
+        ],
+    )
+    def test_invalid_trace_entry_rejected_at_load(self, tmp_path, capsys, field, value):
+        row = {"arrival_time": 1.0, "template": "code-generation", "a_slo": 0.5, "l_slo": 0.2, "lifespan": 30.0}
+        row[field] = value
+        trace = {"schema_version": SCHEMA_VERSION, "entries": [row]}
+        with pytest.raises(SchemaError, match=field):
+            ArrivalTrace.from_dict(trace)
+        path = self._write(
+            tmp_path, {"schema_version": SCHEMA_VERSION, "pipelines": ["code-generation"], "trace": trace}
+        )
+        assert cli_main(["simulate", "--config", path]) == 1
+        assert field in capsys.readouterr().err
+
 class TestCli:
     def test_plan_prints_candidates(self, capsys, tmp_path):
         telemetry = tmp_path / "steps.jsonl"
