@@ -12,7 +12,6 @@ from .landscape import (
     true_pareto_set,
 )
 from .latency import (
-    LatencyBreakdown,
     OperatorTimings,
     compute_time,
     pipeline_latency,

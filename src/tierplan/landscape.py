@@ -356,9 +356,7 @@ def true_pareto_set(
             acc_cache[plan.configuration] = acc
         if acc < query.a_slo:
             continue
-        lat = latmod.pipeline_latency(
-            plan, landscape.pipeline, topology, landscape.timings_for(plan.configuration)
-        ).total_s
+        lat = latmod.pipeline_latency(plan, landscape.pipeline, topology, landscape.timings_for(plan.configuration))
         if lat > query.l_slo:
             continue
         feasible.append((plan, (latmod.plan_hourly_cost(plan, topology), lat)))
@@ -382,9 +380,7 @@ def quality_latency_frontier(
         if acc is None:
             acc = landscape.accuracy_mean(plan.configuration)
             acc_cache[plan.configuration] = acc
-        lat = latmod.pipeline_latency(
-            plan, landscape.pipeline, topology, landscape.timings_for(plan.configuration)
-        ).total_s
+        lat = latmod.pipeline_latency(plan, landscape.pipeline, topology, landscape.timings_for(plan.configuration))
         rows.append((plan, acc, lat))
     return pareto_filter(rows, key=lambda r: (1.0 - r[1], r[2]))
 

@@ -67,38 +67,25 @@ class OperatorTimings:
     tier_speed_factors: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class LatencyBreakdown:
-    node_compute_s: tuple[float, ...]
-    edge_transfer_s: dict[tuple[int, int], float]
-    critical_path: tuple[str, ...]
-    total_s: float
-
-    def to_dict(self) -> dict:
-        return {
-            "node_compute_s": list(self.node_compute_s),
-            "edge_transfer_s": {f"{u}->{v}": s for (u, v), s in sorted(self.edge_transfer_s.items())},
-            "critical_path": list(self.critical_path),
-            "total_s": self.total_s,
-        }
-
-
 def pipeline_latency(
     plan: PlanPoint,
     pipeline: PipelineSpec,
     topology: TierTopology,
     timings: OperatorTimings,
-) -> LatencyBreakdown:
-    """Longest-path latency of a placed, configured, resourced pipeline.
+) -> float:
+    """Longest-path latency, in seconds, of a placed, configured, resourced
+    pipeline.
 
     Node and edge weights are accumulated in topological order by dynamic
     programming, so the result is deterministic and exactly equals the
-    heaviest source->sink path sum.
+    heaviest source->sink path sum. ``PipelineSpec`` guarantees that edges
+    point forward and that every operator is reachable from a source, so
+    operator order is a topological order.
     """
     n = len(pipeline)
     if len(timings.base_compute_s) != n or len(timings.output_bytes) != n:
         raise ValueError("timings do not match pipeline size")
-    node_w = tuple(
+    node_w = [
         compute_time(
             timings.base_compute_s[i],
             plan.resources[i],
@@ -106,61 +93,32 @@ def pipeline_latency(
             pipeline.operators[i].is_batching,
         )
         for i in range(n)
-    )
-    edge_w: dict[tuple[int, int], float] = {}
-    for u, v in pipeline.edges:
-        tu, tv = plan.placement[u], plan.placement[v]
-        edge_w[(u, v)] = transfer_time(
-            timings.output_bytes[u],
-            topology.bandwidth_mbps[tu][tv],
-            topology.link_latency_s[tu][tv],
-            co_located=(tu == tv),
-        )
+    ]
+    bandwidth, link_latency = topology.bandwidth_mbps, topology.link_latency_s
+    ready = [0.0] * n
     # Raw input originates on the device tier; off-device sources pay ingress.
     for i in pipeline.sources():
         ti = plan.placement[i]
-        edge_w[(-1, i)] = transfer_time(
+        ready[i] = transfer_time(
             pipeline.input_bytes,
-            topology.bandwidth_mbps[0][ti],
-            topology.link_latency_s[0][ti],
+            bandwidth[0][ti],
+            link_latency[0][ti],
             co_located=(ti == 0 or pipeline.input_bytes == 0),
-        )
-
-    ready = [0.0] * n
-    best_pred: list[int | None] = [None] * n
-    seen_any = [False] * n
-    for i in pipeline.sources():
-        ready[i] = edge_w[(-1, i)] + node_w[i]
-        seen_any[i] = True
+        ) + node_w[i]
     for v in range(n):
         preds = pipeline.predecessors(v)
         if not preds:
             continue
-        if not all(seen_any[u] for u in preds):
-            raise ValueError("pipeline graph is disconnected")
-        arrivals = [(ready[u] + edge_w[(u, v)], u) for u in preds]
-        arrival, pred = max(arrivals, key=lambda t: (t[0], -t[1]))
-        ready[v] = arrival + node_w[v]
-        best_pred[v] = pred
-        seen_any[v] = True
-
-    path: list[str] = []
-    v: int | None = pipeline.sink
-    while v is not None:
-        path.append(f"op{v}")
-        u = best_pred[v]
-        if u is not None:
-            path.append(f"link{u}->{v}")
-        elif edge_w.get((-1, v), 0.0) > 0:
-            path.append(f"ingress->{v}")
-        v = u
-    path.reverse()
-    return LatencyBreakdown(
-        node_compute_s=node_w,
-        edge_transfer_s=edge_w,
-        critical_path=tuple(path),
-        total_s=ready[pipeline.sink],
-    )
+        tv = plan.placement[v]
+        arrivals = []
+        for u in preds:
+            tu = plan.placement[u]
+            arrivals.append(
+                ready[u]
+                + transfer_time(timings.output_bytes[u], bandwidth[tu][tv], link_latency[tu][tv], co_located=(tu == tv))
+            )
+        ready[v] = max(arrivals) + node_w[v]
+    return ready[pipeline.sink]
 
 
 def plan_hourly_cost(plan: PlanPoint, topology: TierTopology) -> float:

@@ -156,20 +156,13 @@ class PrefixCache:
     Keys are (operator index, configuration prefix through that operator);
     upstream configs fully determine the outputs, so downstream knob changes
     never invalidate an entry. Values track which sampled cases already have
-    the output materialized, plus a byte count. The cache is discarded when
-    the planning session ends.
+    the output materialized. The cache is discarded when the planning
+    session ends.
     """
 
     entries: dict[tuple[int, tuple[int, ...]], set[int]] = field(default_factory=dict)
-    total_bytes: float = 0.0
 
-    def charge_case(
-        self,
-        configuration: Sequence[int],
-        case_id: int,
-        per_op_seconds: Sequence[float],
-        per_op_bytes: Sequence[float],
-    ) -> float:
+    def charge_case(self, configuration: Sequence[int], case_id: int, per_op_seconds: Sequence[float]) -> float:
         """Compute seconds charged for running one case, reusing any cached
         prefix and caching the newly produced outputs."""
         cfg = tuple(configuration)
@@ -180,16 +173,13 @@ class PrefixCache:
             if case_id not in entry:
                 charged += per_op_seconds[i]
                 entry.add(case_id)
-                self.total_bytes += per_op_bytes[i]
         return charged
 
 
 class NullCache:
     """Cache stand-in that never hits: full compute is charged every case."""
 
-    total_bytes = 0.0
-
-    def charge_case(self, configuration, case_id, per_op_seconds, per_op_bytes) -> float:
+    def charge_case(self, configuration, case_id, per_op_seconds) -> float:
         return float(sum(per_op_seconds))
 
 
@@ -313,9 +303,7 @@ def profile_plan(
         case = next_case(strat, rng)
         value = sample_case(land, plan, land.case_stratum[case], rng)
         session.observe(value)
-        charged += cache.charge_case(
-            plan.configuration, case, timings.base_compute_s, timings.output_bytes
-        )
+        charged += cache.charge_case(plan.configuration, case, timings.base_compute_s)
         verdict = session.decide()
         if verdict is not None:
             break
@@ -343,9 +331,7 @@ def profile_plan_fixed_n(
     for _ in range(n_samples):
         case = int(rng.integers(land.n_cases))
         total += sample_case(land, plan, land.case_stratum[case], rng)
-        charged += cache.charge_case(
-            plan.configuration, case, timings.base_compute_s, timings.output_bytes
-        )
+        charged += cache.charge_case(plan.configuration, case, timings.base_compute_s)
     mean = total / n_samples
     verdict = Verdict.PASS_ACCURACY if mean > a_slo else Verdict.FAIL_ACCURACY
     return _outcome(plan, mean, n_samples, verdict, charged, log)

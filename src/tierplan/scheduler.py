@@ -79,12 +79,6 @@ class ScoredPlan:
             weight=weight,
         )
 
-    def tier_demand(self, num_tiers: int) -> list[float]:
-        out = [0.0] * num_tiers
-        for t, d in self.op_demands:
-            out[t] += d
-        return out
-
 
 @dataclass
 class Assignment:
@@ -459,14 +453,14 @@ def ilp_oracle_unlimited(inst: OracleInstance, operator_level: bool = False) -> 
         usable.append((w, ok))
     queries = tuple(usable)
 
-    min_tier_demand = []
+    min_demand = []
     for _, plans in queries:
         per_tier = [min(sum(d for t2, d in plan if t2 == t) for plan in plans) for t in range(num_tiers)]
-        min_tier_demand.append(per_tier)
+        min_demand.append(per_tier)
     suffix_min = [[0.0] * num_tiers for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
         for t in range(num_tiers):
-            suffix_min[i][t] = suffix_min[i + 1][t] + min_tier_demand[i][t]
+            suffix_min[i][t] = suffix_min[i + 1][t] + min_demand[i][t]
 
     best = math.inf
 

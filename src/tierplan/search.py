@@ -419,15 +419,16 @@ def pareto_optimize(
     topology: TierTopology,
     timings: latmod.OperatorTimings,
     l_slo: float,
-) -> list[PlanPoint]:
+) -> list[tuple[PlanPoint, float, float]]:
     """Tighten per-operator resource fractions until the latency SLO binds.
 
     Walks the fraction grid downward from the over-provisioned corner
     (latency is monotone in every fraction, so every feasible allocation is
     reachable through feasible single-step reductions), keeps the terminal
     allocations where no single reduction stays within the SLO, and returns
-    their (cost, latency) non-dominated subset. Batching operators never
-    affect latency, so they always end at the cheapest fraction.
+    the ``(plan, hourly_cost, latency_s)`` rows of their (cost, latency)
+    non-dominated subset. Batching operators never affect latency, so they
+    always end at the cheapest fraction.
     """
     m = len(pipeline)
     levels = RESOURCE_FRACTIONS
@@ -435,7 +436,7 @@ def pareto_optimize(
 
     def lat_of(state: tuple[int, ...]) -> float:
         p = plan.with_resources(tuple(levels[i] for i in state))
-        return latmod.pipeline_latency(p, pipeline, topology, timings).total_s
+        return latmod.pipeline_latency(p, pipeline, topology, timings)
 
     start = (0,) * m
     start_lat = lat_of(start)
@@ -471,9 +472,8 @@ def pareto_optimize(
     rows = []
     for state in minimal:
         p = plan.with_resources(tuple(levels[i] for i in state))
-        rows.append((p, (latmod.plan_hourly_cost(p, topology), feasible[state])))
-    kept = pareto_filter(rows, key=lambda r: r[1])
-    return [p for p, _ in kept]
+        rows.append((p, latmod.plan_hourly_cost(p, topology), feasible[state]))
+    return pareto_filter(rows, key=lambda r: r[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +618,8 @@ def single_query_search(
         time_s += outcome.profiling_cost
         gpu_s += outcome.profiling_cost
 
-        model_latency = latmod.pipeline_latency(
-            plan, pipeline, topology, land.timings_for(plan.configuration)
-        ).total_s
+        timings = land.timings_for(plan.configuration)
+        model_latency = latmod.pipeline_latency(plan, pipeline, topology, timings)
         update(surrogates, hist, plan, outcome, model_latency, query.l_slo)
 
         feasible = outcome.verdict == Verdict.PASS_ACCURACY and model_latency <= query.l_slo
@@ -628,21 +627,10 @@ def single_query_search(
             if first_feasible_time is None:
                 first_feasible_time = time_s
                 first_feasible_step = steps
-            variants = pareto_optimize(
-                plan, pipeline, topology, land.timings_for(plan.configuration), query.l_slo
+            raw_candidates.extend(
+                CandidatePlan(variant, outcome.accuracy_estimate, latency_s=lat, hourly_cost=cost)
+                for variant, cost, lat in pareto_optimize(plan, pipeline, topology, timings, query.l_slo)
             )
-            for v in variants:
-                lat = latmod.pipeline_latency(
-                    v, pipeline, topology, land.timings_for(v.configuration)
-                ).total_s
-                raw_candidates.append(
-                    CandidatePlan(
-                        plan=v,
-                        accuracy_estimate=outcome.accuracy_estimate,
-                        latency_s=lat,
-                        hourly_cost=latmod.plan_hourly_cost(v, topology),
-                    )
-                )
         telemetry.append(
             {
                 "step": steps,

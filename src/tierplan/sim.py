@@ -20,8 +20,9 @@ from __future__ import annotations
 import csv
 import heapq
 import json
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .landscape import (
 from .model import (
     SCHEMA_VERSION,
     PipelineSpec,
+    PlanPoint,
     Query,
     SchemaError,
     TierTopology,
@@ -63,12 +65,18 @@ class DriftEvent:
     delta: float | None = None
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ValueError(f"drift time must be finite and >= 0, got {self.time}")
         if self.kind == "bandwidth":
             if self.link is None or self.factor is None:
                 raise ValueError("bandwidth drift needs link and factor")
+            if not self.factor > 0:
+                raise ValueError(f"bandwidth drift factor must be > 0, got {self.factor}")
         elif self.kind == "accuracy":
             if self.template is None or self.delta is None:
                 raise ValueError("accuracy drift needs template and delta")
+            if not math.isfinite(self.delta):
+                raise ValueError(f"accuracy drift delta must be finite, got {self.delta}")
         else:
             raise ValueError(f"unknown drift kind {self.kind!r}")
 
@@ -92,6 +100,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if (self.planning_budget_s is None) == (self.planning_budget_gpuh is None):
             raise ValueError("exactly one planning budget form must be set")
+        for name in ("planning_budget_s", "planning_budget_gpuh", "replan_budget_s"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.scheduler_mode not in ("greedy", "fcfs"):
             raise ValueError(f"unknown scheduler mode {self.scheduler_mode!r}")
         for entry in self.trace.entries:
@@ -99,6 +111,33 @@ class SimConfig:
                 raise SchemaError(f"trace references unknown pipeline {entry.template!r}")
             if entry.template not in self.landscapes:
                 raise SchemaError(f"no landscape for pipeline {entry.template!r}")
+        tiers = range(self.topology.num_tiers)
+        for event in self.drift:
+            if event.kind == "bandwidth" and not (
+                len(event.link) == 2 and all(isinstance(m, int) and m in tiers for m in event.link)
+            ):
+                raise SchemaError(f"drift link {list(event.link)} is not a pair of tiers in 0..{len(tiers) - 1}")
+            if event.kind == "accuracy" and event.template not in self.landscapes:
+                raise SchemaError(f"accuracy drift names pipeline {event.template!r}, which has no landscape")
+
+
+_TOP_LEVEL_KEYS = (
+    "schema_version", "seed", "topology", "pipelines", "landscape", "trace", "drift", "ablations",
+    "planning_budget_s", "planning_budget_gpuh", "replan_budget_s", "aging_beta", "scheduler", "output_dir",
+)
+_LANDSCAPE_KEYS = ("difficulty", "k_true", "noise_scale")
+_GENERATOR_KEYS = ("duration_s", "load", "burst_factor", "hardness", "mean_lifespan_s")
+_ABLATION_KEYS = ("warm_start", "prefix_cache", "profiler", "fixed_n")
+_DRIFT_KEYS = ("time", "kind", "link", "factor", "template", "delta")
+
+
+def _known_keys(obj, keys, where: str) -> None:
+    """Raise SchemaError unless ``obj`` is a JSON object whose keys all lie in ``keys``."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected a JSON object")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {unknown}; allowed {sorted(keys)}")
 
 
 def search_config_from_ablations(ablations: dict, base: SearchConfig) -> SearchConfig:
@@ -118,6 +157,7 @@ def sim_config_from_file(path: str) -> SimConfig:
     obj = load_json_file(path)
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(f"{path}: missing or unsupported schema_version")
+    _known_keys(obj, _TOP_LEVEL_KEYS, path)
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
@@ -134,6 +174,7 @@ def sim_config_from_file(path: str) -> SimConfig:
     pipelines = {name: get_pipeline(name) for name in names}
 
     land_cfg = obj.get("landscape", {})
+    _known_keys(land_cfg, _LANDSCAPE_KEYS, f"{path}#landscape")
     difficulty = land_cfg.get("difficulty", "rugged")
     k_true = int(land_cfg.get("k_true", 4))
     noise = float(land_cfg.get("noise_scale", 0.05))
@@ -151,12 +192,15 @@ def sim_config_from_file(path: str) -> SimConfig:
         for i, (name, pipe) in enumerate(sorted(pipelines.items()))
     }
 
-    if isinstance(obj.get("trace"), str):
-        trace = ArrivalTrace.from_dict(load_json_file(resolve(obj["trace"])), where=obj["trace"])
-    elif isinstance(obj.get("trace"), dict) and "entries" in obj["trace"]:
-        trace = ArrivalTrace.from_dict(obj["trace"], where=f"{path}#trace")
+    trace_cfg = obj.get("trace", {})
+    if isinstance(trace_cfg, str):
+        trace = ArrivalTrace.from_dict(load_json_file(resolve(trace_cfg)), where=trace_cfg)
+    elif isinstance(trace_cfg, dict) and "entries" in trace_cfg:
+        trace = ArrivalTrace.from_dict(trace_cfg, where=f"{path}#trace")
     else:
-        gen = obj.get("trace", {}).get("generator", {}) if isinstance(obj.get("trace"), dict) else {}
+        _known_keys(trace_cfg, ("generator",), f"{path}#trace")
+        gen = trace_cfg.get("generator", {})
+        _known_keys(gen, _GENERATOR_KEYS, f"{path}#trace.generator")
         trace = generate_trace(
             templates={n: (pipelines[n], landscapes[n]) for n in pipelines},
             topology=topology,
@@ -169,38 +213,43 @@ def sim_config_from_file(path: str) -> SimConfig:
         )
 
     drift = []
-    for d in obj.get("drift", []):
-        drift.append(
-            DriftEvent(
-                time=float(d["time"]),
-                kind=d["kind"],
-                link=tuple(d["link"]) if "link" in d else None,
-                factor=float(d["factor"]) if "factor" in d else None,
-                template=d.get("template"),
-                delta=float(d["delta"]) if "delta" in d else None,
+    for i, d in enumerate(obj.get("drift", [])):
+        where = f"{path}#drift[{i}]"
+        _known_keys(d, _DRIFT_KEYS, where)
+        try:
+            drift.append(
+                DriftEvent(
+                    time=float(d["time"]),
+                    kind=d["kind"],
+                    link=tuple(d["link"]) if "link" in d else None,
+                    factor=float(d["factor"]) if "factor" in d else None,
+                    template=d.get("template"),
+                    delta=float(d["delta"]) if "delta" in d else None,
+                )
             )
-        )
+        except (KeyError, TypeError, ValueError) as e:
+            raise SchemaError(f"{where}: invalid drift event: {e!r}") from e
 
+    ablations = obj.get("ablations", {})
+    _known_keys(ablations, _ABLATION_KEYS, f"{path}#ablations")
     try:
-        search = search_config_from_ablations(obj.get("ablations", {}), SearchConfig())
+        return SimConfig(
+            topology=topology,
+            pipelines=pipelines,
+            landscapes=landscapes,
+            trace=trace,
+            seed=seed,
+            planning_budget_s=obj.get("planning_budget_s", 5.0 if "planning_budget_gpuh" not in obj else None),
+            planning_budget_gpuh=obj.get("planning_budget_gpuh"),
+            replan_budget_s=float(obj.get("replan_budget_s", 5.0)),
+            aging_beta=float(obj.get("aging_beta", DEFAULT_AGING_BETA)),
+            scheduler_mode=obj.get("scheduler", "greedy"),
+            search=search_config_from_ablations(ablations, SearchConfig()),
+            drift=tuple(drift),
+            output_dir=obj.get("output_dir"),
+        )
     except (TypeError, ValueError) as e:
-        raise SchemaError(f"{path}: invalid ablations: {e}") from e
-
-    return SimConfig(
-        topology=topology,
-        pipelines=pipelines,
-        landscapes=landscapes,
-        trace=trace,
-        seed=seed,
-        planning_budget_s=obj.get("planning_budget_s", 5.0 if "planning_budget_gpuh" not in obj else None),
-        planning_budget_gpuh=obj.get("planning_budget_gpuh"),
-        replan_budget_s=float(obj.get("replan_budget_s", 5.0)),
-        aging_beta=float(obj.get("aging_beta", DEFAULT_AGING_BETA)),
-        scheduler_mode=obj.get("scheduler", "greedy"),
-        search=search,
-        drift=tuple(drift),
-        output_dir=obj.get("output_dir"),
-    )
+        raise SchemaError(f"{path}: {e}") from e
 
 
 @dataclass
@@ -223,27 +272,6 @@ class QueryRecord:
     hourly_cost: float | None = None
     replans: int = 0
 
-    def to_row(self) -> dict:
-        return {
-            "id": self.id,
-            "template": self.template,
-            "arrival_time": self.arrival_time,
-            "a_slo": self.a_slo,
-            "l_slo": self.l_slo,
-            "lifespan": self.lifespan,
-            "status": self.status,
-            "time_to_first_feasible_s": self.time_to_first_feasible_s,
-            "planning_time_s": self.planning_time_s,
-            "gpu_seconds": self.gpu_seconds,
-            "profiling_dollars": self.profiling_dollars,
-            "search_steps": self.search_steps,
-            "candidate_count": self.candidate_count,
-            "admitted_at": self.admitted_at,
-            "released_at": self.released_at,
-            "hourly_cost": self.hourly_cost,
-            "replans": self.replans,
-        }
-
 
 @dataclass
 class MetricsReport:
@@ -258,7 +286,7 @@ class MetricsReport:
             "schema_version": SCHEMA_VERSION,
             "goodput_series": [[t, g] for t, g in self.goodput_series],
             "cost_series": [[t, c] for t, c in self.cost_series],
-            "queries": [q.to_row() for q in self.queries],
+            "queries": [asdict(q) for q in self.queries],
             "totals": self.totals,
         }
 
@@ -421,17 +449,18 @@ class _Sim:
             self._start_replan(t, qid)
         self.epoch(t)
 
+    def _latency(self, qid: str, plan: PlanPoint) -> float:
+        """Modelled latency of ``plan`` for query ``qid`` on the current topology."""
+        rec = self.records[qid]
+        timings = self.landscapes[rec.template].timings_for(plan.configuration)
+        return latmod.pipeline_latency(plan, self.cfg.pipelines[rec.template], self.topology, timings)
+
     def _violates(self, qid: str, scored: ScoredPlan) -> bool:
         rec = self.records[qid]
-        template = rec.template
-        land = self.landscapes[template]
         plan = scored.plan.plan
-        lat = latmod.pipeline_latency(
-            plan, self.cfg.pipelines[template], self.topology, land.timings_for(plan.configuration)
-        ).total_s
-        if lat > rec.l_slo:
+        if self._latency(qid, plan) > rec.l_slo:
             return True
-        return land.accuracy_mean(plan.configuration) < rec.a_slo
+        return self.landscapes[rec.template].accuracy_mean(plan.configuration) < rec.a_slo
 
     def _start_replan(self, t: float, qid: str) -> None:
         rec = self.records[qid]
@@ -461,13 +490,9 @@ class _Sim:
     def _current_candidates(self, qid: str) -> CandidateSet:
         """Re-validate candidate latencies against the current topology."""
         rec = self.records[qid]
-        land = self.landscapes[rec.template]
-        pipe = self.cfg.pipelines[rec.template]
         kept = []
         for cand in self.candidates[qid].plans:
-            lat = latmod.pipeline_latency(
-                cand.plan, pipe, self.topology, land.timings_for(cand.plan.configuration)
-            ).total_s
+            lat = self._latency(qid, cand.plan)
             if lat <= rec.l_slo:
                 kept.append(replace(cand, latency_s=lat))
         return CandidateSet.build(kept)
@@ -586,7 +611,7 @@ def write_report(report: MetricsReport, outdir: str) -> None:
         w = csv.writer(fh)
         w.writerow(["time_s", "dollars_per_hour"])
         w.writerows(report.cost_series)
-    rows = [q.to_row() for q in report.queries]
+    rows = [asdict(q) for q in report.queries]
     with open(os.path.join(outdir, "queries.csv"), "w", newline="") as fh:
         if rows:
             w = csv.DictWriter(fh, fieldnames=list(rows[0]))

@@ -197,7 +197,7 @@ def exhaustive_resource_frontier(plan, pipeline, topology, timings, l_slo, laten
     lat = {}
     for state in grid:
         p = plan.with_resources(tuple(RESOURCE_FRACTIONS[i] for i in state))
-        lat[state] = latency_fn(p, pipeline, topology, timings).total_s
+        lat[state] = latency_fn(p, pipeline, topology, timings)
     feasible = {s for s in grid if lat[s] <= l_slo}
     minimal = []
     for s in feasible:

@@ -277,34 +277,34 @@ class TestPrefixCache:
         cache = PrefixCache()
         cfg = (1, 2, 3)
         t = vt_landscape.timings_for(cfg)
-        first = cache.charge_case(cfg, 7, t.base_compute_s, t.output_bytes)
+        first = cache.charge_case(cfg, 7, t.base_compute_s)
         assert first == pytest.approx(sum(t.base_compute_s))
-        assert cache.charge_case(cfg, 7, t.base_compute_s, t.output_bytes) == 0.0
+        assert cache.charge_case(cfg, 7, t.base_compute_s) == 0.0
         # entries are per case: another case is charged in full
-        assert cache.charge_case(cfg, 8, t.base_compute_s, t.output_bytes) == pytest.approx(first)
+        assert cache.charge_case(cfg, 8, t.base_compute_s) == pytest.approx(first)
 
     def test_partial_prefix(self, vt_landscape):
         cache = PrefixCache()
         t1 = vt_landscape.timings_for((1, 2, 3))
-        cache.charge_case((1, 2, 3), 0, t1.base_compute_s, t1.output_bytes)
+        cache.charge_case((1, 2, 3), 0, t1.base_compute_s)
         t2 = vt_landscape.timings_for((1, 0, 0))
-        charged = cache.charge_case((1, 0, 0), 0, t2.base_compute_s, t2.output_bytes)
+        charged = cache.charge_case((1, 0, 0), 0, t2.base_compute_s)
         assert charged == pytest.approx(sum(t2.base_compute_s[1:]))
         # a shared suffix does not hit: the prefix key includes upstream configs
         t3 = vt_landscape.timings_for((0, 2, 3))
-        assert cache.charge_case((0, 2, 3), 0, t3.base_compute_s, t3.output_bytes) == pytest.approx(
+        assert cache.charge_case((0, 2, 3), 0, t3.base_compute_s) == pytest.approx(
             sum(t3.base_compute_s)
         )
 
     def test_insert_is_idempotent(self):
         cache = PrefixCache()
-        cache.charge_case((1, 2), 0, (0.1, 0.2), (10.0, 10.0))
-        cache.charge_case((1, 2), 1, (0.1, 0.2), (10.0, 10.0))
-        before = cache.total_bytes
-        assert before == 40.0
-        assert cache.charge_case((1, 2), 0, (0.1, 0.2), (10.0, 10.0)) == 0.0
-        assert cache.charge_case((1, 2), 1, (0.1, 0.2), (10.0, 10.0)) == 0.0
-        assert cache.total_bytes == before
+        cache.charge_case((1, 2), 0, (0.1, 0.2))
+        cache.charge_case((1, 2), 1, (0.1, 0.2))
+        before = {key: set(cases) for key, cases in cache.entries.items()}
+        assert before == {(0, (1,)): {0, 1}, (1, (1, 2)): {0, 1}}
+        assert cache.charge_case((1, 2), 0, (0.1, 0.2)) == 0.0
+        assert cache.charge_case((1, 2), 1, (0.1, 0.2)) == 0.0
+        assert cache.entries == before
 
     def test_randomized_sequence_matches_replay_trie(self, vt_pipeline):
         land = generate_landscape(seed=23, pipeline=vt_pipeline)
@@ -316,7 +316,7 @@ class TestPrefixCache:
             cfg = tuple(int(rng.integers(len(op.knob_domain))) for op in vt_pipeline.operators)
             case = int(rng.integers(land.n_cases))
             t = land.timings_for(cfg)
-            got += cache.charge_case(cfg, case, t.base_compute_s, t.output_bytes)
+            got += cache.charge_case(cfg, case, t.base_compute_s)
             expected += trie.charge(cfg, case, t.base_compute_s)
         assert got == pytest.approx(expected, rel=1e-12)
 

@@ -276,4 +276,4 @@ class TestScoredPlan:
         c = cand([0, 1], [0.5, 0.25], two_tier_topology)
         sp = ScoredPlan.build("q", c, two_tier_topology, weight=1.0)
         assert sp.cr == pytest.approx(0.75)
-        assert sp.tier_demand(2) == [0.5, 0.25]
+        assert sp.op_demands == ((0, 0.5), (1, 0.25))

@@ -278,7 +278,7 @@ class TestUpdate:
         matched = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
         for i in rng.choice(len(pool), 12, replace=False):
             plan = pool[int(i)]
-            lat = pipeline_latency(plan, pipe, topo, land.timings_for(plan.configuration)).total_s
+            lat = pipeline_latency(plan, pipe, topo, land.timings_for(plan.configuration))
             matched.fit_new_point(plan, land.accuracy_mean(plan.configuration), lat)
         mismatched = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
         mismatched.fit_new_point(pool[0], 0.1, 3.0)
@@ -289,7 +289,7 @@ class TestUpdate:
         own = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
         for i in rng.choice(len(pool), 8, replace=False):
             plan = pool[int(i)]
-            lat = pipeline_latency(plan, pipe, topo, land.timings_for(plan.configuration)).total_s
+            lat = pipeline_latency(plan, pipe, topo, land.timings_for(plan.configuration))
             out = ProfileOutcome(
                 accuracy_estimate=land.accuracy_mean(plan.configuration),
                 samples_used=50,
@@ -318,23 +318,23 @@ class TestParetoOptimize:
         plan, pipe, topo, timings = self._setup(l_slo=100.0)
         got = pareto_optimize(plan, pipe, topo, timings, l_slo=100.0)
         assert len(got) == 1
-        assert got[0].resources == (0.125, 0.125)
+        assert got[0][0].resources == (0.125, 0.125)
 
     def test_saturating_operator_held_at_half(self):
         # op0 alone takes 0.8s at f=1/4, over the 0.6s SLO regardless of op1,
         # so it is held at 1/2 while op1 drops to the cheapest level
         plan, pipe, topo, timings = self._setup(l_slo=0.6, bases=(0.2, 0.01))
         got = pareto_optimize(plan, pipe, topo, timings, l_slo=0.6)
-        assert [g.resources for g in got] == [(0.5, 0.125)]
+        assert [p.resources for p, _, _ in got] == [(0.5, 0.125)]
         oracle = exhaustive_resource_frontier(
             plan, pipe, topo, timings, 0.6, pipeline_latency, plan_hourly_cost
         )
-        assert set(got) == set(oracle)
+        assert {p for p, _, _ in got} == set(oracle)
 
     def test_batching_operator_reduced_for_free(self):
         plan, pipe, topo, timings = self._setup(l_slo=0.5, bases=(0.1, 0.3), batching=(False, True))
         got = pareto_optimize(plan, pipe, topo, timings, l_slo=0.5)
-        assert all(g.resources[1] == 0.125 for g in got)
+        assert all(p.resources[1] == 0.125 for p, _, _ in got)
 
     def test_infeasible_at_full_resources_raises(self):
         plan, pipe, topo, timings = self._setup(l_slo=0.01, bases=(0.2, 0.2))
@@ -358,13 +358,33 @@ class TestParetoOptimize:
             timings = OperatorTimings(
                 tuple(rng.uniform(0.01, 0.3, m)), tuple(rng.uniform(1e3, 1e5, m)), (2.0, 1.0)
             )
-            base_lat = pipeline_latency(plan, pipe, topo, timings).total_s
+            base_lat = pipeline_latency(plan, pipe, topo, timings)
             l_slo = float(base_lat * rng.uniform(1.05, 6.0))
             got = pareto_optimize(plan, pipe, topo, timings, l_slo)
             oracle = exhaustive_resource_frontier(
                 plan, pipe, topo, timings, l_slo, pipeline_latency, plan_hourly_cost
             )
-            assert set(got) == set(oracle), f"trial {trial}"
+            assert {p for p, _, _ in got} == set(oracle), f"trial {trial}"
+
+    def test_rows_carry_each_plans_cost_and_latency(self):
+        rng = np.random.default_rng(8)
+        for trial in range(10):
+            m = int(rng.integers(1, 5))
+            ops = tuple(OperatorSpec(i, ("x",), base_output_size=1e4) for i in range(m))
+            pipe = PipelineSpec(f"rows{trial}", ops, tuple((i, i + 1) for i in range(m - 1)))
+            tiers = (Tier("a", 2, 1.0, 1.0), Tier("b", 2, 1.0, 3.0))
+            topo = TierTopology(tiers, ((500.0, 100.0), (100.0, 500.0)), ((0.0, 0.0), (0.0, 0.0)))
+            plan = PlanPoint((0,) * m, tuple(sorted(int(rng.integers(2)) for _ in range(m))), (1.0,) * m)
+            timings = OperatorTimings(
+                tuple(rng.uniform(0.01, 0.3, m)), tuple(rng.uniform(1e3, 1e5, m)), (2.0, 1.0)
+            )
+            l_slo = float(pipeline_latency(plan, pipe, topo, timings) * rng.uniform(1.05, 6.0))
+            rows = pareto_optimize(plan, pipe, topo, timings, l_slo)
+            assert rows
+            for p, cost, lat in rows:
+                assert cost == plan_hourly_cost(p, topo)
+                assert lat == pipeline_latency(p, pipe, topo, timings)
+                assert lat <= l_slo
 
 
 class TestSingleQuerySearch:
@@ -430,7 +450,7 @@ class TestSingleQuerySearch:
             acc = vt_landscape.accuracy_mean(cand.plan.configuration)
             lat = pipeline_latency(
                 cand.plan, vt_pipeline, topology, vt_landscape.timings_for(cand.plan.configuration)
-            ).total_s
+            )
             ok += (acc >= vt_query.a_slo) and (lat <= vt_query.l_slo)
         assert ok / len(res.candidates) >= 0.95
 
@@ -466,10 +486,10 @@ class TestOverProvisioningSoundness:
             placement = tuple(sorted(int(rng.integers(topology.num_tiers)) for _ in range(3)))
             r = tuple(fracs[int(rng.integers(4))] for _ in range(3))
             timings = vt_landscape.timings_for(cfg)
-            lat_r = pipeline_latency(PlanPoint(cfg, placement, r), vt_pipeline, topology, timings).total_s
+            lat_r = pipeline_latency(PlanPoint(cfg, placement, r), vt_pipeline, topology, timings)
             lat_full = pipeline_latency(
                 PlanPoint(cfg, placement, (1.0, 1.0, 1.0)), vt_pipeline, topology, timings
-            ).total_s
+            )
             assert lat_full <= lat_r + 1e-12
 
 

@@ -277,6 +277,60 @@ class TestConfigFile:
         assert cli_main(["simulate", "--config", path]) == 1
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"drift": [{"time": 1.0, "kind": "bandwidth", "link": [1, 5], "factor": 0.5}]}, "link"),
+            ({"drift": [{"time": 1.0, "kind": "bandwidth", "link": [1], "factor": 0.5}]}, "link"),
+            ({"drift": [{"time": 1.0, "kind": "accuracy", "template": "wide-search", "delta": -0.1}]}, "wide-search"),
+            ({"drift": [{"kind": "bandwidth", "link": [1, 2], "factor": 0.5}]}, "time"),
+            ({"drift": [{"time": -1.0, "kind": "bandwidth", "link": [1, 2], "factor": 0.5}]}, "time"),
+            ({"drift": [{"time": 1.0, "kind": "bandwidth", "link": [1, 2], "factor": 0.0}]}, "factor"),
+            ({"drift": [{"time": 1.0, "kind": "accuracy", "template": "code-generation", "delta": float("nan")}]}, "delta"),
+            ({"drift": [{"time": 1.0, "kind": "bandwidth", "link": [1, 2], "factr": 0.5}]}, "factr"),
+            ({"schedular": "fcfs"}, "schedular"),
+            ({"ablations": {"profilr": "fixed"}}, "profilr"),
+            ({"trace": {"generator": {"duration_s": 5.0, "lod": 0.2}}}, "lod"),
+            ({"trace": {"generatr": {"duration_s": 5.0}}}, "generatr"),
+            ({"landscape": {"k_tru": 3}}, "k_tru"),
+            ({"planning_budget_s": -1.0}, "planning_budget_s"),
+            ({"planning_budget_s": None, "planning_budget_gpuh": 0.0}, "planning_budget_gpuh"),
+            ({"replan_budget_s": 0.0}, "replan_budget_s"),
+        ],
+        ids=[
+            "drift-link-out-of-range",
+            "drift-link-not-a-pair",
+            "drift-template-without-landscape",
+            "drift-without-time",
+            "drift-negative-time",
+            "drift-zero-factor",
+            "drift-nan-delta",
+            "drift-unknown-key",
+            "unknown-top-level-key",
+            "unknown-ablation-key",
+            "unknown-generator-key",
+            "unknown-trace-key",
+            "unknown-landscape-key",
+            "negative-planning-budget",
+            "zero-gpuh-budget",
+            "zero-replan-budget",
+        ],
+    )
+    def test_invalid_config_rejected_at_load(self, tmp_path, capsys, overrides, message):
+        obj = {
+            "schema_version": SCHEMA_VERSION,
+            "pipelines": ["code-generation"],
+            "trace": {"generator": {"duration_s": 5.0, "load": 0.2}},
+        }
+        obj.update(overrides)
+        path = self._write(tmp_path, {k: v for k, v in obj.items() if v is not None})
+        with pytest.raises(SchemaError, match=message):
+            sim_config_from_file(path)
+        assert cli_main(["simulate", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+
 class TestCli:
     def test_plan_prints_candidates(self, capsys, tmp_path):
         telemetry = tmp_path / "steps.jsonl"
