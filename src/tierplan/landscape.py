@@ -31,6 +31,7 @@ from .model import (
     SchemaError,
     SpaceTooLargeError,
     TierTopology,
+    _known_keys,
     enumerate_plan_space,
     enumerate_search_pool,
     pareto_filter,
@@ -40,6 +41,10 @@ from .model import (
 ACC_CENTER = 0.5
 ACC_SPAN = 0.42
 _CLIP_LO, _CLIP_HI = 0.005, 0.995
+#: Evaluation cases per landscape, and the std of their 2-D features around
+#: their stratum's center.
+N_CASES = 240
+FEATURE_NOISE = 0.25
 
 
 @dataclass(frozen=True)
@@ -95,9 +100,6 @@ class GroundTruthLandscape:
         self._mu_cache[key] = mu
         return mu
 
-    def stratum_std(self, stratum: int) -> float:
-        return self.stratum_sigma[stratum]
-
     def accuracy_mean(self, configuration: Sequence[int]) -> float:
         """Population accuracy mean: the weighted mixture over strata."""
         return float(
@@ -116,63 +118,6 @@ class GroundTruthLandscape:
         The copy starts with an empty mean cache."""
         return dataclasses.replace(self, accuracy_offset=self.accuracy_offset + delta)
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "seed": self.seed,
-            "pipeline": self.pipeline.name,
-            "stratum_weights": list(self.stratum_weights),
-            "stratum_base": list(self.stratum_base),
-            "stratum_sigma": list(self.stratum_sigma),
-            "monotone_tendency": self.monotone_tendency,
-            "monotone_weights": list(self.monotone_weights),
-            "option_effects": _nested_list(self.option_effects),
-            "pair_effects": _nested_list(self.pair_effects),
-            "op_base_time_s": _nested_list(self.op_base_time_s),
-            "op_output_bytes": _nested_list(self.op_output_bytes),
-            "tier_speed_factors": list(self.tier_speed_factors),
-            "case_stratum": list(self.case_stratum),
-            "case_features": [list(f) for f in self.case_features],
-            "accuracy_offset": self.accuracy_offset,
-        }
-
-    @staticmethod
-    def from_dict(obj: dict, pipeline: PipelineSpec, where: str = "<landscape>") -> "GroundTruthLandscape":
-        if obj.get("schema_version") != SCHEMA_VERSION:
-            raise SchemaError(f"{where}: missing or unsupported schema_version")
-        if obj.get("pipeline") != pipeline.name:
-            raise SchemaError(f"{where}: landscape was generated for pipeline {obj.get('pipeline')!r}")
-        return GroundTruthLandscape(
-            seed=int(obj["seed"]),
-            pipeline=pipeline,
-            stratum_weights=tuple(obj["stratum_weights"]),
-            stratum_base=tuple(obj["stratum_base"]),
-            stratum_sigma=tuple(obj["stratum_sigma"]),
-            monotone_tendency=float(obj["monotone_tendency"]),
-            monotone_weights=tuple(obj["monotone_weights"]),
-            option_effects=_nested_tuple(obj["option_effects"], 3),
-            pair_effects=_nested_tuple(obj["pair_effects"], 4),
-            op_base_time_s=_nested_tuple(obj["op_base_time_s"], 2),
-            op_output_bytes=_nested_tuple(obj["op_output_bytes"], 2),
-            tier_speed_factors=tuple(obj["tier_speed_factors"]),
-            case_stratum=tuple(int(x) for x in obj["case_stratum"]),
-            case_features=tuple((float(a), float(b)) for a, b in obj["case_features"]),
-            accuracy_offset=float(obj.get("accuracy_offset", 0.0)),
-        )
-
-
-def _nested_list(t):
-    if isinstance(t, tuple):
-        return [_nested_list(x) for x in t]
-    return t
-
-
-def _nested_tuple(lst, depth: int):
-    if depth == 1:
-        return tuple(float(x) for x in lst)
-    return tuple(_nested_tuple(x, depth - 1) for x in lst)
-
-
 _DIFFICULTY_TENDENCY = {"monotone": 1.0, "rugged": 0.15, "mixed": 0.5}
 
 
@@ -187,8 +132,6 @@ def generate_landscape(
     difficulty: str | float = "rugged",
     k_true: int = 4,
     noise_scale: float = 0.05,
-    feature_noise: float = 0.25,
-    n_cases: int = 240,
     equal_weights: bool = True,
     tier_speed_factors: Sequence[float] | None = None,
     num_tiers: int = 3,
@@ -205,6 +148,8 @@ def generate_landscape(
     landscape from the same family: shared accuracy structure plus seeded
     noise, which is what history warm starts exploit.
     """
+    if not 1 <= k_true <= N_CASES:
+        raise ValueError(f"k_true must be in 1..{N_CASES}, got {k_true}")
     if isinstance(difficulty, str):
         if difficulty not in _DIFFICULTY_TENDENCY:
             raise ValueError(f"unknown difficulty {difficulty!r}")
@@ -265,8 +210,8 @@ def generate_landscape(
         base = base + perturbation * rng.normal(0.0, 0.1, size=k_true)
 
     if parent is not None:
-        op_times = _nested_tuple(_nested_list(parent.op_base_time_s), 2)
-        op_bytes = _nested_tuple(_nested_list(parent.op_output_bytes), 2)
+        op_times = parent.op_base_time_s
+        op_bytes = parent.op_output_bytes
         speed = parent.tier_speed_factors
     else:
         op_times = []
@@ -285,18 +230,18 @@ def generate_landscape(
         else:
             speed = default_speed_factors(num_tiers)
 
-    counts = np.floor(weights * n_cases).astype(int)
-    while counts.sum() < n_cases:
-        counts[int(np.argmax(weights * n_cases - counts))] += 1
+    counts = np.floor(weights * N_CASES).astype(int)
+    while counts.sum() < N_CASES:
+        counts[int(np.argmax(weights * N_CASES - counts))] += 1
     case_stratum = []
     for k, c in enumerate(counts):
         case_stratum.extend([k] * int(c))
-    case_stratum = tuple(case_stratum[i] for i in rng.permutation(n_cases))
-    empirical = np.bincount(case_stratum, minlength=k_true) / n_cases
+    case_stratum = tuple(case_stratum[i] for i in rng.permutation(N_CASES))
+    empirical = np.bincount(case_stratum, minlength=k_true) / N_CASES
 
     angle = 2 * math.pi * np.arange(k_true) / k_true
     centers = np.stack([3.0 * np.cos(angle), 3.0 * np.sin(angle)], axis=1)
-    feats = centers[list(case_stratum)] + rng.normal(0.0, feature_noise, size=(n_cases, 2))
+    feats = centers[list(case_stratum)] + rng.normal(0.0, FEATURE_NOISE, size=(N_CASES, 2))
     case_features = tuple((float(a), float(b)) for a, b in feats)
 
     return GroundTruthLandscape(
@@ -393,6 +338,8 @@ SLO_HARDNESS = {
     "medium": (1.5, 0.8),
     "hard": (1.1, 0.9),
 }
+_TRACE_KEYS = ("schema_version", "generator", "entries")
+_ENTRY_KEYS = ("arrival_time", "template", "a_slo", "l_slo", "lifespan", "weight")
 
 
 @dataclass(frozen=True)
@@ -427,28 +374,14 @@ class ArrivalTrace:
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("arrival times must be non-decreasing")
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "generator": self.generator_params,
-            "entries": [
-                {
-                    "arrival_time": e.arrival_time,
-                    "template": e.template,
-                    "a_slo": e.a_slo,
-                    "l_slo": e.l_slo,
-                    "lifespan": e.lifespan,
-                    "weight": e.weight,
-                }
-                for e in self.entries
-            ],
-        }
-
     @staticmethod
     def from_dict(obj: dict, where: str = "<trace>") -> "ArrivalTrace":
+        _known_keys(obj, _TRACE_KEYS, where)
         if obj.get("schema_version") != SCHEMA_VERSION:
             raise SchemaError(f"{where}: missing or unsupported schema_version")
         try:
+            for i, entry in enumerate(obj["entries"]):
+                _known_keys(entry, _ENTRY_KEYS, f"{where}#entries[{i}]")
             entries = tuple(
                 TraceEntry(
                     arrival_time=float(e["arrival_time"]),
@@ -460,9 +393,11 @@ class ArrivalTrace:
                 )
                 for e in obj["entries"]
             )
+            return ArrivalTrace(entries=entries, generator_params=dict(obj.get("generator", {})))
+        except SchemaError:
+            raise
         except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(f"{where}: invalid trace entry: {e}") from e
-        return ArrivalTrace(entries=entries, generator_params=dict(obj.get("generator", {})))
+            raise SchemaError(f"{where}: invalid trace: {e}") from e
 
 
 def generate_trace(
@@ -479,6 +414,14 @@ def generate_trace(
     the cluster (a new query arrives as the previous one finishes)."""
     if hardness not in SLO_HARDNESS:
         raise ValueError(f"unknown hardness {hardness!r}")
+    for name, value in (
+        ("duration_s", duration_s),
+        ("load", load),
+        ("burst_factor", burst_factor),
+        ("mean_lifespan_s", mean_lifespan_s),
+    ):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     lat_mult, acc_mult = SLO_HARDNESS[hardness]
     rng = np.random.default_rng(seed)
 

@@ -174,11 +174,6 @@ class TierTopology:
     def num_tiers(self) -> int:
         return len(self.tiers)
 
-    @property
-    def reference_tier(self) -> int:
-        """Cloud reference tier used for profiling: the last (fastest) tier."""
-        return len(self.tiers) - 1
-
     def with_bandwidth_scaled(self, link: tuple[int, int], factor: float) -> "TierTopology":
         """New topology with one link's bandwidth multiplied by ``factor``."""
         if factor <= 0:
@@ -332,7 +327,7 @@ def pareto_filter(items: Sequence, key) -> list:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (schema_version is mandatory in every file)
+# JSON loaders (schema_version is mandatory in every file)
 
 
 def _require(cond: bool, msg: str, where: str) -> None:
@@ -350,22 +345,13 @@ def _check_version(obj: dict, where: str) -> None:
     )
 
 
-def pipeline_to_dict(p: PipelineSpec) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": p.name,
-        "operators": [
-            {
-                "id": op.id,
-                "knob_domain": list(op.knob_domain),
-                "is_batching": op.is_batching,
-                "base_output_size": op.base_output_size,
-            }
-            for op in p.operators
-        ],
-        "edges": [list(e) for e in p.edges],
-        "input_bytes": p.input_bytes,
-    }
+def _known_keys(obj, keys, where: str) -> None:
+    """Raise SchemaError unless ``obj`` is a JSON object whose keys all lie in ``keys``."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected a JSON object")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {unknown}; allowed {sorted(keys)}")
 
 
 def pipeline_from_dict(obj: dict, where: str = "<pipeline>") -> PipelineSpec:
@@ -388,23 +374,6 @@ def pipeline_from_dict(obj: dict, where: str = "<pipeline>") -> PipelineSpec:
         raise SchemaError(f"{where}: invalid pipeline: {e}") from e
 
 
-def topology_to_dict(t: TierTopology) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tiers": [
-            {
-                "name": tier.name,
-                "machine_count": tier.machine_count,
-                "capacity": tier.capacity,
-                "unit_cost": tier.unit_cost,
-            }
-            for tier in t.tiers
-        ],
-        "bandwidth_mbps": [list(r) for r in t.bandwidth_mbps],
-        "link_latency_s": [list(r) for r in t.link_latency_s],
-    }
-
-
 def topology_from_dict(obj: dict, where: str = "<topology>") -> TierTopology:
     _check_version(obj, where)
     try:
@@ -424,61 +393,6 @@ def topology_from_dict(obj: dict, where: str = "<topology>") -> TierTopology:
         raise SchemaError(f"{where}: invalid topology: {e}") from e
 
 
-def plan_to_dict(p: PlanPoint) -> dict:
-    return {
-        "configuration": list(p.configuration),
-        "placement": list(p.placement),
-        "resources": list(p.resources),
-    }
-
-
-def plan_from_dict(obj: dict) -> PlanPoint:
-    return PlanPoint(
-        configuration=tuple(int(x) for x in obj["configuration"]),
-        placement=tuple(int(x) for x in obj["placement"]),
-        resources=tuple(float(x) for x in obj["resources"]),
-    )
-
-
-def query_to_dict(q: Query) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "id": q.id,
-        "pipeline": q.pipeline.name,
-        "a_slo": q.a_slo,
-        "l_slo": q.l_slo,
-        "response_budget_s": q.response_budget_s,
-        "profiling_budget_gpuh": q.profiling_budget_gpuh,
-        "weight": q.weight,
-        "arrival_time": q.arrival_time,
-        "lifespan": q.lifespan,
-    }
-
-
-def query_from_dict(obj: dict, pipelines: dict[str, PipelineSpec], where: str = "<query>") -> Query:
-    _check_version(obj, where)
-    try:
-        name = obj["pipeline"]
-        _require(name in pipelines, f"unknown pipeline {name!r}", where)
-        return Query(
-            id=str(obj["id"]),
-            pipeline=pipelines[name],
-            a_slo=float(obj["a_slo"]),
-            l_slo=float(obj["l_slo"]),
-            response_budget_s=None if obj.get("response_budget_s") is None else float(obj["response_budget_s"]),
-            profiling_budget_gpuh=None
-            if obj.get("profiling_budget_gpuh") is None
-            else float(obj["profiling_budget_gpuh"]),
-            weight=float(obj.get("weight", 1.0)),
-            arrival_time=float(obj.get("arrival_time", 0.0)),
-            lifespan=float(obj.get("lifespan", 60.0)),
-        )
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError(f"{where}: invalid query: {e}") from e
-
-
 def load_json_file(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -496,8 +410,3 @@ def load_pipeline(path: str) -> PipelineSpec:
 def load_topology(path: str) -> TierTopology:
     return topology_from_dict(load_json_file(path), where=path)
 
-
-def dump_json(obj: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")

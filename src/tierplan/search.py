@@ -60,6 +60,10 @@ POOL_SAMPLE_SIZE = 2_000
 HISTORY_TOP_K = 10
 #: Observation-noise multiplier for a replan's warm-start surrogate.
 VARIANCE_INFLATION = 25.0
+#: Trailing observations a session's own prediction gap averages over.
+GAP_WINDOW_LEN = 5
+#: Completed sessions the history store keeps (oldest evicted first).
+HISTORY_CAPACITY = 32
 
 
 class GaussianProcess:
@@ -106,29 +110,19 @@ class GaussianProcess:
         var = np.maximum(1.0 - np.sum(v * v, axis=0), self.noise)
         return mu, self._y_std * np.sqrt(var)
 
-def encode_configuration(plan: PlanPoint, pipeline: PipelineSpec) -> np.ndarray:
-    dims = [len(op.knob_domain) for op in pipeline.operators]
-    vec = np.zeros(sum(dims))
-    off = 0
-    for c, d in zip(plan.configuration, dims):
-        vec[off + c] = 1.0
-        off += d
-    return vec
-
-
-def encode_config_placement(plan: PlanPoint, pipeline: PipelineSpec, num_tiers: int) -> np.ndarray:
-    head = encode_configuration(plan, pipeline)
-    tail = np.zeros(len(pipeline) * num_tiers)
-    for i, t in enumerate(plan.placement):
-        tail[i * num_tiers + t] = 1.0
-    return np.concatenate([head, tail])
-
 
 def encode_pool(plans: list[PlanPoint], pipeline: PipelineSpec, num_tiers: int) -> tuple[np.ndarray, np.ndarray]:
-    """Accuracy-model and latency-model input rows, one per plan."""
-    xa = np.stack([encode_configuration(p, pipeline) for p in plans])
-    xl = np.stack([encode_config_placement(p, pipeline, num_tiers) for p in plans])
-    return xa, xl
+    """Accuracy-model and latency-model input rows, one per plan: a one-hot
+    of each operator's option, then (latency rows only) of each operator's tier."""
+    dims = [len(op.knob_domain) for op in pipeline.operators]
+    rows = np.arange(len(plans))[:, None]
+    configs = np.array([p.configuration for p in plans])
+    placements = np.array([p.placement for p in plans])
+    xa = np.zeros((len(plans), sum(dims)))
+    xa[rows, np.cumsum([0] + dims[:-1]) + configs] = 1.0
+    tiers = np.zeros((len(plans), len(dims) * num_tiers))
+    tiers[rows, np.arange(len(dims)) * num_tiers + placements] = 1.0
+    return xa, np.hstack([xa, tiers])
 
 
 @dataclass
@@ -146,17 +140,13 @@ class SurrogatePair:
     obs_x_l: list = field(default_factory=list)
     obs_y_l: list = field(default_factory=list)
     gap_window: list = field(default_factory=list)
-    gap_window_len: int = 5
 
     @property
     def n_obs(self) -> int:
         return len(self.obs_y_a)
 
-    def predict(self, plans: list[PlanPoint]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.predict_encoded(*encode_pool(plans, self.pipeline, self.num_tiers))
-
-    def predict_encoded(self, xa: np.ndarray, xl: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(mu_a, sd_a, mu_l, sd_l) at rows already encoded by :func:`encode_pool`."""
+    def predict(self, xa: np.ndarray, xl: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(mu_a, sd_a, mu_l, sd_l) at rows encoded by :func:`encode_pool`."""
         mu_a, sd_a = self.f_a.predict(xa)
         mu_l, sd_l = self.f_l.predict(xl)
         return mu_a, sd_a, mu_l, sd_l
@@ -169,12 +159,11 @@ class SurrogatePair:
 
     def record_gap(self, gap: float) -> None:
         self.gap_window.append(gap)
-        if len(self.gap_window) > self.gap_window_len:
+        if len(self.gap_window) > GAP_WINDOW_LEN:
             self.gap_window.pop(0)
 
-    def fit_new_point(self, plan: PlanPoint, accuracy: float, latency_s: float) -> None:
-        xa = encode_configuration(plan, self.pipeline)
-        xl = encode_config_placement(plan, self.pipeline, self.num_tiers)
+    def fit_new_point(self, xa: np.ndarray, xl: np.ndarray, accuracy: float, latency_s: float) -> None:
+        """Refit on one more observation at the encoded rows ``xa``, ``xl``."""
         # an exact repeat of a known observation leaves the fit unchanged
         for i in range(len(self.obs_y_a)):
             if (
@@ -184,9 +173,10 @@ class SurrogatePair:
                 and np.array_equal(self.obs_x_l[i], xl)
             ):
                 return
-        self.obs_x_a.append(xa)
+        # copies: a row view would keep its whole session pool alive in the history store
+        self.obs_x_a.append(xa.copy())
         self.obs_y_a.append(accuracy)
-        self.obs_x_l.append(xl)
+        self.obs_x_l.append(xl.copy())
         self.obs_y_l.append(latency_s)
         self.f_a.fit(np.stack(self.obs_x_a), np.array(self.obs_y_a))
         self.f_l.fit(np.stack(self.obs_x_l), np.array(self.obs_y_l))
@@ -228,28 +218,32 @@ class HistoryStore:
     snapshot so concurrent sessions never share mutable state.
     """
 
-    def __init__(self, capacity: int = 32):
-        self.capacity = capacity
+    def __init__(self):
         self.pairs: list[SurrogatePair] = []
 
     def push(self, pair: SurrogatePair) -> None:
         self.pairs.append(pair)
-        if len(self.pairs) > self.capacity:
+        if len(self.pairs) > HISTORY_CAPACITY:
             self.pairs.pop(0)
 
-    def session(self, pipeline: PipelineSpec | None = None, num_tiers: int | None = None) -> "HistorySession":
-        """Snapshot compatible entries: a history model can only score plans
-        that share its encoding (same knob sizes and tier count)."""
-        pairs = self.pairs
-        if pipeline is not None:
-            sig = tuple(len(op.knob_domain) for op in pipeline.operators)
-            pairs = [
-                p
-                for p in pairs
-                if tuple(len(op.knob_domain) for op in p.pipeline.operators) == sig
-                and (num_tiers is None or p.num_tiers == num_tiers)
-            ]
-        return HistorySession([HistoryEntry(pair=p) for p in pairs])
+    def session(
+        self,
+        pipeline: PipelineSpec,
+        num_tiers: int,
+        pool_xa: np.ndarray,
+        pool_xl: np.ndarray,
+        a_slo: float,
+        l_slo: float,
+    ) -> "HistorySession":
+        """Snapshot the entries that share the pool's encoding (same knob
+        sizes and tier count), ready to vote on the encoded pool rows."""
+        sig = tuple(len(op.knob_domain) for op in pipeline.operators)
+        entries = [
+            HistoryEntry(pair=p)
+            for p in self.pairs
+            if tuple(len(op.knob_domain) for op in p.pipeline.operators) == sig and p.num_tiers == num_tiers
+        ]
+        return HistorySession(entries, pool_xa, pool_xl, a_slo, l_slo)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -259,14 +253,19 @@ class HistorySession:
     """One query's view of the history: cumulative prediction gap of every
     stored model against this query's profiled observations.
 
-    History models are frozen for the session, so their scores over a fixed
-    candidate pool are computed once (after :meth:`prime`) and reused across
+    History models are frozen for the session, so their scores over the
+    session's encoded pool are computed once per entry and reused across
     voting steps; only the gap weights move.
     """
 
-    def __init__(self, entries: list[HistoryEntry]):
+    def __init__(
+        self, entries: list[HistoryEntry], pool_xa: np.ndarray, pool_xl: np.ndarray, a_slo: float, l_slo: float
+    ):
         self.entries = entries
-        self._primed: tuple | None = None
+        self.pool_xa = pool_xa
+        self.pool_xl = pool_xl
+        self.a_slo = a_slo
+        self.l_slo = l_slo
 
     def top_k(self) -> list[HistoryEntry]:
         order = sorted(range(len(self.entries)), key=lambda i: (self.entries[i].gap, i))
@@ -275,26 +274,19 @@ class HistorySession:
     def best_gap(self) -> float:
         return min((e.gap for e in self.entries), default=math.inf)
 
-    def update_gaps(self, plan: PlanPoint, accuracy: float, latency_s: float, l_slo: float) -> None:
+    def update_gaps(self, xa: np.ndarray, xl: np.ndarray, accuracy: float, latency_s: float, l_slo: float) -> None:
         for e in self.entries:
-            mu_a, _, mu_l, _ = e.pair.predict([plan])
+            mu_a, _, mu_l, _ = e.pair.predict(xa, xl)
             e.gap_sum += prediction_gap(float(mu_a[0]), float(mu_l[0]), accuracy, latency_s, l_slo)
             e.gap_n += 1
 
-    def prime(self, pool_xa: np.ndarray, pool_xl: np.ndarray, a_slo: float, l_slo: float) -> None:
-        """Fix the encoded candidate pool and SLOs that votes score."""
-        self._primed = (pool_xa, pool_xl, a_slo, l_slo)
-        for e in self.entries:
-            e.pool_scores = None
-            e.pool_costs = None
-
     def _entry_pool_scores(self, e: HistoryEntry) -> tuple[np.ndarray, np.ndarray]:
         if e.pool_scores is None:
-            xa, xl, a_slo, l_slo = self._primed
-            e.pool_scores, e.pool_costs = acquisition(*e.pair.predict_encoded(xa, xl), a_slo, l_slo)
+            predicted = e.pair.predict(self.pool_xa, self.pool_xl)
+            e.pool_scores, e.pool_costs = acquisition(*predicted, self.a_slo, self.l_slo)
         return e.pool_scores, e.pool_costs
 
-    def vote_indices(self, idx: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    def vote_indices(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weighted-sum vote of the current top-K over pool indices ``idx``:
         each model's acquisition scores and costs, weighted by 1/(gap + eps)."""
         entries = self.top_k()
@@ -348,13 +340,12 @@ def acquisition(
 
 def _argmax_with_ties(scores: np.ndarray, costs: np.ndarray) -> int:
     """Index of the best score; ties go to lowest predicted cost, then index."""
-    best = float(np.max(scores))
-    tied = [i for i in range(len(scores)) if scores[i] == best]
-    return min(tied, key=lambda i: (costs[i], i))
+    tied = np.flatnonzero(scores == scores.max())
+    return int(tied[np.argmin(costs[tied])])
 
 
 def propose(
-    step_idx: list[int],
+    step_idx: np.ndarray,
     pool_xa: np.ndarray,
     pool_xl: np.ndarray,
     a_slo: float,
@@ -366,47 +357,49 @@ def propose(
     """Pool index (one of ``step_idx``) of the next plan to profile, plus the
     branch that chose it.
 
-    'history': the primed history session votes, until the session's own
+    'history': the history session votes, until the session's own
     prediction gap beats the best history gap. 'cold': a uniform pick while
     the session has no observation. 'cmbo': argmax of the session model's
     acquisition over the encoded rows ``pool_xa[step_idx]``, ``pool_xl[step_idx]``.
     Score ties go to the lowest predicted cost.
     """
-    if not step_idx:
+    if len(step_idx) == 0:
         raise ValueError("propose called with an empty pool")
     if history is not None and len(history) > 0 and not (surrogates.own_gap() < history.best_gap()):
         scores, costs = history.vote_indices(step_idx)
         branch = "history"
     elif surrogates.n_obs == 0:
-        return step_idx[int(rng.integers(len(step_idx)))], "cold"
+        return int(step_idx[int(rng.integers(len(step_idx)))]), "cold"
     else:
-        predicted = surrogates.predict_encoded(pool_xa[step_idx], pool_xl[step_idx])
+        predicted = surrogates.predict(pool_xa[step_idx], pool_xl[step_idx])
         scores, costs = acquisition(*predicted, a_slo, l_slo)
         branch = "cmbo"
-    return step_idx[_argmax_with_ties(scores, costs)], branch
+    return int(step_idx[_argmax_with_ties(scores, costs)]), branch
 
 
 def update(
     surrogates: SurrogatePair,
     history: HistorySession | None,
-    plan: PlanPoint,
+    xa: np.ndarray,
+    xl: np.ndarray,
     outcome: ProfileOutcome,
     measured_latency_s: float,
     l_slo: float,
 ) -> None:
-    """Fold one profiled observation into the session model and all gaps.
+    """Fold one profiled observation, at the encoded rows ``xa``, ``xl``,
+    into the session model and all gaps.
 
     Gaps compare predictions made before this observation was seen.
     """
     accuracy = outcome.accuracy_estimate
     if surrogates.n_obs > 0:
-        mu_a, _, mu_l, _ = surrogates.predict([plan])
+        mu_a, _, mu_l, _ = surrogates.predict(xa, xl)
         surrogates.record_gap(
             prediction_gap(float(mu_a[0]), float(mu_l[0]), accuracy, measured_latency_s, l_slo)
         )
     if history is not None:
-        history.update_gaps(plan, accuracy, measured_latency_s, l_slo)
-    surrogates.fit_new_point(plan, accuracy, measured_latency_s)
+        history.update_gaps(xa, xl, accuracy, measured_latency_s, l_slo)
+    surrogates.fit_new_point(xa, xl, accuracy, measured_latency_s)
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +569,9 @@ def single_query_search(
         surrogates = warm_pair.inflated_copy()
     else:
         surrogates = SurrogatePair(pipeline=pipeline, num_tiers=topology.num_tiers)
-    hist = history.session(pipeline, topology.num_tiers) if (cfg.use_history and history is not None) else None
-    if hist is not None:
-        hist.prime(pool_xa, pool_xl, query.a_slo, query.l_slo)
+    hist = None
+    if cfg.use_history and history is not None:
+        hist = history.session(pipeline, topology.num_tiers, pool_xa, pool_xl, query.a_slo, query.l_slo)
 
     time_s = 0.0
     gpu_s = 0.0
@@ -587,7 +580,7 @@ def single_query_search(
     first_feasible_step: int | None = None
     raw_candidates: list[CandidatePlan] = []
     telemetry: list[dict] = []
-    profiled: set[int] = set()
+    profiled = np.zeros(len(pool), dtype=bool)
     pool_exhausted = False
 
     def within_budget() -> bool:
@@ -596,20 +589,20 @@ def single_query_search(
         return gpu_s / 3600.0 < query.profiling_budget_gpuh
 
     while within_budget():
-        unprofiled = [i for i in range(len(pool)) if i not in profiled]
-        if not unprofiled:
+        unprofiled = np.flatnonzero(~profiled)
+        if len(unprofiled) == 0:
             pool_exhausted = True
             break
         if len(pool) > POOL_ENUMERATION_CAP and len(unprofiled) > POOL_SAMPLE_SIZE:
             pick = rng.choice(len(unprofiled), size=POOL_SAMPLE_SIZE, replace=False)
-            step_idx = [unprofiled[int(j)] for j in sorted(pick)]
+            step_idx = unprofiled[np.sort(pick)]
         else:
             step_idx = unprofiled
         idx, branch = propose(step_idx, pool_xa, pool_xl, query.a_slo, query.l_slo, surrogates, hist, rng)
         plan = pool[idx]
         steps += 1
         time_s += STEP_OVERHEAD_S
-        profiled.add(idx)
+        profiled[idx] = True
 
         if cfg.profiler_mode == "fixed":
             outcome = profile_plan_fixed_n(plan, land, cfg.fixed_n, cache, query.a_slo, rng, log=profile_log)
@@ -620,7 +613,7 @@ def single_query_search(
 
         timings = land.timings_for(plan.configuration)
         model_latency = latmod.pipeline_latency(plan, pipeline, topology, timings)
-        update(surrogates, hist, plan, outcome, model_latency, query.l_slo)
+        update(surrogates, hist, pool_xa[idx], pool_xl[idx], outcome, model_latency, query.l_slo)
 
         feasible = outcome.verdict == Verdict.PASS_ACCURACY and model_latency <= query.l_slo
         if feasible:

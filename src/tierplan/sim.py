@@ -40,6 +40,7 @@ from .model import (
     Query,
     SchemaError,
     TierTopology,
+    _known_keys,
     load_json_file,
     topology_from_dict,
 )
@@ -104,6 +105,8 @@ class SimConfig:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.aging_beta) and self.aging_beta >= 0):
+            raise ValueError(f"aging_beta must be finite and >= 0, got {self.aging_beta}")
         if self.scheduler_mode not in ("greedy", "fcfs"):
             raise ValueError(f"unknown scheduler mode {self.scheduler_mode!r}")
         for entry in self.trace.entries:
@@ -129,15 +132,6 @@ _LANDSCAPE_KEYS = ("difficulty", "k_true", "noise_scale")
 _GENERATOR_KEYS = ("duration_s", "load", "burst_factor", "hardness", "mean_lifespan_s")
 _ABLATION_KEYS = ("warm_start", "prefix_cache", "profiler", "fixed_n")
 _DRIFT_KEYS = ("time", "kind", "link", "factor", "template", "delta")
-
-
-def _known_keys(obj, keys, where: str) -> None:
-    """Raise SchemaError unless ``obj`` is a JSON object whose keys all lie in ``keys``."""
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected a JSON object")
-    unknown = sorted(set(obj) - set(keys))
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {unknown}; allowed {sorted(keys)}")
 
 
 def search_config_from_ablations(ablations: dict, base: SearchConfig) -> SearchConfig:
@@ -175,22 +169,22 @@ def sim_config_from_file(path: str) -> SimConfig:
 
     land_cfg = obj.get("landscape", {})
     _known_keys(land_cfg, _LANDSCAPE_KEYS, f"{path}#landscape")
-    difficulty = land_cfg.get("difficulty", "rugged")
-    k_true = int(land_cfg.get("k_true", 4))
-    noise = float(land_cfg.get("noise_scale", 0.05))
     seed = int(obj.get("seed", 0))
-    landscapes = {
-        name: generate_landscape(
-            seed=seed + 1000 + i,
-            pipeline=pipe,
-            difficulty=difficulty,
-            k_true=k_true,
-            noise_scale=noise,
-            tier_speed_factors=speed_factors_for(topology.num_tiers),
-            num_tiers=topology.num_tiers,
-        )
-        for i, (name, pipe) in enumerate(sorted(pipelines.items()))
-    }
+    try:
+        landscapes = {
+            name: generate_landscape(
+                seed=seed + 1000 + i,
+                pipeline=pipe,
+                difficulty=land_cfg.get("difficulty", "rugged"),
+                k_true=int(land_cfg.get("k_true", 4)),
+                noise_scale=float(land_cfg.get("noise_scale", 0.05)),
+                tier_speed_factors=speed_factors_for(topology.num_tiers),
+                num_tiers=topology.num_tiers,
+            )
+            for i, (name, pipe) in enumerate(sorted(pipelines.items()))
+        }
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{path}#landscape: {e}") from e
 
     trace_cfg = obj.get("trace", {})
     if isinstance(trace_cfg, str):
@@ -201,16 +195,19 @@ def sim_config_from_file(path: str) -> SimConfig:
         _known_keys(trace_cfg, ("generator",), f"{path}#trace")
         gen = trace_cfg.get("generator", {})
         _known_keys(gen, _GENERATOR_KEYS, f"{path}#trace.generator")
-        trace = generate_trace(
-            templates={n: (pipelines[n], landscapes[n]) for n in pipelines},
-            topology=topology,
-            duration_s=float(gen.get("duration_s", 120.0)),
-            load=float(gen.get("load", 1.0)),
-            burst_factor=float(gen.get("burst_factor", 1.0)),
-            hardness=gen.get("hardness", "medium"),
-            mean_lifespan_s=float(gen.get("mean_lifespan_s", 60.0)),
-            seed=seed,
-        )
+        try:
+            trace = generate_trace(
+                templates={n: (pipelines[n], landscapes[n]) for n in pipelines},
+                topology=topology,
+                duration_s=float(gen.get("duration_s", 120.0)),
+                load=float(gen.get("load", 1.0)),
+                burst_factor=float(gen.get("burst_factor", 1.0)),
+                hardness=gen.get("hardness", "medium"),
+                mean_lifespan_s=float(gen.get("mean_lifespan_s", 60.0)),
+                seed=seed,
+            )
+        except (TypeError, ValueError) as e:
+            raise SchemaError(f"{path}#trace.generator: {e}") from e
 
     drift = []
     for i, d in enumerate(obj.get("drift", [])):
@@ -317,8 +314,7 @@ class _Sim:
         self.queries: dict[str, Query] = {}
         self.candidates: dict[str, CandidateSet] = {}
         self.surrogates: dict[str, object] = {}
-        self.pending: list[str] = []
-        self.pending_since: dict[str, float] = {}
+        self.pending: dict[str, float] = {}  # query id -> time it became pending
         self.goodput_series: list[tuple[float, int]] = [(0.0, 0)]
         self.cost_series: list[tuple[float, float]] = [(0.0, 0.0)]
         self.deployment_dollars = 0.0
@@ -418,8 +414,7 @@ class _Sim:
             self._mark(t)
             return
         rec.status = "pending"
-        self.pending.append(qid)
-        self.pending_since[qid] = t
+        self.pending[qid] = t
         self.epoch(t)
 
     def on_release(self, t: float, payload) -> None:
@@ -511,8 +506,7 @@ class _Sim:
             else:
                 live.append((self.queries[qid], cset))
         for qid in stale:
-            self.pending.remove(qid)
-            self.pending_since.pop(qid, None)
+            del self.pending[qid]
             self.records[qid].status = "replanning"
             self._start_replan(t, qid)
 
@@ -527,7 +521,7 @@ class _Sim:
                 self.state.admit(assignment)
         else:
             aged = age_weights(
-                [(q.id, q.weight, self.pending_since[q.id]) for q, _ in live], t, self.cfg.aging_beta
+                [(q.id, q.weight, self.pending[q.id]) for q, _ in live], t, self.cfg.aging_beta
             )
             greedy_goodput(live, self.topology, state=self.state, weights=aged)
 
@@ -536,8 +530,7 @@ class _Sim:
             rec.status = "running"
             rec.admitted_at = t
             rec.hourly_cost = self.state.assignments[qid].scored.hourly_cost
-            self.pending.remove(qid)
-            self.pending_since.pop(qid, None)
+            del self.pending[qid]
             self.push(t + rec.lifespan, "release", (qid, t))
         self._mark(t)
 

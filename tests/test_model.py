@@ -1,8 +1,6 @@
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import all_monotone_placements, recursive_plan_count
 from tierplan.model import (
@@ -18,14 +16,8 @@ from tierplan.model import (
     enumerate_plan_space,
     pareto_filter,
     pipeline_from_dict,
-    pipeline_to_dict,
-    plan_from_dict,
     plan_space_size,
-    plan_to_dict,
-    query_from_dict,
-    query_to_dict,
     topology_from_dict,
-    topology_to_dict,
 )
 
 
@@ -134,47 +126,55 @@ class TestInvariants:
             TierTopology(tiers, ((10.0, 5.0), (6.0, 10.0)), ((0.0, 0.0), (0.0, 0.0)))
 
 
+PIPELINE_JSON = {
+    "schema_version": 1,
+    "name": "fan",
+    "operators": [
+        {"id": 0, "knob_domain": ["lo", "hi"], "is_batching": False, "base_output_size": 2000.0},
+        {"id": 1, "knob_domain": ["x"], "base_output_size": 500.0},
+        {"id": 2, "knob_domain": ["a", "b", "c"], "is_batching": True},
+    ],
+    "edges": [[0, 2], [1, 2]],
+    "input_bytes": 100.0,
+}
+
+TOPOLOGY_JSON = {
+    "schema_version": 1,
+    "tiers": [
+        {"name": "edge", "machine_count": 2, "capacity": 1, "unit_cost": 0.5},
+        {"name": "cloud", "machine_count": 4, "capacity": 2.0, "unit_cost": 3.0},
+    ],
+    "bandwidth_mbps": [[1000, 200], [200, 1000]],
+    "link_latency_s": [[0.0, 0.01], [0.01, 0.0]],
+}
+
+
 class TestRoundTrip:
-    @given(
-        config=st.lists(st.integers(0, 3), min_size=1, max_size=4),
-        frac_idx=st.lists(st.integers(0, 3), min_size=1, max_size=4),
-        tiers=st.lists(st.integers(0, 2), min_size=1, max_size=4),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_plan_round_trip(self, config, frac_idx, tiers):
-        m = min(len(config), len(frac_idx), len(tiers))
-        plan = PlanPoint(
-            tuple(config[:m]),
-            tuple(sorted(tiers[:m])),
-            tuple(RESOURCE_FRACTIONS[i] for i in frac_idx[:m]),
+    """The JSON loaders, fed literal JSON objects."""
+
+    def test_pipeline_round_trip(self):
+        obj = json.loads(json.dumps(PIPELINE_JSON))
+        assert pipeline_from_dict(obj) == PipelineSpec(
+            name="fan",
+            operators=(
+                OperatorSpec(0, ("lo", "hi"), base_output_size=2000.0),
+                OperatorSpec(1, ("x",), base_output_size=500.0),
+                OperatorSpec(2, ("a", "b", "c"), is_batching=True),
+            ),
+            edges=((0, 2), (1, 2)),
+            input_bytes=100.0,
         )
-        assert plan_from_dict(json.loads(json.dumps(plan_to_dict(plan)))) == plan
 
-    def test_pipeline_round_trip(self, vt_pipeline):
-        obj = json.loads(json.dumps(pipeline_to_dict(vt_pipeline)))
-        assert pipeline_from_dict(obj) == vt_pipeline
-
-    def test_topology_round_trip(self, topology):
-        obj = json.loads(json.dumps(topology_to_dict(topology)))
-        assert topology_from_dict(obj) == topology
-
-    def test_query_round_trip(self, vt_pipeline):
-        q = Query(
-            id="q7",
-            pipeline=vt_pipeline,
-            a_slo=0.8,
-            l_slo=0.5,
-            profiling_budget_gpuh=2.0,
-            weight=1.5,
-            arrival_time=3.0,
-            lifespan=45.0,
+    def test_topology_round_trip(self):
+        obj = json.loads(json.dumps(TOPOLOGY_JSON))
+        assert topology_from_dict(obj) == TierTopology(
+            tiers=(Tier("edge", 2, 1.0, 0.5), Tier("cloud", 4, 2.0, 3.0)),
+            bandwidth_mbps=((1000.0, 200.0), (200.0, 1000.0)),
+            link_latency_s=((0.0, 0.01), (0.01, 0.0)),
         )
-        obj = json.loads(json.dumps(query_to_dict(q)))
-        assert query_from_dict(obj, {vt_pipeline.name: vt_pipeline}) == q
 
-    def test_schema_version_is_mandatory(self, vt_pipeline):
-        obj = pipeline_to_dict(vt_pipeline)
-        del obj["schema_version"]
+    def test_schema_version_is_mandatory(self):
+        obj = {k: v for k, v in PIPELINE_JSON.items() if k != "schema_version"}
         with pytest.raises(SchemaError, match="schema_version"):
             pipeline_from_dict(obj)
 

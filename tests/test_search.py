@@ -21,11 +21,13 @@ from tierplan.model import (
 )
 from tierplan.presets import DEFAULT_SPEED_FACTORS, wide_search_pipeline
 from tierplan.search import (
+    HISTORY_CAPACITY,
     GaussianProcess,
     HistoryEntry,
     HistorySession,
     HistoryStore,
     SurrogatePair,
+    _argmax_with_ties,
     acquisition,
     encode_pool,
     pareto_optimize,
@@ -41,8 +43,8 @@ def acq(mu_a, sd_a, mu_l, sd_l, a_slo, l_slo):
     return float(scores[0])
 
 
-def pool_scores(pool, pair, a_slo, l_slo):
-    return acquisition(*pair.predict(pool), a_slo, l_slo)[0]
+def pool_scores(xa, xl, pair, a_slo, l_slo):
+    return acquisition(*pair.predict(xa, xl), a_slo, l_slo)[0]
 
 
 class TestGaussianProcess:
@@ -58,15 +60,24 @@ class TestGaussianProcess:
 
     def test_duplicate_refit_is_idempotent(self):
         pipe, topo, _land = two_op_setup()
-        pool = enumerate_search_pool(pipe, topo)
+        _pool, _idx, xa, xl = encoded_pool(pipe, topo)
         pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        pair.fit_new_point(pool[0], 0.9, 0.2)
-        pair.fit_new_point(pool[4], 0.7, 0.4)
-        mu_before = pair.predict(pool[:8])
-        pair.fit_new_point(pool[0], 0.9, 0.2)  # exact repeat
-        mu_after = pair.predict(pool[:8])
+        pair.fit_new_point(xa[0], xl[0], 0.9, 0.2)
+        pair.fit_new_point(xa[4], xl[4], 0.7, 0.4)
+        mu_before = pair.predict(xa[:8], xl[:8])
+        pair.fit_new_point(xa[0], xl[0], 0.9, 0.2)  # exact repeat
+        mu_after = pair.predict(xa[:8], xl[:8])
+        assert pair.n_obs == 2
         for a, b in zip(mu_before, mu_after):
             assert np.allclose(a, b, atol=1e-6)
+
+    def test_observations_are_copies_of_the_pool_rows(self):
+        pipe, topo, _land = two_op_setup()
+        _pool, _idx, xa, xl = encoded_pool(pipe, topo)
+        pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
+        pair.fit_new_point(xa[2], xl[2], 0.9, 0.2)
+        assert not np.shares_memory(pair.obs_x_a[0], xa)
+        assert not np.shares_memory(pair.obs_x_l[0], xl)
 
     def test_prior_before_fit(self):
         gp = GaussianProcess()
@@ -134,13 +145,58 @@ def two_op_setup(noise=0.0):
 def encoded_pool(pipe, topo):
     pool = enumerate_search_pool(pipe, topo)
     xa, xl = encode_pool(pool, pipe, topo.num_tiers)
-    return pool, list(range(len(pool))), xa, xl
+    return pool, np.arange(len(pool)), xa, xl
 
 
-def primed(entries, xa, xl, a_slo, l_slo):
-    session = HistorySession(entries)
-    session.prime(xa, xl, a_slo, l_slo)
-    return session
+class TestEncodePool:
+    def test_one_hot_rows_of_a_two_operator_two_tier_pipeline(self):
+        pipe, topo, _land = two_op_setup()  # 3 and 2 options, 2 tiers
+        plans = [
+            PlanPoint((0, 0), (0, 0), (1.0, 1.0)),
+            PlanPoint((2, 1), (0, 1), (1.0, 1.0)),
+            PlanPoint((1, 0), (1, 1), (1.0, 1.0)),
+        ]
+        xa, xl = encode_pool(plans, pipe, topo.num_tiers)
+        # accuracy rows: op0 option (3 columns), op1 option (2 columns)
+        assert xa.tolist() == [
+            [1, 0, 0, 1, 0],
+            [0, 0, 1, 0, 1],
+            [0, 1, 0, 1, 0],
+        ]
+        # latency rows: the accuracy row, then op0 tier and op1 tier (2 columns each)
+        assert xl.tolist() == [
+            [1, 0, 0, 1, 0, 1, 0, 1, 0],
+            [0, 0, 1, 0, 1, 1, 0, 0, 1],
+            [0, 1, 0, 1, 0, 0, 1, 0, 1],
+        ]
+        assert xa.dtype == xl.dtype == np.float64
+
+    def test_rows_match_the_pool_order(self):
+        pipe, topo, _land = two_op_setup()
+        pool, _idx, xa, xl = encoded_pool(pipe, topo)
+        assert xa.shape == (len(pool), 5) and xl.shape == (len(pool), 9)
+        for i, plan in enumerate(pool):
+            assert np.flatnonzero(xa[i]).tolist() == [plan.configuration[0], 3 + plan.configuration[1]]
+            assert np.flatnonzero(xl[i, 5:]).tolist() == [plan.placement[0], 2 + plan.placement[1]]
+
+
+class TestArgmaxWithTies:
+    def test_best_score_wins(self):
+        assert _argmax_with_ties(np.array([1.0, 3.0, 2.0]), np.array([0.1, 0.9, 0.1])) == 1
+
+    def test_tie_goes_to_the_lower_cost_then_the_lower_index(self):
+        scores = np.array([2.0, 5.0, 1.0, 5.0, 5.0])
+        assert _argmax_with_ties(scores, np.array([0.1, 0.3, 0.1, 0.2, 0.2])) == 3
+        assert _argmax_with_ties(scores, np.array([0.1, 0.2, 0.1, 0.2, 0.2])) == 1
+        assert isinstance(_argmax_with_ties(scores, np.ones(5)), int)
+
+    def test_matches_the_loop_rule_on_coarse_random_scores(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            scores = rng.integers(0, 4, size=30).astype(float)
+            costs = rng.integers(0, 3, size=30).astype(float)
+            tied = [i for i in range(30) if scores[i] == scores.max()]
+            assert _argmax_with_ties(scores, costs) == min(tied, key=lambda i: (costs[i], i))
 
 
 class TestProposeBranches:
@@ -149,23 +205,24 @@ class TestProposeBranches:
         pool, idx, xa, xl = encoded_pool(pipe, topo)
         pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
         i, branch = propose(idx, xa, xl, 0.8, 0.5, pair, None, np.random.default_rng(0))
-        assert branch == "cold"
+        assert branch == "cold" and type(i) is int
         assert i == int(np.random.default_rng(0).integers(len(pool)))
         # an empty history session is no history
-        i, branch = propose(idx[3:], xa, xl, 0.8, 0.5, pair, primed([], xa, xl, 0.8, 0.5), np.random.default_rng(0))
+        empty = HistoryStore().session(pipe, topo.num_tiers, xa, xl, 0.8, 0.5)
+        i, branch = propose(idx[3:], xa, xl, 0.8, 0.5, pair, empty, np.random.default_rng(0))
         assert branch == "cold" and i in idx[3:]
 
     def test_cmbo_branch_after_one_observation(self):
         pipe, topo, land = two_op_setup()
         pool, idx, xa, xl = encoded_pool(pipe, topo)
         pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        pair.fit_new_point(pool[0], 0.9, 0.1)
+        pair.fit_new_point(xa[0], xl[0], 0.9, 0.1)
         i, branch = propose(idx, xa, xl, 0.8, 0.5, pair, None, np.random.default_rng(0))
-        assert branch == "cmbo"
-        scores = pool_scores(pool, pair, 0.8, 0.5)
+        assert branch == "cmbo" and type(i) is int
+        scores = pool_scores(xa, xl, pair, 0.8, 0.5)
         assert scores[i] == scores.max()
         # only the step's candidates are scored
-        step = [j for j in idx if j != i]
+        step = idx[idx != i]
         j, _ = propose(step, xa, xl, 0.8, 0.5, pair, None, np.random.default_rng(0))
         assert j in step and scores[j] == scores[step].max()
 
@@ -173,14 +230,13 @@ class TestProposeBranches:
         pipe, topo, land = two_op_setup()
         pool, idx, xa, xl = encoded_pool(pipe, topo)
         own = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        own.fit_new_point(pool[0], 0.9, 0.1)
+        own.fit_new_point(xa[0], xl[0], 0.9, 0.1)
         own.record_gap(0.10)
         hist_pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        hist_pair.fit_new_point(pool[1], 0.8, 0.2)
+        hist_pair.fit_new_point(xa[1], xl[1], 0.8, 0.2)
         store = HistoryStore()
         store.push(hist_pair)
-        session = store.session()
-        session.prime(xa, xl, 0.8, 0.5)
+        session = store.session(pipe, topo.num_tiers, xa, xl, 0.8, 0.5)
         session.entries[0].gap_sum, session.entries[0].gap_n = 0.01, 1
         i, branch = propose(idx, xa, xl, 0.8, 0.5, own, session, np.random.default_rng(0))
         assert branch == "history"
@@ -189,37 +245,56 @@ class TestProposeBranches:
         assert branch == "cmbo"
 
 
+class TestHistoryStore:
+    def test_session_keeps_only_pairs_sharing_the_pool_encoding(self):
+        pipe, topo, _land = two_op_setup()
+        _pool, _idx, xa, xl = encoded_pool(pipe, topo)
+        other = PipelineSpec("s3", (OperatorSpec(0, ("a0", "a1")), OperatorSpec(1, ("b0", "b1"))), ((0, 1),))
+        store = HistoryStore()
+        for p, tiers in ((pipe, topo.num_tiers), (other, topo.num_tiers), (pipe, 3)):
+            store.push(SurrogatePair(pipeline=p, num_tiers=tiers))
+        session = store.session(pipe, topo.num_tiers, xa, xl, 0.8, 0.5)
+        assert [e.pair for e in session.entries] == [store.pairs[0]]
+
+    def test_store_evicts_the_oldest_beyond_capacity(self):
+        pipe, topo, _land = two_op_setup()
+        store = HistoryStore()
+        pairs = [SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers) for _ in range(HISTORY_CAPACITY + 2)]
+        for pair in pairs:
+            store.push(pair)
+        assert len(store) == HISTORY_CAPACITY and store.pairs[0] is pairs[2]
+
+
 class TestHistoryPropose:
     """The history branch of propose: gap-weighted votes of history models."""
 
     def _vote(self, pipe, topo, entries, a_slo, l_slo):
         pool, idx, xa, xl = encoded_pool(pipe, topo)
         fresh = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        i, branch = propose(
-            idx, xa, xl, a_slo, l_slo, fresh, primed(entries, xa, xl, a_slo, l_slo), np.random.default_rng(0)
-        )
+        session = HistorySession(entries, xa, xl, a_slo, l_slo)
+        i, branch = propose(idx, xa, xl, a_slo, l_slo, fresh, session, np.random.default_rng(0))
         assert branch == "history"
         return i
 
     def test_single_history_equals_its_own_argmax(self):
         pipe, topo, land = two_op_setup()
-        pool = enumerate_search_pool(pipe, topo)
+        pool, _idx, xa, xl = encoded_pool(pipe, topo)
         pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
         rng = np.random.default_rng(3)
-        for plan in [pool[i] for i in rng.choice(len(pool), 5, replace=False)]:
-            pair.fit_new_point(plan, float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.05, 0.5)))
+        for i in rng.choice(len(pool), 5, replace=False):
+            pair.fit_new_point(xa[i], xl[i], float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.05, 0.5)))
         entry = HistoryEntry(pair=pair, gap_sum=0.05, gap_n=1)
         voted = self._vote(pipe, topo, [entry], 0.8, 0.5)
-        scores = pool_scores(pool, pair, 0.8, 0.5)
+        scores = pool_scores(xa, xl, pair, 0.8, 0.5)
         best = max(scores)
         tied = [i for i, s in enumerate(scores) if s == best]
         assert voted == min(tied)
 
     def test_two_identical_histories_equal_one(self):
         pipe, topo, land = two_op_setup()
-        pool = enumerate_search_pool(pipe, topo)
+        _pool, _idx, xa, xl = encoded_pool(pipe, topo)
         pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        pair.fit_new_point(pool[0], 0.95, 0.1)
+        pair.fit_new_point(xa[0], xl[0], 0.95, 0.1)
         one = self._vote(pipe, topo, [HistoryEntry(pair=pair, gap_sum=0.1, gap_n=1)], 0.8, 0.5)
         two = self._vote(
             pipe,
@@ -232,14 +307,14 @@ class TestHistoryPropose:
 
     def test_opposed_histories_follow_dominant_weight(self):
         pipe, topo, land = two_op_setup()
-        pool = enumerate_search_pool(pipe, topo)
+        _pool, _idx, xa, xl = encoded_pool(pipe, topo)
         strong = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
         weak = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
         # opposite optima: each history is confident about a different plan
-        strong.fit_new_point(pool[10], 0.99, 0.05)
-        strong.fit_new_point(pool[12], 0.10, 0.05)
-        weak.fit_new_point(pool[12], 0.99, 0.05)
-        weak.fit_new_point(pool[10], 0.10, 0.05)
+        strong.fit_new_point(xa[10], xl[10], 0.99, 0.05)
+        strong.fit_new_point(xa[12], xl[12], 0.10, 0.05)
+        weak.fit_new_point(xa[12], xl[12], 0.99, 0.05)
+        weak.fit_new_point(xa[10], xl[10], 0.10, 0.05)
         # gaps 0.01 vs 0.09 give weights 0.9 / 0.1
         entries = [
             HistoryEntry(pair=strong, gap_sum=0.01, gap_n=1),
@@ -250,8 +325,8 @@ class TestHistoryPropose:
         w = np.array([1 / (0.01 + 1e-6), 1 / (0.09 + 1e-6)])
         w = w / w.sum()
         assert w[0] == pytest.approx(0.9, abs=1e-4)
-        s_strong = pool_scores(pool, strong, 0.5, 0.5)
-        s_weak = pool_scores(pool, weak, 0.5, 0.5)
+        s_strong = pool_scores(xa, xl, strong, 0.5, 0.5)
+        s_weak = pool_scores(xa, xl, weak, 0.5, 0.5)
         s10 = w[0] * s_strong[10] + w[1] * s_weak[10]
         s12 = w[0] * s_strong[12] + w[1] * s_weak[12]
         assert s10 > s12
@@ -261,31 +336,31 @@ class TestHistoryPropose:
 class TestUpdate:
     def test_posterior_tracks_observation(self):
         pipe, topo, land = two_op_setup()
-        pool = enumerate_search_pool(pipe, topo)
+        _pool, _idx, xa, xl = encoded_pool(pipe, topo)
         pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
         out = ProfileOutcome(
             accuracy_estimate=0.87, samples_used=50, verdict=Verdict.PASS_ACCURACY, profiling_cost=1.0
         )
-        update(pair, None, pool[3], out, 0.2, l_slo=0.5)
-        mu_a, sd_a, mu_l, _ = pair.predict([pool[3]])
+        update(pair, None, xa[3], xl[3], out, 0.2, l_slo=0.5)
+        mu_a, sd_a, mu_l, _ = pair.predict(xa[3], xl[3])
         assert abs(float(mu_a[0]) - 0.87) <= 0.02
         assert abs(float(mu_l[0]) - 0.2) <= 0.02
 
     def test_gap_decreases_for_matching_history(self):
         pipe, topo, land = two_op_setup(noise=0.0)
-        pool = enumerate_search_pool(pipe, topo)
+        pool, _idx, xa, xl = encoded_pool(pipe, topo)
         rng = np.random.default_rng(5)
         matched = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
         for i in rng.choice(len(pool), 12, replace=False):
             plan = pool[int(i)]
             lat = pipeline_latency(plan, pipe, topo, land.timings_for(plan.configuration))
-            matched.fit_new_point(plan, land.accuracy_mean(plan.configuration), lat)
+            matched.fit_new_point(xa[i], xl[i], land.accuracy_mean(plan.configuration), lat)
         mismatched = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        mismatched.fit_new_point(pool[0], 0.1, 3.0)
+        mismatched.fit_new_point(xa[0], xl[0], 0.1, 3.0)
         store = HistoryStore()
         store.push(matched)
         store.push(mismatched)
-        session = store.session()
+        session = store.session(pipe, topo.num_tiers, xa, xl, 0.8, 0.5)
         own = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
         for i in rng.choice(len(pool), 8, replace=False):
             plan = pool[int(i)]
@@ -296,7 +371,7 @@ class TestUpdate:
                 verdict=Verdict.PASS_ACCURACY,
                 profiling_cost=1.0,
             )
-            update(own, session, plan, out, lat, l_slo=0.5)
+            update(own, session, xa[i], xl[i], out, lat, l_slo=0.5)
         gaps = [e.gap for e in session.entries]
         assert gaps[0] < gaps[1]
         assert gaps[0] < 0.05

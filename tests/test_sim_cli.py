@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tierplan.cli import main as cli_main
 from tierplan.landscape import ArrivalTrace, TraceEntry, generate_landscape, quality_latency_frontier
-from tierplan.model import SCHEMA_VERSION, SchemaError, Tier, TierTopology, dump_json
+from tierplan.model import SCHEMA_VERSION, SchemaError, Tier, TierTopology
 from tierplan.presets import code_generation_pipeline
 from tierplan.search import SearchConfig
 from tierplan.sim import DriftEvent, SimConfig, compare, run, sim_config_from_file
@@ -184,11 +185,22 @@ class TestCompare:
         assert fixed["profiling_gpu_seconds"] != full["profiling_gpu_seconds"]
 
 
+TRACE_ROW = {"arrival_time": 1.0, "template": "code-generation", "a_slo": 0.5, "l_slo": 0.2, "lifespan": 30.0}
+
+
 class TestConfigFile:
     def _write(self, tmp_path, obj):
         path = tmp_path / "sim.json"
-        dump_json(obj, str(path))
+        path.write_text(json.dumps(obj))
         return str(path)
+
+    def test_readme_example_config_loads(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        example = readme.split("A minimal simulate config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        cfg = sim_config_from_file(self._write(tmp_path, json.loads(example)))
+        assert list(cfg.pipelines) == ["visual-tracking"]
+        assert cfg.landscapes["visual-tracking"].k_true == 4
+        assert len(cfg.drift) == 1 and cfg.search.fixed_n == 356
 
     def test_minimal_config_loads(self, tmp_path):
         path = self._write(
@@ -266,7 +278,7 @@ class TestConfigFile:
         ],
     )
     def test_invalid_trace_entry_rejected_at_load(self, tmp_path, capsys, field, value):
-        row = {"arrival_time": 1.0, "template": "code-generation", "a_slo": 0.5, "l_slo": 0.2, "lifespan": 30.0}
+        row = dict(TRACE_ROW)
         row[field] = value
         trace = {"schema_version": SCHEMA_VERSION, "entries": [row]}
         with pytest.raises(SchemaError, match=field):
@@ -296,6 +308,14 @@ class TestConfigFile:
             ({"planning_budget_s": -1.0}, "planning_budget_s"),
             ({"planning_budget_s": None, "planning_budget_gpuh": 0.0}, "planning_budget_gpuh"),
             ({"replan_budget_s": 0.0}, "replan_budget_s"),
+            ({"landscape": {"k_true": 0}}, "k_true"),
+            ({"trace": {"generator": {"duration_s": -5.0, "load": 0.2}}}, "duration_s"),
+            ({"trace": {"generator": {"duration_s": 5.0, "load": 0.0}}}, "load"),
+            ({"trace": {"generator": {"duration_s": 5.0, "mean_lifespan_s": 0.0}}}, "mean_lifespan_s"),
+            ({"trace": {"generator": {"duration_s": 5.0, "burst_factor": -1.0}}}, "burst_factor"),
+            ({"aging_beta": -5.0}, "aging_beta"),
+            ({"trace": {"schema_version": SCHEMA_VERSION, "entries": [dict(TRACE_ROW, wieght=2.0)]}}, "wieght"),
+            ({"trace": {"schema_version": SCHEMA_VERSION, "entries": [TRACE_ROW], "notes": "x"}}, "notes"),
         ],
         ids=[
             "drift-link-out-of-range",
@@ -314,6 +334,14 @@ class TestConfigFile:
             "negative-planning-budget",
             "zero-gpuh-budget",
             "zero-replan-budget",
+            "zero-k-true",
+            "negative-duration",
+            "zero-load",
+            "zero-mean-lifespan",
+            "negative-burst-factor",
+            "negative-aging-beta",
+            "unknown-trace-entry-key",
+            "unknown-trace-top-level-key",
         ],
     )
     def test_invalid_config_rejected_at_load(self, tmp_path, capsys, overrides, message):
@@ -372,7 +400,7 @@ class TestCli:
             "trace": {"generator": {"duration_s": 10.0, "load": 0.3, "mean_lifespan_s": 20.0}},
         }
         path = tmp_path / "sim.json"
-        dump_json(cfg, str(path))
+        path.write_text(json.dumps(cfg))
         rc = cli_main(["simulate", "--config", str(path), "--output-dir", str(tmp_path / "out")])
         assert rc == 0
         totals = json.loads(capsys.readouterr().out)
@@ -400,7 +428,7 @@ class TestCli:
             "trace": {"generator": {"duration_s": 5.0, "load": 0.2}},
         }
         path = tmp_path / "sim.json"
-        dump_json(cfg, str(path))
+        path.write_text(json.dumps(cfg))
         rc = cli_main(["compare", "--config", str(path), "--variants", "full,bogus"])
         assert rc == 1
         assert "bogus" in capsys.readouterr().err
