@@ -19,7 +19,9 @@ session's own model outpredicts them.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -110,8 +112,19 @@ class GaussianProcess:
         var = np.maximum(1.0 - np.sum(v * v, axis=0), self.noise)
         return mu, self._y_std * np.sqrt(var)
 
+    def row_means(self, xq: np.ndarray) -> np.ndarray:
+        """Predictive mean at each row of ``xq``, bitwise what a one-row
+        :meth:`predict` gives for that row when rows are 0/1 encoded (their
+        squared distances are exact). A batched :meth:`predict` may differ in
+        the last bit: BLAS sums a matrix-vector product in another order than
+        a dot product."""
+        if self._x is None:
+            return np.zeros(len(xq))
+        kq = self._kernel(xq, self._x)
+        return self._y_mean + self._y_std * np.array([row @ self._alpha for row in kq])
 
-def encode_pool(plans: list[PlanPoint], pipeline: PipelineSpec, num_tiers: int) -> tuple[np.ndarray, np.ndarray]:
+
+def encode_pool(plans: Sequence[PlanPoint], pipeline: PipelineSpec, num_tiers: int) -> tuple[np.ndarray, np.ndarray]:
     """Accuracy-model and latency-model input rows, one per plan: a one-hot
     of each operator's option, then (latency rows only) of each operator's tier."""
     dims = [len(op.knob_domain) for op in pipeline.operators]
@@ -125,11 +138,35 @@ def encode_pool(plans: list[PlanPoint], pipeline: PipelineSpec, num_tiers: int) 
     return xa, np.hstack([xa, tiers])
 
 
-@dataclass
+def pool_key(pipeline: PipelineSpec, num_tiers: int) -> tuple[tuple[int, ...], int]:
+    """What the search pool and its encoding depend on: the knob-domain
+    sizes and the tier count."""
+    return tuple(len(op.knob_domain) for op in pipeline.operators), num_tiers
+
+
+_SEARCH_POOLS: dict[tuple, tuple[tuple[PlanPoint, ...], np.ndarray, np.ndarray]] = {}
+
+
+def search_pool(pipeline: PipelineSpec, topology: TierTopology) -> tuple[tuple[PlanPoint, ...], np.ndarray, np.ndarray]:
+    """``(pool, pool_xa, pool_xl)``: the search pool and its encoded rows,
+    built once per process for each :func:`pool_key` and shared read-only."""
+    key = pool_key(pipeline, topology.num_tiers)
+    cached = _SEARCH_POOLS.get(key)
+    if cached is None:
+        pool = tuple(enumerate_search_pool(pipeline, topology))
+        pool_xa, pool_xl = encode_pool(pool, pipeline, topology.num_tiers)
+        pool_xa.setflags(write=False)
+        pool_xl.setflags(write=False)
+        cached = _SEARCH_POOLS[key] = (pool, pool_xa, pool_xl)
+    return cached
+
+
+@dataclass(eq=False)
 class SurrogatePair:
     """Accuracy and latency regressors plus this session's prediction-gap
     window. The accuracy model never sees placement or resources; the
-    latency model never sees resources (search is over-provisioned)."""
+    latency model never sees resources (search is over-provisioned).
+    Pairs compare and hash by identity."""
 
     pipeline: PipelineSpec
     num_tiers: int
@@ -210,8 +247,23 @@ class HistoryEntry:
         return self.gap_sum / self.gap_n if self.gap_n else math.inf
 
 
+class PoolPredictions(NamedTuple):
+    """A stored pair's predictions over its search pool: one batched
+    :meth:`SurrogatePair.predict`, which votes score, and each row's own
+    accuracy and latency means (:meth:`GaussianProcess.row_means`), which
+    gap updates read, as a one-row predict at the profiled plan would."""
+
+    mu_a: np.ndarray
+    sd_a: np.ndarray
+    mu_l: np.ndarray
+    sd_l: np.ndarray
+    row_mu_a: np.ndarray
+    row_mu_l: np.ndarray
+
+
 class HistoryStore:
-    """Ring of completed sessions' surrogate pairs.
+    """Ring of completed sessions' surrogate pairs, plus each pair's
+    predictions over its search pool.
 
     The store itself only grows at session completion (under exclusive
     access); per-query gap accounting lives in a :class:`HistorySession`
@@ -220,11 +272,16 @@ class HistoryStore:
 
     def __init__(self):
         self.pairs: list[SurrogatePair] = []
+        self.pool_predictions: dict[SurrogatePair, PoolPredictions] = {}
 
     def push(self, pair: SurrogatePair) -> None:
+        """Store a completed session's pair, evicting the oldest beyond
+        ``HISTORY_CAPACITY``. A pushed pair is frozen: nothing refits it, so
+        its pool predictions are computed at most once, by the first session
+        that needs them, and dropped when the pair is evicted."""
         self.pairs.append(pair)
         if len(self.pairs) > HISTORY_CAPACITY:
-            self.pairs.pop(0)
+            self.pool_predictions.pop(self.pairs.pop(0), None)
 
     def session(
         self,
@@ -235,15 +292,11 @@ class HistoryStore:
         a_slo: float,
         l_slo: float,
     ) -> "HistorySession":
-        """Snapshot the entries that share the pool's encoding (same knob
-        sizes and tier count), ready to vote on the encoded pool rows."""
-        sig = tuple(len(op.knob_domain) for op in pipeline.operators)
-        entries = [
-            HistoryEntry(pair=p)
-            for p in self.pairs
-            if tuple(len(op.knob_domain) for op in p.pipeline.operators) == sig and p.num_tiers == num_tiers
-        ]
-        return HistorySession(entries, pool_xa, pool_xl, a_slo, l_slo)
+        """Snapshot the entries that share the pool's :func:`pool_key`, ready
+        to vote on the encoded pool rows (those of :func:`search_pool`)."""
+        key = pool_key(pipeline, num_tiers)
+        entries = [HistoryEntry(pair=p) for p in self.pairs if pool_key(p.pipeline, p.num_tiers) == key]
+        return HistorySession(entries, pool_xa, pool_xl, a_slo, l_slo, self.pool_predictions)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -253,19 +306,28 @@ class HistorySession:
     """One query's view of the history: cumulative prediction gap of every
     stored model against this query's profiled observations.
 
-    History models are frozen for the session, so their scores over the
-    session's encoded pool are computed once per entry and reused across
-    voting steps; only the gap weights move.
+    History models are frozen, so their :class:`PoolPredictions` over the
+    encoded pool come from ``pool_predictions`` (the store's, shared across
+    sessions), computed there at most once per pair. Gap updates look
+    observations up in them; votes score them once per session against its
+    SLOs.
     """
 
     def __init__(
-        self, entries: list[HistoryEntry], pool_xa: np.ndarray, pool_xl: np.ndarray, a_slo: float, l_slo: float
+        self,
+        entries: list[HistoryEntry],
+        pool_xa: np.ndarray,
+        pool_xl: np.ndarray,
+        a_slo: float,
+        l_slo: float,
+        pool_predictions: dict[SurrogatePair, PoolPredictions] | None = None,
     ):
         self.entries = entries
         self.pool_xa = pool_xa
         self.pool_xl = pool_xl
         self.a_slo = a_slo
         self.l_slo = l_slo
+        self.pool_predictions = {} if pool_predictions is None else pool_predictions
 
     def top_k(self) -> list[HistoryEntry]:
         order = sorted(range(len(self.entries)), key=lambda i: (self.entries[i].gap, i))
@@ -274,16 +336,27 @@ class HistorySession:
     def best_gap(self) -> float:
         return min((e.gap for e in self.entries), default=math.inf)
 
-    def update_gaps(self, xa: np.ndarray, xl: np.ndarray, accuracy: float, latency_s: float, l_slo: float) -> None:
+    def _predicted(self, pair: SurrogatePair) -> PoolPredictions:
+        predicted = self.pool_predictions.get(pair)
+        if predicted is None:
+            predicted = self.pool_predictions[pair] = PoolPredictions(
+                *pair.predict(self.pool_xa, self.pool_xl),
+                pair.f_a.row_means(self.pool_xa),
+                pair.f_l.row_means(self.pool_xl),
+            )
+        return predicted
+
+    def update_gaps(self, idx: int, accuracy: float, latency_s: float, l_slo: float) -> None:
+        """Add every entry's gap at the profiled pool index ``idx``."""
         for e in self.entries:
-            mu_a, _, mu_l, _ = e.pair.predict(xa, xl)
-            e.gap_sum += prediction_gap(float(mu_a[0]), float(mu_l[0]), accuracy, latency_s, l_slo)
+            p = self._predicted(e.pair)
+            e.gap_sum += prediction_gap(float(p.row_mu_a[idx]), float(p.row_mu_l[idx]), accuracy, latency_s, l_slo)
             e.gap_n += 1
 
     def _entry_pool_scores(self, e: HistoryEntry) -> tuple[np.ndarray, np.ndarray]:
         if e.pool_scores is None:
-            predicted = e.pair.predict(self.pool_xa, self.pool_xl)
-            e.pool_scores, e.pool_costs = acquisition(*predicted, self.a_slo, self.l_slo)
+            p = self._predicted(e.pair)
+            e.pool_scores, e.pool_costs = acquisition(p.mu_a, p.sd_a, p.mu_l, p.sd_l, self.a_slo, self.l_slo)
         return e.pool_scores, e.pool_costs
 
     def vote_indices(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,25 +453,27 @@ def propose(
 def update(
     surrogates: SurrogatePair,
     history: HistorySession | None,
-    xa: np.ndarray,
-    xl: np.ndarray,
+    idx: int,
+    pool_xa: np.ndarray,
+    pool_xl: np.ndarray,
     outcome: ProfileOutcome,
     measured_latency_s: float,
     l_slo: float,
 ) -> None:
-    """Fold one profiled observation, at the encoded rows ``xa``, ``xl``,
-    into the session model and all gaps.
+    """Fold one profiled observation of pool plan ``idx`` into the session
+    model and all gaps.
 
     Gaps compare predictions made before this observation was seen.
     """
     accuracy = outcome.accuracy_estimate
+    xa, xl = pool_xa[idx], pool_xl[idx]
     if surrogates.n_obs > 0:
         mu_a, _, mu_l, _ = surrogates.predict(xa, xl)
         surrogates.record_gap(
             prediction_gap(float(mu_a[0]), float(mu_l[0]), accuracy, measured_latency_s, l_slo)
         )
     if history is not None:
-        history.update_gaps(xa, xl, accuracy, measured_latency_s, l_slo)
+        history.update_gaps(idx, accuracy, measured_latency_s, l_slo)
     surrogates.fit_new_point(xa, xl, accuracy, measured_latency_s)
 
 
@@ -561,8 +636,7 @@ def single_query_search(
     cfg = config or SearchConfig()
     rng = np.random.default_rng(seed)
     pipeline = query.pipeline
-    pool = enumerate_search_pool(pipeline, topology)
-    pool_xa, pool_xl = encode_pool(pool, pipeline, topology.num_tiers)
+    pool, pool_xa, pool_xl = search_pool(pipeline, topology)
     strat = stratify(land.case_features, min(DEFAULT_PLANNER_STRATA, land.n_cases), seed=seed)
     cache: PrefixCache | NullCache = PrefixCache() if cfg.use_cache else NullCache()
     if warm_pair is not None:
@@ -613,7 +687,7 @@ def single_query_search(
 
         timings = land.timings_for(plan.configuration)
         model_latency = latmod.pipeline_latency(plan, pipeline, topology, timings)
-        update(surrogates, hist, pool_xa[idx], pool_xl[idx], outcome, model_latency, query.l_slo)
+        update(surrogates, hist, idx, pool_xa, pool_xl, outcome, model_latency, query.l_slo)
 
         feasible = outcome.verdict == Verdict.PASS_ACCURACY and model_latency <= query.l_slo
         if feasible:

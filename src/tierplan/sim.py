@@ -134,14 +134,25 @@ _ABLATION_KEYS = ("warm_start", "prefix_cache", "profiler", "fixed_n")
 _DRIFT_KEYS = ("time", "kind", "link", "factor", "template", "delta")
 
 
-def search_config_from_ablations(ablations: dict, base: SearchConfig) -> SearchConfig:
+def _typed(obj: dict, key: str, default, kind: type, where: str):
+    """``obj[key]``, or ``default`` when absent, which must be a JSON
+    boolean (``kind`` bool) or a JSON integer (``kind`` int: no float, no
+    boolean); anything else raises SchemaError."""
+    value = obj.get(key, default)
+    if type(value) is not kind:
+        expected = "true or false" if kind is bool else "an integer"
+        raise SchemaError(f"{where}: {key} must be {expected}, got {value!r}")
+    return value
+
+
+def search_config_from_ablations(ablations: dict, base: SearchConfig, where: str = "ablations") -> SearchConfig:
     """``base`` with the planner switches named in an ablation mapping
     (warm_start, prefix_cache, profiler, fixed_n) applied."""
     return SearchConfig(
-        use_history=bool(ablations.get("warm_start", base.use_history)),
-        use_cache=bool(ablations.get("prefix_cache", base.use_cache)),
+        use_history=_typed(ablations, "warm_start", base.use_history, bool, where),
+        use_cache=_typed(ablations, "prefix_cache", base.use_cache, bool, where),
         profiler_mode=ablations.get("profiler", base.profiler_mode),
-        fixed_n=int(ablations.get("fixed_n", base.fixed_n)),
+        fixed_n=_typed(ablations, "fixed_n", base.fixed_n, int, where),
     )
 
 
@@ -169,14 +180,15 @@ def sim_config_from_file(path: str) -> SimConfig:
 
     land_cfg = obj.get("landscape", {})
     _known_keys(land_cfg, _LANDSCAPE_KEYS, f"{path}#landscape")
-    seed = int(obj.get("seed", 0))
+    seed = _typed(obj, "seed", 0, int, path)
+    k_true = _typed(land_cfg, "k_true", 4, int, f"{path}#landscape")
     try:
         landscapes = {
             name: generate_landscape(
                 seed=seed + 1000 + i,
                 pipeline=pipe,
                 difficulty=land_cfg.get("difficulty", "rugged"),
-                k_true=int(land_cfg.get("k_true", 4)),
+                k_true=k_true,
                 noise_scale=float(land_cfg.get("noise_scale", 0.05)),
                 tier_speed_factors=speed_factors_for(topology.num_tiers),
                 num_tiers=topology.num_tiers,
@@ -241,10 +253,12 @@ def sim_config_from_file(path: str) -> SimConfig:
             replan_budget_s=float(obj.get("replan_budget_s", 5.0)),
             aging_beta=float(obj.get("aging_beta", DEFAULT_AGING_BETA)),
             scheduler_mode=obj.get("scheduler", "greedy"),
-            search=search_config_from_ablations(ablations, SearchConfig()),
+            search=search_config_from_ablations(ablations, SearchConfig(), f"{path}#ablations"),
             drift=tuple(drift),
             output_dir=obj.get("output_dir"),
         )
+    except SchemaError:
+        raise
     except (TypeError, ValueError) as e:
         raise SchemaError(f"{path}: {e}") from e
 

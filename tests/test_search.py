@@ -31,7 +31,9 @@ from tierplan.search import (
     acquisition,
     encode_pool,
     pareto_optimize,
+    prediction_gap,
     propose,
+    search_pool,
     single_query_search,
     update,
 )
@@ -341,7 +343,7 @@ class TestUpdate:
         out = ProfileOutcome(
             accuracy_estimate=0.87, samples_used=50, verdict=Verdict.PASS_ACCURACY, profiling_cost=1.0
         )
-        update(pair, None, xa[3], xl[3], out, 0.2, l_slo=0.5)
+        update(pair, None, 3, xa, xl, out, 0.2, l_slo=0.5)
         mu_a, sd_a, mu_l, _ = pair.predict(xa[3], xl[3])
         assert abs(float(mu_a[0]) - 0.87) <= 0.02
         assert abs(float(mu_l[0]) - 0.2) <= 0.02
@@ -371,10 +373,131 @@ class TestUpdate:
                 verdict=Verdict.PASS_ACCURACY,
                 profiling_cost=1.0,
             )
-            update(own, session, xa[i], xl[i], out, lat, l_slo=0.5)
+            update(own, session, int(i), xa, xl, out, lat, l_slo=0.5)
         gaps = [e.gap for e in session.entries]
         assert gaps[0] < gaps[1]
         assert gaps[0] < 0.05
+
+
+def fitted_pair(pipe, topo, xa, xl, rng, n_obs):
+    pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
+    for i in rng.choice(len(xa), n_obs, replace=False):
+        pair.fit_new_point(xa[i], xl[i], float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.05, 0.5)))
+    return pair
+
+
+class TestHistoryPoolPredictions:
+    """Stored history models predict their pool once; gaps and votes read that."""
+
+    def test_lookups_equal_the_direct_predictions_bitwise(self):
+        pipe, topo, _land = two_op_setup()
+        pool, idx, xa, xl = encoded_pool(pipe, topo)
+        rng = np.random.default_rng(8)
+        store = HistoryStore()
+        for n_obs in (2, 5, 9, 14):
+            store.push(fitted_pair(pipe, topo, xa, xl, rng, n_obs))
+        for i in idx:
+            session = store.session(pipe, topo.num_tiers, xa, xl, 0.8, 0.5)
+            session.update_gaps(int(i), 0.83, 0.21, 0.5)
+            for e in session.entries:
+                mu_a, _, mu_l, _ = e.pair.predict(xa[i], xl[i])
+                assert e.gap_sum == prediction_gap(float(mu_a[0]), float(mu_l[0]), 0.83, 0.21, 0.5)
+        for e in session.entries:
+            scores, costs = session._entry_pool_scores(e)
+            want_scores, want_costs = acquisition(*e.pair.predict(xa, xl), 0.8, 0.5)
+            assert np.array_equal(scores, want_scores) and np.array_equal(costs, want_costs)
+
+    def test_each_stored_model_predicts_the_pool_at_most_once(self, monkeypatch):
+        pipe, topo, _land = two_op_setup()
+        pool, idx, xa, xl = encoded_pool(pipe, topo)
+        rng = np.random.default_rng(9)
+        store = HistoryStore()
+        for n_obs in (3, 6, 10):
+            store.push(fitted_pair(pipe, topo, xa, xl, rng, n_obs))
+        calls = []
+
+        def counting(name):
+            method = getattr(GaussianProcess, name)
+
+            def counted(self, xq):
+                calls.append((name, self, len(np.atleast_2d(xq))))
+                return method(self, xq)
+
+            return counted
+
+        for name in ("predict", "row_means"):
+            monkeypatch.setattr(GaussianProcess, name, counting(name))
+        for a_slo in (0.8, 0.6):
+            session = store.session(pipe, topo.num_tiers, xa, xl, a_slo, 0.5)
+            session.vote_indices(idx)
+            for i in (4, 11, 0):
+                before = len(calls)
+                session.update_gaps(i, 0.8, 0.2, 0.5)
+                assert len(calls) == before
+                session.vote_indices(idx[idx != i])
+        models = sorted(id(gp) for pair in store.pairs for gp in (pair.f_a, pair.f_l))
+        for name in ("predict", "row_means"):
+            assert sorted(id(gp) for n, gp, _ in calls if n == name) == models
+        assert all(rows == len(pool) for _, _, rows in calls)
+
+        # gap updates alone fill the memo too, and still predict nothing twice
+        new = fitted_pair(pipe, topo, xa, xl, rng, 4)
+        store.push(new)
+        calls.clear()
+        for _ in range(2):
+            store.session(pipe, topo.num_tiers, xa, xl, 0.8, 0.5).update_gaps(7, 0.8, 0.2, 0.5)
+        assert sorted((n, id(gp)) for n, gp, _ in calls) == sorted(
+            (n, id(gp)) for n in ("predict", "row_means") for gp in (new.f_a, new.f_l)
+        )
+
+    def test_memo_forgets_evicted_pairs(self):
+        pipe, topo, _land = two_op_setup()
+        _pool, idx, xa, xl = encoded_pool(pipe, topo)
+        rng = np.random.default_rng(10)
+        store = HistoryStore()
+        pairs = []
+        for _ in range(HISTORY_CAPACITY + 2):
+            pairs.append(fitted_pair(pipe, topo, xa, xl, rng, 1))
+            store.push(pairs[-1])
+            store.session(pipe, topo.num_tiers, xa, xl, 0.8, 0.5).update_gaps(0, 0.8, 0.2, 0.5)
+        assert len(store.pool_predictions) <= HISTORY_CAPACITY
+        assert set(store.pool_predictions) == set(store.pairs)
+        assert not any(p in store.pool_predictions for p in pairs[:2])
+
+
+class TestSearchPool:
+    def test_rows_match_a_fresh_encoding(self):
+        pipe, topo, _land = two_op_setup()
+        pool, xa, xl = search_pool(pipe, topo)
+        fresh = enumerate_search_pool(pipe, topo)
+        want_xa, want_xl = encode_pool(fresh, pipe, topo.num_tiers)
+        assert list(pool) == fresh
+        assert np.array_equal(xa, want_xa) and np.array_equal(xl, want_xl)
+
+    def test_cached_per_knob_sizes_and_tier_count(self):
+        pipe, topo, _land = two_op_setup()
+        renamed = PipelineSpec(
+            "s2-renamed",
+            (OperatorSpec(0, ("c0", "c1", "c2")), OperatorSpec(1, ("d0", "d1"))),
+            ((0, 1),),
+        )
+        assert search_pool(renamed, topo) is search_pool(pipe, topo)
+        three = TierTopology(
+            topo.tiers + (Tier("far", 2, 1.0, 4.0),),
+            ((1000.0, 200.0, 100.0), (200.0, 1000.0, 100.0), (100.0, 100.0, 1000.0)),
+            ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        )
+        other = search_pool(pipe, three)
+        assert other is not search_pool(pipe, topo)
+        assert other[2].shape[1] == 5 + 2 * 3
+
+    def test_cached_arrays_are_read_only(self):
+        pipe, topo, _land = two_op_setup()
+        _pool, xa, xl = search_pool(pipe, topo)
+        with pytest.raises(ValueError):
+            xa[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            xl[0, 0] = 2.0
 
 
 class TestParetoOptimize:

@@ -316,6 +316,11 @@ class TestConfigFile:
             ({"aging_beta": -5.0}, "aging_beta"),
             ({"trace": {"schema_version": SCHEMA_VERSION, "entries": [dict(TRACE_ROW, wieght=2.0)]}}, "wieght"),
             ({"trace": {"schema_version": SCHEMA_VERSION, "entries": [TRACE_ROW], "notes": "x"}}, "notes"),
+            ({"ablations": {"warm_start": "no"}}, "warm_start"),
+            ({"ablations": {"prefix_cache": 0}}, "prefix_cache"),
+            ({"seed": 7.0}, "seed"),
+            ({"landscape": {"k_true": 2.7}}, "k_true"),
+            ({"ablations": {"fixed_n": True}}, "fixed_n"),
         ],
         ids=[
             "drift-link-out-of-range",
@@ -342,6 +347,11 @@ class TestConfigFile:
             "negative-aging-beta",
             "unknown-trace-entry-key",
             "unknown-trace-top-level-key",
+            "string-warm-start",
+            "integer-prefix-cache",
+            "float-seed",
+            "float-k-true",
+            "boolean-fixed-n",
         ],
     )
     def test_invalid_config_rejected_at_load(self, tmp_path, capsys, overrides, message):
