@@ -393,14 +393,34 @@ def topology_from_dict(obj: dict, where: str = "<topology>") -> TierTopology:
         raise SchemaError(f"{where}: invalid topology: {e}") from e
 
 
+class _JsonConstant(str):
+    """A ``NaN``, ``Infinity`` or ``-Infinity`` literal: Python's json
+    parses these, but they are not JSON numbers."""
+
+
+def _reject_constants(value, where: str, key: str = "") -> None:
+    """Raise SchemaError at the first :class:`_JsonConstant` in ``value``,
+    naming its key path."""
+    if isinstance(value, _JsonConstant):
+        raise SchemaError(f"{where}#{key}: {value} is not a JSON number")
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _reject_constants(v, where, f"{key}.{k}" if key else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _reject_constants(v, where, f"{key}[{i}]")
+
+
 def load_json_file(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh, parse_constant=_JsonConstant)
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}:{e.lineno}: not valid JSON: {e.msg}") from e
     except OSError as e:
         raise SchemaError(f"{path}: cannot read: {e}") from e
+    _reject_constants(obj, path)
+    return obj
 
 
 def load_pipeline(path: str) -> PipelineSpec:

@@ -10,8 +10,10 @@ Two independent Gaussian-process surrogates drive the acquisition: one maps
 configuration one-hots to accuracy, the other maps configuration+placement
 one-hots to latency. The acquisition multiplies the probability of meeting
 each SLO and divides by the predicted profiling cost, so expensive plans
-must earn their evaluation. Completed sessions park their surrogates in a
-history store; new sessions let the most similar histories (smallest
+must earn their evaluation. A session's surrogates are bound to its search
+pool and record observations as pool indices. Completed sessions leave
+their surrogates' predictions over that pool in a history store; new
+sessions on the same pool let the most similar histories (smallest
 prediction gap against fresh observations) vote on proposals until the
 session's own model outpredicts them.
 """
@@ -163,29 +165,31 @@ def search_pool(pipeline: PipelineSpec, topology: TierTopology) -> tuple[tuple[P
 
 @dataclass(eq=False)
 class SurrogatePair:
-    """Accuracy and latency regressors plus this session's prediction-gap
-    window. The accuracy model never sees placement or resources; the
-    latency model never sees resources (search is over-provisioned).
-    Pairs compare and hash by identity."""
+    """Accuracy and latency regressors over one search pool, plus this
+    session's prediction-gap window. ``pool_xa`` and ``pool_xl`` are the
+    pool's encoded rows (those of :func:`search_pool`, shared read-only) and
+    observations are indices into them. The accuracy model never sees
+    placement or resources; the latency model never sees resources (search
+    is over-provisioned). Pairs compare and hash by identity."""
 
-    pipeline: PipelineSpec
-    num_tiers: int
+    pool_key: tuple
+    pool_xa: np.ndarray
+    pool_xl: np.ndarray
     f_a: GaussianProcess = field(default_factory=GaussianProcess)
     f_l: GaussianProcess = field(default_factory=GaussianProcess)
-    obs_x_a: list = field(default_factory=list)
+    obs_idx: list = field(default_factory=list)
     obs_y_a: list = field(default_factory=list)
-    obs_x_l: list = field(default_factory=list)
     obs_y_l: list = field(default_factory=list)
     gap_window: list = field(default_factory=list)
 
     @property
     def n_obs(self) -> int:
-        return len(self.obs_y_a)
+        return len(self.obs_idx)
 
-    def predict(self, xa: np.ndarray, xl: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(mu_a, sd_a, mu_l, sd_l) at rows encoded by :func:`encode_pool`."""
-        mu_a, sd_a = self.f_a.predict(xa)
-        mu_l, sd_l = self.f_l.predict(xl)
+    def predict(self, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(mu_a, sd_a, mu_l, sd_l) at the pool rows ``idx`` (an index array or a slice)."""
+        mu_a, sd_a = self.f_a.predict(self.pool_xa[idx])
+        mu_l, sd_l = self.f_l.predict(self.pool_xl[idx])
         return mu_a, sd_a, mu_l, sd_l
 
     def own_gap(self) -> float:
@@ -199,56 +203,41 @@ class SurrogatePair:
         if len(self.gap_window) > GAP_WINDOW_LEN:
             self.gap_window.pop(0)
 
-    def fit_new_point(self, xa: np.ndarray, xl: np.ndarray, accuracy: float, latency_s: float) -> None:
-        """Refit on one more observation at the encoded rows ``xa``, ``xl``."""
+    def fit_new_point(self, idx: int, accuracy: float, latency_s: float) -> None:
+        """Refit on one more observation, of pool plan ``idx``."""
         # an exact repeat of a known observation leaves the fit unchanged
-        for i in range(len(self.obs_y_a)):
-            if (
-                self.obs_y_a[i] == accuracy
-                and self.obs_y_l[i] == latency_s
-                and np.array_equal(self.obs_x_a[i], xa)
-                and np.array_equal(self.obs_x_l[i], xl)
-            ):
-                return
-        # copies: a row view would keep its whole session pool alive in the history store
-        self.obs_x_a.append(xa.copy())
+        known = zip(self.obs_idx, self.obs_y_a, self.obs_y_l)
+        if any(i == idx and a == accuracy and l == latency_s for i, a, l in known):
+            return
+        self.obs_idx.append(idx)
         self.obs_y_a.append(accuracy)
-        self.obs_x_l.append(xl.copy())
         self.obs_y_l.append(latency_s)
-        self.f_a.fit(np.stack(self.obs_x_a), np.array(self.obs_y_a))
-        self.f_l.fit(np.stack(self.obs_x_l), np.array(self.obs_y_l))
+        self._refit()
+
+    def _refit(self) -> None:
+        self.f_a.fit(self.pool_xa[self.obs_idx], np.array(self.obs_y_a))
+        self.f_l.fit(self.pool_xl[self.obs_idx], np.array(self.obs_y_l))
 
     def inflated_copy(self) -> "SurrogatePair":
         """Warm-start copy for replanning: observations retained, predictive
         trust reduced by inflating observation noise."""
-        pair = SurrogatePair(pipeline=self.pipeline, num_tiers=self.num_tiers)
-        pair.obs_x_a = list(self.obs_x_a)
-        pair.obs_y_a = list(self.obs_y_a)
-        pair.obs_x_l = list(self.obs_x_l)
-        pair.obs_y_l = list(self.obs_y_l)
-        pair.f_a = GaussianProcess(noise=GP_NOISE * VARIANCE_INFLATION)
-        pair.f_l = GaussianProcess(noise=GP_NOISE * VARIANCE_INFLATION)
-        if pair.obs_y_a:
-            pair.f_a.fit(np.stack(pair.obs_x_a), np.array(pair.obs_y_a))
-            pair.f_l.fit(np.stack(pair.obs_x_l), np.array(pair.obs_y_l))
+        pair = SurrogatePair(
+            self.pool_key,
+            self.pool_xa,
+            self.pool_xl,
+            f_a=GaussianProcess(noise=GP_NOISE * VARIANCE_INFLATION),
+            f_l=GaussianProcess(noise=GP_NOISE * VARIANCE_INFLATION),
+            obs_idx=list(self.obs_idx),
+            obs_y_a=list(self.obs_y_a),
+            obs_y_l=list(self.obs_y_l),
+        )
+        if pair.obs_idx:
+            pair._refit()
         return pair
 
 
-@dataclass
-class HistoryEntry:
-    pair: SurrogatePair
-    gap_sum: float = 0.0
-    gap_n: int = 0
-    pool_scores: np.ndarray | None = None
-    pool_costs: np.ndarray | None = None
-
-    @property
-    def gap(self) -> float:
-        return self.gap_sum / self.gap_n if self.gap_n else math.inf
-
-
 class PoolPredictions(NamedTuple):
-    """A stored pair's predictions over its search pool: one batched
+    """A finished session's predictions over its search pool: one batched
     :meth:`SurrogatePair.predict`, which votes score, and each row's own
     accuracy and latency means (:meth:`GaussianProcess.row_means`), which
     gap updates read, as a one-row predict at the profiled plan would."""
@@ -261,73 +250,65 @@ class PoolPredictions(NamedTuple):
     row_mu_l: np.ndarray
 
 
-class HistoryStore:
-    """Ring of completed sessions' surrogate pairs, plus each pair's
-    predictions over its search pool.
+@dataclass
+class HistoryEntry:
+    predicted: PoolPredictions
+    gap_sum: float = 0.0
+    gap_n: int = 0
+    pool_scores: np.ndarray | None = None
+    pool_costs: np.ndarray | None = None
 
-    The store itself only grows at session completion (under exclusive
-    access); per-query gap accounting lives in a :class:`HistorySession`
-    snapshot so concurrent sessions never share mutable state.
+    @property
+    def gap(self) -> float:
+        return self.gap_sum / self.gap_n if self.gap_n else math.inf
+
+
+class HistoryStore:
+    """Ring of completed sessions' predictions over their search pools.
+
+    A finished session's pair is never refit, and later sessions read only
+    its predictions, so the store keeps each pair's :func:`pool_key` and
+    :class:`PoolPredictions`, computed once at push, and not the pair. It
+    only grows at session completion (under exclusive access); per-query
+    gap accounting lives in a :class:`HistorySession` snapshot so
+    concurrent sessions never share mutable state.
     """
 
     def __init__(self):
-        self.pairs: list[SurrogatePair] = []
-        self.pool_predictions: dict[SurrogatePair, PoolPredictions] = {}
+        self.predictions: list[tuple[tuple, PoolPredictions]] = []
 
     def push(self, pair: SurrogatePair) -> None:
-        """Store a completed session's pair, evicting the oldest beyond
-        ``HISTORY_CAPACITY``. A pushed pair is frozen: nothing refits it, so
-        its pool predictions are computed at most once, by the first session
-        that needs them, and dropped when the pair is evicted."""
-        self.pairs.append(pair)
-        if len(self.pairs) > HISTORY_CAPACITY:
-            self.pool_predictions.pop(self.pairs.pop(0), None)
+        """Store a completed session's pool predictions, evicting the oldest
+        beyond ``HISTORY_CAPACITY``."""
+        predicted = PoolPredictions(
+            *pair.predict(slice(None)),
+            pair.f_a.row_means(pair.pool_xa),
+            pair.f_l.row_means(pair.pool_xl),
+        )
+        self.predictions.append((pair.pool_key, predicted))
+        if len(self.predictions) > HISTORY_CAPACITY:
+            self.predictions.pop(0)
 
-    def session(
-        self,
-        pipeline: PipelineSpec,
-        num_tiers: int,
-        pool_xa: np.ndarray,
-        pool_xl: np.ndarray,
-        a_slo: float,
-        l_slo: float,
-    ) -> "HistorySession":
-        """Snapshot the entries that share the pool's :func:`pool_key`, ready
-        to vote on the encoded pool rows (those of :func:`search_pool`)."""
-        key = pool_key(pipeline, num_tiers)
-        entries = [HistoryEntry(pair=p) for p in self.pairs if pool_key(p.pipeline, p.num_tiers) == key]
-        return HistorySession(entries, pool_xa, pool_xl, a_slo, l_slo, self.pool_predictions)
+    def session(self, key: tuple, a_slo: float, l_slo: float) -> "HistorySession":
+        """Snapshot the entries whose pool has :func:`pool_key` ``key``,
+        ready to vote on that pool against the SLOs."""
+        entries = [HistoryEntry(predicted) for k, predicted in self.predictions if k == key]
+        return HistorySession(entries, a_slo, l_slo)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.predictions)
 
 
 class HistorySession:
     """One query's view of the history: cumulative prediction gap of every
-    stored model against this query's profiled observations.
+    stored model against this query's profiled observations. Gap updates
+    look observations up in each entry's :class:`PoolPredictions`; votes
+    score them once per session against its SLOs."""
 
-    History models are frozen, so their :class:`PoolPredictions` over the
-    encoded pool come from ``pool_predictions`` (the store's, shared across
-    sessions), computed there at most once per pair. Gap updates look
-    observations up in them; votes score them once per session against its
-    SLOs.
-    """
-
-    def __init__(
-        self,
-        entries: list[HistoryEntry],
-        pool_xa: np.ndarray,
-        pool_xl: np.ndarray,
-        a_slo: float,
-        l_slo: float,
-        pool_predictions: dict[SurrogatePair, PoolPredictions] | None = None,
-    ):
+    def __init__(self, entries: list[HistoryEntry], a_slo: float, l_slo: float):
         self.entries = entries
-        self.pool_xa = pool_xa
-        self.pool_xl = pool_xl
         self.a_slo = a_slo
         self.l_slo = l_slo
-        self.pool_predictions = {} if pool_predictions is None else pool_predictions
 
     def top_k(self) -> list[HistoryEntry]:
         order = sorted(range(len(self.entries)), key=lambda i: (self.entries[i].gap, i))
@@ -336,26 +317,16 @@ class HistorySession:
     def best_gap(self) -> float:
         return min((e.gap for e in self.entries), default=math.inf)
 
-    def _predicted(self, pair: SurrogatePair) -> PoolPredictions:
-        predicted = self.pool_predictions.get(pair)
-        if predicted is None:
-            predicted = self.pool_predictions[pair] = PoolPredictions(
-                *pair.predict(self.pool_xa, self.pool_xl),
-                pair.f_a.row_means(self.pool_xa),
-                pair.f_l.row_means(self.pool_xl),
-            )
-        return predicted
-
     def update_gaps(self, idx: int, accuracy: float, latency_s: float, l_slo: float) -> None:
         """Add every entry's gap at the profiled pool index ``idx``."""
         for e in self.entries:
-            p = self._predicted(e.pair)
+            p = e.predicted
             e.gap_sum += prediction_gap(float(p.row_mu_a[idx]), float(p.row_mu_l[idx]), accuracy, latency_s, l_slo)
             e.gap_n += 1
 
     def _entry_pool_scores(self, e: HistoryEntry) -> tuple[np.ndarray, np.ndarray]:
         if e.pool_scores is None:
-            p = self._predicted(e.pair)
+            p = e.predicted
             e.pool_scores, e.pool_costs = acquisition(p.mu_a, p.sd_a, p.mu_l, p.sd_l, self.a_slo, self.l_slo)
         return e.pool_scores, e.pool_costs
 
@@ -419,8 +390,6 @@ def _argmax_with_ties(scores: np.ndarray, costs: np.ndarray) -> int:
 
 def propose(
     step_idx: np.ndarray,
-    pool_xa: np.ndarray,
-    pool_xl: np.ndarray,
     a_slo: float,
     l_slo: float,
     surrogates: SurrogatePair,
@@ -433,7 +402,7 @@ def propose(
     'history': the history session votes, until the session's own
     prediction gap beats the best history gap. 'cold': a uniform pick while
     the session has no observation. 'cmbo': argmax of the session model's
-    acquisition over the encoded rows ``pool_xa[step_idx]``, ``pool_xl[step_idx]``.
+    acquisition over the pool rows ``step_idx``.
     Score ties go to the lowest predicted cost.
     """
     if len(step_idx) == 0:
@@ -444,8 +413,7 @@ def propose(
     elif surrogates.n_obs == 0:
         return int(step_idx[int(rng.integers(len(step_idx)))]), "cold"
     else:
-        predicted = surrogates.predict(pool_xa[step_idx], pool_xl[step_idx])
-        scores, costs = acquisition(*predicted, a_slo, l_slo)
+        scores, costs = acquisition(*surrogates.predict(step_idx), a_slo, l_slo)
         branch = "cmbo"
     return int(step_idx[_argmax_with_ties(scores, costs)]), branch
 
@@ -454,8 +422,6 @@ def update(
     surrogates: SurrogatePair,
     history: HistorySession | None,
     idx: int,
-    pool_xa: np.ndarray,
-    pool_xl: np.ndarray,
     outcome: ProfileOutcome,
     measured_latency_s: float,
     l_slo: float,
@@ -466,15 +432,14 @@ def update(
     Gaps compare predictions made before this observation was seen.
     """
     accuracy = outcome.accuracy_estimate
-    xa, xl = pool_xa[idx], pool_xl[idx]
     if surrogates.n_obs > 0:
-        mu_a, _, mu_l, _ = surrogates.predict(xa, xl)
+        mu_a, _, mu_l, _ = surrogates.predict([idx])
         surrogates.record_gap(
             prediction_gap(float(mu_a[0]), float(mu_l[0]), accuracy, measured_latency_s, l_slo)
         )
     if history is not None:
         history.update_gaps(idx, accuracy, measured_latency_s, l_slo)
-    surrogates.fit_new_point(xa, xl, accuracy, measured_latency_s)
+    surrogates.fit_new_point(idx, accuracy, measured_latency_s)
 
 
 # ---------------------------------------------------------------------------
@@ -637,15 +602,18 @@ def single_query_search(
     rng = np.random.default_rng(seed)
     pipeline = query.pipeline
     pool, pool_xa, pool_xl = search_pool(pipeline, topology)
+    key = pool_key(pipeline, topology.num_tiers)
     strat = stratify(land.case_features, min(DEFAULT_PLANNER_STRATA, land.n_cases), seed=seed)
     cache: PrefixCache | NullCache = PrefixCache() if cfg.use_cache else NullCache()
-    if warm_pair is not None:
+    if warm_pair is None:
+        surrogates = SurrogatePair(key, pool_xa, pool_xl)
+    elif warm_pair.pool_key == key:
         surrogates = warm_pair.inflated_copy()
     else:
-        surrogates = SurrogatePair(pipeline=pipeline, num_tiers=topology.num_tiers)
+        raise ValueError("warm_pair was fit on another search pool")
     hist = None
     if cfg.use_history and history is not None:
-        hist = history.session(pipeline, topology.num_tiers, pool_xa, pool_xl, query.a_slo, query.l_slo)
+        hist = history.session(key, query.a_slo, query.l_slo)
 
     time_s = 0.0
     gpu_s = 0.0
@@ -672,7 +640,7 @@ def single_query_search(
             step_idx = unprofiled[np.sort(pick)]
         else:
             step_idx = unprofiled
-        idx, branch = propose(step_idx, pool_xa, pool_xl, query.a_slo, query.l_slo, surrogates, hist, rng)
+        idx, branch = propose(step_idx, query.a_slo, query.l_slo, surrogates, hist, rng)
         plan = pool[idx]
         steps += 1
         time_s += STEP_OVERHEAD_S
@@ -687,7 +655,7 @@ def single_query_search(
 
         timings = land.timings_for(plan.configuration)
         model_latency = latmod.pipeline_latency(plan, pipeline, topology, timings)
-        update(surrogates, hist, idx, pool_xa, pool_xl, outcome, model_latency, query.l_slo)
+        update(surrogates, hist, idx, outcome, model_latency, query.l_slo)
 
         feasible = outcome.verdict == Verdict.PASS_ACCURACY and model_latency <= query.l_slo
         if feasible:

@@ -53,7 +53,7 @@ from .scheduler import (
     greedy_goodput,
     replan,
 )
-from .search import CandidateSet, HistoryStore, SearchConfig, single_query_search
+from .search import CandidateSet, HistoryStore, SearchConfig, SurrogatePair, single_query_search
 
 
 @dataclass(frozen=True)
@@ -134,14 +134,16 @@ _ABLATION_KEYS = ("warm_start", "prefix_cache", "profiler", "fixed_n")
 _DRIFT_KEYS = ("time", "kind", "link", "factor", "template", "delta")
 
 
+_JSON_TYPES = {bool: "true or false", int: "an integer", str: "a string", list: "a list"}
+
+
 def _typed(obj: dict, key: str, default, kind: type, where: str):
     """``obj[key]``, or ``default`` when absent, which must be a JSON
-    boolean (``kind`` bool) or a JSON integer (``kind`` int: no float, no
-    boolean); anything else raises SchemaError."""
+    boolean (``kind`` bool), integer (int: no float, no boolean), string
+    (str) or array (list); anything else raises SchemaError."""
     value = obj.get(key, default)
     if type(value) is not kind:
-        expected = "true or false" if kind is bool else "an integer"
-        raise SchemaError(f"{where}: {key} must be {expected}, got {value!r}")
+        raise SchemaError(f"{where}: {key} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value
 
 
@@ -175,7 +177,9 @@ def sim_config_from_file(path: str) -> SimConfig:
     else:
         topology = default_topology()
 
-    names = obj.get("pipelines", ["visual-tracking"])
+    names = _typed(obj, "pipelines", ["visual-tracking"], list, path)
+    if not names or not all(type(name) is str for name in names):
+        raise SchemaError(f"{path}: pipelines must be a non-empty list of pipeline names, got {names!r}")
     pipelines = {name: get_pipeline(name) for name in names}
 
     land_cfg = obj.get("landscape", {})
@@ -222,7 +226,7 @@ def sim_config_from_file(path: str) -> SimConfig:
             raise SchemaError(f"{path}#trace.generator: {e}") from e
 
     drift = []
-    for i, d in enumerate(obj.get("drift", [])):
+    for i, d in enumerate(_typed(obj, "drift", [], list, path)):
         where = f"{path}#drift[{i}]"
         _known_keys(d, _DRIFT_KEYS, where)
         try:
@@ -255,7 +259,7 @@ def sim_config_from_file(path: str) -> SimConfig:
             scheduler_mode=obj.get("scheduler", "greedy"),
             search=search_config_from_ablations(ablations, SearchConfig(), f"{path}#ablations"),
             drift=tuple(drift),
-            output_dir=obj.get("output_dir"),
+            output_dir=_typed(obj, "output_dir", "", str, path) or None,
         )
     except SchemaError:
         raise
@@ -326,8 +330,10 @@ class _Sim:
         self.state = DeploymentState.fresh(config.topology)
         self.records: dict[str, QueryRecord] = {}
         self.queries: dict[str, Query] = {}
+        # planner state of each query that may still be admitted or replan:
+        # dropped once it completes, is rejected or ends degraded
         self.candidates: dict[str, CandidateSet] = {}
-        self.surrogates: dict[str, object] = {}
+        self.surrogates: dict[str, SurrogatePair] = {}
         self.pending: dict[str, float] = {}  # query id -> time it became pending
         self.goodput_series: list[tuple[float, int]] = [(0.0, 0)]
         self.cost_series: list[tuple[float, float]] = [(0.0, 0.0)]
@@ -425,6 +431,7 @@ class _Sim:
         rec = self.records[qid]
         if len(self.candidates[qid]) == 0:
             rec.status = "rejected" if rec.replans == 0 else "degraded"
+            del self.candidates[qid], self.surrogates[qid]
             self._mark(t)
             return
         rec.status = "pending"
@@ -438,6 +445,7 @@ class _Sim:
             return  # stale release (query was drift-released and replanned)
         self.state.release(qid)
         rec.status = "completed"
+        del self.candidates[qid], self.surrogates[qid]
         rec.released_at = t
         self._mark(t)
         self.epoch(t)
@@ -480,7 +488,7 @@ class _Sim:
             query,
             self.landscapes[rec.template],
             self.topology,
-            prior_pair=self.surrogates.get(qid),
+            prior_pair=self.surrogates[qid],
             history=self.history if self.cfg.search.use_history else None,
             seed=self.query_seed(idx, salt=rec.replans),
             config=self.cfg.search,

@@ -14,6 +14,8 @@ from tierplan.model import (
     TierTopology,
     count_monotone_placements,
     enumerate_plan_space,
+    load_json_file,
+    load_topology,
     pareto_filter,
     pipeline_from_dict,
     plan_space_size,
@@ -177,6 +179,17 @@ class TestRoundTrip:
         obj = {k: v for k, v in PIPELINE_JSON.items() if k != "schema_version"}
         with pytest.raises(SchemaError, match="schema_version"):
             pipeline_from_dict(obj)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literals_rejected_at_load(self, tmp_path, literal):
+        # Python's json parses these literals; JSON has no such numbers
+        text = json.dumps(TOPOLOGY_JSON).replace("[[1000,", f"[[{literal},", 1)
+        path = tmp_path / "topology.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=rf"bandwidth_mbps\[0\]\[0\]: {literal} is not a JSON number"):
+            load_topology(str(path))
+        path.write_text(f'{{"a": [1, "{literal}"]}}')  # a string that spells one is fine
+        assert load_json_file(str(path)) == {"a": [1, literal]}
 
 
 class TestParetoFilter:

@@ -23,14 +23,13 @@ from tierplan.presets import DEFAULT_SPEED_FACTORS, wide_search_pipeline
 from tierplan.search import (
     HISTORY_CAPACITY,
     GaussianProcess,
-    HistoryEntry,
-    HistorySession,
     HistoryStore,
     SurrogatePair,
     _argmax_with_ties,
     acquisition,
     encode_pool,
     pareto_optimize,
+    pool_key,
     prediction_gap,
     propose,
     search_pool,
@@ -45,8 +44,15 @@ def acq(mu_a, sd_a, mu_l, sd_l, a_slo, l_slo):
     return float(scores[0])
 
 
-def pool_scores(xa, xl, pair, a_slo, l_slo):
-    return acquisition(*pair.predict(xa, xl), a_slo, l_slo)[0]
+def pool_scores(pair, a_slo, l_slo):
+    """The pair's acquisition score at every row of its pool."""
+    return acquisition(*pair.predict(slice(None)), a_slo, l_slo)[0]
+
+
+def new_pair(pipe, topo):
+    """An unfit surrogate pair bound to the search pool of ``pipe`` on ``topo``."""
+    _pool, xa, xl = search_pool(pipe, topo)
+    return SurrogatePair(pool_key(pipe, topo.num_tiers), xa, xl)
 
 
 class TestGaussianProcess:
@@ -62,24 +68,37 @@ class TestGaussianProcess:
 
     def test_duplicate_refit_is_idempotent(self):
         pipe, topo, _land = two_op_setup()
-        _pool, _idx, xa, xl = encoded_pool(pipe, topo)
-        pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        pair.fit_new_point(xa[0], xl[0], 0.9, 0.2)
-        pair.fit_new_point(xa[4], xl[4], 0.7, 0.4)
-        mu_before = pair.predict(xa[:8], xl[:8])
-        pair.fit_new_point(xa[0], xl[0], 0.9, 0.2)  # exact repeat
-        mu_after = pair.predict(xa[:8], xl[:8])
+        pair = new_pair(pipe, topo)
+        pair.fit_new_point(0, 0.9, 0.2)
+        pair.fit_new_point(4, 0.7, 0.4)
+        mu_before = pair.predict(slice(8))
+        pair.fit_new_point(0, 0.9, 0.2)  # exact repeat
+        mu_after = pair.predict(slice(8))
         assert pair.n_obs == 2
         for a, b in zip(mu_before, mu_after):
             assert np.allclose(a, b, atol=1e-6)
+        # the same plan with another target is a new observation
+        pair.fit_new_point(0, 0.8, 0.2)
+        assert pair.obs_idx == [0, 4, 0] and pair.obs_y_a == [0.9, 0.7, 0.8]
 
-    def test_observations_are_copies_of_the_pool_rows(self):
+    def test_observations_are_pool_indices_and_the_store_keeps_no_model(self):
         pipe, topo, _land = two_op_setup()
-        _pool, _idx, xa, xl = encoded_pool(pipe, topo)
-        pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        pair.fit_new_point(xa[2], xl[2], 0.9, 0.2)
-        assert not np.shares_memory(pair.obs_x_a[0], xa)
-        assert not np.shares_memory(pair.obs_x_l[0], xl)
+        pool, xa, xl = search_pool(pipe, topo)
+        pair = new_pair(pipe, topo)
+        pair.fit_new_point(2, 0.9, 0.2)
+        pair.fit_new_point(5, 0.7, 0.3)
+        assert pair.obs_idx == [2, 5]
+        assert pair.pool_xa is xa and pair.pool_xl is xl  # the shared pool, not a copy
+        # the fit is that of the encoded rows of the observed plans
+        want = GaussianProcess().fit(xa[[2, 5]], np.array([0.9, 0.7]))
+        assert np.array_equal(pair.f_a.predict(xa)[0], want.predict(xa)[0])
+        store = HistoryStore()
+        store.push(pair)
+        # the store holds the pool key and plain arrays over the pool: no pair, no GP
+        assert list(vars(store)) == ["predictions"]
+        ((key, predicted),) = store.predictions
+        assert key == pool_key(pipe, topo.num_tiers)
+        assert all(type(v) is np.ndarray and v.shape == (len(pool),) for v in predicted)
 
     def test_prior_before_fit(self):
         gp = GaussianProcess()
@@ -204,131 +223,130 @@ class TestArgmaxWithTies:
 class TestProposeBranches:
     def test_cold_branch_without_history(self):
         pipe, topo, land = two_op_setup()
-        pool, idx, xa, xl = encoded_pool(pipe, topo)
-        pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        i, branch = propose(idx, xa, xl, 0.8, 0.5, pair, None, np.random.default_rng(0))
+        pool, idx, _xa, _xl = encoded_pool(pipe, topo)
+        pair = new_pair(pipe, topo)
+        i, branch = propose(idx, 0.8, 0.5, pair, None, np.random.default_rng(0))
         assert branch == "cold" and type(i) is int
         assert i == int(np.random.default_rng(0).integers(len(pool)))
         # an empty history session is no history
-        empty = HistoryStore().session(pipe, topo.num_tiers, xa, xl, 0.8, 0.5)
-        i, branch = propose(idx[3:], xa, xl, 0.8, 0.5, pair, empty, np.random.default_rng(0))
+        empty = HistoryStore().session(pool_key(pipe, topo.num_tiers), 0.8, 0.5)
+        i, branch = propose(idx[3:], 0.8, 0.5, pair, empty, np.random.default_rng(0))
         assert branch == "cold" and i in idx[3:]
 
     def test_cmbo_branch_after_one_observation(self):
         pipe, topo, land = two_op_setup()
-        pool, idx, xa, xl = encoded_pool(pipe, topo)
-        pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        pair.fit_new_point(xa[0], xl[0], 0.9, 0.1)
-        i, branch = propose(idx, xa, xl, 0.8, 0.5, pair, None, np.random.default_rng(0))
+        _pool, idx, _xa, _xl = encoded_pool(pipe, topo)
+        pair = new_pair(pipe, topo)
+        pair.fit_new_point(0, 0.9, 0.1)
+        i, branch = propose(idx, 0.8, 0.5, pair, None, np.random.default_rng(0))
         assert branch == "cmbo" and type(i) is int
-        scores = pool_scores(xa, xl, pair, 0.8, 0.5)
+        scores = pool_scores(pair, 0.8, 0.5)
         assert scores[i] == scores.max()
         # only the step's candidates are scored
         step = idx[idx != i]
-        j, _ = propose(step, xa, xl, 0.8, 0.5, pair, None, np.random.default_rng(0))
+        j, _ = propose(step, 0.8, 0.5, pair, None, np.random.default_rng(0))
         assert j in step and scores[j] == scores[step].max()
 
     def test_history_wins_when_own_gap_larger(self):
         pipe, topo, land = two_op_setup()
-        pool, idx, xa, xl = encoded_pool(pipe, topo)
-        own = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        own.fit_new_point(xa[0], xl[0], 0.9, 0.1)
+        _pool, idx, _xa, _xl = encoded_pool(pipe, topo)
+        own = new_pair(pipe, topo)
+        own.fit_new_point(0, 0.9, 0.1)
         own.record_gap(0.10)
-        hist_pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        hist_pair.fit_new_point(xa[1], xl[1], 0.8, 0.2)
+        hist_pair = new_pair(pipe, topo)
+        hist_pair.fit_new_point(1, 0.8, 0.2)
         store = HistoryStore()
         store.push(hist_pair)
-        session = store.session(pipe, topo.num_tiers, xa, xl, 0.8, 0.5)
+        session = store.session(pool_key(pipe, topo.num_tiers), 0.8, 0.5)
         session.entries[0].gap_sum, session.entries[0].gap_n = 0.01, 1
-        i, branch = propose(idx, xa, xl, 0.8, 0.5, own, session, np.random.default_rng(0))
+        i, branch = propose(idx, 0.8, 0.5, own, session, np.random.default_rng(0))
         assert branch == "history"
         session.entries[0].gap_sum = 5.0  # worse than own gap now
-        i, branch = propose(idx, xa, xl, 0.8, 0.5, own, session, np.random.default_rng(0))
+        i, branch = propose(idx, 0.8, 0.5, own, session, np.random.default_rng(0))
         assert branch == "cmbo"
 
 
 class TestHistoryStore:
     def test_session_keeps_only_pairs_sharing_the_pool_encoding(self):
         pipe, topo, _land = two_op_setup()
-        _pool, _idx, xa, xl = encoded_pool(pipe, topo)
         other = PipelineSpec("s3", (OperatorSpec(0, ("a0", "a1")), OperatorSpec(1, ("b0", "b1"))), ((0, 1),))
+        three = TierTopology(
+            topo.tiers + (Tier("far", 2, 1.0, 4.0),),
+            ((1000.0, 200.0, 100.0), (200.0, 1000.0, 100.0), (100.0, 100.0, 1000.0)),
+            ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        )
         store = HistoryStore()
-        for p, tiers in ((pipe, topo.num_tiers), (other, topo.num_tiers), (pipe, 3)):
-            store.push(SurrogatePair(pipeline=p, num_tiers=tiers))
-        session = store.session(pipe, topo.num_tiers, xa, xl, 0.8, 0.5)
-        assert [e.pair for e in session.entries] == [store.pairs[0]]
+        for i, (p, t) in enumerate(((pipe, topo), (other, topo), (pipe, three))):
+            pair = new_pair(p, t)
+            pair.fit_new_point(0, 0.5 + 0.1 * i, 0.2)
+            store.push(pair)
+        session = store.session(pool_key(pipe, topo.num_tiers), 0.8, 0.5)
+        assert [e.predicted for e in session.entries] == [store.predictions[0][1]]
 
     def test_store_evicts_the_oldest_beyond_capacity(self):
         pipe, topo, _land = two_op_setup()
         store = HistoryStore()
-        pairs = [SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers) for _ in range(HISTORY_CAPACITY + 2)]
-        for pair in pairs:
+        pairs = [new_pair(pipe, topo) for _ in range(HISTORY_CAPACITY + 2)]
+        for i, pair in enumerate(pairs):
+            pair.fit_new_point(i % 6, 0.5 + 0.01 * i, 0.2)
             store.push(pair)
-        assert len(store) == HISTORY_CAPACITY and store.pairs[0] is pairs[2]
+        assert len(store) == HISTORY_CAPACITY
+        assert np.array_equal(store.predictions[0][1].mu_a, pairs[2].predict(slice(None))[0])
 
 
 class TestHistoryPropose:
     """The history branch of propose: gap-weighted votes of history models."""
 
-    def _vote(self, pipe, topo, entries, a_slo, l_slo):
-        pool, idx, xa, xl = encoded_pool(pipe, topo)
-        fresh = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        session = HistorySession(entries, xa, xl, a_slo, l_slo)
-        i, branch = propose(idx, xa, xl, a_slo, l_slo, fresh, session, np.random.default_rng(0))
+    def _vote(self, pipe, topo, pairs_and_gaps, a_slo, l_slo):
+        _pool, idx, _xa, _xl = encoded_pool(pipe, topo)
+        store = HistoryStore()
+        for pair, _gap in pairs_and_gaps:
+            store.push(pair)
+        session = store.session(pool_key(pipe, topo.num_tiers), a_slo, l_slo)
+        for e, (_pair, gap) in zip(session.entries, pairs_and_gaps):
+            e.gap_sum, e.gap_n = gap, 1
+        i, branch = propose(idx, a_slo, l_slo, new_pair(pipe, topo), session, np.random.default_rng(0))
         assert branch == "history"
         return i
 
     def test_single_history_equals_its_own_argmax(self):
         pipe, topo, land = two_op_setup()
-        pool, _idx, xa, xl = encoded_pool(pipe, topo)
-        pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
+        pool, _idx, _xa, _xl = encoded_pool(pipe, topo)
+        pair = new_pair(pipe, topo)
         rng = np.random.default_rng(3)
         for i in rng.choice(len(pool), 5, replace=False):
-            pair.fit_new_point(xa[i], xl[i], float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.05, 0.5)))
-        entry = HistoryEntry(pair=pair, gap_sum=0.05, gap_n=1)
-        voted = self._vote(pipe, topo, [entry], 0.8, 0.5)
-        scores = pool_scores(xa, xl, pair, 0.8, 0.5)
+            pair.fit_new_point(int(i), float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.05, 0.5)))
+        voted = self._vote(pipe, topo, [(pair, 0.05)], 0.8, 0.5)
+        scores = pool_scores(pair, 0.8, 0.5)
         best = max(scores)
         tied = [i for i, s in enumerate(scores) if s == best]
         assert voted == min(tied)
 
     def test_two_identical_histories_equal_one(self):
         pipe, topo, land = two_op_setup()
-        _pool, _idx, xa, xl = encoded_pool(pipe, topo)
-        pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        pair.fit_new_point(xa[0], xl[0], 0.95, 0.1)
-        one = self._vote(pipe, topo, [HistoryEntry(pair=pair, gap_sum=0.1, gap_n=1)], 0.8, 0.5)
-        two = self._vote(
-            pipe,
-            topo,
-            [HistoryEntry(pair=pair, gap_sum=0.1, gap_n=1), HistoryEntry(pair=pair, gap_sum=0.1, gap_n=1)],
-            0.8,
-            0.5,
-        )
+        pair = new_pair(pipe, topo)
+        pair.fit_new_point(0, 0.95, 0.1)
+        one = self._vote(pipe, topo, [(pair, 0.1)], 0.8, 0.5)
+        two = self._vote(pipe, topo, [(pair, 0.1), (pair, 0.1)], 0.8, 0.5)
         assert one == two
 
     def test_opposed_histories_follow_dominant_weight(self):
         pipe, topo, land = two_op_setup()
-        _pool, _idx, xa, xl = encoded_pool(pipe, topo)
-        strong = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        weak = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
+        strong = new_pair(pipe, topo)
+        weak = new_pair(pipe, topo)
         # opposite optima: each history is confident about a different plan
-        strong.fit_new_point(xa[10], xl[10], 0.99, 0.05)
-        strong.fit_new_point(xa[12], xl[12], 0.10, 0.05)
-        weak.fit_new_point(xa[12], xl[12], 0.99, 0.05)
-        weak.fit_new_point(xa[10], xl[10], 0.10, 0.05)
+        strong.fit_new_point(10, 0.99, 0.05)
+        strong.fit_new_point(12, 0.10, 0.05)
+        weak.fit_new_point(12, 0.99, 0.05)
+        weak.fit_new_point(10, 0.10, 0.05)
         # gaps 0.01 vs 0.09 give weights 0.9 / 0.1
-        entries = [
-            HistoryEntry(pair=strong, gap_sum=0.01, gap_n=1),
-            HistoryEntry(pair=weak, gap_sum=0.09, gap_n=1),
-        ]
-        voted = self._vote(pipe, topo, entries, 0.5, 0.5)
+        voted = self._vote(pipe, topo, [(strong, 0.01), (weak, 0.09)], 0.5, 0.5)
         # hand-computed weighted sum over the two candidate plans
         w = np.array([1 / (0.01 + 1e-6), 1 / (0.09 + 1e-6)])
         w = w / w.sum()
         assert w[0] == pytest.approx(0.9, abs=1e-4)
-        s_strong = pool_scores(xa, xl, strong, 0.5, 0.5)
-        s_weak = pool_scores(xa, xl, weak, 0.5, 0.5)
+        s_strong = pool_scores(strong, 0.5, 0.5)
+        s_weak = pool_scores(weak, 0.5, 0.5)
         s10 = w[0] * s_strong[10] + w[1] * s_weak[10]
         s12 = w[0] * s_strong[12] + w[1] * s_weak[12]
         assert s10 > s12
@@ -338,32 +356,32 @@ class TestHistoryPropose:
 class TestUpdate:
     def test_posterior_tracks_observation(self):
         pipe, topo, land = two_op_setup()
-        _pool, _idx, xa, xl = encoded_pool(pipe, topo)
-        pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
+        pair = new_pair(pipe, topo)
         out = ProfileOutcome(
             accuracy_estimate=0.87, samples_used=50, verdict=Verdict.PASS_ACCURACY, profiling_cost=1.0
         )
-        update(pair, None, 3, xa, xl, out, 0.2, l_slo=0.5)
-        mu_a, sd_a, mu_l, _ = pair.predict(xa[3], xl[3])
+        update(pair, None, 3, out, 0.2, l_slo=0.5)
+        assert pair.obs_idx == [3]
+        mu_a, sd_a, mu_l, _ = pair.predict([3])
         assert abs(float(mu_a[0]) - 0.87) <= 0.02
         assert abs(float(mu_l[0]) - 0.2) <= 0.02
 
     def test_gap_decreases_for_matching_history(self):
         pipe, topo, land = two_op_setup(noise=0.0)
-        pool, _idx, xa, xl = encoded_pool(pipe, topo)
+        pool, _idx, _xa, _xl = encoded_pool(pipe, topo)
         rng = np.random.default_rng(5)
-        matched = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
+        matched = new_pair(pipe, topo)
         for i in rng.choice(len(pool), 12, replace=False):
             plan = pool[int(i)]
             lat = pipeline_latency(plan, pipe, topo, land.timings_for(plan.configuration))
-            matched.fit_new_point(xa[i], xl[i], land.accuracy_mean(plan.configuration), lat)
-        mismatched = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-        mismatched.fit_new_point(xa[0], xl[0], 0.1, 3.0)
+            matched.fit_new_point(int(i), land.accuracy_mean(plan.configuration), lat)
+        mismatched = new_pair(pipe, topo)
+        mismatched.fit_new_point(0, 0.1, 3.0)
         store = HistoryStore()
         store.push(matched)
         store.push(mismatched)
-        session = store.session(pipe, topo.num_tiers, xa, xl, 0.8, 0.5)
-        own = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
+        session = store.session(pool_key(pipe, topo.num_tiers), 0.8, 0.5)
+        own = new_pair(pipe, topo)
         for i in rng.choice(len(pool), 8, replace=False):
             plan = pool[int(i)]
             lat = pipeline_latency(plan, pipe, topo, land.timings_for(plan.configuration))
@@ -373,47 +391,48 @@ class TestUpdate:
                 verdict=Verdict.PASS_ACCURACY,
                 profiling_cost=1.0,
             )
-            update(own, session, int(i), xa, xl, out, lat, l_slo=0.5)
+            update(own, session, int(i), out, lat, l_slo=0.5)
         gaps = [e.gap for e in session.entries]
         assert gaps[0] < gaps[1]
         assert gaps[0] < 0.05
 
 
-def fitted_pair(pipe, topo, xa, xl, rng, n_obs):
-    pair = SurrogatePair(pipeline=pipe, num_tiers=topo.num_tiers)
-    for i in rng.choice(len(xa), n_obs, replace=False):
-        pair.fit_new_point(xa[i], xl[i], float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.05, 0.5)))
+def fitted_pair(pipe, topo, rng, n_obs):
+    pair = new_pair(pipe, topo)
+    for i in rng.choice(len(pair.pool_xa), n_obs, replace=False):
+        pair.fit_new_point(int(i), float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.05, 0.5)))
     return pair
 
 
 class TestHistoryPoolPredictions:
-    """Stored history models predict their pool once; gaps and votes read that."""
+    """A pushed pair predicts its pool once, at push; gaps and votes read that."""
 
     def test_lookups_equal_the_direct_predictions_bitwise(self):
         pipe, topo, _land = two_op_setup()
-        pool, idx, xa, xl = encoded_pool(pipe, topo)
+        _pool, idx, _xa, _xl = encoded_pool(pipe, topo)
+        key = pool_key(pipe, topo.num_tiers)
         rng = np.random.default_rng(8)
         store = HistoryStore()
-        for n_obs in (2, 5, 9, 14):
-            store.push(fitted_pair(pipe, topo, xa, xl, rng, n_obs))
+        pairs = [fitted_pair(pipe, topo, rng, n_obs) for n_obs in (2, 5, 9, 14)]
+        for pair in pairs:
+            store.push(pair)
         for i in idx:
-            session = store.session(pipe, topo.num_tiers, xa, xl, 0.8, 0.5)
+            session = store.session(key, 0.8, 0.5)
             session.update_gaps(int(i), 0.83, 0.21, 0.5)
-            for e in session.entries:
-                mu_a, _, mu_l, _ = e.pair.predict(xa[i], xl[i])
+            for pair, e in zip(pairs, session.entries, strict=True):
+                mu_a, _, mu_l, _ = pair.predict([i])
                 assert e.gap_sum == prediction_gap(float(mu_a[0]), float(mu_l[0]), 0.83, 0.21, 0.5)
-        for e in session.entries:
+        for pair, e in zip(pairs, session.entries, strict=True):
             scores, costs = session._entry_pool_scores(e)
-            want_scores, want_costs = acquisition(*e.pair.predict(xa, xl), 0.8, 0.5)
+            want_scores, want_costs = acquisition(*pair.predict(slice(None)), 0.8, 0.5)
             assert np.array_equal(scores, want_scores) and np.array_equal(costs, want_costs)
 
     def test_each_stored_model_predicts_the_pool_at_most_once(self, monkeypatch):
         pipe, topo, _land = two_op_setup()
-        pool, idx, xa, xl = encoded_pool(pipe, topo)
+        pool, idx, _xa, _xl = encoded_pool(pipe, topo)
+        key = pool_key(pipe, topo.num_tiers)
         rng = np.random.default_rng(9)
-        store = HistoryStore()
-        for n_obs in (3, 6, 10):
-            store.push(fitted_pair(pipe, topo, xa, xl, rng, n_obs))
+        pairs = [fitted_pair(pipe, topo, rng, n_obs) for n_obs in (3, 6, 10)]
         calls = []
 
         def counting(name):
@@ -427,42 +446,39 @@ class TestHistoryPoolPredictions:
 
         for name in ("predict", "row_means"):
             monkeypatch.setattr(GaussianProcess, name, counting(name))
-        for a_slo in (0.8, 0.6):
-            session = store.session(pipe, topo.num_tiers, xa, xl, a_slo, 0.5)
-            session.vote_indices(idx)
-            for i in (4, 11, 0):
-                before = len(calls)
-                session.update_gaps(i, 0.8, 0.2, 0.5)
-                assert len(calls) == before
-                session.vote_indices(idx[idx != i])
-        models = sorted(id(gp) for pair in store.pairs for gp in (pair.f_a, pair.f_l))
+        store = HistoryStore()
+        for pair in pairs:
+            store.push(pair)
+        # at push: each model runs predict and row_means once, over the whole pool
+        models = sorted(id(gp) for pair in pairs for gp in (pair.f_a, pair.f_l))
         for name in ("predict", "row_means"):
             assert sorted(id(gp) for n, gp, _ in calls if n == name) == models
         assert all(rows == len(pool) for _, _, rows in calls)
-
-        # gap updates alone fill the memo too, and still predict nothing twice
-        new = fitted_pair(pipe, topo, xa, xl, rng, 4)
-        store.push(new)
+        # after push: gap updates and votes only read those predictions
         calls.clear()
-        for _ in range(2):
-            store.session(pipe, topo.num_tiers, xa, xl, 0.8, 0.5).update_gaps(7, 0.8, 0.2, 0.5)
-        assert sorted((n, id(gp)) for n, gp, _ in calls) == sorted(
-            (n, id(gp)) for n in ("predict", "row_means") for gp in (new.f_a, new.f_l)
-        )
+        for a_slo in (0.8, 0.6):
+            session = store.session(key, a_slo, 0.5)
+            session.vote_indices(idx)
+            for i in (4, 11, 0):
+                session.update_gaps(i, 0.8, 0.2, 0.5)
+                session.vote_indices(idx[idx != i])
+        assert calls == []
 
-    def test_memo_forgets_evicted_pairs(self):
+    def test_store_keeps_the_newest_pairs_predictions(self):
         pipe, topo, _land = two_op_setup()
-        _pool, idx, xa, xl = encoded_pool(pipe, topo)
+        key = pool_key(pipe, topo.num_tiers)
         rng = np.random.default_rng(10)
         store = HistoryStore()
         pairs = []
         for _ in range(HISTORY_CAPACITY + 2):
-            pairs.append(fitted_pair(pipe, topo, xa, xl, rng, 1))
+            pairs.append(fitted_pair(pipe, topo, rng, 1))
             store.push(pairs[-1])
-            store.session(pipe, topo.num_tiers, xa, xl, 0.8, 0.5).update_gaps(0, 0.8, 0.2, 0.5)
-        assert len(store.pool_predictions) <= HISTORY_CAPACITY
-        assert set(store.pool_predictions) == set(store.pairs)
-        assert not any(p in store.pool_predictions for p in pairs[:2])
+        assert len(store.predictions) == HISTORY_CAPACITY
+        # the store keeps the predictions of the newest pairs, in push order
+        session = store.session(key, 0.8, 0.5)
+        for pair, e in zip(pairs[2:], session.entries, strict=True):
+            assert np.array_equal(e.predicted.mu_a, pair.predict(slice(None))[0])
+            assert np.array_equal(e.predicted.row_mu_l, pair.f_l.row_means(pair.pool_xl))
 
 
 class TestSearchPool:
@@ -703,6 +719,12 @@ class TestReplan:
         # stale observations retained plus fresh ones
         assert again.surrogates.n_obs >= first.surrogates.n_obs
         assert again.steps >= 1
+
+    def test_warm_pair_must_share_the_search_pool(self, vt_landscape, topology, vt_query):
+        # its observations are indices into its own pool
+        pipe, topo, _land = two_op_setup()
+        with pytest.raises(ValueError, match="another search pool"):
+            single_query_search(vt_query, vt_landscape, topology, warm_pair=new_pair(pipe, topo))
 
 
 class TestWarmStart:

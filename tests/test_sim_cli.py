@@ -9,7 +9,7 @@ from tierplan.landscape import ArrivalTrace, TraceEntry, generate_landscape, qua
 from tierplan.model import SCHEMA_VERSION, SchemaError, Tier, TierTopology
 from tierplan.presets import code_generation_pipeline
 from tierplan.search import SearchConfig
-from tierplan.sim import DriftEvent, SimConfig, compare, run, sim_config_from_file
+from tierplan.sim import DriftEvent, SimConfig, _Sim, compare, run, sim_config_from_file
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +168,46 @@ class TestRun:
         assert rep.queries[0].replans == 0
         assert rep.queries[0].status == "completed"
 
+    def test_planner_state_dropped_when_a_query_ends(self):
+        # one machine per tier, so some tight-SLO queries never fit and end
+        # pending; a later accuracy drift degrades the running query
+        topo = TierTopology(
+            (Tier("device", 1, 1.0, 0.05), Tier("cloud", 1, 1.0, 3.67)),
+            ((25000.0, 400.0), (400.0, 3000.0)),
+            ((0.001, 0.005), (0.005, 0.001)),
+        )
+        pipe = code_generation_pipeline()
+        land = generate_landscape(
+            seed=3, pipeline=pipe, difficulty="rugged", tier_speed_factors=(3.0, 1.0), num_tiers=2
+        )
+        frontier = quality_latency_frontier(land, topo)
+        acc = float(np.mean([a for _, a, _ in frontier]))
+        lats = [l for _, _, l in frontier]
+        entries = [
+            TraceEntry(
+                0.5 * i,
+                pipe.name,
+                0.8 * acc if i % 2 else 0.6 * acc,
+                min(lats) if i % 3 else 1.5 * float(np.mean(lats)),
+                10.0 + i,
+            )
+            for i in range(10)
+        ]
+        cfg = SimConfig(
+            topology=topo,
+            pipelines={pipe.name: pipe},
+            landscapes={pipe.name: land},
+            trace=ArrivalTrace(entries=tuple(entries), generator_params={}),
+            planning_budget_s=2.0,
+            drift=(DriftEvent(time=3.0, kind="accuracy", template=pipe.name, delta=-0.5),),
+        )
+        sim = _Sim(cfg)
+        report = sim.run()
+        statuses = {q.id: q.status for q in report.queries}
+        assert set(statuses.values()) == {"completed", "rejected", "degraded", "pending-at-end"}
+        waiting = sorted(qid for qid, status in statuses.items() if status == "pending-at-end")
+        assert sorted(sim.candidates) == sorted(sim.surrogates) == waiting
+
 
 class TestCompare:
     def test_identical_variants_factor_exactly_one(self, small_world):
@@ -321,6 +361,12 @@ class TestConfigFile:
             ({"seed": 7.0}, "seed"),
             ({"landscape": {"k_true": 2.7}}, "k_true"),
             ({"ablations": {"fixed_n": True}}, "fixed_n"),
+            ({"pipelines": 5}, "pipelines"),
+            ({"pipelines": "visual-tracking"}, "pipelines"),
+            ({"pipelines": []}, "pipelines"),
+            ({"drift": 5}, "drift"),
+            ({"output_dir": 5}, "output_dir"),
+            ({"landscape": {"noise_scale": float("nan")}}, "noise_scale"),
         ],
         ids=[
             "drift-link-out-of-range",
@@ -352,6 +398,12 @@ class TestConfigFile:
             "float-seed",
             "float-k-true",
             "boolean-fixed-n",
+            "integer-pipelines",
+            "string-pipelines",
+            "empty-pipelines",
+            "integer-drift",
+            "integer-output-dir",
+            "nan-literal",
         ],
     )
     def test_invalid_config_rejected_at_load(self, tmp_path, capsys, overrides, message):
