@@ -9,6 +9,7 @@ from .landscape import (
     generate_landscape,
     generate_trace,
     sample_case,
+    sample_strata,
     true_pareto_set,
 )
 from .latency import (
@@ -35,9 +36,9 @@ from .model import (
 )
 from .profiler import (
     PrefixCache,
-    ProfilingSession,
     Stratification,
-    next_case,
+    allocation,
+    look_schedule,
     profile_plan,
     stratify,
     variance_random,

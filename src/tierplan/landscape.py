@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -65,6 +66,7 @@ class GroundTruthLandscape:
     case_features: tuple[tuple[float, float], ...]
     accuracy_offset: float = 0.0
     _mu_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _timings_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if abs(sum(self.stratum_weights) - 1.0) > 1e-9:
@@ -79,6 +81,11 @@ class GroundTruthLandscape:
     @property
     def n_cases(self) -> int:
         return len(self.case_stratum)
+
+    @cached_property
+    def case_strata(self) -> np.ndarray:
+        """``case_stratum`` as an index array."""
+        return np.asarray(self.case_stratum, dtype=np.intp)
 
     def stratum_mean(self, stratum: int, configuration: Sequence[int]) -> float:
         """True accuracy mean of one stratum at a configuration."""
@@ -107,11 +114,15 @@ class GroundTruthLandscape:
         )
 
     def timings_for(self, configuration: Sequence[int]) -> latmod.OperatorTimings:
-        return latmod.OperatorTimings(
-            base_compute_s=tuple(self.op_base_time_s[i][c] for i, c in enumerate(configuration)),
-            output_bytes=tuple(self.op_output_bytes[i][c] for i, c in enumerate(configuration)),
-            tier_speed_factors=self.tier_speed_factors,
-        )
+        key = tuple(configuration)
+        hit = self._timings_cache.get(key)
+        if hit is None:
+            hit = self._timings_cache[key] = latmod.OperatorTimings(
+                base_compute_s=tuple(self.op_base_time_s[i][c] for i, c in enumerate(key)),
+                output_bytes=tuple(self.op_output_bytes[i][c] for i, c in enumerate(key)),
+                tier_speed_factors=self.tier_speed_factors,
+            )
+        return hit
 
     def with_accuracy_shift(self, delta: float) -> "GroundTruthLandscape":
         """Drifted copy: every stratum mean moves by ``delta`` (then clipped).
@@ -150,6 +161,8 @@ def generate_landscape(
     """
     if not 1 <= k_true <= N_CASES:
         raise ValueError(f"k_true must be in 1..{N_CASES}, got {k_true}")
+    if not (math.isfinite(noise_scale) and noise_scale >= 0):
+        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
     if isinstance(difficulty, str):
         if difficulty not in _DIFFICULTY_TENDENCY:
             raise ValueError(f"unknown difficulty {difficulty!r}")
@@ -262,23 +275,33 @@ def generate_landscape(
     )
 
 
+def sample_strata(
+    landscape: GroundTruthLandscape,
+    configuration: Sequence[int],
+    strata: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """One accuracy observation per entry of ``strata`` (true stratum ids),
+    each a normal at its stratum's mean and sigma clipped to [0, 1].
+
+    Depends only on the configuration, so placement and resource changes
+    never alter the draw stream.
+    """
+    mu = np.array([landscape.stratum_mean(k, configuration) for k in range(landscape.k_true)])
+    sigma = np.asarray(landscape.stratum_sigma)
+    return np.clip(mu[strata] + sigma[strata] * rng.standard_normal(len(strata)), 0.0, 1.0)
+
+
 def sample_case(
     landscape: GroundTruthLandscape,
     plan: PlanPoint,
     stratum_id: int,
     rng: np.random.Generator,
 ) -> float:
-    """One accuracy observation from a stratum, clipped to [0, 1].
-
-    Depends only on the plan's configuration, so placement and resource
-    changes never alter the draw stream.
-    """
+    """One accuracy observation from a stratum, clipped to [0, 1]."""
     if not (0 <= stratum_id < landscape.k_true):
         raise ValueError(f"unknown stratum {stratum_id} (have {landscape.k_true})")
-    mu = landscape.stratum_mean(stratum_id, plan.configuration)
-    sigma = landscape.stratum_sigma[stratum_id]
-    val = rng.normal(mu, sigma) if sigma > 0 else mu
-    return float(min(max(val, 0.0), 1.0))
+    return float(sample_strata(landscape, plan.configuration, np.array([stratum_id]), rng)[0])
 
 
 def true_pareto_set(

@@ -1,14 +1,21 @@
 """Accuracy-SLO profiling that spends as few sampled cases as possible.
 
 Cases are grouped once per planning session by one-shot K-means over input
-features; draws then visit strata round-robin and sample uniformly within
-the chosen stratum, which keeps the estimator mean while cutting its
-variance (the between-strata term drops out). A two-sided one-sample t-test
-against the accuracy SLO runs after every draw once the 50-sample minimum
-is reached and stops the session as soon as the required confidence is
-reached in either direction; the per-look level is Bonferroni-spent across
-the eligible looks so the repeated peeking keeps the procedure's overall
-size at its nominal 1%.
+features. Draw j goes to the stratum with the largest deficit
+p_k (j + 1) - count_k, so no stratum ever runs a full draw ahead of its
+quota and every stratum k gets exactly n p_k of the first n draws whenever
+those are integers; the case is uniform within its stratum. The plain
+sample mean then estimates the population mean while the between-strata
+variance term drops out.
+
+A two-sided one-sample t-test against the accuracy SLO runs only at the
+geometric looks n_k = ceil(50 * 1.1^k), capped at ``n_max`` (33 looks for
+50..1000), and stops the session at the first look that is significant in
+either direction. The per-look level is the overall 1% Bonferroni-spent
+over the schedule's looks, so the repeated peeking keeps the procedure's
+size at most 1% (a group-sequential design: Pocock, Biometrika 1977; Lan &
+DeMets, Biometrika 1983). Between looks the whole block of cases and
+values is drawn at once.
 
 A query-scoped prefix cache tracks which (operator, upstream-configuration)
 intermediate outputs already exist per case, so re-profiling a plan that
@@ -19,18 +26,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import stdtr
 
-from .landscape import GroundTruthLandscape, sample_case
+from .landscape import N_CASES, GroundTruthLandscape, sample_strata
 from .model import PlanPoint, ProfileOutcome, Verdict
 
 DEFAULT_CONFIDENCE = 0.99
 DEFAULT_MIN_SAMPLES = 50
 DEFAULT_N_MAX = 1000
 DEFAULT_PLANNER_STRATA = 4
+#: Each look's sample size is LOOK_GROWTH times the previous one's.
+LOOK_GROWTH = 1.1
 
 
 # ---------------------------------------------------------------------------
@@ -101,24 +111,32 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iters: int = 1
     return labels
 
 
-@dataclass
+@dataclass(frozen=True)
 class Stratification:
-    """Case -> stratum map with round-robin draw state.
-
-    Built once per planning session and never re-fit mid-session.
-    """
+    """Case -> stratum map, built once per planning session and never re-fit
+    mid-session."""
 
     k: int
     assignment: tuple[int, ...]
     strata: tuple[tuple[int, ...], ...]
     weights: tuple[float, ...]
-    cursor: int = 0
 
     def __post_init__(self) -> None:
         if any(len(s) == 0 for s in self.strata):
             raise ValueError("every stratum must be non-empty")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("empirical weights must sum to 1")
+
+    @cached_property
+    def _members(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every stratum's cases back to back, each stratum's start, its size."""
+        sizes = np.array([len(s) for s in self.strata])
+        return np.concatenate(self.strata).astype(np.intp), np.cumsum(sizes) - sizes, sizes
+
+    def cases(self, strata: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One case per entry of ``strata``, uniform within that stratum."""
+        members, starts, sizes = self._members
+        return members[starts[strata] + rng.integers(sizes[strata])]
 
 
 def stratify(case_features: Sequence[Sequence[float]], k: int, seed: int = 0) -> Stratification:
@@ -136,13 +154,25 @@ def stratify(case_features: Sequence[Sequence[float]], k: int, seed: int = 0) ->
     return Stratification(k=k, assignment=tuple(int(x) for x in labels), strata=strata, weights=weights)
 
 
-def next_case(strat: Stratification, rng: np.random.Generator) -> int:
-    """Round-robin over strata, uniform within the chosen stratum."""
-    members = strat.strata[strat.cursor]
-    if not members:
-        raise RuntimeError(f"stratum {strat.cursor} is empty")  # unreachable by construction
-    strat.cursor = (strat.cursor + 1) % strat.k
-    return members[int(rng.integers(len(members)))]
+@lru_cache(maxsize=256)
+def allocation(weights: tuple[float, ...], n: int) -> np.ndarray:
+    """Stratum of each of the first ``n`` draws: draw j goes to the stratum
+    with the largest deficit p_k (j + 1) - count_k, ties to the lower index.
+
+    The picked stratum's deficit was positive (the deficits sum to 1), so
+    no count ever reaches quota + 1; when every quota n p_k is an integer,
+    the counts therefore equal the quotas. Equal weights give
+    0, 1, ..., K-1, 0, 1, ...
+    """
+    counts = [0] * len(weights)
+    order = np.empty(n, dtype=np.intp)
+    for j in range(n):
+        deficits = [p * (j + 1) - c for p, c in zip(weights, counts)]
+        k = deficits.index(max(deficits))
+        counts[k] += 1
+        order[j] = k
+    order.flags.writeable = False
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -155,36 +185,37 @@ class PrefixCache:
 
     Keys are (operator index, configuration prefix through that operator);
     upstream configs fully determine the outputs, so downstream knob changes
-    never invalidate an entry. Values track which sampled cases already have
-    the output materialized. The cache is discarded when the planning
-    session ends.
+    never invalidate an entry. Each value is a boolean mask over the cases
+    whose output is already materialized. The cache is discarded when the
+    planning session ends.
     """
 
-    entries: dict[tuple[int, tuple[int, ...]], set[int]] = field(default_factory=dict)
+    entries: dict[tuple[int, tuple[int, ...]], np.ndarray] = field(default_factory=dict)
 
-    def charge_case(self, configuration: Sequence[int], case_id: int, per_op_seconds: Sequence[float]) -> float:
-        """Compute seconds charged for running one case, reusing any cached
-        prefix and caching the newly produced outputs."""
+    def charge(self, configuration: Sequence[int], cases: np.ndarray, per_op_seconds: Sequence[float]) -> float:
+        """Seconds charged for running ``cases`` (repeats allowed): each
+        operator is charged once per case whose output is not cached yet,
+        and those outputs are cached."""
         cfg = tuple(configuration)
+        drawn = np.zeros(N_CASES, dtype=bool)
+        drawn[cases] = True
         charged = 0.0
         for i in range(len(cfg)):
-            key = (i, cfg[: i + 1])
-            entry = self.entries.setdefault(key, set())
-            if case_id not in entry:
-                charged += per_op_seconds[i]
-                entry.add(case_id)
+            cached = self.entries.setdefault((i, cfg[: i + 1]), np.zeros(N_CASES, dtype=bool))
+            charged += per_op_seconds[i] * int(np.count_nonzero(drawn & ~cached))
+            cached |= drawn
         return charged
 
 
 class NullCache:
-    """Cache stand-in that never hits: full compute is charged every case."""
+    """Cache stand-in that never hits: full compute is charged every draw."""
 
-    def charge_case(self, configuration, case_id, per_op_seconds) -> float:
-        return float(sum(per_op_seconds))
+    def charge(self, configuration, cases, per_op_seconds) -> float:
+        return len(cases) * float(sum(per_op_seconds))
 
 
 # ---------------------------------------------------------------------------
-# Sequential profiling session
+# Group-sequential profiling
 
 
 def two_sided_p_value(mean: float, variance: float, n: int, mu0: float) -> float:
@@ -197,58 +228,18 @@ def two_sided_p_value(mean: float, variance: float, n: int, mu0: float) -> float
     return 2.0 * float(stdtr(n - 1, -abs(t)))
 
 
-@dataclass
-class ProfilingSession:
-    """Running Welford statistics and the sequential verdict for one plan.
-
-    The t-test runs after every draw past ``min_samples``; the per-look
-    significance level is Bonferroni-spent across the eligible looks so the
-    whole sequential procedure keeps its nominal size (an uncorrected
-    every-step test would stop spuriously far more often than 1% at the
-    threshold).
-    """
-
-    plan: PlanPoint
-    a_slo: float
-    confidence: float = DEFAULT_CONFIDENCE
-    min_samples: int = DEFAULT_MIN_SAMPLES
-    n_max: int = DEFAULT_N_MAX
-    n: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-    verdict: Verdict | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_max < self.min_samples:
-            raise ValueError("n_max must be >= min_samples")
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def step_alpha(self) -> float:
-        return (1.0 - self.confidence) / max(1, self.n_max - self.min_samples + 1)
-
-    def observe(self, value: float) -> None:
-        self.n += 1
-        delta = value - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (value - self.mean)
-
-    def decide(self) -> Verdict | None:
-        """Pass/Fail once significant past the minimum; Inconclusive at the cap."""
-        if self.n >= self.min_samples:
-            p = two_sided_p_value(self.mean, self.variance, self.n, self.a_slo)
-            if p < self.step_alpha:
-                self.verdict = (
-                    Verdict.PASS_ACCURACY if self.mean > self.a_slo else Verdict.FAIL_ACCURACY
-                )
-                return self.verdict
-        if self.n >= self.n_max:
-            self.verdict = Verdict.INCONCLUSIVE
-            return self.verdict
-        return None
+@lru_cache(maxsize=64)
+def look_schedule(min_samples: int = DEFAULT_MIN_SAMPLES, n_max: int = DEFAULT_N_MAX) -> tuple[int, ...]:
+    """Sample sizes at which the t-test runs: ceil(min_samples * 1.1^k),
+    capped at (and ending with) ``n_max``."""
+    if min_samples < 1:
+        raise ValueError("min_samples must be >= 1")
+    if n_max < min_samples:
+        raise ValueError("n_max must be >= min_samples")
+    looks = [min_samples]
+    while looks[-1] < n_max:
+        looks.append(min(math.ceil(min_samples * LOOK_GROWTH ** len(looks)), n_max))
+    return tuple(looks)
 
 
 def _outcome(
@@ -289,25 +280,35 @@ def profile_plan(
 ) -> ProfileOutcome:
     """Guided-sampling accuracy check of one plan against its SLO.
 
-    Draws cases round-robin across strata, updates running statistics, and
-    stops at the first significant two-sided t-test after the sample-size
-    floor. Charged GPU-seconds cover only cache-missing operators, at
-    reference-tier full-resource compute.
+    Draws the cases up to each look in one block, stratified by
+    ``allocation``, and stops at the first look whose two-sided t-test is
+    significant at the Bonferroni-spent level; a session that reaches
+    ``n_max`` undecided is inconclusive. Charged GPU-seconds cover only
+    cache-missing operators, at reference-tier full-resource compute.
     """
-    session = ProfilingSession(
-        plan=plan, a_slo=a_slo, confidence=confidence, min_samples=min_samples, n_max=n_max
-    )
-    timings = land.timings_for(plan.configuration)
-    charged = 0.0
-    while True:
-        case = next_case(strat, rng)
-        value = sample_case(land, plan, land.case_stratum[case], rng)
-        session.observe(value)
-        charged += cache.charge_case(plan.configuration, case, timings.base_compute_s)
-        verdict = session.decide()
-        if verdict is not None:
+    looks = look_schedule(min_samples, n_max)
+    alpha = (1.0 - confidence) / len(looks)
+    order = allocation(strat.weights, n_max)
+    cases = np.empty(n_max, dtype=np.intp)
+    values = np.empty(n_max)
+    verdict = Verdict.INCONCLUSIVE
+    n = 0
+    for look in looks:
+        cases[n:look] = strat.cases(order[n:look], rng)
+        values[n:look] = sample_strata(land, plan.configuration, land.case_strata[cases[n:look]], rng)
+        n = look
+        # shifted by the first value, so n equal values give exactly that
+        # value and zero variance
+        shifted = values[:n] - values[0]
+        offset = float(shifted.sum()) / n
+        deviations = shifted - offset
+        mean = float(values[0]) + offset
+        variance = float(deviations @ deviations) / (n - 1) if n > 1 else 0.0
+        if two_sided_p_value(mean, variance, n, a_slo) < alpha:
+            verdict = Verdict.PASS_ACCURACY if mean > a_slo else Verdict.FAIL_ACCURACY
             break
-    return _outcome(plan, session.mean, session.n, verdict, charged, log)
+    charged = cache.charge(plan.configuration, cases[:n], land.timings_for(plan.configuration).base_compute_s)
+    return _outcome(plan, mean, n, verdict, charged, log)
 
 
 def profile_plan_fixed_n(
@@ -321,17 +322,13 @@ def profile_plan_fixed_n(
 ) -> ProfileOutcome:
     """Fixed-size random-sampling baseline: no strata, no early stopping.
 
-    The verdict is a point comparison of the sample mean against the SLO.
+    Draws ``n_samples`` uniform cases in one block; the verdict is a point
+    comparison of the sample mean against the SLO.
     """
     if n_samples < 1:
         raise ValueError("fixed sample size must be >= 1")
-    timings = land.timings_for(plan.configuration)
-    charged = 0.0
-    total = 0.0
-    for _ in range(n_samples):
-        case = int(rng.integers(land.n_cases))
-        total += sample_case(land, plan, land.case_stratum[case], rng)
-        charged += cache.charge_case(plan.configuration, case, timings.base_compute_s)
-    mean = total / n_samples
+    cases = rng.integers(land.n_cases, size=n_samples)
+    mean = float(sample_strata(land, plan.configuration, land.case_strata[cases], rng).mean())
+    charged = cache.charge(plan.configuration, cases, land.timings_for(plan.configuration).base_compute_s)
     verdict = Verdict.PASS_ACCURACY if mean > a_slo else Verdict.FAIL_ACCURACY
     return _outcome(plan, mean, n_samples, verdict, charged, log)

@@ -16,6 +16,7 @@ from tierplan.landscape import (
     TraceEntry,
     generate_landscape,
     quality_latency_frontier,
+    sample_strata,
     true_pareto_set,
 )
 from tierplan.latency import OperatorTimings, pipeline_latency, plan_hourly_cost, transfer_time
@@ -37,6 +38,8 @@ from tierplan.presets import (
 from tierplan.profiler import (
     NullCache,
     PrefixCache,
+    allocation,
+    look_schedule,
     profile_plan,
     stratify,
     variance_random,
@@ -159,25 +162,24 @@ def test_criterion_3_prefix_cache():
     assert cached_est == raw_est  # bitwise identical estimates
     assert cached_cost <= 0.70 * raw_cost
 
-    # replay the same draw sequence against a reference trie
+    # replay the same draw blocks against a reference trie
     trie = ReplayTrie()
     expected = 0.0
+    looks = look_schedule()
     for i, plan in enumerate(plans):
         strat = stratify(land.case_features, 4, seed=i)
-        rng_i = np.random.default_rng(1000 + i)
-        cache_probe = PrefixCache()
-        out = profile_plan(plan, land, strat, cache_probe, 0.6, rng_i)
-        # replay this plan's case draws through the trie oracle
-        strat2 = stratify(land.case_features, 4, seed=i)
+        out = profile_plan(plan, land, strat, PrefixCache(), 0.6, np.random.default_rng(1000 + i))
+        # replay this plan's blocks, up to the look it stopped at, through the trie oracle
         rng_r = np.random.default_rng(1000 + i)
+        order = allocation(strat.weights, looks[-1])
         t = land.timings_for(plan.configuration)
-        from tierplan.profiler import next_case
-        from tierplan.landscape import sample_case
-
-        for _ in range(out.samples_used):
-            case = next_case(strat2, rng_r)
-            sample_case(land, plan, land.case_stratum[case], rng_r)
-            expected += trie.charge(plan.configuration, case, t.base_compute_s)
+        for start, stop in zip((0,) + looks, looks):
+            if start == out.samples_used:
+                break
+            cases = strat.cases(order[start:stop], rng_r)
+            sample_strata(land, plan.configuration, land.case_strata[cases], rng_r)
+            for case in cases:
+                expected += trie.charge(plan.configuration, int(case), t.base_compute_s)
     # rebuild the real cached total with one shared cache (as above)
     assert cached_cost == pytest.approx(expected, rel=1e-9)
     print(

@@ -71,6 +71,18 @@ class TestGeneration:
         counts = np.bincount(vt_landscape.case_stratum, minlength=vt_landscape.k_true)
         assert counts.min() > 0
 
+    @pytest.mark.parametrize("noise_scale", [float("nan"), float("inf"), -0.1])
+    def test_noise_scale_must_be_finite_and_non_negative(self, vt_pipeline, noise_scale):
+        with pytest.raises(ValueError, match="noise_scale"):
+            generate_landscape(seed=5, pipeline=vt_pipeline, noise_scale=noise_scale)
+
+    def test_timings_are_memoised_per_configuration(self, vt_landscape):
+        cfg = (1, 2, 3)
+        timings = vt_landscape.timings_for(cfg)
+        assert vt_landscape.timings_for(list(cfg)) is timings
+        assert timings.base_compute_s == tuple(vt_landscape.op_base_time_s[i][c] for i, c in enumerate(cfg))
+        assert timings.output_bytes == tuple(vt_landscape.op_output_bytes[i][c] for i, c in enumerate(cfg))
+
     def test_accuracy_shift_moves_means(self, vt_landscape):
         drifted = vt_landscape.with_accuracy_shift(-0.15)
         for cfg in [(0, 0, 0), (2, 3, 4), (1, 2, 0)]:

@@ -174,7 +174,7 @@ class TestPipelineLatency:
 
 class TestProfilingCost:
     """Profiling is charged per sampled case (ProfileOutcome.profiling_cost,
-    via the cache's charge_case) and priced per GPU-hour by the search."""
+    via the cache's charge) and priced per GPU-hour by the search."""
 
     def test_zero_cases_zero_cost(self, vt_pipeline, vt_landscape, topology):
         q = Query("z", vt_pipeline, a_slo=0.5, l_slo=1.0, response_budget_s=0.0)
@@ -194,7 +194,7 @@ class TestProfilingCost:
         assert outs[1].profiling_cost == 0.0
 
     def test_hundred_half_second_cases_at_a100_price(self, vt_pipeline, vt_landscape, topology):
-        gpu_s = sum(NullCache().charge_case((0, 0), c, (0.2, 0.3)) for c in range(100))
+        gpu_s = NullCache().charge((0, 0), np.arange(100), (0.2, 0.3))
         assert gpu_s == pytest.approx(50.0)
         assert gpu_s / 3600.0 * DEFAULT_GPU_PRICE_PER_HOUR == pytest.approx(0.051, abs=5e-4)
         plan = PlanPoint((1, 2, 3), (0, 1, 2), (1.0, 1.0, 1.0))

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from oracles import ReplayTrie, mc_sample_mean_variance
-from tierplan.landscape import generate_landscape
+from tierplan.landscape import generate_landscape, sample_strata
 from tierplan.model import PlanPoint, Verdict
 from tierplan.profiler import (
+    DEFAULT_N_MAX,
     NullCache,
     PrefixCache,
-    ProfilingSession,
-    next_case,
+    allocation,
+    look_schedule,
     profile_plan,
     profile_plan_fixed_n,
     stratify,
@@ -100,7 +101,7 @@ class TestStratify:
         assert stratify(feats, 3, seed=9).assignment == stratify(feats, 3, seed=9).assignment
 
 
-class TestNextCase:
+class TestAllocation:
     def _flat_strat(self, k, per=50):
         feats = []
         for j in range(k):
@@ -108,28 +109,38 @@ class TestNextCase:
         return stratify(feats, k=k, seed=0)
 
     def test_round_robin_sequence(self):
+        # equal strata: the largest-deficit rule visits them in turn
+        assert allocation((0.5, 0.5), 4).tolist() == [0, 1, 0, 1]
         s = self._flat_strat(2)
-        rng = np.random.default_rng(0)
-        seq = [s.assignment[next_case(s, rng)] for _ in range(4)]
-        assert seq == [0, 1, 0, 1]
+        cases = s.cases(allocation(s.weights, 4), np.random.default_rng(0))
+        assert [s.assignment[c] for c in cases] == [0, 1, 0, 1]
 
     def test_each_stratum_drawn_equally(self):
         s = self._flat_strat(3)
-        rng = np.random.default_rng(1)
-        counts = {0: 0, 1: 0, 2: 0}
-        for _ in range(300):
-            counts[s.assignment[next_case(s, rng)]] += 1
-        assert counts == {0: 100, 1: 100, 2: 100}
+        cases = s.cases(allocation(s.weights, 300), np.random.default_rng(1))
+        assert np.bincount(np.array(s.assignment)[cases], minlength=3).tolist() == [100, 100, 100]
+
+    @given(st.lists(st.integers(1, 120), min_size=2, max_size=6))
+    @example([80, 48, 80, 32])
+    @settings(max_examples=50, deadline=None)
+    def test_exact_counts_when_integral(self, sizes):
+        # the picked stratum had a positive deficit, so after its draw it
+        # is less than one draw ahead of its quota; with integer quotas
+        # summing to n, that leaves every stratum exactly on its quota
+        sizes = np.array(sizes)
+        order = allocation(tuple(sizes / sizes.sum()), 1000)
+        counts = np.zeros(len(sizes), dtype=int)
+        for n, k in enumerate(order, start=1):
+            counts[k] += 1
+            assert np.all(counts - n * sizes / sizes.sum() < 1)
+            if np.all(n * sizes % sizes.sum() == 0):
+                assert counts.tolist() == (n * sizes // sizes.sum()).tolist()
 
     def test_uniform_within_stratum(self):
         s = self._flat_strat(2, per=25)
-        rng = np.random.default_rng(2)
-        hits = {}
-        for _ in range(10_000):
-            c = next_case(s, rng)
-            if s.assignment[c] == 0:
-                hits[c] = hits.get(c, 0) + 1
-        observed = [hits.get(c, 0) for c in s.strata[0]]
+        cases = s.cases(allocation(s.weights, 10_000), np.random.default_rng(2))
+        observed = np.bincount(cases, minlength=50)[list(s.strata[0])]
+        assert observed.sum() == 5_000
         assert chisquare(observed).pvalue > 0.01
 
 
@@ -222,7 +233,7 @@ class TestProfilePlan:
         assert agree / len(clear) >= 0.99
 
     def test_estimator_unbiased_under_round_robin(self, vt_pipeline):
-        # equal-size strata + round-robin visits: the plain running mean
+        # equal-size strata are visited in turn: the plain sample mean
         # estimates the weighted mixture mean
         land = generate_landscape(seed=21, pipeline=vt_pipeline, noise_scale=0.08)
         cfg = (1, 2, 3)
@@ -238,6 +249,50 @@ class TestProfilePlan:
         spread = 0.08 / np.sqrt(np.mean([200]) * len(estimates))
         assert abs(np.mean(estimates) - truth) <= 4 * spread + 0.01
 
+    def test_zero_bias_on_unequal_strata(self, vt_pipeline):
+        # planner strata of 80/48/80/32 cases: at every look where each
+        # n p_k is an integer, the expected sample mean over the case draws
+        # is the population mean, for every configuration
+        from itertools import product
+
+        land = generate_landscape(seed=26, pipeline=vt_pipeline, k_true=3)
+        strat = stratify(land.case_features, 4, seed=1)
+        sizes = [len(s) for s in strat.strata]
+        assert sizes == [80, 48, 80, 32]
+        order = allocation(strat.weights, DEFAULT_N_MAX)
+        looks = [n for n in look_schedule() if all(n * size % land.n_cases == 0 for size in sizes)]
+        assert looks == [960]
+        round_robin_error = 0.0
+        for cfg in product(*[range(len(op.knob_domain)) for op in vt_pipeline.operators]):
+            case_mu = np.array([land.stratum_mean(t, cfg) for t in land.case_stratum])
+            stratum_mu = np.array([case_mu[list(s)].mean() for s in strat.strata])
+            truth = land.accuracy_mean(cfg)
+            for n in looks:
+                expected = np.bincount(order[:n], minlength=strat.k) @ stratum_mu / n
+                assert expected == pytest.approx(truth, abs=1e-12)
+            round_robin_error = max(round_robin_error, abs(stratum_mu.mean() - truth))
+        # the strata are unequal enough that n/K draws per stratum is biased
+        assert round_robin_error > 0.01
+
+    def test_decided_rate_at_threshold_within_size(self, vt_pipeline):
+        # one true stratum, so the sample variance is not inflated by a
+        # between-strata term that stratified draws remove from the mean
+        from itertools import product
+
+        land = generate_landscape(seed=14, pipeline=vt_pipeline, k_true=1, noise_scale=0.05)
+        configs = product(*[range(len(op.knob_domain)) for op in vt_pipeline.operators])
+        cfg = min(configs, key=lambda c: abs(land.accuracy_mean(c) - 0.7))
+        a_slo = land.accuracy_mean(cfg)
+        plan = PlanPoint(cfg, (0, 0, 0), (1.0, 1.0, 1.0))
+        strat = stratify(land.case_features, 4, seed=0)
+        runs = 1000
+        decided = sum(
+            profile_plan(plan, land, strat, NullCache(), a_slo, np.random.default_rng(s)).verdict
+            != Verdict.INCONCLUSIVE
+            for s in range(runs)
+        )
+        assert decided / runs <= 0.01
+
     def test_profiling_log_callback(self, vt_pipeline, vt_landscape):
         plan = PlanPoint((0, 0, 0), (0, 0, 0), (1.0, 1.0, 1.0))
         strat = stratify(vt_landscape.case_features, 4, seed=0)
@@ -249,14 +304,36 @@ class TestProfilePlan:
 
 
 class TestSessionMath:
-    def test_welford_matches_numpy(self):
-        rng = np.random.default_rng(5)
-        xs = rng.uniform(0, 1, 200)
-        s = ProfilingSession(plan=PlanPoint((0,), (0,), (1.0,)), a_slo=0.5)
-        for x in xs:
-            s.observe(float(x))
-        assert s.mean == pytest.approx(xs.mean(), rel=1e-12)
-        assert s.variance == pytest.approx(xs.var(ddof=1), rel=1e-10)
+    def test_look_schedule_pinned(self):
+        looks = look_schedule()
+        assert (len(looks), looks[0], looks[-1]) == (33, 50, 1000)
+        assert all(b > a for a, b in zip(looks, looks[1:]))
+        assert look_schedule(50, 120)[-1] == 120 and look_schedule(50, 50) == (50,)
+
+    def test_look_statistics_match_numpy(self, vt_pipeline):
+        # replay the session's blocks: it stops at the first look whose
+        # scipy t-test is significant at the Bonferroni-spent level, and
+        # reports the mean of every value drawn
+        from scipy.stats import ttest_1samp
+
+        land, cfg = make_land_with_mean(vt_pipeline, 0.7, seed=14, noise=0.05)
+        a_slo = land.accuracy_mean(cfg) - 0.02
+        plan = PlanPoint(cfg, (0, 0, 0), (1.0, 1.0, 1.0))
+        strat = stratify(land.case_features, 4, seed=3)
+        out = profile_plan(plan, land, strat, NullCache(), a_slo, np.random.default_rng(7))
+
+        rng = np.random.default_rng(7)
+        looks = look_schedule()
+        order = allocation(strat.weights, DEFAULT_N_MAX)
+        xs = np.empty(0)
+        for start, stop in zip((0,) + looks, looks):
+            cases = strat.cases(order[start:stop], rng)
+            xs = np.concatenate([xs, sample_strata(land, cfg, land.case_strata[cases], rng)])
+            if ttest_1samp(xs, a_slo).pvalue < 0.01 / len(looks):
+                break
+        assert 50 < out.samples_used == len(xs) < DEFAULT_N_MAX
+        assert out.verdict == Verdict.PASS_ACCURACY
+        assert out.accuracy_estimate == pytest.approx(xs.mean(), rel=1e-12)
 
     def test_p_value_against_scipy(self):
         from scipy.stats import ttest_1samp
@@ -267,9 +344,15 @@ class TestSessionMath:
         p_got = two_sided_p_value(float(xs.mean()), float(xs.var(ddof=1)), len(xs), 0.72)
         assert p_got == pytest.approx(p_ref, rel=1e-9)
 
-    def test_n_max_validation(self):
-        with pytest.raises(ValueError):
-            ProfilingSession(plan=PlanPoint((0,), (0,), (1.0,)), a_slo=0.5, min_samples=50, n_max=10)
+    def test_n_max_validation(self, vt_landscape):
+        plan = PlanPoint((0, 0, 0), (0, 0, 0), (1.0, 1.0, 1.0))
+        strat = stratify(vt_landscape.case_features, 4, seed=0)
+        with pytest.raises(ValueError, match="n_max"):
+            profile_plan(
+                plan, vt_landscape, strat, NullCache(), 0.5, np.random.default_rng(0), min_samples=50, n_max=10
+            )
+        with pytest.raises(ValueError, match="min_samples"):
+            look_schedule(0, 10)
 
 
 class TestPrefixCache:
@@ -277,34 +360,36 @@ class TestPrefixCache:
         cache = PrefixCache()
         cfg = (1, 2, 3)
         t = vt_landscape.timings_for(cfg)
-        first = cache.charge_case(cfg, 7, t.base_compute_s)
+        first = cache.charge(cfg, [7], t.base_compute_s)
         assert first == pytest.approx(sum(t.base_compute_s))
-        assert cache.charge_case(cfg, 7, t.base_compute_s) == 0.0
+        assert cache.charge(cfg, [7], t.base_compute_s) == 0.0
         # entries are per case: another case is charged in full
-        assert cache.charge_case(cfg, 8, t.base_compute_s) == pytest.approx(first)
+        assert cache.charge(cfg, [8], t.base_compute_s) == pytest.approx(first)
 
     def test_partial_prefix(self, vt_landscape):
         cache = PrefixCache()
         t1 = vt_landscape.timings_for((1, 2, 3))
-        cache.charge_case((1, 2, 3), 0, t1.base_compute_s)
+        cache.charge((1, 2, 3), [0], t1.base_compute_s)
         t2 = vt_landscape.timings_for((1, 0, 0))
-        charged = cache.charge_case((1, 0, 0), 0, t2.base_compute_s)
+        charged = cache.charge((1, 0, 0), [0], t2.base_compute_s)
         assert charged == pytest.approx(sum(t2.base_compute_s[1:]))
         # a shared suffix does not hit: the prefix key includes upstream configs
         t3 = vt_landscape.timings_for((0, 2, 3))
-        assert cache.charge_case((0, 2, 3), 0, t3.base_compute_s) == pytest.approx(
-            sum(t3.base_compute_s)
-        )
+        assert cache.charge((0, 2, 3), [0], t3.base_compute_s) == pytest.approx(sum(t3.base_compute_s))
 
     def test_insert_is_idempotent(self):
         cache = PrefixCache()
-        cache.charge_case((1, 2), 0, (0.1, 0.2))
-        cache.charge_case((1, 2), 1, (0.1, 0.2))
-        before = {key: set(cases) for key, cases in cache.entries.items()}
-        assert before == {(0, (1,)): {0, 1}, (1, (1, 2)): {0, 1}}
-        assert cache.charge_case((1, 2), 0, (0.1, 0.2)) == 0.0
-        assert cache.charge_case((1, 2), 1, (0.1, 0.2)) == 0.0
-        assert cache.entries == before
+        # a block that repeats a case is charged for it once
+        assert cache.charge((1, 2), [0, 1, 0], (0.1, 0.2)) == pytest.approx(2 * 0.3)
+
+        def cached():
+            return {key: np.flatnonzero(mask).tolist() for key, mask in cache.entries.items()}
+
+        before = cached()
+        assert before == {(0, (1,)): [0, 1], (1, (1, 2)): [0, 1]}
+        assert cache.charge((1, 2), [0], (0.1, 0.2)) == 0.0
+        assert cache.charge((1, 2), [1, 1], (0.1, 0.2)) == 0.0
+        assert cached() == before
 
     def test_randomized_sequence_matches_replay_trie(self, vt_pipeline):
         land = generate_landscape(seed=23, pipeline=vt_pipeline)
@@ -312,12 +397,15 @@ class TestPrefixCache:
         cache = PrefixCache()
         trie = ReplayTrie()
         got = expected = 0.0
+        repeats = 0
         for _ in range(300):
             cfg = tuple(int(rng.integers(len(op.knob_domain))) for op in vt_pipeline.operators)
-            case = int(rng.integers(land.n_cases))
+            block = rng.integers(land.n_cases, size=int(rng.integers(1, 40)))
+            repeats += len(np.unique(block)) < len(block)
             t = land.timings_for(cfg)
-            got += cache.charge_case(cfg, case, t.base_compute_s)
-            expected += trie.charge(cfg, case, t.base_compute_s)
+            got += cache.charge(cfg, block, t.base_compute_s)
+            expected += sum(trie.charge(cfg, int(case), t.base_compute_s) for case in block)
+        assert repeats >= 50  # blocks with duplicate cases are exercised
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_cache_never_changes_estimates(self, vt_pipeline):

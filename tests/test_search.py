@@ -647,9 +647,10 @@ class TestSingleQuerySearch:
         got = [(t["branch"], tuple(t["configuration"]), tuple(t["placement"])) for t in res.telemetry]
         assert got == [
             ("cold", (2, 1, 5, 0), (1, 1, 1, 1)),
-            ("cmbo", (2, 1, 5, 4), (1, 1, 1, 1)),
-            ("cmbo", (2, 0, 5, 0), (1, 1, 1, 1)),
-            ("cmbo", (2, 0, 3, 0), (1, 1, 1, 1)),
+            ("cmbo", (2, 1, 5, 2), (1, 1, 1, 1)),
+            ("cmbo", (0, 1, 3, 0), (1, 1, 1, 1)),
+            ("cmbo", (0, 0, 3, 0), (1, 1, 1, 1)),
+            ("cmbo", (0, 0, 3, 0), (0, 1, 2, 2)),
         ]
 
     def test_candidates_meet_both_slos_under_oracle(self, vt_pipeline, vt_landscape, topology, vt_query):

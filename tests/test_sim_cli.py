@@ -367,6 +367,8 @@ class TestConfigFile:
             ({"drift": 5}, "drift"),
             ({"output_dir": 5}, "output_dir"),
             ({"landscape": {"noise_scale": float("nan")}}, "noise_scale"),
+            ({"landscape": {"noise_scale": 1e999}}, "#landscape: noise_scale"),
+            ({"landscape": {"noise_scale": -0.1}}, "#landscape: noise_scale"),
         ],
         ids=[
             "drift-link-out-of-range",
@@ -404,6 +406,8 @@ class TestConfigFile:
             "integer-drift",
             "integer-output-dir",
             "nan-literal",
+            "overflowing-noise-scale",
+            "negative-noise-scale",
         ],
     )
     def test_invalid_config_rejected_at_load(self, tmp_path, capsys, overrides, message):
@@ -414,6 +418,9 @@ class TestConfigFile:
         }
         obj.update(overrides)
         path = self._write(tmp_path, {k: v for k, v in obj.items() if v is not None})
+        # json.dumps spells inf as the constant Infinity; write it as the
+        # number literal 1e999, which json parses to inf
+        Path(path).write_text(Path(path).read_text().replace("Infinity", "1e999"))
         with pytest.raises(SchemaError, match=message):
             sim_config_from_file(path)
         assert cli_main(["simulate", "--config", path]) == 1
