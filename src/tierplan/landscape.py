@@ -292,18 +292,6 @@ def sample_strata(
     return np.clip(mu[strata] + sigma[strata] * rng.standard_normal(len(strata)), 0.0, 1.0)
 
 
-def sample_case(
-    landscape: GroundTruthLandscape,
-    plan: PlanPoint,
-    stratum_id: int,
-    rng: np.random.Generator,
-) -> float:
-    """One accuracy observation from a stratum, clipped to [0, 1]."""
-    if not (0 <= stratum_id < landscape.k_true):
-        raise ValueError(f"unknown stratum {stratum_id} (have {landscape.k_true})")
-    return float(sample_strata(landscape, plan.configuration, np.array([stratum_id]), rng)[0])
-
-
 def true_pareto_set(
     landscape: GroundTruthLandscape,
     topology: TierTopology,

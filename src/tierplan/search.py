@@ -114,17 +114,6 @@ class GaussianProcess:
         var = np.maximum(1.0 - np.sum(v * v, axis=0), self.noise)
         return mu, self._y_std * np.sqrt(var)
 
-    def row_means(self, xq: np.ndarray) -> np.ndarray:
-        """Predictive mean at each row of ``xq``, bitwise what a one-row
-        :meth:`predict` gives for that row when rows are 0/1 encoded (their
-        squared distances are exact). A batched :meth:`predict` may differ in
-        the last bit: BLAS sums a matrix-vector product in another order than
-        a dot product."""
-        if self._x is None:
-            return np.zeros(len(xq))
-        kq = self._kernel(xq, self._x)
-        return self._y_mean + self._y_std * np.array([row @ self._alpha for row in kq])
-
 
 def encode_pool(plans: Sequence[PlanPoint], pipeline: PipelineSpec, num_tiers: int) -> tuple[np.ndarray, np.ndarray]:
     """Accuracy-model and latency-model input rows, one per plan: a one-hot
@@ -163,6 +152,16 @@ def search_pool(pipeline: PipelineSpec, topology: TierTopology) -> tuple[tuple[P
     return cached
 
 
+class PoolPredictions(NamedTuple):
+    """Accuracy and latency predictive means and stds over pool rows, as
+    :meth:`SurrogatePair.predict` returns them."""
+
+    mu_a: np.ndarray
+    sd_a: np.ndarray
+    mu_l: np.ndarray
+    sd_l: np.ndarray
+
+
 @dataclass(eq=False)
 class SurrogatePair:
     """Accuracy and latency regressors over one search pool, plus this
@@ -186,11 +185,9 @@ class SurrogatePair:
     def n_obs(self) -> int:
         return len(self.obs_idx)
 
-    def predict(self, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(mu_a, sd_a, mu_l, sd_l) at the pool rows ``idx`` (an index array or a slice)."""
-        mu_a, sd_a = self.f_a.predict(self.pool_xa[idx])
-        mu_l, sd_l = self.f_l.predict(self.pool_xl[idx])
-        return mu_a, sd_a, mu_l, sd_l
+    def predict(self, idx) -> PoolPredictions:
+        """Predictions at the pool rows ``idx`` (an index array or a slice)."""
+        return PoolPredictions(*self.f_a.predict(self.pool_xa[idx]), *self.f_l.predict(self.pool_xl[idx]))
 
     def own_gap(self) -> float:
         """Trailing-window mean prediction gap; infinite before any data."""
@@ -204,11 +201,8 @@ class SurrogatePair:
             self.gap_window.pop(0)
 
     def fit_new_point(self, idx: int, accuracy: float, latency_s: float) -> None:
-        """Refit on one more observation, of pool plan ``idx``."""
-        # an exact repeat of a known observation leaves the fit unchanged
-        known = zip(self.obs_idx, self.obs_y_a, self.obs_y_l)
-        if any(i == idx and a == accuracy and l == latency_s for i, a, l in known):
-            return
+        """Refit on one more observation, of pool plan ``idx``. A repeated
+        observation is one more row; K + noise*I stays positive definite."""
         self.obs_idx.append(idx)
         self.obs_y_a.append(accuracy)
         self.obs_y_l.append(latency_s)
@@ -236,20 +230,6 @@ class SurrogatePair:
         return pair
 
 
-class PoolPredictions(NamedTuple):
-    """A finished session's predictions over its search pool: one batched
-    :meth:`SurrogatePair.predict`, which votes score, and each row's own
-    accuracy and latency means (:meth:`GaussianProcess.row_means`), which
-    gap updates read, as a one-row predict at the profiled plan would."""
-
-    mu_a: np.ndarray
-    sd_a: np.ndarray
-    mu_l: np.ndarray
-    sd_l: np.ndarray
-    row_mu_a: np.ndarray
-    row_mu_l: np.ndarray
-
-
 @dataclass
 class HistoryEntry:
     predicted: PoolPredictions
@@ -267,11 +247,11 @@ class HistoryStore:
     """Ring of completed sessions' predictions over their search pools.
 
     A finished session's pair is never refit, and later sessions read only
-    its predictions, so the store keeps each pair's :func:`pool_key` and
-    :class:`PoolPredictions`, computed once at push, and not the pair. It
-    only grows at session completion (under exclusive access); per-query
-    gap accounting lives in a :class:`HistorySession` snapshot so
-    concurrent sessions never share mutable state.
+    its predictions, so the store keeps each pair's :func:`pool_key` and its
+    :meth:`SurrogatePair.predict` over the whole pool, computed once at push,
+    and not the pair. It only grows at session completion (under exclusive
+    access); per-query gap accounting lives in a :class:`HistorySession`
+    snapshot so concurrent sessions never share mutable state.
     """
 
     def __init__(self):
@@ -280,12 +260,7 @@ class HistoryStore:
     def push(self, pair: SurrogatePair) -> None:
         """Store a completed session's pool predictions, evicting the oldest
         beyond ``HISTORY_CAPACITY``."""
-        predicted = PoolPredictions(
-            *pair.predict(slice(None)),
-            pair.f_a.row_means(pair.pool_xa),
-            pair.f_l.row_means(pair.pool_xl),
-        )
-        self.predictions.append((pair.pool_key, predicted))
+        self.predictions.append((pair.pool_key, pair.predict(slice(None))))
         if len(self.predictions) > HISTORY_CAPACITY:
             self.predictions.pop(0)
 
@@ -301,9 +276,10 @@ class HistoryStore:
 
 class HistorySession:
     """One query's view of the history: cumulative prediction gap of every
-    stored model against this query's profiled observations. Gap updates
-    look observations up in each entry's :class:`PoolPredictions`; votes
-    score them once per session against its SLOs."""
+    stored model against this query's profiled observations. Gap updates and
+    votes read the same :class:`PoolPredictions` of each entry: a gap looks up
+    the means at the profiled row, and votes score the whole pool once per
+    session against this query's SLOs."""
 
     def __init__(self, entries: list[HistoryEntry], a_slo: float, l_slo: float):
         self.entries = entries
@@ -317,11 +293,11 @@ class HistorySession:
     def best_gap(self) -> float:
         return min((e.gap for e in self.entries), default=math.inf)
 
-    def update_gaps(self, idx: int, accuracy: float, latency_s: float, l_slo: float) -> None:
+    def update_gaps(self, idx: int, accuracy: float, latency_s: float) -> None:
         """Add every entry's gap at the profiled pool index ``idx``."""
         for e in self.entries:
             p = e.predicted
-            e.gap_sum += prediction_gap(float(p.row_mu_a[idx]), float(p.row_mu_l[idx]), accuracy, latency_s, l_slo)
+            e.gap_sum += prediction_gap(float(p.mu_a[idx]), float(p.mu_l[idx]), accuracy, latency_s, self.l_slo)
             e.gap_n += 1
 
     def _entry_pool_scores(self, e: HistoryEntry) -> tuple[np.ndarray, np.ndarray]:
@@ -438,7 +414,7 @@ def update(
             prediction_gap(float(mu_a[0]), float(mu_l[0]), accuracy, measured_latency_s, l_slo)
         )
     if history is not None:
-        history.update_gaps(idx, accuracy, measured_latency_s, l_slo)
+        history.update_gaps(idx, accuracy, measured_latency_s)
     surrogates.fit_new_point(idx, accuracy, measured_latency_s)
 
 

@@ -11,7 +11,7 @@ from tierplan.landscape import (
     generate_landscape,
     generate_trace,
     quality_latency_frontier,
-    sample_case,
+    sample_strata,
     true_pareto_set,
 )
 from tierplan.latency import pipeline_latency, plan_hourly_cost
@@ -27,6 +27,7 @@ from tierplan.model import (
     TierTopology,
     enumerate_plan_space,
 )
+from tierplan.profiler import NullCache, profile_plan_fixed_n
 
 
 def all_configs(pipeline):
@@ -101,49 +102,40 @@ class TestGeneration:
             assert land.stratum_mean(k, c) == mu  # the original is untouched
 
 class TestSampleCase:
+    """Case draws of ``sample_strata``: one per entry of an array of stratum ids."""
+
     def test_zero_variance_draws_equal_mean(self, vt_pipeline):
         land = generate_landscape(seed=2, pipeline=vt_pipeline, noise_scale=0.0)
-        plan = PlanPoint((1, 1, 1), (0, 0, 0), (1.0, 1.0, 1.0))
-        rng = np.random.default_rng(0)
-        mu = land.stratum_mean(0, plan.configuration)
-        assert all(sample_case(land, plan, 0, rng) == mu for _ in range(20))
+        cfg = (1, 1, 1)
+        draws = sample_strata(land, cfg, np.zeros(20, dtype=int), np.random.default_rng(0))
+        assert draws.shape == (20,) and np.all(draws == land.stratum_mean(0, cfg))
 
     def test_clt_bound_on_sample_mean(self, vt_landscape):
-        plan = PlanPoint((2, 1, 0), (0, 1, 2), (1.0, 1.0, 1.0))
-        rng = np.random.default_rng(3)
+        cfg = (2, 1, 0)
         n = 100_000
-        mu = vt_landscape.stratum_mean(1, plan.configuration)
+        mu = vt_landscape.stratum_mean(1, cfg)
         sigma = vt_landscape.stratum_sigma[1]
-        draws = [sample_case(vt_landscape, plan, 1, rng) for _ in range(n)]
+        draws = sample_strata(vt_landscape, cfg, np.ones(n, dtype=int), np.random.default_rng(3))
         assert abs(np.mean(draws) - mu) <= 3 * sigma / np.sqrt(n)
 
     def test_weighted_mixture_mean(self, vt_landscape):
         # Strategy-B style simulation: draw n*p_k cases from each stratum
-        plan = PlanPoint((0, 2, 3), (0, 0, 1), (1.0, 1.0, 1.0))
-        rng = np.random.default_rng(7)
+        cfg = (0, 2, 3)
         n = 40_000
-        total = 0.0
-        for k, p in enumerate(vt_landscape.stratum_weights):
-            for _ in range(int(round(n * p))):
-                total += sample_case(vt_landscape, plan, k, rng)
-        expected = sum(
-            p * vt_landscape.stratum_mean(k, plan.configuration)
-            for k, p in enumerate(vt_landscape.stratum_weights)
-        )
+        counts = [int(round(n * p)) for p in vt_landscape.stratum_weights]
+        strata = np.repeat(np.arange(vt_landscape.k_true), counts)
+        total = float(sample_strata(vt_landscape, cfg, strata, np.random.default_rng(7)).sum())
+        expected = sum(p * vt_landscape.stratum_mean(k, cfg) for k, p in enumerate(vt_landscape.stratum_weights))
         assert abs(total / n - expected) < 0.002
-
-    def test_unknown_stratum_rejected(self, vt_landscape):
-        plan = PlanPoint((0, 0, 0), (0, 0, 0), (1.0, 1.0, 1.0))
-        with pytest.raises(ValueError, match="stratum"):
-            sample_case(vt_landscape, plan, vt_landscape.k_true, np.random.default_rng(0))
 
     def test_accuracy_invariant_to_placement_and_resources(self, vt_landscape):
         cfg = (1, 3, 2)
         a = PlanPoint(cfg, (0, 0, 0), (1.0, 1.0, 1.0))
         b = PlanPoint(cfg, (0, 1, 2), (0.125, 0.25, 0.5))
-        da = [sample_case(vt_landscape, a, 2, np.random.default_rng(42)) for _ in range(5)]
-        db = [sample_case(vt_landscape, b, 2, np.random.default_rng(42)) for _ in range(5)]
-        assert da == db  # bitwise identical draw streams
+        # a plan's accuracy draws go through its configuration only
+        da = [profile_plan_fixed_n(a, vt_landscape, 60, NullCache(), 0.5, np.random.default_rng(s)) for s in range(5)]
+        db = [profile_plan_fixed_n(b, vt_landscape, 60, NullCache(), 0.5, np.random.default_rng(s)) for s in range(5)]
+        assert [o.accuracy_estimate for o in da] == [o.accuracy_estimate for o in db]  # bitwise identical
 
 
 class TestTruePareto:

@@ -21,7 +21,9 @@ from tierplan.model import (
 )
 from tierplan.presets import DEFAULT_SPEED_FACTORS, wide_search_pipeline
 from tierplan.search import (
+    GAP_WINDOW_LEN,
     HISTORY_CAPACITY,
+    HISTORY_TOP_K,
     GaussianProcess,
     HistoryStore,
     SurrogatePair,
@@ -66,20 +68,19 @@ class TestGaussianProcess:
         # predictive std shrinks to the noise level at observed points
         assert np.all(sd <= np.sqrt(gp.noise) * np.std(y - y.mean()) * 5 + 0.05)
 
-    def test_duplicate_refit_is_idempotent(self):
+    def test_repeated_observation_is_one_more_row(self):
         pipe, topo, _land = two_op_setup()
         pair = new_pair(pipe, topo)
         pair.fit_new_point(0, 0.9, 0.2)
         pair.fit_new_point(4, 0.7, 0.4)
-        mu_before = pair.predict(slice(8))
         pair.fit_new_point(0, 0.9, 0.2)  # exact repeat
-        mu_after = pair.predict(slice(8))
-        assert pair.n_obs == 2
-        for a, b in zip(mu_before, mu_after):
-            assert np.allclose(a, b, atol=1e-6)
-        # the same plan with another target is a new observation
+        assert pair.n_obs == 3
+        predicted = pair.predict(slice(None))
+        assert all(np.all(np.isfinite(v)) for v in predicted)
+        assert abs(float(predicted.mu_a[0]) - 0.9) <= 1e-3
+        # the same plan with another target is a new observation too
         pair.fit_new_point(0, 0.8, 0.2)
-        assert pair.obs_idx == [0, 4, 0] and pair.obs_y_a == [0.9, 0.7, 0.8]
+        assert pair.obs_idx == [0, 4, 0, 0] and pair.obs_y_a == [0.9, 0.7, 0.9, 0.8]
 
     def test_observations_are_pool_indices_and_the_store_keeps_no_model(self):
         pipe, topo, _land = two_op_setup()
@@ -418,10 +419,10 @@ class TestHistoryPoolPredictions:
             store.push(pair)
         for i in idx:
             session = store.session(key, 0.8, 0.5)
-            session.update_gaps(int(i), 0.83, 0.21, 0.5)
+            session.update_gaps(int(i), 0.83, 0.21)
             for pair, e in zip(pairs, session.entries, strict=True):
-                mu_a, _, mu_l, _ = pair.predict([i])
-                assert e.gap_sum == prediction_gap(float(mu_a[0]), float(mu_l[0]), 0.83, 0.21, 0.5)
+                p = pair.predict(slice(None))
+                assert e.gap_sum == prediction_gap(float(p.mu_a[i]), float(p.mu_l[i]), 0.83, 0.21, 0.5)
         for pair, e in zip(pairs, session.entries, strict=True):
             scores, costs = session._entry_pool_scores(e)
             want_scores, want_costs = acquisition(*pair.predict(slice(None)), 0.8, 0.5)
@@ -434,33 +435,27 @@ class TestHistoryPoolPredictions:
         rng = np.random.default_rng(9)
         pairs = [fitted_pair(pipe, topo, rng, n_obs) for n_obs in (3, 6, 10)]
         calls = []
+        predict = GaussianProcess.predict
 
-        def counting(name):
-            method = getattr(GaussianProcess, name)
+        def counted(self, xq):
+            calls.append((self, len(np.atleast_2d(xq))))
+            return predict(self, xq)
 
-            def counted(self, xq):
-                calls.append((name, self, len(np.atleast_2d(xq))))
-                return method(self, xq)
-
-            return counted
-
-        for name in ("predict", "row_means"):
-            monkeypatch.setattr(GaussianProcess, name, counting(name))
+        monkeypatch.setattr(GaussianProcess, "predict", counted)
         store = HistoryStore()
         for pair in pairs:
             store.push(pair)
-        # at push: each model runs predict and row_means once, over the whole pool
+        # at push: each model predicts once, over the whole pool
         models = sorted(id(gp) for pair in pairs for gp in (pair.f_a, pair.f_l))
-        for name in ("predict", "row_means"):
-            assert sorted(id(gp) for n, gp, _ in calls if n == name) == models
-        assert all(rows == len(pool) for _, _, rows in calls)
+        assert sorted(id(gp) for gp, _ in calls) == models
+        assert all(rows == len(pool) for _, rows in calls)
         # after push: gap updates and votes only read those predictions
         calls.clear()
         for a_slo in (0.8, 0.6):
             session = store.session(key, a_slo, 0.5)
             session.vote_indices(idx)
             for i in (4, 11, 0):
-                session.update_gaps(i, 0.8, 0.2, 0.5)
+                session.update_gaps(i, 0.8, 0.2)
                 session.vote_indices(idx[idx != i])
         assert calls == []
 
@@ -478,7 +473,50 @@ class TestHistoryPoolPredictions:
         session = store.session(key, 0.8, 0.5)
         for pair, e in zip(pairs[2:], session.entries, strict=True):
             assert np.array_equal(e.predicted.mu_a, pair.predict(slice(None))[0])
-            assert np.array_equal(e.predicted.row_mu_l, pair.f_l.row_means(pair.pool_xl))
+            assert np.array_equal(e.predicted.mu_l, pair.predict(slice(None)).mu_l)
+
+
+class TestHistoryWeights:
+    """Which stored models vote, and with what weight."""
+
+    def _session(self, n_entries):
+        pipe, topo, _land = two_op_setup()
+        rng = np.random.default_rng(11)
+        store = HistoryStore()
+        for n_obs in range(1, n_entries + 1):
+            store.push(fitted_pair(pipe, topo, rng, n_obs))
+        _pool, idx, _xa, _xl = encoded_pool(pipe, topo)
+        return store.session(pool_key(pipe, topo.num_tiers), 0.8, 0.5), idx
+
+    def test_before_any_gap_the_first_entries_vote_uniformly(self):
+        session, idx = self._session(HISTORY_TOP_K + 2)
+        assert all(e.gap == math.inf for e in session.entries)
+        assert session.best_gap() == math.inf
+        assert [id(e) for e in session.top_k()] == [id(e) for e in session.entries[:HISTORY_TOP_K]]
+        combined, costs = session.vote_indices(idx)
+        voters = [session._entry_pool_scores(e) for e in session.entries[:HISTORY_TOP_K]]
+        assert np.allclose(combined, np.mean([scores for scores, _ in voters], axis=0), rtol=1e-12, atol=0)
+        assert np.allclose(costs, np.mean([c for _, c in voters], axis=0), rtol=1e-12, atol=0)
+
+    def test_top_k_keeps_the_smallest_gaps_ties_to_the_lower_index(self):
+        session, _idx = self._session(HISTORY_TOP_K + 2)
+        gaps = [0.5, 0.1, 0.3, 0.1, math.inf, 0.2, 0.1, 0.4, math.inf, 0.6, 0.3, 0.7]
+        for e, gap in zip(session.entries, gaps, strict=True):
+            if math.isfinite(gap):
+                e.gap_sum, e.gap_n = gap, 1
+        want = [1, 3, 6, 5, 2, 10, 7, 0, 9, 11]
+        assert [id(e) for e in session.top_k()] == [id(session.entries[i]) for i in want]
+        assert session.best_gap() == 0.1
+
+    def test_own_gap_is_the_mean_of_the_trailing_window(self):
+        pipe, topo, _land = two_op_setup()
+        pair = new_pair(pipe, topo)
+        assert pair.own_gap() == math.inf
+        gaps = [0.3, 0.1, 0.7, 0.2, 0.9, 0.4, 0.05]
+        for n, gap in enumerate(gaps, start=1):
+            pair.record_gap(gap)
+            assert pair.own_gap() == pytest.approx(np.mean(gaps[max(0, n - GAP_WINDOW_LEN) : n]), rel=1e-15)
+        assert len(pair.gap_window) == GAP_WINDOW_LEN
 
 
 class TestSearchPool:
