@@ -48,7 +48,6 @@ def _add_plan_parser(sub) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--difficulty", default="rugged")
     p.add_argument("--noise-scale", type=float, default=0.05)
-    p.add_argument("--no-warm-start", action="store_true")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--profiler", choices=["guided", "fixed"], default="guided")
     p.add_argument("--fixed-n", type=int, default=356)
@@ -79,7 +78,6 @@ def _cmd_plan(args) -> int:
         profiling_budget_gpuh=args.budget_gpuh,
     )
     config = SearchConfig(
-        use_history=not args.no_warm_start,
         use_cache=not args.no_cache,
         profiler_mode=args.profiler,
         fixed_n=args.fixed_n,
@@ -123,11 +121,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = simmod.sim_config_from_file(args.config)
     names = [v.strip() for v in args.variants.split(",") if v.strip()]
     unknown = [n for n in names if n not in ABLATION_PRESETS]
-    if unknown:
-        raise SchemaError(f"unknown variants {unknown}; have {sorted(ABLATION_PRESETS)}")
+    if unknown or not names:
+        raise SchemaError(f"unknown or no variants {unknown}; have {sorted(ABLATION_PRESETS)}")
+    config = simmod.sim_config_from_file(args.config)
     result = simmod.compare(config, {n: ABLATION_PRESETS[n] for n in names})
     if args.output:
         simmod.write_compare_csv(result["rows"], args.output)

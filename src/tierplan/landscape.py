@@ -33,6 +33,7 @@ from .model import (
     SpaceTooLargeError,
     TierTopology,
     _known_keys,
+    _typed,
     enumerate_plan_space,
     enumerate_search_pool,
     pareto_filter,
@@ -143,7 +144,6 @@ def generate_landscape(
     difficulty: str | float = "rugged",
     k_true: int = 4,
     noise_scale: float = 0.05,
-    equal_weights: bool = True,
     tier_speed_factors: Sequence[float] | None = None,
     num_tiers: int = 3,
     parent: GroundTruthLandscape | None = None,
@@ -184,10 +184,7 @@ def generate_landscape(
         weights = np.array(parent.stratum_weights)
         sigmas = np.array(parent.stratum_sigma)
     else:
-        if equal_weights:
-            weights = np.full(k_true, 1.0 / k_true)
-        else:
-            weights = rng.dirichlet(np.full(k_true, 4.0))
+        weights = np.full(k_true, 1.0 / k_true)
         base = rng.uniform(-0.3, 0.3, size=k_true)
         mono_w = rng.uniform(0.9, 1.8, size=m) / m
         sigmas = noise_scale * rng.uniform(0.6, 1.4, size=k_true)
@@ -369,8 +366,8 @@ class TraceEntry:
             raise ValueError(f"a_slo must be in (0, 1], got {self.a_slo}")
         if not self.l_slo > 0:
             raise ValueError(f"l_slo must be > 0, got {self.l_slo}")
-        if not self.lifespan > 0:
-            raise ValueError(f"lifespan must be > 0, got {self.lifespan}")
+        if not (math.isfinite(self.lifespan) and self.lifespan > 0):
+            raise ValueError(f"lifespan must be finite and > 0, got {self.lifespan}")
         if not self.weight > 0:
             raise ValueError(f"weight must be > 0, got {self.weight}")
 
@@ -391,20 +388,13 @@ class ArrivalTrace:
         if obj.get("schema_version") != SCHEMA_VERSION:
             raise SchemaError(f"{where}: missing or unsupported schema_version")
         try:
-            for i, entry in enumerate(obj["entries"]):
-                _known_keys(entry, _ENTRY_KEYS, f"{where}#entries[{i}]")
-            entries = tuple(
-                TraceEntry(
-                    arrival_time=float(e["arrival_time"]),
-                    template=str(e["template"]),
-                    a_slo=float(e["a_slo"]),
-                    l_slo=float(e["l_slo"]),
-                    lifespan=float(e["lifespan"]),
-                    weight=float(e.get("weight", 1.0)),
-                )
-                for e in obj["entries"]
-            )
-            return ArrivalTrace(entries=entries, generator_params=dict(obj.get("generator", {})))
+            entries = []
+            for i, e in enumerate(obj["entries"]):
+                at = f"{where}#entries[{i}]"
+                _known_keys(e, _ENTRY_KEYS, at)
+                numbers = {key: _typed(value, key, float, at) for key, value in e.items() if key != "template"}
+                entries.append(TraceEntry(template=str(e["template"]), **numbers))
+            return ArrivalTrace(entries=tuple(entries), generator_params=dict(obj.get("generator", {})))
         except SchemaError:
             raise
         except (KeyError, TypeError, ValueError) as e:

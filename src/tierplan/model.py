@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations_with_replacement, product
-from math import comb
+from math import comb, isfinite
 from typing import Iterator, Sequence
 
 SCHEMA_VERSION = 1
@@ -233,12 +233,15 @@ class Query:
     def __post_init__(self) -> None:
         if not (0 < self.a_slo <= 1):
             raise ValueError(f"query {self.id}: a_slo must be in (0, 1]")
-        if self.l_slo <= 0:
-            raise ValueError(f"query {self.id}: l_slo must be > 0")
+        if not self.l_slo > 0:
+            raise ValueError(f"query {self.id}: l_slo must be > 0, got {self.l_slo}")
         if (self.response_budget_s is None) == (self.profiling_budget_gpuh is None):
             raise ValueError(f"query {self.id}: exactly one budget form must be set")
-        if self.weight <= 0:
-            raise ValueError(f"query {self.id}: weight must be > 0")
+        budget = self.profiling_budget_gpuh if self.response_budget_s is None else self.response_budget_s
+        if not (isfinite(budget) and budget >= 0):
+            raise ValueError(f"query {self.id}: the budget must be finite and >= 0, got {budget}")
+        if not self.weight > 0:
+            raise ValueError(f"query {self.id}: weight must be > 0, got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -354,22 +357,45 @@ def _known_keys(obj, keys, where: str) -> None:
         raise SchemaError(f"{where}: unknown keys {unknown}; allowed {sorted(keys)}")
 
 
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string", list: "a list"}
+
+
+def _typed(value, key: str, kind: type, where: str):
+    """``value``, which must be a JSON boolean (``kind`` bool), integer (int:
+    no float, no boolean), number (float: an integer or a float, no boolean,
+    returned as a float), string (str) or array (list); anything else raises
+    SchemaError."""
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise SchemaError(f"{where}: {key} must be {_JSON_TYPES[kind]}, got {value!r}")
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError as e:
+        raise SchemaError(f"{where}: {key} is out of range: {e}") from e
+
+
 def pipeline_from_dict(obj: dict, where: str = "<pipeline>") -> PipelineSpec:
     _check_version(obj, where)
     try:
         ops = tuple(
             OperatorSpec(
-                id=o["id"],
-                knob_domain=tuple(o["knob_domain"]),
-                is_batching=bool(o.get("is_batching", False)),
-                base_output_size=float(o.get("base_output_size", 1_000_000.0)),
+                id=_typed(o["id"], "id", int, where),
+                knob_domain=tuple(_typed(o["knob_domain"], "knob_domain", list, where)),
+                is_batching=_typed(o.get("is_batching", False), "is_batching", bool, where),
+                base_output_size=_typed(o.get("base_output_size", 1_000_000.0), "base_output_size", float, where),
             )
             for o in obj["operators"]
         )
-        edges = tuple((int(u), int(v)) for u, v in obj.get("edges", []))
+        edges = tuple((_typed(u, "edges", int, where), _typed(v, "edges", int, where)) for u, v in obj.get("edges", []))
         return PipelineSpec(
-            name=obj["name"], operators=ops, edges=edges, input_bytes=float(obj.get("input_bytes", 0.0))
+            name=obj["name"],
+            operators=ops,
+            edges=edges,
+            input_bytes=_typed(obj.get("input_bytes", 0.0), "input_bytes", float, where),
         )
+    except SchemaError:
+        raise
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"{where}: invalid pipeline: {e}") from e
 
@@ -380,15 +406,17 @@ def topology_from_dict(obj: dict, where: str = "<topology>") -> TierTopology:
         tiers = tuple(
             Tier(
                 name=t["name"],
-                machine_count=int(t["machine_count"]),
-                capacity=float(t["capacity"]),
-                unit_cost=float(t["unit_cost"]),
+                machine_count=_typed(t["machine_count"], "machine_count", int, where),
+                capacity=_typed(t["capacity"], "capacity", float, where),
+                unit_cost=_typed(t["unit_cost"], "unit_cost", float, where),
             )
             for t in obj["tiers"]
         )
-        bw = tuple(tuple(float(x) for x in row) for row in obj["bandwidth_mbps"])
-        lat = tuple(tuple(float(x) for x in row) for row in obj["link_latency_s"])
+        bw = tuple(tuple(_typed(x, "bandwidth_mbps", float, where) for x in row) for row in obj["bandwidth_mbps"])
+        lat = tuple(tuple(_typed(x, "link_latency_s", float, where) for x in row) for row in obj["link_latency_s"])
         return TierTopology(tiers=tiers, bandwidth_mbps=bw, link_latency_s=lat)
+    except SchemaError:
+        raise
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"{where}: invalid topology: {e}") from e
 

@@ -172,10 +172,10 @@ def greedy_goodput(
 
     The primary pass ranks all plans across queries by descending w/cr
     (ties toward lower monetary cost, then earlier arrival). A fallback
-    pass ranked by raw weight runs on the same starting state, and the
-    heavier resulting allocation wins: ratio order alone can strand a
-    heavyweight query at small instance sizes. Pass an existing ``state``
-    to admit incrementally against current residual capacities;
+    pass ranks them by raw weight. Each pass runs on its own copy of the
+    starting state and the heavier allocation is adopted: ratio order alone
+    can strand a heavyweight query at small instance sizes. Pass an existing
+    ``state`` to admit incrementally against current residual capacities;
     unplaceable plans are skipped.
     """
     st = state if state is not None else DeploymentState.fresh(topology)
@@ -194,8 +194,8 @@ def greedy_goodput(
     gain_ratio = sum(a.scored.weight for a in _admission_pass(ratio_order, trial_ratio))
     trial_weight = st.copy()
     gain_weight = sum(a.scored.weight for a in _admission_pass(weight_order, trial_weight))
-    winner = ratio_order if gain_ratio >= gain_weight else weight_order
-    _admission_pass(winner, st)
+    winner = trial_ratio if gain_ratio >= gain_weight else trial_weight
+    st.residual, st.assignments = winner.residual, winner.assignments
     return st
 
 

@@ -164,12 +164,12 @@ class PoolPredictions(NamedTuple):
 
 @dataclass(eq=False)
 class SurrogatePair:
-    """Accuracy and latency regressors over one search pool, plus this
-    session's prediction-gap window. ``pool_xa`` and ``pool_xl`` are the
-    pool's encoded rows (those of :func:`search_pool`, shared read-only) and
-    observations are indices into them. The accuracy model never sees
-    placement or resources; the latency model never sees resources (search
-    is over-provisioned). Pairs compare and hash by identity."""
+    """Accuracy and latency regressors over one search pool and their
+    observations. ``pool_xa`` and ``pool_xl`` are the pool's encoded rows
+    (those of :func:`search_pool`, shared read-only) and observations are
+    indices into them. The accuracy model never sees placement or
+    resources; the latency model never sees resources (search is
+    over-provisioned). Pairs compare and hash by identity."""
 
     pool_key: tuple
     pool_xa: np.ndarray
@@ -179,7 +179,6 @@ class SurrogatePair:
     obs_idx: list = field(default_factory=list)
     obs_y_a: list = field(default_factory=list)
     obs_y_l: list = field(default_factory=list)
-    gap_window: list = field(default_factory=list)
 
     @property
     def n_obs(self) -> int:
@@ -188,17 +187,6 @@ class SurrogatePair:
     def predict(self, idx) -> PoolPredictions:
         """Predictions at the pool rows ``idx`` (an index array or a slice)."""
         return PoolPredictions(*self.f_a.predict(self.pool_xa[idx]), *self.f_l.predict(self.pool_xl[idx]))
-
-    def own_gap(self) -> float:
-        """Trailing-window mean prediction gap; infinite before any data."""
-        if not self.gap_window:
-            return math.inf
-        return float(np.mean(self.gap_window))
-
-    def record_gap(self, gap: float) -> None:
-        self.gap_window.append(gap)
-        if len(self.gap_window) > GAP_WINDOW_LEN:
-            self.gap_window.pop(0)
 
     def fit_new_point(self, idx: int, accuracy: float, latency_s: float) -> None:
         """Refit on one more observation, of pool plan ``idx``. A repeated
@@ -230,29 +218,14 @@ class SurrogatePair:
         return pair
 
 
-@dataclass
-class HistoryEntry:
-    predicted: PoolPredictions
-    gap_sum: float = 0.0
-    gap_n: int = 0
-    pool_scores: np.ndarray | None = None
-    pool_costs: np.ndarray | None = None
-
-    @property
-    def gap(self) -> float:
-        return self.gap_sum / self.gap_n if self.gap_n else math.inf
-
-
 class HistoryStore:
     """Ring of completed sessions' predictions over their search pools.
 
-    A finished session's pair is never refit, and later sessions read only
+    A finished session's pair is never refit and later sessions read only
     its predictions, so the store keeps each pair's :func:`pool_key` and its
-    :meth:`SurrogatePair.predict` over the whole pool, computed once at push,
-    and not the pair. It only grows at session completion (under exclusive
-    access); per-query gap accounting lives in a :class:`HistorySession`
-    snapshot so concurrent sessions never share mutable state.
-    """
+    :meth:`SurrogatePair.predict` over the whole pool (computed once, at
+    push), not the pair. Gaps live in each query's :class:`HistorySession`
+    snapshot, so concurrent sessions never share mutable state."""
 
     def __init__(self):
         self.predictions: list[tuple[tuple, PoolPredictions]] = []
@@ -265,74 +238,90 @@ class HistoryStore:
             self.predictions.pop(0)
 
     def session(self, key: tuple, a_slo: float, l_slo: float) -> "HistorySession":
-        """Snapshot the entries whose pool has :func:`pool_key` ``key``,
-        ready to vote on that pool against the SLOs."""
-        entries = [HistoryEntry(predicted) for k, predicted in self.predictions if k == key]
-        return HistorySession(entries, a_slo, l_slo)
+        """Snapshot the stored predictions whose pool has :func:`pool_key`
+        ``key``, ready to vote on that pool against the SLOs."""
+        return HistorySession([predicted for k, predicted in self.predictions if k == key], a_slo, l_slo)
 
     def __len__(self) -> int:
         return len(self.predictions)
 
 
 class HistorySession:
-    """One query's view of the history: cumulative prediction gap of every
-    stored model against this query's profiled observations. Gap updates and
-    votes read the same :class:`PoolPredictions` of each entry: a gap looks up
-    the means at the profiled row, and votes score the whole pool once per
-    session against this query's SLOs."""
+    """One query's view of the history, and the owner of every prediction
+    gap: ``gap_sum[i]`` is stored model ``i``'s cumulative gap over the
+    ``gap_n`` profiled observations (each update adds to every model), and
+    ``own_window`` holds the session's own model's last ``GAP_WINDOW_LEN``
+    gaps. Gaps and votes read the same :class:`PoolPredictions`: a gap looks
+    up the means at the profiled row, and votes score the whole pool once
+    per session against this query's SLOs."""
 
-    def __init__(self, entries: list[HistoryEntry], a_slo: float, l_slo: float):
-        self.entries = entries
+    def __init__(self, predicted: list[PoolPredictions], a_slo: float, l_slo: float):
+        self.predicted = predicted
         self.a_slo = a_slo
         self.l_slo = l_slo
+        self.gap_sum = np.zeros(len(predicted))
+        self.gap_n = 0
+        self.own_window: list[float] = []
+        self._pool_scores: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def top_k(self) -> list[HistoryEntry]:
-        order = sorted(range(len(self.entries)), key=lambda i: (self.entries[i].gap, i))
-        return [self.entries[i] for i in order[:HISTORY_TOP_K]]
+    def gaps(self) -> np.ndarray:
+        """Mean gap of each stored model; infinite before any observation."""
+        return self.gap_sum / self.gap_n if self.gap_n else np.full(len(self.predicted), math.inf)
 
-    def best_gap(self) -> float:
-        return min((e.gap for e in self.entries), default=math.inf)
+    def top_k(self) -> np.ndarray:
+        """Indices of the ``HISTORY_TOP_K`` smallest gaps, ties to the lower index."""
+        return np.argsort(self.gaps(), kind="stable")[:HISTORY_TOP_K]
 
-    def update_gaps(self, idx: int, accuracy: float, latency_s: float) -> None:
-        """Add every entry's gap at the profiled pool index ``idx``."""
-        for e in self.entries:
-            p = e.predicted
-            e.gap_sum += prediction_gap(float(p.mu_a[idx]), float(p.mu_l[idx]), accuracy, latency_s, self.l_slo)
-            e.gap_n += 1
+    def votes(self) -> bool:
+        """Whether stored models vote: there are some, and the own model's
+        mean gap over its window does not beat the best of theirs."""
+        own = float(np.mean(self.own_window)) if self.own_window else math.inf
+        return len(self.predicted) > 0 and not (own < self.gaps().min())
 
-    def _entry_pool_scores(self, e: HistoryEntry) -> tuple[np.ndarray, np.ndarray]:
-        if e.pool_scores is None:
-            p = e.predicted
-            e.pool_scores, e.pool_costs = acquisition(p.mu_a, p.sd_a, p.mu_l, p.sd_l, self.a_slo, self.l_slo)
-        return e.pool_scores, e.pool_costs
+    def update_gaps(self, idx: int, accuracy: float, latency_s: float, surrogates: SurrogatePair) -> None:
+        """Add every gap at the profiled pool index ``idx``, before
+        ``surrogates`` (the session's own model) sees it. Without stored
+        models no gap is ever read, so nothing is predicted."""
+        if not self.predicted:
+            return
+        if surrogates.n_obs > 0:
+            mu_a, _, mu_l, _ = surrogates.predict([idx])
+            gap = prediction_gap(mu_a[0], mu_l[0], accuracy, latency_s, self.l_slo)
+            self.own_window = [*self.own_window, gap][-GAP_WINDOW_LEN:]
+        mu_a = np.array([p.mu_a[idx] for p in self.predicted])
+        mu_l = np.array([p.mu_l[idx] for p in self.predicted])
+        self.gap_sum += prediction_gap(mu_a, mu_l, accuracy, latency_s, self.l_slo)
+        self.gap_n += 1
+
+    def pool_scores(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Stored model ``i``'s acquisition scores and costs over the pool."""
+        if i not in self._pool_scores:
+            self._pool_scores[i] = acquisition(*self.predicted[i], self.a_slo, self.l_slo)
+        return self._pool_scores[i]
 
     def vote_indices(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weighted-sum vote of the current top-K over pool indices ``idx``:
-        each model's acquisition scores and costs, weighted by 1/(gap + eps)."""
-        entries = self.top_k()
-        weights = _gap_weights(entries)
+        each model's acquisition scores and costs, weighted by 1/(gap + eps),
+        or uniformly before any gap."""
+        top = self.top_k()
+        raw = 1.0 / (self.gaps()[top] + GAP_EPS) if self.gap_n else np.ones(len(top))
+        weights = raw / raw.sum()
         combined = np.zeros(len(idx))
         cost_acc = np.zeros(len(idx))
-        for w, e in zip(weights, entries):
-            scores, costs = self._entry_pool_scores(e)
+        for w, i in zip(weights, top):
+            scores, costs = self.pool_scores(int(i))
             combined += w * scores[idx]
             cost_acc += w * costs[idx]
         return combined, cost_acc
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.predicted)
 
 
-def _gap_weights(entries: list[HistoryEntry]) -> np.ndarray:
-    raw = np.array([1.0 / (e.gap + GAP_EPS) if math.isfinite(e.gap) else 0.0 for e in entries])
-    if raw.sum() <= 0:
-        raw = np.ones(len(entries))
-    return raw / raw.sum()
-
-
-def prediction_gap(mu_a: float, mu_l: float, accuracy: float, latency_s: float, l_slo: float) -> float:
+def prediction_gap(mu_a, mu_l, accuracy: float, latency_s: float, l_slo: float):
     """Dimensionless gap between a model's predictions and one observation:
-    accuracy error plus latency error normalized by the latency SLO."""
+    accuracy error plus latency error normalized by the latency SLO. The
+    means may be arrays, one element per model."""
     return abs(mu_a - accuracy) + abs(mu_l - latency_s) / max(l_slo, 1e-9)
 
 
@@ -375,15 +364,15 @@ def propose(
     """Pool index (one of ``step_idx``) of the next plan to profile, plus the
     branch that chose it.
 
-    'history': the history session votes, until the session's own
-    prediction gap beats the best history gap. 'cold': a uniform pick while
+    'history': the history session's stored models vote, while
+    :meth:`HistorySession.votes` says so. 'cold': a uniform pick while
     the session has no observation. 'cmbo': argmax of the session model's
     acquisition over the pool rows ``step_idx``.
     Score ties go to the lowest predicted cost.
     """
     if len(step_idx) == 0:
         raise ValueError("propose called with an empty pool")
-    if history is not None and len(history) > 0 and not (surrogates.own_gap() < history.best_gap()):
+    if history is not None and history.votes():
         scores, costs = history.vote_indices(step_idx)
         branch = "history"
     elif surrogates.n_obs == 0:
@@ -400,21 +389,15 @@ def update(
     idx: int,
     outcome: ProfileOutcome,
     measured_latency_s: float,
-    l_slo: float,
 ) -> None:
-    """Fold one profiled observation of pool plan ``idx`` into the session
-    model and all gaps.
+    """Fold one profiled observation of pool plan ``idx`` into the history
+    session's gaps, then into the session model.
 
     Gaps compare predictions made before this observation was seen.
     """
     accuracy = outcome.accuracy_estimate
-    if surrogates.n_obs > 0:
-        mu_a, _, mu_l, _ = surrogates.predict([idx])
-        surrogates.record_gap(
-            prediction_gap(float(mu_a[0]), float(mu_l[0]), accuracy, measured_latency_s, l_slo)
-        )
     if history is not None:
-        history.update_gaps(idx, accuracy, measured_latency_s)
+        history.update_gaps(idx, accuracy, measured_latency_s, surrogates)
     surrogates.fit_new_point(idx, accuracy, measured_latency_s)
 
 
@@ -587,9 +570,9 @@ def single_query_search(
         surrogates = warm_pair.inflated_copy()
     else:
         raise ValueError("warm_pair was fit on another search pool")
-    hist = None
-    if cfg.use_history and history is not None:
-        hist = history.session(key, query.a_slo, query.l_slo)
+    if not cfg.use_history:
+        history = None
+    hist = None if history is None else history.session(key, query.a_slo, query.l_slo)
 
     time_s = 0.0
     gpu_s = 0.0
@@ -631,7 +614,7 @@ def single_query_search(
 
         timings = land.timings_for(plan.configuration)
         model_latency = latmod.pipeline_latency(plan, pipeline, topology, timings)
-        update(surrogates, hist, idx, outcome, model_latency, query.l_slo)
+        update(surrogates, hist, idx, outcome, model_latency)
 
         feasible = outcome.verdict == Verdict.PASS_ACCURACY and model_latency <= query.l_slo
         if feasible:

@@ -41,6 +41,7 @@ from .model import (
     SchemaError,
     TierTopology,
     _known_keys,
+    _typed,
     load_json_file,
     topology_from_dict,
 )
@@ -134,27 +135,14 @@ _ABLATION_KEYS = ("warm_start", "prefix_cache", "profiler", "fixed_n")
 _DRIFT_KEYS = ("time", "kind", "link", "factor", "template", "delta")
 
 
-_JSON_TYPES = {bool: "true or false", int: "an integer", str: "a string", list: "a list"}
-
-
-def _typed(obj: dict, key: str, default, kind: type, where: str):
-    """``obj[key]``, or ``default`` when absent, which must be a JSON
-    boolean (``kind`` bool), integer (int: no float, no boolean), string
-    (str) or array (list); anything else raises SchemaError."""
-    value = obj.get(key, default)
-    if type(value) is not kind:
-        raise SchemaError(f"{where}: {key} must be {_JSON_TYPES[kind]}, got {value!r}")
-    return value
-
-
 def search_config_from_ablations(ablations: dict, base: SearchConfig, where: str = "ablations") -> SearchConfig:
     """``base`` with the planner switches named in an ablation mapping
     (warm_start, prefix_cache, profiler, fixed_n) applied."""
     return SearchConfig(
-        use_history=_typed(ablations, "warm_start", base.use_history, bool, where),
-        use_cache=_typed(ablations, "prefix_cache", base.use_cache, bool, where),
+        use_history=_typed(ablations.get("warm_start", base.use_history), "warm_start", bool, where),
+        use_cache=_typed(ablations.get("prefix_cache", base.use_cache), "prefix_cache", bool, where),
         profiler_mode=ablations.get("profiler", base.profiler_mode),
-        fixed_n=_typed(ablations, "fixed_n", base.fixed_n, int, where),
+        fixed_n=_typed(ablations.get("fixed_n", base.fixed_n), "fixed_n", int, where),
     )
 
 
@@ -162,9 +150,9 @@ def sim_config_from_file(path: str) -> SimConfig:
     """Build a SimConfig from a JSON file; all validation happens here,
     before any simulation starts."""
     obj = load_json_file(path)
+    _known_keys(obj, _TOP_LEVEL_KEYS, path)
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(f"{path}: missing or unsupported schema_version")
-    _known_keys(obj, _TOP_LEVEL_KEYS, path)
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
@@ -177,30 +165,35 @@ def sim_config_from_file(path: str) -> SimConfig:
     else:
         topology = default_topology()
 
-    names = _typed(obj, "pipelines", ["visual-tracking"], list, path)
+    names = _typed(obj.get("pipelines", ["visual-tracking"]), "pipelines", list, path)
     if not names or not all(type(name) is str for name in names):
         raise SchemaError(f"{path}: pipelines must be a non-empty list of pipeline names, got {names!r}")
     pipelines = {name: get_pipeline(name) for name in names}
 
     land_cfg = obj.get("landscape", {})
-    _known_keys(land_cfg, _LANDSCAPE_KEYS, f"{path}#landscape")
-    seed = _typed(obj, "seed", 0, int, path)
-    k_true = _typed(land_cfg, "k_true", 4, int, f"{path}#landscape")
+    land_where = f"{path}#landscape"
+    _known_keys(land_cfg, _LANDSCAPE_KEYS, land_where)
+    seed = _typed(obj.get("seed", 0), "seed", int, path)
+    k_true = _typed(land_cfg.get("k_true", 4), "k_true", int, land_where)
+    difficulty = land_cfg.get("difficulty", "rugged")
+    if type(difficulty) is not str:
+        difficulty = _typed(difficulty, "difficulty", float, land_where)
+    noise_scale = _typed(land_cfg.get("noise_scale", 0.05), "noise_scale", float, land_where)
     try:
         landscapes = {
             name: generate_landscape(
                 seed=seed + 1000 + i,
                 pipeline=pipe,
-                difficulty=land_cfg.get("difficulty", "rugged"),
+                difficulty=difficulty,
                 k_true=k_true,
-                noise_scale=float(land_cfg.get("noise_scale", 0.05)),
+                noise_scale=noise_scale,
                 tier_speed_factors=speed_factors_for(topology.num_tiers),
                 num_tiers=topology.num_tiers,
             )
             for i, (name, pipe) in enumerate(sorted(pipelines.items()))
         }
     except (TypeError, ValueError) as e:
-        raise SchemaError(f"{path}#landscape: {e}") from e
+        raise SchemaError(f"{land_where}: {e}") from e
 
     trace_cfg = obj.get("trace", {})
     if isinstance(trace_cfg, str):
@@ -210,41 +203,52 @@ def sim_config_from_file(path: str) -> SimConfig:
     else:
         _known_keys(trace_cfg, ("generator",), f"{path}#trace")
         gen = trace_cfg.get("generator", {})
-        _known_keys(gen, _GENERATOR_KEYS, f"{path}#trace.generator")
+        gen_where = f"{path}#trace.generator"
+        _known_keys(gen, _GENERATOR_KEYS, gen_where)
         try:
             trace = generate_trace(
                 templates={n: (pipelines[n], landscapes[n]) for n in pipelines},
                 topology=topology,
-                duration_s=float(gen.get("duration_s", 120.0)),
-                load=float(gen.get("load", 1.0)),
-                burst_factor=float(gen.get("burst_factor", 1.0)),
+                duration_s=_typed(gen.get("duration_s", 120.0), "duration_s", float, gen_where),
+                load=_typed(gen.get("load", 1.0), "load", float, gen_where),
+                burst_factor=_typed(gen.get("burst_factor", 1.0), "burst_factor", float, gen_where),
                 hardness=gen.get("hardness", "medium"),
-                mean_lifespan_s=float(gen.get("mean_lifespan_s", 60.0)),
+                mean_lifespan_s=_typed(gen.get("mean_lifespan_s", 60.0), "mean_lifespan_s", float, gen_where),
                 seed=seed,
             )
+        except SchemaError:
+            raise
         except (TypeError, ValueError) as e:
-            raise SchemaError(f"{path}#trace.generator: {e}") from e
+            raise SchemaError(f"{gen_where}: {e}") from e
 
     drift = []
-    for i, d in enumerate(_typed(obj, "drift", [], list, path)):
+    for i, d in enumerate(_typed(obj.get("drift", []), "drift", list, path)):
         where = f"{path}#drift[{i}]"
         _known_keys(d, _DRIFT_KEYS, where)
         try:
             drift.append(
                 DriftEvent(
-                    time=float(d["time"]),
+                    time=_typed(d["time"], "time", float, where),
                     kind=d["kind"],
-                    link=tuple(d["link"]) if "link" in d else None,
-                    factor=float(d["factor"]) if "factor" in d else None,
+                    link=tuple(_typed(m, "link", int, where) for m in d["link"]) if "link" in d else None,
+                    factor=_typed(d["factor"], "factor", float, where) if "factor" in d else None,
                     template=d.get("template"),
-                    delta=float(d["delta"]) if "delta" in d else None,
+                    delta=_typed(d["delta"], "delta", float, where) if "delta" in d else None,
                 )
             )
+        except SchemaError:
+            raise
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"{where}: invalid drift event: {e!r}") from e
 
     ablations = obj.get("ablations", {})
     _known_keys(ablations, _ABLATION_KEYS, f"{path}#ablations")
+    budget_s = obj.get("planning_budget_s", 5.0 if "planning_budget_gpuh" not in obj else None)
+    if budget_s is not None:
+        budget_s = _typed(budget_s, "planning_budget_s", float, path)
+    budget_gpuh = obj.get("planning_budget_gpuh")
+    if budget_gpuh is not None:
+        budget_gpuh = _typed(budget_gpuh, "planning_budget_gpuh", float, path)
     try:
         return SimConfig(
             topology=topology,
@@ -252,14 +256,14 @@ def sim_config_from_file(path: str) -> SimConfig:
             landscapes=landscapes,
             trace=trace,
             seed=seed,
-            planning_budget_s=obj.get("planning_budget_s", 5.0 if "planning_budget_gpuh" not in obj else None),
-            planning_budget_gpuh=obj.get("planning_budget_gpuh"),
-            replan_budget_s=float(obj.get("replan_budget_s", 5.0)),
-            aging_beta=float(obj.get("aging_beta", DEFAULT_AGING_BETA)),
+            planning_budget_s=budget_s,
+            planning_budget_gpuh=budget_gpuh,
+            replan_budget_s=_typed(obj.get("replan_budget_s", 5.0), "replan_budget_s", float, path),
+            aging_beta=_typed(obj.get("aging_beta", DEFAULT_AGING_BETA), "aging_beta", float, path),
             scheduler_mode=obj.get("scheduler", "greedy"),
             search=search_config_from_ablations(ablations, SearchConfig(), f"{path}#ablations"),
             drift=tuple(drift),
-            output_dir=_typed(obj, "output_dir", "", str, path) or None,
+            output_dir=_typed(obj.get("output_dir", ""), "output_dir", str, path) or None,
         )
     except SchemaError:
         raise
@@ -413,7 +417,7 @@ class _Sim:
             query,
             self.landscapes[entry.template],
             self.topology,
-            history=self.history if self.cfg.search.use_history else None,
+            history=self.history,
             seed=self.query_seed(idx),
             config=self.cfg.search,
         )
@@ -489,7 +493,7 @@ class _Sim:
             self.landscapes[rec.template],
             self.topology,
             prior_pair=self.surrogates[qid],
-            history=self.history if self.cfg.search.use_history else None,
+            history=self.history,
             seed=self.query_seed(idx, salt=rec.replans),
             config=self.cfg.search,
             budget_s=self.cfg.replan_budget_s,

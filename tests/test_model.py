@@ -115,12 +115,28 @@ class TestInvariants:
         with pytest.raises(ValueError, match="budget"):
             Query("q", pipe, a_slo=0.9, l_slo=1.0, response_budget_s=1.0, profiling_budget_gpuh=1.0)
 
+    def test_query_budget_must_be_finite_and_non_negative(self):
+        pipe = chain([1])
+        for bad in (float("nan"), float("inf"), -3.0):
+            with pytest.raises(ValueError, match="budget must be finite and >= 0"):
+                Query("q", pipe, a_slo=0.9, l_slo=1.0, response_budget_s=bad)
+            with pytest.raises(ValueError, match="budget must be finite and >= 0"):
+                Query("q", pipe, a_slo=0.9, l_slo=1.0, profiling_budget_gpuh=bad)
+        # a zero budget is legal: the search then takes no step
+        assert Query("q", pipe, a_slo=0.9, l_slo=1.0, response_budget_s=0.0).response_budget_s == 0.0
+        assert Query("q", pipe, a_slo=0.9, l_slo=1.0, profiling_budget_gpuh=0).profiling_budget_gpuh == 0
+
     def test_query_slo_ranges(self):
         pipe = chain([1])
         with pytest.raises(ValueError):
             Query("q", pipe, a_slo=1.01, l_slo=1.0, response_budget_s=1.0)
         with pytest.raises(ValueError):
             Query("q", pipe, a_slo=0.9, l_slo=0.0, response_budget_s=1.0)
+        # NaN compares false both ways, so it must fail the range checks too
+        with pytest.raises(ValueError, match="l_slo must be > 0"):
+            Query("q", pipe, a_slo=0.9, l_slo=float("nan"), response_budget_s=1.0)
+        with pytest.raises(ValueError, match="weight must be > 0"):
+            Query("q", pipe, a_slo=0.9, l_slo=1.0, response_budget_s=1.0, weight=float("nan"))
 
     def test_topology_requires_symmetric_bandwidth(self):
         tiers = (Tier("a", 1, 1.0, 1.0), Tier("b", 1, 1.0, 1.0))
@@ -174,6 +190,29 @@ class TestRoundTrip:
             bandwidth_mbps=((1000.0, 200.0), (200.0, 1000.0)),
             link_latency_s=((0.0, 0.01), (0.01, 0.0)),
         )
+
+    @pytest.mark.parametrize(
+        "loader, base, edit, message",
+        [
+            (pipeline_from_dict, PIPELINE_JSON, {"operators": [{"id": 0, "knob_domain": ["a"], "is_batching": "no"}]},
+             "is_batching must be true or false"),
+            (pipeline_from_dict, PIPELINE_JSON, {"operators": [{"id": True, "knob_domain": ["a"]}]}, "id must be"),
+            (pipeline_from_dict, PIPELINE_JSON, {"operators": [{"id": 0, "knob_domain": "abc"}]}, "knob_domain must be"),
+            (pipeline_from_dict, PIPELINE_JSON, {"edges": [[0, 2.0], [1, 2]]}, "edges must be an integer"),
+            (pipeline_from_dict, PIPELINE_JSON, {"input_bytes": "100"}, "input_bytes must be a number"),
+            (topology_from_dict, TOPOLOGY_JSON, {"tiers": [dict(TOPOLOGY_JSON["tiers"][0], machine_count=2.0)]},
+             "machine_count must be an integer"),
+            (topology_from_dict, TOPOLOGY_JSON, {"tiers": [dict(TOPOLOGY_JSON["tiers"][0], unit_cost=True)]},
+             "unit_cost must be a number"),
+            (topology_from_dict, TOPOLOGY_JSON, {"link_latency_s": [[0.0, False], [0.01, 0.0]]},
+             "link_latency_s must be a number"),
+        ],
+        ids=["string-is-batching", "boolean-id", "string-knob-domain", "float-edge", "string-input-bytes", "float-machine-count",
+             "boolean-unit-cost", "boolean-link-latency"],
+    )
+    def test_numbers_and_booleans_are_json_typed(self, loader, base, edit, message):
+        with pytest.raises(SchemaError, match=message):
+            loader(json.loads(json.dumps({**base, **edit})))
 
     def test_schema_version_is_mandatory(self):
         obj = {k: v for k, v in PIPELINE_JSON.items() if k != "schema_version"}

@@ -253,16 +253,16 @@ class TestProposeBranches:
         _pool, idx, _xa, _xl = encoded_pool(pipe, topo)
         own = new_pair(pipe, topo)
         own.fit_new_point(0, 0.9, 0.1)
-        own.record_gap(0.10)
         hist_pair = new_pair(pipe, topo)
         hist_pair.fit_new_point(1, 0.8, 0.2)
         store = HistoryStore()
         store.push(hist_pair)
         session = store.session(pool_key(pipe, topo.num_tiers), 0.8, 0.5)
-        session.entries[0].gap_sum, session.entries[0].gap_n = 0.01, 1
+        session.own_window.append(0.10)
+        session.gap_sum[0], session.gap_n = 0.01, 1
         i, branch = propose(idx, 0.8, 0.5, own, session, np.random.default_rng(0))
         assert branch == "history"
-        session.entries[0].gap_sum = 5.0  # worse than own gap now
+        session.gap_sum[0] = 5.0  # worse than own gap now
         i, branch = propose(idx, 0.8, 0.5, own, session, np.random.default_rng(0))
         assert branch == "cmbo"
 
@@ -282,7 +282,7 @@ class TestHistoryStore:
             pair.fit_new_point(0, 0.5 + 0.1 * i, 0.2)
             store.push(pair)
         session = store.session(pool_key(pipe, topo.num_tiers), 0.8, 0.5)
-        assert [e.predicted for e in session.entries] == [store.predictions[0][1]]
+        assert session.predicted == [store.predictions[0][1]]
 
     def test_store_evicts_the_oldest_beyond_capacity(self):
         pipe, topo, _land = two_op_setup()
@@ -304,8 +304,7 @@ class TestHistoryPropose:
         for pair, _gap in pairs_and_gaps:
             store.push(pair)
         session = store.session(pool_key(pipe, topo.num_tiers), a_slo, l_slo)
-        for e, (_pair, gap) in zip(session.entries, pairs_and_gaps):
-            e.gap_sum, e.gap_n = gap, 1
+        session.gap_sum[:], session.gap_n = [gap for _pair, gap in pairs_and_gaps], 1
         i, branch = propose(idx, a_slo, l_slo, new_pair(pipe, topo), session, np.random.default_rng(0))
         assert branch == "history"
         return i
@@ -361,7 +360,7 @@ class TestUpdate:
         out = ProfileOutcome(
             accuracy_estimate=0.87, samples_used=50, verdict=Verdict.PASS_ACCURACY, profiling_cost=1.0
         )
-        update(pair, None, 3, out, 0.2, l_slo=0.5)
+        update(pair, None, 3, out, 0.2)
         assert pair.obs_idx == [3]
         mu_a, sd_a, mu_l, _ = pair.predict([3])
         assert abs(float(mu_a[0]) - 0.87) <= 0.02
@@ -392,10 +391,40 @@ class TestUpdate:
                 verdict=Verdict.PASS_ACCURACY,
                 profiling_cost=1.0,
             )
-            update(own, session, int(i), out, lat, l_slo=0.5)
-        gaps = [e.gap for e in session.entries]
+            update(own, session, int(i), out, lat)
+        gaps = session.gaps()
         assert gaps[0] < gaps[1]
         assert gaps[0] < 0.05
+
+    def test_own_gap_predicts_only_against_stored_models(self, monkeypatch):
+        pipe, topo, _land = two_op_setup()
+        key = pool_key(pipe, topo.num_tiers)
+        store = HistoryStore()
+        store.push(fitted_pair(pipe, topo, np.random.default_rng(12), 3))
+        out = ProfileOutcome(accuracy_estimate=0.8, samples_used=50, verdict=Verdict.PASS_ACCURACY, profiling_cost=1.0)
+        calls = []
+        predict = GaussianProcess.predict
+
+        def counted(self, xq):
+            calls.append(self)
+            return predict(self, xq)
+
+        monkeypatch.setattr(GaussianProcess, "predict", counted)
+        # no history, or a session with no stored model: nothing reads an own gap
+        for session in (None, HistoryStore().session(key, 0.8, 0.5), store.session((("other",), 2), 0.8, 0.5)):
+            own = new_pair(pipe, topo)
+            for i in (2, 5, 9):
+                update(own, session, i, out, 0.2)
+            assert own.n_obs == 3 and calls == []
+        # with stored models: one one-row predict per GP once the own model is fit
+        own = new_pair(pipe, topo)
+        session = store.session(key, 0.8, 0.5)
+        update(own, session, 2, out, 0.2)
+        assert calls == []
+        for i in (5, 9):
+            update(own, session, i, out, 0.2)
+        assert calls == [own.f_a, own.f_l] * 2
+        assert len(session.own_window) == 2 and session.gap_n == 3
 
 
 def fitted_pair(pipe, topo, rng, n_obs):
@@ -419,12 +448,13 @@ class TestHistoryPoolPredictions:
             store.push(pair)
         for i in idx:
             session = store.session(key, 0.8, 0.5)
-            session.update_gaps(int(i), 0.83, 0.21)
-            for pair, e in zip(pairs, session.entries, strict=True):
+            session.update_gaps(int(i), 0.83, 0.21, new_pair(pipe, topo))
+            assert session.gap_n == 1
+            for j, pair in enumerate(pairs):
                 p = pair.predict(slice(None))
-                assert e.gap_sum == prediction_gap(float(p.mu_a[i]), float(p.mu_l[i]), 0.83, 0.21, 0.5)
-        for pair, e in zip(pairs, session.entries, strict=True):
-            scores, costs = session._entry_pool_scores(e)
+                assert session.gap_sum[j] == prediction_gap(float(p.mu_a[i]), float(p.mu_l[i]), 0.83, 0.21, 0.5)
+        for j, pair in enumerate(pairs):
+            scores, costs = session.pool_scores(j)
             want_scores, want_costs = acquisition(*pair.predict(slice(None)), 0.8, 0.5)
             assert np.array_equal(scores, want_scores) and np.array_equal(costs, want_costs)
 
@@ -455,7 +485,7 @@ class TestHistoryPoolPredictions:
             session = store.session(key, a_slo, 0.5)
             session.vote_indices(idx)
             for i in (4, 11, 0):
-                session.update_gaps(i, 0.8, 0.2)
+                session.update_gaps(i, 0.8, 0.2, new_pair(pipe, topo))
                 session.vote_indices(idx[idx != i])
         assert calls == []
 
@@ -471,9 +501,9 @@ class TestHistoryPoolPredictions:
         assert len(store.predictions) == HISTORY_CAPACITY
         # the store keeps the predictions of the newest pairs, in push order
         session = store.session(key, 0.8, 0.5)
-        for pair, e in zip(pairs[2:], session.entries, strict=True):
-            assert np.array_equal(e.predicted.mu_a, pair.predict(slice(None))[0])
-            assert np.array_equal(e.predicted.mu_l, pair.predict(slice(None)).mu_l)
+        for pair, predicted in zip(pairs[2:], session.predicted, strict=True):
+            assert np.array_equal(predicted.mu_a, pair.predict(slice(None))[0])
+            assert np.array_equal(predicted.mu_l, pair.predict(slice(None)).mu_l)
 
 
 class TestHistoryWeights:
@@ -490,33 +520,57 @@ class TestHistoryWeights:
 
     def test_before_any_gap_the_first_entries_vote_uniformly(self):
         session, idx = self._session(HISTORY_TOP_K + 2)
-        assert all(e.gap == math.inf for e in session.entries)
-        assert session.best_gap() == math.inf
-        assert [id(e) for e in session.top_k()] == [id(e) for e in session.entries[:HISTORY_TOP_K]]
+        assert np.all(session.gaps() == math.inf)
+        assert session.top_k().tolist() == list(range(HISTORY_TOP_K))
         combined, costs = session.vote_indices(idx)
-        voters = [session._entry_pool_scores(e) for e in session.entries[:HISTORY_TOP_K]]
+        voters = [session.pool_scores(i) for i in range(HISTORY_TOP_K)]
         assert np.allclose(combined, np.mean([scores for scores, _ in voters], axis=0), rtol=1e-12, atol=0)
         assert np.allclose(costs, np.mean([c for _, c in voters], axis=0), rtol=1e-12, atol=0)
 
     def test_top_k_keeps_the_smallest_gaps_ties_to_the_lower_index(self):
         session, _idx = self._session(HISTORY_TOP_K + 2)
         gaps = [0.5, 0.1, 0.3, 0.1, math.inf, 0.2, 0.1, 0.4, math.inf, 0.6, 0.3, 0.7]
-        for e, gap in zip(session.entries, gaps, strict=True):
-            if math.isfinite(gap):
-                e.gap_sum, e.gap_n = gap, 1
+        session.gap_sum[:], session.gap_n = gaps, 1
         want = [1, 3, 6, 5, 2, 10, 7, 0, 9, 11]
-        assert [id(e) for e in session.top_k()] == [id(session.entries[i]) for i in want]
-        assert session.best_gap() == 0.1
+        assert session.top_k().tolist() == want
+        # infinite gaps weigh nothing: the vote is that of the finite top-K
+        _pool, idx, _xa, _xl = encoded_pool(*two_op_setup()[:2])
+        w = np.array([1 / (gaps[i] + 1e-6) for i in want])
+        w = w / w.sum()
+        combined, _costs = session.vote_indices(idx)
+        want_scores = sum(wi * session.pool_scores(i)[0] for wi, i in zip(w, want))
+        assert np.allclose(combined, want_scores, rtol=1e-12, atol=0)
 
     def test_own_gap_is_the_mean_of_the_trailing_window(self):
+        # the own model's gaps go through update_gaps, before each refit;
+        # stored models vote until the trailing-window mean beats their best
+        session, _idx = self._session(1)
         pipe, topo, _land = two_op_setup()
-        pair = new_pair(pipe, topo)
-        assert pair.own_gap() == math.inf
-        gaps = [0.3, 0.1, 0.7, 0.2, 0.9, 0.4, 0.05]
-        for n, gap in enumerate(gaps, start=1):
-            pair.record_gap(gap)
-            assert pair.own_gap() == pytest.approx(np.mean(gaps[max(0, n - GAP_WINDOW_LEN) : n]), rel=1e-15)
-        assert len(pair.gap_window) == GAP_WINDOW_LEN
+        own = new_pair(pipe, topo)
+        observations = [
+            (3, 0.9, 0.2), (7, 0.6, 0.4), (1, 0.8, 0.1), (9, 0.7, 0.3), (4, 0.95, 0.25), (2, 0.5, 0.2), (8, 0.85, 0.35)
+        ]
+        session.update_gaps(*observations[0], own)  # no own model yet: no own gap
+        assert session.own_window == [] and session.votes()
+        own.fit_new_point(*observations[0])
+        gaps = []
+        for i, accuracy, latency_s in observations[1:]:
+            p = own.predict([i])  # the one-row call update_gaps makes
+            gaps.append(prediction_gap(float(p.mu_a[0]), float(p.mu_l[0]), accuracy, latency_s, 0.5))
+            session.update_gaps(i, accuracy, latency_s, own)
+            own.fit_new_point(i, accuracy, latency_s)
+            window = gaps[-GAP_WINDOW_LEN:]
+            assert session.own_window == window
+            # the stored model's mean gap one ULP either side of the window mean
+            mean = float(np.mean(window))
+            session.gap_n = 1
+            session.gap_sum[0] = np.nextafter(mean, math.inf)
+            assert not session.votes()  # the own model's mean gap is smaller
+            session.gap_sum[0] = mean
+            assert session.votes()  # a tie does not hand over
+            session.gap_sum[0] = np.nextafter(mean, -math.inf)
+            assert session.votes()
+        assert len(session.own_window) == GAP_WINDOW_LEN
 
 
 class TestSearchPool:

@@ -226,6 +226,13 @@ class TestCompare:
 
 
 TRACE_ROW = {"arrival_time": 1.0, "template": "code-generation", "a_slo": 0.5, "l_slo": 0.2, "lifespan": 30.0}
+TIER = {"name": "cloud", "machine_count": 2, "capacity": 1.0, "unit_cost": 3.0}
+TOPOLOGY = {
+    "schema_version": SCHEMA_VERSION,
+    "tiers": [TIER, TIER],
+    "bandwidth_mbps": [[1000, 200], [200, 1000]],
+    "link_latency_s": [[0.0, 0.01], [0.01, 0.0]],
+}
 
 
 class TestConfigFile:
@@ -314,6 +321,7 @@ class TestConfigFile:
             ("a_slo", 1.5),
             ("l_slo", 0.0),
             ("lifespan", -5.0),
+            ("lifespan", float("inf")),
             ("weight", 0.0),
         ],
     )
@@ -369,6 +377,18 @@ class TestConfigFile:
             ({"landscape": {"noise_scale": float("nan")}}, "noise_scale"),
             ({"landscape": {"noise_scale": 1e999}}, "#landscape: noise_scale"),
             ({"landscape": {"noise_scale": -0.1}}, "#landscape: noise_scale"),
+            ({"planning_budget_s": True}, "planning_budget_s"),
+            ({"aging_beta": True}, "aging_beta"),
+            ({"aging_beta": 10**400}, "aging_beta is out of range"),
+            ({"landscape": {"difficulty": True}}, "difficulty"),
+            ({"landscape": {"noise_scale": "0.1"}}, "noise_scale"),
+            ({"trace": {"generator": {"duration_s": "20"}}}, "duration_s"),
+            ({"replan_budget_s": "3"}, "replan_budget_s"),
+            ({"drift": [{"time": 1.0, "kind": "bandwidth", "link": [True, 2], "factor": 0.5}]}, "link"),
+            ({"drift": [{"time": "1", "kind": "bandwidth", "link": [0, 1], "factor": 0.5}]}, "time"),
+            ({"trace": {"schema_version": SCHEMA_VERSION, "entries": [dict(TRACE_ROW, a_slo=True)]}}, "a_slo"),
+            ({"topology": dict(TOPOLOGY, tiers=[dict(TIER, machine_count=True), TIER])}, "machine_count"),
+            ({"topology": {**TOPOLOGY, "bandwidth_mbps": [[1000, "200"], [200, 1000]]}}, "bandwidth_mbps"),
         ],
         ids=[
             "drift-link-out-of-range",
@@ -408,6 +428,18 @@ class TestConfigFile:
             "nan-literal",
             "overflowing-noise-scale",
             "negative-noise-scale",
+            "boolean-planning-budget",
+            "boolean-aging-beta",
+            "huge-integer-aging-beta",
+            "boolean-difficulty",
+            "string-noise-scale",
+            "string-duration",
+            "string-replan-budget",
+            "boolean-drift-link",
+            "string-drift-time",
+            "boolean-trace-a-slo",
+            "boolean-machine-count",
+            "string-bandwidth",
         ],
     )
     def test_invalid_config_rejected_at_load(self, tmp_path, capsys, overrides, message):
@@ -501,6 +533,28 @@ class TestCli:
         rc = cli_main(["compare", "--config", str(path), "--variants", "full,bogus"])
         assert rc == 1
         assert "bogus" in capsys.readouterr().err
+        for variants in ("", ","):  # no variant at all: name the presets
+            assert cli_main(["compare", "--config", str(path), "--variants", variants]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "no-warm-start" in err
+
+    @pytest.mark.parametrize("budget", [["--budget-s", "nan"], ["--budget-s", "-3"], ["--budget-gpuh", "inf"]])
+    def test_plan_rejects_a_budget_that_is_not_finite_and_non_negative(self, capsys, budget):
+        rc = cli_main(["plan", "--pipeline", "code-generation", "--a-slo", "0.5", "--l-slo", "0.5", *budget])
+        assert rc == 1
+        assert "budget must be finite and >= 0" in capsys.readouterr().err
+
+    def test_plan_rejects_a_pipeline_with_a_string_is_batching(self, tmp_path, capsys):
+        pipeline = {
+            "schema_version": SCHEMA_VERSION,
+            "name": "one",
+            "operators": [{"id": 0, "knob_domain": ["a", "b"], "is_batching": "no"}],
+        }
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(pipeline))
+        rc = cli_main(["plan", "--pipeline", str(path), "--a-slo", "0.5", "--l-slo", "0.5"])
+        assert rc == 1
+        assert "is_batching must be true or false" in capsys.readouterr().err
 
     def test_oracle_mode_and_refusal(self, capsys):
         rc = cli_main(["oracle", "--mode", "goodput", "--random", "3", "--queries", "4"])
@@ -518,3 +572,6 @@ class TestCli:
         rc = cli_main(["simulate", "--config", str(path)])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+        path.write_text("[1, 2]", encoding="utf-8")  # JSON, but not an object
+        assert cli_main(["simulate", "--config", str(path)]) == 1
+        assert "expected a JSON object" in capsys.readouterr().err
