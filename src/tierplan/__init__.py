@@ -58,6 +58,7 @@ from .search import (
     CandidatePlan,
     CandidateSet,
     HistoryStore,
+    Observations,
     SearchConfig,
     SurrogatePair,
     acquisition,

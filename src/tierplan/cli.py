@@ -134,6 +134,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    for flag in ("random", "queries", "plans"):
+        if getattr(args, flag) < 1:
+            raise SchemaError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     if args.topology:
         topology = load_topology(args.topology)
     else:

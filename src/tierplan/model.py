@@ -362,17 +362,19 @@ _JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str:
 
 def _typed(value, key: str, kind: type, where: str):
     """``value``, which must be a JSON boolean (``kind`` bool), integer (int:
-    no float, no boolean), number (float: an integer or a float, no boolean,
-    returned as a float), string (str) or array (list); anything else raises
-    SchemaError."""
+    no float, no boolean), finite number (float: no boolean, returned as a
+    float), string (str) or array (list); else it raises SchemaError."""
     if type(value) is not kind and not (kind is float and type(value) is int):
         raise SchemaError(f"{where}: {key} must be {_JSON_TYPES[kind]}, got {value!r}")
     if kind is not float:
         return value
     try:
-        return float(value)
+        number = float(value)
     except OverflowError as e:
         raise SchemaError(f"{where}: {key} is out of range: {e}") from e
+    if not isfinite(number):
+        raise SchemaError(f"{where}: {key} must be finite, got {value!r}")
+    return number
 
 
 def pipeline_from_dict(obj: dict, where: str = "<pipeline>") -> PipelineSpec:

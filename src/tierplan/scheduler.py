@@ -33,9 +33,9 @@ from .search import (
     CandidatePlan,
     CandidateSet,
     HistoryStore,
+    Observations,
     SearchConfig,
     SearchResult,
-    SurrogatePair,
     single_query_search,
 )
 
@@ -603,14 +603,14 @@ def replan(
     query: Query,
     land,
     topology: TierTopology,
-    prior_pair: SurrogatePair | None,
+    prior: Observations | None,
     history: HistoryStore | None = None,
     seed: int = 0,
     config: SearchConfig | None = None,
     budget_s: float = 5.0,
 ) -> SearchResult:
     """Drift response: re-run the single-query search warm-started from the
-    query's own prior surrogate (stale observations retained, trust
+    query's own prior observations (stale observations retained, trust
     inflated away), under a short replanning budget."""
     fresh = dataclasses.replace(query, response_budget_s=budget_s, profiling_budget_gpuh=None)
     return single_query_search(
@@ -620,5 +620,5 @@ def replan(
         history=history,
         seed=seed,
         config=config,
-        warm_pair=prior_pair,
+        warm=prior,
     )

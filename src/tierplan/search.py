@@ -10,19 +10,21 @@ Two independent Gaussian-process surrogates drive the acquisition: one maps
 configuration one-hots to accuracy, the other maps configuration+placement
 one-hots to latency. The acquisition multiplies the probability of meeting
 each SLO and divides by the predicted profiling cost, so expensive plans
-must earn their evaluation. A session's surrogates are bound to its search
-pool and record observations as pool indices. Completed sessions leave
-their surrogates' predictions over that pool in a history store; new
-sessions on the same pool let the most similar histories (smallest
-prediction gap against fresh observations) vote on proposals until the
-session's own model outpredicts them.
+must earn their evaluation. Each surrogate's posterior lives on the
+session's search pool and grows by one rank-one step per observation (a
+pool index), so every prediction is a lookup of pool rows. Completed
+sessions leave their predictions over that pool in a history store and
+hand back their observations, which a replan takes in again; new sessions
+on the same pool let the most similar histories (smallest prediction gap
+against fresh observations) vote on proposals until the session's own
+model outpredicts them.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,13 +58,9 @@ COST_FLOOR_DOLLARS = 1e-6
 GAP_EPS = 1e-6
 #: Simulated optimizer seconds charged per search step on top of profiling.
 STEP_OVERHEAD_S = 0.04
-#: Pools larger than this are subsampled to POOL_SAMPLE_SIZE unprofiled
-#: plans per step before scoring.
-POOL_ENUMERATION_CAP = 20_000
-POOL_SAMPLE_SIZE = 2_000
 #: History models that vote on each proposal (the smallest gaps).
 HISTORY_TOP_K = 10
-#: Observation-noise multiplier for a replan's warm-start surrogate.
+#: Observation-noise multiplier of a replan, whose GPs take in the prior observations again.
 VARIANCE_INFLATION = 25.0
 #: Trailing observations a session's own prediction gap averages over.
 GAP_WINDOW_LEN = 5
@@ -71,48 +69,62 @@ HISTORY_CAPACITY = 32
 
 
 class GaussianProcess:
-    """Exact GP regression with a fixed RBF kernel (length scale 1, unit
-    signal variance, observation noise 1e-4). Targets are standardized
-    internally; no hyperparameter optimization, so refits are deterministic
-    and cheap at planning scale."""
+    """Exact GP regression over the fixed rows ``pool`` of a search pool,
+    with a fixed RBF kernel (length scale 1, unit signal variance) and
+    observation noise ``noise``. Targets are standardized internally; no
+    hyperparameter optimization.
 
-    def __init__(self, noise: float = GP_NOISE):
+    With L the Cholesky factor of K(X, X) + noise*I over the observed rows
+    X, the state is V = L⁻¹K(X, pool), w = L⁻¹[y 1] and, per pool row,
+    [ky k1] = Vᵀw and var = 1 - ΣV². :meth:`fit` appends one row to L
+    (GPML 2006, Alg. 2.1; Seeger 2004) and :meth:`predict` looks rows up."""
+
+    def __init__(self, pool: np.ndarray, noise: float = GP_NOISE):
+        self.pool = pool
         self.noise = noise
-        self._x: np.ndarray | None = None
-        self._alpha: np.ndarray | None = None
-        self._chol: np.ndarray | None = None
+        self.rows: list[int] = []
+        self.targets: list[float] = []
+        self._sq = np.einsum("ij,ij->i", pool, pool)
+        self._v = np.empty((0, len(pool)))  # V in its leading rows, grown by doubling
+        self._w = np.empty((0, 2))
+        self._kw = np.zeros((2, len(pool)))
+        self._var = np.ones(len(pool))
         self._y_mean = 0.0
         self._y_std = 1.0
-        self.n_obs = 0
 
-    def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-        return np.exp(-0.5 * np.maximum(sq, 0.0))
-
-    def fit(self, x: np.ndarray, y: np.ndarray) -> "GaussianProcess":
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.asarray(y, dtype=float)
-        self.n_obs = len(y)
-        self._y_mean = float(y.mean())
-        std = float(y.std())
+    def fit(self, j: int, y: float) -> "GaussianProcess":
+        """Condition on one more observation ``y`` at pool row ``j``. A
+        repeated row is one more observation; K + noise*I stays positive
+        definite."""
+        n = len(self.rows)
+        if n == len(self._v):
+            grown = np.empty((max(8, 2 * n), len(self.pool)))
+            grown[:n] = self._v
+            self._v = grown
+        v = self._v[:n]
+        v_j = v[:, j]
+        d = math.sqrt(self._var[j] + self.noise)
+        k = np.exp(-0.5 * np.maximum(self._sq + self._sq[j] - 2.0 * (self.pool @ self.pool[j]), 0.0))
+        c = (k - v_j @ v) / d
+        w = (np.array([y, 1.0]) - v_j @ self._w) / d
+        self._v[n] = c
+        self._w = np.vstack([self._w, w])
+        self._kw += np.outer(w, c)
+        self._var -= c * c
+        self.rows.append(j)
+        self.targets.append(y)
+        self._y_mean = float(np.mean(self.targets))
+        std = float(np.std(self.targets))
         self._y_std = std if std > 1e-12 else 1.0
-        z = (y - self._y_mean) / self._y_std
-        k = self._kernel(x, x) + self.noise * np.eye(len(y))
-        self._chol = np.linalg.cholesky(k)
-        self._alpha = np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, z))
-        self._x = x
         return self
 
-    def predict(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Predictive mean and std at query points (always positive std)."""
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        if self._x is None:
-            return np.zeros(len(xq)), np.full(len(xq), self._y_std)
-        kq = self._kernel(xq, self._x)
-        mu = self._y_mean + self._y_std * (kq @ self._alpha)
-        v = np.linalg.solve(self._chol, kq.T)
-        var = np.maximum(1.0 - np.sum(v * v, axis=0), self.noise)
-        return mu, self._y_std * np.sqrt(var)
+    def predict(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """Predictive mean and std (always positive) at the pool rows
+        ``idx``, an index array or a slice, as new arrays. The mean
+        ȳ(1 - k1) + ky is the standardized posterior mean mapped back."""
+        ky, k1 = self._kw[:, idx]
+        mu = self._y_mean * (1.0 - k1) + ky
+        return mu, self._y_std * np.sqrt(np.maximum(self._var[idx], self.noise))
 
 
 def encode_pool(plans: Sequence[PlanPoint], pipeline: PipelineSpec, num_tiers: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,66 +174,49 @@ class PoolPredictions(NamedTuple):
     sd_l: np.ndarray
 
 
-@dataclass(eq=False)
-class SurrogatePair:
-    """Accuracy and latency regressors over one search pool and their
-    observations. ``pool_xa`` and ``pool_xl`` are the pool's encoded rows
-    (those of :func:`search_pool`, shared read-only) and observations are
-    indices into them. The accuracy model never sees placement or
-    resources; the latency model never sees resources (search is
-    over-provisioned). Pairs compare and hash by identity."""
+class Observations(NamedTuple):
+    """A session's observations: indices into the search pool with
+    :func:`pool_key` ``pool_key``, and the accuracy and latency seen at each."""
 
     pool_key: tuple
-    pool_xa: np.ndarray
-    pool_xl: np.ndarray
-    f_a: GaussianProcess = field(default_factory=GaussianProcess)
-    f_l: GaussianProcess = field(default_factory=GaussianProcess)
-    obs_idx: list = field(default_factory=list)
-    obs_y_a: list = field(default_factory=list)
-    obs_y_l: list = field(default_factory=list)
+    idx: tuple[int, ...]
+    accuracy: tuple[float, ...]
+    latency_s: tuple[float, ...]
+
+
+class SurrogatePair:
+    """Accuracy and latency posteriors over one search pool. ``pool_xa`` and
+    ``pool_xl`` are the pool's encoded rows (those of :func:`search_pool`,
+    shared read-only). The accuracy model never sees placement or
+    resources; the latency model never sees resources (search is
+    over-provisioned)."""
+
+    def __init__(self, key: tuple, pool_xa: np.ndarray, pool_xl: np.ndarray, noise: float = GP_NOISE):
+        self.pool_key = key
+        self.f_a = GaussianProcess(pool_xa, noise)
+        self.f_l = GaussianProcess(pool_xl, noise)
 
     @property
     def n_obs(self) -> int:
-        return len(self.obs_idx)
+        return len(self.f_a.rows)
 
     def predict(self, idx) -> PoolPredictions:
         """Predictions at the pool rows ``idx`` (an index array or a slice)."""
-        return PoolPredictions(*self.f_a.predict(self.pool_xa[idx]), *self.f_l.predict(self.pool_xl[idx]))
+        return PoolPredictions(*self.f_a.predict(idx), *self.f_l.predict(idx))
 
     def fit_new_point(self, idx: int, accuracy: float, latency_s: float) -> None:
-        """Refit on one more observation, of pool plan ``idx``. A repeated
-        observation is one more row; K + noise*I stays positive definite."""
-        self.obs_idx.append(idx)
-        self.obs_y_a.append(accuracy)
-        self.obs_y_l.append(latency_s)
-        self._refit()
+        """Condition both models on one more observation, of pool plan ``idx``."""
+        self.f_a.fit(idx, accuracy)
+        self.f_l.fit(idx, latency_s)
 
-    def _refit(self) -> None:
-        self.f_a.fit(self.pool_xa[self.obs_idx], np.array(self.obs_y_a))
-        self.f_l.fit(self.pool_xl[self.obs_idx], np.array(self.obs_y_l))
-
-    def inflated_copy(self) -> "SurrogatePair":
-        """Warm-start copy for replanning: observations retained, predictive
-        trust reduced by inflating observation noise."""
-        pair = SurrogatePair(
-            self.pool_key,
-            self.pool_xa,
-            self.pool_xl,
-            f_a=GaussianProcess(noise=GP_NOISE * VARIANCE_INFLATION),
-            f_l=GaussianProcess(noise=GP_NOISE * VARIANCE_INFLATION),
-            obs_idx=list(self.obs_idx),
-            obs_y_a=list(self.obs_y_a),
-            obs_y_l=list(self.obs_y_l),
-        )
-        if pair.obs_idx:
-            pair._refit()
-        return pair
+    def observations(self) -> Observations:
+        return Observations(self.pool_key, tuple(self.f_a.rows), tuple(self.f_a.targets), tuple(self.f_l.targets))
 
 
 class HistoryStore:
     """Ring of completed sessions' predictions over their search pools.
 
-    A finished session's pair is never refit and later sessions read only
+    A finished session's pair is never fit again and later sessions read only
     its predictions, so the store keeps each pair's :func:`pool_key` and its
     :meth:`SurrogatePair.predict` over the whole pool (computed once, at
     push), not the pair. Gaps live in each query's :class:`HistorySession`
@@ -534,7 +529,7 @@ class SearchResult:
     dollars: float
     time_to_first_feasible_s: float | None
     steps_to_first_feasible: int | None
-    surrogates: SurrogatePair
+    observations: Observations
     telemetry: list[dict]
     pool_exhausted: bool
 
@@ -546,15 +541,16 @@ def single_query_search(
     history: HistoryStore | None = None,
     seed: int = 0,
     config: SearchConfig | None = None,
-    warm_pair: SurrogatePair | None = None,
+    warm: Observations | None = None,
     profile_log=None,
 ) -> SearchResult:
     """Propose -> profile -> Pareto-prune loop under the query's budget.
 
     Charges simulated time for profiling (reference-tier compute of the
     sampled cases) plus a fixed per-step optimizer overhead. Returns the
-    accumulated candidate set, possibly empty. Passing ``warm_pair`` seeds
-    the session with a prior model whose trust is reduced by
+    accumulated candidate set, possibly empty, and the session's
+    observations. Passing ``warm`` (observations on the same search pool)
+    seeds the session with them, at observation noise inflated by
     ``VARIANCE_INFLATION`` (used for drift replanning).
     """
     cfg = config or SearchConfig()
@@ -564,12 +560,14 @@ def single_query_search(
     key = pool_key(pipeline, topology.num_tiers)
     strat = stratify(land.case_features, min(DEFAULT_PLANNER_STRATA, land.n_cases), seed=seed)
     cache: PrefixCache | NullCache = PrefixCache() if cfg.use_cache else NullCache()
-    if warm_pair is None:
+    if warm is None:
         surrogates = SurrogatePair(key, pool_xa, pool_xl)
-    elif warm_pair.pool_key == key:
-        surrogates = warm_pair.inflated_copy()
+    elif warm.pool_key == key:
+        surrogates = SurrogatePair(key, pool_xa, pool_xl, GP_NOISE * VARIANCE_INFLATION)
+        for i, accuracy, latency_s in zip(warm.idx, warm.accuracy, warm.latency_s):
+            surrogates.fit_new_point(i, accuracy, latency_s)
     else:
-        raise ValueError("warm_pair was fit on another search pool")
+        raise ValueError("warm observations come from another search pool")
     if not cfg.use_history:
         history = None
     hist = None if history is None else history.session(key, query.a_slo, query.l_slo)
@@ -594,12 +592,7 @@ def single_query_search(
         if len(unprofiled) == 0:
             pool_exhausted = True
             break
-        if len(pool) > POOL_ENUMERATION_CAP and len(unprofiled) > POOL_SAMPLE_SIZE:
-            pick = rng.choice(len(unprofiled), size=POOL_SAMPLE_SIZE, replace=False)
-            step_idx = unprofiled[np.sort(pick)]
-        else:
-            step_idx = unprofiled
-        idx, branch = propose(step_idx, query.a_slo, query.l_slo, surrogates, hist, rng)
+        idx, branch = propose(unprofiled, query.a_slo, query.l_slo, surrogates, hist, rng)
         plan = pool[idx]
         steps += 1
         time_s += STEP_OVERHEAD_S
@@ -653,7 +646,7 @@ def single_query_search(
         dollars=dollars,
         time_to_first_feasible_s=first_feasible_time,
         steps_to_first_feasible=first_feasible_step,
-        surrogates=surrogates,
+        observations=surrogates.observations(),
         telemetry=telemetry,
         pool_exhausted=pool_exhausted,
     )

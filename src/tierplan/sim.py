@@ -5,7 +5,7 @@ simulated seconds), join the pending queue, and get admitted by scheduler
 epochs that re-run the greedy over all pending queries with starvation
 aging. Completions release machines; drift events mutate the topology or a
 landscape, violated running queries release their resources and replan
-warm-started from their own surrogate.
+warm-started from their own observations (not models).
 
 The event loop is single-threaded and fully deterministic for a fixed
 config: per-query seeds derive from (sim seed, arrival index), so replays
@@ -54,7 +54,7 @@ from .scheduler import (
     greedy_goodput,
     replan,
 )
-from .search import CandidateSet, HistoryStore, SearchConfig, SurrogatePair, single_query_search
+from .search import CandidateSet, HistoryStore, Observations, SearchConfig, single_query_search
 
 
 @dataclass(frozen=True)
@@ -337,7 +337,7 @@ class _Sim:
         # planner state of each query that may still be admitted or replan:
         # dropped once it completes, is rejected or ends degraded
         self.candidates: dict[str, CandidateSet] = {}
-        self.surrogates: dict[str, SurrogatePair] = {}
+        self.observations: dict[str, Observations] = {}
         self.pending: dict[str, float] = {}  # query id -> time it became pending
         self.goodput_series: list[tuple[float, int]] = [(0.0, 0)]
         self.cost_series: list[tuple[float, float]] = [(0.0, 0.0)]
@@ -428,14 +428,14 @@ class _Sim:
         rec.time_to_first_feasible_s = result.time_to_first_feasible_s
         rec.candidate_count = len(result.candidates)
         self.candidates[qid] = result.candidates
-        self.surrogates[qid] = result.surrogates
+        self.observations[qid] = result.observations
         self.push(t + result.charged_time_s, "ready", qid)
 
     def on_ready(self, t: float, qid: str) -> None:
         rec = self.records[qid]
         if len(self.candidates[qid]) == 0:
             rec.status = "rejected" if rec.replans == 0 else "degraded"
-            del self.candidates[qid], self.surrogates[qid]
+            del self.candidates[qid], self.observations[qid]
             self._mark(t)
             return
         rec.status = "pending"
@@ -449,7 +449,7 @@ class _Sim:
             return  # stale release (query was drift-released and replanned)
         self.state.release(qid)
         rec.status = "completed"
-        del self.candidates[qid], self.surrogates[qid]
+        del self.candidates[qid], self.observations[qid]
         rec.released_at = t
         self._mark(t)
         self.epoch(t)
@@ -492,7 +492,7 @@ class _Sim:
             query,
             self.landscapes[rec.template],
             self.topology,
-            prior_pair=self.surrogates[qid],
+            prior=self.observations[qid],
             history=self.history,
             seed=self.query_seed(idx, salt=rec.replans),
             config=self.cfg.search,
@@ -503,7 +503,7 @@ class _Sim:
         rec.profiling_dollars += result.dollars
         rec.search_steps += result.steps
         self.candidates[qid] = result.candidates
-        self.surrogates[qid] = result.surrogates
+        self.observations[qid] = result.observations
         self.push(t + result.charged_time_s, "ready", qid)
 
     # -- scheduling --------------------------------------------------------

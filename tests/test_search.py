@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, solve_triangular
+from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
 from oracles import exhaustive_resource_frontier
@@ -19,13 +21,16 @@ from tierplan.model import (
     Verdict,
     enumerate_search_pool,
 )
-from tierplan.presets import DEFAULT_SPEED_FACTORS, wide_search_pipeline
+from tierplan.presets import DEFAULT_SPEED_FACTORS, default_topology, visual_tracking_pipeline, wide_search_pipeline
 from tierplan.search import (
     GAP_WINDOW_LEN,
+    GP_NOISE,
     HISTORY_CAPACITY,
     HISTORY_TOP_K,
+    VARIANCE_INFLATION,
     GaussianProcess,
     HistoryStore,
+    Observations,
     SurrogatePair,
     _argmax_with_ties,
     acquisition,
@@ -62,8 +67,10 @@ class TestGaussianProcess:
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, size=(12, 4))
         y = x @ np.array([0.5, -0.2, 0.1, 0.3]) + 0.4
-        gp = GaussianProcess().fit(x, y)
-        mu, sd = gp.predict(x)
+        gp = GaussianProcess(x)
+        for j, target in enumerate(y):
+            gp.fit(j, float(target))
+        mu, sd = gp.predict(slice(None))
         assert np.allclose(mu, y, atol=0.02)
         # predictive std shrinks to the noise level at observed points
         assert np.all(sd <= np.sqrt(gp.noise) * np.std(y - y.mean()) * 5 + 0.05)
@@ -80,7 +87,7 @@ class TestGaussianProcess:
         assert abs(float(predicted.mu_a[0]) - 0.9) <= 1e-3
         # the same plan with another target is a new observation too
         pair.fit_new_point(0, 0.8, 0.2)
-        assert pair.obs_idx == [0, 4, 0, 0] and pair.obs_y_a == [0.9, 0.7, 0.9, 0.8]
+        assert pair.f_a.rows == [0, 4, 0, 0] and pair.f_a.targets == [0.9, 0.7, 0.9, 0.8]
 
     def test_observations_are_pool_indices_and_the_store_keeps_no_model(self):
         pipe, topo, _land = two_op_setup()
@@ -88,11 +95,11 @@ class TestGaussianProcess:
         pair = new_pair(pipe, topo)
         pair.fit_new_point(2, 0.9, 0.2)
         pair.fit_new_point(5, 0.7, 0.3)
-        assert pair.obs_idx == [2, 5]
-        assert pair.pool_xa is xa and pair.pool_xl is xl  # the shared pool, not a copy
+        assert pair.f_a.pool is xa and pair.f_l.pool is xl  # the shared pool, not a copy
+        assert pair.observations() == Observations(pool_key(pipe, topo.num_tiers), (2, 5), (0.9, 0.7), (0.2, 0.3))
         # the fit is that of the encoded rows of the observed plans
-        want = GaussianProcess().fit(xa[[2, 5]], np.array([0.9, 0.7]))
-        assert np.array_equal(pair.f_a.predict(xa)[0], want.predict(xa)[0])
+        want = GaussianProcess(xa).fit(2, 0.9).fit(5, 0.7)
+        assert np.array_equal(pair.f_a.predict(slice(None))[0], want.predict(slice(None))[0])
         store = HistoryStore()
         store.push(pair)
         # the store holds the pool key and plain arrays over the pool: no pair, no GP
@@ -102,9 +109,75 @@ class TestGaussianProcess:
         assert all(type(v) is np.ndarray and v.shape == (len(pool),) for v in predicted)
 
     def test_prior_before_fit(self):
-        gp = GaussianProcess()
-        mu, sd = gp.predict(np.zeros((3, 2)))
-        assert np.allclose(mu, 0.0) and np.all(sd > 0)
+        gp = GaussianProcess(np.zeros((3, 2)))
+        mu, sd = gp.predict(slice(None))
+        assert np.array_equal(mu, np.zeros(3)) and np.array_equal(sd, np.ones(3))
+
+
+def reference_posterior(pool, rows, targets, noise):
+    """A from-scratch GP over all of ``pool``: standardize the targets, factor
+    K(X, X) + noise*I over the observed rows once, and solve for every pool
+    row (GPML Alg. 2.1)."""
+    y = np.asarray(targets)
+    y_mean, y_std = y.mean(), y.std()
+    y_std = y_std if y_std > 1e-12 else 1.0
+    x = pool[rows]
+    chol = np.linalg.cholesky(np.exp(-0.5 * cdist(x, x, "sqeuclidean")) + noise * np.eye(len(rows)))
+    kq = np.exp(-0.5 * cdist(pool, x, "sqeuclidean"))
+    mu = y_mean + y_std * (kq @ cho_solve((chol, True), (y - y_mean) / y_std))
+    v = solve_triangular(chol, kq.T, lower=True)
+    return mu, y_std * np.sqrt(np.maximum(1.0 - np.sum(v * v, axis=0), noise))
+
+
+class TestPoolPosterior:
+    """The rank-one posterior over a session's pool: the exact GP, and a
+    row's prediction is the same whichever rows are asked for with it."""
+
+    @pytest.mark.parametrize("noise", [GP_NOISE, GP_NOISE * VARIANCE_INFLATION])
+    @pytest.mark.parametrize("case", ["random-order", "repeated-rows", "constant-target"])
+    def test_matches_a_from_scratch_cholesky_gp(self, noise, case):
+        _pool, xa, xl = search_pool(visual_tracking_pipeline(), default_topology())
+        rng = np.random.default_rng(15)
+        if case == "repeated-rows":
+            rows = rng.choice(12, 30).tolist()  # each row about 2.5 times
+        else:
+            rows = rng.permutation(len(xa))[:30].tolist()
+        targets = [0.7] * 30 if case == "constant-target" else rng.uniform(0.05, 1.0, 30).tolist()
+        for pool in (xa, xl):
+            gp = GaussianProcess(pool, noise)
+            for n, (j, y) in enumerate(zip(rows, targets), start=1):
+                gp.fit(j, y)
+                mu, sd = gp.predict(slice(None))
+                want_mu, want_sd = reference_posterior(pool, rows[:n], targets[:n], noise)
+                np.testing.assert_allclose(mu, want_mu, rtol=1e-9, atol=0)
+                np.testing.assert_allclose(sd, want_sd, rtol=1e-9, atol=0)
+
+    def test_a_rows_prediction_does_not_depend_on_its_batch(self):
+        pipe, topo = wide_search_pipeline(), default_topology()
+        pair = new_pair(pipe, topo)
+        n_pool = len(pair.f_a.pool)
+        rng = np.random.default_rng(13)
+        for i in rng.choice(n_pool, 60, replace=False):
+            pair.fit_new_point(int(i), float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.05, 0.5)))
+        whole = pair.predict(slice(None))
+        for size in (1, 2, 7, 100, 1000, n_pool - 1):
+            idx = np.sort(rng.choice(n_pool, size, replace=False))
+            for got, want in zip(pair.predict(idx), whole, strict=True):
+                assert np.array_equal(got, want[idx])
+        for i in rng.choice(n_pool, 300, replace=False):
+            for got, want in zip(pair.predict([int(i)]), whole, strict=True):
+                assert got[0] == want[i]
+
+    def test_stored_predictions_do_not_change_as_the_pair_keeps_fitting(self):
+        pipe, topo, _land = two_op_setup()
+        pair = fitted_pair(pipe, topo, np.random.default_rng(14), 3)
+        store = HistoryStore()
+        store.push(pair)
+        before = [v.copy() for v in store.predictions[0][1]]
+        pair.fit_new_point(7, 0.55, 0.45)
+        pair.fit_new_point(1, 0.95, 0.05)
+        assert not np.array_equal(pair.predict(slice(None)).mu_a, before[0])
+        assert all(np.array_equal(v, w) for v, w in zip(store.predictions[0][1], before, strict=True))
 
 
 class TestUtility:
@@ -361,7 +434,7 @@ class TestUpdate:
             accuracy_estimate=0.87, samples_used=50, verdict=Verdict.PASS_ACCURACY, profiling_cost=1.0
         )
         update(pair, None, 3, out, 0.2)
-        assert pair.obs_idx == [3]
+        assert pair.f_a.rows == [3]
         mu_a, sd_a, mu_l, _ = pair.predict([3])
         assert abs(float(mu_a[0]) - 0.87) <= 0.02
         assert abs(float(mu_l[0]) - 0.2) <= 0.02
@@ -429,7 +502,7 @@ class TestUpdate:
 
 def fitted_pair(pipe, topo, rng, n_obs):
     pair = new_pair(pipe, topo)
-    for i in rng.choice(len(pair.pool_xa), n_obs, replace=False):
+    for i in rng.choice(len(pair.f_a.pool), n_obs, replace=False):
         pair.fit_new_point(int(i), float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.05, 0.5)))
     return pair
 
@@ -467,9 +540,9 @@ class TestHistoryPoolPredictions:
         calls = []
         predict = GaussianProcess.predict
 
-        def counted(self, xq):
-            calls.append((self, len(np.atleast_2d(xq))))
-            return predict(self, xq)
+        def counted(self, idx):
+            calls.append((self, idx))
+            return predict(self, idx)
 
         monkeypatch.setattr(GaussianProcess, "predict", counted)
         store = HistoryStore()
@@ -478,7 +551,7 @@ class TestHistoryPoolPredictions:
         # at push: each model predicts once, over the whole pool
         models = sorted(id(gp) for pair in pairs for gp in (pair.f_a, pair.f_l))
         assert sorted(id(gp) for gp, _ in calls) == models
-        assert all(rows == len(pool) for _, rows in calls)
+        assert all(idx == slice(None) for _, idx in calls)
         # after push: gap updates and votes only read those predictions
         calls.clear()
         for a_slo in (0.8, 0.6):
@@ -725,9 +798,9 @@ class TestSingleQuerySearch:
             ("cmbo", (1, 1, 3), (1, 1, 2)),
         ]
 
-    def test_subsampled_pool_proposal_sequence_is_pinned(self, topology):
-        # 22,680 plans exceed the enumeration cap, so every step scores a
-        # seeded subsample drawn before the cold branch's own draw.
+    def test_large_pool_proposal_sequence_is_pinned(self, topology):
+        # 22,680 plans, every unprofiled one scored at each step; the same
+        # sequence as a from-scratch refit that scores the whole pool
         ops = tuple(
             OperatorSpec(i, tuple(f"o{j}" for j in range(n)), base_output_size=1e5)
             for i, n in enumerate((6, 6, 6, 7))
@@ -738,11 +811,10 @@ class TestSingleQuerySearch:
         res = single_query_search(q, land, topology, seed=3)
         got = [(t["branch"], tuple(t["configuration"]), tuple(t["placement"])) for t in res.telemetry]
         assert got == [
-            ("cold", (2, 1, 5, 0), (1, 1, 1, 1)),
-            ("cmbo", (2, 1, 5, 2), (1, 1, 1, 1)),
-            ("cmbo", (0, 1, 3, 0), (1, 1, 1, 1)),
-            ("cmbo", (0, 0, 3, 0), (1, 1, 1, 1)),
-            ("cmbo", (0, 0, 3, 0), (0, 1, 2, 2)),
+            ("cold", (1, 0, 1, 1), (1, 1, 2, 2)),
+            ("cmbo", (1, 0, 1, 1), (0, 1, 2, 2)),
+            ("cmbo", (1, 0, 1, 1), (1, 1, 1, 2)),
+            ("cmbo", (0, 0, 1, 1), (1, 1, 2, 2)),
         ]
 
     def test_candidates_meet_both_slos_under_oracle(self, vt_pipeline, vt_landscape, topology, vt_query):
@@ -805,19 +877,22 @@ class TestReplan:
         from tierplan.scheduler import replan
 
         first = single_query_search(vt_query, vt_landscape, topology, seed=2)
-        assert first.surrogates.n_obs > 0
-        again = replan(
-            vt_query, vt_landscape, topology, prior_pair=first.surrogates, seed=3, budget_s=2.0
-        )
-        # stale observations retained plus fresh ones
-        assert again.surrogates.n_obs >= first.surrogates.n_obs
-        assert again.steps >= 1
+        assert len(first.observations.idx) == first.steps > 0
+        again = replan(vt_query, vt_landscape, topology, prior=first.observations, seed=3, budget_s=2.0)
+        # stale observations retained, in order, plus fresh ones
+        n = len(first.observations.idx)
+        assert again.steps >= 1 and len(again.observations.idx) == n + again.steps
+        assert all(a[:n] == b for a, b in zip(again.observations[1:], first.observations[1:], strict=True))
+        # a result holds observations, no model
+        assert type(again.observations) is Observations
+        assert not any(isinstance(v, (SurrogatePair, GaussianProcess)) for v in vars(again).values())
 
-    def test_warm_pair_must_share_the_search_pool(self, vt_landscape, topology, vt_query):
-        # its observations are indices into its own pool
+    def test_warm_observations_must_share_the_search_pool(self, vt_landscape, topology, vt_query):
+        # they are indices into their own pool
         pipe, topo, _land = two_op_setup()
+        warm = Observations(pool_key(pipe, topo.num_tiers), (0,), (0.9,), (0.2,))
         with pytest.raises(ValueError, match="another search pool"):
-            single_query_search(vt_query, vt_landscape, topology, warm_pair=new_pair(pipe, topo))
+            single_query_search(vt_query, vt_landscape, topology, warm=warm)
 
 
 class TestWarmStart:

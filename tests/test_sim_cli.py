@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from tierplan.cli import main as cli_main
 from tierplan.landscape import ArrivalTrace, TraceEntry, generate_landscape, quality_latency_frontier
 from tierplan.model import SCHEMA_VERSION, SchemaError, Tier, TierTopology
+from tierplan import search
 from tierplan.presets import code_generation_pipeline
 from tierplan.search import SearchConfig
 from tierplan.sim import DriftEvent, SimConfig, _Sim, compare, run, sim_config_from_file
@@ -169,44 +172,67 @@ class TestRun:
         assert rep.queries[0].status == "completed"
 
     def test_planner_state_dropped_when_a_query_ends(self):
-        # one machine per tier, so some tight-SLO queries never fit and end
-        # pending; a later accuracy drift degrades the running query
-        topo = TierTopology(
-            (Tier("device", 1, 1.0, 0.05), Tier("cloud", 1, 1.0, 3.67)),
-            ((25000.0, 400.0), (400.0, 3000.0)),
-            ((0.001, 0.005), (0.005, 0.001)),
-        )
-        pipe = code_generation_pipeline()
-        land = generate_landscape(
-            seed=3, pipeline=pipe, difficulty="rugged", tier_speed_factors=(3.0, 1.0), num_tiers=2
-        )
-        frontier = quality_latency_frontier(land, topo)
-        acc = float(np.mean([a for _, a, _ in frontier]))
-        lats = [l for _, _, l in frontier]
-        entries = [
-            TraceEntry(
-                0.5 * i,
-                pipe.name,
-                0.8 * acc if i % 2 else 0.6 * acc,
-                min(lats) if i % 3 else 1.5 * float(np.mean(lats)),
-                10.0 + i,
-            )
-            for i in range(10)
-        ]
-        cfg = SimConfig(
-            topology=topo,
-            pipelines={pipe.name: pipe},
-            landscapes={pipe.name: land},
-            trace=ArrivalTrace(entries=tuple(entries), generator_params={}),
-            planning_budget_s=2.0,
-            drift=(DriftEvent(time=3.0, kind="accuracy", template=pipe.name, delta=-0.5),),
-        )
-        sim = _Sim(cfg)
+        sim = _Sim(tight_cluster_config())
         report = sim.run()
         statuses = {q.id: q.status for q in report.queries}
         assert set(statuses.values()) == {"completed", "rejected", "degraded", "pending-at-end"}
         waiting = sorted(qid for qid, status in statuses.items() if status == "pending-at-end")
-        assert sorted(sim.candidates) == sorted(sim.surrogates) == waiting
+        assert sorted(sim.candidates) == sorted(sim.observations) == waiting
+
+    def test_sessions_leave_observations_not_models(self, monkeypatch):
+        # every surrogate pair dies with its session, replans included; the
+        # simulator keeps each live query's observations
+        pairs = []
+        init = search.SurrogatePair.__init__
+
+        def tracked(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            pairs.append(weakref.ref(self))
+
+        monkeypatch.setattr(search.SurrogatePair, "__init__", tracked)
+        sim = _Sim(tight_cluster_config())
+        report = sim.run()
+        assert any(q.replans for q in report.queries) and sim.observations
+        gc.collect()
+        assert pairs and all(ref() is None for ref in pairs)
+        for qid, observations in sim.observations.items():
+            assert type(observations) is search.Observations
+            assert len(observations.idx) == report.queries[int(qid[1:])].search_steps
+
+
+def tight_cluster_config():
+    """One machine per tier, so some tight-SLO queries never fit and end
+    pending; an accuracy drift at 3 s degrades the running query."""
+    topo = TierTopology(
+        (Tier("device", 1, 1.0, 0.05), Tier("cloud", 1, 1.0, 3.67)),
+        ((25000.0, 400.0), (400.0, 3000.0)),
+        ((0.001, 0.005), (0.005, 0.001)),
+    )
+    pipe = code_generation_pipeline()
+    land = generate_landscape(
+        seed=3, pipeline=pipe, difficulty="rugged", tier_speed_factors=(3.0, 1.0), num_tiers=2
+    )
+    frontier = quality_latency_frontier(land, topo)
+    acc = float(np.mean([a for _, a, _ in frontier]))
+    lats = [l for _, _, l in frontier]
+    entries = [
+        TraceEntry(
+            0.5 * i,
+            pipe.name,
+            0.8 * acc if i % 2 else 0.6 * acc,
+            min(lats) if i % 3 else 1.5 * float(np.mean(lats)),
+            10.0 + i,
+        )
+        for i in range(10)
+    ]
+    return SimConfig(
+        topology=topo,
+        pipelines={pipe.name: pipe},
+        landscapes={pipe.name: land},
+        trace=ArrivalTrace(entries=tuple(entries), generator_params={}),
+        planning_budget_s=2.0,
+        drift=(DriftEvent(time=3.0, kind="accuracy", template=pipe.name, delta=-0.5),),
+    )
 
 
 class TestCompare:
@@ -323,6 +349,8 @@ class TestConfigFile:
             ("lifespan", -5.0),
             ("lifespan", float("inf")),
             ("weight", 0.0),
+            ("weight", float("inf")),
+            ("l_slo", float("inf")),
         ],
     )
     def test_invalid_trace_entry_rejected_at_load(self, tmp_path, capsys, field, value):
@@ -334,6 +362,8 @@ class TestConfigFile:
         path = self._write(
             tmp_path, {"schema_version": SCHEMA_VERSION, "pipelines": ["code-generation"], "trace": trace}
         )
+        # inf as the number literal 1e999, not the constant Infinity
+        Path(path).write_text(Path(path).read_text().replace("Infinity", "1e999"))
         assert cli_main(["simulate", "--config", path]) == 1
         assert field in capsys.readouterr().err
 
@@ -389,6 +419,11 @@ class TestConfigFile:
             ({"trace": {"schema_version": SCHEMA_VERSION, "entries": [dict(TRACE_ROW, a_slo=True)]}}, "a_slo"),
             ({"topology": dict(TOPOLOGY, tiers=[dict(TIER, machine_count=True), TIER])}, "machine_count"),
             ({"topology": {**TOPOLOGY, "bandwidth_mbps": [[1000, "200"], [200, 1000]]}}, "bandwidth_mbps"),
+            ({"drift": [{"time": 1.0, "kind": "bandwidth", "link": [1, 2], "factor": float("inf")}]}, "factor"),
+            ({"topology": dict(TOPOLOGY, tiers=[dict(TIER, unit_cost=float("inf")), TIER])}, "unit_cost"),
+            ({"topology": {**TOPOLOGY, "bandwidth_mbps": [[1000, float("inf")], [200, 1000]]}}, "bandwidth_mbps"),
+            ({"trace": {"schema_version": SCHEMA_VERSION, "entries": [dict(TRACE_ROW, weight=float("inf"))]}}, "weight"),
+            ({"trace": {"schema_version": SCHEMA_VERSION, "entries": [dict(TRACE_ROW, l_slo=float("inf"))]}}, "l_slo"),
         ],
         ids=[
             "drift-link-out-of-range",
@@ -440,6 +475,11 @@ class TestConfigFile:
             "boolean-trace-a-slo",
             "boolean-machine-count",
             "string-bandwidth",
+            "overflowing-drift-factor",
+            "overflowing-unit-cost",
+            "overflowing-bandwidth",
+            "overflowing-trace-weight",
+            "overflowing-trace-l-slo",
         ],
     )
     def test_invalid_config_rejected_at_load(self, tmp_path, capsys, overrides, message):
@@ -565,6 +605,12 @@ class TestCli:
         rc = cli_main(["oracle", "--mode", "goodput", "--random", "1", "--queries", "9"])
         assert rc == 2
         assert "refused" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--random", "-1"), ("--random", "0"), ("--queries", "0"), ("--plans", "0")])
+    def test_oracle_counts_below_one_are_schema_errors(self, capsys, flag, value):
+        assert cli_main(["oracle", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{flag} must be at least 1, got {value}" in err
 
     def test_simulate_schema_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
