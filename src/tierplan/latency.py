@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import RESOURCE_FRACTIONS, PipelineSpec, PlanPoint, TierTopology
 
 #: Default profiling price, dollars per GPU-hour on the reference tier.
@@ -73,51 +75,45 @@ def pipeline_latency(
     topology: TierTopology,
     timings: OperatorTimings,
 ) -> float:
-    """Longest-path latency, in seconds, of a placed, configured, resourced
-    pipeline.
+    """Longest-path latency, in seconds, of a placed, configured, resourced pipeline."""
+    speed = timings.tier_speed_factors
+    node_w = [
+        compute_time(base, frac, speed[tier], op.is_batching)
+        for base, frac, tier, op in zip(timings.base_compute_s, plan.resources, plan.placement, pipeline.operators)
+    ]
+    return float(longest_path(node_w, plan.placement, pipeline, topology, timings))
+
+
+def longest_path(
+    node_w: list, placement: tuple[int, ...], pipeline: PipelineSpec, topology: TierTopology, timings: OperatorTimings
+):
+    """Heaviest source->sink path sum of a placed pipeline whose operator i
+    computes for ``node_w[i]`` seconds.
 
     Node and edge weights are accumulated in topological order by dynamic
-    programming, so the result is deterministic and exactly equals the
-    heaviest source->sink path sum. ``PipelineSpec`` guarantees that edges
-    point forward and that every operator is reachable from a source, so
-    operator order is a topological order.
+    programming, so the result exactly equals the heaviest path sum.
+    ``PipelineSpec`` guarantees that edges point forward and that every
+    operator is reachable from a source, so operator order is a topological
+    order. Node weights are floats, or arrays that broadcast together (one
+    entry per resource allocation), which give an array summed in the same
+    order.
     """
-    n = len(pipeline)
-    if len(timings.base_compute_s) != n or len(timings.output_bytes) != n:
+    n, out = len(pipeline), timings.output_bytes
+    if len(timings.base_compute_s) != n or len(out) != n:
         raise ValueError("timings do not match pipeline size")
-    node_w = [
-        compute_time(
-            timings.base_compute_s[i],
-            plan.resources[i],
-            timings.tier_speed_factors[plan.placement[i]],
-            pipeline.operators[i].is_batching,
-        )
-        for i in range(n)
-    ]
-    bandwidth, link_latency = topology.bandwidth_mbps, topology.link_latency_s
-    ready = [0.0] * n
-    # Raw input originates on the device tier; off-device sources pay ingress.
-    for i in pipeline.sources():
-        ti = plan.placement[i]
-        ready[i] = transfer_time(
-            pipeline.input_bytes,
-            bandwidth[0][ti],
-            link_latency[0][ti],
-            co_located=(ti == 0 or pipeline.input_bytes == 0),
-        ) + node_w[i]
-    for v in range(n):
-        preds = pipeline.predecessors(v)
-        if not preds:
-            continue
-        tv = plan.placement[v]
-        arrivals = []
-        for u in preds:
-            tu = plan.placement[u]
-            arrivals.append(
-                ready[u]
-                + transfer_time(timings.output_bytes[u], bandwidth[tu][tv], link_latency[tu][tv], co_located=(tu == tv))
-            )
-        ready[v] = max(arrivals) + node_w[v]
+    bw, link = topology.bandwidth_mbps, topology.link_latency_s
+    ready = []
+    for v, preds in enumerate(pipeline.preds):
+        tv = placement[v]
+        if not preds:  # raw input originates on the device tier; off-device sources pay ingress
+            arrival = transfer_time(pipeline.input_bytes, bw[0][tv], link[0][tv], tv == 0 or pipeline.input_bytes == 0)
+        else:
+            arrivals = []
+            for u in preds:
+                tu = placement[u]
+                arrivals.append(ready[u] + transfer_time(out[u], bw[tu][tv], link[tu][tv], tu == tv))
+            arrival = arrivals[0] if len(arrivals) == 1 else np.maximum.reduce(np.broadcast_arrays(*arrivals))
+        ready.append(arrival + node_w[v])
     return ready[pipeline.sink]
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 from math import comb, isfinite
 from typing import Iterator, Sequence
@@ -109,17 +110,17 @@ class PipelineSpec:
             if reachable != set(range(n)):
                 raise ValueError("every operator must be reachable from a source")
 
+    @cached_property
+    def preds(self) -> tuple[tuple[int, ...], ...]:
+        """Each operator's producers, in edge order."""
+        return tuple(tuple(u for u, v in self.edges if v == i) for i in range(len(self.operators)))
+
     def sources(self) -> list[int]:
-        has_in = {v for _, v in self.edges}
-        return [i for i in range(len(self.operators)) if i not in has_in]
+        return [i for i, preds in enumerate(self.preds) if not preds]
 
     @property
     def sink(self) -> int:
-        has_out = {u for u, _ in self.edges}
-        return next(i for i in range(len(self.operators)) if i not in has_out)
-
-    def predecessors(self, i: int) -> list[int]:
-        return [u for u, v in self.edges if v == i]
+        return len(self.operators) - 1  # edges point forward, so the one sink is last
 
     def __len__(self) -> int:
         return len(self.operators)

@@ -38,6 +38,7 @@ from .model import (
     PlanPoint,
     ProfileOutcome,
     Query,
+    SpaceTooLargeError,
     TierTopology,
     Verdict,
     enumerate_search_pool,
@@ -400,6 +401,21 @@ def update(
 # Pareto resource pruning
 
 
+#: Most operators whose 4^m resource lattice Pareto pruning evaluates; a
+#: larger pipeline is refused before planning.
+MAX_LATTICE_OPERATORS = 10
+
+
+def _check_lattice_size(pipeline: PipelineSpec) -> None:
+    """Raise SpaceTooLargeError for more than MAX_LATTICE_OPERATORS operators."""
+    m = len(pipeline)
+    if m > MAX_LATTICE_OPERATORS:
+        raise SpaceTooLargeError(
+            f"{m} operators give {len(RESOURCE_FRACTIONS) ** m} resource allocations per plan; "
+            f"Pareto pruning is limited to {MAX_LATTICE_OPERATORS} operators"
+        )
+
+
 def pareto_optimize(
     plan: PlanPoint,
     pipeline: PipelineSpec,
@@ -409,57 +425,37 @@ def pareto_optimize(
 ) -> list[tuple[PlanPoint, float, float]]:
     """Tighten per-operator resource fractions until the latency SLO binds.
 
-    Walks the fraction grid downward from the over-provisioned corner
-    (latency is monotone in every fraction, so every feasible allocation is
-    reachable through feasible single-step reductions), keeps the terminal
-    allocations where no single reduction stays within the SLO, and returns
-    the ``(plan, hourly_cost, latency_s)`` rows of their (cost, latency)
-    non-dominated subset. Batching operators never affect latency, so they
-    always end at the cheapest fraction.
+    Computes the latency of every allocation in one pass of the longest-path
+    DP, with operator i's compute times laid along axis i of the fraction
+    lattice, and keeps the terminal allocations: within the SLO, with no
+    single-step reduction that stays within it. Latency is monotone in every
+    fraction, so every feasible allocation is reachable from the
+    over-provisioned corner through feasible single-step reductions, and
+    these are the allocations where that walk ends. Returns the ``(plan,
+    hourly_cost, latency_s)`` rows of their (cost, latency) non-dominated
+    subset, in lattice order. Batching operators never affect latency, so
+    they always end at the cheapest fraction.
     """
+    _check_lattice_size(pipeline)
     m = len(pipeline)
     levels = RESOURCE_FRACTIONS
-    bottom = len(levels) - 1
-
-    def lat_of(state: tuple[int, ...]) -> float:
-        p = plan.with_resources(tuple(levels[i] for i in state))
-        return latmod.pipeline_latency(p, pipeline, topology, timings)
-
-    start = (0,) * m
-    start_lat = lat_of(start)
-    if start_lat > l_slo:
-        raise ValueError(
-            f"plan violates the latency SLO even over-provisioned ({start_lat:.4f}s > {l_slo:.4f}s)"
-        )
-    feasible: dict[tuple[int, ...], float] = {start: start_lat}
-    infeasible: set[tuple[int, ...]] = set()
-    minimal: list[tuple[int, ...]] = []
-    stack = [start]
-    while stack:
-        state = stack.pop()
-        any_child = False
-        for i in range(m):
-            if state[i] == bottom:
-                continue
-            child = state[:i] + (state[i] + 1,) + state[i + 1 :]
-            if child in infeasible:
-                continue
-            lat = feasible.get(child)
-            if lat is None:
-                lat = lat_of(child)
-                if lat > l_slo:
-                    infeasible.add(child)
-                    continue
-                feasible[child] = lat
-                stack.append(child)
-            any_child = True
-        if not any_child:
-            minimal.append(state)
-
+    speed = timings.tier_speed_factors
+    node_w = []
+    for i, (base, tier, op) in enumerate(zip(timings.base_compute_s, plan.placement, pipeline.operators)):
+        w = [latmod.compute_time(base, f, speed[tier], op.is_batching) for f in levels]
+        node_w.append(np.reshape(w, (1,) * i + (-1,) + (1,) * (m - 1 - i)))
+    # every operator lies on a path to the sink, so the result spans all m axes
+    lat = latmod.longest_path(node_w, plan.placement, pipeline, topology, timings)
+    if lat.flat[0] > l_slo:
+        raise ValueError(f"plan violates the latency SLO even over-provisioned ({lat.flat[0]:.4f}s > {l_slo:.4f}s)")
+    feasible = lat <= l_slo
+    reducible = np.zeros_like(feasible)
+    for axis in range(m):
+        np.moveaxis(reducible, axis, 0)[:-1] |= np.moveaxis(feasible, axis, 0)[1:]
     rows = []
-    for state in minimal:
-        p = plan.with_resources(tuple(levels[i] for i in state))
-        rows.append((p, latmod.plan_hourly_cost(p, topology), feasible[state]))
+    for state in zip(*np.nonzero(feasible & ~reducible)):
+        p = plan.with_resources(tuple(levels[k] for k in state))
+        rows.append((p, latmod.plan_hourly_cost(p, topology), float(lat[state])))
     return pareto_filter(rows, key=lambda r: r[1:])
 
 
@@ -551,11 +547,13 @@ def single_query_search(
     accumulated candidate set, possibly empty, and the session's
     observations. Passing ``warm`` (observations on the same search pool)
     seeds the session with them, at observation noise inflated by
-    ``VARIANCE_INFLATION`` (used for drift replanning).
+    ``VARIANCE_INFLATION`` (used for drift replanning). A pipeline of more
+    than MAX_LATTICE_OPERATORS operators is refused before anything is profiled.
     """
     cfg = config or SearchConfig()
     rng = np.random.default_rng(seed)
     pipeline = query.pipeline
+    _check_lattice_size(pipeline)
     pool, pool_xa, pool_xl = search_pool(pipeline, topology)
     key = pool_key(pipeline, topology.num_tiers)
     strat = stratify(land.case_features, min(DEFAULT_PLANNER_STRATA, land.n_cases), seed=seed)

@@ -100,6 +100,8 @@ class SimConfig:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise SchemaError(f"seed must be >= 0, got {self.seed}")
         if (self.planning_budget_s is None) == (self.planning_budget_gpuh is None):
             raise ValueError("exactly one planning budget form must be set")
         for name in ("planning_budget_s", "planning_budget_gpuh", "replan_budget_s"):

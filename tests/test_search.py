@@ -7,7 +7,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
-from oracles import exhaustive_resource_frontier
+from oracles import all_paths_latency, exhaustive_resource_frontier
 from tierplan.landscape import generate_landscape, quality_latency_frontier, true_pareto_set
 from tierplan.latency import OperatorTimings, pipeline_latency, plan_hourly_cost
 from tierplan.model import (
@@ -16,6 +16,7 @@ from tierplan.model import (
     PlanPoint,
     ProfileOutcome,
     Query,
+    SpaceTooLargeError,
     Tier,
     TierTopology,
     Verdict,
@@ -27,6 +28,7 @@ from tierplan.search import (
     GP_NOISE,
     HISTORY_CAPACITY,
     HISTORY_TOP_K,
+    MAX_LATTICE_OPERATORS,
     VARIANCE_INFLATION,
     GaussianProcess,
     HistoryStore,
@@ -744,6 +746,49 @@ class TestParetoOptimize:
                 plan, pipe, topo, timings, l_slo, pipeline_latency, plan_hourly_cost
             )
             assert {p for p, _, _ in got} == set(oracle), f"trial {trial}"
+        # fan-in DAGs, some with a batching source, and all-batching chains
+        # (whose node weights are the same at every fraction), checked
+        # against a latency that walks every path instead of sharing the DP
+        for trial in range(30):
+            m = int(rng.integers(2, 6))
+            if trial % 3 == 0:
+                batching = (True,) * m
+                edges = {(i, i + 1) for i in range(m - 1)}
+            else:
+                batching = tuple(bool(rng.uniform() < 0.3) for _ in range(m))
+                edges = {(i, i + 1) for i in range(m - 1)}
+                edges |= {(u, v) for u in range(m - 2) for v in range(u + 2, m) if rng.uniform() < 0.5}
+            ops = tuple(
+                OperatorSpec(i, ("x",), is_batching=batching[i], base_output_size=1e4) for i in range(m)
+            )
+            pipe = PipelineSpec(f"dag{trial}", ops, tuple(sorted(edges)), input_bytes=float(rng.uniform(0, 1e5)))
+            tiers = (Tier("a", 2, 1.0, 1.0), Tier("b", 2, 1.0, 3.0))
+            topo = TierTopology(tiers, ((500.0, 100.0), (100.0, 500.0)), ((0.0, 0.002), (0.002, 0.0)))
+            placement = tuple(sorted(int(rng.integers(2)) for _ in range(m)))
+            plan = PlanPoint((0,) * m, placement, (1.0,) * m)
+            timings = OperatorTimings(
+                tuple(rng.uniform(0.01, 0.3, m)), tuple(rng.uniform(1e3, 1e5, m)), (2.0, 1.0)
+            )
+            l_slo = float(all_paths_latency(plan, pipe, topo, timings) * rng.uniform(1.05, 6.0))
+            got = pareto_optimize(plan, pipe, topo, timings, l_slo)
+            oracle = exhaustive_resource_frontier(
+                plan, pipe, topo, timings, l_slo, all_paths_latency, plan_hourly_cost
+            )
+            assert {p for p, _, _ in got} == set(oracle), f"dag trial {trial}"
+            for p, _, lat in got:
+                assert lat == all_paths_latency(p, pipe, topo, timings), f"dag trial {trial}"
+            if all(batching):
+                assert [p.resources for p, _, _ in got] == [(0.125,) * m]
+
+    def test_more_than_max_operators_is_refused(self):
+        m = MAX_LATTICE_OPERATORS + 1
+        ops = tuple(OperatorSpec(i, ("x",), base_output_size=1e4) for i in range(m))
+        pipe = PipelineSpec("long", ops, tuple((i, i + 1) for i in range(m - 1)))
+        topo = TierTopology((Tier("a", 2, 1.0, 1.0),), ((500.0,),), ((0.0,),))
+        plan = PlanPoint((0,) * m, (0,) * m, (1.0,) * m)
+        timings = OperatorTimings((0.01,) * m, (1e4,) * m, (1.0,))
+        with pytest.raises(SpaceTooLargeError, match=f"limited to {MAX_LATTICE_OPERATORS} operators"):
+            pareto_optimize(plan, pipe, topo, timings, l_slo=100.0)
 
     def test_rows_carry_each_plans_cost_and_latency(self):
         rng = np.random.default_rng(8)

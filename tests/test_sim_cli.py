@@ -397,6 +397,7 @@ class TestConfigFile:
             ({"ablations": {"warm_start": "no"}}, "warm_start"),
             ({"ablations": {"prefix_cache": 0}}, "prefix_cache"),
             ({"seed": 7.0}, "seed"),
+            ({"seed": -5, "trace": {"schema_version": SCHEMA_VERSION, "entries": [TRACE_ROW]}}, "seed"),
             ({"landscape": {"k_true": 2.7}}, "k_true"),
             ({"ablations": {"fixed_n": True}}, "fixed_n"),
             ({"pipelines": 5}, "pipelines"),
@@ -453,6 +454,7 @@ class TestConfigFile:
             "string-warm-start",
             "integer-prefix-cache",
             "float-seed",
+            "negative-seed",
             "float-k-true",
             "boolean-fixed-n",
             "integer-pipelines",
@@ -595,6 +597,25 @@ class TestCli:
         rc = cli_main(["plan", "--pipeline", str(path), "--a-slo", "0.5", "--l-slo", "0.5"])
         assert rc == 1
         assert "is_batching must be true or false" in capsys.readouterr().err
+
+    def test_plan_refuses_an_oversized_resource_lattice_before_profiling(self, tmp_path, capsys, monkeypatch):
+        profiled = []
+        monkeypatch.setattr(search, "profile_plan", lambda *args, **kwargs: profiled.append(args))
+        m = search.MAX_LATTICE_OPERATORS + 1
+        pipeline = {
+            "schema_version": SCHEMA_VERSION,
+            "name": "long-chain",
+            "operators": [{"id": i, "knob_domain": ["x"]} for i in range(m)],
+            "edges": [[i, i + 1] for i in range(m - 1)],
+        }
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(pipeline))
+        log = tmp_path / "profiling.jsonl"
+        argv = ["plan", "--pipeline", str(path), "--a-slo", "0.5", "--l-slo", "100", "--profiling-log", str(log)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("refused:")
+        assert not log.exists() or log.read_text() == ""
+        assert profiled == []
 
     def test_oracle_mode_and_refusal(self, capsys):
         rc = cli_main(["oracle", "--mode", "goodput", "--random", "3", "--queries", "4"])
