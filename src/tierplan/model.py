@@ -311,23 +311,19 @@ def enumerate_search_pool(pipeline: PipelineSpec, topology: TierTopology) -> lis
 # Pareto helpers
 
 
-def dominates(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    """Weak Pareto dominance on (cost, latency): a is no worse in both and
-    strictly better in at least one."""
-    return a[0] <= b[0] and a[1] <= b[1] and (a[0] < b[0] or a[1] < b[1])
-
-
 def pareto_filter(items: Sequence, key) -> list:
-    """Non-dominated subset under (cost, latency) minimization, stable order."""
+    """Non-dominated subset under (cost, latency) minimization, in input
+    order. An item is dropped if another is no worse in both and strictly
+    better in one, or if an earlier item has equal keys. One sort by (cost,
+    latency, index) and a sweep: an item survives iff its latency is below
+    that of every item before it, and the first always survives."""
     keys = [key(it) for it in items]
-    out = []
-    for i, it in enumerate(items):
-        if any(dominates(keys[j], keys[i]) for j in range(len(items)) if j != i):
-            continue
-        if any(keys[j] == keys[i] for j in range(i)):
-            continue  # drop exact duplicates, keep first
-        out.append(it)
-    return out
+    order = sorted(range(len(items)), key=lambda i: (*keys[i], i))
+    kept = order[:1]
+    for i in order[1:]:
+        if keys[i][1] < keys[kept[-1]][1]:
+            kept.append(i)
+    return [items[i] for i in sorted(kept)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,15 @@ Two independent Gaussian-process surrogates drive the acquisition: one maps
 configuration one-hots to accuracy, the other maps configuration+placement
 one-hots to latency. The acquisition multiplies the probability of meeting
 each SLO and divides by the predicted profiling cost, so expensive plans
-must earn their evaluation. Each surrogate's posterior lives on the
-session's search pool and grows by one rank-one step per observation (a
-pool index), so every prediction is a lookup of pool rows. Completed
-sessions leave their predictions over that pool in a history store and
-hand back their observations, which a replan takes in again; new sessions
-on the same pool let the most similar histories (smallest prediction gap
-against fresh observations) vote on proposals until the session's own
-model outpredicts them.
+must earn their evaluation. Each surrogate's posterior grows by one
+rank-one step per observation (a pool index), so every prediction is a
+lookup: the accuracy model lives on the pool's distinct configurations,
+the latency model on its rows, and a pool row reads its accuracy through
+its configuration index. Completed sessions leave their predictions over
+that pool in a history store and hand back their observations, which a
+replan takes in again; new sessions on the same pool let the most similar
+histories (smallest prediction gap against fresh observations) vote on
+proposals until the session's own model outpredicts them.
 """
 
 from __future__ import annotations
@@ -70,10 +71,11 @@ HISTORY_CAPACITY = 32
 
 
 class GaussianProcess:
-    """Exact GP regression over the fixed rows ``pool`` of a search pool,
-    with a fixed RBF kernel (length scale 1, unit signal variance) and
-    observation noise ``noise``. Targets are standardized internally; no
-    hyperparameter optimization.
+    """Exact GP regression over the fixed input rows ``pool`` (a search
+    pool's distinct configurations or its plans), with a fixed RBF kernel
+    (length scale 1, unit signal variance) and observation noise
+    ``noise``. Targets are standardized internally; no hyperparameter
+    optimization.
 
     With L the Cholesky factor of K(X, X) + noise*I over the observed rows
     X, the state is V = L⁻¹K(X, pool), w = L⁻¹[y 1] and, per pool row,
@@ -148,29 +150,49 @@ def pool_key(pipeline: PipelineSpec, num_tiers: int) -> tuple[tuple[int, ...], i
     return tuple(len(op.knob_domain) for op in pipeline.operators), num_tiers
 
 
-_SEARCH_POOLS: dict[tuple, tuple[tuple[PlanPoint, ...], np.ndarray, np.ndarray]] = {}
+class SearchPool(NamedTuple):
+    """A search pool and its encoding. The accuracy model never sees
+    placement, so its rows ``xa`` are one per distinct configuration, and
+    ``config[i]`` is pool plan ``i``'s row in them; the latency rows ``xl``
+    are one per pool plan."""
+
+    key: tuple
+    plans: tuple[PlanPoint, ...]
+    xa: np.ndarray
+    config: np.ndarray
+    xl: np.ndarray
 
 
-def search_pool(pipeline: PipelineSpec, topology: TierTopology) -> tuple[tuple[PlanPoint, ...], np.ndarray, np.ndarray]:
-    """``(pool, pool_xa, pool_xl)``: the search pool and its encoded rows,
-    built once per process for each :func:`pool_key` and shared read-only."""
+_SEARCH_POOLS: dict[tuple, SearchPool] = {}
+
+
+def search_pool(pipeline: PipelineSpec, topology: TierTopology) -> SearchPool:
+    """The search pool and its encoded rows, built once per process for
+    each :func:`pool_key` and shared read-only. Distinct configurations are
+    found by their mixed-radix codes, so ``xa`` is in configuration order."""
     key = pool_key(pipeline, topology.num_tiers)
     cached = _SEARCH_POOLS.get(key)
     if cached is None:
-        pool = tuple(enumerate_search_pool(pipeline, topology))
-        pool_xa, pool_xl = encode_pool(pool, pipeline, topology.num_tiers)
-        pool_xa.setflags(write=False)
-        pool_xl.setflags(write=False)
-        cached = _SEARCH_POOLS[key] = (pool, pool_xa, pool_xl)
+        plans = tuple(enumerate_search_pool(pipeline, topology))
+        xa, xl = encode_pool(plans, pipeline, topology.num_tiers)
+        code = np.ravel_multi_index(np.array([p.configuration for p in plans]).T, key[0])
+        _, first, config = np.unique(code, return_index=True, return_inverse=True)
+        xa = xa[first]
+        for rows in (xa, config, xl):
+            rows.setflags(write=False)
+        cached = _SEARCH_POOLS[key] = SearchPool(key, plans, xa, config, xl)
     return cached
 
 
 class PoolPredictions(NamedTuple):
-    """Accuracy and latency predictive means and stds over pool rows, as
-    :meth:`SurrogatePair.predict` returns them."""
+    """Predictive means and stds, as :meth:`SurrogatePair.predict` returns
+    them: accuracy over every distinct configuration, latency over the
+    predicted pool rows, and ``config``, each predicted row's
+    configuration. Row ``i``'s accuracy is ``mu_a[config[i]]``."""
 
     mu_a: np.ndarray
     sd_a: np.ndarray
+    config: np.ndarray
     mu_l: np.ndarray
     sd_l: np.ndarray
 
@@ -186,32 +208,33 @@ class Observations(NamedTuple):
 
 
 class SurrogatePair:
-    """Accuracy and latency posteriors over one search pool. ``pool_xa`` and
-    ``pool_xl`` are the pool's encoded rows (those of :func:`search_pool`,
-    shared read-only). The accuracy model never sees placement or
-    resources; the latency model never sees resources (search is
-    over-provisioned)."""
+    """Accuracy and latency posteriors over one :class:`SearchPool`, whose
+    read-only rows they share. The accuracy model lives on the pool's
+    distinct configurations and never sees placement or resources; the
+    latency model lives on the pool rows and never sees resources (search
+    is over-provisioned)."""
 
-    def __init__(self, key: tuple, pool_xa: np.ndarray, pool_xl: np.ndarray, noise: float = GP_NOISE):
-        self.pool_key = key
-        self.f_a = GaussianProcess(pool_xa, noise)
-        self.f_l = GaussianProcess(pool_xl, noise)
+    def __init__(self, pool: SearchPool, noise: float = GP_NOISE):
+        self.pool_key = pool.key
+        self.config = pool.config
+        self.f_a = GaussianProcess(pool.xa, noise)
+        self.f_l = GaussianProcess(pool.xl, noise)
 
     @property
     def n_obs(self) -> int:
-        return len(self.f_a.rows)
+        return len(self.f_l.rows)
 
     def predict(self, idx) -> PoolPredictions:
         """Predictions at the pool rows ``idx`` (an index array or a slice)."""
-        return PoolPredictions(*self.f_a.predict(idx), *self.f_l.predict(idx))
+        return PoolPredictions(*self.f_a.predict(slice(None)), self.config[idx], *self.f_l.predict(idx))
 
     def fit_new_point(self, idx: int, accuracy: float, latency_s: float) -> None:
         """Condition both models on one more observation, of pool plan ``idx``."""
-        self.f_a.fit(idx, accuracy)
+        self.f_a.fit(int(self.config[idx]), accuracy)
         self.f_l.fit(idx, latency_s)
 
     def observations(self) -> Observations:
-        return Observations(self.pool_key, tuple(self.f_a.rows), tuple(self.f_a.targets), tuple(self.f_l.targets))
+        return Observations(self.pool_key, tuple(self.f_l.rows), tuple(self.f_a.targets), tuple(self.f_l.targets))
 
 
 class HistoryStore:
@@ -248,8 +271,9 @@ class HistorySession:
     ``gap_n`` profiled observations (each update adds to every model), and
     ``own_window`` holds the session's own model's last ``GAP_WINDOW_LEN``
     gaps. Gaps and votes read the same :class:`PoolPredictions`: a gap looks
-    up the means at the profiled row, and votes score the whole pool once
-    per session against this query's SLOs."""
+    up the means at the profiled row (accuracy through its configuration),
+    and votes score the whole pool once per session against this query's
+    SLOs."""
 
     def __init__(self, predicted: list[PoolPredictions], a_slo: float, l_slo: float):
         self.predicted = predicted
@@ -281,10 +305,10 @@ class HistorySession:
         if not self.predicted:
             return
         if surrogates.n_obs > 0:
-            mu_a, _, mu_l, _ = surrogates.predict([idx])
-            gap = prediction_gap(mu_a[0], mu_l[0], accuracy, latency_s, self.l_slo)
+            own = surrogates.predict([idx])
+            gap = prediction_gap(own.mu_a[own.config[0]], own.mu_l[0], accuracy, latency_s, self.l_slo)
             self.own_window = [*self.own_window, gap][-GAP_WINDOW_LEN:]
-        mu_a = np.array([p.mu_a[idx] for p in self.predicted])
+        mu_a = np.array([p.mu_a[p.config[idx]] for p in self.predicted])
         mu_l = np.array([p.mu_l[idx] for p in self.predicted])
         self.gap_sum += prediction_gap(mu_a, mu_l, accuracy, latency_s, self.l_slo)
         self.gap_n += 1
@@ -298,17 +322,19 @@ class HistorySession:
     def vote_indices(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weighted-sum vote of the current top-K over pool indices ``idx``:
         each model's acquisition scores and costs, weighted by 1/(gap + eps),
-        or uniformly before any gap."""
+        or uniformly before any gap. The sums run over the whole pool and
+        are gathered at ``idx`` once."""
         top = self.top_k()
         raw = 1.0 / (self.gaps()[top] + GAP_EPS) if self.gap_n else np.ones(len(top))
         weights = raw / raw.sum()
-        combined = np.zeros(len(idx))
-        cost_acc = np.zeros(len(idx))
+        n_pool = len(self.predicted[0].config)
+        combined = np.zeros(n_pool)
+        cost_acc = np.zeros(n_pool)
         for w, i in zip(weights, top):
             scores, costs = self.pool_scores(int(i))
-            combined += w * scores[idx]
-            cost_acc += w * costs[idx]
-        return combined, cost_acc
+            combined += w * scores
+            cost_acc += w * costs
+        return combined[idx], cost_acc[idx]
 
     def __len__(self) -> int:
         return len(self.predicted)
@@ -324,17 +350,20 @@ def prediction_gap(mu_a, mu_l, accuracy: float, latency_s: float, l_slo: float):
 def acquisition(
     mu_a: np.ndarray,
     sd_a: np.ndarray,
+    config: np.ndarray,
     mu_l: np.ndarray,
     sd_l: np.ndarray,
     a_slo: float,
     l_slo: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pr[accuracy >= A_slo] * Pr[latency <= L_slo] / C per candidate, and C.
+    """Pr[accuracy >= A_slo] * Pr[latency <= L_slo] / C per candidate, and C,
+    for :class:`PoolPredictions` fields: the accuracy factor is computed
+    once per configuration and gathered at each candidate's ``config``.
 
     C is the dollar cost of profiling a minimum batch of cases at the
     predicted latency, floored to keep the division bounded.
     """
-    p_acc = ndtr((mu_a - a_slo) / np.maximum(sd_a, 1e-12))
+    p_acc = ndtr((mu_a - a_slo) / np.maximum(sd_a, 1e-12))[config]
     p_lat = ndtr((l_slo - mu_l) / np.maximum(sd_l, 1e-12))
     costs = np.maximum(
         np.maximum(mu_l, 0.0) * DEFAULT_MIN_SAMPLES / 3600.0 * latmod.DEFAULT_GPU_PRICE_PER_HOUR,
@@ -554,21 +583,20 @@ def single_query_search(
     rng = np.random.default_rng(seed)
     pipeline = query.pipeline
     _check_lattice_size(pipeline)
-    pool, pool_xa, pool_xl = search_pool(pipeline, topology)
-    key = pool_key(pipeline, topology.num_tiers)
+    pool = search_pool(pipeline, topology)
     strat = stratify(land.case_features, min(DEFAULT_PLANNER_STRATA, land.n_cases), seed=seed)
     cache: PrefixCache | NullCache = PrefixCache() if cfg.use_cache else NullCache()
     if warm is None:
-        surrogates = SurrogatePair(key, pool_xa, pool_xl)
-    elif warm.pool_key == key:
-        surrogates = SurrogatePair(key, pool_xa, pool_xl, GP_NOISE * VARIANCE_INFLATION)
+        surrogates = SurrogatePair(pool)
+    elif warm.pool_key == pool.key:
+        surrogates = SurrogatePair(pool, GP_NOISE * VARIANCE_INFLATION)
         for i, accuracy, latency_s in zip(warm.idx, warm.accuracy, warm.latency_s):
             surrogates.fit_new_point(i, accuracy, latency_s)
     else:
         raise ValueError("warm observations come from another search pool")
     if not cfg.use_history:
         history = None
-    hist = None if history is None else history.session(key, query.a_slo, query.l_slo)
+    hist = None if history is None else history.session(pool.key, query.a_slo, query.l_slo)
 
     time_s = 0.0
     gpu_s = 0.0
@@ -577,7 +605,7 @@ def single_query_search(
     first_feasible_step: int | None = None
     raw_candidates: list[CandidatePlan] = []
     telemetry: list[dict] = []
-    profiled = np.zeros(len(pool), dtype=bool)
+    profiled = np.zeros(len(pool.plans), dtype=bool)
     pool_exhausted = False
 
     def within_budget() -> bool:
@@ -591,7 +619,7 @@ def single_query_search(
             pool_exhausted = True
             break
         idx, branch = propose(unprofiled, query.a_slo, query.l_slo, surrogates, hist, rng)
-        plan = pool[idx]
+        plan = pool.plans[idx]
         steps += 1
         time_s += STEP_OVERHEAD_S
         profiled[idx] = True

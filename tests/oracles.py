@@ -187,6 +187,27 @@ def brute_force_min_bins(items, capacity):
     return best
 
 
+def dominates(a, b):
+    """Weak Pareto dominance on (cost, latency): a is no worse in both and
+    strictly better in at least one."""
+    return a[0] <= b[0] and a[1] <= b[1] and (a[0] < b[0] or a[1] < b[1])
+
+
+def quadratic_pareto_filter(items, key):
+    """Non-dominated subset under (cost, latency) minimization, stable order:
+    every item checked against every other, exact duplicates after the first
+    dropped."""
+    keys = [key(it) for it in items]
+    out = []
+    for i, it in enumerate(items):
+        if any(dominates(keys[j], keys[i]) for j in range(len(items)) if j != i):
+            continue
+        if any(keys[j] == keys[i] for j in range(i)):
+            continue
+        out.append(it)
+    return out
+
+
 def exhaustive_resource_frontier(plan, pipeline, topology, timings, l_slo, latency_fn, cost_fn):
     """Sweep the whole fraction grid; keep feasible allocations that admit no
     feasible single-coordinate reduction; Pareto-filter on (cost, latency)."""

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import all_monotone_placements, recursive_plan_count
+from oracles import all_monotone_placements, quadratic_pareto_filter, recursive_plan_count
 from tierplan.model import (
     RESOURCE_FRACTIONS,
     OperatorSpec,
@@ -241,3 +243,12 @@ class TestParetoFilter:
         pts = [("slow", (1.0, 5.0)), ("fast", (1.0, 2.0))]
         kept = pareto_filter(pts, key=lambda t: t[1])
         assert [x[0] for x in kept] == ["fast"]
+
+    # few distinct values, so ties, duplicates and -0.0 == 0.0 are common
+    key_value = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0, float("inf")]) | st.floats(-3.0, 3.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(key_value, key_value), max_size=40))
+    def test_sort_and_sweep_equals_the_quadratic_scan(self, keys):
+        items = list(enumerate(keys))
+        assert pareto_filter(items, key=lambda t: t[1]) == quadratic_pareto_filter(items, key=lambda t: t[1])

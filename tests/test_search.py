@@ -22,7 +22,14 @@ from tierplan.model import (
     Verdict,
     enumerate_search_pool,
 )
-from tierplan.presets import DEFAULT_SPEED_FACTORS, default_topology, visual_tracking_pipeline, wide_search_pipeline
+from tierplan.presets import (
+    DEFAULT_SPEED_FACTORS,
+    code_generation_pipeline,
+    default_topology,
+    speech_recognition_pipeline,
+    visual_tracking_pipeline,
+    wide_search_pipeline,
+)
 from tierplan.search import (
     GAP_WINDOW_LEN,
     GP_NOISE,
@@ -48,8 +55,10 @@ from tierplan.search import (
 
 
 def acq(mu_a, sd_a, mu_l, sd_l, a_slo, l_slo):
-    """Acquisition score of one candidate."""
-    scores, _ = acquisition(*(np.array([v]) for v in (mu_a, sd_a, mu_l, sd_l)), a_slo, l_slo)
+    """Acquisition score of one candidate, the only row of its configuration."""
+    scores, _ = acquisition(
+        np.array([mu_a]), np.array([sd_a]), np.array([0]), np.array([mu_l]), np.array([sd_l]), a_slo, l_slo
+    )
     return float(scores[0])
 
 
@@ -60,8 +69,12 @@ def pool_scores(pair, a_slo, l_slo):
 
 def new_pair(pipe, topo):
     """An unfit surrogate pair bound to the search pool of ``pipe`` on ``topo``."""
-    _pool, xa, xl = search_pool(pipe, topo)
-    return SurrogatePair(pool_key(pipe, topo.num_tiers), xa, xl)
+    return SurrogatePair(search_pool(pipe, topo))
+
+
+def per_row(predicted):
+    """Accuracy and latency means and stds at each predicted pool row."""
+    return predicted.mu_a[predicted.config], predicted.sd_a[predicted.config], predicted.mu_l, predicted.sd_l
 
 
 class TestGaussianProcess:
@@ -86,29 +99,36 @@ class TestGaussianProcess:
         assert pair.n_obs == 3
         predicted = pair.predict(slice(None))
         assert all(np.all(np.isfinite(v)) for v in predicted)
-        assert abs(float(predicted.mu_a[0]) - 0.9) <= 1e-3
+        assert abs(float(predicted.mu_a[predicted.config[0]]) - 0.9) <= 1e-3
         # the same plan with another target is a new observation too
         pair.fit_new_point(0, 0.8, 0.2)
-        assert pair.f_a.rows == [0, 4, 0, 0] and pair.f_a.targets == [0.9, 0.7, 0.9, 0.8]
+        assert pair.f_l.rows == [0, 4, 0, 0] and pair.f_a.targets == [0.9, 0.7, 0.9, 0.8]
+        # the accuracy model's rows are those plans' configurations
+        c0, c4 = pair.config[0], pair.config[4]
+        assert c0 != c4 and pair.f_a.rows == [c0, c4, c0, c0]
 
     def test_observations_are_pool_indices_and_the_store_keeps_no_model(self):
         pipe, topo, _land = two_op_setup()
-        pool, xa, xl = search_pool(pipe, topo)
+        pool = search_pool(pipe, topo)
         pair = new_pair(pipe, topo)
         pair.fit_new_point(2, 0.9, 0.2)
         pair.fit_new_point(5, 0.7, 0.3)
-        assert pair.f_a.pool is xa and pair.f_l.pool is xl  # the shared pool, not a copy
+        # the shared distinct rows and pool rows, not copies
+        assert pair.f_a.pool is pool.xa and pair.f_l.pool is pool.xl and pair.config is pool.config
         assert pair.observations() == Observations(pool_key(pipe, topo.num_tiers), (2, 5), (0.9, 0.7), (0.2, 0.3))
         # the fit is that of the encoded rows of the observed plans
+        xa, _xl = encode_pool(pool.plans, pipe, topo.num_tiers)
         want = GaussianProcess(xa).fit(2, 0.9).fit(5, 0.7)
-        assert np.array_equal(pair.f_a.predict(slice(None))[0], want.predict(slice(None))[0])
+        assert np.array_equal(pair.f_a.predict(slice(None))[0][pool.config], want.predict(slice(None))[0])
         store = HistoryStore()
         store.push(pair)
         # the store holds the pool key and plain arrays over the pool: no pair, no GP
         assert list(vars(store)) == ["predictions"]
         ((key, predicted),) = store.predictions
         assert key == pool_key(pipe, topo.num_tiers)
-        assert all(type(v) is np.ndarray and v.shape == (len(pool),) for v in predicted)
+        assert all(type(v) is np.ndarray for v in predicted)
+        assert predicted.mu_a.shape == predicted.sd_a.shape == (len(pool.xa),)
+        assert predicted.config.shape == predicted.mu_l.shape == predicted.sd_l.shape == (len(pool.plans),)
 
     def test_prior_before_fit(self):
         gp = GaussianProcess(np.zeros((3, 2)))
@@ -138,14 +158,15 @@ class TestPoolPosterior:
     @pytest.mark.parametrize("noise", [GP_NOISE, GP_NOISE * VARIANCE_INFLATION])
     @pytest.mark.parametrize("case", ["random-order", "repeated-rows", "constant-target"])
     def test_matches_a_from_scratch_cholesky_gp(self, noise, case):
-        _pool, xa, xl = search_pool(visual_tracking_pipeline(), default_topology())
+        encoded = search_pool(visual_tracking_pipeline(), default_topology())
         rng = np.random.default_rng(15)
         if case == "repeated-rows":
-            rows = rng.choice(12, 30).tolist()  # each row about 2.5 times
+            plans = rng.choice(12, 30)  # each plan about 2.5 times
         else:
-            rows = rng.permutation(len(xa))[:30].tolist()
+            plans = rng.permutation(len(encoded.plans))[:30]
         targets = [0.7] * 30 if case == "constant-target" else rng.uniform(0.05, 1.0, 30).tolist()
-        for pool in (xa, xl):
+        # the accuracy model's rows are the plans' configurations
+        for pool, rows in ((encoded.xa, encoded.config[plans].tolist()), (encoded.xl, plans.tolist())):
             gp = GaussianProcess(pool, noise)
             for n, (j, y) in enumerate(zip(rows, targets), start=1):
                 gp.fit(j, y)
@@ -157,17 +178,17 @@ class TestPoolPosterior:
     def test_a_rows_prediction_does_not_depend_on_its_batch(self):
         pipe, topo = wide_search_pipeline(), default_topology()
         pair = new_pair(pipe, topo)
-        n_pool = len(pair.f_a.pool)
+        n_pool = len(pair.config)
         rng = np.random.default_rng(13)
         for i in rng.choice(n_pool, 60, replace=False):
             pair.fit_new_point(int(i), float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.05, 0.5)))
-        whole = pair.predict(slice(None))
+        whole = per_row(pair.predict(slice(None)))
         for size in (1, 2, 7, 100, 1000, n_pool - 1):
             idx = np.sort(rng.choice(n_pool, size, replace=False))
-            for got, want in zip(pair.predict(idx), whole, strict=True):
+            for got, want in zip(per_row(pair.predict(idx)), whole, strict=True):
                 assert np.array_equal(got, want[idx])
         for i in rng.choice(n_pool, 300, replace=False):
-            for got, want in zip(pair.predict([int(i)]), whole, strict=True):
+            for got, want in zip(per_row(pair.predict([int(i)])), whole, strict=True):
                 assert got[0] == want[i]
 
     def test_stored_predictions_do_not_change_as_the_pair_keeps_fitting(self):
@@ -181,6 +202,41 @@ class TestPoolPosterior:
         assert not np.array_equal(pair.predict(slice(None)).mu_a, before[0])
         assert all(np.array_equal(v, w) for v, w in zip(store.predictions[0][1], before, strict=True))
 
+    @pytest.mark.parametrize(
+        "pipeline",
+        [
+            visual_tracking_pipeline,
+            speech_recognition_pipeline,
+            code_generation_pipeline,
+            wide_search_pipeline,
+            lambda: PipelineSpec(  # 22,680 plans over 1,512 configurations
+                "big",
+                tuple(OperatorSpec(i, tuple(f"o{j}" for j in range(n))) for i, n in enumerate((6, 6, 6, 7))),
+                ((0, 1), (1, 2), (2, 3)),
+            ),
+        ],
+        ids=["visual-tracking", "speech-recognition", "code-generation", "wide-search", "big"],
+    )
+    def test_configuration_posterior_equals_the_full_pool_gp_bitwise(self, pipeline):
+        # the accuracy model on distinct configurations, read back through
+        # each plan's configuration, is the GP over every plan's accuracy row
+        pipe, topo = pipeline(), default_topology()
+        pool = search_pool(pipe, topo)
+        assert len(pool.xa) < len(pool.plans)
+        full = GaussianProcess(encode_pool(pool.plans, pipe, topo.num_tiers)[0])
+        pair = SurrogatePair(pool)
+        rng = np.random.default_rng(16)
+        plans = rng.choice(len(pool.plans), 40).tolist()
+        plans += plans[:10]  # repeated plans
+        plans += rng.choice(np.flatnonzero(pool.config == pool.config[plans[0]]), 10).tolist()  # one configuration
+        for i in plans:
+            accuracy = float(rng.uniform(0.3, 1.0))
+            pair.fit_new_point(i, accuracy, float(rng.uniform(0.05, 0.5)))
+            full.fit(i, accuracy)
+            mu_a, sd_a, _mu_l, _sd_l = per_row(pair.predict(slice(None)))
+            want_mu, want_sd = full.predict(slice(None))
+            assert np.array_equal(mu_a, want_mu) and np.array_equal(sd_a, want_sd)
+
 
 class TestUtility:
     """The acquisition Pr[acc >= A] * Pr[lat <= L] / C and its cost C."""
@@ -188,13 +244,15 @@ class TestUtility:
     def test_confident_feasible_plan_scores_inverse_cost(self):
         mu_l = 0.2
         scores, costs = acquisition(
-            np.array([0.9]), np.array([0.0]), np.array([mu_l]), np.array([0.0]), a_slo=0.8, l_slo=0.5
+            np.array([0.9]), np.array([0.0]), np.array([0]), np.array([mu_l]), np.array([0.0]), 0.8, 0.5
         )
         # C: a 50-case minimum batch at the predicted latency, $3.67 per GPU-hour
         assert costs[0] == pytest.approx(mu_l * 50 / 3600.0 * 3.67)
         assert scores[0] == pytest.approx(1.0 / costs[0])
         # negative predicted latency is floored, not rewarded
-        _, floored = acquisition(np.array([0.9]), np.array([0.1]), np.array([-1.0]), np.array([0.1]), 0.8, 0.5)
+        _, floored = acquisition(
+            np.array([0.9]), np.array([0.1]), np.array([0]), np.array([-1.0]), np.array([0.1]), 0.8, 0.5
+        )
         assert floored[0] == 1e-6
 
     def test_accuracy_at_threshold_halves(self):
@@ -209,7 +267,11 @@ class TestUtility:
             mu_a, sd_a = rng.uniform(0.5, 1.0), rng.uniform(0.01, 0.3)
             mu_l, sd_l = rng.uniform(0.05, 2.0), rng.uniform(0.01, 0.5)
             plans.append((mu_a, sd_a, mu_l, sd_l))
-        got, _ = acquisition(*np.array(plans).T, a_slo=0.8, l_slo=0.6)
+        # the accuracy of each configuration, and candidates sharing them
+        mu_a, sd_a, mu_l, sd_l = np.array(plans).T
+        config = rng.integers(0, 20, 30)
+        got, _ = acquisition(mu_a, sd_a, config, mu_l[config], sd_l[config], a_slo=0.8, l_slo=0.6)
+        plans = [plans[c] for c in config]
         ref = [
             norm.cdf((mu_a - 0.8) / sd_a)
             * norm.cdf((0.6 - mu_l) / sd_l)
@@ -436,8 +498,8 @@ class TestUpdate:
             accuracy_estimate=0.87, samples_used=50, verdict=Verdict.PASS_ACCURACY, profiling_cost=1.0
         )
         update(pair, None, 3, out, 0.2)
-        assert pair.f_a.rows == [3]
-        mu_a, sd_a, mu_l, _ = pair.predict([3])
+        assert pair.f_l.rows == [3] and pair.f_a.rows == [pair.config[3]]
+        mu_a, sd_a, mu_l, _ = per_row(pair.predict([3]))
         assert abs(float(mu_a[0]) - 0.87) <= 0.02
         assert abs(float(mu_l[0]) - 0.2) <= 0.02
 
@@ -504,7 +566,7 @@ class TestUpdate:
 
 def fitted_pair(pipe, topo, rng, n_obs):
     pair = new_pair(pipe, topo)
-    for i in rng.choice(len(pair.f_a.pool), n_obs, replace=False):
+    for i in rng.choice(len(pair.config), n_obs, replace=False):
         pair.fit_new_point(int(i), float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.05, 0.5)))
     return pair
 
@@ -527,7 +589,9 @@ class TestHistoryPoolPredictions:
             assert session.gap_n == 1
             for j, pair in enumerate(pairs):
                 p = pair.predict(slice(None))
-                assert session.gap_sum[j] == prediction_gap(float(p.mu_a[i]), float(p.mu_l[i]), 0.83, 0.21, 0.5)
+                assert session.gap_sum[j] == prediction_gap(
+                    float(p.mu_a[p.config[i]]), float(p.mu_l[i]), 0.83, 0.21, 0.5
+                )
         for j, pair in enumerate(pairs):
             scores, costs = session.pool_scores(j)
             want_scores, want_costs = acquisition(*pair.predict(slice(None)), 0.8, 0.5)
@@ -631,7 +695,7 @@ class TestHistoryWeights:
         gaps = []
         for i, accuracy, latency_s in observations[1:]:
             p = own.predict([i])  # the one-row call update_gaps makes
-            gaps.append(prediction_gap(float(p.mu_a[0]), float(p.mu_l[0]), accuracy, latency_s, 0.5))
+            gaps.append(prediction_gap(float(p.mu_a[p.config[0]]), float(p.mu_l[0]), accuracy, latency_s, 0.5))
             session.update_gaps(i, accuracy, latency_s, own)
             own.fit_new_point(i, accuracy, latency_s)
             window = gaps[-GAP_WINDOW_LEN:]
@@ -647,15 +711,45 @@ class TestHistoryWeights:
             assert session.votes()
         assert len(session.own_window) == GAP_WINDOW_LEN
 
+    def test_gather_once_vote_equals_the_per_model_gathered_sum_bitwise(self):
+        pipe, topo = visual_tracking_pipeline(), default_topology()
+        rng = np.random.default_rng(17)
+        store = HistoryStore()
+        for n_obs in range(1, HISTORY_TOP_K + 5):
+            store.push(fitted_pair(pipe, topo, rng, n_obs))
+        session = store.session(pool_key(pipe, topo.num_tiers), 0.8, 0.5)
+        own = new_pair(pipe, topo)
+        profiled = np.zeros(len(own.config), dtype=bool)
+        for i in rng.choice(len(own.config), 8, replace=False):
+            session.update_gaps(int(i), float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.05, 0.5)), own)
+            own.fit_new_point(int(i), 0.8, 0.2)
+            profiled[i] = True
+            idx = np.flatnonzero(~profiled)
+            # each model's scores and costs gathered at idx, summed in top-K order
+            top = session.top_k()
+            raw = 1.0 / (session.gaps()[top] + 1e-6)
+            combined, costs = np.zeros(len(idx)), np.zeros(len(idx))
+            for w, j in zip(raw / raw.sum(), top):
+                scores, model_costs = session.pool_scores(int(j))
+                combined += w * scores[idx]
+                costs += w * model_costs[idx]
+            got_combined, got_costs = session.vote_indices(idx)
+            assert np.array_equal(got_combined, combined) and np.array_equal(got_costs, costs)
+
 
 class TestSearchPool:
     def test_rows_match_a_fresh_encoding(self):
         pipe, topo, _land = two_op_setup()
-        pool, xa, xl = search_pool(pipe, topo)
+        pool = search_pool(pipe, topo)
         fresh = enumerate_search_pool(pipe, topo)
         want_xa, want_xl = encode_pool(fresh, pipe, topo.num_tiers)
-        assert list(pool) == fresh
-        assert np.array_equal(xa, want_xa) and np.array_equal(xl, want_xl)
+        assert pool.key == pool_key(pipe, topo.num_tiers)
+        assert list(pool.plans) == fresh
+        assert np.array_equal(pool.xa[pool.config], want_xa) and np.array_equal(pool.xl, want_xl)
+        # one accuracy row per distinct configuration, in configuration order
+        configs = sorted({p.configuration for p in fresh})
+        assert [tuple(np.flatnonzero(row) - [0, 3]) for row in pool.xa] == configs
+        assert [configs[c] for c in pool.config] == [p.configuration for p in fresh]
 
     def test_cached_per_knob_sizes_and_tier_count(self):
         pipe, topo, _land = two_op_setup()
@@ -672,15 +766,17 @@ class TestSearchPool:
         )
         other = search_pool(pipe, three)
         assert other is not search_pool(pipe, topo)
-        assert other[2].shape[1] == 5 + 2 * 3
+        assert other.xl.shape[1] == 5 + 2 * 3
 
     def test_cached_arrays_are_read_only(self):
         pipe, topo, _land = two_op_setup()
-        _pool, xa, xl = search_pool(pipe, topo)
+        pool = search_pool(pipe, topo)
         with pytest.raises(ValueError):
-            xa[0, 0] = 2.0
+            pool.xa[0, 0] = 2.0
         with pytest.raises(ValueError):
-            xl[0, 0] = 2.0
+            pool.config[0] = 1
+        with pytest.raises(ValueError):
+            pool.xl[0, 0] = 2.0
 
 
 class TestParetoOptimize:
