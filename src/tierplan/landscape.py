@@ -109,10 +109,15 @@ class GroundTruthLandscape:
         return mu
 
     def accuracy_mean(self, configuration: Sequence[int]) -> float:
-        """Population accuracy mean: the weighted mixture over strata."""
-        return float(
-            sum(p * self.stratum_mean(k, configuration) for k, p in enumerate(self.stratum_weights))
-        )
+        """Population accuracy mean: the weighted mixture over strata, cached
+        under the configuration (stratum means under (stratum, configuration))."""
+        key = tuple(configuration)
+        hit = self._mu_cache.get(key)
+        if hit is None:
+            hit = self._mu_cache[key] = float(
+                sum(p * self.stratum_mean(k, key) for k, p in enumerate(self.stratum_weights))
+            )
+        return hit
 
     def timings_for(self, configuration: Sequence[int]) -> latmod.OperatorTimings:
         key = tuple(configuration)
@@ -301,13 +306,8 @@ def true_pareto_set(
     if size > max_plans:
         raise SpaceTooLargeError(f"plan space has {size} plans, exhaustive cap is {max_plans}")
     feasible: list[tuple[PlanPoint, tuple[float, float]]] = []
-    acc_cache: dict[tuple[int, ...], float] = {}
     for plan in enumerate_plan_space(landscape.pipeline, topology):
-        acc = acc_cache.get(plan.configuration)
-        if acc is None:
-            acc = landscape.accuracy_mean(plan.configuration)
-            acc_cache[plan.configuration] = acc
-        if acc < query.a_slo:
+        if landscape.accuracy_mean(plan.configuration) < query.a_slo:
             continue
         lat = latmod.pipeline_latency(plan, landscape.pipeline, topology, landscape.timings_for(plan.configuration))
         if lat > query.l_slo:
@@ -327,14 +327,9 @@ def quality_latency_frontier(
     if len(pool) > max_plans:
         raise SpaceTooLargeError(f"search pool has {len(pool)} plans, exhaustive cap is {max_plans}")
     rows: list[tuple[PlanPoint, float, float]] = []
-    acc_cache: dict[tuple[int, ...], float] = {}
     for plan in pool:
-        acc = acc_cache.get(plan.configuration)
-        if acc is None:
-            acc = landscape.accuracy_mean(plan.configuration)
-            acc_cache[plan.configuration] = acc
         lat = latmod.pipeline_latency(plan, landscape.pipeline, topology, landscape.timings_for(plan.configuration))
-        rows.append((plan, acc, lat))
+        rows.append((plan, landscape.accuracy_mean(plan.configuration), lat))
     return pareto_filter(rows, key=lambda r: (1.0 - r[1], r[2]))
 
 

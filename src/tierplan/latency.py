@@ -7,7 +7,8 @@ co-located, so their edges transfer for free; Appendix-grade in-cluster
 fabrics contribute negligibly and the within-tier bandwidth entries are
 kept for schema completeness only.
 
-All functions are pure and freely concurrent.
+All functions are pure and freely concurrent; :func:`plan_latency` keeps
+its pure result in the topology's memo.
 """
 
 from __future__ import annotations
@@ -82,6 +83,21 @@ def pipeline_latency(
         for base, frac, tier, op in zip(timings.base_compute_s, plan.resources, plan.placement, pipeline.operators)
     ]
     return float(longest_path(node_w, plan.placement, pipeline, topology, timings))
+
+
+def plan_latency(
+    plan: PlanPoint,
+    pipeline: PipelineSpec,
+    topology: TierTopology,
+    timings: OperatorTimings,
+) -> float:
+    """:func:`pipeline_latency`, computed once per topology and kept in its
+    memo under the plan, pipeline and timings values."""
+    key = ("latency", plan, pipeline, timings)
+    hit = topology._memo.get(key)
+    if hit is None:
+        hit = topology._memo[key] = pipeline_latency(plan, pipeline, topology, timings)
+    return hit
 
 
 def longest_path(

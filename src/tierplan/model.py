@@ -6,13 +6,14 @@ deployment choice is a :class:`PlanPoint`: one configuration option per
 operator, one tier per operator, and one resource fraction per operator.
 
 All values here are immutable after construction and safe to share across
-concurrent planning sessions.
+concurrent planning sessions; a topology's memo only caches results derived
+from it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import combinations_with_replacement, product
@@ -149,11 +150,19 @@ class Tier:
 class TierTopology:
     """Ordered tiers (device -> cloud) with pairwise bandwidth and fixed
     per-transfer link latency. The bandwidth diagonal is the within-tier
-    fabric; cross entries apply between tiers."""
+    fabric; cross entries apply between tiers.
+
+    ``_memo`` keeps plan-level results computed on this topology, keyed by
+    value: ``("latency", plan, pipeline, timings)`` for
+    :func:`latency.plan_latency` and ``("pareto", plan, pipeline, timings,
+    l_slo)`` for :func:`search.pareto_optimize`. A drift builds a new
+    topology, which starts with an empty memo, so no entry outlives the
+    bandwidths it was computed on."""
 
     tiers: tuple[Tier, ...]
     bandwidth_mbps: tuple[tuple[float, ...], ...]
     link_latency_s: tuple[tuple[float, ...], ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         t = len(self.tiers)
@@ -176,7 +185,8 @@ class TierTopology:
         return len(self.tiers)
 
     def with_bandwidth_scaled(self, link: tuple[int, int], factor: float) -> "TierTopology":
-        """New topology with one link's bandwidth multiplied by ``factor``."""
+        """New topology with one link's bandwidth multiplied by ``factor``,
+        and an empty memo."""
         if factor <= 0:
             raise ValueError("bandwidth factor must be > 0")
         i, j = link

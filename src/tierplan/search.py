@@ -464,8 +464,15 @@ def pareto_optimize(
     hourly_cost, latency_s)`` rows of their (cost, latency) non-dominated
     subset, in lattice order. Batching operators never affect latency, so
     they always end at the cheapest fraction.
+
+    The rows are computed once per topology and kept in its memo; each call
+    returns a new list of them.
     """
     _check_lattice_size(pipeline)
+    key = ("pareto", plan, pipeline, timings, l_slo)
+    hit = topology._memo.get(key)
+    if hit is not None:
+        return list(hit)
     m = len(pipeline)
     levels = RESOURCE_FRACTIONS
     speed = timings.tier_speed_factors
@@ -485,7 +492,8 @@ def pareto_optimize(
     for state in zip(*np.nonzero(feasible & ~reducible)):
         p = plan.with_resources(tuple(levels[k] for k in state))
         rows.append((p, latmod.plan_hourly_cost(p, topology), float(lat[state])))
-    return pareto_filter(rows, key=lambda r: r[1:])
+    kept = topology._memo[key] = pareto_filter(rows, key=lambda r: r[1:])
+    return list(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +640,7 @@ def single_query_search(
         gpu_s += outcome.profiling_cost
 
         timings = land.timings_for(plan.configuration)
-        model_latency = latmod.pipeline_latency(plan, pipeline, topology, timings)
+        model_latency = latmod.plan_latency(plan, pipeline, topology, timings)
         update(surrogates, hist, idx, outcome, model_latency)
 
         feasible = outcome.verdict == Verdict.PASS_ACCURACY and model_latency <= query.l_slo

@@ -10,9 +10,11 @@ warm-started from their own observations (not models).
 The event loop is single-threaded and fully deterministic for a fixed
 config: per-query seeds derive from (sim seed, arrival index), so replays
 are byte-identical. Drift monitoring is event-granular: running queries are
-re-checked at every drift event and pending candidate latencies are
-re-validated at every epoch; accuracy staleness of not-yet-admitted
-candidates surfaces only once the query is running.
+re-checked at every drift event, and pending candidate latencies are
+re-validated at the first epoch after the topology, the pipeline's
+landscape or the candidate set is replaced; accuracy staleness of
+not-yet-admitted candidates surfaces only once the query is running.
+Latencies come from the topology's memo, which a drift starts afresh.
 """
 
 from __future__ import annotations
@@ -340,6 +342,10 @@ class _Sim:
         # dropped once it completes, is rejected or ends degraded
         self.candidates: dict[str, CandidateSet] = {}
         self.observations: dict[str, Observations] = {}
+        # each query's last candidate revalidation and SLO check, with the
+        # objects it read: redone once one of them has been replaced
+        self._revalidated: dict[str, tuple] = {}
+        self._verdicts: dict[str, tuple] = {}
         self.pending: dict[str, float] = {}  # query id -> time it became pending
         self.goodput_series: list[tuple[float, int]] = [(0.0, 0)]
         self.cost_series: list[tuple[float, float]] = [(0.0, 0.0)]
@@ -437,7 +443,7 @@ class _Sim:
         rec = self.records[qid]
         if len(self.candidates[qid]) == 0:
             rec.status = "rejected" if rec.replans == 0 else "degraded"
-            del self.candidates[qid], self.observations[qid]
+            self._drop(qid)
             self._mark(t)
             return
         rec.status = "pending"
@@ -451,7 +457,7 @@ class _Sim:
             return  # stale release (query was drift-released and replanned)
         self.state.release(qid)
         rec.status = "completed"
-        del self.candidates[qid], self.observations[qid]
+        self._drop(qid)
         rec.released_at = t
         self._mark(t)
         self.epoch(t)
@@ -472,18 +478,31 @@ class _Sim:
             self._start_replan(t, qid)
         self.epoch(t)
 
+    def _drop(self, qid: str) -> None:
+        """Forget a query that can no longer be admitted or replan."""
+        del self.candidates[qid], self.observations[qid]
+        self._revalidated.pop(qid, None)
+        self._verdicts.pop(qid, None)
+
     def _latency(self, qid: str, plan: PlanPoint) -> float:
         """Modelled latency of ``plan`` for query ``qid`` on the current topology."""
         rec = self.records[qid]
         timings = self.landscapes[rec.template].timings_for(plan.configuration)
-        return latmod.pipeline_latency(plan, self.cfg.pipelines[rec.template], self.topology, timings)
+        return latmod.plan_latency(plan, self.cfg.pipelines[rec.template], self.topology, timings)
 
     def _violates(self, qid: str, scored: ScoredPlan) -> bool:
+        """Whether query ``qid``'s admitted plan misses an SLO on the current
+        topology and landscape; checked again only once one of them or the
+        plan has been replaced."""
         rec = self.records[qid]
+        land = self.landscapes[rec.template]
+        last = self._verdicts.get(qid)
+        if last is not None and last[0] is scored and last[1] is self.topology and last[2] is land:
+            return last[3]
         plan = scored.plan.plan
-        if self._latency(qid, plan) > rec.l_slo:
-            return True
-        return self.landscapes[rec.template].accuracy_mean(plan.configuration) < rec.a_slo
+        violated = self._latency(qid, plan) > rec.l_slo or land.accuracy_mean(plan.configuration) < rec.a_slo
+        self._verdicts[qid] = (scored, self.topology, land, violated)
+        return violated
 
     def _start_replan(self, t: float, qid: str) -> None:
         rec = self.records[qid]
@@ -511,14 +530,22 @@ class _Sim:
     # -- scheduling --------------------------------------------------------
 
     def _current_candidates(self, qid: str) -> CandidateSet:
-        """Re-validate candidate latencies against the current topology."""
+        """Candidates re-validated against the current topology: those within
+        the latency SLO, at their current latency. Redone only once the
+        topology, the landscape or the candidate set has been replaced."""
         rec = self.records[qid]
+        land, cset = self.landscapes[rec.template], self.candidates[qid]
+        last = self._revalidated.get(qid)
+        if last is not None and last[0] is self.topology and last[1] is land and last[2] is cset:
+            return last[3]
         kept = []
-        for cand in self.candidates[qid].plans:
+        for cand in cset.plans:
             lat = self._latency(qid, cand.plan)
             if lat <= rec.l_slo:
                 kept.append(replace(cand, latency_s=lat))
-        return CandidateSet.build(kept)
+        current = CandidateSet.build(kept)
+        self._revalidated[qid] = (self.topology, land, cset, current)
+        return current
 
     def epoch(self, t: float) -> None:
         if not self.pending:

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tierplan.landscape import (
     ArrivalTrace,
@@ -100,6 +102,25 @@ class TestGeneration:
         for (k, c), mu in before.items():
             assert drifted.stratum_mean(k, c) == pytest.approx(max(mu - 0.15, 0.005), abs=1e-12)
             assert land.stratum_mean(k, c) == mu  # the original is untouched
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 9), min_size=3, max_size=3), min_size=1, max_size=6), st.floats(-0.6, 0.6))
+    def test_cached_accuracy_mean_is_the_mixture_before_and_after_a_shift(self, vt_landscape, picks, delta):
+        domains = [len(op.knob_domain) for op in vt_landscape.pipeline.operators]
+        configs = [tuple(i % d for i, d in zip(pick, domains)) for pick in picks]
+
+        def mixture(land, cfg):  # on a copy with empty caches
+            fresh = dataclasses.replace(land)
+            return float(sum(p * fresh.stratum_mean(k, cfg) for k, p in enumerate(fresh.stratum_weights)))
+
+        before = {cfg: mixture(vt_landscape, cfg) for cfg in configs}
+        for cfg in configs:
+            assert vt_landscape.accuracy_mean(cfg) == before[cfg]
+            assert vt_landscape.accuracy_mean(list(cfg)) == before[cfg]
+        drifted = vt_landscape.with_accuracy_shift(delta)
+        for cfg in configs:
+            assert drifted.accuracy_mean(cfg) == mixture(drifted, cfg)
+            assert vt_landscape.accuracy_mean(cfg) == before[cfg]
 
 class TestSampleCase:
     """Case draws of ``sample_strata``: one per entry of an array of stratum ids."""

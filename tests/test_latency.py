@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import all_paths_latency
 from tierplan.latency import (
@@ -8,11 +10,13 @@ from tierplan.latency import (
     compute_time,
     pipeline_latency,
     plan_hourly_cost,
+    plan_latency,
     transfer_time,
 )
-from tierplan.model import OperatorSpec, PipelineSpec, PlanPoint, Query, Tier, TierTopology
+from tierplan.model import RESOURCE_FRACTIONS, OperatorSpec, PipelineSpec, PlanPoint, Query, Tier, TierTopology
+from tierplan.landscape import generate_landscape, quality_latency_frontier, true_pareto_set
 from tierplan.profiler import NullCache, PrefixCache, profile_plan, profile_plan_fixed_n, stratify
-from tierplan.search import single_query_search
+from tierplan.search import pareto_optimize, single_query_search
 
 MBIT = 125_000.0  # bytes in one megabit
 
@@ -214,3 +218,91 @@ class TestPlanCost:
         plan = PlanPoint((0, 0), (0, 2), (0.5, 0.25))
         # tiers cost 1.0, 2.0, 3.0 per unit-hour with capacity 1.0
         assert plan_hourly_cost(plan, topo) == pytest.approx(0.5 * 1.0 + 0.25 * 3.0)
+
+
+@st.composite
+def placed_pipelines(draw):
+    """A random DAG on up to 6 operators (a chain plus forward fan-in edges,
+    some batching), a topology of 2 or 3 tiers, timings, one placement, a few
+    resource vectors and a sequence of bandwidth drifts."""
+    n = draw(st.integers(1, 6))
+    num_tiers = draw(st.integers(2, 3))
+    extra = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [(u, v) for u in range(n - 2) for v in range(u + 2, n) if extra[u * n + v]]
+    batching = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    ops = tuple(OperatorSpec(i, ("x",), is_batching=b, base_output_size=1e4) for i, b in enumerate(batching))
+    pipe = PipelineSpec("p", ops, tuple(sorted(edges)), input_bytes=draw(st.sampled_from([0.0, 3e4, 1e6])))
+    positive = st.floats(1.0, 5_000.0, allow_nan=False)
+    bw = [[0.0] * num_tiers for _ in range(num_tiers)]
+    for i in range(num_tiers):
+        for j in range(i, num_tiers):
+            bw[i][j] = bw[j][i] = draw(positive)
+    t0 = tuple(tuple(0.001 * (i != j) for j in range(num_tiers)) for i in range(num_tiers))
+    tiers = tuple(Tier(f"t{i}", 2, 1.0, 1.0 + i) for i in range(num_tiers))
+    topo = TierTopology(tiers, tuple(tuple(r) for r in bw), t0)
+    timings = OperatorTimings(
+        tuple(draw(st.lists(st.floats(0.0, 0.3), min_size=n, max_size=n))),
+        tuple(draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n))),
+        tuple(draw(st.lists(st.floats(0.5, 4.0), min_size=num_tiers, max_size=num_tiers))),
+    )
+    placement = tuple(sorted(draw(st.lists(st.integers(0, num_tiers - 1), min_size=n, max_size=n))))
+    fractions = st.lists(st.sampled_from(RESOURCE_FRACTIONS), min_size=n, max_size=n).map(tuple)
+    resources = draw(st.lists(fractions, min_size=1, max_size=4))
+    tier = st.integers(0, num_tiers - 1)
+    drifts = draw(st.lists(st.tuples(tier, tier, st.floats(0.01, 100.0)), max_size=4))
+    return pipe, topo, timings, placement, resources, drifts
+
+
+class TestPlanLatencyMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(placed_pipelines())
+    def test_memoized_latency_is_pipeline_latency_across_drifts(self, case):
+        pipe, topo, timings, placement, resources, drifts = case
+        plans = [PlanPoint((0,) * len(pipe), placement, r) for r in resources]
+        full = PlanPoint((0,) * len(pipe), placement, (1.0,) * len(pipe))
+        for link in [None, *drifts]:
+            if link is not None:
+                topo = topo.with_bandwidth_scaled(link[:2], link[2])
+                assert topo._memo == {}
+            for plan in plans:
+                expected = pipeline_latency(plan, pipe, topo, timings)
+                assert plan_latency(plan, pipe, topo, timings) == expected  # a miss
+                assert plan_latency(plan, pipe, topo, timings) == expected  # a hit
+            # Pareto rows, memoized on the same topology, carry the same
+            # latencies; the fixed SLO repeats a row key across drifts
+            for l_slo in (2.0 * pipeline_latency(full, pipe, topo, timings) + 1e-9, 1e6):
+                for p, _, lat in pareto_optimize(full, pipe, topo, timings, l_slo):
+                    assert lat == plan_latency(p, pipe, topo, timings) == pipeline_latency(p, pipe, topo, timings)
+
+    def test_timings_get_their_own_latencies(self):
+        pipe = linear_chain(2)
+        topo = make_topology(bw=100.0, t0=0.001)
+        plan = PlanPoint((0, 0), (0, 1), (0.5, 1.0))
+        slow = OperatorTimings((0.2, 0.1), (1e5, 1e4), (2.0, 1.5, 1.0))
+        fast = OperatorTimings((0.02, 0.01), (1e5, 1e4), (2.0, 1.5, 1.0))
+        got = [plan_latency(plan, pipe, topo, t) for t in (slow, fast, slow)]
+        assert got == [pipeline_latency(plan, pipe, topo, t) for t in (slow, fast, slow)]
+        assert got[0] != got[1]
+
+    def test_bandwidth_drift_starts_an_empty_memo(self):
+        pipe = linear_chain(3)
+        topo = make_topology(bw=100.0, t0=0.002)
+        plan = PlanPoint((0, 0, 0), (0, 1, 2), (1.0, 0.5, 0.25))
+        timings = OperatorTimings((0.05, 0.1, 0.2), (2e5, 3e5, 1e4), (2.0, 1.5, 1.0))
+        before = plan_latency(plan, pipe, topo, timings)
+        drifted = topo.with_bandwidth_scaled((0, 1), 0.1)
+        assert topo._memo and drifted._memo == {}
+        after = plan_latency(plan, pipe, drifted, timings)
+        assert after == pipeline_latency(plan, pipe, drifted, timings)
+        assert after > before
+        assert plan_latency(plan, pipe, topo, timings) == before
+
+    def test_pipeline_latency_and_the_oracles_leave_the_memo_empty(self, tiny_pipeline, two_tier_topology):
+        land = generate_landscape(seed=4, pipeline=tiny_pipeline, num_tiers=2)
+        plan = PlanPoint((0, 1), (0, 1), (1.0, 0.5))
+        pipeline_latency(plan, tiny_pipeline, two_tier_topology, land.timings_for(plan.configuration))
+        frontier = quality_latency_frontier(land, two_tier_topology)
+        q = Query("q", tiny_pipeline, a_slo=0.1, l_slo=10.0, response_budget_s=1.0)
+        assert frontier and true_pareto_set(land, two_tier_topology, q)
+        assert two_tier_topology._memo == {}

@@ -876,6 +876,25 @@ class TestParetoOptimize:
             if all(batching):
                 assert [p.resources for p, _, _ in got] == [(0.125,) * m]
 
+    def test_memo_keys_on_the_pipeline_value_not_its_name(self):
+        # both pipelines are named "po"; only op1's batching flag differs
+        plan, pipe, topo, timings = self._setup(l_slo=0.5, bases=(0.1, 0.3))
+        _, batching_pipe, fresh_topo, _ = self._setup(l_slo=0.5, bases=(0.1, 0.3), batching=(False, True))
+        assert pipe.name == batching_pipe.name and pipe != batching_pipe
+        plain = pareto_optimize(plan, pipe, topo, timings, l_slo=0.5)
+        batched = pareto_optimize(plan, batching_pipe, topo, timings, l_slo=0.5)
+        assert plain != batched
+        assert batched == pareto_optimize(plan, batching_pipe, fresh_topo, timings, l_slo=0.5)
+        assert all(p.resources[1] == 0.125 for p, _, _ in batched)
+
+    def test_each_call_returns_a_new_list(self):
+        plan, pipe, topo, timings = self._setup(l_slo=0.6, bases=(0.2, 0.01))
+        first = pareto_optimize(plan, pipe, topo, timings, l_slo=0.6)
+        expected = list(first)
+        first.clear()
+        first.append("junk")
+        assert pareto_optimize(plan, pipe, topo, timings, l_slo=0.6) == expected
+
     def test_more_than_max_operators_is_refused(self):
         m = MAX_LATTICE_OPERATORS + 1
         ops = tuple(OperatorSpec(i, ("x",), base_output_size=1e4) for i in range(m))

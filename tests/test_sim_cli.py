@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import weakref
@@ -8,6 +9,7 @@ import pytest
 
 from tierplan.cli import main as cli_main
 from tierplan.landscape import ArrivalTrace, TraceEntry, generate_landscape, quality_latency_frontier
+from tierplan.latency import pipeline_latency
 from tierplan.model import SCHEMA_VERSION, SchemaError, Tier, TierTopology
 from tierplan import search
 from tierplan.presets import code_generation_pipeline
@@ -178,6 +180,7 @@ class TestRun:
         assert set(statuses.values()) == {"completed", "rejected", "degraded", "pending-at-end"}
         waiting = sorted(qid for qid, status in statuses.items() if status == "pending-at-end")
         assert sorted(sim.candidates) == sorted(sim.observations) == waiting
+        assert set(sim._revalidated) | set(sim._verdicts) <= set(waiting)
 
     def test_sessions_leave_observations_not_models(self, monkeypatch):
         # every surrogate pair dies with its session, replans included; the
@@ -233,6 +236,60 @@ def tight_cluster_config():
         planning_budget_s=2.0,
         drift=(DriftEvent(time=3.0, kind="accuracy", template=pipe.name, delta=-0.5),),
     )
+
+
+class TestDriftRecheck:
+    def test_bandwidth_drift_releases_violated_plans_and_drops_stale_candidates(self):
+        # one machine per tier keeps queries pending; at 15 s the device-cloud
+        # link falls to 1% of its bandwidth, which puts every plan that
+        # crosses it over the latency SLO
+        cfg = tight_cluster_config()
+        pipe, = cfg.pipelines.values()
+        land, = cfg.landscapes.values()
+        frontier = quality_latency_frontier(land, cfg.topology)
+        a_slo = 0.6 * float(np.mean([a for _, a, _ in frontier]))
+        l_slo = 1.5 * float(np.mean([l for _, _, l in frontier]))
+        entries = tuple(TraceEntry(0.5 * i, pipe.name, a_slo, l_slo, 40.0) for i in range(8))
+        cfg = dataclasses.replace(
+            cfg,
+            trace=ArrivalTrace(entries=entries, generator_params={}),
+            drift=(DriftEvent(time=15.0, kind="bandwidth", link=(0, 1), factor=0.01),),
+        )
+        sim = _Sim(cfg)
+        on_drift, current_candidates = sim.on_drift, sim._current_candidates
+        revalidated = {}  # query -> (candidate set, revalidated set) during the drift
+        seen = []
+
+        def revalidate(qid):
+            cset = sim.candidates[qid]
+            revalidated[qid] = (cset, current_candidates(qid))
+            return revalidated[qid][1]
+
+        def drift(t, event):
+            running = {qid: a.scored for qid, a in sim.state.assignments.items()}
+            replans = {qid: sim.records[qid].replans for qid in running}
+            revalidated.clear()
+            sim._current_candidates = revalidate
+            on_drift(t, event)
+            sim._current_candidates = current_candidates
+            seen.append((sim.topology, running, replans, dict(revalidated)))
+
+        sim.on_drift = drift
+        sim.run()
+        (topo, running, replans, revalidated), = seen
+
+        def latency(plan):
+            return pipeline_latency(plan, pipe, topo, land.timings_for(plan.configuration))
+
+        violated = [qid for qid, scored in running.items() if latency(scored.plan.plan) > l_slo]
+        assert violated
+        for qid in violated:
+            assert sim.records[qid].replans == replans[qid] + 1
+        dropped = 0
+        for cset, current in revalidated.values():
+            assert all(c.latency_s == latency(c.plan) <= l_slo for c in current.plans)
+            dropped += sum(latency(c.plan) > l_slo for c in cset.plans)
+        assert dropped > 0
 
 
 class TestCompare:
