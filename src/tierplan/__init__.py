@@ -46,12 +46,12 @@ from .profiler import (
 from .scheduler import (
     DeploymentState,
     OracleInstance,
-    ScoredPlan,
     age_weights,
     greedy_cost,
     greedy_goodput,
     ilp_oracle_limited,
     ilp_oracle_unlimited,
+    op_demands,
     replan,
 )
 from .search import (

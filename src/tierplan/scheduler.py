@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .latency import plan_hourly_cost
 from .model import (
     RESOURCE_FRACTIONS,
     OperatorSpec,
@@ -44,122 +45,93 @@ _EPS = 1e-9
 DEFAULT_AGING_BETA = 0.01  # per second of pending time
 
 
-@dataclass(frozen=True)
-class ScoredPlan:
-    """One (query, plan) option with its packing footprint.
+def op_demands(plan: PlanPoint, topology: TierTopology) -> tuple[tuple[int, float], ...]:
+    """A plan's machine footprint: per operator, (tier, resource units).
 
-    ``op_demands``: per-operator (tier, resource units); the operator is the
-    packing unit, so each demand fits on a single machine by construction.
-    ``cr``: capacity-normalized aggregate demand across tiers.
+    The operator is the packing unit, so each demand fits on a single
+    machine by construction.
     """
-
-    query_id: str
-    plan: CandidatePlan
-    op_demands: tuple[tuple[int, float], ...]
-    cr: float
-    hourly_cost: float
-    weight: float
-
-    @staticmethod
-    def build(query_id: str, cand: CandidatePlan, topology: TierTopology, weight: float) -> "ScoredPlan":
-        demands = []
-        cr = 0.0
-        for frac, tier_idx in zip(cand.plan.resources, cand.plan.placement):
-            tier = topology.tiers[tier_idx]
-            demands.append((tier_idx, frac * tier.capacity))
-            cr += frac
-        if cr <= 0:
-            raise ValueError("aggregate demand must be positive")
-        return ScoredPlan(
-            query_id=query_id,
-            plan=cand,
-            op_demands=tuple(demands),
-            cr=cr,
-            hourly_cost=cand.hourly_cost,
-            weight=weight,
-        )
+    tiers = topology.tiers
+    return tuple([(tier, frac * tiers[tier].capacity) for frac, tier in zip(plan.resources, plan.placement)])
 
 
 @dataclass
 class Assignment:
-    scored: ScoredPlan
-    op_machines: tuple[tuple[int, int], ...]  # (tier, machine index) per operator
+    query_id: str
+    plan: CandidatePlan
+    weight: float
+    demands: tuple[tuple[int, float], ...]
+    machines: tuple[tuple[int, int], ...]  # (tier, machine index) per operator
 
 
 @dataclass
 class DeploymentState:
-    """Per-machine residual capacity plus the admitted query->plan map."""
+    """Per-machine residual capacity plus the admitted query->plan map.
 
+    Of ``topology`` only the tiers' machine counts and capacities are read,
+    which a drift never changes.
+    """
+
+    topology: TierTopology
     residual: list[list[float]]
     assignments: dict[str, Assignment] = field(default_factory=dict)
 
     @staticmethod
     def fresh(topology: TierTopology) -> "DeploymentState":
-        return DeploymentState(
-            residual=[[t.capacity] * t.machine_count for t in topology.tiers]
-        )
+        return DeploymentState(topology, [[t.capacity] * t.machine_count for t in topology.tiers])
 
     def copy(self) -> "DeploymentState":
-        return DeploymentState(
-            residual=[list(r) for r in self.residual], assignments=dict(self.assignments)
-        )
+        return DeploymentState(self.topology, [list(r) for r in self.residual], dict(self.assignments))
 
-    def try_place(self, scored: ScoredPlan) -> Assignment | None:
-        """First-fit-decreasing placement of every operator; all-or-nothing."""
-        order = sorted(range(len(scored.op_demands)), key=lambda i: (-scored.op_demands[i][1], i))
-        placed: list[tuple[int, int] | None] = [None] * len(scored.op_demands)
-        applied: list[tuple[int, int, float]] = []
-        ok = True
-        for i in order:
-            tier, demand = scored.op_demands[i]
-            slot = None
-            for m, res in enumerate(self.residual[tier]):
+    def place(self, query_id: str, plan: CandidatePlan, weight: float) -> bool:
+        """Admit ``plan`` for ``query_id`` by first-fit-decreasing placement
+        of every operator; all-or-nothing, so a plan that does not fit leaves
+        the state as it was."""
+        if query_id in self.assignments:
+            raise ValueError(f"query {query_id} already admitted")
+        demands = op_demands(plan.plan, self.topology)
+        machines: list = [None] * len(demands)
+        applied: list[int] = []
+        # largest demand first; the sort is stable, so ties keep operator order
+        for i in sorted(range(len(demands)), key=lambda i: -demands[i][1]):
+            tier, demand = demands[i]
+            row = self.residual[tier]
+            for m, res in enumerate(row):
                 if res >= demand - _EPS:
-                    slot = m
                     break
-            if slot is None:
-                ok = False
-                break
-            self.residual[tier][slot] -= demand
-            applied.append((tier, slot, demand))
-            placed[i] = (tier, slot)
-        if not ok:
-            for tier, slot, demand in applied:
-                self.residual[tier][slot] += demand
-            return None
-        return Assignment(scored=scored, op_machines=tuple(p for p in placed))  # type: ignore[misc]
-
-    def admit(self, assignment: Assignment) -> None:
-        if assignment.scored.query_id in self.assignments:
-            raise ValueError(f"query {assignment.scored.query_id} already admitted")
-        self.assignments[assignment.scored.query_id] = assignment
+            else:
+                for j in applied:  # in the order applied: residuals are floats
+                    t, m = machines[j]
+                    self.residual[t][m] += demands[j][1]
+                return False
+            row[m] -= demand
+            machines[i] = (tier, m)
+            applied.append(i)
+        self.assignments[query_id] = Assignment(query_id, plan, weight, demands, tuple(machines))
+        return True
 
     def release(self, query_id: str) -> None:
         assignment = self.assignments.pop(query_id, None)
         if assignment is None:
             return
-        for (tier, machine), (_, demand) in zip(assignment.op_machines, assignment.scored.op_demands):
+        for (tier, machine), (_, demand) in zip(assignment.machines, assignment.demands):
             self.residual[tier][machine] += demand
 
     def admitted_weight(self) -> float:
-        return sum(a.scored.weight for a in self.assignments.values())
+        return sum(a.weight for a in self.assignments.values())
 
     def hourly_cost(self) -> float:
-        return sum(a.scored.hourly_cost for a in self.assignments.values())
+        return sum(a.plan.hourly_cost for a in self.assignments.values())
 
 
-def _admission_pass(
-    scored: list[tuple], st: DeploymentState
-) -> list[Assignment]:
-    admitted = []
-    for *_, sp in scored:
-        if sp.query_id in st.assignments:
-            continue
-        assignment = st.try_place(sp)
-        if assignment is not None:
-            st.admit(assignment)
-            admitted.append(assignment)
-    return admitted
+def _admission_pass(ranked: list[tuple], st: DeploymentState) -> float:
+    """Place each ranked (..., query id, plan, weight) whose query has no
+    plan yet, and return the weight admitted."""
+    gain = 0.0
+    for *_, qid, cand, w in ranked:
+        if qid not in st.assignments and st.place(qid, cand, w):
+            gain += w
+    return gain
 
 
 def greedy_goodput(
@@ -170,9 +142,10 @@ def greedy_goodput(
 ) -> DeploymentState:
     """Admit plans greedily until nothing more fits, one plan per query.
 
-    The primary pass ranks all plans across queries by descending w/cr
-    (ties toward lower monetary cost, then earlier arrival). A fallback
-    pass ranks them by raw weight. Each pass runs on its own copy of the
+    The primary pass ranks all plans across queries by descending w/cr,
+    where cr is the plan's capacity-normalized aggregate demand (ties
+    toward lower monetary cost, then earlier arrival). A fallback pass
+    ranks them by raw weight. Each pass runs on its own copy of the
     starting state and the heavier allocation is adopted: ratio order alone
     can strand a heavyweight query at small instance sizes. Pass an existing
     ``state`` to admit incrementally against current residual capacities;
@@ -184,16 +157,17 @@ def greedy_goodput(
     for order, (query, cset) in enumerate(candidates):
         w = weights.get(query.id, query.weight) if weights else query.weight
         for j, cand in enumerate(cset.plans):
-            sp = ScoredPlan.build(query.id, cand, topology, w)
-            ratio_order.append((-(sp.weight / sp.cr), sp.hourly_cost, order, j, sp))
-            weight_order.append((-sp.weight, sp.cr, sp.hourly_cost, order, j, sp))
-    ratio_order.sort(key=lambda t: t[:4])
-    weight_order.sort(key=lambda t: t[:5])
+            cr = sum(cand.plan.resources)
+            # (order, j) is unique, so a sort never compares past it
+            ratio_order.append((-(w / cr), cand.hourly_cost, order, j, query.id, cand, w))
+            weight_order.append((-w, cr, cand.hourly_cost, order, j, query.id, cand, w))
+    ratio_order.sort()
+    weight_order.sort()
 
     trial_ratio = st.copy()
-    gain_ratio = sum(a.scored.weight for a in _admission_pass(ratio_order, trial_ratio))
+    gain_ratio = _admission_pass(ratio_order, trial_ratio)
     trial_weight = st.copy()
-    gain_weight = sum(a.scored.weight for a in _admission_pass(weight_order, trial_weight))
+    gain_weight = _admission_pass(weight_order, trial_weight)
     winner = trial_ratio if gain_ratio >= gain_weight else trial_weight
     st.residual, st.assignments = winner.residual, winner.assignments
     return st
@@ -201,7 +175,7 @@ def greedy_goodput(
 
 @dataclass
 class CostDeployment:
-    chosen: dict[str, ScoredPlan]
+    chosen: dict[str, CandidatePlan]
     unserved: tuple[str, ...]
     machines_per_tier: tuple[int, ...]
     hourly_dollars: float
@@ -232,22 +206,18 @@ def greedy_cost(
     Queries with an empty candidate set are reported unserved and never
     block the others.
     """
-    chosen: dict[str, ScoredPlan] = {}
+    chosen: dict[str, CandidatePlan] = {}
     unserved: list[str] = []
     for query, cset in candidates:
         if len(cset) == 0:
             unserved.append(query.id)
             continue
-        best = None
-        for cand in cset.plans:
-            sp = ScoredPlan.build(query.id, cand, topology, query.weight)
-            key = (-(sp.weight / max(sp.hourly_cost, 1e-12)), sp.hourly_cost, sp.plan.latency_s)
-            if best is None or key < best[0]:
-                best = (key, sp)
-        chosen[query.id] = best[1]
+        chosen[query.id] = min(
+            cset.plans, key=lambda c: (-(query.weight / max(c.hourly_cost, 1e-12)), c.hourly_cost, c.latency_s)
+        )
     per_tier_items: list[list[float]] = [[] for _ in topology.tiers]
-    for sp in chosen.values():
-        for tier, demand in sp.op_demands:
+    for cand in chosen.values():
+        for tier, demand in op_demands(cand.plan, topology):
             per_tier_items[tier].append(demand)
     machines = []
     dollars = 0.0
@@ -302,17 +272,8 @@ def _canonical(residual: tuple[tuple[float, ...], ...]) -> tuple[tuple[float, ..
     return tuple(tuple(sorted(round(r, 9) for r in tier)) for tier in residual)
 
 
-def _tier_blobs(plan: tuple[tuple[int, float], ...], num_tiers: int) -> list[tuple[int, float]]:
-    """Aggregate a plan's operator demands per tier: the integer program's
-    y variables place one blob per (plan, tier) on a single machine."""
-    agg = [0.0] * num_tiers
-    for t, d in plan:
-        agg[t] += d
-    return [(t, d) for t, d in enumerate(agg) if d > _EPS]
-
-
 def _placements(
-    items: list[tuple[int, float]],
+    items: tuple[tuple[int, float], ...],
     residual: tuple[tuple[float, ...], ...],
 ) -> list[tuple[tuple[float, ...], ...]]:
     """All distinct residual states after placing every item, with
@@ -339,28 +300,20 @@ def _placements(
     return list(out.values())
 
 
-def ilp_oracle_limited(inst: OracleInstance, operator_level: bool = False) -> float:
+def ilp_oracle_limited(inst: OracleInstance) -> float:
     """Exact maximum SLO-weighted goodput under fixed per-machine capacity.
 
-    By default follows the integer program to the letter: a chosen plan
-    places its aggregate per-tier demand on one machine per tier. With
-    ``operator_level`` each operator may land on its own machine (the
-    granularity the running greedy packs at), which yields an optimum at
-    least as large, so it is the harder yardstick. Enumerates admit/skip
-    and plan/machine choices depth-first with weight-bound pruning and
-    memoization on (query index, canonical residual state). Refuses
-    oversized instances.
+    Each operator of a chosen plan lands on a machine of its tier, the
+    granularity the greedy packs at. Enumerates admit/skip and plan/machine
+    choices depth-first with weight-bound pruning and memoization on
+    (query index, canonical residual state). Refuses oversized instances.
     """
     _check_oracle_size(inst)
     n = len(inst.queries)
-    num_tiers = len(inst.machine_caps)
     suffix = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + inst.queries[i][0]
     memo: dict = {}
-
-    def items_of(plan):
-        return list(plan) if operator_level else _tier_blobs(plan, num_tiers)
 
     def solve(i: int, residual: tuple[tuple[float, ...], ...]) -> float:
         if i == n:
@@ -372,7 +325,7 @@ def ilp_oracle_limited(inst: OracleInstance, operator_level: bool = False) -> fl
         weight, plans = inst.queries[i]
         best = 0.0
         for plan in plans:
-            for new_res in _placements(items_of(plan), residual):
+            for new_res in _placements(plan, residual):
                 best = max(best, weight + solve(i + 1, new_res))
             if best >= weight + suffix[i + 1]:
                 break
@@ -422,14 +375,12 @@ def _min_bins(items: list[float], capacity: float) -> int:
     return best
 
 
-def ilp_oracle_unlimited(inst: OracleInstance, operator_level: bool = False) -> float:
+def ilp_oracle_unlimited(inst: OracleInstance) -> float:
     """Exact minimum machine dollars to serve every query (elastic tiers).
 
     Enumerates plan choices per query with a per-tier volume lower bound,
-    then packs each tier's demand with exact bin packing. By default each
-    plan contributes one blob per tier (the integer program's granularity);
-    ``operator_level`` packs per operator instead, matching the greedy and
-    admitting plans whose aggregate tier demand exceeds one machine.
+    then packs each tier's operator demands with exact bin packing, the
+    granularity the greedy packs at.
     """
     _check_oracle_size(inst)
     if not inst.tier_prices:
@@ -439,14 +390,10 @@ def ilp_oracle_unlimited(inst: OracleInstance, operator_level: bool = False) -> 
         return 0.0
     num_tiers = len(inst.tier_prices)
     caps = [inst.machine_caps[t][0] if inst.machine_caps[t] else 1.0 for t in range(num_tiers)]
-
-    def items_of(plan):
-        return list(plan) if operator_level else _tier_blobs(plan, num_tiers)
-
     usable: list[tuple[float, tuple]] = []
     for w, plans in inst.queries:
         ok = tuple(
-            plan for plan in plans if all(d <= caps[t] + _EPS for t, d in items_of(plan))
+            plan for plan in plans if all(d <= caps[t] + _EPS for t, d in plan)
         )
         if not ok:
             raise ValueError("cost oracle requires every query to have a machine-feasible plan")
@@ -482,11 +429,10 @@ def ilp_oracle_unlimited(inst: OracleInstance, operator_level: bool = False) -> 
             best = min(best, total)
             return
         for plan in queries[i][1]:
-            items = items_of(plan)
-            for t2, d in items:
+            for t2, d in plan:
                 placed[t2].append(d)
             go(i + 1, placed)
-            for t2, _ in items:
+            for t2, _ in plan:
                 placed[t2].pop()
 
     go(0, [[] for _ in range(num_tiers)])
@@ -499,10 +445,7 @@ def oracle_instance_from_candidates(
 ) -> OracleInstance:
     queries = []
     for query, cset in candidates:
-        plans = tuple(
-            ScoredPlan.build(query.id, cand, topology, query.weight).op_demands for cand in cset.plans
-        )
-        queries.append((query.weight, plans))
+        queries.append((query.weight, tuple(op_demands(cand.plan, topology) for cand in cset.plans)))
     return OracleInstance(
         queries=tuple(queries),
         machine_caps=tuple(tuple([t.capacity] * t.machine_count) for t in topology.tiers),
@@ -554,10 +497,7 @@ def random_scheduling_instance(
                     for _ in range(n_ops)
                 )
             point = PlanPoint(configuration=(0,) * n_ops, placement=placement, resources=resources)
-            cost = sum(
-                f * topology.tiers[t].capacity * topology.tiers[t].unit_cost
-                for f, t in zip(point.resources, point.placement)
-            )
+            cost = plan_hourly_cost(point, topology)
             cands.append(
                 CandidatePlan(
                     plan=point,

@@ -9,12 +9,14 @@ warm-started from their own observations (not models).
 
 The event loop is single-threaded and fully deterministic for a fixed
 config: per-query seeds derive from (sim seed, arrival index), so replays
-are byte-identical. Drift monitoring is event-granular: running queries are
-re-checked at every drift event, and pending candidate latencies are
-re-validated at the first epoch after the topology, the pipeline's
-landscape or the candidate set is replaced; accuracy staleness of
-not-yet-admitted candidates surfaces only once the query is running.
-Latencies come from the topology's memo, which a drift starts afresh.
+are byte-identical. Drift monitoring is event-granular. A query's plan is
+checked against its SLOs when it is admitted, and every running query is
+checked again at every drift event; the admitted queries that pass are the
+goodput. A pending query's candidates are re-validated against the latency
+SLO on the current topology when it becomes ready and at every drift;
+accuracy staleness of not-yet-admitted candidates surfaces only once the
+query is running. Latencies come from the topology's memo, which a drift
+starts afresh.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .presets import default_topology, get_pipeline, speed_factors_for
 from .scheduler import (
     DEFAULT_AGING_BETA,
     DeploymentState,
-    ScoredPlan,
     age_weights,
     greedy_goodput,
     replan,
@@ -76,13 +77,18 @@ class DriftEvent:
                 raise ValueError("bandwidth drift needs link and factor")
             if not self.factor > 0:
                 raise ValueError(f"bandwidth drift factor must be > 0, got {self.factor}")
+            other_kind = ("template", "delta")
         elif self.kind == "accuracy":
             if self.template is None or self.delta is None:
                 raise ValueError("accuracy drift needs template and delta")
             if not math.isfinite(self.delta):
                 raise ValueError(f"accuracy drift delta must be finite, got {self.delta}")
+            other_kind = ("link", "factor")
         else:
             raise ValueError(f"unknown drift kind {self.kind!r}")
+        for name in other_kind:
+            if getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} drift takes no {name}")
 
 
 @dataclass
@@ -342,11 +348,12 @@ class _Sim:
         # dropped once it completes, is rejected or ends degraded
         self.candidates: dict[str, CandidateSet] = {}
         self.observations: dict[str, Observations] = {}
-        # each query's last candidate revalidation and SLO check, with the
-        # objects it read: redone once one of them has been replaced
-        self._revalidated: dict[str, tuple] = {}
-        self._verdicts: dict[str, tuple] = {}
         self.pending: dict[str, float] = {}  # query id -> time it became pending
+        # each pending query's candidates within its latency SLO on the
+        # current topology, at their current latency
+        self.current: dict[str, CandidateSet] = {}
+        # admitted queries whose SLOs hold on the current topology and landscapes
+        self.good: set[str] = set()
         self.goodput_series: list[tuple[float, int]] = [(0.0, 0)]
         self.cost_series: list[tuple[float, float]] = [(0.0, 0.0)]
         self.deployment_dollars = 0.0
@@ -364,9 +371,9 @@ class _Sim:
                 {
                     "time_s": t,
                     "query": qid,
-                    "placement": "|".join(f"{tier}:{m}" for tier, m in a.op_machines),
-                    "resources": "|".join(str(f) for f in a.scored.plan.plan.resources),
-                    "hourly_cost": a.scored.hourly_cost,
+                    "placement": "|".join(f"{tier}:{m}" for tier, m in a.machines),
+                    "resources": "|".join(str(f) for f in a.plan.plan.resources),
+                    "hourly_cost": a.plan.hourly_cost,
                 }
             )
 
@@ -377,22 +384,14 @@ class _Sim:
     def query_seed(self, idx: int, salt: int = 0) -> int:
         return int(np.random.SeedSequence((self.cfg.seed, idx, salt)).generate_state(1)[0])
 
-    def _true_goodput(self) -> int:
-        """Admitted queries whose SLOs actually hold under the current
-        landscape and topology; an admitted plan whose true accuracy misses
-        the SLO is served but does not count."""
-        count = 0
-        for qid, assignment in self.state.assignments.items():
-            if not self._violates(qid, assignment.scored):
-                count += 1
-        return count
-
     def _mark(self, t: float) -> None:
+        """Record cost and true goodput: an admitted plan whose true accuracy
+        misses the SLO is served but does not count."""
         self.deployment_dollars += self._last_cost_rate * max(0.0, t - self._last_cost_t) / 3600.0
         self._last_cost_t = t
         rate = self.state.hourly_cost()
         self._last_cost_rate = rate
-        self.goodput_series.append((t, self._true_goodput()))
+        self.goodput_series.append((t, len(self.good)))
         self.cost_series.append((t, rate))
 
     # -- event handlers ----------------------------------------------------
@@ -448,6 +447,7 @@ class _Sim:
             return
         rec.status = "pending"
         self.pending[qid] = t
+        self.current[qid] = self._revalidate(qid)
         self.epoch(t)
 
     def on_release(self, t: float, payload) -> None:
@@ -456,6 +456,7 @@ class _Sim:
         if rec.status != "running" or rec.admitted_at != admitted_at:
             return  # stale release (query was drift-released and replanned)
         self.state.release(qid)
+        self.good.discard(qid)
         rec.status = "completed"
         self._drop(qid)
         rec.released_at = t
@@ -467,22 +468,21 @@ class _Sim:
             self.topology = self.topology.with_bandwidth_scaled(event.link, event.factor)
         else:
             self.landscapes[event.template] = self.landscapes[event.template].with_accuracy_shift(event.delta)
-        violated = []
-        for qid, assignment in list(self.state.assignments.items()):
-            if self._violates(qid, assignment.scored):
-                violated.append(qid)
-        for qid in violated:
+        assignments = self.state.assignments
+        # rebuilt from every running query: a drift can also make a missed SLO hold again
+        self.good = {qid for qid, a in assignments.items() if not self._violates(qid, a.plan.plan)}
+        for qid in [qid for qid in assignments if qid not in self.good]:
             self.state.release(qid)
             self.records[qid].status = "replanning"
             self._mark(t)
             self._start_replan(t, qid)
+        for qid in self.pending:
+            self.current[qid] = self._revalidate(qid)
         self.epoch(t)
 
     def _drop(self, qid: str) -> None:
         """Forget a query that can no longer be admitted or replan."""
         del self.candidates[qid], self.observations[qid]
-        self._revalidated.pop(qid, None)
-        self._verdicts.pop(qid, None)
 
     def _latency(self, qid: str, plan: PlanPoint) -> float:
         """Modelled latency of ``plan`` for query ``qid`` on the current topology."""
@@ -490,19 +490,23 @@ class _Sim:
         timings = self.landscapes[rec.template].timings_for(plan.configuration)
         return latmod.plan_latency(plan, self.cfg.pipelines[rec.template], self.topology, timings)
 
-    def _violates(self, qid: str, scored: ScoredPlan) -> bool:
-        """Whether query ``qid``'s admitted plan misses an SLO on the current
-        topology and landscape; checked again only once one of them or the
-        plan has been replaced."""
+    def _violates(self, qid: str, plan: PlanPoint) -> bool:
+        """Whether ``plan`` misses an SLO of query ``qid`` on the current
+        topology and landscape."""
         rec = self.records[qid]
         land = self.landscapes[rec.template]
-        last = self._verdicts.get(qid)
-        if last is not None and last[0] is scored and last[1] is self.topology and last[2] is land:
-            return last[3]
-        plan = scored.plan.plan
-        violated = self._latency(qid, plan) > rec.l_slo or land.accuracy_mean(plan.configuration) < rec.a_slo
-        self._verdicts[qid] = (scored, self.topology, land, violated)
-        return violated
+        return self._latency(qid, plan) > rec.l_slo or land.accuracy_mean(plan.configuration) < rec.a_slo
+
+    def _revalidate(self, qid: str) -> CandidateSet:
+        """Query ``qid``'s candidates within its latency SLO on the current
+        topology, at their current latency."""
+        rec = self.records[qid]
+        kept = []
+        for cand in self.candidates[qid].plans:
+            lat = self._latency(qid, cand.plan)
+            if lat <= rec.l_slo:
+                kept.append(replace(cand, latency_s=lat))
+        return CandidateSet.build(kept)
 
     def _start_replan(self, t: float, qid: str) -> None:
         rec = self.records[qid]
@@ -529,24 +533,6 @@ class _Sim:
 
     # -- scheduling --------------------------------------------------------
 
-    def _current_candidates(self, qid: str) -> CandidateSet:
-        """Candidates re-validated against the current topology: those within
-        the latency SLO, at their current latency. Redone only once the
-        topology, the landscape or the candidate set has been replaced."""
-        rec = self.records[qid]
-        land, cset = self.landscapes[rec.template], self.candidates[qid]
-        last = self._revalidated.get(qid)
-        if last is not None and last[0] is self.topology and last[1] is land and last[2] is cset:
-            return last[3]
-        kept = []
-        for cand in cset.plans:
-            lat = self._latency(qid, cand.plan)
-            if lat <= rec.l_slo:
-                kept.append(replace(cand, latency_s=lat))
-        current = CandidateSet.build(kept)
-        self._revalidated[qid] = (self.topology, land, cset, current)
-        return current
-
     def epoch(self, t: float) -> None:
         if not self.pending:
             self._mark(t)
@@ -555,25 +541,21 @@ class _Sim:
         live: list[tuple[Query, CandidateSet]] = []
         stale: list[str] = []
         for qid in ordered:
-            cset = self._current_candidates(qid)
+            cset = self.current[qid]
             if len(cset) == 0:
                 stale.append(qid)
             else:
                 live.append((self.queries[qid], cset))
         for qid in stale:
-            del self.pending[qid]
+            del self.pending[qid], self.current[qid]
             self.records[qid].status = "replanning"
             self._start_replan(t, qid)
 
         before = set(self.state.assignments)
         if self.cfg.scheduler_mode == "fcfs":
             for query, cset in live:
-                cheapest = cset.cheapest()
-                sp = ScoredPlan.build(query.id, cheapest, self.topology, query.weight)
-                assignment = self.state.try_place(sp)
-                if assignment is None:
+                if not self.state.place(query.id, cset.cheapest(), query.weight):
                     break  # strict head-of-line blocking
-                self.state.admit(assignment)
         else:
             aged = age_weights(
                 [(q.id, q.weight, self.pending[q.id]) for q, _ in live], t, self.cfg.aging_beta
@@ -582,10 +564,13 @@ class _Sim:
 
         for qid in set(self.state.assignments) - before:
             rec = self.records[qid]
+            plan = self.state.assignments[qid].plan
             rec.status = "running"
             rec.admitted_at = t
-            rec.hourly_cost = self.state.assignments[qid].scored.hourly_cost
-            del self.pending[qid]
+            rec.hourly_cost = plan.hourly_cost
+            del self.pending[qid], self.current[qid]
+            if not self._violates(qid, plan.plan):
+                self.good.add(qid)
             self.push(t + rec.lifespan, "release", (qid, t))
         self._mark(t)
 

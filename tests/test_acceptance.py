@@ -303,18 +303,14 @@ def test_criterion_6_scheduler_quality(planner_instances):
     cost_ok = cost_total = 0
     for cands in instances:
         achieved = greedy_goodput(cands, topo).admitted_weight()
-        opt = ilp_oracle_limited(
-            oracle_instance_from_candidates(cands, topo), operator_level=True
-        )
+        opt = ilp_oracle_limited(oracle_instance_from_candidates(cands, topo))
         ratio = achieved / opt if opt > 0 else 1.0
         goodput_ok += ratio >= 0.9
 
         served = [(q, c) for q, c in cands if len(c)]
         if served:
             dep = greedy_cost(served, topo)
-            copt = ilp_oracle_unlimited(
-                oracle_instance_from_candidates(served, topo), operator_level=True
-            )
+            copt = ilp_oracle_unlimited(oracle_instance_from_candidates(served, topo))
             cost_total += 1
             cost_ok += (dep.hourly_dollars / copt if copt > 0 else 1.0) <= 1.15
     goodput_rate = goodput_ok / len(instances)

@@ -16,13 +16,13 @@ from tierplan.model import (
 from tierplan.scheduler import (
     DeploymentState,
     OracleInstance,
-    ScoredPlan,
     age_weights,
     ffd_bin_count,
     greedy_cost,
     greedy_goodput,
     ilp_oracle_limited,
     ilp_oracle_unlimited,
+    op_demands,
     oracle_instance_from_candidates,
     random_scheduling_instance,
 )
@@ -197,18 +197,12 @@ class TestOracles:
         for seed in range(20):
             cands = random_scheduling_instance(seed, two_tier_topology, n_queries=4, max_plans=2)
             inst = oracle_instance_from_candidates(cands, two_tier_topology)
-            fast = ilp_oracle_limited(inst, operator_level=True)
+            fast = ilp_oracle_limited(inst)
             slow = brute_force_goodput(
                 [(w, [list(p) for p in plans]) for w, plans in inst.queries],
                 [list(c) for c in inst.machine_caps],
             )
             assert fast == pytest.approx(slow)
-
-    def test_blob_oracle_never_exceeds_operator_level(self, two_tier_topology):
-        for seed in range(15):
-            cands = random_scheduling_instance(seed, two_tier_topology, n_queries=5, max_plans=3)
-            inst = oracle_instance_from_candidates(cands, two_tier_topology)
-            assert ilp_oracle_limited(inst) <= ilp_oracle_limited(inst, operator_level=True) + 1e-9
 
     def test_unlimited_uses_exact_bin_packing(self):
         # plan choice trade-off: per-query cheap-but-fragmenting vs packable
@@ -271,9 +265,30 @@ class TestScaling:
         assert slope <= 1.2
 
 
-class TestScoredPlan:
-    def test_cr_is_capacity_normalized_sum(self, two_tier_topology):
+class TestOpDemands:
+    def test_one_demand_per_operator_in_its_tiers_units(self, two_tier_topology):
         c = cand([0, 1], [0.5, 0.25], two_tier_topology)
-        sp = ScoredPlan.build("q", c, two_tier_topology, weight=1.0)
-        assert sp.cr == pytest.approx(0.75)
-        assert sp.op_demands == ((0, 0.5), (1, 0.25))
+        assert op_demands(c.plan, two_tier_topology) == ((0, 0.5), (1, 0.25))
+        topo = single_tier_topology(capacity=4.0)
+        assert op_demands(cand([0, 0], [0.5, 0.125], topo).plan, topo) == ((0, 2.0), (0, 0.5))
+
+    def test_admission_holds_the_footprint_and_release_returns_it(self, two_tier_topology):
+        state = DeploymentState.fresh(two_tier_topology)
+        c = cand([0, 1], [0.5, 0.25], two_tier_topology)
+        assert state.place("q", c, 2.0)
+        a = state.assignments["q"]
+        assert (a.query_id, a.plan, a.weight) == ("q", c, 2.0)
+        assert a.demands == op_demands(c.plan, two_tier_topology)
+        assert a.machines == ((0, 0), (1, 0))
+        assert state.residual[0][0] == 0.5 and state.residual[1][0] == 0.75
+        with pytest.raises(ValueError):
+            state.place("q", c, 2.0)
+        state.release("q")
+        assert state.residual == DeploymentState.fresh(two_tier_topology).residual
+
+    def test_a_plan_that_does_not_fit_leaves_the_state_as_it_was(self):
+        # the larger operator fits, the second does not: all-or-nothing
+        topo = single_tier_topology(machines=1)
+        state = DeploymentState.fresh(topo)
+        assert not state.place("q", cand([0, 0], [1.0, 0.125], topo), 1.0)
+        assert state.residual == [[1.0]] and state.assignments == {}

@@ -13,7 +13,8 @@ from tierplan.latency import pipeline_latency
 from tierplan.model import SCHEMA_VERSION, SchemaError, Tier, TierTopology
 from tierplan import search
 from tierplan.presets import code_generation_pipeline
-from tierplan.search import SearchConfig
+from tierplan.scheduler import op_demands
+from tierplan.search import CandidateSet, SearchConfig
 from tierplan.sim import DriftEvent, SimConfig, _Sim, compare, run, sim_config_from_file
 
 
@@ -179,8 +180,8 @@ class TestRun:
         statuses = {q.id: q.status for q in report.queries}
         assert set(statuses.values()) == {"completed", "rejected", "degraded", "pending-at-end"}
         waiting = sorted(qid for qid, status in statuses.items() if status == "pending-at-end")
-        assert sorted(sim.candidates) == sorted(sim.observations) == waiting
-        assert set(sim._revalidated) | set(sim._verdicts) <= set(waiting)
+        assert sorted(sim.candidates) == sorted(sim.observations) == sorted(sim.current) == waiting
+        assert not sim.state.assignments and not sim.good
 
     def test_sessions_leave_observations_not_models(self, monkeypatch):
         # every surrogate pair dies with its session, replans included; the
@@ -238,40 +239,52 @@ def tight_cluster_config():
     )
 
 
+def feasible_slos(cfg):
+    """(a_slo, l_slo) of a medium query: 0.6 x the mean accuracy and 1.5 x
+    the mean latency of the single pipeline's quality-latency frontier."""
+    land, = cfg.landscapes.values()
+    frontier = quality_latency_frontier(land, cfg.topology)
+    return 0.6 * float(np.mean([a for _, a, _ in frontier])), 1.5 * float(np.mean([l for _, _, l in frontier]))
+
+
+def bandwidth_drift_config():
+    """One machine per tier keeps queries pending; at 15 s the device-cloud
+    link falls to 1% of its bandwidth, which puts every plan that crosses
+    it over the latency SLO."""
+    cfg = tight_cluster_config()
+    pipe, = cfg.pipelines.values()
+    a_slo, l_slo = feasible_slos(cfg)
+    entries = tuple(TraceEntry(0.5 * i, pipe.name, a_slo, l_slo, 40.0) for i in range(8))
+    return dataclasses.replace(
+        cfg,
+        trace=ArrivalTrace(entries=entries, generator_params={}),
+        drift=(DriftEvent(time=15.0, kind="bandwidth", link=(0, 1), factor=0.01),),
+    )
+
+
 class TestDriftRecheck:
     def test_bandwidth_drift_releases_violated_plans_and_drops_stale_candidates(self):
-        # one machine per tier keeps queries pending; at 15 s the device-cloud
-        # link falls to 1% of its bandwidth, which puts every plan that
-        # crosses it over the latency SLO
-        cfg = tight_cluster_config()
+        cfg = bandwidth_drift_config()
         pipe, = cfg.pipelines.values()
         land, = cfg.landscapes.values()
-        frontier = quality_latency_frontier(land, cfg.topology)
-        a_slo = 0.6 * float(np.mean([a for _, a, _ in frontier]))
-        l_slo = 1.5 * float(np.mean([l for _, _, l in frontier]))
-        entries = tuple(TraceEntry(0.5 * i, pipe.name, a_slo, l_slo, 40.0) for i in range(8))
-        cfg = dataclasses.replace(
-            cfg,
-            trace=ArrivalTrace(entries=entries, generator_params={}),
-            drift=(DriftEvent(time=15.0, kind="bandwidth", link=(0, 1), factor=0.01),),
-        )
+        _, l_slo = feasible_slos(cfg)
         sim = _Sim(cfg)
-        on_drift, current_candidates = sim.on_drift, sim._current_candidates
+        on_drift, plain_revalidate = sim.on_drift, sim._revalidate
         revalidated = {}  # query -> (candidate set, revalidated set) during the drift
         seen = []
 
         def revalidate(qid):
             cset = sim.candidates[qid]
-            revalidated[qid] = (cset, current_candidates(qid))
+            revalidated[qid] = (cset, plain_revalidate(qid))
             return revalidated[qid][1]
 
         def drift(t, event):
-            running = {qid: a.scored for qid, a in sim.state.assignments.items()}
+            running = {qid: a.plan for qid, a in sim.state.assignments.items()}
             replans = {qid: sim.records[qid].replans for qid in running}
             revalidated.clear()
-            sim._current_candidates = revalidate
+            sim._revalidate = revalidate
             on_drift(t, event)
-            sim._current_candidates = current_candidates
+            sim._revalidate = plain_revalidate
             seen.append((sim.topology, running, replans, dict(revalidated)))
 
         sim.on_drift = drift
@@ -281,7 +294,7 @@ class TestDriftRecheck:
         def latency(plan):
             return pipeline_latency(plan, pipe, topo, land.timings_for(plan.configuration))
 
-        violated = [qid for qid, scored in running.items() if latency(scored.plan.plan) > l_slo]
+        violated = [qid for qid, cand in running.items() if latency(cand.plan) > l_slo]
         assert violated
         for qid in violated:
             assert sim.records[qid].replans == replans[qid] + 1
@@ -290,6 +303,90 @@ class TestDriftRecheck:
             assert all(c.latency_s == latency(c.plan) <= l_slo for c in current.plans)
             dropped += sum(latency(c.plan) > l_slo for c in cset.plans)
         assert dropped > 0
+
+    def test_accuracy_drift_that_raises_accuracy_restores_goodput(self):
+        # the query is planned across the first drift, so it is admitted
+        # while missing a_slo; the second drift makes its plan hold again
+        cfg = tight_cluster_config()
+        pipe, = cfg.pipelines.values()
+        a_slo, l_slo = feasible_slos(cfg)
+        cfg = dataclasses.replace(
+            cfg,
+            trace=ArrivalTrace(entries=(TraceEntry(0.0, pipe.name, a_slo, l_slo, 30.0),), generator_params={}),
+            drift=(
+                DriftEvent(time=1.0, kind="accuracy", template=pipe.name, delta=-0.5),
+                DriftEvent(time=5.0, kind="accuracy", template=pipe.name, delta=0.5),
+            ),
+        )
+        report = run(cfg)
+        q, = report.queries
+        assert q.status == "completed" and q.replans == 0
+        assert 1.0 < q.admitted_at < 5.0
+        assert (q.admitted_at, 0) in report.goodput_series
+        assert all(g == 0 for t, g in report.goodput_series if t < 5.0)
+        assert (5.0, 1) in report.goodput_series
+        assert all(g == 1 for t, g in report.goodput_series if 5.0 <= t < q.released_at)
+
+
+LIVE = ("planning", "pending", "running", "replanning")
+ENDED = ("completed", "rejected", "degraded")
+
+
+def check_invariants(sim):
+    """The simulator's admission state against a fresh recount."""
+    topo = sim.topology
+
+    def latency(qid, plan):
+        rec = sim.records[qid]
+        timings = sim.landscapes[rec.template].timings_for(plan.configuration)
+        return pipeline_latency(plan, sim.cfg.pipelines[rec.template], topo, timings)
+
+    good = set()
+    for qid, a in sim.state.assignments.items():
+        rec = sim.records[qid]
+        accuracy = sim.landscapes[rec.template].accuracy_mean(a.plan.plan.configuration)
+        good |= {qid} if latency(qid, a.plan.plan) <= rec.l_slo and accuracy >= rec.a_slo else set()
+        assert a.demands == op_demands(a.plan.plan, topo)
+    assert sim.good == good
+
+    for qid in sim.pending:
+        l_slo = sim.records[qid].l_slo
+        lats = [(c, latency(qid, c.plan)) for c in sim.candidates[qid].plans]
+        fresh = CandidateSet.build([dataclasses.replace(c, latency_s=lat) for c, lat in lats if lat <= l_slo])
+        assert sim.current[qid] == fresh
+
+    held = [[0.0] * len(row) for row in sim.state.residual]
+    for a in sim.state.assignments.values():
+        for (tier, machine), (_, demand) in zip(a.machines, a.demands):
+            held[tier][machine] += demand
+    for tier, residual, used in zip(topo.tiers, sim.state.residual, held):
+        for r, u in zip(residual, used):
+            assert abs(r + u - tier.capacity) <= 1e-9
+            assert -1e-9 <= r <= tier.capacity
+
+    for qid, rec in sim.records.items():
+        assert rec.status in LIVE + ENDED
+        assert (qid in sim.pending) == (qid in sim.current) == (rec.status == "pending")
+        assert (qid in sim.state.assignments) == (rec.status == "running")
+        assert (qid in sim.candidates) == (qid in sim.observations) == (rec.status in LIVE)
+
+
+class TestSimInvariants:
+    @pytest.mark.parametrize("make_config", [tight_cluster_config, bandwidth_drift_config])
+    def test_admission_state_matches_a_recount_after_every_event(self, make_config):
+        sim = _Sim(make_config())
+        handled = []
+        for name in ("on_arrival", "on_ready", "on_release", "on_drift"):
+
+            def checked(t, payload, handler=getattr(sim, name), name=name):
+                handler(t, payload)
+                handled.append(name)
+                check_invariants(sim)
+
+            setattr(sim, name, checked)
+        report = sim.run()
+        assert set(handled) == {"on_arrival", "on_ready", "on_release", "on_drift"}
+        assert any(q.replans for q in report.queries)
 
 
 class TestCompare:
@@ -435,6 +532,10 @@ class TestConfigFile:
             ({"drift": [{"time": 1.0, "kind": "bandwidth", "link": [1, 2], "factor": 0.0}]}, "factor"),
             ({"drift": [{"time": 1.0, "kind": "accuracy", "template": "code-generation", "delta": float("nan")}]}, "delta"),
             ({"drift": [{"time": 1.0, "kind": "bandwidth", "link": [1, 2], "factr": 0.5}]}, "factr"),
+            ({"drift": [{"time": 1.0, "kind": "bandwidth", "link": [0, 1], "factor": 0.5, "template": "nope"}]}, "template"),
+            ({"drift": [{"time": 1.0, "kind": "bandwidth", "link": [0, 1], "factor": 0.5, "delta": 3}]}, "delta"),
+            ({"drift": [{"time": 1.0, "kind": "accuracy", "template": "code-generation", "delta": -0.1, "link": [0, 1]}]}, "link"),
+            ({"drift": [{"time": 1.0, "kind": "accuracy", "template": "code-generation", "delta": -0.1, "factor": 0.5}]}, "factor"),
             ({"schedular": "fcfs"}, "schedular"),
             ({"ablations": {"profilr": "fixed"}}, "profilr"),
             ({"trace": {"generator": {"duration_s": 5.0, "lod": 0.2}}}, "lod"),
@@ -492,6 +593,10 @@ class TestConfigFile:
             "drift-zero-factor",
             "drift-nan-delta",
             "drift-unknown-key",
+            "bandwidth-drift-with-template",
+            "bandwidth-drift-with-delta",
+            "accuracy-drift-with-link",
+            "accuracy-drift-with-factor",
             "unknown-top-level-key",
             "unknown-ablation-key",
             "unknown-generator-key",
@@ -683,6 +788,16 @@ class TestCli:
         rc = cli_main(["oracle", "--mode", "goodput", "--random", "1", "--queries", "9"])
         assert rc == 2
         assert "refused" in capsys.readouterr().err
+
+    def test_oracle_defaults_bound_the_greedy_in_both_modes(self, capsys):
+        # the oracles pack per operator, as the greedy does, so the optimum
+        # bounds the greedy: goodput ratio at most 1, cost ratio at least 1
+        assert cli_main(["oracle", "--mode", "goodput"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 10 and all(r["ratio"] <= 1 + 1e-9 for r in rows)
+        assert cli_main(["oracle", "--mode", "cost"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 10 and all(r["ratio"] >= 1 - 1e-9 for r in rows)
 
     @pytest.mark.parametrize("flag, value", [("--random", "-1"), ("--random", "0"), ("--queries", "0"), ("--plans", "0")])
     def test_oracle_counts_below_one_are_schema_errors(self, capsys, flag, value):
