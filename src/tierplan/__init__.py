@@ -9,7 +9,6 @@ from .landscape import (
     generate_landscape,
     generate_trace,
     sample_strata,
-    true_pareto_set,
 )
 from .latency import (
     OperatorTimings,
@@ -30,8 +29,6 @@ from .model import (
     Tier,
     TierTopology,
     Verdict,
-    enumerate_plan_space,
-    plan_space_size,
 )
 from .profiler import (
     PrefixCache,
@@ -40,8 +37,6 @@ from .profiler import (
     look_schedule,
     profile_plan,
     stratify,
-    variance_random,
-    variance_stratified,
 )
 from .scheduler import (
     DeploymentState,

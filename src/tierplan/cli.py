@@ -56,32 +56,37 @@ def _add_plan_parser(sub) -> None:
 
 
 def _cmd_plan(args) -> int:
+    if args.seed < 0:
+        raise SchemaError(f"--seed must be at least 0, got {args.seed}")
     if args.pipeline in PIPELINE_TEMPLATES:
         pipeline = get_pipeline(args.pipeline)
     else:
         pipeline = load_pipeline(args.pipeline)
     topology = load_topology(args.topology) if args.topology else default_topology()
-    land = generate_landscape(
-        seed=args.seed + 1000,
-        pipeline=pipeline,
-        difficulty=args.difficulty,
-        noise_scale=args.noise_scale,
-        tier_speed_factors=speed_factors_for(topology.num_tiers),
-        num_tiers=topology.num_tiers,
-    )
-    query = Query(
-        id="cli",
-        pipeline=pipeline,
-        a_slo=args.a_slo,
-        l_slo=args.l_slo,
-        response_budget_s=args.budget_s if args.budget_gpuh is None else None,
-        profiling_budget_gpuh=args.budget_gpuh,
-    )
-    config = SearchConfig(
-        use_cache=not args.no_cache,
-        profiler_mode=args.profiler,
-        fixed_n=args.fixed_n,
-    )
+    try:
+        land = generate_landscape(
+            seed=args.seed + 1000,
+            pipeline=pipeline,
+            difficulty=args.difficulty,
+            noise_scale=args.noise_scale,
+            tier_speed_factors=speed_factors_for(topology.num_tiers),
+            num_tiers=topology.num_tiers,
+        )
+        query = Query(
+            id="cli",
+            pipeline=pipeline,
+            a_slo=args.a_slo,
+            l_slo=args.l_slo,
+            response_budget_s=args.budget_s if args.budget_gpuh is None else None,
+            profiling_budget_gpuh=args.budget_gpuh,
+        )
+        config = SearchConfig(
+            use_cache=not args.no_cache,
+            profiler_mode=args.profiler,
+            fixed_n=args.fixed_n,
+        )
+    except ValueError as e:
+        raise SchemaError(f"invalid plan arguments: {e}") from e
     audit_rows: list[dict] = []
     result = single_query_search(
         query,
@@ -134,9 +139,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    for flag in ("random", "queries", "plans"):
-        if getattr(args, flag) < 1:
-            raise SchemaError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    for flag, least in (("random", 1), ("queries", 1), ("plans", 1), ("seed", 0)):
+        if getattr(args, flag) < least:
+            raise SchemaError(f"--{flag} must be at least {least}, got {getattr(args, flag)}")
     if args.topology:
         topology = load_topology(args.topology)
     else:
@@ -215,7 +220,9 @@ def main(argv=None) -> int:
     except SpaceTooLargeError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2
-    except (SchemaError, ValueError, OSError) as e:
+    except (SchemaError, OSError) as e:
+        # a malformed input or an unreadable or unwritable file; any other
+        # exception is a bug and propagates with its traceback
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

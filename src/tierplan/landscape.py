@@ -28,16 +28,13 @@ from .model import (
     SCHEMA_VERSION,
     PipelineSpec,
     PlanPoint,
-    Query,
     SchemaError,
     SpaceTooLargeError,
     TierTopology,
     _known_keys,
     _typed,
-    enumerate_plan_space,
     enumerate_search_pool,
     pareto_filter,
-    plan_space_size,
 )
 
 ACC_CENTER = 0.5
@@ -151,18 +148,15 @@ def generate_landscape(
     noise_scale: float = 0.05,
     tier_speed_factors: Sequence[float] | None = None,
     num_tiers: int = 3,
-    parent: GroundTruthLandscape | None = None,
-    perturbation: float = 0.0,
 ) -> GroundTruthLandscape:
     """Build a deterministic synthetic landscape for one pipeline.
 
     ``difficulty`` is a preset name or a monotone-tendency float in [0, 1]:
     1.0 forces the most expensive configuration to be the most accurate,
-    low values make accuracy rugged in the configuration vector.
-
-    Passing ``parent`` with a small ``perturbation`` produces a sibling
-    landscape from the same family: shared accuracy structure plus seeded
-    noise, which is what history warm starts exploit.
+    low values make accuracy rugged in the configuration vector. ``k_true``
+    equal-weight strata each get a base accuracy and a sampling noise
+    around ``noise_scale``; ``tier_speed_factors`` defaults to
+    :func:`default_speed_factors` of ``num_tiers``.
     """
     if not 1 <= k_true <= N_CASES:
         raise ValueError(f"k_true must be in 1..{N_CASES}, got {k_true}")
@@ -181,70 +175,72 @@ def generate_landscape(
     m = len(pipeline)
     domains = [len(op.knob_domain) for op in pipeline.operators]
 
-    if parent is not None:
-        k_true = parent.k_true
-        base = np.array(parent.stratum_base)
-        mono_w = np.array(parent.monotone_weights)
-        tendency = parent.monotone_tendency
-        weights = np.array(parent.stratum_weights)
-        sigmas = np.array(parent.stratum_sigma)
-    else:
-        weights = np.full(k_true, 1.0 / k_true)
-        base = rng.uniform(-0.3, 0.3, size=k_true)
-        mono_w = rng.uniform(0.9, 1.8, size=m) / m
-        sigmas = noise_scale * rng.uniform(0.6, 1.4, size=k_true)
+    weights = np.full(k_true, 1.0 / k_true)
+    base = rng.uniform(-0.3, 0.3, size=k_true)
+    mono_w = rng.uniform(0.9, 1.8, size=m) / m
+    sigmas = noise_scale * rng.uniform(0.6, 1.4, size=k_true)
 
     # Option effects share a component across strata (the config signal the
     # planner optimizes) plus a smaller per-stratum deviation; fully
     # independent strata would flatten the mixture mean toward 0.5.
+    shared_opt = [rng.uniform(-1.7, 1.7, size=domains[i]) / m for i in range(m)]
+    shared_pair = [rng.uniform(-0.6, 0.6, size=(domains[i], domains[i + 1])) / m for i in range(m - 1)]
     option_effects = []
     pair_effects = []
-    if parent is None:
-        shared_opt = [rng.uniform(-1.7, 1.7, size=domains[i]) / m for i in range(m)]
-        shared_pair = [rng.uniform(-0.6, 0.6, size=(domains[i], domains[i + 1])) / m for i in range(m - 1)]
     for k in range(k_true):
         per_op = []
         for i in range(m):
-            if parent is not None:
-                vals = np.array(parent.option_effects[k][i])
-                vals = vals + perturbation * rng.normal(0.0, 1.0 / m, size=domains[i])
-            else:
-                vals = shared_opt[i] + rng.uniform(-0.5, 0.5, size=domains[i]) / m
+            vals = shared_opt[i] + rng.uniform(-0.5, 0.5, size=domains[i]) / m
             per_op.append(tuple(float(v) for v in vals))
         option_effects.append(tuple(per_op))
         per_pair = []
         for i in range(m - 1):
-            if parent is not None:
-                mat = np.array(parent.pair_effects[k][i])
-                mat = mat + perturbation * rng.normal(0.0, 0.5 / m, size=mat.shape)
-            else:
-                mat = shared_pair[i] + rng.uniform(-0.25, 0.25, size=(domains[i], domains[i + 1])) / m
+            mat = shared_pair[i] + rng.uniform(-0.25, 0.25, size=(domains[i], domains[i + 1])) / m
             per_pair.append(tuple(tuple(float(v) for v in row) for row in mat))
         pair_effects.append(tuple(per_pair))
-    if parent is not None and perturbation > 0:
-        base = base + perturbation * rng.normal(0.0, 0.1, size=k_true)
 
-    if parent is not None:
-        op_times = parent.op_base_time_s
-        op_bytes = parent.op_output_bytes
-        speed = parent.tier_speed_factors
+    op_times = []
+    op_bytes = []
+    for i, op in enumerate(pipeline.operators):
+        t0 = rng.uniform(0.0003, 0.002)
+        slope = rng.uniform(1.0, 2.5)
+        d = domains[i]
+        op_times.append(tuple(t0 * (1.0 + slope * j / max(d - 1, 1)) for j in range(d)))
+        s_slope = rng.uniform(0.5, 1.5)
+        op_bytes.append(tuple(op.base_output_size * (0.5 + s_slope * (j + 1) / d) for j in range(d)))
+    if tier_speed_factors is not None:
+        speed = tuple(float(s) for s in tier_speed_factors)
     else:
-        op_times = []
-        op_bytes = []
-        for i, op in enumerate(pipeline.operators):
-            t0 = rng.uniform(0.0003, 0.002)
-            slope = rng.uniform(1.0, 2.5)
-            d = domains[i]
-            op_times.append(tuple(t0 * (1.0 + slope * j / max(d - 1, 1)) for j in range(d)))
-            s_slope = rng.uniform(0.5, 1.5)
-            op_bytes.append(tuple(op.base_output_size * (0.5 + s_slope * (j + 1) / d) for j in range(d)))
-        op_times = tuple(op_times)
-        op_bytes = tuple(op_bytes)
-        if tier_speed_factors is not None:
-            speed = tuple(float(s) for s in tier_speed_factors)
-        else:
-            speed = default_speed_factors(num_tiers)
+        speed = default_speed_factors(num_tiers)
 
+    case_stratum, case_features, empirical = _draw_cases(rng, weights)
+    return GroundTruthLandscape(
+        seed=seed,
+        pipeline=pipeline,
+        stratum_weights=empirical,
+        stratum_base=tuple(float(b) for b in base),
+        stratum_sigma=tuple(float(s) for s in sigmas),
+        monotone_tendency=tendency,
+        monotone_weights=tuple(float(w) for w in mono_w),
+        option_effects=tuple(option_effects),
+        pair_effects=tuple(pair_effects),
+        op_base_time_s=tuple(op_times),
+        op_output_bytes=tuple(op_bytes),
+        tier_speed_factors=speed,
+        case_stratum=case_stratum,
+        case_features=case_features,
+    )
+
+
+def _draw_cases(
+    rng: np.random.Generator, weights: Sequence[float]
+) -> tuple[tuple[int, ...], tuple[tuple[float, float], ...], tuple[float, ...]]:
+    """``N_CASES`` evaluation cases for stratum weights ``weights``: the
+    stratum of each case (counts rounded to sum to N_CASES, in a random
+    order), its 2-D features around its stratum's center, and the empirical
+    stratum weights those counts give."""
+    weights = np.asarray(weights)
+    k_true = len(weights)
     counts = np.floor(weights * N_CASES).astype(int)
     while counts.sum() < N_CASES:
         counts[int(np.argmax(weights * N_CASES - counts))] += 1
@@ -258,23 +254,7 @@ def generate_landscape(
     centers = np.stack([3.0 * np.cos(angle), 3.0 * np.sin(angle)], axis=1)
     feats = centers[list(case_stratum)] + rng.normal(0.0, FEATURE_NOISE, size=(N_CASES, 2))
     case_features = tuple((float(a), float(b)) for a, b in feats)
-
-    return GroundTruthLandscape(
-        seed=seed,
-        pipeline=pipeline,
-        stratum_weights=tuple(float(w) for w in empirical),
-        stratum_base=tuple(float(b) for b in base),
-        stratum_sigma=tuple(float(s) for s in sigmas),
-        monotone_tendency=tendency,
-        monotone_weights=tuple(float(w) for w in mono_w),
-        option_effects=tuple(option_effects),
-        pair_effects=tuple(pair_effects),
-        op_base_time_s=op_times,
-        op_output_bytes=op_bytes,
-        tier_speed_factors=speed,
-        case_stratum=case_stratum,
-        case_features=case_features,
-    )
+    return case_stratum, case_features, tuple(float(w) for w in empirical)
 
 
 def sample_strata(
@@ -292,29 +272,6 @@ def sample_strata(
     mu = np.array([landscape.stratum_mean(k, configuration) for k in range(landscape.k_true)])
     sigma = np.asarray(landscape.stratum_sigma)
     return np.clip(mu[strata] + sigma[strata] * rng.standard_normal(len(strata)), 0.0, 1.0)
-
-
-def true_pareto_set(
-    landscape: GroundTruthLandscape,
-    topology: TierTopology,
-    query: Query,
-    max_plans: int = 100_000,
-) -> list[PlanPoint]:
-    """Exhaustive oracle: all SLO-compliant plans not dominated in
-    (monetary cost, latency). Refuses oversized spaces outright."""
-    size = plan_space_size(landscape.pipeline, topology)
-    if size > max_plans:
-        raise SpaceTooLargeError(f"plan space has {size} plans, exhaustive cap is {max_plans}")
-    feasible: list[tuple[PlanPoint, tuple[float, float]]] = []
-    for plan in enumerate_plan_space(landscape.pipeline, topology):
-        if landscape.accuracy_mean(plan.configuration) < query.a_slo:
-            continue
-        lat = latmod.pipeline_latency(plan, landscape.pipeline, topology, landscape.timings_for(plan.configuration))
-        if lat > query.l_slo:
-            continue
-        feasible.append((plan, (latmod.plan_hourly_cost(plan, topology), lat)))
-    kept = pareto_filter(feasible, key=lambda t: t[1])
-    return [plan for plan, _ in kept]
 
 
 def quality_latency_frontier(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RESOURCE_FRACTIONS, PipelineSpec, PlanPoint, TierTopology
+from .model import PipelineSpec, PlanPoint, TierTopology
 
 #: Default profiling price, dollars per GPU-hour on the reference tier.
 DEFAULT_GPU_PRICE_PER_HOUR = 3.67
@@ -42,10 +42,9 @@ def compute_time(base_s: float, fraction: float, speed_factor: float, is_batchin
 
     Non-batching work gets ``fraction`` of the FLOPS, so time scales by
     1/fraction. Batching work shares the machine through batching and keeps
-    full FLOPS: the fraction affects cost, not latency.
+    full FLOPS: the fraction affects cost, not latency. ``fraction`` is a
+    grid value, which :class:`PlanPoint` checks at construction.
     """
-    if fraction not in RESOURCE_FRACTIONS:
-        raise ValueError(f"resource fraction {fraction} not in grid {RESOURCE_FRACTIONS}")
     if speed_factor <= 0:
         raise ValueError("speed factor must be > 0")
     if base_s < 0:

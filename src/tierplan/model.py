@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import combinations_with_replacement, product
-from math import comb, isfinite
-from typing import Iterator, Sequence
+from math import isfinite
+from typing import Sequence
 
 SCHEMA_VERSION = 1
 
@@ -264,57 +264,25 @@ class ProfileOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Plan-space enumeration
-
-
-def monotone_placements(num_operators: int, num_tiers: int) -> Iterator[tuple[int, ...]]:
-    """Yield all non-decreasing tier assignments of the given length."""
-    return combinations_with_replacement(range(num_tiers), num_operators)
-
-
-def count_monotone_placements(num_operators: int, num_tiers: int) -> int:
-    return comb(num_operators + num_tiers - 1, num_tiers - 1)
-
-
-def enumerate_plan_space(
-    pipeline: PipelineSpec,
-    topology: TierTopology,
-    fractions: tuple[float, ...] = RESOURCE_FRACTIONS,
-) -> Iterator[PlanPoint]:
-    """Lazily yield every valid PlanPoint exactly once.
-
-    Total count is (product of knob domain sizes) x (monotone placements)
-    x (fraction grid per operator). ``fractions`` may restrict the grid to
-    a subset of the canonical one.
-    """
-    m = len(pipeline)
-    config_axes = [range(len(op.knob_domain)) for op in pipeline.operators]
-    allocations = list(product(fractions, repeat=m))
-    for placement in monotone_placements(m, topology.num_tiers):
-        for config in product(*config_axes):
-            for resources in allocations:
-                yield PlanPoint(config, placement, resources)
-
-
-def plan_space_size(
-    pipeline: PipelineSpec,
-    topology: TierTopology,
-    fractions: tuple[float, ...] = RESOURCE_FRACTIONS,
-) -> int:
-    m = len(pipeline)
-    n_configs = 1
-    for op in pipeline.operators:
-        n_configs *= len(op.knob_domain)
-    return n_configs * count_monotone_placements(m, topology.num_tiers) * len(fractions) ** m
+# Search-pool enumeration
 
 
 def enumerate_search_pool(pipeline: PipelineSpec, topology: TierTopology) -> list[PlanPoint]:
     """All (configuration, placement) points at over-provisioned resources.
 
     Resource fractions are deferred to Pareto pruning, so the search pool
-    fixes r = all-ones.
+    fixes r = all-ones. Placements (monotone non-decreasing tier
+    assignments) run outer, configurations inner; pool indices depend on
+    this order.
     """
-    return list(enumerate_plan_space(pipeline, topology, fractions=(1.0,)))
+    m = len(pipeline)
+    ones = (1.0,) * m
+    configs = list(product(*(range(len(op.knob_domain)) for op in pipeline.operators)))
+    return [
+        PlanPoint(config, placement, ones)
+        for placement in combinations_with_replacement(range(topology.num_tiers), m)
+        for config in configs
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +418,12 @@ def _reject_constants(value, where: str, key: str = "") -> None:
 
 def load_json_file(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh, parse_constant=_JsonConstant)
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}:{e.lineno}: not valid JSON: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: not UTF-8 text: {e}") from e
     except OSError as e:
         raise SchemaError(f"{path}: cannot read: {e}") from e
     _reject_constants(obj, path)

@@ -44,34 +44,6 @@ LOOK_GROWTH = 1.1
 
 
 # ---------------------------------------------------------------------------
-# Theorem formulas: sample-mean variance under random vs stratified draws
-
-
-def _check_weights(p: Sequence[float]) -> None:
-    if abs(sum(p) - 1.0) > 1e-9:
-        raise ValueError(f"stratum weights must sum to 1, got {sum(p)!r}")
-
-
-def variance_random(p: Sequence[float], mu: Sequence[float], sigma2: Sequence[float], n: int) -> float:
-    """Variance of the sample mean when each draw picks stratum k w.p. p_k."""
-    _check_weights(p)
-    if n <= 0:
-        raise ValueError("sample size must be > 0")
-    mix = sum(pk * mk for pk, mk in zip(p, mu))
-    within = sum(pk * s2 for pk, s2 in zip(p, sigma2))
-    between = sum(pk * (mk - mix) ** 2 for pk, mk in zip(p, mu))
-    return (within + between) / n
-
-
-def variance_stratified(p: Sequence[float], sigma2: Sequence[float], n: int) -> float:
-    """Variance of the sample mean when exactly n*p_k draws hit stratum k."""
-    _check_weights(p)
-    if n <= 0:
-        raise ValueError("sample size must be > 0")
-    return sum(pk * s2 for pk, s2 in zip(p, sigma2)) / n
-
-
-# ---------------------------------------------------------------------------
 # One-shot K-means stratification
 
 

@@ -178,7 +178,10 @@ def sim_config_from_file(path: str) -> SimConfig:
     names = _typed(obj.get("pipelines", ["visual-tracking"]), "pipelines", list, path)
     if not names or not all(type(name) is str for name in names):
         raise SchemaError(f"{path}: pipelines must be a non-empty list of pipeline names, got {names!r}")
-    pipelines = {name: get_pipeline(name) for name in names}
+    try:
+        pipelines = {name: get_pipeline(name) for name in names}
+    except ValueError as e:
+        raise SchemaError(f"{path}: {e}") from e
 
     land_cfg = obj.get("landscape", {})
     land_where = f"{path}#landscape"

@@ -1,16 +1,25 @@
-"""Independent reference implementations used to check the real code paths.
+"""Independent reference implementations used to check the real code paths,
+and the test equipment built on them.
 
-Everything here is deliberately written the slow, obvious way (recursive
+The references are deliberately written the slow, obvious way (recursive
 enumeration, explicit path walks, dict-of-dict tries) and must stay
-decoupled from the package's own algorithms.
+decoupled from the package's own algorithms. The exhaustive Pareto oracle
+sweeps the full plan grid through the package's latency model and Pareto
+filter, which other tests check against the references here; the sibling
+landscape reuses the generator's case draw.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from itertools import combinations_with_replacement, product
+
 import numpy as np
 
+from tierplan import latency as latmod
+from tierplan.landscape import _draw_cases
 from tierplan.latency import compute_time, transfer_time
-from tierplan.model import RESOURCE_FRACTIONS
+from tierplan.model import RESOURCE_FRACTIONS, PlanPoint, SpaceTooLargeError, pareto_filter
 
 
 def recursive_plan_count(knob_sizes, num_tiers, num_fractions, placement_prefix=()):
@@ -40,6 +49,101 @@ def all_monotone_placements(m, t):
 
     go([])
     return out
+
+
+def enumerate_plan_space(pipeline, topology):
+    """Lazily yield every valid PlanPoint exactly once: (product of knob
+    domain sizes) x (monotone placements) x (fraction grid per operator),
+    placements outer, then configurations, then allocations."""
+    m = len(pipeline)
+    config_axes = [range(len(op.knob_domain)) for op in pipeline.operators]
+    allocations = list(product(RESOURCE_FRACTIONS, repeat=m))
+    for placement in combinations_with_replacement(range(topology.num_tiers), m):
+        for config in product(*config_axes):
+            for resources in allocations:
+                yield PlanPoint(config, placement, resources)
+
+
+def true_pareto_set(landscape, topology, query, max_plans=100_000):
+    """Exhaustive oracle: all SLO-compliant plans of the full grid not
+    dominated in (monetary cost, latency). Refuses oversized spaces outright."""
+    knob_sizes = [len(op.knob_domain) for op in landscape.pipeline.operators]
+    size = recursive_plan_count(knob_sizes, topology.num_tiers, len(RESOURCE_FRACTIONS))
+    if size > max_plans:
+        raise SpaceTooLargeError(f"plan space has {size} plans, exhaustive cap is {max_plans}")
+    feasible = []
+    for plan in enumerate_plan_space(landscape.pipeline, topology):
+        if landscape.accuracy_mean(plan.configuration) < query.a_slo:
+            continue
+        lat = latmod.pipeline_latency(plan, landscape.pipeline, topology, landscape.timings_for(plan.configuration))
+        if lat > query.l_slo:
+            continue
+        feasible.append((plan, (latmod.plan_hourly_cost(plan, topology), lat)))
+    kept = pareto_filter(feasible, key=lambda t: t[1])
+    return [plan for plan, _ in kept]
+
+
+def sibling_landscape(parent, seed, perturbation):
+    """A landscape from ``parent``'s family, as history warm starts exploit:
+    the parent's option and pair effects plus seeded N(0, perturbation/m)
+    and N(0, perturbation/2m) noise, its stratum bases plus N(0,
+    perturbation/10) noise when perturbation > 0, and a fresh draw of
+    evaluation cases at its stratum weights. Everything else is the
+    parent's; no accuracy drift carries over."""
+    rng = np.random.default_rng(seed)
+    m = len(parent.pipeline)
+    option_effects = []
+    pair_effects = []
+    for k in range(parent.k_true):
+        per_op = []
+        for vals in map(np.array, parent.option_effects[k]):
+            vals = vals + perturbation * rng.normal(0.0, 1.0 / m, size=len(vals))
+            per_op.append(tuple(float(v) for v in vals))
+        option_effects.append(tuple(per_op))
+        per_pair = []
+        for mat in map(np.array, parent.pair_effects[k]):
+            mat = mat + perturbation * rng.normal(0.0, 0.5 / m, size=mat.shape)
+            per_pair.append(tuple(tuple(float(v) for v in row) for row in mat))
+        pair_effects.append(tuple(per_pair))
+    base = np.array(parent.stratum_base)
+    if perturbation > 0:
+        base = base + perturbation * rng.normal(0.0, 0.1, size=parent.k_true)
+    case_stratum, case_features, weights = _draw_cases(rng, parent.stratum_weights)
+    return dataclasses.replace(
+        parent,
+        seed=seed,
+        stratum_weights=weights,
+        stratum_base=tuple(float(b) for b in base),
+        option_effects=tuple(option_effects),
+        pair_effects=tuple(pair_effects),
+        case_stratum=case_stratum,
+        case_features=case_features,
+        accuracy_offset=0.0,
+    )
+
+
+def _check_weights(p):
+    if abs(sum(p) - 1.0) > 1e-9:
+        raise ValueError(f"stratum weights must sum to 1, got {sum(p)!r}")
+
+
+def variance_random(p, mu, sigma2, n):
+    """Variance of the sample mean when each draw picks stratum k w.p. p_k."""
+    _check_weights(p)
+    if n <= 0:
+        raise ValueError("sample size must be > 0")
+    mix = sum(pk * mk for pk, mk in zip(p, mu))
+    within = sum(pk * s2 for pk, s2 in zip(p, sigma2))
+    between = sum(pk * (mk - mix) ** 2 for pk, mk in zip(p, mu))
+    return (within + between) / n
+
+
+def variance_stratified(p, sigma2, n):
+    """Variance of the sample mean when exactly n*p_k draws hit stratum k."""
+    _check_weights(p)
+    if n <= 0:
+        raise ValueError("sample size must be > 0")
+    return sum(pk * s2 for pk, s2 in zip(p, sigma2)) / n
 
 
 def all_paths_latency(plan, pipeline, topology, timings):

@@ -10,14 +10,22 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import all_paths_latency, exhaustive_resource_frontier, mc_sample_mean_variance, ReplayTrie
+from oracles import (
+    all_paths_latency,
+    exhaustive_resource_frontier,
+    mc_sample_mean_variance,
+    ReplayTrie,
+    sibling_landscape,
+    true_pareto_set,
+    variance_random,
+    variance_stratified,
+)
 from tierplan.landscape import (
     ArrivalTrace,
     TraceEntry,
     generate_landscape,
     quality_latency_frontier,
     sample_strata,
-    true_pareto_set,
 )
 from tierplan.latency import OperatorTimings, pipeline_latency, plan_hourly_cost, transfer_time
 from tierplan.model import (
@@ -42,8 +50,6 @@ from tierplan.profiler import (
     look_schedule,
     profile_plan,
     stratify,
-    variance_random,
-    variance_stratified,
 )
 from tierplan.scheduler import (
     greedy_cost,
@@ -206,7 +212,7 @@ def test_criterion_4_search_efficiency():
     )
     store = HistoryStore()
     for i in range(3):
-        sib = generate_landscape(seed=41 + i, pipeline=pipe, parent=parent, perturbation=0.15)
+        sib = sibling_landscape(parent, seed=41 + i, perturbation=0.15)
         single_query_search(query, sib, topo, history=store, seed=90 + i)
     assert len(store) == 3
 

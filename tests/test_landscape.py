@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import enumerate_plan_space, sibling_landscape, true_pareto_set
 from tierplan.landscape import (
     ArrivalTrace,
     SLO_HARDNESS,
@@ -14,7 +15,6 @@ from tierplan.landscape import (
     generate_trace,
     quality_latency_frontier,
     sample_strata,
-    true_pareto_set,
 )
 from tierplan.latency import pipeline_latency, plan_hourly_cost
 from tierplan.model import (
@@ -27,7 +27,6 @@ from tierplan.model import (
     SpaceTooLargeError,
     Tier,
     TierTopology,
-    enumerate_plan_space,
 )
 from tierplan.profiler import NullCache, profile_plan_fixed_n
 
@@ -268,7 +267,7 @@ class TestTrace:
 class TestSiblings:
     def test_perturbed_sibling_shares_structure(self, vt_pipeline):
         parent = generate_landscape(seed=20, pipeline=vt_pipeline, difficulty="rugged")
-        child = generate_landscape(seed=21, pipeline=vt_pipeline, parent=parent, perturbation=0.1)
+        child = sibling_landscape(parent, seed=21, perturbation=0.1)
         configs = list(all_configs(vt_pipeline))
         pa = np.array([parent.accuracy_mean(c) for c in configs])
         ch = np.array([child.accuracy_mean(c) for c in configs])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_monotone_placements, quadratic_pareto_filter, recursive_plan_count
+from oracles import all_monotone_placements, enumerate_plan_space, quadratic_pareto_filter, recursive_plan_count
 from tierplan.model import (
     RESOURCE_FRACTIONS,
     OperatorSpec,
@@ -14,13 +14,11 @@ from tierplan.model import (
     SchemaError,
     Tier,
     TierTopology,
-    count_monotone_placements,
-    enumerate_plan_space,
+    enumerate_search_pool,
     load_json_file,
     load_topology,
     pareto_filter,
     pipeline_from_dict,
-    plan_space_size,
     topology_from_dict,
 )
 
@@ -47,16 +45,26 @@ class TestEnumeration:
         assert len(plans) == 36  # 3 knobs x 3 placements x 4 fractions
 
     def test_two_ops_single_fraction(self):
-        plans = list(enumerate_plan_space(chain([2, 2]), flat_topology(2), fractions=(1.0,)))
-        assert len(plans) == 12  # 4 configs x 3 monotone placements
-        placements = {p.placement for p in plans}
-        assert placements == {(0, 0), (0, 1), (1, 1)}
+        # the search pool: the all-ones grid, placements outer, configurations inner
+        pool = enumerate_search_pool(chain([2, 2]), flat_topology(2))
+        assert len(pool) == 12  # 4 configs x 3 monotone placements
+        assert [(p.placement, p.configuration) for p in pool] == [
+            (placement, config)
+            for placement in ((0, 0), (0, 1), (1, 1))
+            for config in ((0, 0), (0, 1), (1, 0), (1, 1))
+        ]
+        assert all(p.resources == (1.0, 1.0) for p in pool)
+
+    @pytest.mark.parametrize("knobs, num_tiers", [((2, 2), 2), ((3, 4, 5), 3), ((2, 1, 3), 4), ((4,), 5)])
+    def test_search_pool_is_the_full_grid_at_all_ones_in_order(self, knobs, num_tiers):
+        pipe, topo = chain(list(knobs)), flat_topology(num_tiers)
+        ones = (1.0,) * len(knobs)
+        assert enumerate_search_pool(pipe, topo) == [p for p in enumerate_plan_space(pipe, topo) if p.resources == ones]
 
     def test_visual_tracking_scale_matches_recursive_counter(self):
         pipe = chain([3, 4, 5])
         topo = flat_topology(3)
         expected = recursive_plan_count((3, 4, 5), 3, len(RESOURCE_FRACTIONS))
-        assert plan_space_size(pipe, topo) == expected
         assert sum(1 for _ in enumerate_plan_space(pipe, topo)) == expected
 
     def test_no_duplicates(self):
@@ -66,9 +74,13 @@ class TestEnumeration:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
     def test_monotone_placement_count(self, m, t):
+        # the exhaustive Pareto oracle relies on the full-grid enumerator
+        # reaching every monotone placement, each once per allocation
         direct = all_monotone_placements(m, t)
-        assert count_monotone_placements(m, t) == len(direct)
         assert len(set(direct)) == len(direct)
+        plans = list(enumerate_plan_space(chain([1] * m), flat_topology(t)))
+        assert len(plans) == len(direct) * len(RESOURCE_FRACTIONS) ** m
+        assert list(dict.fromkeys(p.placement for p in plans)) == direct
 
 
 class TestInvariants:

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from oracles import ReplayTrie, mc_sample_mean_variance
+from oracles import ReplayTrie, mc_sample_mean_variance, variance_random, variance_stratified
 from tierplan.landscape import generate_landscape, sample_strata
 from tierplan.model import PlanPoint, Verdict
 from tierplan.profiler import (
@@ -17,8 +17,6 @@ from tierplan.profiler import (
     profile_plan_fixed_n,
     stratify,
     two_sided_p_value,
-    variance_random,
-    variance_stratified,
 )
 
 

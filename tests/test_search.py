@@ -7,8 +7,8 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
-from oracles import all_paths_latency, exhaustive_resource_frontier
-from tierplan.landscape import generate_landscape, quality_latency_frontier, true_pareto_set
+from oracles import all_paths_latency, exhaustive_resource_frontier, sibling_landscape, true_pareto_set
+from tierplan.landscape import generate_landscape, quality_latency_frontier
 from tierplan.latency import OperatorTimings, pipeline_latency, plan_hourly_cost
 from tierplan.model import (
     OperatorSpec,
@@ -947,7 +947,7 @@ class TestSingleQuerySearch:
         q = dataclasses.replace(vt_query, response_budget_s=2.0)
         store = HistoryStore()
         for i in range(2):
-            sib = generate_landscape(seed=12 + i, pipeline=vt_pipeline, parent=vt_landscape, perturbation=1.5)
+            sib = sibling_landscape(vt_landscape, seed=12 + i, perturbation=1.5)
             single_query_search(q, sib, topology, history=store, seed=50 + i)
         res = single_query_search(q, vt_landscape, topology, history=store, seed=7)
         got = [(t["branch"], tuple(t["configuration"]), tuple(t["placement"])) for t in res.telemetry]
@@ -1067,7 +1067,7 @@ class TestWarmStart:
         q = Query("w", pipe, a_slo=0.8 * acc, l_slo=1.5 * lat, response_budget_s=5.0)
         store = HistoryStore()
         for i in range(3):
-            sib = generate_landscape(seed=41 + i, pipeline=pipe, parent=parent, perturbation=0.15)
+            sib = sibling_landscape(parent, seed=41 + i, perturbation=0.15)
             single_query_search(q, sib, topology, history=store, seed=90 + i)
         assert len(store) == 3
         cold, warm = [], []

@@ -12,6 +12,7 @@ from tierplan.landscape import ArrivalTrace, TraceEntry, generate_landscape, qua
 from tierplan.latency import pipeline_latency
 from tierplan.model import SCHEMA_VERSION, SchemaError, Tier, TierTopology
 from tierplan import search
+from tierplan import sim as simmod
 from tierplan.presets import code_generation_pipeline
 from tierplan.scheduler import op_demands
 from tierplan.search import CandidateSet, SearchConfig
@@ -561,6 +562,7 @@ class TestConfigFile:
             ({"pipelines": 5}, "pipelines"),
             ({"pipelines": "visual-tracking"}, "pipelines"),
             ({"pipelines": []}, "pipelines"),
+            ({"pipelines": ["bogus"]}, "unknown pipeline template 'bogus'"),
             ({"drift": 5}, "drift"),
             ({"output_dir": 5}, "output_dir"),
             ({"landscape": {"noise_scale": float("nan")}}, "noise_scale"),
@@ -622,6 +624,7 @@ class TestConfigFile:
             "integer-pipelines",
             "string-pipelines",
             "empty-pipelines",
+            "unknown-pipeline",
             "integer-drift",
             "integer-output-dir",
             "nan-literal",
@@ -748,6 +751,41 @@ class TestCli:
         assert rc == 1
         assert "budget must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--a-slo", "1.5"], "a_slo must be in (0, 1]"),
+            (["--difficulty", "bogus"], "unknown difficulty 'bogus'"),
+            (["--noise-scale", "-1"], "noise_scale must be finite and >= 0"),
+            (["--profiler", "fixed", "--fixed-n", "0"], "fixed_n must be >= 1"),
+            (["--seed", "-1"], "--seed must be at least 0, got -1"),
+        ],
+        ids=["a-slo-above-one", "unknown-difficulty", "negative-noise-scale", "zero-fixed-n", "negative-seed"],
+    )
+    def test_plan_argument_errors_exit_1(self, capsys, args, message):
+        argv = ["plan", "--pipeline", "code-generation", "--a-slo", "0.5", "--l-slo", "0.5", "--budget-s", "1"]
+        assert cli_main(argv + args) == 1  # argparse keeps the last --a-slo
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_a_value_error_mid_run_is_not_reported_as_an_input_error(self, tmp_path, capsys, monkeypatch):
+        cfg = {
+            "schema_version": SCHEMA_VERSION,
+            "pipelines": ["code-generation"],
+            "trace": {"generator": {"duration_s": 20.0, "load": 0.5, "hardness": "easy"}},
+        }
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["simulate", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["completed"] == 1  # the scheduler admitted it
+
+        def broken(*args, **kwargs):
+            raise ValueError("scheduler bug")
+
+        monkeypatch.setattr(simmod, "greedy_goodput", broken)
+        with pytest.raises(ValueError, match="scheduler bug"):
+            cli_main(["simulate", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+
     def test_plan_rejects_a_pipeline_with_a_string_is_batching(self, tmp_path, capsys):
         pipeline = {
             "schema_version": SCHEMA_VERSION,
@@ -799,11 +837,14 @@ class TestCli:
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 10 and all(r["ratio"] >= 1 - 1e-9 for r in rows)
 
-    @pytest.mark.parametrize("flag, value", [("--random", "-1"), ("--random", "0"), ("--queries", "0"), ("--plans", "0")])
-    def test_oracle_counts_below_one_are_schema_errors(self, capsys, flag, value):
+    @pytest.mark.parametrize(
+        "flag, value, least",
+        [("--random", "-1", 1), ("--random", "0", 1), ("--queries", "0", 1), ("--plans", "0", 1), ("--seed", "-1", 0)],
+    )
+    def test_oracle_counts_below_one_are_schema_errors(self, capsys, flag, value, least):
         assert cli_main(["oracle", flag, value]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and f"{flag} must be at least 1, got {value}" in err
+        assert err.startswith("error:") and f"{flag} must be at least {least}, got {value}" in err
 
     def test_simulate_schema_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -814,3 +855,9 @@ class TestCli:
         path.write_text("[1, 2]", encoding="utf-8")  # JSON, but not an object
         assert cli_main(["simulate", "--config", str(path)]) == 1
         assert "expected a JSON object" in capsys.readouterr().err
+        path.write_bytes(b'\xff\xfe{"a":1}')  # not UTF-8
+        with pytest.raises(SchemaError, match="not UTF-8"):
+            sim_config_from_file(str(path))
+        assert cli_main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not UTF-8" in err
