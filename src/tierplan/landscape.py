@@ -25,12 +25,12 @@ import numpy as np
 
 from . import latency as latmod
 from .model import (
-    SCHEMA_VERSION,
     PipelineSpec,
     PlanPoint,
     SchemaError,
     SpaceTooLargeError,
     TierTopology,
+    _check_version,
     _known_keys,
     _typed,
     enumerate_search_pool,
@@ -274,15 +274,18 @@ def sample_strata(
     return np.clip(mu[strata] + sigma[strata] * rng.standard_normal(len(strata)), 0.0, 1.0)
 
 
+FRONTIER_MAX_PLANS = 100_000  # largest pool quality_latency_frontier scores
+
+
 def quality_latency_frontier(
-    landscape: GroundTruthLandscape, topology: TierTopology, max_plans: int = 100_000
+    landscape: GroundTruthLandscape, topology: TierTopology
 ) -> list[tuple[PlanPoint, float, float]]:
     """SLO-free Pareto trade-off between accuracy (max) and latency (min)
     over the over-provisioned (configuration, placement) pool, used to draw
     per-query SLO requirements."""
     pool = enumerate_search_pool(landscape.pipeline, topology)
-    if len(pool) > max_plans:
-        raise SpaceTooLargeError(f"search pool has {len(pool)} plans, exhaustive cap is {max_plans}")
+    if len(pool) > FRONTIER_MAX_PLANS:
+        raise SpaceTooLargeError(f"search pool has {len(pool)} plans, exhaustive cap is {FRONTIER_MAX_PLANS}")
     rows: list[tuple[PlanPoint, float, float]] = []
     for plan in pool:
         lat = latmod.pipeline_latency(plan, landscape.pipeline, topology, landscape.timings_for(plan.configuration))
@@ -337,8 +340,7 @@ class ArrivalTrace:
     @staticmethod
     def from_dict(obj: dict, where: str = "<trace>") -> "ArrivalTrace":
         _known_keys(obj, _TRACE_KEYS, where)
-        if obj.get("schema_version") != SCHEMA_VERSION:
-            raise SchemaError(f"{where}: missing or unsupported schema_version")
+        _check_version(obj, where)
         try:
             entries = []
             for i, e in enumerate(obj["entries"]):

@@ -19,15 +19,11 @@ def speed_factors_for(num_tiers: int) -> tuple[float, ...] | None:
     return DEFAULT_SPEED_FACTORS[-num_tiers:] if num_tiers <= len(DEFAULT_SPEED_FACTORS) else None
 
 
-def default_topology(
-    device_machines: int = 8,
-    mec_machines: int = 4,
-    cloud_machines: int = 4,
-) -> TierTopology:
+def default_topology() -> TierTopology:
     tiers = (
-        Tier(name="device", machine_count=device_machines, capacity=1.0, unit_cost=0.05),
-        Tier(name="mec", machine_count=mec_machines, capacity=1.0, unit_cost=2.48),
-        Tier(name="cloud", machine_count=cloud_machines, capacity=1.0, unit_cost=3.67),
+        Tier(name="device", machine_count=8, capacity=1.0, unit_cost=0.05),
+        Tier(name="mec", machine_count=4, capacity=1.0, unit_cost=2.48),
+        Tier(name="cloud", machine_count=4, capacity=1.0, unit_cost=3.67),
     )
     bw = (
         (25_000.0, 50.0, 50.0),

@@ -35,10 +35,12 @@ from scipy.special import stdtr
 from .landscape import N_CASES, GroundTruthLandscape, sample_strata
 from .model import PlanPoint, ProfileOutcome, Verdict
 
-DEFAULT_CONFIDENCE = 0.99
+#: Family-wise confidence of the sequential test, spent evenly over its looks.
+CONFIDENCE = 0.99
 DEFAULT_MIN_SAMPLES = 50
 DEFAULT_N_MAX = 1000
 DEFAULT_PLANNER_STRATA = 4
+KMEANS_ITERS = 100  # Lloyd iterations at most
 #: Each look's sample size is LOOK_GROWTH times the previous one's.
 LOOK_GROWTH = 1.1
 
@@ -47,7 +49,7 @@ LOOK_GROWTH = 1.1
 # One-shot K-means stratification
 
 
-def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iters: int = 100) -> np.ndarray:
+def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded k-means++ init plus Lloyd iterations; returns labels.
 
     Empty clusters are repaired by stealing the point farthest from its
@@ -65,7 +67,7 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iters: int = 1
             centers[j] = points[int(rng.choice(n, p=d2 / total))]
         d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
     labels = np.full(n, -1, dtype=int)
-    for it in range(iters):
+    for _ in range(KMEANS_ITERS):
         dists = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(dists, axis=1)
         for j in range(k):
@@ -245,7 +247,6 @@ def profile_plan(
     cache: PrefixCache | NullCache,
     a_slo: float,
     rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
     min_samples: int = DEFAULT_MIN_SAMPLES,
     n_max: int = DEFAULT_N_MAX,
     log: Callable[[dict], None] | None = None,
@@ -259,7 +260,7 @@ def profile_plan(
     cache-missing operators, at reference-tier full-resource compute.
     """
     looks = look_schedule(min_samples, n_max)
-    alpha = (1.0 - confidence) / len(looks)
+    alpha = (1.0 - CONFIDENCE) / len(looks)
     order = allocation(strat.weights, n_max)
     cases = np.empty(n_max, dtype=np.intp)
     values = np.empty(n_max)

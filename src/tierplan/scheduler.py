@@ -43,6 +43,7 @@ from .search import (
 _EPS = 1e-9
 
 DEFAULT_AGING_BETA = 0.01  # per second of pending time
+RANDOM_MAX_OPS = 3  # operators per query in random_scheduling_instance
 
 
 def op_demands(plan: PlanPoint, topology: TierTopology) -> tuple[tuple[int, float], ...]:
@@ -458,7 +459,6 @@ def random_scheduling_instance(
     topology: TierTopology,
     n_queries: int = 8,
     max_plans: int = 4,
-    max_ops: int = 3,
     weight_range: tuple[float, float] = (1.0, 1.0),
     equal_cr: bool = False,
 ) -> list[tuple[Query, CandidateSet]]:
@@ -474,7 +474,7 @@ def random_scheduling_instance(
     frac_probs = (0.1, 0.15, 0.3, 0.45)  # 1, 1/2, 1/4, 1/8
     out: list[tuple[Query, CandidateSet]] = []
     for qi in range(n_queries):
-        n_ops = 1 if equal_cr else int(rng.integers(1, max_ops + 1))
+        n_ops = 1 if equal_cr else int(rng.integers(1, RANDOM_MAX_OPS + 1))
         ops = tuple(OperatorSpec(i, (f"o{i}",)) for i in range(n_ops))
         pipe = PipelineSpec(
             name=f"rand-{seed}-{qi}",

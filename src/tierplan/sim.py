@@ -17,6 +17,12 @@ SLO on the current topology when it becomes ready and at every drift;
 accuracy staleness of not-yet-admitted candidates surfaces only once the
 query is running. Latencies come from the topology's memo, which a drift
 starts afresh.
+
+Each fact is kept once. A live query has one entry (query, candidates,
+observations), a pending one another (enqueue time, revalidated
+candidates). Freeing an admission writes its one ``deployment.csv`` row;
+the rows whose [admitted_s, released_s) covers a time are the running set
+then. Deployment dollars are a fold over ``cost_series``.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ import heapq
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +51,7 @@ from .model import (
     Query,
     SchemaError,
     TierTopology,
+    _check_version,
     _known_keys,
     _typed,
     load_json_file,
@@ -57,7 +65,7 @@ from .scheduler import (
     greedy_goodput,
     replan,
 )
-from .search import CandidateSet, HistoryStore, Observations, SearchConfig, single_query_search
+from .search import CandidateSet, HistoryStore, Observations, SearchConfig, SearchResult, single_query_search
 
 
 @dataclass(frozen=True)
@@ -161,8 +169,7 @@ def sim_config_from_file(path: str) -> SimConfig:
     before any simulation starts."""
     obj = load_json_file(path)
     _known_keys(obj, _TOP_LEVEL_KEYS, path)
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaError(f"{path}: missing or unsupported schema_version")
+    _check_version(obj, path)
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
@@ -311,7 +318,9 @@ class MetricsReport:
     cost_series: tuple[tuple[float, float], ...]
     queries: tuple[QueryRecord, ...]
     totals: dict
-    deployment_snapshots: tuple[dict, ...] = ()
+    # deployment.csv: one row per admission, in admission order, ties by
+    # query id; released_s is None for an admission running at the end
+    admissions: tuple[tuple, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -339,6 +348,14 @@ def _series_average(series, horizon: float) -> float:
     return total / horizon
 
 
+class _Live(NamedTuple):
+    """A query that may still be admitted or replan, and its latest session's output."""
+
+    query: Query
+    candidates: CandidateSet
+    observations: Observations
+
+
 class _Sim:
     def __init__(self, config: SimConfig):
         self.cfg = config
@@ -346,39 +363,19 @@ class _Sim:
         self.landscapes = dict(config.landscapes)
         self.state = DeploymentState.fresh(config.topology)
         self.records: dict[str, QueryRecord] = {}
-        self.queries: dict[str, Query] = {}
-        # planner state of each query that may still be admitted or replan:
-        # dropped once it completes, is rejected or ends degraded
-        self.candidates: dict[str, CandidateSet] = {}
-        self.observations: dict[str, Observations] = {}
-        self.pending: dict[str, float] = {}  # query id -> time it became pending
-        # each pending query's candidates within its latency SLO on the
-        # current topology, at their current latency
-        self.current: dict[str, CandidateSet] = {}
+        # dropped once the query completes, is rejected or ends degraded
+        self.live: dict[str, _Live] = {}
+        # query id -> (time it became pending, its candidates within its
+        # latency SLO on the current topology, at their current latency)
+        self.pending: dict[str, tuple[float, CandidateSet]] = {}
         # admitted queries whose SLOs hold on the current topology and landscapes
         self.good: set[str] = set()
         self.goodput_series: list[tuple[float, int]] = [(0.0, 0)]
         self.cost_series: list[tuple[float, float]] = [(0.0, 0.0)]
-        self.deployment_dollars = 0.0
-        self._last_cost_t = 0.0
-        self._last_cost_rate = 0.0
         self.history = HistoryStore()
-        self.deployment_snapshots: list[dict] = []
+        self.admissions: list[tuple] = []  # one deployment.csv row per freed admission
         self._seq = 0
         self.heap: list = []
-
-    def _snapshot(self, t: float) -> None:
-        for qid in sorted(self.state.assignments):
-            a = self.state.assignments[qid]
-            self.deployment_snapshots.append(
-                {
-                    "time_s": t,
-                    "query": qid,
-                    "placement": "|".join(f"{tier}:{m}" for tier, m in a.machines),
-                    "resources": "|".join(str(f) for f in a.plan.plan.resources),
-                    "hourly_cost": a.plan.hourly_cost,
-                }
-            )
 
     def push(self, time: float, kind: str, payload) -> None:
         self._seq += 1
@@ -390,12 +387,8 @@ class _Sim:
     def _mark(self, t: float) -> None:
         """Record cost and true goodput: an admitted plan whose true accuracy
         misses the SLO is served but does not count."""
-        self.deployment_dollars += self._last_cost_rate * max(0.0, t - self._last_cost_t) / 3600.0
-        self._last_cost_t = t
-        rate = self.state.hourly_cost()
-        self._last_cost_rate = rate
         self.goodput_series.append((t, len(self.good)))
-        self.cost_series.append((t, rate))
+        self.cost_series.append((t, self.state.hourly_cost()))
 
     # -- event handlers ----------------------------------------------------
 
@@ -413,7 +406,6 @@ class _Sim:
             arrival_time=entry.arrival_time,
             lifespan=entry.lifespan,
         )
-        self.queries[qid] = query
         rec = QueryRecord(
             id=qid,
             template=entry.template,
@@ -431,26 +423,19 @@ class _Sim:
             seed=self.query_seed(idx),
             config=self.cfg.search,
         )
-        rec.planning_time_s = result.charged_time_s
-        rec.gpu_seconds = result.gpu_seconds
-        rec.profiling_dollars = result.dollars
-        rec.search_steps = result.steps
         rec.time_to_first_feasible_s = result.time_to_first_feasible_s
         rec.candidate_count = len(result.candidates)
-        self.candidates[qid] = result.candidates
-        self.observations[qid] = result.observations
-        self.push(t + result.charged_time_s, "ready", qid)
+        self._charge(t, query, result)
 
     def on_ready(self, t: float, qid: str) -> None:
         rec = self.records[qid]
-        if len(self.candidates[qid]) == 0:
+        if len(self.live[qid].candidates) == 0:
             rec.status = "rejected" if rec.replans == 0 else "degraded"
-            self._drop(qid)
+            del self.live[qid]
             self._mark(t)
             return
         rec.status = "pending"
-        self.pending[qid] = t
-        self.current[qid] = self._revalidate(qid)
+        self.pending[qid] = (t, self._revalidate(qid))
         self.epoch(t)
 
     def on_release(self, t: float, payload) -> None:
@@ -458,10 +443,9 @@ class _Sim:
         rec = self.records[qid]
         if rec.status != "running" or rec.admitted_at != admitted_at:
             return  # stale release (query was drift-released and replanned)
-        self.state.release(qid)
-        self.good.discard(qid)
+        self._free(t, qid)
         rec.status = "completed"
-        self._drop(qid)
+        del self.live[qid]
         rec.released_at = t
         self._mark(t)
         self.epoch(t)
@@ -475,17 +459,34 @@ class _Sim:
         # rebuilt from every running query: a drift can also make a missed SLO hold again
         self.good = {qid for qid, a in assignments.items() if not self._violates(qid, a.plan.plan)}
         for qid in [qid for qid in assignments if qid not in self.good]:
-            self.state.release(qid)
+            self._free(t, qid)
             self.records[qid].status = "replanning"
             self._mark(t)
             self._start_replan(t, qid)
-        for qid in self.pending:
-            self.current[qid] = self._revalidate(qid)
+        for qid, (since, _) in self.pending.items():
+            self.pending[qid] = (since, self._revalidate(qid))
         self.epoch(t)
 
-    def _drop(self, qid: str) -> None:
-        """Forget a query that can no longer be admitted or replan."""
-        del self.candidates[qid], self.observations[qid]
+    def _free(self, t: float | None, qid: str) -> None:
+        """Release query ``qid``'s admission and record its deployment row;
+        ``t`` is None for an admission still running at the end of the run."""
+        a = self.state.assignments[qid]
+        self.state.release(qid)
+        self.good.discard(qid)
+        placement = "|".join(f"{tier}:{m}" for tier, m in a.machines)
+        resources = "|".join(str(f) for f in a.plan.plan.resources)
+        self.admissions.append((qid, self.records[qid].admitted_at, t, placement, resources, a.plan.hourly_cost))
+
+    def _charge(self, t: float, query: Query, result: SearchResult) -> None:
+        """Charge a finished planning session to its query, keep its
+        candidates and observations, and queue the query's ready event."""
+        rec = self.records[query.id]
+        rec.planning_time_s += result.charged_time_s
+        rec.gpu_seconds += result.gpu_seconds
+        rec.profiling_dollars += result.dollars
+        rec.search_steps += result.steps
+        self.live[query.id] = _Live(query, result.candidates, result.observations)
+        self.push(t + result.charged_time_s, "ready", query.id)
 
     def _latency(self, qid: str, plan: PlanPoint) -> float:
         """Modelled latency of ``plan`` for query ``qid`` on the current topology."""
@@ -505,7 +506,7 @@ class _Sim:
         topology, at their current latency."""
         rec = self.records[qid]
         kept = []
-        for cand in self.candidates[qid].plans:
+        for cand in self.live[qid].candidates.plans:
             lat = self._latency(qid, cand.plan)
             if lat <= rec.l_slo:
                 kept.append(replace(cand, latency_s=lat))
@@ -514,25 +515,18 @@ class _Sim:
     def _start_replan(self, t: float, qid: str) -> None:
         rec = self.records[qid]
         rec.replans += 1
-        query = self.queries[qid]
-        idx = int(qid[1:])
+        live = self.live[qid]
         result = replan(
-            query,
+            live.query,
             self.landscapes[rec.template],
             self.topology,
-            prior=self.observations[qid],
+            prior=live.observations,
             history=self.history,
-            seed=self.query_seed(idx, salt=rec.replans),
+            seed=self.query_seed(int(qid[1:]), salt=rec.replans),
             config=self.cfg.search,
             budget_s=self.cfg.replan_budget_s,
         )
-        rec.planning_time_s += result.charged_time_s
-        rec.gpu_seconds += result.gpu_seconds
-        rec.profiling_dollars += result.dollars
-        rec.search_steps += result.steps
-        self.candidates[qid] = result.candidates
-        self.observations[qid] = result.observations
-        self.push(t + result.charged_time_s, "ready", qid)
+        self._charge(t, live.query, result)
 
     # -- scheduling --------------------------------------------------------
 
@@ -540,17 +534,14 @@ class _Sim:
         if not self.pending:
             self._mark(t)
             return
-        ordered = sorted(self.pending, key=lambda q: self.records[q].arrival_time)
         live: list[tuple[Query, CandidateSet]] = []
-        stale: list[str] = []
-        for qid in ordered:
-            cset = self.current[qid]
-            if len(cset) == 0:
-                stale.append(qid)
-            else:
-                live.append((self.queries[qid], cset))
-        for qid in stale:
-            del self.pending[qid], self.current[qid]
+        for qid in sorted(self.pending, key=lambda q: self.records[q].arrival_time):
+            cset = self.pending[qid][1]
+            if len(cset) > 0:
+                live.append((self.live[qid].query, cset))
+                continue
+            # a drift left no candidate within the latency SLO
+            del self.pending[qid]
             self.records[qid].status = "replanning"
             self._start_replan(t, qid)
 
@@ -561,17 +552,17 @@ class _Sim:
                     break  # strict head-of-line blocking
         else:
             aged = age_weights(
-                [(q.id, q.weight, self.pending[q.id]) for q, _ in live], t, self.cfg.aging_beta
+                [(q.id, q.weight, self.pending[q.id][0]) for q, _ in live], t, self.cfg.aging_beta
             )
             greedy_goodput(live, self.topology, state=self.state, weights=aged)
 
-        for qid in set(self.state.assignments) - before:
+        for qid in sorted(set(self.state.assignments) - before):
             rec = self.records[qid]
             plan = self.state.assignments[qid].plan
             rec.status = "running"
             rec.admitted_at = t
             rec.hourly_cost = plan.hourly_cost
-            del self.pending[qid], self.current[qid]
+            del self.pending[qid]
             if not self._violates(qid, plan.plan):
                 self.good.add(qid)
             self.push(t + rec.lifespan, "release", (qid, t))
@@ -595,15 +586,18 @@ class _Sim:
                 self.on_release(t, payload)
             elif kind == "drift":
                 self.on_drift(t, payload)
-            if kind in ("ready", "release", "drift"):
-                self._snapshot(t)
         for qid in self.pending:
             self.records[qid].status = "pending-at-end"
         self._mark(t)
+        for qid in sorted(self.state.assignments):
+            self._free(None, qid)
 
         horizon = t
         records = tuple(self.records[q] for q in sorted(self.records))
         statuses = [r.status for r in records]
+        deployment_dollars = 0.0
+        for (t0, rate), (t1, _) in zip(self.cost_series, self.cost_series[1:]):
+            deployment_dollars += rate * max(0.0, t1 - t0) / 3600.0
         totals = {
             "arrived": len(records),
             "completed": statuses.count("completed"),
@@ -611,7 +605,7 @@ class _Sim:
             "rejected": statuses.count("rejected"),
             "pending_at_end": statuses.count("pending-at-end"),
             "avg_goodput": _series_average(self.goodput_series, horizon),
-            "deployment_dollars": self.deployment_dollars,
+            "deployment_dollars": deployment_dollars,
             "profiling_dollars": float(sum(r.profiling_dollars for r in records)),
             "profiling_gpu_seconds": float(sum(r.gpu_seconds for r in records)),
             "horizon_s": horizon,
@@ -623,7 +617,7 @@ class _Sim:
             cost_series=tuple(self.cost_series),
             queries=records,
             totals=totals,
-            deployment_snapshots=tuple(self.deployment_snapshots),
+            admissions=tuple(sorted(self.admissions, key=lambda row: (row[1], row[0]))),
         )
 
 
@@ -647,16 +641,14 @@ def write_report(report: MetricsReport, outdir: str) -> None:
         w = csv.writer(fh)
         w.writerow(["time_s", "dollars_per_hour"])
         w.writerows(report.cost_series)
-    rows = [asdict(q) for q in report.queries]
     with open(os.path.join(outdir, "queries.csv"), "w", newline="") as fh:
-        if rows:
-            w = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            w.writeheader()
-            w.writerows(rows)
-    with open(os.path.join(outdir, "deployment.csv"), "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["time_s", "query", "placement", "resources", "hourly_cost"])
+        w = csv.DictWriter(fh, fieldnames=[f.name for f in fields(QueryRecord)])
         w.writeheader()
-        w.writerows(report.deployment_snapshots)
+        w.writerows(asdict(q) for q in report.queries)
+    with open(os.path.join(outdir, "deployment.csv"), "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["query", "admitted_s", "released_s", "placement", "resources", "hourly_cost"])
+        w.writerows(report.admissions)
 
 
 def compare(config: SimConfig, variants: dict[str, dict]) -> dict:

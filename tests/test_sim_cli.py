@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import gc
 import json
@@ -16,7 +17,7 @@ from tierplan import sim as simmod
 from tierplan.presets import code_generation_pipeline
 from tierplan.scheduler import op_demands
 from tierplan.search import CandidateSet, SearchConfig
-from tierplan.sim import DriftEvent, SimConfig, _Sim, compare, run, sim_config_from_file
+from tierplan.sim import DriftEvent, QueryRecord, SimConfig, _Sim, compare, run, sim_config_from_file, write_report
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +59,17 @@ def entry(small_world, t=0.0, lifespan=30.0, weight=1.0):
 
 
 class TestRun:
-    def test_empty_trace_empty_report(self, small_world):
-        rep = run(make_config(small_world, []))
+    def test_empty_trace_empty_report(self, small_world, tmp_path):
+        rep = run(make_config(small_world, [], output_dir=str(tmp_path)))
         assert rep.totals["arrived"] == 0
         assert rep.totals["deployment_dollars"] == 0.0
         assert rep.totals["profiling_gpu_seconds"] == 0.0
+        # every CSV keeps its header when there is no row
+        header = ",".join(f.name for f in dataclasses.fields(QueryRecord))
+        assert (tmp_path / "queries.csv").read_text().splitlines() == [header]
+        assert (tmp_path / "deployment.csv").read_text().splitlines() == [
+            "query,admitted_s,released_s,placement,resources,hourly_cost"
+        ]
 
     def test_single_query_abundant_resources(self, small_world):
         rep = run(make_config(small_world, [entry(small_world, lifespan=30.0)]))
@@ -88,13 +95,12 @@ class TestRun:
 
     def test_byte_identical_reports(self, small_world, tmp_path):
         entries = [entry(small_world, t=float(i), lifespan=12.0) for i in range(4)]
+        names = ("metrics.json", "goodput.csv", "cost.csv", "queries.csv", "deployment.csv")
         blobs = []
         for run_dir in ("a", "b"):
             out = tmp_path / run_dir
-            rep = run(make_config(small_world, entries, output_dir=str(out)))
-            blobs.append((out / "metrics.json").read_bytes())
-            for name in ("goodput.csv", "cost.csv", "queries.csv"):
-                assert (out / name).exists()
+            run(make_config(small_world, entries, output_dir=str(out)))
+            blobs.append([(out / name).read_bytes() for name in names])
         assert blobs[0] == blobs[1]
 
     def test_fcfs_head_of_line_blocking(self, small_world):
@@ -181,7 +187,7 @@ class TestRun:
         statuses = {q.id: q.status for q in report.queries}
         assert set(statuses.values()) == {"completed", "rejected", "degraded", "pending-at-end"}
         waiting = sorted(qid for qid, status in statuses.items() if status == "pending-at-end")
-        assert sorted(sim.candidates) == sorted(sim.observations) == sorted(sim.current) == waiting
+        assert sorted(sim.live) == sorted(sim.pending) == waiting
         assert not sim.state.assignments and not sim.good
 
     def test_sessions_leave_observations_not_models(self, monkeypatch):
@@ -197,12 +203,12 @@ class TestRun:
         monkeypatch.setattr(search.SurrogatePair, "__init__", tracked)
         sim = _Sim(tight_cluster_config())
         report = sim.run()
-        assert any(q.replans for q in report.queries) and sim.observations
+        assert any(q.replans for q in report.queries) and sim.live
         gc.collect()
         assert pairs and all(ref() is None for ref in pairs)
-        for qid, observations in sim.observations.items():
-            assert type(observations) is search.Observations
-            assert len(observations.idx) == report.queries[int(qid[1:])].search_steps
+        for qid, live in sim.live.items():
+            assert type(live.observations) is search.Observations
+            assert len(live.observations.idx) == report.queries[int(qid[1:])].search_steps
 
 
 def tight_cluster_config():
@@ -275,7 +281,7 @@ class TestDriftRecheck:
         seen = []
 
         def revalidate(qid):
-            cset = sim.candidates[qid]
+            cset = sim.live[qid].candidates
             revalidated[qid] = (cset, plain_revalidate(qid))
             return revalidated[qid][1]
 
@@ -350,11 +356,11 @@ def check_invariants(sim):
         assert a.demands == op_demands(a.plan.plan, topo)
     assert sim.good == good
 
-    for qid in sim.pending:
+    for qid, (_, current) in sim.pending.items():
         l_slo = sim.records[qid].l_slo
-        lats = [(c, latency(qid, c.plan)) for c in sim.candidates[qid].plans]
+        lats = [(c, latency(qid, c.plan)) for c in sim.live[qid].candidates.plans]
         fresh = CandidateSet.build([dataclasses.replace(c, latency_s=lat) for c, lat in lats if lat <= l_slo])
-        assert sim.current[qid] == fresh
+        assert current == fresh
 
     held = [[0.0] * len(row) for row in sim.state.residual]
     for a in sim.state.assignments.values():
@@ -367,9 +373,9 @@ def check_invariants(sim):
 
     for qid, rec in sim.records.items():
         assert rec.status in LIVE + ENDED
-        assert (qid in sim.pending) == (qid in sim.current) == (rec.status == "pending")
+        assert (qid in sim.pending) == (rec.status == "pending")
         assert (qid in sim.state.assignments) == (rec.status == "running")
-        assert (qid in sim.candidates) == (qid in sim.observations) == (rec.status in LIVE)
+        assert (qid in sim.live) == (rec.status in LIVE)
 
 
 class TestSimInvariants:
@@ -388,6 +394,62 @@ class TestSimInvariants:
         report = sim.run()
         assert set(handled) == {"on_arrival", "on_ready", "on_release", "on_drift"}
         assert any(q.replans for q in report.queries)
+
+    @pytest.mark.parametrize("make_config", [tight_cluster_config, bandwidth_drift_config])
+    def test_admission_rows_rebuild_the_running_set_after_every_event(self, make_config, tmp_path):
+        # deployment.csv holds one row per admission; the rows whose
+        # [admitted_s, released_s) covers a handled event's time are the
+        # assignments the simulator held after the last event at that time
+        sim = _Sim(make_config())
+        running = {}  # event time -> {query: (placement, resources, hourly cost)}
+        for name in ("on_arrival", "on_ready", "on_release", "on_drift"):
+
+            def recorded(t, payload, handler=getattr(sim, name)):
+                handler(t, payload)
+                running[t] = {
+                    qid: (
+                        "|".join(f"{tier}:{m}" for tier, m in a.machines),
+                        "|".join(str(f) for f in a.plan.plan.resources),
+                        str(a.plan.hourly_cost),
+                    )
+                    for qid, a in sim.state.assignments.items()
+                }
+
+            setattr(sim, name, recorded)
+        admitted = []
+        push = sim.push
+
+        def counted(time, kind, payload):
+            if kind == "release":
+                admitted.append(payload)
+            push(time, kind, payload)
+
+        sim.push = counted
+        report = sim.run()
+        write_report(report, str(tmp_path))
+        with open(tmp_path / "deployment.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+
+        assert [(r["query"], float(r["admitted_s"])) for r in rows] == sorted(admitted, key=lambda a: (a[1], a[0]))
+        # a drift release writes its row too
+        assert {float(r["released_s"]) for r in rows} & {event.time for event in sim.cfg.drift}
+        for t, assignments in running.items():
+            rebuilt = {
+                r["query"]: (r["placement"], r["resources"], r["hourly_cost"])
+                for r in rows
+                if float(r["admitted_s"]) <= t < float(r["released_s"] or "inf")
+            }
+            assert rebuilt == assignments
+
+    def test_an_admission_running_at_the_end_has_no_release_time(self, small_world, tmp_path):
+        sim = _Sim(make_config(small_world, [entry(small_world, t=float(i), lifespan=12.0) for i in range(3)]))
+        push = sim.push
+        sim.push = lambda time, kind, payload: kind == "release" or push(time, kind, payload)
+        write_report(sim.run(), str(tmp_path))
+        with open(tmp_path / "deployment.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["released_s"] == "" for r in rows)
+        assert not sim.state.assignments
 
 
 class TestCompare:
