@@ -14,9 +14,8 @@ import sys
 
 from . import sim as simmod
 from .landscape import generate_landscape
-from .model import SchemaError, SpaceTooLargeError, load_topology
+from .model import Query, SchemaError, SpaceTooLargeError, load_pipeline, load_topology
 from .presets import PIPELINE_TEMPLATES, default_topology, get_pipeline, speed_factors_for
-from .model import Query, load_pipeline
 from .scheduler import (
     greedy_cost,
     greedy_goodput,
@@ -96,14 +95,10 @@ def _cmd_plan(args) -> int:
         config=config,
         profile_log=audit_rows.append if args.profiling_log else None,
     )
-    if args.telemetry:
-        with open(args.telemetry, "w") as fh:
-            for row in result.telemetry:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-    if args.profiling_log:
-        with open(args.profiling_log, "w") as fh:
-            for row in audit_rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+    for path, rows in ((args.telemetry, result.telemetry), (args.profiling_log, audit_rows)):
+        if path:
+            with open(path, "w") as fh:
+                fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     out = {
         "steps": result.steps,
         "charged_time_s": result.charged_time_s,
@@ -208,15 +203,9 @@ def main(argv=None) -> int:
     p.add_argument("--topology", default=None)
 
     args = parser.parse_args(argv)
+    commands = {"plan": _cmd_plan, "simulate": _cmd_simulate, "compare": _cmd_compare, "oracle": _cmd_oracle}
     try:
-        if args.command == "plan":
-            return _cmd_plan(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
+        return commands[args.command](args)
     except SpaceTooLargeError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2
@@ -225,7 +214,6 @@ def main(argv=None) -> int:
         # exception is a bug and propagates with its traceback
         print(f"error: {e}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ optimum and fine-grained resource allocation is deferred to Pareto pruning
 and the multi-query scheduler.
 
 Two independent Gaussian-process surrogates drive the acquisition: one maps
-configuration one-hots to accuracy, the other maps configuration+placement
-one-hots to latency. The acquisition multiplies the probability of meeting
+a configuration's option indices to accuracy, the other maps those and the
+plan's tiers to latency. The acquisition multiplies the probability of meeting
 each SLO and divides by the predicted profiling cost, so expensive plans
 must earn their evaluation. Each surrogate's posterior grows by one
 rank-one step per observation (a pool index), so every prediction is a
@@ -24,7 +24,6 @@ proposals until the session's own model outpredicts them.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,10 +71,12 @@ HISTORY_CAPACITY = 32
 
 class GaussianProcess:
     """Exact GP regression over the fixed input rows ``pool`` (a search
-    pool's distinct configurations or its plans), with a fixed RBF kernel
-    (length scale 1, unit signal variance) and observation noise
-    ``noise``. Targets are standardized internally; no hyperparameter
-    optimization.
+    pool's distinct configurations or its plans, as integer code rows) and
+    observation noise ``noise``. The kernel is exp(-h), h the number of
+    codes in which two rows differ: ½‖x_i − x_j‖² is exactly h on their
+    one-hot rows, so this is the RBF kernel (length scale 1, unit signal
+    variance) on those, bit for bit. Targets are standardized internally;
+    no hyperparameter optimization.
 
     With L the Cholesky factor of K(X, X) + noise*I over the observed rows
     X, the state is V = L⁻¹K(X, pool), w = L⁻¹[y 1] and, per pool row,
@@ -86,14 +87,18 @@ class GaussianProcess:
         self.pool = pool
         self.noise = noise
         self.rows: list[int] = []
-        self.targets: list[float] = []
-        self._sq = np.einsum("ij,ij->i", pool, pool)
-        self._v = np.empty((0, len(pool)))  # V in its leading rows, grown by doubling
+        self._kernel = np.exp(-np.arange(pool.shape[1] + 1.0))  # exp(-h) at h = 0..ncols
+        self._v = np.empty((0, len(pool)))  # V, w and the targets in their leading rows
         self._w = np.empty((0, 2))
+        self._y = np.empty(0)
         self._kw = np.zeros((2, len(pool)))
         self._var = np.ones(len(pool))
         self._y_mean = 0.0
         self._y_std = 1.0
+
+    @property
+    def targets(self) -> list[float]:
+        return self._y[: len(self.rows)].tolist()
 
     def fit(self, j: int, y: float) -> "GaussianProcess":
         """Condition on one more observation ``y`` at pool row ``j``. A
@@ -101,25 +106,35 @@ class GaussianProcess:
         definite."""
         n = len(self.rows)
         if n == len(self._v):
-            grown = np.empty((max(8, 2 * n), len(self.pool)))
-            grown[:n] = self._v
-            self._v = grown
+            grown = [np.empty((max(8, 2 * n), *a.shape[1:])) for a in (self._v, self._w, self._y)]
+            for new, old in zip(grown, (self._v, self._w, self._y)):
+                new[:n] = old
+            self._v, self._w, self._y = grown  # grown by doubling
         v = self._v[:n]
         v_j = v[:, j]
         d = math.sqrt(self._var[j] + self.noise)
-        k = np.exp(-0.5 * np.maximum(self._sq + self._sq[j] - 2.0 * (self.pool @ self.pool[j]), 0.0))
-        c = (k - v_j @ v) / d
-        w = (np.array([y, 1.0]) - v_j @ self._w) / d
+        c = (self._kernel_row(j) - v_j @ v) / d
+        w = (np.array([y, 1.0]) - v_j @ self._w[:n]) / d
         self._v[n] = c
-        self._w = np.vstack([self._w, w])
-        self._kw += np.outer(w, c)
+        self._w[n] = w
+        self._kw[0] += w[0] * c
+        self._kw[1] += w[1] * c
         self._var -= c * c
         self.rows.append(j)
-        self.targets.append(y)
-        self._y_mean = float(np.mean(self.targets))
-        std = float(np.std(self.targets))
+        self._y[n] = y
+        ys = self._y[: n + 1]  # np.mean and np.std of the targets, by numpy's own operations
+        self._y_mean = float(np.add.reduce(ys) / (n + 1))
+        std = math.sqrt(np.add.reduce((ys - self._y_mean) ** 2) / (n + 1))
         self._y_std = std if std > 1e-12 else 1.0
         return self
+
+    def _kernel_row(self, j: int) -> np.ndarray:
+        """exp(-h) at every pool row, h its number of codes unlike row ``j``'s,
+        counted a column at a time (contiguous in a column-major pool)."""
+        h = np.zeros(len(self.pool), np.min_scalar_type(self.pool.shape[1]))
+        for column, code in zip(self.pool.T, self.pool[j]):
+            h += column != code
+        return self._kernel[h]
 
     def predict(self, idx) -> tuple[np.ndarray, np.ndarray]:
         """Predictive mean and std (always positive) at the pool rows
@@ -130,20 +145,6 @@ class GaussianProcess:
         return mu, self._y_std * np.sqrt(np.maximum(self._var[idx], self.noise))
 
 
-def encode_pool(plans: Sequence[PlanPoint], pipeline: PipelineSpec, num_tiers: int) -> tuple[np.ndarray, np.ndarray]:
-    """Accuracy-model and latency-model input rows, one per plan: a one-hot
-    of each operator's option, then (latency rows only) of each operator's tier."""
-    dims = [len(op.knob_domain) for op in pipeline.operators]
-    rows = np.arange(len(plans))[:, None]
-    configs = np.array([p.configuration for p in plans])
-    placements = np.array([p.placement for p in plans])
-    xa = np.zeros((len(plans), sum(dims)))
-    xa[rows, np.cumsum([0] + dims[:-1]) + configs] = 1.0
-    tiers = np.zeros((len(plans), len(dims) * num_tiers))
-    tiers[rows, np.arange(len(dims)) * num_tiers + placements] = 1.0
-    return xa, np.hstack([xa, tiers])
-
-
 def pool_key(pipeline: PipelineSpec, num_tiers: int) -> tuple[tuple[int, ...], int]:
     """What the search pool and its encoding depend on: the knob-domain
     sizes and the tier count."""
@@ -151,10 +152,10 @@ def pool_key(pipeline: PipelineSpec, num_tiers: int) -> tuple[tuple[int, ...], i
 
 
 class SearchPool(NamedTuple):
-    """A search pool and its encoding. The accuracy model never sees
-    placement, so its rows ``xa`` are one per distinct configuration, and
-    ``config[i]`` is pool plan ``i``'s row in them; the latency rows ``xl``
-    are one per pool plan."""
+    """A search pool and its column-major code rows. The accuracy model never
+    sees placement, so its rows ``xa`` are one per distinct configuration
+    (each operator's option), and ``config[i]`` is pool plan ``i``'s row in
+    them; the latency rows ``xl`` are one per pool plan: options, then tiers."""
 
     key: tuple
     plans: tuple[PlanPoint, ...]
@@ -167,17 +168,18 @@ _SEARCH_POOLS: dict[tuple, SearchPool] = {}
 
 
 def search_pool(pipeline: PipelineSpec, topology: TierTopology) -> SearchPool:
-    """The search pool and its encoded rows, built once per process for
-    each :func:`pool_key` and shared read-only. Distinct configurations are
+    """The search pool and its code rows, built once per process for each
+    :func:`pool_key` and shared read-only. Distinct configurations are
     found by their mixed-radix codes, so ``xa`` is in configuration order."""
     key = pool_key(pipeline, topology.num_tiers)
     cached = _SEARCH_POOLS.get(key)
     if cached is None:
         plans = tuple(enumerate_search_pool(pipeline, topology))
-        xa, xl = encode_pool(plans, pipeline, topology.num_tiers)
-        code = np.ravel_multi_index(np.array([p.configuration for p in plans]).T, key[0])
+        xl = np.array([p.configuration + p.placement for p in plans])
+        xl = np.asfortranarray(xl, np.min_scalar_type(xl.max()))
+        code = np.ravel_multi_index(xl[:, : len(key[0])].T, key[0])
         _, first, config = np.unique(code, return_index=True, return_inverse=True)
-        xa = xa[first]
+        xa = np.asfortranarray(xl[first, : len(key[0])])
         for rows in (xa, config, xl):
             rows.setflags(write=False)
         cached = _SEARCH_POOLS[key] = SearchPool(key, plans, xa, config, xl)

@@ -32,7 +32,7 @@ import heapq
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -128,19 +128,26 @@ class SimConfig:
             raise ValueError(f"aging_beta must be finite and >= 0, got {self.aging_beta}")
         if self.scheduler_mode not in ("greedy", "fcfs"):
             raise ValueError(f"unknown scheduler mode {self.scheduler_mode!r}")
-        for entry in self.trace.entries:
-            if entry.template not in self.pipelines:
-                raise SchemaError(f"trace references unknown pipeline {entry.template!r}")
-            if entry.template not in self.landscapes:
-                raise SchemaError(f"no landscape for pipeline {entry.template!r}")
-        tiers = range(self.topology.num_tiers)
-        for event in self.drift:
-            if event.kind == "bandwidth" and not (
-                len(event.link) == 2 and all(isinstance(m, int) and m in tiers for m in event.link)
-            ):
-                raise SchemaError(f"drift link {list(event.link)} is not a pair of tiers in 0..{len(tiers) - 1}")
-            if event.kind == "accuracy" and event.template not in self.landscapes:
-                raise SchemaError(f"accuracy drift names pipeline {event.template!r}, which has no landscape")
+        _check_references(self.trace, self.drift, self.pipelines, self.landscapes, self.topology, "SimConfig")
+
+
+def _check_references(trace, drift, pipelines, landscapes, topology, where: str) -> None:
+    """Raise SchemaError, at ``where``#trace or ``where``#drift[i], for a trace
+    entry or drift event naming a pipeline, landscape or tier the config lacks."""
+    for entry in trace.entries:
+        if entry.template not in pipelines:
+            raise SchemaError(f"{where}#trace: trace references unknown pipeline {entry.template!r}")
+        if entry.template not in landscapes:
+            raise SchemaError(f"{where}#trace: no landscape for pipeline {entry.template!r}")
+    tiers = range(topology.num_tiers)
+    for i, event in enumerate(drift):
+        loc = f"{where}#drift[{i}]"
+        if event.kind == "bandwidth" and not (
+            len(event.link) == 2 and all(isinstance(m, int) and m in tiers for m in event.link)
+        ):
+            raise SchemaError(f"{loc}: drift link {list(event.link)} is not a pair of tiers in 0..{len(tiers) - 1}")
+        if event.kind == "accuracy" and event.template not in landscapes:
+            raise SchemaError(f"{loc}: accuracy drift names pipeline {event.template!r}, which has no landscape")
 
 
 _TOP_LEVEL_KEYS = (
@@ -194,6 +201,8 @@ def sim_config_from_file(path: str) -> SimConfig:
     land_where = f"{path}#landscape"
     _known_keys(land_cfg, _LANDSCAPE_KEYS, land_where)
     seed = _typed(obj.get("seed", 0), "seed", int, path)
+    if seed < 0:  # before the trace generator sees it
+        raise SchemaError(f"{path}: seed must be >= 0, got {seed}")
     k_true = _typed(land_cfg.get("k_true", 4), "k_true", int, land_where)
     difficulty = land_cfg.get("difficulty", "rugged")
     if type(difficulty) is not str:
@@ -269,6 +278,7 @@ def sim_config_from_file(path: str) -> SimConfig:
     budget_gpuh = obj.get("planning_budget_gpuh")
     if budget_gpuh is not None:
         budget_gpuh = _typed(budget_gpuh, "planning_budget_gpuh", float, path)
+    _check_references(trace, drift, pipelines, landscapes, topology, path)
     try:
         return SimConfig(
             topology=topology,
@@ -633,22 +643,20 @@ def write_report(report: MetricsReport, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "metrics.json"), "w") as fh:
         fh.write(report.to_json())
-    with open(os.path.join(outdir, "goodput.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_s", "goodput"])
-        w.writerows(report.goodput_series)
-    with open(os.path.join(outdir, "cost.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_s", "dollars_per_hour"])
-        w.writerows(report.cost_series)
-    with open(os.path.join(outdir, "queries.csv"), "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=[f.name for f in fields(QueryRecord)])
-        w.writeheader()
-        w.writerows(asdict(q) for q in report.queries)
-    with open(os.path.join(outdir, "deployment.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["query", "admitted_s", "released_s", "placement", "resources", "hourly_cost"])
-        w.writerows(report.admissions)
+    tables = {
+        "goodput.csv": (["time_s", "goodput"], report.goodput_series),
+        "cost.csv": (["time_s", "dollars_per_hour"], report.cost_series),
+        "queries.csv": ([f.name for f in fields(QueryRecord)], [astuple(q) for q in report.queries]),
+        "deployment.csv": (
+            ["query", "admitted_s", "released_s", "placement", "resources", "hourly_cost"],
+            report.admissions,
+        ),
+    }
+    for name, (header, rows) in tables.items():
+        with open(os.path.join(outdir, name), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
 
 
 def compare(config: SimConfig, variants: dict[str, dict]) -> dict:

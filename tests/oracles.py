@@ -64,6 +64,24 @@ def enumerate_plan_space(pipeline, topology):
                 yield PlanPoint(config, placement, resources)
 
 
+def one_hot(codes, sizes):
+    """One-hot rows of integer code rows: code k in column c sets column
+    sum(sizes[:c]) + k of its row, so each row has one 1 per code column."""
+    codes = np.asarray(codes)
+    out = np.zeros((len(codes), sum(sizes)))
+    out[np.arange(len(codes))[:, None], np.cumsum([0, *sizes[:-1]]) + codes] = 1.0
+    return out
+
+
+def encode_pool(plans, pipeline, num_tiers):
+    """The one-hot encoding the GP kernel is defined on, one row per plan:
+    accuracy rows one-hot each operator's option; latency rows append a
+    one-hot of each operator's tier."""
+    dims = [len(op.knob_domain) for op in pipeline.operators]
+    xa = one_hot([p.configuration for p in plans], dims)
+    return xa, np.hstack([xa, one_hot([p.placement for p in plans], [num_tiers] * len(dims))])
+
+
 def true_pareto_set(landscape, topology, query, max_plans=100_000):
     """Exhaustive oracle: all SLO-compliant plans of the full grid not
     dominated in (monetary cost, latency). Refuses oversized spaces outright."""

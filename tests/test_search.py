@@ -7,7 +7,14 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
-from oracles import all_paths_latency, exhaustive_resource_frontier, sibling_landscape, true_pareto_set
+from oracles import (
+    all_paths_latency,
+    encode_pool,
+    exhaustive_resource_frontier,
+    one_hot,
+    sibling_landscape,
+    true_pareto_set,
+)
 from tierplan.landscape import generate_landscape, quality_latency_frontier
 from tierplan.latency import OperatorTimings, pipeline_latency, plan_hourly_cost
 from tierplan.model import (
@@ -43,7 +50,6 @@ from tierplan.search import (
     SurrogatePair,
     _argmax_with_ties,
     acquisition,
-    encode_pool,
     pareto_optimize,
     pool_key,
     prediction_gap,
@@ -77,7 +83,59 @@ def per_row(predicted):
     return predicted.mu_a[predicted.config], predicted.sd_a[predicted.config], predicted.mu_l, predicted.sd_l
 
 
+def big_pipeline():
+    """22,680 search-pool plans over 1,512 configurations."""
+    return PipelineSpec(
+        "big",
+        tuple(OperatorSpec(i, tuple(f"o{j}" for j in range(n))) for i, n in enumerate((6, 6, 6, 7))),
+        ((0, 1), (1, 2), (2, 3)),
+    )
+
+
+POOL_PIPELINES = [
+    visual_tracking_pipeline,
+    speech_recognition_pipeline,
+    code_generation_pipeline,
+    wide_search_pipeline,
+    big_pipeline,
+]
+POOL_IDS = ["visual-tracking", "speech-recognition", "code-generation", "wide-search", "big"]
+
+
 class TestGaussianProcess:
+    @pytest.mark.parametrize("pipeline", POOL_PIPELINES, ids=POOL_IDS)
+    def test_kernel_row_is_the_rbf_on_one_hot_rows_bitwise(self, pipeline):
+        # exp(-h) from the code table, against the RBF formula on the one-hot
+        # rows: every row of the presets' pools, a sample of the big one
+        pipe, topo = pipeline(), default_topology()
+        pool = search_pool(pipe, topo)
+        one_hot_a, one_hot_l = encode_pool(pool.plans, pipe, topo.num_tiers)
+        first = np.unique(pool.config, return_index=True)[1]
+        rng = np.random.default_rng(18)
+        for codes, x in ((pool.xa, one_hot_a[first]), (pool.xl, one_hot_l)):
+            gp = GaussianProcess(codes)
+            sq = np.einsum("ij,ij->i", x, x)
+            rows = range(len(x)) if len(x) <= 10_000 else rng.choice(len(x), 300, replace=False)
+            for j in rows:
+                want = np.exp(-0.5 * np.maximum(sq + sq[j] - 2.0 * (x @ x[j]), 0.0))
+                assert np.array_equal(gp._kernel_row(j), want)
+
+    def test_target_mean_and_std_are_numpys_bitwise(self):
+        rng = np.random.default_rng(18)
+        runs = [
+            [0.7] * 20 + rng.uniform(0.05, 1.0, 180).tolist(),  # constant first: std 0 -> 1.0
+            rng.lognormal(-2.0, 1.5, 200).tolist(),
+            (1e3 + rng.normal(0.0, 1e-9, 100)).tolist() + [0.3] * 100,
+        ]
+        for targets in runs:
+            gp = GaussianProcess(np.zeros((3, 2)))
+            for n, y in enumerate(targets, start=1):
+                gp.fit(int(rng.integers(3)), y)
+                std = float(np.std(targets[:n]))
+                assert gp._y_mean == float(np.mean(targets[:n]))
+                assert gp._y_std == (std if std > 1e-12 else 1.0)
+            assert gp.targets == targets
+
     def test_interpolates_observations(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, size=(12, 4))
@@ -116,9 +174,8 @@ class TestGaussianProcess:
         # the shared distinct rows and pool rows, not copies
         assert pair.f_a.pool is pool.xa and pair.f_l.pool is pool.xl and pair.config is pool.config
         assert pair.observations() == Observations(pool_key(pipe, topo.num_tiers), (2, 5), (0.9, 0.7), (0.2, 0.3))
-        # the fit is that of the encoded rows of the observed plans
-        xa, _xl = encode_pool(pool.plans, pipe, topo.num_tiers)
-        want = GaussianProcess(xa).fit(2, 0.9).fit(5, 0.7)
+        # the fit is that of the configuration codes of the observed plans
+        want = GaussianProcess(np.array([p.configuration for p in pool.plans])).fit(2, 0.9).fit(5, 0.7)
         assert np.array_equal(pair.f_a.predict(slice(None))[0][pool.config], want.predict(slice(None))[0])
         store = HistoryStore()
         store.push(pair)
@@ -158,7 +215,11 @@ class TestPoolPosterior:
     @pytest.mark.parametrize("noise", [GP_NOISE, GP_NOISE * VARIANCE_INFLATION])
     @pytest.mark.parametrize("case", ["random-order", "repeated-rows", "constant-target"])
     def test_matches_a_from_scratch_cholesky_gp(self, noise, case):
-        encoded = search_pool(visual_tracking_pipeline(), default_topology())
+        pipe, topo = visual_tracking_pipeline(), default_topology()
+        encoded = search_pool(pipe, topo)
+        # the reference kernel is the RBF on the one-hot rows of the code rows
+        one_hot_a, one_hot_l = encode_pool(encoded.plans, pipe, topo.num_tiers)
+        first = np.unique(encoded.config, return_index=True)[1]
         rng = np.random.default_rng(15)
         if case == "repeated-rows":
             plans = rng.choice(12, 30)  # each plan about 2.5 times
@@ -166,12 +227,15 @@ class TestPoolPosterior:
             plans = rng.permutation(len(encoded.plans))[:30]
         targets = [0.7] * 30 if case == "constant-target" else rng.uniform(0.05, 1.0, 30).tolist()
         # the accuracy model's rows are the plans' configurations
-        for pool, rows in ((encoded.xa, encoded.config[plans].tolist()), (encoded.xl, plans.tolist())):
+        for pool, x, rows in (
+            (encoded.xa, one_hot_a[first], encoded.config[plans].tolist()),
+            (encoded.xl, one_hot_l, plans.tolist()),
+        ):
             gp = GaussianProcess(pool, noise)
             for n, (j, y) in enumerate(zip(rows, targets), start=1):
                 gp.fit(j, y)
                 mu, sd = gp.predict(slice(None))
-                want_mu, want_sd = reference_posterior(pool, rows[:n], targets[:n], noise)
+                want_mu, want_sd = reference_posterior(x, rows[:n], targets[:n], noise)
                 np.testing.assert_allclose(mu, want_mu, rtol=1e-9, atol=0)
                 np.testing.assert_allclose(sd, want_sd, rtol=1e-9, atol=0)
 
@@ -202,28 +266,14 @@ class TestPoolPosterior:
         assert not np.array_equal(pair.predict(slice(None)).mu_a, before[0])
         assert all(np.array_equal(v, w) for v, w in zip(store.predictions[0][1], before, strict=True))
 
-    @pytest.mark.parametrize(
-        "pipeline",
-        [
-            visual_tracking_pipeline,
-            speech_recognition_pipeline,
-            code_generation_pipeline,
-            wide_search_pipeline,
-            lambda: PipelineSpec(  # 22,680 plans over 1,512 configurations
-                "big",
-                tuple(OperatorSpec(i, tuple(f"o{j}" for j in range(n))) for i, n in enumerate((6, 6, 6, 7))),
-                ((0, 1), (1, 2), (2, 3)),
-            ),
-        ],
-        ids=["visual-tracking", "speech-recognition", "code-generation", "wide-search", "big"],
-    )
+    @pytest.mark.parametrize("pipeline", POOL_PIPELINES, ids=POOL_IDS)
     def test_configuration_posterior_equals_the_full_pool_gp_bitwise(self, pipeline):
         # the accuracy model on distinct configurations, read back through
         # each plan's configuration, is the GP over every plan's accuracy row
         pipe, topo = pipeline(), default_topology()
         pool = search_pool(pipe, topo)
         assert len(pool.xa) < len(pool.plans)
-        full = GaussianProcess(encode_pool(pool.plans, pipe, topo.num_tiers)[0])
+        full = GaussianProcess(np.array([p.configuration for p in pool.plans]))
         pair = SurrogatePair(pool)
         rng = np.random.default_rng(16)
         plans = rng.choice(len(pool.plans), 40).tolist()
@@ -745,10 +795,13 @@ class TestSearchPool:
         want_xa, want_xl = encode_pool(fresh, pipe, topo.num_tiers)
         assert pool.key == pool_key(pipe, topo.num_tiers)
         assert list(pool.plans) == fresh
-        assert np.array_equal(pool.xa[pool.config], want_xa) and np.array_equal(pool.xl, want_xl)
+        # code rows: each plan's options, then its tiers, whose one-hots are the fresh encoding
+        assert pool.xl.tolist() == [[*p.configuration, *p.placement] for p in fresh]
+        assert np.array_equal(one_hot(pool.xa[pool.config], [3, 2]), want_xa)
+        assert np.array_equal(one_hot(pool.xl, [3, 2, 2, 2]), want_xl)
         # one accuracy row per distinct configuration, in configuration order
         configs = sorted({p.configuration for p in fresh})
-        assert [tuple(np.flatnonzero(row) - [0, 3]) for row in pool.xa] == configs
+        assert [tuple(row) for row in pool.xa.tolist()] == configs
         assert [configs[c] for c in pool.config] == [p.configuration for p in fresh]
 
     def test_cached_per_knob_sizes_and_tier_count(self):
@@ -766,7 +819,8 @@ class TestSearchPool:
         )
         other = search_pool(pipe, three)
         assert other is not search_pool(pipe, topo)
-        assert other.xl.shape[1] == 5 + 2 * 3
+        # two option columns, then two tier columns that now reach the third tier
+        assert other.xl.shape[1] == 2 + 2 and other.xl[:, 2:].max() == 2
 
     def test_cached_arrays_are_read_only(self):
         pipe, topo, _land = two_op_setup()

@@ -469,6 +469,7 @@ class TestCompare:
 
 
 TRACE_ROW = {"arrival_time": 1.0, "template": "code-generation", "a_slo": 0.5, "l_slo": 0.2, "lifespan": 30.0}
+BANDWIDTH = {"time": 1.0, "kind": "bandwidth", "link": [0, 1], "factor": 0.5}
 TIER = {"name": "cloud", "machine_count": 2, "capacity": 1.0, "unit_cost": 3.0}
 TOPOLOGY = {
     "schema_version": SCHEMA_VERSION,
@@ -727,6 +728,51 @@ class TestConfigFile:
         assert cli_main(["simulate", "--config", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "trace",
+        [{"generator": {"duration_s": 5.0, "load": 0.2}}, {"schema_version": SCHEMA_VERSION, "entries": [TRACE_ROW]}],
+        ids=["generated-trace", "listed-trace"],
+    )
+    def test_negative_seed_is_reported_at_the_config(self, tmp_path, capsys, trace):
+        # checked where the seed is read, before the trace generator sees it
+        path = self._write(
+            tmp_path, {"schema_version": SCHEMA_VERSION, "seed": -3, "pipelines": ["code-generation"], "trace": trace}
+        )
+        assert cli_main(["simulate", "--config", path]) == 1
+        assert capsys.readouterr().err == f"error: {path}: seed must be >= 0, got -3\n"
+
+    @pytest.mark.parametrize(
+        "overrides, where, message",
+        [
+            (
+                {"drift": [BANDWIDTH, dict(BANDWIDTH, link=[0, 9])]},
+                "#drift[1]",
+                "drift link [0, 9] is not a pair of tiers in 0..2",
+            ),
+            (
+                {"drift": [{"time": 1.0, "kind": "accuracy", "template": "bogus", "delta": -0.1}]},
+                "#drift[0]",
+                "accuracy drift names pipeline 'bogus', which has no landscape",
+            ),
+            (
+                {"trace": {"schema_version": SCHEMA_VERSION, "entries": [dict(TRACE_ROW, template="wide-search")]}},
+                "#trace",
+                "trace references unknown pipeline 'wide-search'",
+            ),
+        ],
+        ids=["drift-link", "drift-template", "trace-template"],
+    )
+    def test_reference_errors_name_their_place_in_the_config(self, tmp_path, capsys, overrides, where, message):
+        obj = {
+            "schema_version": SCHEMA_VERSION,
+            "pipelines": ["code-generation"],
+            "trace": {"generator": {"duration_s": 5.0, "load": 0.2}},
+            **overrides,
+        }
+        path = self._write(tmp_path, obj)
+        assert cli_main(["simulate", "--config", path]) == 1
+        assert capsys.readouterr().err == f"error: {path}{where}: {message}\n"
 
 
 class TestCli:
