@@ -33,8 +33,8 @@ from .model import (
     _check_version,
     _known_keys,
     _typed,
-    enumerate_search_pool,
-    pareto_filter,
+    pareto_front,
+    search_pool_codes,
 )
 
 ACC_CENTER = 0.5
@@ -281,16 +281,39 @@ def quality_latency_frontier(
     landscape: GroundTruthLandscape, topology: TierTopology
 ) -> list[tuple[PlanPoint, float, float]]:
     """SLO-free Pareto trade-off between accuracy (max) and latency (min)
-    over the over-provisioned (configuration, placement) pool, used to draw
-    per-query SLO requirements."""
-    pool = enumerate_search_pool(landscape.pipeline, topology)
-    if len(pool) > FRONTIER_MAX_PLANS:
-        raise SpaceTooLargeError(f"search pool has {len(pool)} plans, exhaustive cap is {FRONTIER_MAX_PLANS}")
-    rows: list[tuple[PlanPoint, float, float]] = []
-    for plan in pool:
-        lat = latmod.pipeline_latency(plan, landscape.pipeline, topology, landscape.timings_for(plan.configuration))
-        rows.append((plan, landscape.accuracy_mean(plan.configuration), lat))
-    return pareto_filter(rows, key=lambda r: (1.0 - r[1], r[2]))
+    over the over-provisioned (configuration, placement) search pool, used
+    to draw per-query SLO requirements: the ``(plan, accuracy_mean,
+    latency_s)`` rows of the non-dominated plans in pool order, ties to the
+    earlier plan. A pool of more than FRONTIER_MAX_PLANS plans is refused
+    before it is enumerated.
+
+    Per placement, one :func:`latency.longest_path` scores every
+    configuration's compute and output-byte columns with the elementwise
+    sums of :func:`latency.pipeline_latency`, so each latency is bitwise the
+    scalar one. ``accuracy_mean`` runs once per configuration, which fills
+    the landscape's mean cache. Only kept rows become plans.
+    """
+    pipeline = landscape.pipeline
+    m, ops, speed = len(pipeline), pipeline.operators, landscape.tier_speed_factors
+    size = math.prod(len(op.knob_domain) for op in ops) * math.comb(topology.num_tiers + m - 1, m)
+    if size > FRONTIER_MAX_PLANS:
+        raise SpaceTooLargeError(f"search pool has {size} plans, exhaustive cap is {FRONTIER_MAX_PLANS}")
+    configs, placements = search_pool_codes(pipeline, topology.num_tiers)
+    base = [np.take(times, col) for times, col in zip(landscape.op_base_time_s, configs.T)]
+    sizes = tuple(np.take(out, col) for out, col in zip(landscape.op_output_bytes, configs.T))
+    timings = latmod.OperatorTimings(tuple(base), sizes, speed)
+    configs, placements = list(map(tuple, configs.tolist())), list(map(tuple, placements.tolist()))
+    accuracy = [landscape.accuracy_mean(config) for config in configs]
+    latency = []
+    for placement in placements:
+        node_w = [latmod.compute_time(b, 1.0, speed[tier], op.is_batching) for b, tier, op in zip(base, placement, ops)]
+        latency.append(latmod.longest_path(node_w, placement, pipeline, topology, timings))
+    latency = np.concatenate(latency)
+    kept = pareto_front(1.0 - np.tile(accuracy, len(placements)), latency)
+    c, ones = len(configs), (1.0,) * m
+    return [
+        (PlanPoint(configs[k % c], placements[k // c], ones), accuracy[k % c], float(latency[k])) for k in kept.tolist()
+    ]
 
 
 # ---------------------------------------------------------------------------

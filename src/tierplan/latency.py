@@ -23,31 +23,38 @@ from .model import PipelineSpec, PlanPoint, TierTopology
 DEFAULT_GPU_PRICE_PER_HOUR = 3.67
 
 
-def transfer_time(size_bytes: float, bandwidth_mbps: float, t0_s: float = 0.0, co_located: bool = False) -> float:
+def _negative(value) -> bool:
+    """Whether a number, or any entry of an array, is below zero."""
+    return bool((value < 0).any()) if isinstance(value, np.ndarray) else value < 0
+
+
+def transfer_time(size_bytes, bandwidth_mbps: float, t0_s: float = 0.0, co_located: bool = False):
     """Seconds to move ``size_bytes`` over a link: L/B + T0.
 
-    Co-located operators (same machine) transfer for free.
+    Co-located operators (same machine) transfer for free. ``size_bytes``
+    may be an array, which gives an array of the same elementwise values.
     """
     if co_located:
         return 0.0
     if bandwidth_mbps <= 0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth_mbps}")
-    if size_bytes < 0 or t0_s < 0:
+    if _negative(size_bytes) or t0_s < 0:
         raise ValueError("size and fixed latency must be >= 0")
     return (size_bytes * 8.0 / 1e6) / bandwidth_mbps + t0_s
 
 
-def compute_time(base_s: float, fraction: float, speed_factor: float, is_batching: bool = False) -> float:
+def compute_time(base_s, fraction: float, speed_factor: float, is_batching: bool = False):
     """Operator compute seconds under a resource fraction and tier speed.
 
     Non-batching work gets ``fraction`` of the FLOPS, so time scales by
     1/fraction. Batching work shares the machine through batching and keeps
     full FLOPS: the fraction affects cost, not latency. ``fraction`` is a
-    grid value, which :class:`PlanPoint` checks at construction.
+    grid value, which :class:`PlanPoint` checks at construction. ``base_s``
+    may be an array, which gives an array of the same elementwise values.
     """
     if speed_factor <= 0:
         raise ValueError("speed factor must be > 0")
-    if base_s < 0:
+    if _negative(base_s):
         raise ValueError("base compute time must be >= 0")
     if is_batching:
         return base_s * speed_factor
@@ -61,7 +68,8 @@ class OperatorTimings:
     ``base_compute_s[i]``: compute seconds of operator i at full resource on
     the reference tier. ``output_bytes[i]``: bytes operator i emits per item.
     ``tier_speed_factors[m]``: compute-time multiplier of tier m relative to
-    the reference tier.
+    the reference tier. :func:`longest_path` also takes ``output_bytes``
+    entries that are arrays, one entry per configuration.
     """
 
     base_compute_s: tuple[float, ...]
@@ -109,9 +117,10 @@ def longest_path(
     programming, so the result exactly equals the heaviest path sum.
     ``PipelineSpec`` guarantees that edges point forward and that every
     operator is reachable from a source, so operator order is a topological
-    order. Node weights are floats, or arrays that broadcast together (one
-    entry per resource allocation), which give an array summed in the same
-    order.
+    order. Node weights and ``timings.output_bytes`` entries are floats, or
+    arrays that broadcast together (one entry per resource allocation or per
+    configuration), which give an array whose entries are summed in the
+    same order as the float path sums.
     """
     n, out = len(pipeline), timings.output_bytes
     if len(timings.base_compute_s) != n or len(out) != n:

@@ -16,9 +16,11 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import isfinite
 from typing import Sequence
+
+import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -118,6 +120,15 @@ class PipelineSpec:
 
     def sources(self) -> list[int]:
         return [i for i, preds in enumerate(self.preds) if not preds]
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.operators, self.edges, self.input_bytes))
+
+    def __hash__(self) -> int:
+        """The generated field-tuple hash, computed once: memo keys hash the
+        pipeline on every lookup. Equality is still by field values."""
+        return self._hash
 
     @property
     def sink(self) -> int:
@@ -267,41 +278,59 @@ class ProfileOutcome:
 # Search-pool enumeration
 
 
+def search_pool_codes(pipeline: PipelineSpec, num_tiers: int) -> tuple[np.ndarray, np.ndarray]:
+    """The search pool as code arrays: every configuration (each operator's
+    option index, in ``itertools.product`` order) and every placement
+    (monotone non-decreasing tier assignment, in
+    ``combinations_with_replacement`` order), one row each. Pool plan ``i``
+    is configuration ``i % C`` at placement ``i // C`` (C configurations):
+    placements run outer, configurations inner, and pool indices depend on
+    this order."""
+    m = len(pipeline)
+    configs = np.indices([len(op.knob_domain) for op in pipeline.operators]).reshape(m, -1).T
+    placements = np.array(list(combinations_with_replacement(range(num_tiers), m))).reshape(-1, m)
+    return configs, placements
+
+
 def enumerate_search_pool(pipeline: PipelineSpec, topology: TierTopology) -> list[PlanPoint]:
-    """All (configuration, placement) points at over-provisioned resources.
+    """All (configuration, placement) points at over-provisioned resources,
+    in :func:`search_pool_codes` order.
 
     Resource fractions are deferred to Pareto pruning, so the search pool
-    fixes r = all-ones. Placements (monotone non-decreasing tier
-    assignments) run outer, configurations inner; pool indices depend on
-    this order.
+    fixes r = all-ones.
     """
-    m = len(pipeline)
-    ones = (1.0,) * m
-    configs = list(product(*(range(len(op.knob_domain)) for op in pipeline.operators)))
-    return [
-        PlanPoint(config, placement, ones)
-        for placement in combinations_with_replacement(range(topology.num_tiers), m)
-        for config in configs
-    ]
+    configs, placements = search_pool_codes(pipeline, topology.num_tiers)
+    ones = (1.0,) * len(pipeline)
+    configs = list(map(tuple, configs.tolist()))
+    return [PlanPoint(config, placement, ones) for placement in map(tuple, placements.tolist()) for config in configs]
 
 
 # ---------------------------------------------------------------------------
 # Pareto helpers
 
 
+def pareto_front(cost, latency) -> np.ndarray:
+    """Indices, ascending, of the (cost, latency) non-dominated entries of
+    two equal-length sequences, both minimized. An entry is dropped if
+    another is no worse in both and strictly better in one, or if an
+    earlier entry has equal keys. One stable sort by (cost, latency), so
+    equal keys keep index order, and a running minimum: an entry survives
+    iff its latency is below that of every entry sorted before it, and the
+    first always survives."""
+    order = np.lexsort((latency, cost))
+    lat = np.asarray(latency)[order]
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = lat[1:] < np.minimum.accumulate(lat)[:-1]
+    return np.sort(order[keep])
+
+
 def pareto_filter(items: Sequence, key) -> list:
-    """Non-dominated subset under (cost, latency) minimization, in input
-    order. An item is dropped if another is no worse in both and strictly
-    better in one, or if an earlier item has equal keys. One sort by (cost,
-    latency, index) and a sweep: an item survives iff its latency is below
-    that of every item before it, and the first always survives."""
-    keys = [key(it) for it in items]
-    order = sorted(range(len(items)), key=lambda i: (*keys[i], i))
-    kept = order[:1]
-    for i in order[1:]:
-        if keys[i][1] < keys[kept[-1]][1]:
-            kept.append(i)
-    return [items[i] for i in sorted(kept)]
+    """The items whose ``key`` (cost, latency) pairs :func:`pareto_front`
+    keeps, in input order."""
+    if not items:
+        return []
+    cost, latency = zip(*map(key, items))
+    return [items[i] for i in pareto_front(cost, latency).tolist()]
 
 
 # ---------------------------------------------------------------------------

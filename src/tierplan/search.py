@@ -43,6 +43,7 @@ from .model import (
     Verdict,
     enumerate_search_pool,
     pareto_filter,
+    search_pool_codes,
 )
 from .profiler import (
     DEFAULT_MIN_SAMPLES,
@@ -169,17 +170,17 @@ _SEARCH_POOLS: dict[tuple, SearchPool] = {}
 
 def search_pool(pipeline: PipelineSpec, topology: TierTopology) -> SearchPool:
     """The search pool and its code rows, built once per process for each
-    :func:`pool_key` and shared read-only. Distinct configurations are
-    found by their mixed-radix codes, so ``xa`` is in configuration order."""
+    :func:`pool_key` and shared read-only. Every configuration appears once
+    per placement, so ``xa`` is :func:`search_pool_codes`' configurations."""
     key = pool_key(pipeline, topology.num_tiers)
     cached = _SEARCH_POOLS.get(key)
     if cached is None:
         plans = tuple(enumerate_search_pool(pipeline, topology))
-        xl = np.array([p.configuration + p.placement for p in plans])
+        configs, placements = search_pool_codes(pipeline, topology.num_tiers)
+        xl = np.hstack([np.tile(configs, (len(placements), 1)), np.repeat(placements, len(configs), axis=0)])
         xl = np.asfortranarray(xl, np.min_scalar_type(xl.max()))
-        code = np.ravel_multi_index(xl[:, : len(key[0])].T, key[0])
-        _, first, config = np.unique(code, return_index=True, return_inverse=True)
-        xa = np.asfortranarray(xl[first, : len(key[0])])
+        xa = np.asfortranarray(configs, xl.dtype)
+        config = np.tile(np.arange(len(configs)), len(placements))
         for rows in (xa, config, xl):
             rows.setflags(write=False)
         cached = _SEARCH_POOLS[key] = SearchPool(key, plans, xa, config, xl)

@@ -5,8 +5,10 @@ The references are deliberately written the slow, obvious way (recursive
 enumeration, explicit path walks, dict-of-dict tries) and must stay
 decoupled from the package's own algorithms. The exhaustive Pareto oracle
 sweeps the full plan grid through the package's latency model and Pareto
-filter, which other tests check against the references here; the sibling
-landscape reuses the generator's case draw.
+filter, which other tests check against the references here; the
+per-plan frontier scores the search pool one plan at a time through the
+scalar latency model; the sibling landscape reuses the generator's case
+draw.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from tierplan import latency as latmod
 from tierplan.landscape import _draw_cases
 from tierplan.latency import compute_time, transfer_time
-from tierplan.model import RESOURCE_FRACTIONS, PlanPoint, SpaceTooLargeError, pareto_filter
+from tierplan.model import RESOURCE_FRACTIONS, PlanPoint, SpaceTooLargeError, enumerate_search_pool, pareto_filter
 
 
 def recursive_plan_count(knob_sizes, num_tiers, num_fractions, placement_prefix=()):
@@ -99,6 +101,32 @@ def true_pareto_set(landscape, topology, query, max_plans=100_000):
         feasible.append((plan, (latmod.plan_hourly_cost(plan, topology), lat)))
     kept = pareto_filter(feasible, key=lambda t: t[1])
     return [plan for plan, _ in kept]
+
+
+def sort_sweep_pareto_filter(items, key):
+    """Non-dominated subset under (cost, latency) minimization, in input
+    order, ties to the earlier item: a Python sort by (cost, latency, index)
+    and a sweep that keeps an item iff its latency is below that of the
+    last kept one."""
+    keys = [key(it) for it in items]
+    order = sorted(range(len(items)), key=lambda i: (*keys[i], i))
+    kept = order[:1]
+    for i in order[1:]:
+        if keys[i][1] < keys[kept[-1]][1]:
+            kept.append(i)
+    return [items[i] for i in sorted(kept)]
+
+
+def per_plan_frontier(landscape, topology):
+    """The SLO-free quality-latency frontier scored plan by plan: every
+    search-pool plan, its ``accuracy_mean`` and its scalar
+    ``pipeline_latency``, through :func:`sort_sweep_pareto_filter` on
+    (1 - accuracy, latency)."""
+    rows = []
+    for plan in enumerate_search_pool(landscape.pipeline, topology):
+        lat = latmod.pipeline_latency(plan, landscape.pipeline, topology, landscape.timings_for(plan.configuration))
+        rows.append((plan, landscape.accuracy_mean(plan.configuration), lat))
+    return sort_sweep_pareto_filter(rows, key=lambda r: (1.0 - r[1], r[2]))
 
 
 def sibling_landscape(parent, seed, perturbation):

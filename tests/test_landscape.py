@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_plan_space, sibling_landscape, true_pareto_set
+from oracles import enumerate_plan_space, per_plan_frontier, sibling_landscape, true_pareto_set
+from tierplan import landscape as landmod
 from tierplan.landscape import (
+    FRONTIER_MAX_PLANS,
     ArrivalTrace,
     SLO_HARDNESS,
     generate_landscape,
@@ -28,6 +30,7 @@ from tierplan.model import (
     Tier,
     TierTopology,
 )
+from tierplan.presets import PIPELINE_TEMPLATES, default_topology, speed_factors_for
 from tierplan.profiler import NullCache, profile_plan_fixed_n
 
 
@@ -209,6 +212,79 @@ class TestTruePareto:
         q = Query("q", vt_pipeline, a_slo=0.5, l_slo=1.0, response_budget_s=1.0)
         with pytest.raises(SpaceTooLargeError, match="38400"):
             true_pareto_set(vt_landscape, topology, q, max_plans=100)
+
+
+@st.composite
+def frontier_instances(draw):
+    """A landscape and topology whose frontier has exact key ties: a DAG of
+    1-4 operators (forward edges, possibly several sources and fan-in, some
+    batching) with 1-3 options each and input bytes 0 or not; 1-4 tiers of
+    equal or cloudward-rising speeds, symmetric bandwidths and asymmetric
+    link latencies, maybe drifted; compute times and output sizes often
+    from a few values; maybe an accuracy shift that clips every mean to one
+    value."""
+    n = draw(st.integers(1, 4))
+    edges = {(u, v) for v in range(1, n) for u in range(v) if draw(st.booleans())}
+    edges |= {(u, n - 1) for u in range(n - 1) if not any(a == u for a, _ in edges)}
+    ops = tuple(
+        OperatorSpec(i, tuple(f"o{j}" for j in range(draw(st.integers(1, 3)))), is_batching=draw(st.booleans()))
+        for i in range(n)
+    )
+    pipe = PipelineSpec("p", ops, tuple(sorted(edges)), input_bytes=draw(st.sampled_from([0.0, 3e4, 2e6])))
+    t = draw(st.integers(1, 4))
+    bw = [[0.0] * t for _ in range(t)]
+    for i in range(t):
+        for j in range(i, t):
+            bw[i][j] = bw[j][i] = draw(st.sampled_from([50.0, 400.0, 25_000.0]))
+    t0 = tuple(tuple(draw(st.sampled_from([0.0, 0.001, 0.005])) for _ in range(t)) for _ in range(t))
+    topo = TierTopology(tuple(Tier(f"t{i}", 2, 1.0, 1.0 + i) for i in range(t)), tuple(map(tuple, bw)), t0)
+    if draw(st.booleans()):
+        topo = topo.with_bandwidth_scaled((draw(st.integers(0, t - 1)), t - 1), draw(st.sampled_from([0.3, 2.0])))
+    speeds = sorted(draw(st.lists(st.sampled_from([1.0, 2.5, 8.0]), min_size=t, max_size=t)), reverse=True)
+    times = st.sampled_from([0.0, 0.001, 0.004]) | st.floats(0.0, 0.01)
+    sizes = st.sampled_from([1e4, 8e5]) | st.floats(1.0, 1e6)
+    land = dataclasses.replace(
+        generate_landscape(draw(st.integers(0, 10**6)), pipe, tier_speed_factors=speeds, num_tiers=t),
+        op_base_time_s=tuple(tuple(draw(times) for _ in op.knob_domain) for op in ops),
+        op_output_bytes=tuple(tuple(draw(sizes) for _ in op.knob_domain) for op in ops),
+    )
+    return land.with_accuracy_shift(draw(st.sampled_from([0.0, 0.0, 2.0]))), topo
+
+
+def frontier_bits(frontier):
+    return [(plan, acc.hex(), lat.hex()) for plan, acc, lat in frontier]
+
+
+class TestQualityLatencyFrontier:
+    @settings(max_examples=200, deadline=None)
+    @given(frontier_instances())
+    def test_matches_the_per_plan_reference_bitwise(self, instance):
+        land, topo = instance
+        got = quality_latency_frontier(land, topo)
+        assert all(type(a) is float and type(lat) is float for _, a, lat in got)
+        assert frontier_bits(got) == frontier_bits(per_plan_frontier(dataclasses.replace(land), topo))
+
+    @pytest.mark.parametrize("name", sorted(PIPELINE_TEMPLATES))
+    def test_presets_match_the_per_plan_reference_bitwise(self, name):
+        pipe, topo = PIPELINE_TEMPLATES[name](), default_topology()
+        land = generate_landscape(seed=3, pipeline=pipe, tier_speed_factors=speed_factors_for(3))
+        got = quality_latency_frontier(land, topo)
+        assert frontier_bits(got) == frontier_bits(per_plan_frontier(dataclasses.replace(land), topo))
+        # every configuration's mean is cached, as the run reads it
+        assert all(c in land._mu_cache for c in all_configs(pipe))
+
+    def test_oversized_pool_is_refused_before_any_plan_is_built(self, topology, monkeypatch):
+        # 5^6 configurations x C(3 + 6 - 1, 6) = 28 placements = 437,500 plans
+        ops = tuple(OperatorSpec(i, tuple("abcde")) for i in range(6))
+        pipe = PipelineSpec("chain-6x5", ops, tuple((i, i + 1) for i in range(5)))
+        land = generate_landscape(seed=1, pipeline=pipe)
+        built = []
+        monkeypatch.setattr(PlanPoint, "__post_init__", lambda self: built.append(self))
+        monkeypatch.setattr(landmod, "search_pool_codes", lambda *a: built.append(a))
+        with pytest.raises(SpaceTooLargeError, match=f"437500 plans, exhaustive cap is {FRONTIER_MAX_PLANS}"):
+            quality_latency_frontier(land, topology)
+        assert built == []
+        assert land._mu_cache == {}
 
 
 class TestTrace:

@@ -8,6 +8,7 @@ from tierplan.latency import (
     DEFAULT_GPU_PRICE_PER_HOUR,
     OperatorTimings,
     compute_time,
+    longest_path,
     pipeline_latency,
     plan_hourly_cost,
     plan_latency,
@@ -43,6 +44,15 @@ class TestTransferTime:
         with pytest.raises(ValueError):
             transfer_time(1.0, 0.0)
 
+    def test_negative_size_rejected_elementwise(self):
+        with pytest.raises(ValueError, match="size and fixed latency must be >= 0"):
+            transfer_time(-1.0, 50.0)
+        with pytest.raises(ValueError, match="size and fixed latency must be >= 0"):
+            transfer_time(np.array([50 * MBIT, -1.0, 0.0]), 50.0)
+        sizes = np.array([50 * MBIT, 0.0, 3e4])
+        got = transfer_time(sizes, 50.0, t0_s=0.005)
+        assert got.tolist() == [transfer_time(float(x), 50.0, t0_s=0.005) for x in sizes]
+
 
 class TestComputeTime:
     def test_quarter_resource_quadruples_time(self):
@@ -53,6 +63,16 @@ class TestComputeTime:
 
     def test_slow_tier_scales_linearly(self):
         assert compute_time(2.0, 1.0, 3.0) == 6.0
+
+    @pytest.mark.parametrize("is_batching", [False, True])
+    def test_negative_base_rejected_elementwise(self, is_batching):
+        with pytest.raises(ValueError, match="base compute time must be >= 0"):
+            compute_time(-0.1, 0.5, 2.0, is_batching)
+        with pytest.raises(ValueError, match="base compute time must be >= 0"):
+            compute_time(np.array([0.2, 0.0, -1e-9]), 0.5, 2.0, is_batching)
+        base = np.array([0.2, 0.0, 0.0031])
+        got = compute_time(base, 0.5, 2.0, is_batching)
+        assert got.tolist() == [compute_time(float(b), 0.5, 2.0, is_batching) for b in base]
 
     def test_monotone_in_fraction_and_homogeneous_in_base(self):
         times = [compute_time(1.0, f, 2.0) for f in (1.0, 0.5, 0.25, 0.125)]
@@ -250,6 +270,36 @@ def placed_pipelines(draw):
     return pipe, topo, timings, placement, resources, drifts
 
 
+class TestArrayTimings:
+    @settings(max_examples=150, deadline=None)
+    @given(placed_pipelines(), st.data())
+    def test_array_columns_give_each_scalar_latency_bitwise(self, case, data):
+        # one DP over K configurations' compute and output-byte columns, as
+        # the quality-latency frontier runs it, against K scalar DPs
+        pipe, topo, timings, placement, resources, _ = case
+        n, k = len(pipe), data.draw(st.integers(1, 5))
+        column = st.lists(st.floats(0.0, 0.3) | st.sampled_from([0.0, 0.001]), min_size=k, max_size=k)
+        base = [np.array(data.draw(column)) for _ in range(n)]
+        sizes = [np.array(data.draw(st.lists(st.floats(0.0, 1e6), min_size=k, max_size=k))) for _ in range(n)]
+        speed = timings.tier_speed_factors
+        arrays = OperatorTimings(tuple(base), tuple(sizes), speed)
+        for r in resources:
+            node_w = [
+                compute_time(base[i], r[i], speed[placement[i]], pipe.operators[i].is_batching) for i in range(n)
+            ]
+            got = longest_path(node_w, placement, pipe, topo, arrays)
+            want = [
+                pipeline_latency(
+                    PlanPoint((0,) * n, placement, r),
+                    pipe,
+                    topo,
+                    OperatorTimings(tuple(float(b[j]) for b in base), tuple(float(s[j]) for s in sizes), speed),
+                )
+                for j in range(k)
+            ]
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+
+
 class TestPlanLatencyMemo:
     @settings(max_examples=150, deadline=None)
     @given(placed_pipelines())
@@ -280,6 +330,21 @@ class TestPlanLatencyMemo:
         got = [plan_latency(plan, pipe, topo, t) for t in (slow, fast, slow)]
         assert got == [pipeline_latency(plan, pipe, topo, t) for t in (slow, fast, slow)]
         assert got[0] != got[1]
+
+    def test_equal_pipelines_hash_equal_and_share_memo_entries(self):
+        a, b = linear_chain(3), linear_chain(3)
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash((a.name, a.operators, a.edges, a.input_bytes))
+        renamed = PipelineSpec("other", a.operators, a.edges)
+        assert renamed != a
+        topo = make_topology(bw=100.0, t0=0.002)
+        plan = PlanPoint((0, 0, 0), (0, 1, 2), (1.0, 0.5, 0.25))
+        timings = OperatorTimings((0.05, 0.1, 0.2), (2e5, 3e5, 1e4), (2.0, 1.5, 1.0))
+        first = plan_latency(plan, a, topo, timings)
+        assert plan_latency(plan, b, topo, timings) == first
+        assert len(topo._memo) == 1  # b's lookup hit a's entry
+        plan_latency(plan, renamed, topo, timings)
+        assert len(topo._memo) == 2
 
     def test_bandwidth_drift_starts_an_empty_memo(self):
         pipe = linear_chain(3)
