@@ -86,15 +86,13 @@ def _cmd_plan(args) -> int:
         )
     except ValueError as e:
         raise SchemaError(f"invalid plan arguments: {e}") from e
-    audit_rows: list[dict] = []
-    result = single_query_search(
-        query,
-        land,
-        topology,
-        seed=args.seed,
-        config=config,
-        profile_log=audit_rows.append if args.profiling_log else None,
-    )
+    result = single_query_search(query, land, topology, seed=args.seed, config=config)
+    # a --profiling-log row is its step row's audit keys, two of them renamed
+    audit_rows = [
+        {k: row[k] for k in ("configuration", "placement", "verdict", "accuracy_estimate")}
+        | {"n": row["samples"], "gpu_seconds": row["profiling_gpu_s"]}
+        for row in result.telemetry
+    ]
     for path, rows in ((args.telemetry, result.telemetry), (args.profiling_log, audit_rows)):
         if path:
             with open(path, "w") as fh:

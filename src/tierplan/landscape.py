@@ -28,7 +28,6 @@ from .model import (
     PipelineSpec,
     PlanPoint,
     SchemaError,
-    SpaceTooLargeError,
     TierTopology,
     _check_version,
     _known_keys,
@@ -274,9 +273,6 @@ def sample_strata(
     return np.clip(mu[strata] + sigma[strata] * rng.standard_normal(len(strata)), 0.0, 1.0)
 
 
-FRONTIER_MAX_PLANS = 100_000  # largest pool quality_latency_frontier scores
-
-
 def quality_latency_frontier(
     landscape: GroundTruthLandscape, topology: TierTopology
 ) -> list[tuple[PlanPoint, float, float]]:
@@ -284,8 +280,8 @@ def quality_latency_frontier(
     over the over-provisioned (configuration, placement) search pool, used
     to draw per-query SLO requirements: the ``(plan, accuracy_mean,
     latency_s)`` rows of the non-dominated plans in pool order, ties to the
-    earlier plan. A pool of more than FRONTIER_MAX_PLANS plans is refused
-    before it is enumerated.
+    earlier plan. An oversized pool is refused by :func:`search_pool_codes`
+    before anything is scored.
 
     Per placement, one :func:`latency.longest_path` scores every
     configuration's compute and output-byte columns with the elementwise
@@ -295,9 +291,6 @@ def quality_latency_frontier(
     """
     pipeline = landscape.pipeline
     m, ops, speed = len(pipeline), pipeline.operators, landscape.tier_speed_factors
-    size = math.prod(len(op.knob_domain) for op in ops) * math.comb(topology.num_tiers + m - 1, m)
-    if size > FRONTIER_MAX_PLANS:
-        raise SpaceTooLargeError(f"search pool has {size} plans, exhaustive cap is {FRONTIER_MAX_PLANS}")
     configs, placements = search_pool_codes(pipeline, topology.num_tiers)
     base = [np.take(times, col) for times, col in zip(landscape.op_base_time_s, configs.T)]
     sizes = tuple(np.take(out, col) for out, col in zip(landscape.op_output_bytes, configs.T))
@@ -379,7 +372,7 @@ class ArrivalTrace:
 
 
 def generate_trace(
-    templates: dict[str, tuple[PipelineSpec, GroundTruthLandscape]],
+    landscapes: dict[str, GroundTruthLandscape],
     topology: TierTopology,
     duration_s: float,
     load: float = 1.0,
@@ -389,7 +382,8 @@ def generate_trace(
     seed: int = 0,
 ) -> ArrivalTrace:
     """Poisson-thinned diurnal arrivals, normalized so load 1.0 saturates
-    the cluster (a new query arrives as the previous one finishes)."""
+    the cluster (a new query arrives as the previous one finishes); each
+    entry's SLOs come from the frontier of one of ``landscapes``."""
     if hardness not in SLO_HARDNESS:
         raise ValueError(f"unknown hardness {hardness!r}")
     for name, value in (
@@ -405,7 +399,7 @@ def generate_trace(
 
     frontiers = {}
     demands = []
-    for name, (_pipe, land) in sorted(templates.items()):
+    for name, land in sorted(landscapes.items()):
         frontier = quality_latency_frontier(land, topology)
         frontiers[name] = frontier
         demands.extend(sum(plan.resources) for plan, _, _ in frontier)
@@ -422,7 +416,7 @@ def generate_trace(
         return r
 
     lam_max = load * base_rate * (1.0 + amp) * max(burst_factor, 1.0)
-    names = sorted(templates)
+    names = sorted(landscapes)
     entries = []
     t = 0.0
     while True:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import combinations_with_replacement
-from math import isfinite
+from math import comb, isfinite, prod
 from typing import Sequence
 
 import numpy as np
@@ -249,8 +249,6 @@ class Query:
     response_budget_s: float | None = None
     profiling_budget_gpuh: float | None = None
     weight: float = 1.0
-    arrival_time: float = 0.0
-    lifespan: float = 60.0
 
     def __post_init__(self) -> None:
         if not (0 < self.a_slo <= 1):
@@ -277,6 +275,17 @@ class ProfileOutcome:
 # ---------------------------------------------------------------------------
 # Search-pool enumeration
 
+SEARCH_POOL_MAX_PLANS = 100_000  # most plans a search pool may hold
+
+
+def check_search_pool_size(pipeline: PipelineSpec, num_tiers: int) -> None:
+    """Raise SpaceTooLargeError if the search pool, Π|knob domain| configurations
+    times C(T + m - 1, m) monotone placements, exceeds SEARCH_POOL_MAX_PLANS."""
+    m = len(pipeline)
+    size = prod(len(op.knob_domain) for op in pipeline.operators) * comb(num_tiers + m - 1, m)
+    if size > SEARCH_POOL_MAX_PLANS:
+        raise SpaceTooLargeError(f"search pool has {size} plans, exhaustive cap is {SEARCH_POOL_MAX_PLANS}")
+
 
 def search_pool_codes(pipeline: PipelineSpec, num_tiers: int) -> tuple[np.ndarray, np.ndarray]:
     """The search pool as code arrays: every configuration (each operator's
@@ -285,7 +294,8 @@ def search_pool_codes(pipeline: PipelineSpec, num_tiers: int) -> tuple[np.ndarra
     ``combinations_with_replacement`` order), one row each. Pool plan ``i``
     is configuration ``i % C`` at placement ``i // C`` (C configurations):
     placements run outer, configurations inner, and pool indices depend on
-    this order."""
+    this order. An oversized pool is refused first (:func:`check_search_pool_size`)."""
+    check_search_pool_size(pipeline, num_tiers)
     m = len(pipeline)
     configs = np.indices([len(op.knob_domain) for op in pipeline.operators]).reshape(m, -1).T
     placements = np.array(list(combinations_with_replacement(range(num_tiers), m))).reshape(-1, m)

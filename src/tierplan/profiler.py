@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import stdtr
@@ -216,30 +216,6 @@ def look_schedule(min_samples: int = DEFAULT_MIN_SAMPLES, n_max: int = DEFAULT_N
     return tuple(looks)
 
 
-def _outcome(
-    plan: PlanPoint,
-    mean: float,
-    n: int,
-    verdict: Verdict,
-    charged: float,
-    log: Callable[[dict], None] | None,
-) -> ProfileOutcome:
-    """The profiled verdict, plus its audit row when ``log`` is given."""
-    outcome = ProfileOutcome(accuracy_estimate=mean, samples_used=n, verdict=verdict, profiling_cost=charged)
-    if log is not None:
-        log(
-            {
-                "configuration": list(plan.configuration),
-                "placement": list(plan.placement),
-                "n": n,
-                "verdict": verdict.value,
-                "accuracy_estimate": mean,
-                "gpu_seconds": charged,
-            }
-        )
-    return outcome
-
-
 def profile_plan(
     plan: PlanPoint,
     land: GroundTruthLandscape,
@@ -249,7 +225,6 @@ def profile_plan(
     rng: np.random.Generator,
     min_samples: int = DEFAULT_MIN_SAMPLES,
     n_max: int = DEFAULT_N_MAX,
-    log: Callable[[dict], None] | None = None,
 ) -> ProfileOutcome:
     """Guided-sampling accuracy check of one plan against its SLO.
 
@@ -281,7 +256,7 @@ def profile_plan(
             verdict = Verdict.PASS_ACCURACY if mean > a_slo else Verdict.FAIL_ACCURACY
             break
     charged = cache.charge(plan.configuration, cases[:n], land.timings_for(plan.configuration).base_compute_s)
-    return _outcome(plan, mean, n, verdict, charged, log)
+    return ProfileOutcome(accuracy_estimate=mean, samples_used=n, verdict=verdict, profiling_cost=charged)
 
 
 def profile_plan_fixed_n(
@@ -291,7 +266,6 @@ def profile_plan_fixed_n(
     cache: PrefixCache | NullCache,
     a_slo: float,
     rng: np.random.Generator,
-    log: Callable[[dict], None] | None = None,
 ) -> ProfileOutcome:
     """Fixed-size random-sampling baseline: no strata, no early stopping.
 
@@ -304,4 +278,4 @@ def profile_plan_fixed_n(
     mean = float(sample_strata(land, plan.configuration, land.case_strata[cases], rng).mean())
     charged = cache.charge(plan.configuration, cases, land.timings_for(plan.configuration).base_compute_s)
     verdict = Verdict.PASS_ACCURACY if mean > a_slo else Verdict.FAIL_ACCURACY
-    return _outcome(plan, mean, n_samples, verdict, charged, log)
+    return ProfileOutcome(accuracy_estimate=mean, samples_used=n_samples, verdict=verdict, profiling_cost=charged)

@@ -145,7 +145,7 @@ def greedy_goodput(
 
     The primary pass ranks all plans across queries by descending w/cr,
     where cr is the plan's capacity-normalized aggregate demand (ties
-    toward lower monetary cost, then earlier arrival). A fallback pass
+    toward lower monetary cost, then input order). A fallback pass
     ranks them by raw weight. Each pass runs on its own copy of the
     starting state and the heavier allocation is adopted: ratio order alone
     can strand a heavyweight query at small instance sizes. Pass an existing
@@ -513,7 +513,6 @@ def random_scheduling_instance(
             l_slo=10.0,
             response_budget_s=5.0,
             weight=weight,
-            arrival_time=float(qi),
         )
         out.append((query, CandidateSet(plans=tuple(cands))))
     return out

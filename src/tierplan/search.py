@@ -578,7 +578,6 @@ def single_query_search(
     seed: int = 0,
     config: SearchConfig | None = None,
     warm: Observations | None = None,
-    profile_log=None,
 ) -> SearchResult:
     """Propose -> profile -> Pareto-prune loop under the query's budget.
 
@@ -611,11 +610,8 @@ def single_query_search(
 
     time_s = 0.0
     gpu_s = 0.0
-    steps = 0
-    first_feasible_time: float | None = None
-    first_feasible_step: int | None = None
     raw_candidates: list[CandidatePlan] = []
-    telemetry: list[dict] = []
+    telemetry: list[dict] = []  # one row per step; the result's step counts are read from it
     profiled = np.zeros(len(pool.plans), dtype=bool)
     pool_exhausted = False
 
@@ -631,14 +627,13 @@ def single_query_search(
             break
         idx, branch = propose(unprofiled, query.a_slo, query.l_slo, surrogates, hist, rng)
         plan = pool.plans[idx]
-        steps += 1
         time_s += STEP_OVERHEAD_S
         profiled[idx] = True
 
         if cfg.profiler_mode == "fixed":
-            outcome = profile_plan_fixed_n(plan, land, cfg.fixed_n, cache, query.a_slo, rng, log=profile_log)
+            outcome = profile_plan_fixed_n(plan, land, cfg.fixed_n, cache, query.a_slo, rng)
         else:
-            outcome = profile_plan(plan, land, strat, cache, query.a_slo, rng, log=profile_log)
+            outcome = profile_plan(plan, land, strat, cache, query.a_slo, rng)
         time_s += outcome.profiling_cost
         gpu_s += outcome.profiling_cost
 
@@ -648,22 +643,20 @@ def single_query_search(
 
         feasible = outcome.verdict == Verdict.PASS_ACCURACY and model_latency <= query.l_slo
         if feasible:
-            if first_feasible_time is None:
-                first_feasible_time = time_s
-                first_feasible_step = steps
             raw_candidates.extend(
                 CandidatePlan(variant, outcome.accuracy_estimate, latency_s=lat, hourly_cost=cost)
                 for variant, cost, lat in pareto_optimize(plan, pipeline, topology, timings, query.l_slo)
             )
         telemetry.append(
             {
-                "step": steps,
+                "step": len(telemetry) + 1,
                 "branch": branch,
                 "configuration": list(plan.configuration),
                 "placement": list(plan.placement),
                 "verdict": outcome.verdict.value,
                 "accuracy_estimate": outcome.accuracy_estimate,
                 "samples": outcome.samples_used,
+                "profiling_gpu_s": outcome.profiling_cost,
                 "model_latency_s": model_latency,
                 "charged_time_s": time_s,
                 "gpu_seconds": gpu_s,
@@ -675,14 +668,15 @@ def single_query_search(
     dollars = gpu_s / 3600.0 * latmod.DEFAULT_GPU_PRICE_PER_HOUR
     if history is not None and surrogates.n_obs > 0:
         history.push(surrogates)
+    first = next((row for row in telemetry if row["feasible"]), None)
     return SearchResult(
         candidates=candidates,
-        steps=steps,
+        steps=len(telemetry),
         charged_time_s=time_s,
         gpu_seconds=gpu_s,
         dollars=dollars,
-        time_to_first_feasible_s=first_feasible_time,
-        steps_to_first_feasible=first_feasible_step,
+        time_to_first_feasible_s=None if first is None else first["charged_time_s"],
+        steps_to_first_feasible=None if first is None else first["step"],
         observations=surrogates.observations(),
         telemetry=telemetry,
         pool_exhausted=pool_exhausted,

@@ -54,6 +54,7 @@ from .model import (
     _check_version,
     _known_keys,
     _typed,
+    check_search_pool_size,
     load_json_file,
     topology_from_dict,
 )
@@ -196,6 +197,8 @@ def sim_config_from_file(path: str) -> SimConfig:
         pipelines = {name: get_pipeline(name) for name in names}
     except ValueError as e:
         raise SchemaError(f"{path}: {e}") from e
+    for pipe in pipelines.values():  # at load, whether or not a trace generator enumerates it
+        check_search_pool_size(pipe, topology.num_tiers)
 
     land_cfg = obj.get("landscape", {})
     land_where = f"{path}#landscape"
@@ -236,7 +239,7 @@ def sim_config_from_file(path: str) -> SimConfig:
         _known_keys(gen, _GENERATOR_KEYS, gen_where)
         try:
             trace = generate_trace(
-                templates={n: (pipelines[n], landscapes[n]) for n in pipelines},
+                landscapes=landscapes,
                 topology=topology,
                 duration_s=_typed(gen.get("duration_s", 120.0), "duration_s", float, gen_where),
                 load=_typed(gen.get("load", 1.0), "load", float, gen_where),
@@ -413,8 +416,6 @@ class _Sim:
             response_budget_s=self.cfg.planning_budget_s,
             profiling_budget_gpuh=self.cfg.planning_budget_gpuh,
             weight=entry.weight,
-            arrival_time=entry.arrival_time,
-            lifespan=entry.lifespan,
         )
         rec = QueryRecord(
             id=qid,

@@ -294,7 +294,6 @@ def planner_instances():
                 l_slo=lat_mult * lat,
                 response_budget_s=2.0,
                 weight=float(rng.uniform(0.5, 2.0)),
-                arrival_time=float(qi),
             )
             res = single_query_search(q, land, topo, seed=seed * 100 + qi)
             plans = sorted(res.candidates.plans, key=lambda c: (c.hourly_cost, c.latency_s))[:4]

@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import enumerate_plan_space, per_plan_frontier, sibling_landscape, true_pareto_set
-from tierplan import landscape as landmod
 from tierplan.landscape import (
-    FRONTIER_MAX_PLANS,
     ArrivalTrace,
     SLO_HARDNESS,
     generate_landscape,
@@ -21,6 +19,7 @@ from tierplan.landscape import (
 from tierplan.latency import pipeline_latency, plan_hourly_cost
 from tierplan.model import (
     SCHEMA_VERSION,
+    SEARCH_POOL_MAX_PLANS,
     OperatorSpec,
     PipelineSpec,
     PlanPoint,
@@ -280,17 +279,17 @@ class TestQualityLatencyFrontier:
         land = generate_landscape(seed=1, pipeline=pipe)
         built = []
         monkeypatch.setattr(PlanPoint, "__post_init__", lambda self: built.append(self))
-        monkeypatch.setattr(landmod, "search_pool_codes", lambda *a: built.append(a))
-        with pytest.raises(SpaceTooLargeError, match=f"437500 plans, exhaustive cap is {FRONTIER_MAX_PLANS}"):
+        monkeypatch.setattr(np, "indices", lambda *a: built.append(a))
+        with pytest.raises(SpaceTooLargeError, match=f"437500 plans, exhaustive cap is {SEARCH_POOL_MAX_PLANS}"):
             quality_latency_frontier(land, topology)
         assert built == []
         assert land._mu_cache == {}
 
 
 class TestTrace:
-    def test_arrivals_non_decreasing_and_params_recorded(self, vt_pipeline, vt_landscape, topology):
+    def test_arrivals_non_decreasing_and_params_recorded(self, vt_landscape, topology):
         trace = generate_trace(
-            {"visual-tracking": (vt_pipeline, vt_landscape)},
+            {"visual-tracking": vt_landscape},
             topology,
             duration_s=60.0,
             load=1.0,
@@ -302,21 +301,19 @@ class TestTrace:
         assert trace.generator_params["burst_factor"] == 2.0
         assert len(trace.entries) > 0
 
-    def test_round_trip(self, vt_pipeline, vt_landscape, topology):
-        trace = generate_trace(
-            {"visual-tracking": (vt_pipeline, vt_landscape)}, topology, duration_s=30.0, seed=1
-        )
+    def test_round_trip(self, vt_landscape, topology):
+        trace = generate_trace({"visual-tracking": vt_landscape}, topology, duration_s=30.0, seed=1)
         obj = {"schema_version": SCHEMA_VERSION, "generator": trace.generator_params}
         obj["entries"] = [dataclasses.asdict(e) for e in trace.entries]
         back = ArrivalTrace.from_dict(json.loads(json.dumps(obj)))
         assert back == trace
 
-    def test_hardness_scales_slo_draws(self, vt_pipeline, vt_landscape, topology):
+    def test_hardness_scales_slo_draws(self, vt_landscape, topology):
         frontier = quality_latency_frontier(vt_landscape, topology)
         accs = {round(a, 9) for _, a, _ in frontier}
         for hardness, (lat_mult, acc_mult) in SLO_HARDNESS.items():
             trace = generate_trace(
-                {"visual-tracking": (vt_pipeline, vt_landscape)},
+                {"visual-tracking": vt_landscape},
                 topology,
                 duration_s=40.0,
                 hardness=hardness,

@@ -291,15 +291,6 @@ class TestProfilePlan:
         )
         assert decided / runs <= 0.01
 
-    def test_profiling_log_callback(self, vt_pipeline, vt_landscape):
-        plan = PlanPoint((0, 0, 0), (0, 0, 0), (1.0, 1.0, 1.0))
-        strat = stratify(vt_landscape.case_features, 4, seed=0)
-        rows = []
-        profile_plan(
-            plan, vt_landscape, strat, PrefixCache(), 0.2, np.random.default_rng(0), log=rows.append
-        )
-        assert len(rows) == 1 and rows[0]["n"] >= 50 and "verdict" in rows[0]
-
 
 class TestSessionMath:
     def test_look_schedule_pinned(self):

@@ -29,11 +29,9 @@ from tierplan.scheduler import (
 from tierplan.search import CandidatePlan, CandidateSet
 
 
-def make_query(qid, weight=1.0, arrival=0.0):
+def make_query(qid, weight=1.0):
     pipe = PipelineSpec(qid, (OperatorSpec(0, ("x",)),), ())
-    return Query(
-        id=qid, pipeline=pipe, a_slo=0.5, l_slo=1.0, response_budget_s=1.0, weight=weight, arrival_time=arrival
-    )
+    return Query(id=qid, pipeline=pipe, a_slo=0.5, l_slo=1.0, response_budget_s=1.0, weight=weight)
 
 
 def cand(tiers, fracs, topology, latency=0.1):
@@ -56,7 +54,7 @@ def single_tier_topology(machines=1, capacity=1.0, cost=2.0):
 class TestGreedyGoodput:
     def test_everything_fits_everyone_admitted(self, two_tier_topology):
         cands = [
-            (make_query(f"q{i}", arrival=i), CandidateSet((cand([0], [0.25], two_tier_topology),)))
+            (make_query(f"q{i}"), CandidateSet((cand([0], [0.25], two_tier_topology),)))
             for i in range(4)
         ]
         state = greedy_goodput(cands, two_tier_topology)
@@ -253,7 +251,7 @@ class TestScaling:
             qs = []
             rng = np.random.default_rng(n)
             for i in range(n):
-                q = make_query(f"q{i}", weight=float(rng.uniform(0.5, 2.0)), arrival=float(i))
+                q = make_query(f"q{i}", weight=float(rng.uniform(0.5, 2.0)))
                 qs.append((q, CandidateSet((cand([int(rng.integers(2))], [0.25], topo),))))
             best = np.inf
             for _ in range(3):

@@ -37,6 +37,7 @@ from tierplan.presets import (
     visual_tracking_pipeline,
     wide_search_pipeline,
 )
+from tierplan import search
 from tierplan.search import (
     GAP_WINDOW_LEN,
     GP_NOISE,
@@ -47,6 +48,7 @@ from tierplan.search import (
     GaussianProcess,
     HistoryStore,
     Observations,
+    SearchConfig,
     SurrogatePair,
     _argmax_with_ties,
     acquisition,
@@ -1046,6 +1048,35 @@ class TestSingleQuerySearch:
             )
             ok += (acc >= vt_query.a_slo) and (lat <= vt_query.l_slo)
         assert ok / len(res.candidates) >= 0.95
+
+    @pytest.mark.parametrize("profiler", ["guided", "fixed"])
+    @pytest.mark.parametrize("a_slo", [None, 0.999], ids=["feasible", "never-feasible"])
+    def test_step_rows_record_each_profiling_charge(
+        self, vt_landscape, topology, vt_query, monkeypatch, profiler, a_slo
+    ):
+        # the rows are the one record of a step: each carries that step's own
+        # charge, and the result's step figures are read from them
+        name = "profile_plan" if profiler == "guided" else "profile_plan_fixed_n"
+        profile, outcomes = getattr(search, name), []
+        monkeypatch.setattr(search, name, lambda *args: outcomes.append(profile(*args)) or outcomes[-1])
+        q = dataclasses.replace(vt_query, a_slo=a_slo or vt_query.a_slo, response_budget_s=3.0)
+        res = single_query_search(q, vt_landscape, topology, seed=5, config=SearchConfig(profiler_mode=profiler))
+        rows = res.telemetry
+        assert len(rows) == len(outcomes) == res.steps > 1
+        assert [r["step"] for r in rows] == list(range(1, res.steps + 1))
+        assert [r["profiling_gpu_s"] for r in rows] == [o.profiling_cost for o in outcomes]
+        assert [r["samples"] for r in rows] == [o.samples_used for o in outcomes]
+        total = 0.0
+        for o in outcomes:
+            total += o.profiling_cost
+        assert total == res.gpu_seconds == rows[-1]["gpu_seconds"]  # bitwise, summed in step order
+        first = next((r for r in rows if r["feasible"]), None)
+        assert (first is None) == (a_slo is not None)
+        if first is None:
+            assert res.time_to_first_feasible_s is None and res.steps_to_first_feasible is None
+        else:
+            assert res.time_to_first_feasible_s == first["charged_time_s"]
+            assert res.steps_to_first_feasible == first["step"]
 
     def test_budget_overrun_bounded_by_one_step(self, vt_pipeline, vt_landscape, topology):
         q = Query("b", vt_pipeline, a_slo=0.5, l_slo=1.0, response_budget_s=1.0)

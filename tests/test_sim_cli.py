@@ -11,7 +11,15 @@ import pytest
 from tierplan.cli import main as cli_main
 from tierplan.landscape import ArrivalTrace, TraceEntry, generate_landscape, quality_latency_frontier
 from tierplan.latency import pipeline_latency
-from tierplan.model import SCHEMA_VERSION, SchemaError, Tier, TierTopology
+from tierplan.model import (
+    SCHEMA_VERSION,
+    SEARCH_POOL_MAX_PLANS,
+    PlanPoint,
+    SchemaError,
+    SpaceTooLargeError,
+    Tier,
+    TierTopology,
+)
 from tierplan import search
 from tierplan import sim as simmod
 from tierplan.presets import code_generation_pipeline
@@ -742,6 +750,27 @@ class TestConfigFile:
         assert cli_main(["simulate", "--config", path]) == 1
         assert capsys.readouterr().err == f"error: {path}: seed must be >= 0, got -3\n"
 
+    def test_oversized_search_pool_is_refused_at_load(self, tmp_path, capsys, monkeypatch):
+        # wide-search on 30 tiers: 648 configurations x C(32, 3) = 4,960
+        # placements; a listed trace runs no frontier, so the load refuses it
+        # before any landscape is generated, not the first arrival
+        generated = []
+        monkeypatch.setattr(simmod, "generate_landscape", lambda *args, **kwargs: generated.append(args))
+        topology = {
+            "schema_version": SCHEMA_VERSION,
+            "tiers": [TIER] * 30,
+            "bandwidth_mbps": [[1000] * 30] * 30,
+            "link_latency_s": [[0.0] * 30] * 30,
+        }
+        trace = {"schema_version": SCHEMA_VERSION, "entries": [dict(TRACE_ROW, template="wide-search")]}
+        obj = {"schema_version": SCHEMA_VERSION, "topology": topology, "pipelines": ["wide-search"], "trace": trace}
+        path = self._write(tmp_path, obj)
+        with pytest.raises(SpaceTooLargeError, match="search pool has 3214080 plans"):
+            sim_config_from_file(path)
+        assert cli_main(["simulate", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("refused: search pool has 3214080 plans")
+        assert generated == []
+
     @pytest.mark.parametrize(
         "overrides, where, message",
         [
@@ -806,6 +835,9 @@ class TestCli:
         audit_rows = [json.loads(line) for line in audit.read_text().splitlines()]
         assert len(audit_rows) == out["steps"]
         assert {"configuration", "n", "verdict", "gpu_seconds"} <= set(audit_rows[0])
+        # the audit log is the step log projected onto its keys, two of them renamed
+        renamed = {"n": "samples", "gpu_seconds": "profiling_gpu_s"}
+        assert audit_rows == [{k: step[renamed.get(k, k)] for k in audit_rows[0]} for step in steps]
 
     def test_simulate_and_compare(self, tmp_path, capsys):
         cfg = {
@@ -924,6 +956,24 @@ class TestCli:
         assert capsys.readouterr().err.startswith("refused:")
         assert not log.exists() or log.read_text() == ""
         assert profiled == []
+
+    def test_plan_refuses_an_oversized_search_pool_before_building_a_plan(self, tmp_path, capsys, monkeypatch):
+        # 5^6 configurations x C(3 + 6 - 1, 6) = 28 placements = 437,500 plans
+        built = []
+        monkeypatch.setattr(PlanPoint, "__post_init__", lambda self: built.append(self))
+        pipeline = {
+            "schema_version": SCHEMA_VERSION,
+            "name": "chain-6x5",
+            "operators": [{"id": i, "knob_domain": list("abcde")} for i in range(6)],
+            "edges": [[i, i + 1] for i in range(5)],
+        }
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(pipeline))
+        argv = ["plan", "--pipeline", str(path), "--a-slo", "0.5", "--l-slo", "0.5", "--budget-s", "0.01"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"refused: search pool has 437500 plans, exhaustive cap is {SEARCH_POOL_MAX_PLANS}\n"
+        assert built == []
 
     def test_oracle_mode_and_refusal(self, capsys):
         rc = cli_main(["oracle", "--mode", "goodput", "--random", "3", "--queries", "4"])
