@@ -14,7 +14,7 @@ import sys
 
 from . import sim as simmod
 from .landscape import generate_landscape
-from .model import Query, SchemaError, SpaceTooLargeError, load_pipeline, load_topology
+from .model import Query, SchemaError, SpaceTooLargeError, _schema_errors, load_pipeline, load_topology
 from .presets import PIPELINE_TEMPLATES, default_topology, get_pipeline, speed_factors_for
 from .scheduler import (
     greedy_cost,
@@ -62,7 +62,7 @@ def _cmd_plan(args) -> int:
     else:
         pipeline = load_pipeline(args.pipeline)
     topology = load_topology(args.topology) if args.topology else default_topology()
-    try:
+    with _schema_errors("invalid plan arguments"):
         land = generate_landscape(
             seed=args.seed + 1000,
             pipeline=pipeline,
@@ -79,13 +79,7 @@ def _cmd_plan(args) -> int:
             response_budget_s=args.budget_s if args.budget_gpuh is None else None,
             profiling_budget_gpuh=args.budget_gpuh,
         )
-        config = SearchConfig(
-            use_cache=not args.no_cache,
-            profiler_mode=args.profiler,
-            fixed_n=args.fixed_n,
-        )
-    except ValueError as e:
-        raise SchemaError(f"invalid plan arguments: {e}") from e
+        config = SearchConfig(prefix_cache=not args.no_cache, profiler=args.profiler, fixed_n=args.fixed_n)
     result = single_query_search(query, land, topology, seed=args.seed, config=config)
     # a --profiling-log row is its step row's audit keys, two of them renamed
     audit_rows = [

@@ -27,11 +27,9 @@ from . import latency as latmod
 from .model import (
     PipelineSpec,
     PlanPoint,
-    SchemaError,
     TierTopology,
-    _check_version,
-    _known_keys,
-    _typed,
+    _read,
+    _schema_errors,
     pareto_front,
     search_pool_codes,
 )
@@ -317,8 +315,6 @@ SLO_HARDNESS = {
     "medium": (1.5, 0.8),
     "hard": (1.1, 0.9),
 }
-_TRACE_KEYS = ("schema_version", "generator", "entries")
-_ENTRY_KEYS = ("arrival_time", "template", "a_slo", "l_slo", "lifespan", "weight")
 
 
 @dataclass(frozen=True)
@@ -355,26 +351,17 @@ class ArrivalTrace:
 
     @staticmethod
     def from_dict(obj: dict, where: str = "<trace>") -> "ArrivalTrace":
-        _known_keys(obj, _TRACE_KEYS, where)
-        _check_version(obj, where)
-        try:
-            entries = []
-            for i, e in enumerate(obj["entries"]):
-                at = f"{where}#entries[{i}]"
-                _known_keys(e, _ENTRY_KEYS, at)
-                numbers = {key: _typed(value, key, float, at) for key, value in e.items() if key != "template"}
-                entries.append(TraceEntry(template=str(e["template"]), **numbers))
-            return ArrivalTrace(entries=tuple(entries), generator_params=dict(obj.get("generator", {})))
-        except SchemaError:
-            raise
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(f"{where}: invalid trace: {e}") from e
+        fields = _read(obj, {"generator": dict, "entries": list}, where, versioned=True)
+        kinds = dict.fromkeys(("arrival_time", "a_slo", "l_slo", "lifespan", "weight"), float) | {"template": str}
+        with _schema_errors(where):
+            entries = [TraceEntry(**_read(e, kinds, f"{where}#entries[{i}]")) for i, e in enumerate(fields["entries"])]
+            return ArrivalTrace(entries=tuple(entries), generator_params=fields.get("generator", {}))
 
 
 def generate_trace(
     landscapes: dict[str, GroundTruthLandscape],
     topology: TierTopology,
-    duration_s: float,
+    duration_s: float = 120.0,
     load: float = 1.0,
     burst_factor: float = 1.0,
     hardness: str = "medium",

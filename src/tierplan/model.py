@@ -13,6 +13,7 @@ from it.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -81,7 +82,7 @@ class PipelineSpec:
 
     name: str
     operators: tuple[OperatorSpec, ...]
-    edges: tuple[tuple[int, int], ...]
+    edges: tuple[tuple[int, int], ...] = ()
     input_bytes: float = 0.0
 
     def __post_init__(self) -> None:
@@ -284,7 +285,9 @@ def check_search_pool_size(pipeline: PipelineSpec, num_tiers: int) -> None:
     m = len(pipeline)
     size = prod(len(op.knob_domain) for op in pipeline.operators) * comb(num_tiers + m - 1, m)
     if size > SEARCH_POOL_MAX_PLANS:
-        raise SpaceTooLargeError(f"search pool has {size} plans, exhaustive cap is {SEARCH_POOL_MAX_PLANS}")
+        raise SpaceTooLargeError(
+            f"pipeline '{pipeline.name}': search pool has {size} plans, exhaustive cap is {SEARCH_POOL_MAX_PLANS}"
+        )
 
 
 def search_pool_codes(pipeline: PipelineSpec, num_tiers: int) -> tuple[np.ndarray, np.ndarray]:
@@ -371,70 +374,75 @@ def _known_keys(obj, keys, where: str) -> None:
         raise SchemaError(f"{where}: unknown keys {unknown}; allowed {sorted(keys)}")
 
 
-_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string", list: "a list"}
+_JSON_TYPES = {
+    bool: "true or false", int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object",
+    None: "null",
+}
 
 
-def _typed(value, key: str, kind: type, where: str):
+def _typed(value, key: str, kind, where: str):
     """``value``, which must be a JSON boolean (``kind`` bool), integer (int:
     no float, no boolean), finite number (float: no boolean, returned as a
-    float), string (str) or array (list); else it raises SchemaError."""
-    if type(value) is not kind and not (kind is float and type(value) is int):
-        raise SchemaError(f"{where}: {key} must be {_JSON_TYPES[kind]}, got {value!r}")
-    if kind is not float:
+    float), string (str), array (list), object (dict) or null (None), or one
+    of a tuple of these kinds; else it raises SchemaError."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    number = float in kinds and type(value) in (int, float)
+    if not (number or type(value) in kinds or (value is None and None in kinds)):
+        raise SchemaError(f"{where}: {key} must be {' or '.join(_JSON_TYPES[k] for k in kinds)}, got {value!r}")
+    if not number:
         return value
     try:
-        number = float(value)
+        value = float(value)
     except OverflowError as e:
         raise SchemaError(f"{where}: {key} is out of range: {e}") from e
-    if not isfinite(number):
+    if not isfinite(value):
         raise SchemaError(f"{where}: {key} must be finite, got {value!r}")
-    return number
+    return value
+
+
+def _read(obj, kinds: dict, where: str, versioned: bool = False) -> dict:
+    """The keys JSON object ``obj`` sets, each :func:`_typed` by its kind in
+    ``kinds``; a key ``kinds`` lacks is a SchemaError. A ``versioned`` (file
+    level) object must also carry ``schema_version`` :data:`SCHEMA_VERSION`.
+    Absent keys stay absent, so the constructor's default is the only one."""
+    if versioned:
+        _check_version(obj, where)
+        obj = {key: value for key, value in obj.items() if key != "schema_version"}
+    _known_keys(obj, kinds, where)
+    return {key: _typed(value, key, kinds[key], where) for key, value in obj.items()}
+
+
+@contextmanager
+def _schema_errors(where: str):
+    """Re-raise a constructor's KeyError, TypeError or ValueError as
+    ``SchemaError("<where>: <error>")``; a SchemaError passes unchanged."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as e:
+        if isinstance(e, SchemaError):
+            raise
+        raise SchemaError(f"{where}: {e}") from e
 
 
 def pipeline_from_dict(obj: dict, where: str = "<pipeline>") -> PipelineSpec:
-    _check_version(obj, where)
-    try:
-        ops = tuple(
-            OperatorSpec(
-                id=_typed(o["id"], "id", int, where),
-                knob_domain=tuple(_typed(o["knob_domain"], "knob_domain", list, where)),
-                is_batching=_typed(o.get("is_batching", False), "is_batching", bool, where),
-                base_output_size=_typed(o.get("base_output_size", 1_000_000.0), "base_output_size", float, where),
-            )
-            for o in obj["operators"]
-        )
-        edges = tuple((_typed(u, "edges", int, where), _typed(v, "edges", int, where)) for u, v in obj.get("edges", []))
-        return PipelineSpec(
-            name=obj["name"],
-            operators=ops,
-            edges=edges,
-            input_bytes=_typed(obj.get("input_bytes", 0.0), "input_bytes", float, where),
-        )
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError(f"{where}: invalid pipeline: {e}") from e
+    fields = _read(obj, {"name": str, "operators": list, "edges": list, "input_bytes": float}, where, versioned=True)
+    kinds = {"id": int, "knob_domain": list, "is_batching": bool, "base_output_size": float}
+    with _schema_errors(where):
+        ops = [_read(op, kinds, f"{where}#operators[{i}]") for i, op in enumerate(fields["operators"])]
+        fields["operators"] = tuple(OperatorSpec(**op | {"knob_domain": tuple(op["knob_domain"])}) for op in ops)
+        if "edges" in fields:
+            fields["edges"] = tuple(tuple(_typed(m, "edges", int, where) for m in (u, v)) for u, v in fields["edges"])
+        return PipelineSpec(**fields)
 
 
 def topology_from_dict(obj: dict, where: str = "<topology>") -> TierTopology:
-    _check_version(obj, where)
-    try:
-        tiers = tuple(
-            Tier(
-                name=t["name"],
-                machine_count=_typed(t["machine_count"], "machine_count", int, where),
-                capacity=_typed(t["capacity"], "capacity", float, where),
-                unit_cost=_typed(t["unit_cost"], "unit_cost", float, where),
-            )
-            for t in obj["tiers"]
-        )
-        bw = tuple(tuple(_typed(x, "bandwidth_mbps", float, where) for x in row) for row in obj["bandwidth_mbps"])
-        lat = tuple(tuple(_typed(x, "link_latency_s", float, where) for x in row) for row in obj["link_latency_s"])
-        return TierTopology(tiers=tiers, bandwidth_mbps=bw, link_latency_s=lat)
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError(f"{where}: invalid topology: {e}") from e
+    fields = _read(obj, {"tiers": list, "bandwidth_mbps": list, "link_latency_s": list}, where, versioned=True)
+    kinds = {"name": str, "machine_count": int, "capacity": float, "unit_cost": float}
+    with _schema_errors(where):
+        fields["tiers"] = tuple(Tier(**_read(t, kinds, f"{where}#tiers[{i}]")) for i, t in enumerate(fields["tiers"]))
+        for key in ("bandwidth_mbps", "link_latency_s"):
+            fields[key] = tuple(tuple(_typed(x, key, float, where) for x in row) for row in fields[key])
+        return TierTopology(**fields)
 
 
 class _JsonConstant(str):

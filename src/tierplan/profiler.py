@@ -9,9 +9,9 @@ sample mean then estimates the population mean while the between-strata
 variance term drops out.
 
 A two-sided one-sample t-test against the accuracy SLO runs only at the
-geometric looks n_k = ceil(50 * 1.1^k), capped at ``n_max`` (33 looks for
-50..1000), and stops the session at the first look that is significant in
-either direction. The per-look level is the overall 1% Bonferroni-spent
+geometric looks n_k = ceil(50 * 1.1^k), capped at 1000 (33 looks), and
+stops the session at the first look that is significant in either
+direction. The per-look level is the overall 1% Bonferroni-spent
 over the schedule's looks, so the repeated peeking keeps the procedure's
 size at most 1% (a group-sequential design: Pocock, Biometrika 1977; Lan &
 DeMets, Biometrika 1983). Between looks the whole block of cases and
@@ -202,18 +202,16 @@ def two_sided_p_value(mean: float, variance: float, n: int, mu0: float) -> float
     return 2.0 * float(stdtr(n - 1, -abs(t)))
 
 
-@lru_cache(maxsize=64)
-def look_schedule(min_samples: int = DEFAULT_MIN_SAMPLES, n_max: int = DEFAULT_N_MAX) -> tuple[int, ...]:
-    """Sample sizes at which the t-test runs: ceil(min_samples * 1.1^k),
-    capped at (and ending with) ``n_max``."""
-    if min_samples < 1:
-        raise ValueError("min_samples must be >= 1")
-    if n_max < min_samples:
-        raise ValueError("n_max must be >= min_samples")
-    looks = [min_samples]
-    while looks[-1] < n_max:
-        looks.append(min(math.ceil(min_samples * LOOK_GROWTH ** len(looks)), n_max))
+def look_schedule() -> tuple[int, ...]:
+    """Sample sizes at which the t-test runs: ceil(DEFAULT_MIN_SAMPLES * 1.1^k),
+    capped at (and ending with) DEFAULT_N_MAX."""
+    looks = [DEFAULT_MIN_SAMPLES]
+    while looks[-1] < DEFAULT_N_MAX:
+        looks.append(min(math.ceil(DEFAULT_MIN_SAMPLES * LOOK_GROWTH ** len(looks)), DEFAULT_N_MAX))
     return tuple(looks)
+
+
+_LOOKS = look_schedule()
 
 
 def profile_plan(
@@ -223,25 +221,22 @@ def profile_plan(
     cache: PrefixCache | NullCache,
     a_slo: float,
     rng: np.random.Generator,
-    min_samples: int = DEFAULT_MIN_SAMPLES,
-    n_max: int = DEFAULT_N_MAX,
 ) -> ProfileOutcome:
     """Guided-sampling accuracy check of one plan against its SLO.
 
     Draws the cases up to each look in one block, stratified by
     ``allocation``, and stops at the first look whose two-sided t-test is
     significant at the Bonferroni-spent level; a session that reaches
-    ``n_max`` undecided is inconclusive. Charged GPU-seconds cover only
+    DEFAULT_N_MAX undecided is inconclusive. Charged GPU-seconds cover only
     cache-missing operators, at reference-tier full-resource compute.
     """
-    looks = look_schedule(min_samples, n_max)
-    alpha = (1.0 - CONFIDENCE) / len(looks)
-    order = allocation(strat.weights, n_max)
-    cases = np.empty(n_max, dtype=np.intp)
-    values = np.empty(n_max)
+    alpha = (1.0 - CONFIDENCE) / len(_LOOKS)
+    order = allocation(strat.weights, DEFAULT_N_MAX)
+    cases = np.empty(DEFAULT_N_MAX, dtype=np.intp)
+    values = np.empty(DEFAULT_N_MAX)
     verdict = Verdict.INCONCLUSIVE
     n = 0
-    for look in looks:
+    for look in _LOOKS:
         cases[n:look] = strat.cases(order[n:look], rng)
         values[n:look] = sample_strata(land, plan.configuration, land.case_strata[cases[n:look]], rng)
         n = look

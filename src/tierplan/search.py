@@ -541,17 +541,18 @@ class CandidateSet:
 
 @dataclass
 class SearchConfig:
-    """Planner ablation switches. Profiling is sequential-guided or a
-    fixed-size random sample of ``fixed_n`` cases."""
+    """Planner ablation switches, named as a sim config's ``ablations``
+    keys. Profiling is sequential-guided or a fixed-size random sample of
+    ``fixed_n`` cases."""
 
-    use_history: bool = True
-    use_cache: bool = True
-    profiler_mode: str = "guided"  # or "fixed"
+    warm_start: bool = True  # vote with the history store
+    prefix_cache: bool = True
+    profiler: str = "guided"  # or "fixed"
     fixed_n: int = 356
 
     def __post_init__(self) -> None:
-        if self.profiler_mode not in ("guided", "fixed"):
-            raise ValueError(f"unknown profiler mode {self.profiler_mode!r}; have 'guided', 'fixed'")
+        if self.profiler not in ("guided", "fixed"):
+            raise ValueError(f"unknown profiler mode {self.profiler!r}; have 'guided', 'fixed'")
         if self.fixed_n < 1:
             raise ValueError(f"fixed_n must be >= 1, got {self.fixed_n}")
 
@@ -595,7 +596,7 @@ def single_query_search(
     _check_lattice_size(pipeline)
     pool = search_pool(pipeline, topology)
     strat = stratify(land.case_features, min(DEFAULT_PLANNER_STRATA, land.n_cases), seed=seed)
-    cache: PrefixCache | NullCache = PrefixCache() if cfg.use_cache else NullCache()
+    cache: PrefixCache | NullCache = PrefixCache() if cfg.prefix_cache else NullCache()
     if warm is None:
         surrogates = SurrogatePair(pool)
     elif warm.pool_key == pool.key:
@@ -604,7 +605,7 @@ def single_query_search(
             surrogates.fit_new_point(i, accuracy, latency_s)
     else:
         raise ValueError("warm observations come from another search pool")
-    if not cfg.use_history:
+    if not cfg.warm_start:
         history = None
     hist = None if history is None else history.session(pool.key, query.a_slo, query.l_slo)
 
@@ -630,7 +631,7 @@ def single_query_search(
         time_s += STEP_OVERHEAD_S
         profiled[idx] = True
 
-        if cfg.profiler_mode == "fixed":
+        if cfg.profiler == "fixed":
             outcome = profile_plan_fixed_n(plan, land, cfg.fixed_n, cache, query.a_slo, rng)
         else:
             outcome = profile_plan(plan, land, strat, cache, query.a_slo, rng)

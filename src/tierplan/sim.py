@@ -50,9 +50,10 @@ from .model import (
     PlanPoint,
     Query,
     SchemaError,
+    SpaceTooLargeError,
     TierTopology,
-    _check_version,
-    _known_keys,
+    _read,
+    _schema_errors,
     _typed,
     check_search_pool_size,
     load_json_file,
@@ -111,7 +112,7 @@ class SimConfig:
     planning_budget_gpuh: float | None = None
     replan_budget_s: float = 5.0
     aging_beta: float = DEFAULT_AGING_BETA
-    scheduler_mode: str = "greedy"  # or "fcfs"
+    scheduler: str = "greedy"  # or "fcfs"
     search: SearchConfig = field(default_factory=SearchConfig)
     drift: tuple[DriftEvent, ...] = ()
     output_dir: str | None = None
@@ -127,8 +128,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not (math.isfinite(self.aging_beta) and self.aging_beta >= 0):
             raise ValueError(f"aging_beta must be finite and >= 0, got {self.aging_beta}")
-        if self.scheduler_mode not in ("greedy", "fcfs"):
-            raise ValueError(f"unknown scheduler mode {self.scheduler_mode!r}")
+        if self.scheduler not in ("greedy", "fcfs"):
+            raise ValueError(f"unknown scheduler mode {self.scheduler!r}")
         _check_references(self.trace, self.drift, self.pipelines, self.landscapes, self.topology, "SimConfig")
 
 
@@ -151,157 +152,100 @@ def _check_references(trace, drift, pipelines, landscapes, topology, where: str)
             raise SchemaError(f"{loc}: accuracy drift names pipeline {event.template!r}, which has no landscape")
 
 
-_TOP_LEVEL_KEYS = (
-    "schema_version", "seed", "topology", "pipelines", "landscape", "trace", "drift", "ablations",
-    "planning_budget_s", "planning_budget_gpuh", "replan_budget_s", "aging_beta", "scheduler", "output_dir",
-)
-_LANDSCAPE_KEYS = ("difficulty", "k_true", "noise_scale")
-_GENERATOR_KEYS = ("duration_s", "load", "burst_factor", "hardness", "mean_lifespan_s")
-_ABLATION_KEYS = ("warm_start", "prefix_cache", "profiler", "fixed_n")
-_DRIFT_KEYS = ("time", "kind", "link", "factor", "template", "delta")
-
-
 def search_config_from_ablations(ablations: dict, base: SearchConfig, where: str = "ablations") -> SearchConfig:
     """``base`` with the planner switches named in an ablation mapping
     (warm_start, prefix_cache, profiler, fixed_n) applied."""
-    return SearchConfig(
-        use_history=_typed(ablations.get("warm_start", base.use_history), "warm_start", bool, where),
-        use_cache=_typed(ablations.get("prefix_cache", base.use_cache), "prefix_cache", bool, where),
-        profiler_mode=ablations.get("profiler", base.profiler_mode),
-        fixed_n=_typed(ablations.get("fixed_n", base.fixed_n), "fixed_n", int, where),
-    )
+    fields = _read(ablations, {"warm_start": bool, "prefix_cache": bool, "profiler": str, "fixed_n": int}, where)
+    with _schema_errors(where):
+        return replace(base, **fields)
 
 
 def sim_config_from_file(path: str) -> SimConfig:
     """Build a SimConfig from a JSON file; all validation happens here,
-    before any simulation starts."""
-    obj = load_json_file(path)
-    _known_keys(obj, _TOP_LEVEL_KEYS, path)
-    _check_version(obj, path)
+    before any simulation starts. A key the file leaves out takes the
+    default of the constructor it feeds."""
+    kinds = {
+        "seed": int, "topology": (str, dict), "pipelines": list, "landscape": dict, "trace": (str, dict),
+        "drift": list, "ablations": dict, "planning_budget_s": (float, None), "planning_budget_gpuh": (float, None),
+        "replan_budget_s": float, "aging_beta": float, "scheduler": str, "output_dir": str,
+    }
+    fields = _read(load_json_file(path), kinds, path, versioned=True)
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    if "topology" in obj and isinstance(obj["topology"], str):
-        topology = topology_from_dict(load_json_file(resolve(obj["topology"])), where=obj["topology"])
-    elif "topology" in obj:
-        topology = topology_from_dict(obj["topology"], where=f"{path}#topology")
+    topology = fields.pop("topology", None)
+    if isinstance(topology, str):
+        topology = topology_from_dict(load_json_file(resolve(topology)), where=topology)
     else:
-        topology = default_topology()
+        topology = default_topology() if topology is None else topology_from_dict(topology, where=f"{path}#topology")
 
-    names = _typed(obj.get("pipelines", ["visual-tracking"]), "pipelines", list, path)
+    names = fields.pop("pipelines", ["visual-tracking"])
     if not names or not all(type(name) is str for name in names):
         raise SchemaError(f"{path}: pipelines must be a non-empty list of pipeline names, got {names!r}")
-    try:
+    with _schema_errors(path):
         pipelines = {name: get_pipeline(name) for name in names}
-    except ValueError as e:
-        raise SchemaError(f"{path}: {e}") from e
     for pipe in pipelines.values():  # at load, whether or not a trace generator enumerates it
-        check_search_pool_size(pipe, topology.num_tiers)
+        try:
+            check_search_pool_size(pipe, topology.num_tiers)
+        except SpaceTooLargeError as e:
+            raise SpaceTooLargeError(f"{path}: {e}") from e
 
-    land_cfg = obj.get("landscape", {})
-    land_where = f"{path}#landscape"
-    _known_keys(land_cfg, _LANDSCAPE_KEYS, land_where)
-    seed = _typed(obj.get("seed", 0), "seed", int, path)
+    seed = fields.get("seed", SimConfig.seed)
     if seed < 0:  # before the trace generator sees it
         raise SchemaError(f"{path}: seed must be >= 0, got {seed}")
-    k_true = _typed(land_cfg.get("k_true", 4), "k_true", int, land_where)
-    difficulty = land_cfg.get("difficulty", "rugged")
-    if type(difficulty) is not str:
-        difficulty = _typed(difficulty, "difficulty", float, land_where)
-    noise_scale = _typed(land_cfg.get("noise_scale", 0.05), "noise_scale", float, land_where)
-    try:
+    where = f"{path}#landscape"
+    land = _read(fields.pop("landscape", {}), {"difficulty": (str, float), "k_true": int, "noise_scale": float}, where)
+    with _schema_errors(where):
         landscapes = {
             name: generate_landscape(
                 seed=seed + 1000 + i,
                 pipeline=pipe,
-                difficulty=difficulty,
-                k_true=k_true,
-                noise_scale=noise_scale,
                 tier_speed_factors=speed_factors_for(topology.num_tiers),
                 num_tiers=topology.num_tiers,
+                **land,
             )
             for i, (name, pipe) in enumerate(sorted(pipelines.items()))
         }
-    except (TypeError, ValueError) as e:
-        raise SchemaError(f"{land_where}: {e}") from e
 
-    trace_cfg = obj.get("trace", {})
-    if isinstance(trace_cfg, str):
-        trace = ArrivalTrace.from_dict(load_json_file(resolve(trace_cfg)), where=trace_cfg)
-    elif isinstance(trace_cfg, dict) and "entries" in trace_cfg:
-        trace = ArrivalTrace.from_dict(trace_cfg, where=f"{path}#trace")
+    trace = fields.pop("trace", {})
+    if isinstance(trace, str):
+        trace = ArrivalTrace.from_dict(load_json_file(resolve(trace)), where=trace)
+    elif "entries" in trace:
+        trace = ArrivalTrace.from_dict(trace, where=f"{path}#trace")
     else:
-        _known_keys(trace_cfg, ("generator",), f"{path}#trace")
-        gen = trace_cfg.get("generator", {})
-        gen_where = f"{path}#trace.generator"
-        _known_keys(gen, _GENERATOR_KEYS, gen_where)
-        try:
-            trace = generate_trace(
-                landscapes=landscapes,
-                topology=topology,
-                duration_s=_typed(gen.get("duration_s", 120.0), "duration_s", float, gen_where),
-                load=_typed(gen.get("load", 1.0), "load", float, gen_where),
-                burst_factor=_typed(gen.get("burst_factor", 1.0), "burst_factor", float, gen_where),
-                hardness=gen.get("hardness", "medium"),
-                mean_lifespan_s=_typed(gen.get("mean_lifespan_s", 60.0), "mean_lifespan_s", float, gen_where),
-                seed=seed,
-            )
-        except SchemaError:
-            raise
-        except (TypeError, ValueError) as e:
-            raise SchemaError(f"{gen_where}: {e}") from e
+        where = f"{path}#trace.generator"
+        gen = _read(trace, {"generator": dict}, f"{path}#trace").get("generator", {})
+        kinds = dict.fromkeys(("duration_s", "load", "burst_factor", "mean_lifespan_s"), float) | {"hardness": str}
+        gen = _read(gen, kinds, where)
+        with _schema_errors(where):
+            trace = generate_trace(landscapes=landscapes, topology=topology, seed=seed, **gen)
 
     drift = []
-    for i, d in enumerate(_typed(obj.get("drift", []), "drift", list, path)):
+    kinds = {"time": float, "kind": str, "link": list, "factor": float, "template": str, "delta": float}
+    for i, event in enumerate(fields.pop("drift", [])):
         where = f"{path}#drift[{i}]"
-        _known_keys(d, _DRIFT_KEYS, where)
-        try:
-            drift.append(
-                DriftEvent(
-                    time=_typed(d["time"], "time", float, where),
-                    kind=d["kind"],
-                    link=tuple(_typed(m, "link", int, where) for m in d["link"]) if "link" in d else None,
-                    factor=_typed(d["factor"], "factor", float, where) if "factor" in d else None,
-                    template=d.get("template"),
-                    delta=_typed(d["delta"], "delta", float, where) if "delta" in d else None,
-                )
-            )
-        except SchemaError:
-            raise
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(f"{where}: invalid drift event: {e!r}") from e
+        event = _read(event, kinds, where)
+        with _schema_errors(where):
+            if "link" in event:
+                event["link"] = tuple(_typed(m, "link", int, where) for m in event["link"])
+            drift.append(DriftEvent(**event))
 
-    ablations = obj.get("ablations", {})
-    _known_keys(ablations, _ABLATION_KEYS, f"{path}#ablations")
-    budget_s = obj.get("planning_budget_s", 5.0 if "planning_budget_gpuh" not in obj else None)
-    if budget_s is not None:
-        budget_s = _typed(budget_s, "planning_budget_s", float, path)
-    budget_gpuh = obj.get("planning_budget_gpuh")
-    if budget_gpuh is not None:
-        budget_gpuh = _typed(budget_gpuh, "planning_budget_gpuh", float, path)
+    search = search_config_from_ablations(fields.pop("ablations", {}), SearchConfig(), f"{path}#ablations")
+    if "planning_budget_gpuh" in fields:  # a GPU-hour budget replaces the default time budget
+        fields.setdefault("planning_budget_s", None)
     _check_references(trace, drift, pipelines, landscapes, topology, path)
-    try:
+    with _schema_errors(path):
         return SimConfig(
             topology=topology,
             pipelines=pipelines,
             landscapes=landscapes,
             trace=trace,
-            seed=seed,
-            planning_budget_s=budget_s,
-            planning_budget_gpuh=budget_gpuh,
-            replan_budget_s=_typed(obj.get("replan_budget_s", 5.0), "replan_budget_s", float, path),
-            aging_beta=_typed(obj.get("aging_beta", DEFAULT_AGING_BETA), "aging_beta", float, path),
-            scheduler_mode=obj.get("scheduler", "greedy"),
-            search=search_config_from_ablations(ablations, SearchConfig(), f"{path}#ablations"),
+            search=search,
             drift=tuple(drift),
-            output_dir=_typed(obj.get("output_dir", ""), "output_dir", str, path) or None,
+            **fields,
         )
-    except SchemaError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise SchemaError(f"{path}: {e}") from e
 
 
 @dataclass
@@ -557,7 +501,7 @@ class _Sim:
             self._start_replan(t, qid)
 
         before = set(self.state.assignments)
-        if self.cfg.scheduler_mode == "fcfs":
+        if self.cfg.scheduler == "fcfs":
             for query, cset in live:
                 if not self.state.place(query.id, cset.cheapest(), query.weight):
                     break  # strict head-of-line blocking
@@ -665,12 +609,9 @@ def compare(config: SimConfig, variants: dict[str, dict]) -> dict:
     metrics and improvement factors relative to the first variant."""
     results = {}
     for name, overrides in variants.items():
-        cfg = replace(
-            config,
-            search=search_config_from_ablations(overrides, config.search),
-            scheduler_mode=overrides.get("scheduler", config.scheduler_mode),
-            output_dir=None,
-        )
+        ablations = {k: v for k, v in overrides.items() if k != "scheduler"}
+        search = search_config_from_ablations(ablations, config.search)
+        cfg = replace(config, search=search, scheduler=overrides.get("scheduler", config.scheduler), output_dir=None)
         results[name] = run(cfg)
     names = list(variants)
     base = results[names[0]]

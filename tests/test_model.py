@@ -220,9 +220,19 @@ class TestRoundTrip:
              "unit_cost must be a number"),
             (topology_from_dict, TOPOLOGY_JSON, {"link_latency_s": [[0.0, False], [0.01, 0.0]]},
              "link_latency_s must be a number"),
+            (pipeline_from_dict, PIPELINE_JSON, {"input_byte": 5e6}, r"unknown keys \['input_byte'\]"),
+            (pipeline_from_dict, PIPELINE_JSON, {"operators": [{"id": 0, "knob_domain": ["a"], "is_batchng": True}]},
+             r"operators\[0\]: unknown keys \['is_batchng'\]"),
+            (topology_from_dict, TOPOLOGY_JSON, {"link_latency": [[0.0]]}, r"unknown keys \['link_latency'\]"),
+            (topology_from_dict, TOPOLOGY_JSON, {"tiers": [dict(TOPOLOGY_JSON["tiers"][0], unit_csot=3.0)]},
+             r"tiers\[0\]: unknown keys \['unit_csot'\]"),
+            (pipeline_from_dict, PIPELINE_JSON, {"name": 5}, "name must be a string"),
+            (topology_from_dict, TOPOLOGY_JSON, {"tiers": [dict(TOPOLOGY_JSON["tiers"][0], name=None)]},
+             "name must be a string"),
         ],
         ids=["string-is-batching", "boolean-id", "string-knob-domain", "float-edge", "string-input-bytes", "float-machine-count",
-             "boolean-unit-cost", "boolean-link-latency"],
+             "boolean-unit-cost", "boolean-link-latency", "unknown-pipeline-key", "unknown-operator-key",
+             "unknown-topology-key", "unknown-tier-key", "integer-pipeline-name", "null-tier-name"],
     )
     def test_numbers_and_booleans_are_json_typed(self, loader, base, edit, message):
         with pytest.raises(SchemaError, match=message):

@@ -180,9 +180,7 @@ class TestProfilePlan:
         runs = 60
         for s in range(runs):
             strat = stratify(land.case_features, 4, seed=s)
-            out = profile_plan(
-                plan, land, strat, NullCache(), a_slo, np.random.default_rng(s), n_max=400
-            )
+            out = profile_plan(plan, land, strat, NullCache(), a_slo, np.random.default_rng(s))
             inconclusive += out.verdict == Verdict.INCONCLUSIVE
         assert inconclusive / runs >= 0.98
 
@@ -194,9 +192,9 @@ class TestProfilePlan:
         a_slo = land.accuracy_mean(cfg)
         plan = PlanPoint(cfg, (0, 0, 0), (1.0, 1.0, 1.0))
         strat = stratify(land.case_features, 1, seed=0)
-        out = profile_plan(plan, land, strat, NullCache(), a_slo, np.random.default_rng(0), n_max=120)
+        out = profile_plan(plan, land, strat, NullCache(), a_slo, np.random.default_rng(0))
         assert out.verdict == Verdict.INCONCLUSIVE
-        assert out.samples_used == 120
+        assert out.samples_used == DEFAULT_N_MAX
 
     def test_early_stop_beats_fixed_n_on_clear_plans(self, vt_pipeline):
         from itertools import product
@@ -240,9 +238,7 @@ class TestProfilePlan:
         estimates = []
         for s in range(40):
             strat = stratify(land.case_features, 4, seed=s)
-            out = profile_plan(
-                plan, land, strat, NullCache(), 0.5, np.random.default_rng(s), n_max=200
-            )
+            out = profile_plan(plan, land, strat, NullCache(), 0.5, np.random.default_rng(s))
             estimates.append(out.accuracy_estimate)
         spread = 0.08 / np.sqrt(np.mean([200]) * len(estimates))
         assert abs(np.mean(estimates) - truth) <= 4 * spread + 0.01
@@ -297,7 +293,6 @@ class TestSessionMath:
         looks = look_schedule()
         assert (len(looks), looks[0], looks[-1]) == (33, 50, 1000)
         assert all(b > a for a, b in zip(looks, looks[1:]))
-        assert look_schedule(50, 120)[-1] == 120 and look_schedule(50, 50) == (50,)
 
     def test_look_statistics_match_numpy(self, vt_pipeline):
         # replay the session's blocks: it stops at the first look whose
@@ -332,16 +327,6 @@ class TestSessionMath:
         p_ref = ttest_1samp(xs, 0.72).pvalue
         p_got = two_sided_p_value(float(xs.mean()), float(xs.var(ddof=1)), len(xs), 0.72)
         assert p_got == pytest.approx(p_ref, rel=1e-9)
-
-    def test_n_max_validation(self, vt_landscape):
-        plan = PlanPoint((0, 0, 0), (0, 0, 0), (1.0, 1.0, 1.0))
-        strat = stratify(vt_landscape.case_features, 4, seed=0)
-        with pytest.raises(ValueError, match="n_max"):
-            profile_plan(
-                plan, vt_landscape, strat, NullCache(), 0.5, np.random.default_rng(0), min_samples=50, n_max=10
-            )
-        with pytest.raises(ValueError, match="min_samples"):
-            look_schedule(0, 10)
 
 
 class TestPrefixCache:

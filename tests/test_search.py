@@ -1060,7 +1060,7 @@ class TestSingleQuerySearch:
         profile, outcomes = getattr(search, name), []
         monkeypatch.setattr(search, name, lambda *args: outcomes.append(profile(*args)) or outcomes[-1])
         q = dataclasses.replace(vt_query, a_slo=a_slo or vt_query.a_slo, response_budget_s=3.0)
-        res = single_query_search(q, vt_landscape, topology, seed=5, config=SearchConfig(profiler_mode=profiler))
+        res = single_query_search(q, vt_landscape, topology, seed=5, config=SearchConfig(profiler=profiler))
         rows = res.telemetry
         assert len(rows) == len(outcomes) == res.steps > 1
         assert [r["step"] for r in rows] == list(range(1, res.steps + 1))

@@ -115,8 +115,8 @@ class TestRun:
         # a heavy query at the head of the queue blocks followers under fcfs
         heavy = entry(small_world, t=0.0, lifespan=50.0)
         rest = [entry(small_world, t=0.1 * i, lifespan=50.0) for i in range(1, 10)]
-        greedy_rep = run(make_config(small_world, [heavy] + rest, scheduler_mode="greedy"))
-        fcfs_rep = run(make_config(small_world, [heavy] + rest, scheduler_mode="fcfs"))
+        greedy_rep = run(make_config(small_world, [heavy] + rest, scheduler="greedy"))
+        fcfs_rep = run(make_config(small_world, [heavy] + rest, scheduler="fcfs"))
         assert greedy_rep.totals["avg_goodput"] >= fcfs_rep.totals["avg_goodput"]
 
     def test_load_sweep_saturates_at_capacity(self):
@@ -656,6 +656,15 @@ class TestConfigFile:
             ({"topology": {**TOPOLOGY, "bandwidth_mbps": [[1000, float("inf")], [200, 1000]]}}, "bandwidth_mbps"),
             ({"trace": {"schema_version": SCHEMA_VERSION, "entries": [dict(TRACE_ROW, weight=float("inf"))]}}, "weight"),
             ({"trace": {"schema_version": SCHEMA_VERSION, "entries": [dict(TRACE_ROW, l_slo=float("inf"))]}}, "l_slo"),
+            ({"drift": [{"time": 1.0, "kind": "accuracy", "template": ["code-generation"], "delta": -0.1}]},
+             "template must be a string"),
+            ({"topology": {**TOPOLOGY, "link_latency": [[0.0]]}}, "'link_latency'"),
+            ({"topology": dict(TOPOLOGY, tiers=[dict(TIER, unit_csot=3.0), TIER])}, "'unit_csot'"),
+            ({"topology": dict(TOPOLOGY, tiers=[dict(TIER, name=7), TIER])}, "name must be a string"),
+            ({"trace": {"schema_version": SCHEMA_VERSION, "entries": {}}}, "entries must be a list"),
+            ({"trace": {"schema_version": SCHEMA_VERSION, "entries": ""}}, "entries must be a list"),
+            ({"trace": {"schema_version": SCHEMA_VERSION, "entries": [TRACE_ROW], "generator": [[0, 1]]}},
+             "generator must be an object"),
         ],
         ids=[
             "drift-link-out-of-range",
@@ -718,6 +727,13 @@ class TestConfigFile:
             "overflowing-bandwidth",
             "overflowing-trace-weight",
             "overflowing-trace-l-slo",
+            "list-drift-template",
+            "unknown-topology-key",
+            "unknown-tier-key",
+            "integer-tier-name",
+            "object-trace-entries",
+            "string-trace-entries",
+            "list-trace-generator",
         ],
     )
     def test_invalid_config_rejected_at_load(self, tmp_path, capsys, overrides, message):
@@ -768,7 +784,8 @@ class TestConfigFile:
         with pytest.raises(SpaceTooLargeError, match="search pool has 3214080 plans"):
             sim_config_from_file(path)
         assert cli_main(["simulate", "--config", path]) == 2
-        assert capsys.readouterr().err.startswith("refused: search pool has 3214080 plans")
+        err = capsys.readouterr().err
+        assert err.startswith(f"refused: {path}: pipeline 'wide-search': search pool has 3214080 plans")
         assert generated == []
 
     @pytest.mark.parametrize(
@@ -802,6 +819,69 @@ class TestConfigFile:
         path = self._write(tmp_path, obj)
         assert cli_main(["simulate", "--config", path]) == 1
         assert capsys.readouterr().err == f"error: {path}{where}: {message}\n"
+
+
+# every key a sim config can hold, each set; the trace is short, so that a
+# substituted in-range value never generates a long one
+SWEEP_BASE = {
+    "schema_version": SCHEMA_VERSION,
+    "seed": 3,
+    "topology": TOPOLOGY,
+    "pipelines": ["code-generation", "visual-tracking"],
+    "landscape": {"difficulty": "rugged", "k_true": 3, "noise_scale": 0.05},
+    "trace": {
+        "generator": {"duration_s": 5.0, "load": 0.5, "burst_factor": 1.5, "hardness": "easy", "mean_lifespan_s": 20.0}
+    },
+    "drift": [BANDWIDTH, {"time": 2.0, "kind": "accuracy", "template": "code-generation", "delta": -0.1}],
+    "ablations": {"warm_start": False, "prefix_cache": True, "profiler": "fixed", "fixed_n": 50},
+    "planning_budget_s": None,
+    "planning_budget_gpuh": 0.001,
+    "replan_budget_s": 2.0,
+    "aging_beta": 0.5,
+    "scheduler": "fcfs",
+    "output_dir": "out",
+}
+SWEEP_LISTED = dict(
+    SWEEP_BASE,
+    trace={"schema_version": SCHEMA_VERSION, "generator": {"load": 1.0}, "entries": [dict(TRACE_ROW, weight=2.0)]},
+)
+SWEEP_VALUES = (None, True, False, 0, -1, 2.5, float("inf"), "", "x", [], [0, 1], [[0, 1]], {}, {"x": 1})
+
+
+def _key_paths(obj, path=()):
+    """Every key path into nested JSON objects and arrays, parents first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _key_paths(value, path + (key,))
+
+
+class TestConfigSweep:
+    def test_every_single_value_substitution_loads_or_is_refused(self, tmp_path):
+        # each value of SWEEP_VALUES at each key path of both bases: the load
+        # either succeeds or raises SchemaError or SpaceTooLargeError, and
+        # every other exception is collected, so one run reports them all
+        path = tmp_path / "sim.json"
+        escapes = []
+        for base in (SWEEP_BASE, SWEEP_LISTED):
+            path.write_text(json.dumps(base))
+            assert sim_config_from_file(str(path)).planning_budget_gpuh == 0.001  # the base itself loads
+            for keys in _key_paths(base):
+                for value in SWEEP_VALUES:
+                    obj = json.loads(json.dumps(base))
+                    parent = obj
+                    for key in keys[:-1]:
+                        parent = parent[key]
+                    parent[keys[-1]] = value
+                    # inf as the number literal 1e999, not the constant Infinity
+                    path.write_text(json.dumps(obj).replace("Infinity", "1e999"))
+                    try:
+                        sim_config_from_file(str(path))
+                    except (SchemaError, SpaceTooLargeError):
+                        pass
+                    except Exception as e:  # any other exception escapes the load: collect them all
+                        escapes.append((keys, value, repr(e)))
+        assert escapes == []
 
 
 class TestCli:
@@ -972,7 +1052,8 @@ class TestCli:
         argv = ["plan", "--pipeline", str(path), "--a-slo", "0.5", "--l-slo", "0.5", "--budget-s", "0.01"]
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
-        assert err == f"refused: search pool has 437500 plans, exhaustive cap is {SEARCH_POOL_MAX_PLANS}\n"
+        cap = SEARCH_POOL_MAX_PLANS
+        assert err == f"refused: pipeline 'chain-6x5': search pool has 437500 plans, exhaustive cap is {cap}\n"
         assert built == []
 
     def test_oracle_mode_and_refusal(self, capsys):
@@ -1000,6 +1081,18 @@ class TestCli:
         assert cli_main(["oracle", flag, value]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{flag} must be at least 1, got {value}" in err
+
+    def test_plan_rejects_a_pipeline_with_a_misspelt_operator_key(self, tmp_path, capsys):
+        pipeline = {
+            "schema_version": SCHEMA_VERSION,
+            "name": "one",
+            "operators": [{"id": 0, "knob_domain": ["a", "b"], "is_batchng": True}],
+        }
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(pipeline))
+        rc = cli_main(["plan", "--pipeline", str(path), "--a-slo", "0.5", "--l-slo", "0.5"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}#operators[0]: unknown keys ['is_batchng']")
 
     def test_oracle_negative_seed_is_a_schema_error(self, capsys):
         assert cli_main(["oracle", "--seed", "-1"]) == 1
