@@ -8,7 +8,7 @@ from .landscape import (
     GroundTruthLandscape,
     generate_landscape,
     generate_trace,
-    sample_strata,
+    sample_cases,
 )
 from .latency import (
     OperatorTimings,

@@ -45,13 +45,20 @@ def _add_plan_parser(sub) -> None:
     group.add_argument("--budget-s", type=float, default=5.0, help="response budget, simulated seconds")
     group.add_argument("--budget-gpuh", type=float, default=None, help="profiling budget, GPU-hours")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--difficulty", default="rugged")
-    p.add_argument("--noise-scale", type=float, default=0.05)
+    # left unset, --difficulty, --noise-scale and --fixed-n take the defaults
+    # of generate_landscape and SearchConfig
+    p.add_argument("--difficulty", default=None)
+    p.add_argument("--noise-scale", type=float, default=None)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--profiler", choices=["guided", "fixed"], default="guided")
-    p.add_argument("--fixed-n", type=int, default=356)
+    p.add_argument("--fixed-n", type=int, default=None)
     p.add_argument("--telemetry", default=None, help="write per-step telemetry JSON lines here")
     p.add_argument("--profiling-log", default=None, help="write per-plan profiling audit JSON lines here")
+
+
+def _given(args, *names: str) -> dict:
+    """The options among ``names`` set on the command line, by name."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _cmd_plan(args) -> int:
@@ -66,10 +73,9 @@ def _cmd_plan(args) -> int:
         land = generate_landscape(
             seed=args.seed + 1000,
             pipeline=pipeline,
-            difficulty=args.difficulty,
-            noise_scale=args.noise_scale,
             tier_speed_factors=speed_factors_for(topology.num_tiers),
             num_tiers=topology.num_tiers,
+            **_given(args, "difficulty", "noise_scale"),
         )
         query = Query(
             id="cli",
@@ -79,7 +85,7 @@ def _cmd_plan(args) -> int:
             response_budget_s=args.budget_s if args.budget_gpuh is None else None,
             profiling_budget_gpuh=args.budget_gpuh,
         )
-        config = SearchConfig(prefix_cache=not args.no_cache, profiler=args.profiler, fixed_n=args.fixed_n)
+        config = SearchConfig(prefix_cache=not args.no_cache, profiler=args.profiler, **_given(args, "fixed_n"))
     result = single_query_search(query, land, topology, seed=args.seed, config=config)
     # a --profiling-log row is its step row's audit keys, two of them renamed
     audit_rows = [

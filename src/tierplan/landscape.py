@@ -61,6 +61,7 @@ class GroundTruthLandscape:
     case_features: tuple[tuple[float, float], ...]
     accuracy_offset: float = 0.0
     _mu_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rows_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _timings_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -101,6 +102,24 @@ class GroundTruthLandscape:
         mu = min(max(mu, _CLIP_LO), _CLIP_HI)
         self._mu_cache[key] = mu
         return mu
+
+    def case_rows(self, configuration: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Each case's true stratum mean at a configuration, and each case's
+        stratum sigma: read-only rows over the cases, the means cached under
+        the configuration."""
+        key = tuple(configuration)
+        hit = self._rows_cache.get(key)
+        if hit is None:
+            mu = np.array([self.stratum_mean(k, key) for k in range(self.k_true)])[self.case_strata]
+            mu.setflags(write=False)
+            hit = self._rows_cache[key] = mu, self._case_sigma
+        return hit
+
+    @cached_property
+    def _case_sigma(self) -> np.ndarray:
+        sigma = np.asarray(self.stratum_sigma)[self.case_strata]
+        sigma.setflags(write=False)
+        return sigma
 
     def accuracy_mean(self, configuration: Sequence[int]) -> float:
         """Population accuracy mean: the weighted mixture over strata, cached
@@ -254,21 +273,20 @@ def _draw_cases(
     return case_stratum, case_features, tuple(float(w) for w in empirical)
 
 
-def sample_strata(
+def sample_cases(
     landscape: GroundTruthLandscape,
     configuration: Sequence[int],
-    strata: np.ndarray,
+    cases: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One accuracy observation per entry of ``strata`` (true stratum ids),
-    each a normal at its stratum's mean and sigma clipped to [0, 1].
+    """One accuracy observation per entry of ``cases`` (case indices), each
+    a normal at its true stratum's mean and sigma clipped to [0, 1].
 
     Depends only on the configuration, so placement and resource changes
     never alter the draw stream.
     """
-    mu = np.array([landscape.stratum_mean(k, configuration) for k in range(landscape.k_true)])
-    sigma = np.asarray(landscape.stratum_sigma)
-    return np.clip(mu[strata] + sigma[strata] * rng.standard_normal(len(strata)), 0.0, 1.0)
+    mu, sigma = landscape.case_rows(configuration)
+    return np.clip(mu[cases] + sigma[cases] * rng.standard_normal(len(cases)), 0.0, 1.0)
 
 
 def quality_latency_frontier(

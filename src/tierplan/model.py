@@ -384,20 +384,23 @@ def _typed(value, key: str, kind, where: str):
     """``value``, which must be a JSON boolean (``kind`` bool), integer (int:
     no float, no boolean), finite number (float: no boolean, returned as a
     float), string (str), array (list), object (dict) or null (None), or one
-    of a tuple of these kinds; else it raises SchemaError."""
+    of a tuple of these kinds; else it raises SchemaError. A number of
+    either kind must lie within the float range."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
     number = float in kinds and type(value) in (int, float)
     if not (number or type(value) in kinds or (value is None and None in kinds)):
         raise SchemaError(f"{where}: {key} must be {' or '.join(_JSON_TYPES[k] for k in kinds)}, got {value!r}")
-    if not number:
+    if type(value) not in (int, float):
         return value
     try:
-        value = float(value)
+        as_float = float(value)
     except OverflowError as e:
         raise SchemaError(f"{where}: {key} is out of range: {e}") from e
-    if not isfinite(value):
+    if not number:
+        return value
+    if not isfinite(as_float):
         raise SchemaError(f"{where}: {key} must be finite, got {value!r}")
-    return value
+    return as_float
 
 
 def _read(obj, kinds: dict, where: str, versioned: bool = False) -> dict:

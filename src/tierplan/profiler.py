@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import stdtr
 
-from .landscape import N_CASES, GroundTruthLandscape, sample_strata
+from .landscape import N_CASES, GroundTruthLandscape, sample_cases
 from .model import PlanPoint, ProfileOutcome, Verdict
 
 #: Family-wise confidence of the sequential test, spent evenly over its looks.
@@ -70,13 +70,14 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     for _ in range(KMEANS_ITERS):
         dists = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(dists, axis=1)
-        for j in range(k):
-            if np.any(new_labels == j):
-                continue
-            counts = np.bincount(new_labels, minlength=k)
+        counts = np.bincount(new_labels, minlength=k)
+        for j in np.flatnonzero(counts == 0):
             movable = counts[new_labels] > 1
             cand = np.where(movable, dists[np.arange(n), new_labels], -np.inf)
-            new_labels[int(np.argmax(cand))] = j
+            i = int(np.argmax(cand))
+            counts[new_labels[i]] -= 1
+            counts[j] += 1
+            new_labels[i] = j
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -91,7 +92,6 @@ class Stratification:
     mid-session."""
 
     k: int
-    assignment: tuple[int, ...]
     strata: tuple[tuple[int, ...], ...]
     weights: tuple[float, ...]
 
@@ -102,15 +102,18 @@ class Stratification:
             raise ValueError("empirical weights must sum to 1")
 
     @cached_property
-    def _members(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every stratum's cases back to back, each stratum's start, its size."""
+    def _draws(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every stratum's cases back to back, then the start and the size of
+        the stratum of each of the first DEFAULT_N_MAX draws of ``allocation``."""
         sizes = np.array([len(s) for s in self.strata])
-        return np.concatenate(self.strata).astype(np.intp), np.cumsum(sizes) - sizes, sizes
+        order = allocation(self.weights, DEFAULT_N_MAX)
+        return np.concatenate(self.strata).astype(np.intp), (np.cumsum(sizes) - sizes)[order], sizes[order]
 
-    def cases(self, strata: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One case per entry of ``strata``, uniform within that stratum."""
-        members, starts, sizes = self._members
-        return members[starts[strata] + rng.integers(sizes[strata])]
+    def cases(self, lo: int, hi: int, rng: np.random.Generator) -> np.ndarray:
+        """The cases of draws ``lo`` to ``hi - 1`` (at most DEFAULT_N_MAX),
+        each uniform within the stratum ``allocation`` gives it."""
+        members, starts, sizes = self._draws
+        return members[starts[lo:hi] + rng.integers(sizes[lo:hi])]
 
 
 def stratify(case_features: Sequence[Sequence[float]], k: int, seed: int = 0) -> Stratification:
@@ -125,7 +128,7 @@ def stratify(case_features: Sequence[Sequence[float]], k: int, seed: int = 0) ->
         labels = _kmeans(pts, k, np.random.default_rng(seed))
     strata = tuple(tuple(int(i) for i in np.flatnonzero(labels == j)) for j in range(k))
     weights = tuple(len(s) / n for s in strata)
-    return Stratification(k=k, assignment=tuple(int(x) for x in labels), strata=strata, weights=weights)
+    return Stratification(k=k, strata=strata, weights=weights)
 
 
 @lru_cache(maxsize=256)
@@ -159,25 +162,27 @@ class PrefixCache:
 
     Keys are (operator index, configuration prefix through that operator);
     upstream configs fully determine the outputs, so downstream knob changes
-    never invalidate an entry. Each value is a boolean mask over the cases
-    whose output is already materialized. The cache is discarded when the
-    planning session ends.
+    never invalidate an entry. Each value is a bitset, a Python int whose
+    bit c is set once case c's output is materialized. The cache is
+    discarded when the planning session ends.
     """
 
-    entries: dict[tuple[int, tuple[int, ...]], np.ndarray] = field(default_factory=dict)
+    entries: dict[tuple[int, tuple[int, ...]], int] = field(default_factory=dict)
 
     def charge(self, configuration: Sequence[int], cases: np.ndarray, per_op_seconds: Sequence[float]) -> float:
         """Seconds charged for running ``cases`` (repeats allowed): each
         operator is charged once per case whose output is not cached yet,
         and those outputs are cached."""
         cfg = tuple(configuration)
-        drawn = np.zeros(N_CASES, dtype=bool)
-        drawn[cases] = True
+        mask = np.zeros(N_CASES, dtype=bool)
+        mask[cases] = True
+        drawn = int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
         charged = 0.0
         for i in range(len(cfg)):
-            cached = self.entries.setdefault((i, cfg[: i + 1]), np.zeros(N_CASES, dtype=bool))
-            charged += per_op_seconds[i] * int(np.count_nonzero(drawn & ~cached))
-            cached |= drawn
+            key = (i, cfg[: i + 1])
+            cached = self.entries.get(key, 0)
+            charged += per_op_seconds[i] * (drawn & ~cached).bit_count()
+            self.entries[key] = cached | drawn
         return charged
 
 
@@ -231,14 +236,13 @@ def profile_plan(
     cache-missing operators, at reference-tier full-resource compute.
     """
     alpha = (1.0 - CONFIDENCE) / len(_LOOKS)
-    order = allocation(strat.weights, DEFAULT_N_MAX)
     cases = np.empty(DEFAULT_N_MAX, dtype=np.intp)
     values = np.empty(DEFAULT_N_MAX)
     verdict = Verdict.INCONCLUSIVE
     n = 0
     for look in _LOOKS:
-        cases[n:look] = strat.cases(order[n:look], rng)
-        values[n:look] = sample_strata(land, plan.configuration, land.case_strata[cases[n:look]], rng)
+        cases[n:look] = strat.cases(n, look, rng)
+        values[n:look] = sample_cases(land, plan.configuration, cases[n:look], rng)
         n = look
         # shifted by the first value, so n equal values give exactly that
         # value and zero variance
@@ -270,7 +274,7 @@ def profile_plan_fixed_n(
     if n_samples < 1:
         raise ValueError("fixed sample size must be >= 1")
     cases = rng.integers(land.n_cases, size=n_samples)
-    mean = float(sample_strata(land, plan.configuration, land.case_strata[cases], rng).mean())
+    mean = float(sample_cases(land, plan.configuration, cases, rng).mean())
     charged = cache.charge(plan.configuration, cases, land.timings_for(plan.configuration).base_compute_s)
     verdict = Verdict.PASS_ACCURACY if mean > a_slo else Verdict.FAIL_ACCURACY
     return ProfileOutcome(accuracy_estimate=mean, samples_used=n_samples, verdict=verdict, profiling_cost=charged)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -70,6 +70,25 @@ GAP_WINDOW_LEN = 5
 HISTORY_CAPACITY = 32
 
 
+class OneHot(NamedTuple):
+    """Integer code rows as one-hot bytes, one table row per (column, code):
+    ``table[offsets[c] + k, i]`` is 1 if row ``i``'s code in column ``c``
+    is ``k``, else 0."""
+
+    table: np.ndarray
+    offsets: np.ndarray
+
+
+def one_hot_table(codes: np.ndarray) -> OneHot:
+    """The :class:`OneHot` table of non-negative integer code rows ``codes``."""
+    sizes = codes.max(axis=0).astype(np.intp) + 1
+    offsets = np.cumsum(sizes) - sizes
+    table = np.zeros((int(sizes.sum()), len(codes)), np.min_scalar_type(codes.shape[1]))
+    table[offsets + codes, np.arange(len(codes))[:, None]] = 1
+    table.setflags(write=False)
+    return OneHot(table, offsets)
+
+
 class GaussianProcess:
     """Exact GP regression over the fixed input rows ``pool`` (a search
     pool's distinct configurations or its plans, as integer code rows) and
@@ -82,13 +101,16 @@ class GaussianProcess:
     With L the Cholesky factor of K(X, X) + noise*I over the observed rows
     X, the state is V = L⁻¹K(X, pool), w = L⁻¹[y 1] and, per pool row,
     [ky k1] = Vᵀw and var = 1 - ΣV². :meth:`fit` appends one row to L
-    (GPML 2006, Alg. 2.1; Seeger 2004) and :meth:`predict` looks rows up."""
+    (GPML 2006, Alg. 2.1; Seeger 2004) and :meth:`predict` looks rows up.
+    ``hot`` is the pool's :func:`one_hot_table`, built here if not given."""
 
-    def __init__(self, pool: np.ndarray, noise: float = GP_NOISE):
+    def __init__(self, pool: np.ndarray, noise: float = GP_NOISE, hot: OneHot | None = None):
         self.pool = pool
         self.noise = noise
         self.rows: list[int] = []
-        self._kernel = np.exp(-np.arange(pool.shape[1] + 1.0))  # exp(-h) at h = 0..ncols
+        self._hot = one_hot_table(pool) if hot is None else hot
+        ncols = pool.shape[1]
+        self._kernel = np.exp(-(ncols - np.arange(ncols + 1.0)))  # exp(-h), indexed by m = ncols - h shared codes
         self._v = np.empty((0, len(pool)))  # V, w and the targets in their leading rows
         self._w = np.empty((0, 2))
         self._y = np.empty(0)
@@ -118,8 +140,7 @@ class GaussianProcess:
         w = (np.array([y, 1.0]) - v_j @ self._w[:n]) / d
         self._v[n] = c
         self._w[n] = w
-        self._kw[0] += w[0] * c
-        self._kw[1] += w[1] * c
+        self._kw += np.multiply.outer(w, c)
         self._var -= c * c
         self.rows.append(j)
         self._y[n] = y
@@ -130,20 +151,24 @@ class GaussianProcess:
         return self
 
     def _kernel_row(self, j: int) -> np.ndarray:
-        """exp(-h) at every pool row, h its number of codes unlike row ``j``'s,
-        counted a column at a time (contiguous in a column-major pool)."""
-        h = np.zeros(len(self.pool), np.min_scalar_type(self.pool.shape[1]))
-        for column, code in zip(self.pool.T, self.pool[j]):
-            h += column != code
-        return self._kernel[h]
+        """exp(-h) at every pool row, h its number of codes unlike row ``j``'s:
+        the one-hot table's rows of row ``j``'s codes, summed, count the
+        codes each pool row shares with it."""
+        table, offsets = self._hot
+        matches = np.add.reduce(table[offsets + self.pool[j]], axis=0, dtype=table.dtype)
+        return self._kernel.take(matches, mode="clip")  # in range; "clip" skips the bounds check
+
+    def mean(self, idx):
+        """Predictive mean at the pool rows ``idx`` (an index array, a slice
+        or one row): ȳ(1 - k1) + ky, the standardized posterior mean mapped
+        back."""
+        ky, k1 = self._kw[:, idx]
+        return self._y_mean * (1.0 - k1) + ky
 
     def predict(self, idx) -> tuple[np.ndarray, np.ndarray]:
         """Predictive mean and std (always positive) at the pool rows
-        ``idx``, an index array or a slice, as new arrays. The mean
-        ȳ(1 - k1) + ky is the standardized posterior mean mapped back."""
-        ky, k1 = self._kw[:, idx]
-        mu = self._y_mean * (1.0 - k1) + ky
-        return mu, self._y_std * np.sqrt(np.maximum(self._var[idx], self.noise))
+        ``idx``, an index array or a slice, as new arrays."""
+        return self.mean(idx), self._y_std * np.sqrt(np.maximum(self._var[idx], self.noise))
 
 
 def pool_key(pipeline: PipelineSpec, num_tiers: int) -> tuple[tuple[int, ...], int]:
@@ -156,13 +181,16 @@ class SearchPool(NamedTuple):
     """A search pool and its column-major code rows. The accuracy model never
     sees placement, so its rows ``xa`` are one per distinct configuration
     (each operator's option), and ``config[i]`` is pool plan ``i``'s row in
-    them; the latency rows ``xl`` are one per pool plan: options, then tiers."""
+    them; the latency rows ``xl`` are one per pool plan: options, then tiers.
+    ``hot_a`` and ``hot_l`` are their :func:`one_hot_table` tables."""
 
     key: tuple
     plans: tuple[PlanPoint, ...]
     xa: np.ndarray
     config: np.ndarray
     xl: np.ndarray
+    hot_a: OneHot
+    hot_l: OneHot
 
 
 _SEARCH_POOLS: dict[tuple, SearchPool] = {}
@@ -183,7 +211,7 @@ def search_pool(pipeline: PipelineSpec, topology: TierTopology) -> SearchPool:
         config = np.tile(np.arange(len(configs)), len(placements))
         for rows in (xa, config, xl):
             rows.setflags(write=False)
-        cached = _SEARCH_POOLS[key] = SearchPool(key, plans, xa, config, xl)
+        cached = _SEARCH_POOLS[key] = SearchPool(key, plans, xa, config, xl, one_hot_table(xa), one_hot_table(xl))
     return cached
 
 
@@ -220,8 +248,8 @@ class SurrogatePair:
     def __init__(self, pool: SearchPool, noise: float = GP_NOISE):
         self.pool_key = pool.key
         self.config = pool.config
-        self.f_a = GaussianProcess(pool.xa, noise)
-        self.f_l = GaussianProcess(pool.xl, noise)
+        self.f_a = GaussianProcess(pool.xa, noise, pool.hot_a)
+        self.f_l = GaussianProcess(pool.xl, noise, pool.hot_l)
 
     @property
     def n_obs(self) -> int:
@@ -230,6 +258,11 @@ class SurrogatePair:
     def predict(self, idx) -> PoolPredictions:
         """Predictions at the pool rows ``idx`` (an index array or a slice)."""
         return PoolPredictions(*self.f_a.predict(slice(None)), self.config[idx], *self.f_l.predict(idx))
+
+    def means(self, idx: int) -> tuple[float, float]:
+        """Accuracy and latency means at pool plan ``idx``, bitwise those of
+        :meth:`predict`."""
+        return self.f_a.mean(int(self.config[idx])), self.f_l.mean(idx)
 
     def fit_new_point(self, idx: int, accuracy: float, latency_s: float) -> None:
         """Condition both models on one more observation, of pool plan ``idx``."""
@@ -271,12 +304,13 @@ class HistoryStore:
 class HistorySession:
     """One query's view of the history, and the owner of every prediction
     gap: ``gap_sum[i]`` is stored model ``i``'s cumulative gap over the
-    ``gap_n`` profiled observations (each update adds to every model), and
+    ``gap_n`` profiled observations (each update adds to every model),
+    ``gaps`` their means (infinite before any observation), and
     ``own_window`` holds the session's own model's last ``GAP_WINDOW_LEN``
     gaps. Gaps and votes read the same :class:`PoolPredictions`: a gap looks
     up the means at the profiled row (accuracy through its configuration),
-    and votes score the whole pool once per session against this query's
-    SLOs."""
+    in the stored models' means stacked once per session, and votes score
+    the whole pool once per session against this query's SLOs."""
 
     def __init__(self, predicted: list[PoolPredictions], a_slo: float, l_slo: float):
         self.predicted = predicted
@@ -284,37 +318,37 @@ class HistorySession:
         self.l_slo = l_slo
         self.gap_sum = np.zeros(len(predicted))
         self.gap_n = 0
+        self.gaps = np.full(len(predicted), math.inf)
         self.own_window: list[float] = []
         self._pool_scores: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def gaps(self) -> np.ndarray:
-        """Mean gap of each stored model; infinite before any observation."""
-        return self.gap_sum / self.gap_n if self.gap_n else np.full(len(self.predicted), math.inf)
+        if predicted:  # one row of means per stored model
+            self._config = predicted[0].config
+            self._mu_a = np.stack([p.mu_a for p in predicted])
+            self._mu_l = np.stack([p.mu_l for p in predicted])
 
     def top_k(self) -> np.ndarray:
         """Indices of the ``HISTORY_TOP_K`` smallest gaps, ties to the lower index."""
-        return np.argsort(self.gaps(), kind="stable")[:HISTORY_TOP_K]
+        return np.argsort(self.gaps, kind="stable")[:HISTORY_TOP_K]
 
     def votes(self) -> bool:
         """Whether stored models vote: there are some, and the own model's
         mean gap over its window does not beat the best of theirs."""
         own = float(np.mean(self.own_window)) if self.own_window else math.inf
-        return len(self.predicted) > 0 and not (own < self.gaps().min())
+        return len(self.predicted) > 0 and not (own < self.gaps.min())
 
     def update_gaps(self, idx: int, accuracy: float, latency_s: float, surrogates: SurrogatePair) -> None:
         """Add every gap at the profiled pool index ``idx``, before
         ``surrogates`` (the session's own model) sees it. Without stored
-        models no gap is ever read, so nothing is predicted."""
+        models no gap is ever read, so nothing is looked up."""
         if not self.predicted:
             return
         if surrogates.n_obs > 0:
-            own = surrogates.predict([idx])
-            gap = prediction_gap(own.mu_a[own.config[0]], own.mu_l[0], accuracy, latency_s, self.l_slo)
+            gap = prediction_gap(*surrogates.means(idx), accuracy, latency_s, self.l_slo)
             self.own_window = [*self.own_window, gap][-GAP_WINDOW_LEN:]
-        mu_a = np.array([p.mu_a[p.config[idx]] for p in self.predicted])
-        mu_l = np.array([p.mu_l[idx] for p in self.predicted])
+        mu_a, mu_l = self._mu_a[:, self._config[idx]], self._mu_l[:, idx]
         self.gap_sum += prediction_gap(mu_a, mu_l, accuracy, latency_s, self.l_slo)
         self.gap_n += 1
+        self.gaps = self.gap_sum / self.gap_n
 
     def pool_scores(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Stored model ``i``'s acquisition scores and costs over the pool."""
@@ -322,22 +356,29 @@ class HistorySession:
             self._pool_scores[i] = acquisition(*self.predicted[i], self.a_slo, self.l_slo)
         return self._pool_scores[i]
 
-    def vote_indices(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def vote_indices(self, idx: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
         """Weighted-sum vote of the current top-K over pool indices ``idx``:
-        each model's acquisition scores and costs, weighted by 1/(gap + eps),
-        or uniformly before any gap. The sums run over the whole pool and
-        are gathered at ``idx`` once."""
+        each model's acquisition scores, weighted by 1/(gap + eps), or
+        uniformly before any gap. The sums run over the whole pool and are
+        gathered at ``idx`` once. Also returns ``costs_at``, which sums the
+        models' costs with the same weights, in the same order, at the
+        positions of ``idx`` it is given (the tie-break reads only the
+        tied ones)."""
         top = self.top_k()
-        raw = 1.0 / (self.gaps()[top] + GAP_EPS) if self.gap_n else np.ones(len(top))
+        raw = 1.0 / (self.gaps[top] + GAP_EPS) if self.gap_n else np.ones(len(top))
         weights = raw / raw.sum()
-        n_pool = len(self.predicted[0].config)
-        combined = np.zeros(n_pool)
-        cost_acc = np.zeros(n_pool)
+        combined = np.zeros(len(self._config))
         for w, i in zip(weights, top):
-            scores, costs = self.pool_scores(int(i))
-            combined += w * scores
-            cost_acc += w * costs
-        return combined[idx], cost_acc[idx]
+            combined += w * self.pool_scores(int(i))[0]
+
+        def costs_at(positions: np.ndarray) -> np.ndarray:
+            rows = idx[positions]
+            costs = np.zeros(len(rows))
+            for w, i in zip(weights, top):
+                costs += w * self.pool_scores(int(i))[1][rows]
+            return costs
+
+        return combined[idx], costs_at
 
     def __len__(self) -> int:
         return len(self.predicted)
@@ -375,10 +416,12 @@ def acquisition(
     return p_acc * p_lat / costs, costs
 
 
-def _argmax_with_ties(scores: np.ndarray, costs: np.ndarray) -> int:
-    """Index of the best score; ties go to lowest predicted cost, then index."""
+def _argmax_with_ties(scores: np.ndarray, costs_at: Callable[[np.ndarray], np.ndarray]) -> int:
+    """Index of the best score; ties go to lowest predicted cost, then index.
+    ``costs_at`` maps the tied indices to their costs; a lone best score
+    reads none."""
     tied = np.flatnonzero(scores == scores.max())
-    return int(tied[np.argmin(costs[tied])])
+    return int(tied[0] if len(tied) == 1 else tied[np.argmin(costs_at(tied))])
 
 
 def propose(
@@ -401,14 +444,15 @@ def propose(
     if len(step_idx) == 0:
         raise ValueError("propose called with an empty pool")
     if history is not None and history.votes():
-        scores, costs = history.vote_indices(step_idx)
+        scores, costs_at = history.vote_indices(step_idx)
         branch = "history"
     elif surrogates.n_obs == 0:
         return int(step_idx[int(rng.integers(len(step_idx)))]), "cold"
     else:
         scores, costs = acquisition(*surrogates.predict(step_idx), a_slo, l_slo)
+        costs_at = costs.__getitem__
         branch = "cmbo"
-    return int(step_idx[_argmax_with_ties(scores, costs)]), branch
+    return int(step_idx[_argmax_with_ties(scores, costs_at)]), branch
 
 
 def update(

@@ -8,7 +8,9 @@ sweeps the full plan grid through the package's latency model and Pareto
 filter, which other tests check against the references here; the
 per-plan frontier scores the search pool one plan at a time through the
 scalar latency model; the sibling landscape reuses the generator's case
-draw.
+draw. The per-look profiler, the column-at-a-time kernel row and the
+whole-pool vote are the planning step as it was before its tables were
+built once; the package must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -19,9 +21,19 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from tierplan import latency as latmod
-from tierplan.landscape import _draw_cases
+from tierplan.landscape import N_CASES, _draw_cases
 from tierplan.latency import compute_time, transfer_time
-from tierplan.model import RESOURCE_FRACTIONS, PlanPoint, SpaceTooLargeError, enumerate_search_pool, pareto_filter
+from tierplan.model import (
+    RESOURCE_FRACTIONS,
+    PlanPoint,
+    ProfileOutcome,
+    SpaceTooLargeError,
+    Verdict,
+    enumerate_search_pool,
+    pareto_filter,
+)
+from tierplan.profiler import CONFIDENCE, DEFAULT_N_MAX, allocation, look_schedule, two_sided_p_value
+from tierplan.search import GAP_EPS, HISTORY_TOP_K
 
 
 def recursive_plan_count(knob_sizes, num_tiers, num_fractions, placement_prefix=()):
@@ -395,3 +407,112 @@ def exhaustive_resource_frontier(plan, pipeline, topology, timings, l_slo, laten
         if not dominated and not any(c2 == c and l2 == l for _, c2, l2 in rows[:i]):
             keep.append(p)
     return keep
+
+
+# ---------------------------------------------------------------------------
+# The planning step, one look, one column and one whole pool at a time
+
+
+def sample_strata(landscape, configuration, strata, rng):
+    """One accuracy observation per entry of ``strata`` (true stratum ids),
+    each a normal at its stratum's mean and sigma clipped to [0, 1]."""
+    mu = np.array([landscape.stratum_mean(k, configuration) for k in range(landscape.k_true)])
+    sigma = np.asarray(landscape.stratum_sigma)
+    return np.clip(mu[strata] + sigma[strata] * rng.standard_normal(len(strata)), 0.0, 1.0)
+
+
+def stratum_cases(strat, strata, rng):
+    """One case per entry of ``strata`` (planner stratum ids), uniform within
+    that stratum of ``strat``."""
+    sizes = np.array([len(s) for s in strat.strata])
+    members = np.concatenate(strat.strata).astype(np.intp)
+    return members[(np.cumsum(sizes) - sizes)[strata] + rng.integers(sizes[strata])]
+
+
+class MaskPrefixCache:
+    """Prefix-cache accounting with one boolean mask over the cases per
+    (operator, configuration prefix)."""
+
+    def __init__(self):
+        self.entries = {}
+
+    def charge(self, configuration, cases, per_op_seconds):
+        cfg = tuple(configuration)
+        drawn = np.zeros(N_CASES, dtype=bool)
+        drawn[cases] = True
+        charged = 0.0
+        for i in range(len(cfg)):
+            cached = self.entries.setdefault((i, cfg[: i + 1]), np.zeros(N_CASES, dtype=bool))
+            charged += per_op_seconds[i] * int(np.count_nonzero(drawn & ~cached))
+            cached |= drawn
+        return charged
+
+
+def per_look_profile_plan(plan, land, strat, cache, a_slo, rng):
+    """The guided profiler drawing each look's block through
+    :func:`stratum_cases` at the allocation's strata and
+    :func:`sample_strata` at the cases' true strata."""
+    looks = look_schedule()
+    alpha = (1.0 - CONFIDENCE) / len(looks)
+    order = allocation(strat.weights, DEFAULT_N_MAX)
+    cases = np.empty(DEFAULT_N_MAX, dtype=np.intp)
+    values = np.empty(DEFAULT_N_MAX)
+    verdict = Verdict.INCONCLUSIVE
+    n = 0
+    for look in looks:
+        cases[n:look] = stratum_cases(strat, order[n:look], rng)
+        values[n:look] = sample_strata(land, plan.configuration, land.case_strata[cases[n:look]], rng)
+        n = look
+        shifted = values[:n] - values[0]
+        offset = float(shifted.sum()) / n
+        deviations = shifted - offset
+        mean = float(values[0]) + offset
+        variance = float(deviations @ deviations) / (n - 1) if n > 1 else 0.0
+        if two_sided_p_value(mean, variance, n, a_slo) < alpha:
+            verdict = Verdict.PASS_ACCURACY if mean > a_slo else Verdict.FAIL_ACCURACY
+            break
+    charged = cache.charge(plan.configuration, cases[:n], land.timings_for(plan.configuration).base_compute_s)
+    return ProfileOutcome(accuracy_estimate=mean, samples_used=n, verdict=verdict, profiling_cost=charged)
+
+
+def strata_profile_plan_fixed_n(plan, land, n_samples, cache, a_slo, rng):
+    """The fixed-size baseline drawing through :func:`sample_strata`."""
+    cases = rng.integers(land.n_cases, size=n_samples)
+    mean = float(sample_strata(land, plan.configuration, land.case_strata[cases], rng).mean())
+    charged = cache.charge(plan.configuration, cases, land.timings_for(plan.configuration).base_compute_s)
+    verdict = Verdict.PASS_ACCURACY if mean > a_slo else Verdict.FAIL_ACCURACY
+    return ProfileOutcome(accuracy_estimate=mean, samples_used=n_samples, verdict=verdict, profiling_cost=charged)
+
+
+def column_kernel_row(pool, j):
+    """exp(-h) at every row of the integer code rows ``pool``, h its number
+    of codes unlike row ``j``'s, counted a column at a time."""
+    kernel = np.exp(-np.arange(pool.shape[1] + 1.0))
+    h = np.zeros(len(pool), np.min_scalar_type(pool.shape[1]))
+    for column, code in zip(pool.T, pool[j]):
+        h += column != code
+    return kernel[h]
+
+
+def whole_pool_vote(session, idx):
+    """A history session's vote at pool rows ``idx``: the top-K models'
+    acquisition scores and costs, weighted by 1/(gap + eps) (uniformly
+    before any gap), each summed over the whole pool in top-K order, then
+    gathered at ``idx``."""
+    top = np.argsort(session.gaps, kind="stable")[:HISTORY_TOP_K]
+    raw = 1.0 / (session.gaps[top] + GAP_EPS) if session.gap_n else np.ones(len(top))
+    weights = raw / raw.sum()
+    n_pool = len(session.predicted[0].config)
+    combined = np.zeros(n_pool)
+    cost_acc = np.zeros(n_pool)
+    for w, i in zip(weights, top):
+        scores, costs = session.pool_scores(int(i))
+        combined += w * scores
+        cost_acc += w * costs
+    return combined[idx], cost_acc[idx]
+
+
+def argmax_with_ties(scores, costs):
+    """Index of the best score; ties go to the lowest cost, then index."""
+    tied = np.flatnonzero(scores == scores.max())
+    return int(tied[np.argmin(costs[tied])])

@@ -25,7 +25,7 @@ from tierplan.landscape import (
     TraceEntry,
     generate_landscape,
     quality_latency_frontier,
-    sample_strata,
+    sample_cases,
 )
 from tierplan.latency import OperatorTimings, pipeline_latency, plan_hourly_cost, transfer_time
 from tierplan.model import (
@@ -46,7 +46,6 @@ from tierplan.presets import (
 from tierplan.profiler import (
     NullCache,
     PrefixCache,
-    allocation,
     look_schedule,
     profile_plan,
     stratify,
@@ -177,13 +176,12 @@ def test_criterion_3_prefix_cache():
         out = profile_plan(plan, land, strat, PrefixCache(), 0.6, np.random.default_rng(1000 + i))
         # replay this plan's blocks, up to the look it stopped at, through the trie oracle
         rng_r = np.random.default_rng(1000 + i)
-        order = allocation(strat.weights, looks[-1])
         t = land.timings_for(plan.configuration)
         for start, stop in zip((0,) + looks, looks):
             if start == out.samples_used:
                 break
-            cases = strat.cases(order[start:stop], rng_r)
-            sample_strata(land, plan.configuration, land.case_strata[cases], rng_r)
+            cases = strat.cases(start, stop, rng_r)
+            sample_cases(land, plan.configuration, cases, rng_r)
             for case in cases:
                 expected += trie.charge(plan.configuration, int(case), t.base_compute_s)
     # rebuild the real cached total with one shared cache (as above)

@@ -14,7 +14,7 @@ from tierplan.landscape import (
     generate_landscape,
     generate_trace,
     quality_latency_frontier,
-    sample_strata,
+    sample_cases,
 )
 from tierplan.latency import pipeline_latency, plan_hourly_cost
 from tierplan.model import (
@@ -123,13 +123,20 @@ class TestGeneration:
             assert drifted.accuracy_mean(cfg) == mixture(drifted, cfg)
             assert vt_landscape.accuracy_mean(cfg) == before[cfg]
 
+def cases_in(land, strata):
+    """One case index per entry of ``strata`` (true stratum ids): the first
+    case of that stratum."""
+    first = np.array([np.flatnonzero(land.case_strata == k)[0] for k in range(land.k_true)])
+    return first[strata]
+
+
 class TestSampleCase:
-    """Case draws of ``sample_strata``: one per entry of an array of stratum ids."""
+    """Case draws of ``sample_cases``: one per entry of an array of case ids."""
 
     def test_zero_variance_draws_equal_mean(self, vt_pipeline):
         land = generate_landscape(seed=2, pipeline=vt_pipeline, noise_scale=0.0)
         cfg = (1, 1, 1)
-        draws = sample_strata(land, cfg, np.zeros(20, dtype=int), np.random.default_rng(0))
+        draws = sample_cases(land, cfg, cases_in(land, np.zeros(20, dtype=int)), np.random.default_rng(0))
         assert draws.shape == (20,) and np.all(draws == land.stratum_mean(0, cfg))
 
     def test_clt_bound_on_sample_mean(self, vt_landscape):
@@ -137,7 +144,8 @@ class TestSampleCase:
         n = 100_000
         mu = vt_landscape.stratum_mean(1, cfg)
         sigma = vt_landscape.stratum_sigma[1]
-        draws = sample_strata(vt_landscape, cfg, np.ones(n, dtype=int), np.random.default_rng(3))
+        cases = cases_in(vt_landscape, np.ones(n, dtype=int))
+        draws = sample_cases(vt_landscape, cfg, cases, np.random.default_rng(3))
         assert abs(np.mean(draws) - mu) <= 3 * sigma / np.sqrt(n)
 
     def test_weighted_mixture_mean(self, vt_landscape):
@@ -145,8 +153,8 @@ class TestSampleCase:
         cfg = (0, 2, 3)
         n = 40_000
         counts = [int(round(n * p)) for p in vt_landscape.stratum_weights]
-        strata = np.repeat(np.arange(vt_landscape.k_true), counts)
-        total = float(sample_strata(vt_landscape, cfg, strata, np.random.default_rng(7)).sum())
+        cases = cases_in(vt_landscape, np.repeat(np.arange(vt_landscape.k_true), counts))
+        total = float(sample_cases(vt_landscape, cfg, cases, np.random.default_rng(7)).sum())
         expected = sum(p * vt_landscape.stratum_mean(k, cfg) for k, p in enumerate(vt_landscape.stratum_weights))
         assert abs(total / n - expected) < 0.002
 

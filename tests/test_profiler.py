@@ -4,9 +4,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from oracles import ReplayTrie, mc_sample_mean_variance, variance_random, variance_stratified
-from tierplan.landscape import generate_landscape, sample_strata
+from oracles import (
+    MaskPrefixCache,
+    ReplayTrie,
+    mc_sample_mean_variance,
+    per_look_profile_plan,
+    strata_profile_plan_fixed_n,
+    variance_random,
+    variance_stratified,
+)
+from tierplan.landscape import N_CASES, generate_landscape, sample_cases
 from tierplan.model import PlanPoint, Verdict
+from tierplan.presets import code_generation_pipeline, speech_recognition_pipeline, visual_tracking_pipeline
 from tierplan.profiler import (
     DEFAULT_N_MAX,
     NullCache,
@@ -60,11 +69,26 @@ class TestVarianceFormulas:
         assert v_strat == pytest.approx(variance_stratified(p, sigma**2, n), rel=0.05)
 
 
+def strata_labels(s):
+    """Each case's stratum under the stratification ``s``."""
+    out = np.empty(sum(len(members) for members in s.strata), dtype=int)
+    for j, members in enumerate(s.strata):
+        out[list(members)] = j
+    return out
+
+
+def cached_cases(cache):
+    """A cache's entries as the sorted cases each (operator, prefix) holds."""
+    if isinstance(cache, MaskPrefixCache):
+        return {key: np.flatnonzero(mask).tolist() for key, mask in cache.entries.items()}
+    return {key: [c for c in range(N_CASES) if bits >> c & 1] for key, bits in cache.entries.items()}
+
+
 class TestStratify:
     def test_single_stratum(self):
         s = stratify([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], k=1)
         assert s.k == 1 and s.weights == (1.0,)
-        assert s.assignment == (0, 0, 0)
+        assert strata_labels(s).tolist() == [0, 0, 0]
 
     def test_two_blobs_high_purity(self):
         rng = np.random.default_rng(8)
@@ -73,7 +97,7 @@ class TestStratify:
         feats = np.vstack([a, b])
         labels = np.array([0] * 60 + [1] * 40)
         s = stratify(feats.tolist(), k=2, seed=1)
-        got = np.array(s.assignment)
+        got = strata_labels(s)
         purity = max(np.mean(got == labels), np.mean(got == 1 - labels))
         assert purity >= 0.95
 
@@ -96,7 +120,8 @@ class TestStratify:
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(3)
         feats = rng.normal(size=(80, 2)).tolist()
-        assert stratify(feats, 3, seed=9).assignment == stratify(feats, 3, seed=9).assignment
+        first, second = stratify(feats, 3, seed=9), stratify(feats, 3, seed=9)
+        assert strata_labels(first).tolist() == strata_labels(second).tolist()
 
 
 class TestAllocation:
@@ -110,13 +135,13 @@ class TestAllocation:
         # equal strata: the largest-deficit rule visits them in turn
         assert allocation((0.5, 0.5), 4).tolist() == [0, 1, 0, 1]
         s = self._flat_strat(2)
-        cases = s.cases(allocation(s.weights, 4), np.random.default_rng(0))
-        assert [s.assignment[c] for c in cases] == [0, 1, 0, 1]
+        cases = s.cases(0, 4, np.random.default_rng(0))
+        assert strata_labels(s)[cases].tolist() == [0, 1, 0, 1]
 
     def test_each_stratum_drawn_equally(self):
         s = self._flat_strat(3)
-        cases = s.cases(allocation(s.weights, 300), np.random.default_rng(1))
-        assert np.bincount(np.array(s.assignment)[cases], minlength=3).tolist() == [100, 100, 100]
+        cases = s.cases(0, 300, np.random.default_rng(1))
+        assert np.bincount(strata_labels(s)[cases], minlength=3).tolist() == [100, 100, 100]
 
     @given(st.lists(st.integers(1, 120), min_size=2, max_size=6))
     @example([80, 48, 80, 32])
@@ -136,7 +161,8 @@ class TestAllocation:
 
     def test_uniform_within_stratum(self):
         s = self._flat_strat(2, per=25)
-        cases = s.cases(allocation(s.weights, 10_000), np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        cases = np.concatenate([s.cases(0, DEFAULT_N_MAX, rng) for _ in range(10_000 // DEFAULT_N_MAX)])
         observed = np.bincount(cases, minlength=50)[list(s.strata[0])]
         assert observed.sum() == 5_000
         assert chisquare(observed).pvalue > 0.01
@@ -288,6 +314,45 @@ class TestProfilePlan:
         assert decided / runs <= 0.01
 
 
+class TestProfilerMatchesItsOracle:
+    """The draw tables and per-case rows against the per-look profiler and
+    the per-stratum draws: the same outcome, the same generator state after
+    it and the same cache contents, plan after plan."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_profiles_equal_the_per_look_oracle(self, data):
+        presets = (visual_tracking_pipeline, speech_recognition_pipeline, code_generation_pipeline)
+        pipe = data.draw(st.sampled_from(presets))()
+        land = generate_landscape(
+            seed=data.draw(st.integers(0, 10_000)),
+            pipeline=pipe,
+            difficulty=data.draw(st.sampled_from(("rugged", "mixed", "monotone"))),
+            k_true=data.draw(st.integers(1, 5)),
+            noise_scale=data.draw(st.sampled_from((0.0, 0.01, 0.05, 0.12))),
+        )
+        strat = stratify(land.case_features, data.draw(st.integers(1, 6)), seed=data.draw(st.integers(0, 100)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        fixed_n = data.draw(st.none() | st.integers(1, 400))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        caches = [(NullCache(), NullCache()), (PrefixCache(), MaskPrefixCache())]
+        for _ in range(data.draw(st.integers(1, 3))):
+            cfg = tuple(data.draw(st.integers(0, len(op.knob_domain) - 1)) for op in pipe.operators)
+            plan = PlanPoint(cfg, (0,) * len(pipe), (1.0,) * len(pipe))
+            shift = data.draw(st.sampled_from((-0.1, -0.01, 0.0, 0.005, 0.1)))  # 0.0: often inconclusive
+            a_slo = min(max(land.accuracy_mean(cfg) + shift, 0.01), 1.0)
+            for got_cache, want_cache in caches:
+                if fixed_n is None:
+                    got = profile_plan(plan, land, strat, got_cache, a_slo, got_rng)
+                    want = per_look_profile_plan(plan, land, strat, want_cache, a_slo, want_rng)
+                else:
+                    got = profile_plan_fixed_n(plan, land, fixed_n, got_cache, a_slo, got_rng)
+                    want = strata_profile_plan_fixed_n(plan, land, fixed_n, want_cache, a_slo, want_rng)
+                assert got == want
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert cached_cases(caches[1][0]) == cached_cases(caches[1][1])
+
+
 class TestSessionMath:
     def test_look_schedule_pinned(self):
         looks = look_schedule()
@@ -308,11 +373,10 @@ class TestSessionMath:
 
         rng = np.random.default_rng(7)
         looks = look_schedule()
-        order = allocation(strat.weights, DEFAULT_N_MAX)
         xs = np.empty(0)
         for start, stop in zip((0,) + looks, looks):
-            cases = strat.cases(order[start:stop], rng)
-            xs = np.concatenate([xs, sample_strata(land, cfg, land.case_strata[cases], rng)])
+            cases = strat.cases(start, stop, rng)
+            xs = np.concatenate([xs, sample_cases(land, cfg, cases, rng)])
             if ttest_1samp(xs, a_slo).pvalue < 0.01 / len(looks):
                 break
         assert 50 < out.samples_used == len(xs) < DEFAULT_N_MAX
@@ -356,14 +420,11 @@ class TestPrefixCache:
         # a block that repeats a case is charged for it once
         assert cache.charge((1, 2), [0, 1, 0], (0.1, 0.2)) == pytest.approx(2 * 0.3)
 
-        def cached():
-            return {key: np.flatnonzero(mask).tolist() for key, mask in cache.entries.items()}
-
-        before = cached()
+        before = cached_cases(cache)
         assert before == {(0, (1,)): [0, 1], (1, (1, 2)): [0, 1]}
         assert cache.charge((1, 2), [0], (0.1, 0.2)) == 0.0
         assert cache.charge((1, 2), [1, 1], (0.1, 0.2)) == 0.0
-        assert cached() == before
+        assert cached_cases(cache) == before
 
     def test_randomized_sequence_matches_replay_trie(self, vt_pipeline):
         land = generate_landscape(seed=23, pipeline=vt_pipeline)

@@ -3,17 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
 from oracles import (
     all_paths_latency,
+    argmax_with_ties,
+    column_kernel_row,
     encode_pool,
     exhaustive_resource_frontier,
     one_hot,
     sibling_landscape,
     true_pareto_set,
+    whole_pool_vote,
 )
 from tierplan.landscape import generate_landscape, quality_latency_frontier
 from tierplan.latency import OperatorTimings, pipeline_latency, plan_hourly_cost
@@ -46,8 +51,10 @@ from tierplan.search import (
     MAX_LATTICE_OPERATORS,
     VARIANCE_INFLATION,
     GaussianProcess,
+    HistorySession,
     HistoryStore,
     Observations,
+    PoolPredictions,
     SearchConfig,
     SurrogatePair,
     _argmax_with_ties,
@@ -130,7 +137,7 @@ class TestGaussianProcess:
             (1e3 + rng.normal(0.0, 1e-9, 100)).tolist() + [0.3] * 100,
         ]
         for targets in runs:
-            gp = GaussianProcess(np.zeros((3, 2)))
+            gp = GaussianProcess(np.zeros((3, 2), dtype=int))
             for n, y in enumerate(targets, start=1):
                 gp.fit(int(rng.integers(3)), y)
                 std = float(np.std(targets[:n]))
@@ -139,9 +146,10 @@ class TestGaussianProcess:
             assert gp.targets == targets
 
     def test_interpolates_observations(self):
+        # twelve code rows, any two of which differ in every column
         rng = np.random.default_rng(0)
-        x = rng.uniform(0, 1, size=(12, 4))
-        y = x @ np.array([0.5, -0.2, 0.1, 0.3]) + 0.4
+        x = np.stack([rng.permutation(12) for _ in range(4)], axis=1)
+        y = x / 11 @ np.array([0.5, -0.2, 0.1, 0.3]) + 0.4
         gp = GaussianProcess(x)
         for j, target in enumerate(y):
             gp.fit(j, float(target))
@@ -190,7 +198,7 @@ class TestGaussianProcess:
         assert predicted.config.shape == predicted.mu_l.shape == predicted.sd_l.shape == (len(pool.plans),)
 
     def test_prior_before_fit(self):
-        gp = GaussianProcess(np.zeros((3, 2)))
+        gp = GaussianProcess(np.zeros((3, 2), dtype=int))
         mu, sd = gp.predict(slice(None))
         assert np.array_equal(mu, np.zeros(3)) and np.array_equal(sd, np.ones(3))
 
@@ -393,13 +401,13 @@ class TestEncodePool:
 
 class TestArgmaxWithTies:
     def test_best_score_wins(self):
-        assert _argmax_with_ties(np.array([1.0, 3.0, 2.0]), np.array([0.1, 0.9, 0.1])) == 1
+        assert _argmax_with_ties(np.array([1.0, 3.0, 2.0]), np.array([0.1, 0.9, 0.1]).__getitem__) == 1
 
     def test_tie_goes_to_the_lower_cost_then_the_lower_index(self):
         scores = np.array([2.0, 5.0, 1.0, 5.0, 5.0])
-        assert _argmax_with_ties(scores, np.array([0.1, 0.3, 0.1, 0.2, 0.2])) == 3
-        assert _argmax_with_ties(scores, np.array([0.1, 0.2, 0.1, 0.2, 0.2])) == 1
-        assert isinstance(_argmax_with_ties(scores, np.ones(5)), int)
+        assert _argmax_with_ties(scores, np.array([0.1, 0.3, 0.1, 0.2, 0.2]).__getitem__) == 3
+        assert _argmax_with_ties(scores, np.array([0.1, 0.2, 0.1, 0.2, 0.2]).__getitem__) == 1
+        assert isinstance(_argmax_with_ties(scores, np.ones(5).__getitem__), int)
 
     def test_matches_the_loop_rule_on_coarse_random_scores(self):
         rng = np.random.default_rng(4)
@@ -407,7 +415,7 @@ class TestArgmaxWithTies:
             scores = rng.integers(0, 4, size=30).astype(float)
             costs = rng.integers(0, 3, size=30).astype(float)
             tied = [i for i in range(30) if scores[i] == scores.max()]
-            assert _argmax_with_ties(scores, costs) == min(tied, key=lambda i: (costs[i], i))
+            assert _argmax_with_ties(scores, costs.__getitem__) == min(tied, key=lambda i: (costs[i], i))
 
 
 class TestProposeBranches:
@@ -448,10 +456,10 @@ class TestProposeBranches:
         store.push(hist_pair)
         session = store.session(pool_key(pipe, topo.num_tiers), 0.8, 0.5)
         session.own_window.append(0.10)
-        session.gap_sum[0], session.gap_n = 0.01, 1
+        session.gaps[0], session.gap_n = 0.01, 1
         i, branch = propose(idx, 0.8, 0.5, own, session, np.random.default_rng(0))
         assert branch == "history"
-        session.gap_sum[0] = 5.0  # worse than own gap now
+        session.gaps[0] = 5.0  # worse than own gap now
         i, branch = propose(idx, 0.8, 0.5, own, session, np.random.default_rng(0))
         assert branch == "cmbo"
 
@@ -493,7 +501,7 @@ class TestHistoryPropose:
         for pair, _gap in pairs_and_gaps:
             store.push(pair)
         session = store.session(pool_key(pipe, topo.num_tiers), a_slo, l_slo)
-        session.gap_sum[:], session.gap_n = [gap for _pair, gap in pairs_and_gaps], 1
+        session.gaps[:], session.gap_n = [gap for _pair, gap in pairs_and_gaps], 1
         i, branch = propose(idx, a_slo, l_slo, new_pair(pipe, topo), session, np.random.default_rng(0))
         assert branch == "history"
         return i
@@ -581,7 +589,7 @@ class TestUpdate:
                 profiling_cost=1.0,
             )
             update(own, session, int(i), out, lat)
-        gaps = session.gaps()
+        gaps = session.gaps
         assert gaps[0] < gaps[1]
         assert gaps[0] < 0.05
 
@@ -592,27 +600,28 @@ class TestUpdate:
         store.push(fitted_pair(pipe, topo, np.random.default_rng(12), 3))
         out = ProfileOutcome(accuracy_estimate=0.8, samples_used=50, verdict=Verdict.PASS_ACCURACY, profiling_cost=1.0)
         calls = []
-        predict = GaussianProcess.predict
+        mean = GaussianProcess.mean  # predict reads its means through it too
 
-        def counted(self, xq):
-            calls.append(self)
-            return predict(self, xq)
+        def counted(self, idx):
+            calls.append((self, idx))
+            return mean(self, idx)
 
-        monkeypatch.setattr(GaussianProcess, "predict", counted)
+        monkeypatch.setattr(GaussianProcess, "mean", counted)
         # no history, or a session with no stored model: nothing reads an own gap
         for session in (None, HistoryStore().session(key, 0.8, 0.5), store.session((("other",), 2), 0.8, 0.5)):
             own = new_pair(pipe, topo)
             for i in (2, 5, 9):
                 update(own, session, i, out, 0.2)
             assert own.n_obs == 3 and calls == []
-        # with stored models: one one-row predict per GP once the own model is fit
+        # with stored models: one one-row mean per GP once the own model is fit,
+        # at the profiled plan's configuration and at the plan
         own = new_pair(pipe, topo)
         session = store.session(key, 0.8, 0.5)
         update(own, session, 2, out, 0.2)
         assert calls == []
         for i in (5, 9):
             update(own, session, i, out, 0.2)
-        assert calls == [own.f_a, own.f_l] * 2
+        assert calls == [(own.f_a, own.config[5]), (own.f_l, 5), (own.f_a, own.config[9]), (own.f_l, 9)]
         assert len(session.own_window) == 2 and session.gap_n == 3
 
 
@@ -697,6 +706,60 @@ class TestHistoryPoolPredictions:
             assert np.array_equal(predicted.mu_l, pair.predict(slice(None)).mu_l)
 
 
+class TestStepTablesMatchTheirOracles:
+    """The kernel row from the one-hot table and the vote that sums costs
+    only at tied rows, against the column loop and the whole-pool vote."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_row_equals_the_column_loop(self, data):
+        n, ncols, top = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 9)), data.draw(st.integers(0, 5))
+        row = st.lists(st.integers(0, top), min_size=ncols, max_size=ncols)
+        rows = data.draw(st.lists(row, min_size=n, max_size=n))
+        pool = np.array(rows, dtype=np.min_scalar_type(top), order=data.draw(st.sampled_from("CF")))
+        gp = GaussianProcess(pool)
+        for j in range(n):
+            assert np.array_equal(gp._kernel_row(j), column_kernel_row(pool, j))
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_vote_on_built_ties_proposes_what_the_whole_pool_vote_does(self, data):
+        # every model predicts each row from one of three row types, so rows
+        # of one type and of alike configurations tie; a confident mean
+        # accuracy below the SLO scores rows zero, so the summed cost breaks
+        # the tie between rows of different types
+        pipe, topo, _land = two_op_setup()
+        pool = search_pool(pipe, topo)
+        n_config, n_rows = len(pool.xa), len(pool.plans)
+
+        def coarse(values, n):
+            return np.array(data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+
+        a_slo = data.draw(st.sampled_from((0.8, 0.95)))
+        row_type = coarse((0, 1, 2), n_rows)
+        predicted = [
+            PoolPredictions(
+                coarse((0.2, 0.7, 0.9), n_config),
+                np.full(n_config, data.draw(st.sampled_from((1e-3, 0.1)))),
+                pool.config,
+                coarse((0.05, 0.1, 0.3, 2.0), 3)[row_type],
+                coarse((1e-3, 0.2), 3)[row_type],
+            )
+            for _ in range(data.draw(st.integers(1, HISTORY_TOP_K + 3)))
+        ]
+        session = HistorySession(predicted, a_slo, 0.5)
+        own = new_pair(pipe, topo)  # never fit: the stored models always vote
+        for i in data.draw(st.lists(st.integers(0, n_rows - 1), max_size=4)):
+            session.update_gaps(i, data.draw(st.sampled_from((0.2, 0.8))), data.draw(st.sampled_from((0.1, 0.3))), own)
+        idx = np.array(sorted(data.draw(st.sets(st.integers(0, n_rows - 1), min_size=1))))
+        want = int(idx[argmax_with_ties(*whole_pool_vote(session, idx))])
+        assert propose(idx, a_slo, 0.5, own, session, np.random.default_rng(0)) == (want, "history")
+        scores, costs_at = session.vote_indices(idx)
+        want_scores, want_costs = whole_pool_vote(session, idx)
+        tied = np.flatnonzero(scores == scores.max())
+        assert np.array_equal(scores, want_scores) and np.array_equal(costs_at(tied), want_costs[tied])
+
+
 class TestHistoryWeights:
     """Which stored models vote, and with what weight."""
 
@@ -711,9 +774,10 @@ class TestHistoryWeights:
 
     def test_before_any_gap_the_first_entries_vote_uniformly(self):
         session, idx = self._session(HISTORY_TOP_K + 2)
-        assert np.all(session.gaps() == math.inf)
+        assert np.all(session.gaps == math.inf)
         assert session.top_k().tolist() == list(range(HISTORY_TOP_K))
-        combined, costs = session.vote_indices(idx)
+        combined, costs_at = session.vote_indices(idx)
+        costs = costs_at(np.arange(len(idx)))
         voters = [session.pool_scores(i) for i in range(HISTORY_TOP_K)]
         assert np.allclose(combined, np.mean([scores for scores, _ in voters], axis=0), rtol=1e-12, atol=0)
         assert np.allclose(costs, np.mean([c for _, c in voters], axis=0), rtol=1e-12, atol=0)
@@ -721,7 +785,7 @@ class TestHistoryWeights:
     def test_top_k_keeps_the_smallest_gaps_ties_to_the_lower_index(self):
         session, _idx = self._session(HISTORY_TOP_K + 2)
         gaps = [0.5, 0.1, 0.3, 0.1, math.inf, 0.2, 0.1, 0.4, math.inf, 0.6, 0.3, 0.7]
-        session.gap_sum[:], session.gap_n = gaps, 1
+        session.gaps[:], session.gap_n = gaps, 1
         want = [1, 3, 6, 5, 2, 10, 7, 0, 9, 11]
         assert session.top_k().tolist() == want
         # infinite gaps weigh nothing: the vote is that of the finite top-K
@@ -746,7 +810,7 @@ class TestHistoryWeights:
         own.fit_new_point(*observations[0])
         gaps = []
         for i, accuracy, latency_s in observations[1:]:
-            p = own.predict([i])  # the one-row call update_gaps makes
+            p = own.predict([i])  # the means update_gaps looks up, bitwise
             gaps.append(prediction_gap(float(p.mu_a[p.config[0]]), float(p.mu_l[0]), accuracy, latency_s, 0.5))
             session.update_gaps(i, accuracy, latency_s, own)
             own.fit_new_point(i, accuracy, latency_s)
@@ -754,12 +818,11 @@ class TestHistoryWeights:
             assert session.own_window == window
             # the stored model's mean gap one ULP either side of the window mean
             mean = float(np.mean(window))
-            session.gap_n = 1
-            session.gap_sum[0] = np.nextafter(mean, math.inf)
+            session.gaps[0] = np.nextafter(mean, math.inf)
             assert not session.votes()  # the own model's mean gap is smaller
-            session.gap_sum[0] = mean
+            session.gaps[0] = mean
             assert session.votes()  # a tie does not hand over
-            session.gap_sum[0] = np.nextafter(mean, -math.inf)
+            session.gaps[0] = np.nextafter(mean, -math.inf)
             assert session.votes()
         assert len(session.own_window) == GAP_WINDOW_LEN
 
@@ -779,13 +842,14 @@ class TestHistoryWeights:
             idx = np.flatnonzero(~profiled)
             # each model's scores and costs gathered at idx, summed in top-K order
             top = session.top_k()
-            raw = 1.0 / (session.gaps()[top] + 1e-6)
+            raw = 1.0 / (session.gaps[top] + 1e-6)
             combined, costs = np.zeros(len(idx)), np.zeros(len(idx))
             for w, j in zip(raw / raw.sum(), top):
                 scores, model_costs = session.pool_scores(int(j))
                 combined += w * scores[idx]
                 costs += w * model_costs[idx]
-            got_combined, got_costs = session.vote_indices(idx)
+            got_combined, costs_at = session.vote_indices(idx)
+            got_costs = costs_at(np.arange(len(idx)))
             assert np.array_equal(got_combined, combined) and np.array_equal(got_costs, costs)
 
 

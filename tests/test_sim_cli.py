@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gc
+import inspect
 import json
 import weakref
 from pathlib import Path
@@ -487,6 +488,10 @@ TOPOLOGY = {
 }
 
 
+#: Files a config may name, written beside it by the tests that load it.
+SIDE_FILES = {"huge-tier.json": dict(TOPOLOGY, tiers=[dict(TIER, machine_count=10**400), TIER])}
+
+
 class TestConfigFile:
     def _write(self, tmp_path, obj):
         path = tmp_path / "sim.json"
@@ -665,6 +670,9 @@ class TestConfigFile:
             ({"trace": {"schema_version": SCHEMA_VERSION, "entries": ""}}, "entries must be a list"),
             ({"trace": {"schema_version": SCHEMA_VERSION, "entries": [TRACE_ROW], "generator": [[0, 1]]}},
              "generator must be an object"),
+            ({"topology": dict(TOPOLOGY, tiers=[dict(TIER, machine_count=10**400), TIER])},
+             "machine_count is out of range"),
+            ({"topology": "huge-tier.json"}, "machine_count is out of range"),
         ],
         ids=[
             "drift-link-out-of-range",
@@ -734,6 +742,8 @@ class TestConfigFile:
             "object-trace-entries",
             "string-trace-entries",
             "list-trace-generator",
+            "huge-integer-machine-count",
+            "huge-integer-machine-count-in-topology-file",
         ],
     )
     def test_invalid_config_rejected_at_load(self, tmp_path, capsys, overrides, message):
@@ -743,6 +753,8 @@ class TestConfigFile:
             "trace": {"generator": {"duration_s": 5.0, "load": 0.2}},
         }
         obj.update(overrides)
+        for name, side in SIDE_FILES.items():
+            (tmp_path / name).write_text(json.dumps(side))
         path = self._write(tmp_path, {k: v for k, v in obj.items() if v is not None})
         # json.dumps spells inf as the constant Infinity; write it as the
         # number literal 1e999, which json parses to inf
@@ -918,6 +930,23 @@ class TestCli:
         # the audit log is the step log projected onto its keys, two of them renamed
         renamed = {"n": "samples", "gpu_seconds": "profiling_gpu_s"}
         assert audit_rows == [{k: step[renamed.get(k, k)] for k in audit_rows[0]} for step in steps]
+
+    def test_plan_options_left_unset_take_the_constructor_defaults(self, capsys):
+        # --difficulty, --noise-scale and --fixed-n restate no default: left
+        # unset, the plan is the one with generate_landscape's and
+        # SearchConfig's defaults spelled out
+        landscape = inspect.signature(generate_landscape).parameters
+        spelled = [
+            "--difficulty", landscape["difficulty"].default,
+            "--noise-scale", str(landscape["noise_scale"].default),
+            "--fixed-n", str(SearchConfig().fixed_n),
+        ]
+        outputs = []
+        for extra in ([], spelled):
+            argv = ["plan", "--pipeline", "code-generation", "--a-slo", "0.5", "--l-slo", "0.2", "--budget-s", "0.5"]
+            assert cli_main(argv + ["--profiler", "fixed", "--seed", "4"] + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and json.loads(outputs[0])["steps"] >= 1
 
     def test_simulate_and_compare(self, tmp_path, capsys):
         cfg = {
