@@ -41,6 +41,9 @@ _CLIP_LO, _CLIP_HI = 0.005, 0.995
 #: their stratum's center.
 N_CASES = 240
 FEATURE_NOISE = 0.25
+#: Most arrivals a generated trace may expect at its peak rate; the
+#: thinning loop draws about that many candidates.
+MAX_TRACE_ARRIVALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -388,7 +391,9 @@ def generate_trace(
 ) -> ArrivalTrace:
     """Poisson-thinned diurnal arrivals, normalized so load 1.0 saturates
     the cluster (a new query arrives as the previous one finishes); each
-    entry's SLOs come from the frontier of one of ``landscapes``."""
+    entry's SLOs come from the frontier of one of ``landscapes``. A trace
+    that expects more than MAX_TRACE_ARRIVALS arrivals at its peak rate, or
+    a rate beyond the float range, is refused with ValueError."""
     if hardness not in SLO_HARDNESS:
         raise ValueError(f"unknown hardness {hardness!r}")
     for name, value in (
@@ -409,7 +414,8 @@ def generate_trace(
         frontiers[name] = frontier
         demands.extend(sum(plan.resources) for plan, _, _ in frontier)
     mean_demand = max(float(np.mean(demands)), 1e-9)
-    total_machines = sum(t.machine_count for t in topology.tiers)
+    # summed as floats: past the float range the rate is inf, refused below
+    total_machines = sum(float(t.machine_count) for t in topology.tiers)
     base_rate = total_machines / (mean_demand * mean_lifespan_s)
     amp = 0.3
     burst_lo, burst_hi = 0.4 * duration_s, 0.5 * duration_s
@@ -421,6 +427,12 @@ def generate_trace(
         return r
 
     lam_max = load * base_rate * (1.0 + amp) * max(burst_factor, 1.0)
+    expected = lam_max * duration_s
+    if not expected <= MAX_TRACE_ARRIVALS:
+        raise ValueError(
+            f"the trace expects {expected:.3g} arrivals at its peak rate over duration_s, "
+            f"more than MAX_TRACE_ARRIVALS ({MAX_TRACE_ARRIVALS}); lower the machine count, load or duration"
+        )
     names = sorted(landscapes)
     entries = []
     t = 0.0

@@ -15,7 +15,8 @@ direction. The per-look level is the overall 1% Bonferroni-spent
 over the schedule's looks, so the repeated peeking keeps the procedure's
 size at most 1% (a group-sequential design: Pocock, Biometrika 1977; Lan &
 DeMets, Biometrika 1983). Between looks the whole block of cases and
-values is drawn at once.
+values is drawn at once, in place: a look makes only its two generator
+calls and writes its gathers and clips into the look's slice.
 
 A query-scoped prefix cache tracks which (operator, upstream-configuration)
 intermediate outputs already exist per case, so re-profiling a plan that
@@ -102,18 +103,13 @@ class Stratification:
             raise ValueError("empirical weights must sum to 1")
 
     @cached_property
-    def _draws(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def draws(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every stratum's cases back to back, then the start and the size of
-        the stratum of each of the first DEFAULT_N_MAX draws of ``allocation``."""
+        the stratum of each of the first DEFAULT_N_MAX draws of ``allocation``:
+        draw j is case ``members[starts[j] + u]``, u uniform below ``sizes[j]``."""
         sizes = np.array([len(s) for s in self.strata])
         order = allocation(self.weights, DEFAULT_N_MAX)
         return np.concatenate(self.strata).astype(np.intp), (np.cumsum(sizes) - sizes)[order], sizes[order]
-
-    def cases(self, lo: int, hi: int, rng: np.random.Generator) -> np.ndarray:
-        """The cases of draws ``lo`` to ``hi - 1`` (at most DEFAULT_N_MAX),
-        each uniform within the stratum ``allocation`` gives it."""
-        members, starts, sizes = self._draws
-        return members[starts[lo:hi] + rng.integers(sizes[lo:hi])]
 
 
 def stratify(case_features: Sequence[Sequence[float]], k: int, seed: int = 0) -> Stratification:
@@ -126,7 +122,7 @@ def stratify(case_features: Sequence[Sequence[float]], k: int, seed: int = 0) ->
     else:
         pts = np.asarray(case_features, dtype=float)
         labels = _kmeans(pts, k, np.random.default_rng(seed))
-    strata = tuple(tuple(int(i) for i in np.flatnonzero(labels == j)) for j in range(k))
+    strata = tuple(tuple(np.flatnonzero(labels == j).tolist()) for j in range(k))
     weights = tuple(len(s) / n for s in strata)
     return Stratification(k=k, strata=strata, weights=weights)
 
@@ -232,25 +228,37 @@ def profile_plan(
     Draws the cases up to each look in one block, stratified by
     ``allocation``, and stops at the first look whose two-sided t-test is
     significant at the Bonferroni-spent level; a session that reaches
-    DEFAULT_N_MAX undecided is inconclusive. Charged GPU-seconds cover only
-    cache-missing operators, at reference-tier full-resource compute.
+    DEFAULT_N_MAX undecided is inconclusive. A look's block makes the
+    generator calls of :func:`landscape.sample_cases` at the cases
+    :attr:`Stratification.draws` gives, and writes its cases and values
+    into the look's slice. Charged GPU-seconds cover only cache-missing
+    operators, at reference-tier full-resource compute.
     """
     alpha = (1.0 - CONFIDENCE) / len(_LOOKS)
+    members, starts, sizes = strat.draws
+    mu, sigma = land.case_rows(plan.configuration)
     cases = np.empty(DEFAULT_N_MAX, dtype=np.intp)
     values = np.empty(DEFAULT_N_MAX)
+    work = np.empty(DEFAULT_N_MAX)
     verdict = Verdict.INCONCLUSIVE
     n = 0
     for look in _LOOKS:
-        cases[n:look] = strat.cases(n, look, rng)
-        values[n:look] = sample_cases(land, plan.configuration, cases[n:look], rng)
+        drawn, block, gathered = cases[n:look], values[n:look], work[n:look]
+        # every index is in range, so "clip" only skips the bounds check
+        members.take(starts[n:look] + rng.integers(sizes[n:look]), out=drawn, mode="clip")
+        rng.standard_normal(out=block)
+        block *= sigma.take(drawn, out=gathered, mode="clip")
+        block += mu.take(drawn, out=gathered, mode="clip")
+        np.maximum(block, 0.0, out=block)
+        np.minimum(block, 1.0, out=block)
         n = look
         # shifted by the first value, so n equal values give exactly that
         # value and zero variance
-        shifted = values[:n] - values[0]
-        offset = float(shifted.sum()) / n
-        deviations = shifted - offset
+        deviations = np.subtract(values[:n], values[0], out=work[:n])
+        offset = float(np.add.reduce(deviations)) / n
+        deviations -= offset
         mean = float(values[0]) + offset
-        variance = float(deviations @ deviations) / (n - 1) if n > 1 else 0.0
+        variance = float(np.dot(deviations, deviations)) / (n - 1)
         if two_sided_p_value(mean, variance, n, a_slo) < alpha:
             verdict = Verdict.PASS_ACCURACY if mean > a_slo else Verdict.FAIL_ACCURACY
             break

@@ -136,10 +136,10 @@ class GaussianProcess:
         v = self._v[:n]
         v_j = v[:, j]
         d = math.sqrt(self._var[j] + self.noise)
-        c = (self._kernel_row(j) - v_j @ v) / d
-        w = (np.array([y, 1.0]) - v_j @ self._w[:n]) / d
-        self._v[n] = c
-        self._w[n] = w
+        c = np.subtract(self._kernel_row(j), v_j @ v, out=self._v[n])  # written into the new rows of V and w
+        c /= d
+        w = np.subtract((y, 1.0), v_j @ self._w[:n], out=self._w[n])
+        w /= d
         self._kw += np.multiply.outer(w, c)
         self._var -= c * c
         self.rows.append(j)
@@ -328,7 +328,7 @@ class HistorySession:
 
     def top_k(self) -> np.ndarray:
         """Indices of the ``HISTORY_TOP_K`` smallest gaps, ties to the lower index."""
-        return np.argsort(self.gaps, kind="stable")[:HISTORY_TOP_K]
+        return self.gaps.argsort(kind="stable")[:HISTORY_TOP_K]
 
     def votes(self) -> bool:
         """Whether stored models vote: there are some, and the own model's
@@ -420,7 +420,7 @@ def _argmax_with_ties(scores: np.ndarray, costs_at: Callable[[np.ndarray], np.nd
     """Index of the best score; ties go to lowest predicted cost, then index.
     ``costs_at`` maps the tied indices to their costs; a lone best score
     reads none."""
-    tied = np.flatnonzero(scores == scores.max())
+    tied = (scores == scores.max()).nonzero()[0]
     return int(tied[0] if len(tied) == 1 else tied[np.argmin(costs_at(tied))])
 
 
@@ -666,7 +666,7 @@ def single_query_search(
         return gpu_s / 3600.0 < query.profiling_budget_gpuh
 
     while within_budget():
-        unprofiled = np.flatnonzero(~profiled)
+        unprofiled = (~profiled).nonzero()[0]
         if len(unprofiled) == 0:
             pool_exhausted = True
             break

@@ -33,7 +33,7 @@ from tierplan.model import (
     pareto_filter,
 )
 from tierplan.profiler import CONFIDENCE, DEFAULT_N_MAX, allocation, look_schedule, two_sided_p_value
-from tierplan.search import GAP_EPS, HISTORY_TOP_K
+from tierplan.search import GAP_EPS, HISTORY_TOP_K, acquisition
 
 
 def recursive_plan_count(knob_sizes, num_tiers, num_fractions, placement_prefix=()):
@@ -429,6 +429,12 @@ def stratum_cases(strat, strata, rng):
     return members[(np.cumsum(sizes) - sizes)[strata] + rng.integers(sizes[strata])]
 
 
+def draw_cases(strat, lo, hi, rng):
+    """The cases of a profiling session's draws ``lo`` to ``hi - 1``:
+    :func:`stratum_cases` at the strata ``allocation`` gives those draws."""
+    return stratum_cases(strat, allocation(strat.weights, DEFAULT_N_MAX)[lo:hi], rng)
+
+
 class MaskPrefixCache:
     """Prefix-cache accounting with one boolean mask over the cases per
     (operator, configuration prefix)."""
@@ -506,7 +512,7 @@ def whole_pool_vote(session, idx):
     combined = np.zeros(n_pool)
     cost_acc = np.zeros(n_pool)
     for w, i in zip(weights, top):
-        scores, costs = session.pool_scores(int(i))
+        scores, costs = acquisition(*session.predicted[i], session.a_slo, session.l_slo)
         combined += w * scores
         cost_acc += w * costs
     return combined[idx], cost_acc[idx]

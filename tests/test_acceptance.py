@@ -12,6 +12,7 @@ import pytest
 
 from oracles import (
     all_paths_latency,
+    draw_cases,
     exhaustive_resource_frontier,
     mc_sample_mean_variance,
     ReplayTrie,
@@ -180,7 +181,7 @@ def test_criterion_3_prefix_cache():
         for start, stop in zip((0,) + looks, looks):
             if start == out.samples_used:
                 break
-            cases = strat.cases(start, stop, rng_r)
+            cases = draw_cases(strat, start, stop, rng_r)
             sample_cases(land, plan.configuration, cases, rng_r)
             for case in cases:
                 expected += trie.charge(plan.configuration, int(case), t.base_compute_s)

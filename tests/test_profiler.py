@@ -7,6 +7,7 @@ from scipy.stats import chisquare
 from oracles import (
     MaskPrefixCache,
     ReplayTrie,
+    draw_cases,
     mc_sample_mean_variance,
     per_look_profile_plan,
     strata_profile_plan_fixed_n,
@@ -135,12 +136,12 @@ class TestAllocation:
         # equal strata: the largest-deficit rule visits them in turn
         assert allocation((0.5, 0.5), 4).tolist() == [0, 1, 0, 1]
         s = self._flat_strat(2)
-        cases = s.cases(0, 4, np.random.default_rng(0))
+        cases = draw_cases(s, 0, 4, np.random.default_rng(0))
         assert strata_labels(s)[cases].tolist() == [0, 1, 0, 1]
 
     def test_each_stratum_drawn_equally(self):
         s = self._flat_strat(3)
-        cases = s.cases(0, 300, np.random.default_rng(1))
+        cases = draw_cases(s, 0, 300, np.random.default_rng(1))
         assert np.bincount(strata_labels(s)[cases], minlength=3).tolist() == [100, 100, 100]
 
     @given(st.lists(st.integers(1, 120), min_size=2, max_size=6))
@@ -162,7 +163,7 @@ class TestAllocation:
     def test_uniform_within_stratum(self):
         s = self._flat_strat(2, per=25)
         rng = np.random.default_rng(2)
-        cases = np.concatenate([s.cases(0, DEFAULT_N_MAX, rng) for _ in range(10_000 // DEFAULT_N_MAX)])
+        cases = np.concatenate([draw_cases(s, 0, DEFAULT_N_MAX, rng) for _ in range(10_000 // DEFAULT_N_MAX)])
         observed = np.bincount(cases, minlength=50)[list(s.strata[0])]
         assert observed.sum() == 5_000
         assert chisquare(observed).pvalue > 0.01
@@ -375,7 +376,7 @@ class TestSessionMath:
         looks = look_schedule()
         xs = np.empty(0)
         for start, stop in zip((0,) + looks, looks):
-            cases = strat.cases(start, stop, rng)
+            cases = draw_cases(strat, start, stop, rng)
             xs = np.concatenate([xs, sample_cases(land, cfg, cases, rng)])
             if ttest_1samp(xs, a_slo).pvalue < 0.01 / len(looks):
                 break

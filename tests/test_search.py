@@ -760,6 +760,35 @@ class TestStepTablesMatchTheirOracles:
         assert np.array_equal(scores, want_scores) and np.array_equal(costs_at(tied), want_costs[tied])
 
 
+    def test_vote_equals_the_whole_pool_vote_as_the_top_k_changes(self, monkeypatch):
+        # a stored model's pool scores are computed once, when it first
+        # enters the top K; more models than K, and gaps that move, change
+        # the top K mid-session, so scores are computed between votes
+        pipe, topo = visual_tracking_pipeline(), default_topology()
+        rng = np.random.default_rng(23)
+        store = HistoryStore()
+        for n_obs in range(1, HISTORY_TOP_K + 8):
+            store.push(fitted_pair(pipe, topo, rng, n_obs))
+        session = store.session(pool_key(pipe, topo.num_tiers), 0.8, 0.5)
+        filled = []
+        scorer = search.acquisition
+        monkeypatch.setattr(search, "acquisition", lambda *args: filled.append(args) or scorer(*args))
+        own = new_pair(pipe, topo)
+        profiled = np.zeros(len(own.config), dtype=bool)
+        entered = set()
+        for i in rng.choice(len(own.config), 14, replace=False):
+            idx = np.flatnonzero(~profiled)
+            scores, costs_at = session.vote_indices(idx)
+            want_scores, want_costs = whole_pool_vote(session, idx)
+            assert np.array_equal(scores, want_scores)
+            assert np.array_equal(costs_at(np.arange(len(idx))), want_costs)
+            entered |= set(session.top_k().tolist())
+            assert len(filled) == len(entered)
+            session.update_gaps(int(i), float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.05, 0.5)), own)
+            own.fit_new_point(int(i), 0.8, 0.2)
+            profiled[i] = True
+        assert len(entered) > HISTORY_TOP_K
+
 class TestHistoryWeights:
     """Which stored models vote, and with what weight."""
 

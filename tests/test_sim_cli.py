@@ -673,6 +673,9 @@ class TestConfigFile:
             ({"topology": dict(TOPOLOGY, tiers=[dict(TIER, machine_count=10**400), TIER])},
              "machine_count is out of range"),
             ({"topology": "huge-tier.json"}, "machine_count is out of range"),
+            ({"topology": dict(TOPOLOGY, tiers=[dict(TIER, machine_count=10**308)] * 2)}, "expects inf arrivals"),
+            ({"topology": dict(TOPOLOGY, tiers=[dict(TIER, machine_count=10**12), TIER])},
+             "more than MAX_TRACE_ARRIVALS"),
         ],
         ids=[
             "drift-link-out-of-range",
@@ -744,6 +747,8 @@ class TestConfigFile:
             "list-trace-generator",
             "huge-integer-machine-count",
             "huge-integer-machine-count-in-topology-file",
+            "machine-counts-summing-past-the-float-range",
+            "machine-count-expecting-too-many-arrivals",
         ],
     )
     def test_invalid_config_rejected_at_load(self, tmp_path, capsys, overrides, message):
