@@ -74,7 +74,6 @@ def _cmd_plan(args) -> int:
             seed=args.seed + 1000,
             pipeline=pipeline,
             tier_speed_factors=speed_factors_for(topology.num_tiers),
-            num_tiers=topology.num_tiers,
             **_given(args, "difficulty", "noise_scale"),
         )
         query = Query(
@@ -123,6 +122,9 @@ def _cmd_compare(args) -> int:
     unknown = [n for n in names if n not in ABLATION_PRESETS]
     if unknown or not names:
         raise SchemaError(f"unknown or no variants {unknown}; have {sorted(ABLATION_PRESETS)}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise SchemaError(f"variants {repeated} are named more than once")
     config = simmod.sim_config_from_file(args.config)
     result = simmod.compare(config, {n: ABLATION_PRESETS[n] for n in names})
     if args.output:

@@ -154,19 +154,13 @@ class GroundTruthLandscape:
 _DIFFICULTY_TENDENCY = {"monotone": 1.0, "rugged": 0.15, "mixed": 0.5}
 
 
-def default_speed_factors(num_tiers: int) -> tuple[float, ...]:
-    """Reference (last) tier at 1.0, each tier toward the device 3x slower."""
-    return tuple(3.0 ** (num_tiers - 1 - m) for m in range(num_tiers))
-
-
 def generate_landscape(
     seed: int,
     pipeline: PipelineSpec,
+    tier_speed_factors: Sequence[float],
     difficulty: str | float = "rugged",
     k_true: int = 4,
     noise_scale: float = 0.05,
-    tier_speed_factors: Sequence[float] | None = None,
-    num_tiers: int = 3,
 ) -> GroundTruthLandscape:
     """Build a deterministic synthetic landscape for one pipeline.
 
@@ -174,8 +168,8 @@ def generate_landscape(
     1.0 forces the most expensive configuration to be the most accurate,
     low values make accuracy rugged in the configuration vector. ``k_true``
     equal-weight strata each get a base accuracy and a sampling noise
-    around ``noise_scale``; ``tier_speed_factors`` defaults to
-    :func:`default_speed_factors` of ``num_tiers``.
+    around ``noise_scale``. ``tier_speed_factors`` holds one compute-time
+    multiplier per tier, so its length is the landscape's tier count.
     """
     if not 1 <= k_true <= N_CASES:
         raise ValueError(f"k_true must be in 1..{N_CASES}, got {k_true}")
@@ -227,10 +221,6 @@ def generate_landscape(
         op_times.append(tuple(t0 * (1.0 + slope * j / max(d - 1, 1)) for j in range(d)))
         s_slope = rng.uniform(0.5, 1.5)
         op_bytes.append(tuple(op.base_output_size * (0.5 + s_slope * (j + 1) / d) for j in range(d)))
-    if tier_speed_factors is not None:
-        speed = tuple(float(s) for s in tier_speed_factors)
-    else:
-        speed = default_speed_factors(num_tiers)
 
     case_stratum, case_features, empirical = _draw_cases(rng, weights)
     return GroundTruthLandscape(
@@ -245,7 +235,7 @@ def generate_landscape(
         pair_effects=tuple(pair_effects),
         op_base_time_s=tuple(op_times),
         op_output_bytes=tuple(op_bytes),
-        tier_speed_factors=speed,
+        tier_speed_factors=tuple(float(s) for s in tier_speed_factors),
         case_stratum=case_stratum,
         case_features=case_features,
     )
@@ -363,7 +353,6 @@ class TraceEntry:
 @dataclass(frozen=True)
 class ArrivalTrace:
     entries: tuple[TraceEntry, ...]
-    generator_params: dict
 
     def __post_init__(self) -> None:
         times = [e.arrival_time for e in self.entries]
@@ -372,11 +361,11 @@ class ArrivalTrace:
 
     @staticmethod
     def from_dict(obj: dict, where: str = "<trace>") -> "ArrivalTrace":
-        fields = _read(obj, {"generator": dict, "entries": list}, where, versioned=True)
+        fields = _read(obj, {"entries": list}, where, versioned=True)
         kinds = dict.fromkeys(("arrival_time", "a_slo", "l_slo", "lifespan", "weight"), float) | {"template": str}
         with _schema_errors(where):
             entries = [TraceEntry(**_read(e, kinds, f"{where}#entries[{i}]")) for i, e in enumerate(fields["entries"])]
-            return ArrivalTrace(entries=tuple(entries), generator_params=fields.get("generator", {}))
+            return ArrivalTrace(entries=tuple(entries))
 
 
 def generate_trace(
@@ -455,13 +444,4 @@ def generate_trace(
                 lifespan=lifespan,
             )
         )
-    params = {
-        "load": load,
-        "burst_factor": burst_factor,
-        "hardness": hardness,
-        "mean_lifespan_s": mean_lifespan_s,
-        "seed": seed,
-        "duration_s": duration_s,
-        "base_rate_per_s": base_rate,
-    }
-    return ArrivalTrace(entries=tuple(entries), generator_params=params)
+    return ArrivalTrace(entries=tuple(entries))

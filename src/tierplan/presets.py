@@ -2,8 +2,13 @@
 
 The default three-tier layout mirrors a small edge deployment: a dedicated
 device tier, a V100-class MEC tier and an A100-class cloud tier, joined by
-a 50 Mbps device uplink and a 400 Mbps MEC-cloud WAN link. Speed factors
-are relative to the cloud tier.
+a 50 Mbps device uplink and a 400 Mbps MEC-cloud WAN link.
+
+Tier speed factors are compute-time multipliers relative to the last
+(cloud) tier. An n-tier topology gets the last n of (8, 2.5, 1) up to three
+tiers, and 3^(n-1-m) for tier m beyond that (each tier toward the device
+3x slower): :func:`speed_factors_for` is the one rule every landscape the
+CLI and the simulator build follows.
 """
 
 from __future__ import annotations
@@ -13,10 +18,11 @@ from .model import OperatorSpec, PipelineSpec, Tier, TierTopology
 DEFAULT_SPEED_FACTORS = (8.0, 2.5, 1.0)
 
 
-def speed_factors_for(num_tiers: int) -> tuple[float, ...] | None:
-    """The last ``num_tiers`` default speed factors, or None (the landscape
-    generator's own default) for topologies deeper than the preset."""
-    return DEFAULT_SPEED_FACTORS[-num_tiers:] if num_tiers <= len(DEFAULT_SPEED_FACTORS) else None
+def speed_factors_for(num_tiers: int) -> tuple[float, ...]:
+    """The tier speed factors of a ``num_tiers``-tier topology."""
+    if num_tiers <= len(DEFAULT_SPEED_FACTORS):
+        return DEFAULT_SPEED_FACTORS[-num_tiers:]
+    return tuple(3.0 ** (num_tiers - 1 - m) for m in range(num_tiers))
 
 
 def default_topology() -> TierTopology:

@@ -92,7 +92,6 @@ class Stratification:
     """Case -> stratum map, built once per planning session and never re-fit
     mid-session."""
 
-    k: int
     strata: tuple[tuple[int, ...], ...]
     weights: tuple[float, ...]
 
@@ -124,7 +123,7 @@ def stratify(case_features: Sequence[Sequence[float]], k: int, seed: int = 0) ->
         labels = _kmeans(pts, k, np.random.default_rng(seed))
     strata = tuple(tuple(np.flatnonzero(labels == j).tolist()) for j in range(k))
     weights = tuple(len(s) / n for s in strata)
-    return Stratification(k=k, strata=strata, weights=weights)
+    return Stratification(strata=strata, weights=weights)
 
 
 @lru_cache(maxsize=256)
@@ -194,12 +193,17 @@ class NullCache:
 
 
 def two_sided_p_value(mean: float, variance: float, n: int, mu0: float) -> float:
-    """p-value of the one-sample two-sided t-test of H0: population mean = mu0."""
+    """p-value of the one-sample two-sided t-test of H0: population mean = mu0.
+
+    A standard error of zero, from zero variance or from one so small that
+    ``variance / n`` underflows, leaves no spread to test against: the
+    p-value is 1 at ``mu0`` and 0 anywhere else."""
     if n < 2:
         return 1.0
-    if variance <= 0.0:
+    se = math.sqrt(variance / n) if variance > 0.0 else 0.0
+    if se == 0.0:
         return 1.0 if mean == mu0 else 0.0
-    t = (mean - mu0) / math.sqrt(variance / n)
+    t = (mean - mu0) / se
     return 2.0 * float(stdtr(n - 1, -abs(t)))
 
 

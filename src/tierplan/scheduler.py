@@ -58,7 +58,6 @@ def op_demands(plan: PlanPoint, topology: TierTopology) -> tuple[tuple[int, floa
 
 @dataclass
 class Assignment:
-    query_id: str
     plan: CandidatePlan
     weight: float
     demands: tuple[tuple[int, float], ...]
@@ -108,7 +107,7 @@ class DeploymentState:
             row[m] -= demand
             machines[i] = (tier, m)
             applied.append(i)
-        self.assignments[query_id] = Assignment(query_id, plan, weight, demands, tuple(machines))
+        self.assignments[query_id] = Assignment(plan, weight, demands, tuple(machines))
         return True
 
     def release(self, query_id: str) -> None:
@@ -543,14 +542,15 @@ def replan(
     land,
     topology: TierTopology,
     prior: Observations | None,
+    budget_s: float,
     history: HistoryStore | None = None,
     seed: int = 0,
     config: SearchConfig | None = None,
-    budget_s: float = 5.0,
 ) -> SearchResult:
     """Drift response: re-run the single-query search warm-started from the
     query's own prior observations (stale observations retained, trust
-    inflated away), under a short replanning budget."""
+    inflated away), under a response budget of ``budget_s`` simulated
+    seconds."""
     fresh = dataclasses.replace(query, response_budget_s=budget_s, profiling_budget_gpuh=None)
     return single_query_search(
         fresh,

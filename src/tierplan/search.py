@@ -47,6 +47,7 @@ from .model import (
 )
 from .profiler import (
     DEFAULT_MIN_SAMPLES,
+    DEFAULT_N_MAX,
     DEFAULT_PLANNER_STRATA,
     NullCache,
     PrefixCache,
@@ -587,7 +588,7 @@ class CandidateSet:
 class SearchConfig:
     """Planner ablation switches, named as a sim config's ``ablations``
     keys. Profiling is sequential-guided or a fixed-size random sample of
-    ``fixed_n`` cases."""
+    ``fixed_n`` cases, at most the guided profiler's DEFAULT_N_MAX."""
 
     warm_start: bool = True  # vote with the history store
     prefix_cache: bool = True
@@ -597,8 +598,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.profiler not in ("guided", "fixed"):
             raise ValueError(f"unknown profiler mode {self.profiler!r}; have 'guided', 'fixed'")
-        if self.fixed_n < 1:
-            raise ValueError(f"fixed_n must be >= 1, got {self.fixed_n}")
+        if not 1 <= self.fixed_n <= DEFAULT_N_MAX:
+            raise ValueError(f"fixed_n must be >= 1 and <= DEFAULT_N_MAX ({DEFAULT_N_MAX}), got {self.fixed_n}")
 
 
 @dataclass
@@ -612,7 +613,6 @@ class SearchResult:
     steps_to_first_feasible: int | None
     observations: Observations
     telemetry: list[dict]
-    pool_exhausted: bool
 
 
 def single_query_search(
@@ -658,7 +658,6 @@ def single_query_search(
     raw_candidates: list[CandidatePlan] = []
     telemetry: list[dict] = []  # one row per step; the result's step counts are read from it
     profiled = np.zeros(len(pool.plans), dtype=bool)
-    pool_exhausted = False
 
     def within_budget() -> bool:
         if query.response_budget_s is not None:
@@ -668,7 +667,6 @@ def single_query_search(
     while within_budget():
         unprofiled = (~profiled).nonzero()[0]
         if len(unprofiled) == 0:
-            pool_exhausted = True
             break
         idx, branch = propose(unprofiled, query.a_slo, query.l_slo, surrogates, hist, rng)
         plan = pool.plans[idx]
@@ -724,5 +722,4 @@ def single_query_search(
         steps_to_first_feasible=None if first is None else first["step"],
         observations=surrogates.observations(),
         telemetry=telemetry,
-        pool_exhausted=pool_exhausted,
     )

@@ -203,7 +203,6 @@ def sim_config_from_file(path: str) -> SimConfig:
                 seed=seed + 1000 + i,
                 pipeline=pipe,
                 tier_speed_factors=speed_factors_for(topology.num_tiers),
-                num_tiers=topology.num_tiers,
                 **land,
             )
             for i, (name, pipe) in enumerate(sorted(pipelines.items()))

@@ -72,7 +72,7 @@ def two_tier_world(pipe_factory, seed, speed=(3.0, 1.0)):
     )
     pipe = pipe_factory()
     land = generate_landscape(
-        seed=seed, pipeline=pipe, difficulty="rugged", tier_speed_factors=speed, num_tiers=2
+        seed=seed, pipeline=pipe, difficulty="rugged", tier_speed_factors=speed
     )
     return topo, pipe, land
 
@@ -116,7 +116,7 @@ def test_criterion_1_variance_theorem():
 )
 def test_criterion_2_early_stopping(pipe_factory, fixed_n, tag):
     pipe = pipe_factory()
-    land = generate_landscape(seed=17, pipeline=pipe, noise_scale=0.04)
+    land = generate_landscape(seed=17, pipeline=pipe, tier_speed_factors=(9.0, 3.0, 1.0), noise_scale=0.04)
     configs = list(product(*[range(len(op.knob_domain)) for op in pipe.operators]))
     a_slo = float(np.median([land.accuracy_mean(c) for c in configs]))
     clear = [c for c in configs if abs(land.accuracy_mean(c) - a_slo) >= 0.05]
@@ -279,7 +279,7 @@ def planner_instances():
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 9))
         land = generate_landscape(
-            seed=seed, pipeline=pipe, difficulty="rugged", tier_speed_factors=(3.0, 1.0), num_tiers=2
+            seed=seed, pipeline=pipe, difficulty="rugged", tier_speed_factors=(3.0, 1.0)
         )
         frontier = quality_latency_frontier(land, topo)
         cands = []
@@ -377,7 +377,7 @@ def contended_config():
     )
     pipe = wide_search_pipeline()
     land = generate_landscape(
-        seed=3, pipeline=pipe, difficulty="rugged", tier_speed_factors=(3.0, 1.0), num_tiers=2
+        seed=3, pipeline=pipe, difficulty="rugged", tier_speed_factors=(3.0, 1.0)
     )
     frontier = quality_latency_frontier(land, topo)
     rng = np.random.default_rng(12)
@@ -395,7 +395,7 @@ def contended_config():
                 lifespan=float(rng.uniform(15.0, 30.0)),
             )
         )
-    trace = ArrivalTrace(entries=tuple(entries), generator_params={"fixture": "contended"})
+    trace = ArrivalTrace(entries=tuple(entries))
     return SimConfig(
         topology=topo,
         pipelines={pipe.name: pipe},
@@ -445,9 +445,7 @@ def drift_world():
         seed=55, pipeline=pipe, difficulty="rugged", tier_speed_factors=(12.0, 2.0, 1.0)
     )
     a_slo, l_slo = 0.461, 0.12
-    trace = ArrivalTrace(
-        entries=(TraceEntry(0.0, pipe.name, a_slo, l_slo, 200.0),), generator_params={}
-    )
+    trace = ArrivalTrace(entries=(TraceEntry(0.0, pipe.name, a_slo, l_slo, 200.0),))
     base = dict(
         topology=topo,
         pipelines={pipe.name: pipe},

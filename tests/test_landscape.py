@@ -33,23 +33,27 @@ from tierplan.presets import PIPELINE_TEMPLATES, default_topology, speed_factors
 from tierplan.profiler import NullCache, profile_plan_fixed_n
 
 
+#: three tiers, each toward the device 3x slower
+TIER_SPEEDS = (9.0, 3.0, 1.0)
+
+
 def all_configs(pipeline):
     return product(*[range(len(op.knob_domain)) for op in pipeline.operators])
 
 
 class TestGeneration:
     def test_same_seed_is_bit_identical(self, vt_pipeline):
-        a = generate_landscape(seed=5, pipeline=vt_pipeline)
-        b = generate_landscape(seed=5, pipeline=vt_pipeline)
+        a = generate_landscape(seed=5, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS)
+        b = generate_landscape(seed=5, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS)
         assert a == b
 
     def test_different_seed_differs(self, vt_pipeline):
-        a = generate_landscape(seed=5, pipeline=vt_pipeline)
-        b = generate_landscape(seed=6, pipeline=vt_pipeline)
+        a = generate_landscape(seed=5, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS)
+        b = generate_landscape(seed=6, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS)
         assert a != b
 
     def test_monotone_argmax_is_max_cost_config(self, vt_pipeline):
-        land = generate_landscape(seed=9, pipeline=vt_pipeline, difficulty="monotone")
+        land = generate_landscape(seed=9, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS, difficulty="monotone")
         configs = list(all_configs(vt_pipeline))
         best = max(configs, key=land.accuracy_mean)
         max_cost = tuple(len(op.knob_domain) - 1 for op in vt_pipeline.operators)
@@ -64,7 +68,7 @@ class TestGeneration:
         from tierplan.presets import wide_search_pipeline
 
         pipe = wide_search_pipeline()
-        land = generate_landscape(seed=9, pipeline=pipe, difficulty="rugged")
+        land = generate_landscape(seed=9, pipeline=pipe, tier_speed_factors=TIER_SPEEDS, difficulty="rugged")
         accs = [land.accuracy_mean(c) for c in all_configs(pipe)]
         best = max(accs)
         frac = sum(1 for a in accs if a >= best - 0.01) / len(accs)
@@ -78,7 +82,7 @@ class TestGeneration:
     @pytest.mark.parametrize("noise_scale", [float("nan"), float("inf"), -0.1])
     def test_noise_scale_must_be_finite_and_non_negative(self, vt_pipeline, noise_scale):
         with pytest.raises(ValueError, match="noise_scale"):
-            generate_landscape(seed=5, pipeline=vt_pipeline, noise_scale=noise_scale)
+            generate_landscape(seed=5, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS, noise_scale=noise_scale)
 
     def test_timings_are_memoised_per_configuration(self, vt_landscape):
         cfg = (1, 2, 3)
@@ -96,7 +100,7 @@ class TestGeneration:
 
 
     def test_drift_after_warm_cache_moves_means(self, vt_pipeline):
-        land = generate_landscape(seed=11, pipeline=vt_pipeline)
+        land = generate_landscape(seed=11, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS)
         cfgs = [(0, 0, 0), (2, 3, 4), (1, 2, 0)]
         before = {(k, c): land.stratum_mean(k, c) for k in range(land.k_true) for c in cfgs}
         drifted = land.with_accuracy_shift(-0.15)
@@ -134,7 +138,7 @@ class TestSampleCase:
     """Case draws of ``sample_cases``: one per entry of an array of case ids."""
 
     def test_zero_variance_draws_equal_mean(self, vt_pipeline):
-        land = generate_landscape(seed=2, pipeline=vt_pipeline, noise_scale=0.0)
+        land = generate_landscape(seed=2, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS, noise_scale=0.0)
         cfg = (1, 1, 1)
         draws = sample_cases(land, cfg, cases_in(land, np.zeros(20, dtype=int)), np.random.default_rng(0))
         assert draws.shape == (20,) and np.all(draws == land.stratum_mean(0, cfg))
@@ -178,7 +182,7 @@ class TestTruePareto:
         pipe = PipelineSpec("one", ops, ())
         tiers = (Tier("cloud", 1, 1.0, 1.0),)
         topo = TierTopology(tiers, ((100.0,),), ((0.0,),))
-        land = generate_landscape(seed=1, pipeline=pipe, num_tiers=1, noise_scale=0.0)
+        land = generate_landscape(seed=1, pipeline=pipe, tier_speed_factors=(1.0,), noise_scale=0.0)
         mu = land.accuracy_mean((0,))
         q = Query("q", pipe, a_slo=mu - 0.01, l_slo=10.0, response_budget_s=1.0)
         result = true_pareto_set(land, topo, q)
@@ -192,7 +196,7 @@ class TestTruePareto:
             OperatorSpec(1, ("b0", "b1"), base_output_size=1e4),
         )
         pipe = PipelineSpec("hand", ops, ((0, 1),))
-        land = generate_landscape(seed=4, pipeline=pipe, num_tiers=2, noise_scale=0.0)
+        land = generate_landscape(seed=4, pipeline=pipe, tier_speed_factors=(3.0, 1.0), noise_scale=0.0)
         q = Query("q", pipe, a_slo=0.3, l_slo=0.5, response_budget_s=1.0)
         got = set(true_pareto_set(land, two_tier_topology, q))
         # independent n^2 dominance check over the exhaustive sweep
@@ -251,7 +255,7 @@ def frontier_instances(draw):
     times = st.sampled_from([0.0, 0.001, 0.004]) | st.floats(0.0, 0.01)
     sizes = st.sampled_from([1e4, 8e5]) | st.floats(1.0, 1e6)
     land = dataclasses.replace(
-        generate_landscape(draw(st.integers(0, 10**6)), pipe, tier_speed_factors=speeds, num_tiers=t),
+        generate_landscape(draw(st.integers(0, 10**6)), pipe, tier_speed_factors=speeds),
         op_base_time_s=tuple(tuple(draw(times) for _ in op.knob_domain) for op in ops),
         op_output_bytes=tuple(tuple(draw(sizes) for _ in op.knob_domain) for op in ops),
     )
@@ -284,7 +288,7 @@ class TestQualityLatencyFrontier:
         # 5^6 configurations x C(3 + 6 - 1, 6) = 28 placements = 437,500 plans
         ops = tuple(OperatorSpec(i, tuple("abcde")) for i in range(6))
         pipe = PipelineSpec("chain-6x5", ops, tuple((i, i + 1) for i in range(5)))
-        land = generate_landscape(seed=1, pipeline=pipe)
+        land = generate_landscape(seed=1, pipeline=pipe, tier_speed_factors=TIER_SPEEDS)
         built = []
         monkeypatch.setattr(PlanPoint, "__post_init__", lambda self: built.append(self))
         monkeypatch.setattr(np, "indices", lambda *a: built.append(a))
@@ -295,7 +299,7 @@ class TestQualityLatencyFrontier:
 
 
 class TestTrace:
-    def test_arrivals_non_decreasing_and_params_recorded(self, vt_landscape, topology):
+    def test_arrivals_non_decreasing(self, vt_landscape, topology):
         trace = generate_trace(
             {"visual-tracking": vt_landscape},
             topology,
@@ -306,13 +310,11 @@ class TestTrace:
         )
         times = [e.arrival_time for e in trace.entries]
         assert times == sorted(times)
-        assert trace.generator_params["burst_factor"] == 2.0
         assert len(trace.entries) > 0
 
     def test_round_trip(self, vt_landscape, topology):
         trace = generate_trace({"visual-tracking": vt_landscape}, topology, duration_s=30.0, seed=1)
-        obj = {"schema_version": SCHEMA_VERSION, "generator": trace.generator_params}
-        obj["entries"] = [dataclasses.asdict(e) for e in trace.entries]
+        obj = {"schema_version": SCHEMA_VERSION, "entries": [dataclasses.asdict(e) for e in trace.entries]}
         back = ArrivalTrace.from_dict(json.loads(json.dumps(obj)))
         assert back == trace
 
@@ -342,12 +344,12 @@ class TestTrace:
             TraceEntry(arrival_time=1.0, template="x", a_slo=0.5, l_slo=1.0, lifespan=10.0),
         )
         with pytest.raises(ValueError, match="non-decreasing"):
-            ArrivalTrace(entries=entries, generator_params={})
+            ArrivalTrace(entries=entries)
 
 
 class TestSiblings:
     def test_perturbed_sibling_shares_structure(self, vt_pipeline):
-        parent = generate_landscape(seed=20, pipeline=vt_pipeline, difficulty="rugged")
+        parent = generate_landscape(seed=20, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS, difficulty="rugged")
         child = sibling_landscape(parent, seed=21, perturbation=0.1)
         configs = list(all_configs(vt_pipeline))
         pa = np.array([parent.accuracy_mean(c) for c in configs])

@@ -360,7 +360,7 @@ class TestPlanLatencyMemo:
         assert plan_latency(plan, pipe, topo, timings) == before
 
     def test_pipeline_latency_and_the_oracles_leave_the_memo_empty(self, tiny_pipeline, two_tier_topology):
-        land = generate_landscape(seed=4, pipeline=tiny_pipeline, num_tiers=2)
+        land = generate_landscape(seed=4, pipeline=tiny_pipeline, tier_speed_factors=(3.0, 1.0))
         plan = PlanPoint((0, 1), (0, 1), (1.0, 0.5))
         pipeline_latency(plan, tiny_pipeline, two_tier_topology, land.timings_for(plan.configuration))
         frontier = quality_latency_frontier(land, two_tier_topology)

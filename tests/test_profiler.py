@@ -29,6 +29,9 @@ from tierplan.profiler import (
     two_sided_p_value,
 )
 
+#: three tiers, each toward the device 3x slower
+TIER_SPEEDS = (9.0, 3.0, 1.0)
+
 
 class TestVarianceFormulas:
     def test_plug_in_two_strata(self):
@@ -88,7 +91,7 @@ def cached_cases(cache):
 class TestStratify:
     def test_single_stratum(self):
         s = stratify([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], k=1)
-        assert s.k == 1 and s.weights == (1.0,)
+        assert len(s.strata) == 1 and s.weights == (1.0,)
         assert strata_labels(s).tolist() == [0, 0, 0]
 
     def test_two_blobs_high_purity(self):
@@ -174,7 +177,7 @@ def make_land_with_mean(pipeline, target, seed=0, noise=0.03):
     landscape, for controlled profiling tests."""
     from itertools import product
 
-    land = generate_landscape(seed=seed, pipeline=pipeline, noise_scale=noise)
+    land = generate_landscape(seed=seed, pipeline=pipeline, tier_speed_factors=TIER_SPEEDS, noise_scale=noise)
     configs = list(product(*[range(len(op.knob_domain)) for op in pipeline.operators]))
     cfg = min(configs, key=lambda c: abs(land.accuracy_mean(c) - target))
     return land, cfg
@@ -214,7 +217,9 @@ class TestProfilePlan:
     def test_zero_variance_at_threshold_is_documented_degenerate(self, vt_pipeline):
         # single stratum, zero noise: every draw equals the SLO exactly, the
         # t-test never fires and the session runs to its cap
-        land = generate_landscape(seed=14, pipeline=vt_pipeline, k_true=1, noise_scale=0.0)
+        land = generate_landscape(
+            seed=14, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS, k_true=1, noise_scale=0.0
+        )
         cfg = (0, 0, 0)
         a_slo = land.accuracy_mean(cfg)
         plan = PlanPoint(cfg, (0, 0, 0), (1.0, 1.0, 1.0))
@@ -226,7 +231,7 @@ class TestProfilePlan:
     def test_early_stop_beats_fixed_n_on_clear_plans(self, vt_pipeline):
         from itertools import product
 
-        land = generate_landscape(seed=17, pipeline=vt_pipeline, noise_scale=0.04)
+        land = generate_landscape(seed=17, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS, noise_scale=0.04)
         configs = list(product(*[range(len(op.knob_domain)) for op in vt_pipeline.operators]))
         a_slo = float(np.median([land.accuracy_mean(c) for c in configs]))
         clear = [c for c in configs if abs(land.accuracy_mean(c) - a_slo) >= 0.05]
@@ -242,7 +247,7 @@ class TestProfilePlan:
     def test_verdict_matches_sign_of_gap(self, vt_pipeline):
         from itertools import product
 
-        land = generate_landscape(seed=17, pipeline=vt_pipeline, noise_scale=0.04)
+        land = generate_landscape(seed=17, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS, noise_scale=0.04)
         configs = list(product(*[range(len(op.knob_domain)) for op in vt_pipeline.operators]))
         a_slo = float(np.median([land.accuracy_mean(c) for c in configs]))
         clear = [c for c in configs if abs(land.accuracy_mean(c) - a_slo) >= 0.05]
@@ -258,7 +263,7 @@ class TestProfilePlan:
     def test_estimator_unbiased_under_round_robin(self, vt_pipeline):
         # equal-size strata are visited in turn: the plain sample mean
         # estimates the weighted mixture mean
-        land = generate_landscape(seed=21, pipeline=vt_pipeline, noise_scale=0.08)
+        land = generate_landscape(seed=21, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS, noise_scale=0.08)
         cfg = (1, 2, 3)
         plan = PlanPoint(cfg, (0, 0, 0), (1.0, 1.0, 1.0))
         truth = land.accuracy_mean(cfg)
@@ -276,7 +281,7 @@ class TestProfilePlan:
         # is the population mean, for every configuration
         from itertools import product
 
-        land = generate_landscape(seed=26, pipeline=vt_pipeline, k_true=3)
+        land = generate_landscape(seed=26, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS, k_true=3)
         strat = stratify(land.case_features, 4, seed=1)
         sizes = [len(s) for s in strat.strata]
         assert sizes == [80, 48, 80, 32]
@@ -289,7 +294,7 @@ class TestProfilePlan:
             stratum_mu = np.array([case_mu[list(s)].mean() for s in strat.strata])
             truth = land.accuracy_mean(cfg)
             for n in looks:
-                expected = np.bincount(order[:n], minlength=strat.k) @ stratum_mu / n
+                expected = np.bincount(order[:n], minlength=len(strat.strata)) @ stratum_mu / n
                 assert expected == pytest.approx(truth, abs=1e-12)
             round_robin_error = max(round_robin_error, abs(stratum_mu.mean() - truth))
         # the strata are unequal enough that n/K draws per stratum is biased
@@ -300,7 +305,9 @@ class TestProfilePlan:
         # between-strata term that stratified draws remove from the mean
         from itertools import product
 
-        land = generate_landscape(seed=14, pipeline=vt_pipeline, k_true=1, noise_scale=0.05)
+        land = generate_landscape(
+            seed=14, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS, k_true=1, noise_scale=0.05
+        )
         configs = product(*[range(len(op.knob_domain)) for op in vt_pipeline.operators])
         cfg = min(configs, key=lambda c: abs(land.accuracy_mean(c) - 0.7))
         a_slo = land.accuracy_mean(cfg)
@@ -328,6 +335,7 @@ class TestProfilerMatchesItsOracle:
         land = generate_landscape(
             seed=data.draw(st.integers(0, 10_000)),
             pipeline=pipe,
+            tier_speed_factors=TIER_SPEEDS,
             difficulty=data.draw(st.sampled_from(("rugged", "mixed", "monotone"))),
             k_true=data.draw(st.integers(1, 5)),
             noise_scale=data.draw(st.sampled_from((0.0, 0.01, 0.05, 0.12))),
@@ -393,6 +401,22 @@ class TestSessionMath:
         p_got = two_sided_p_value(float(xs.mean()), float(xs.var(ddof=1)), len(xs), 0.72)
         assert p_got == pytest.approx(p_ref, rel=1e-9)
 
+    def test_a_standard_error_that_underflows_counts_as_zero_variance(self):
+        # 5e-324 / 50 rounds to 0: no spread, so the mean decides alone
+        assert two_sided_p_value(0.5, 5e-324, 50, 0.4) == 0.0
+        assert two_sided_p_value(0.4, 5e-324, 50, 0.4) == 1.0
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=0.0, allow_infinity=False),  # subnormals included
+        st.integers(2, 1000),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @example(0.5, 5e-324, 50, 0.4)
+    @settings(deadline=None)
+    def test_p_value_lies_in_the_unit_interval(self, mean, variance, n, mu0):
+        assert 0.0 <= two_sided_p_value(mean, variance, n, mu0) <= 1.0
+
 
 class TestPrefixCache:
     def test_full_match_charges_nothing(self, vt_landscape):
@@ -428,7 +452,7 @@ class TestPrefixCache:
         assert cached_cases(cache) == before
 
     def test_randomized_sequence_matches_replay_trie(self, vt_pipeline):
-        land = generate_landscape(seed=23, pipeline=vt_pipeline)
+        land = generate_landscape(seed=23, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS)
         rng = np.random.default_rng(9)
         cache = PrefixCache()
         trie = ReplayTrie()
@@ -445,7 +469,7 @@ class TestPrefixCache:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_cache_never_changes_estimates(self, vt_pipeline):
-        land = generate_landscape(seed=29, pipeline=vt_pipeline)
+        land = generate_landscape(seed=29, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS)
         plan = PlanPoint((2, 1, 0), (0, 1, 2), (1.0, 1.0, 1.0))
         outs = []
         for cache in (PrefixCache(), NullCache()):

@@ -275,7 +275,7 @@ class TestOpDemands:
         c = cand([0, 1], [0.5, 0.25], two_tier_topology)
         assert state.place("q", c, 2.0)
         a = state.assignments["q"]
-        assert (a.query_id, a.plan, a.weight) == ("q", c, 2.0)
+        assert list(state.assignments) == ["q"] and (a.plan, a.weight) == (c, 2.0)
         assert a.demands == op_demands(c.plan, two_tier_topology)
         assert a.machines == ((0, 0), (1, 0))
         assert state.residual[0][0] == 0.5 and state.residual[1][0] == 0.75

@@ -23,7 +23,7 @@ from tierplan.model import (
 )
 from tierplan import search
 from tierplan import sim as simmod
-from tierplan.presets import code_generation_pipeline
+from tierplan.presets import code_generation_pipeline, speed_factors_for
 from tierplan.scheduler import op_demands
 from tierplan.search import CandidateSet, SearchConfig
 from tierplan.sim import DriftEvent, QueryRecord, SimConfig, _Sim, compare, run, sim_config_from_file, write_report
@@ -38,7 +38,7 @@ def small_world():
     )
     pipe = code_generation_pipeline()
     land = generate_landscape(
-        seed=3, pipeline=pipe, difficulty="rugged", tier_speed_factors=(3.0, 1.0), num_tiers=2
+        seed=3, pipeline=pipe, difficulty="rugged", tier_speed_factors=(3.0, 1.0)
     )
     frontier = quality_latency_frontier(land, topo)
     acc = float(np.mean([a for _, a, _ in frontier]))
@@ -48,7 +48,7 @@ def small_world():
 
 def make_config(small_world, entries, **kw):
     topo, pipe, land, _, _ = small_world
-    trace = ArrivalTrace(entries=tuple(entries), generator_params={})
+    trace = ArrivalTrace(entries=tuple(entries))
     defaults = dict(
         topology=topo,
         pipelines={pipe.name: pipe},
@@ -137,7 +137,7 @@ class TestRun:
             ((0.001, 0.005), (0.005, 0.001)),
         )
         land = generate_landscape(
-            seed=4, pipeline=pipe, difficulty="rugged", tier_speed_factors=(3.0, 1.0), num_tiers=2
+            seed=4, pipeline=pipe, difficulty="rugged", tier_speed_factors=(3.0, 1.0)
         )
         a_slo = land.accuracy_mean((0, 0)) - 0.1
         assert a_slo > 0
@@ -165,7 +165,7 @@ class TestRun:
                 topology=topo,
                 pipelines={pipe.name: pipe},
                 landscapes={pipe.name: land},
-                trace=ArrivalTrace(entries=tuple(entries), generator_params={}),
+                trace=ArrivalTrace(entries=tuple(entries)),
                 seed=0,
                 planning_budget_s=1.0,
                 search=SearchConfig(),
@@ -230,7 +230,7 @@ def tight_cluster_config():
     )
     pipe = code_generation_pipeline()
     land = generate_landscape(
-        seed=3, pipeline=pipe, difficulty="rugged", tier_speed_factors=(3.0, 1.0), num_tiers=2
+        seed=3, pipeline=pipe, difficulty="rugged", tier_speed_factors=(3.0, 1.0)
     )
     frontier = quality_latency_frontier(land, topo)
     acc = float(np.mean([a for _, a, _ in frontier]))
@@ -249,7 +249,7 @@ def tight_cluster_config():
         topology=topo,
         pipelines={pipe.name: pipe},
         landscapes={pipe.name: land},
-        trace=ArrivalTrace(entries=tuple(entries), generator_params={}),
+        trace=ArrivalTrace(entries=tuple(entries)),
         planning_budget_s=2.0,
         drift=(DriftEvent(time=3.0, kind="accuracy", template=pipe.name, delta=-0.5),),
     )
@@ -273,7 +273,7 @@ def bandwidth_drift_config():
     entries = tuple(TraceEntry(0.5 * i, pipe.name, a_slo, l_slo, 40.0) for i in range(8))
     return dataclasses.replace(
         cfg,
-        trace=ArrivalTrace(entries=entries, generator_params={}),
+        trace=ArrivalTrace(entries=entries),
         drift=(DriftEvent(time=15.0, kind="bandwidth", link=(0, 1), factor=0.01),),
     )
 
@@ -328,7 +328,7 @@ class TestDriftRecheck:
         a_slo, l_slo = feasible_slos(cfg)
         cfg = dataclasses.replace(
             cfg,
-            trace=ArrivalTrace(entries=(TraceEntry(0.0, pipe.name, a_slo, l_slo, 30.0),), generator_params={}),
+            trace=ArrivalTrace(entries=(TraceEntry(0.0, pipe.name, a_slo, l_slo, 30.0),)),
             drift=(
                 DriftEvent(time=1.0, kind="accuracy", template=pipe.name, delta=-0.5),
                 DriftEvent(time=5.0, kind="accuracy", template=pipe.name, delta=0.5),
@@ -489,7 +489,10 @@ TOPOLOGY = {
 
 
 #: Files a config may name, written beside it by the tests that load it.
-SIDE_FILES = {"huge-tier.json": dict(TOPOLOGY, tiers=[dict(TIER, machine_count=10**400), TIER])}
+SIDE_FILES = {
+    "huge-tier.json": dict(TOPOLOGY, tiers=[dict(TIER, machine_count=10**400), TIER]),
+    "generator-trace.json": {"schema_version": SCHEMA_VERSION, "generator": {"load": 1.0}, "entries": [TRACE_ROW]},
+}
 
 
 class TestConfigFile:
@@ -520,6 +523,26 @@ class TestConfigFile:
         assert cfg.seed == 1
         assert "code-generation" in cfg.pipelines
 
+    def test_a_topology_of_n_tiers_gets_the_tier_speed_rule(self, tmp_path):
+        # the last n of (8, 2.5, 1) up to three tiers, then 3x per tier
+        expected = [(1.0,), (2.5, 1.0), (8.0, 2.5, 1.0), (27.0, 9.0, 3.0, 1.0), (81.0, 27.0, 9.0, 3.0, 1.0)]
+        for n, factors in enumerate(expected, start=1):
+            assert speed_factors_for(n) == factors
+            topology = {
+                "schema_version": SCHEMA_VERSION,
+                "tiers": [TIER] * n,
+                "bandwidth_mbps": [[1000] * n] * n,
+                "link_latency_s": [[0.0] * n] * n,
+            }
+            obj = {
+                "schema_version": SCHEMA_VERSION,
+                "topology": topology,
+                "pipelines": ["code-generation", "visual-tracking"],
+                "trace": {"schema_version": SCHEMA_VERSION, "entries": [TRACE_ROW]},
+            }
+            cfg = sim_config_from_file(self._write(tmp_path, obj))
+            assert [land.tier_speed_factors for land in cfg.landscapes.values()] == [factors, factors]
+
     def test_missing_version_rejected(self, tmp_path):
         path = self._write(tmp_path, {"pipelines": ["code-generation"]})
         with pytest.raises(SchemaError, match="schema_version"):
@@ -535,9 +558,7 @@ class TestConfigFile:
 
     def test_trace_template_must_have_landscape(self, small_world):
         topo, pipe, land, a_slo, l_slo = small_world
-        trace = ArrivalTrace(
-            entries=(TraceEntry(0.0, "other", a_slo, l_slo, 10.0),), generator_params={}
-        )
+        trace = ArrivalTrace(entries=(TraceEntry(0.0, "other", a_slo, l_slo, 10.0),))
         with pytest.raises(SchemaError, match="other"):
             SimConfig(
                 topology=topo,
@@ -550,8 +571,12 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "ablations, message",
-        [({"profiler": "guidd"}, "guidd"), ({"profiler": "fixed", "fixed_n": 0}, "fixed_n")],
-        ids=["unknown-profiler", "fixed-n-zero"],
+        [
+            ({"profiler": "guidd"}, "guidd"),
+            ({"profiler": "fixed", "fixed_n": 0}, "fixed_n"),
+            ({"profiler": "fixed", "fixed_n": 1001}, "fixed_n must be >= 1 and <= DEFAULT_N_MAX"),
+        ],
+        ids=["unknown-profiler", "fixed-n-zero", "fixed-n-above-n-max"],
     )
     def test_invalid_profiler_options_rejected_at_load(self, tmp_path, capsys, ablations, message):
         path = self._write(
@@ -669,7 +694,18 @@ class TestConfigFile:
             ({"trace": {"schema_version": SCHEMA_VERSION, "entries": {}}}, "entries must be a list"),
             ({"trace": {"schema_version": SCHEMA_VERSION, "entries": ""}}, "entries must be a list"),
             ({"trace": {"schema_version": SCHEMA_VERSION, "entries": [TRACE_ROW], "generator": [[0, 1]]}},
-             "generator must be an object"),
+             "'generator']; allowed"),
+            (
+                {
+                    "trace": {
+                        "schema_version": SCHEMA_VERSION,
+                        "entries": [TRACE_ROW],
+                        "generator": {"duration_s": -5, "nonsense": [1, 2]},
+                    }
+                },
+                "'generator']; allowed",
+            ),
+            ({"trace": "generator-trace.json"}, "'generator']; allowed"),
             ({"topology": dict(TOPOLOGY, tiers=[dict(TIER, machine_count=10**400), TIER])},
              "machine_count is out of range"),
             ({"topology": "huge-tier.json"}, "machine_count is out of range"),
@@ -745,6 +781,8 @@ class TestConfigFile:
             "object-trace-entries",
             "string-trace-entries",
             "list-trace-generator",
+            "listed-trace-with-generator",
+            "trace-file-with-generator",
             "huge-integer-machine-count",
             "huge-integer-machine-count-in-topology-file",
             "machine-counts-summing-past-the-float-range",
@@ -860,7 +898,7 @@ SWEEP_BASE = {
 }
 SWEEP_LISTED = dict(
     SWEEP_BASE,
-    trace={"schema_version": SCHEMA_VERSION, "generator": {"load": 1.0}, "entries": [dict(TRACE_ROW, weight=2.0)]},
+    trace={"schema_version": SCHEMA_VERSION, "entries": [dict(TRACE_ROW, weight=2.0)]},
 )
 SWEEP_VALUES = (None, True, False, 0, -1, 2.5, float("inf"), "", "x", [], [0, 1], [[0, 1]], {}, {"x": 1})
 
@@ -983,6 +1021,13 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "cmp.csv").exists()
 
+    def test_compare_rejects_a_repeated_variant_before_loading_the_config(self, capsys, monkeypatch):
+        loaded = []
+        monkeypatch.setattr(simmod, "sim_config_from_file", loaded.append)
+        assert cli_main(["compare", "--config", "sim.json", "--variants", "full,fcfs,full"]) == 1
+        assert capsys.readouterr().err == "error: variants ['full'] are named more than once\n"
+        assert loaded == []
+
     def test_compare_rejects_unknown_variant(self, tmp_path, capsys):
         cfg = {
             "schema_version": SCHEMA_VERSION,
@@ -1012,9 +1057,17 @@ class TestCli:
             (["--difficulty", "bogus"], "unknown difficulty 'bogus'"),
             (["--noise-scale", "-1"], "noise_scale must be finite and >= 0"),
             (["--profiler", "fixed", "--fixed-n", "0"], "fixed_n must be >= 1"),
+            (["--profiler", "fixed", "--fixed-n", "1001"], "fixed_n must be >= 1 and <= DEFAULT_N_MAX (1000), got 1001"),
             (["--seed", "-1"], "--seed must be at least 0, got -1"),
         ],
-        ids=["a-slo-above-one", "unknown-difficulty", "negative-noise-scale", "zero-fixed-n", "negative-seed"],
+        ids=[
+            "a-slo-above-one",
+            "unknown-difficulty",
+            "negative-noise-scale",
+            "zero-fixed-n",
+            "fixed-n-above-n-max",
+            "negative-seed",
+        ],
     )
     def test_plan_argument_errors_exit_1(self, capsys, args, message):
         argv = ["plan", "--pipeline", "code-generation", "--a-slo", "0.5", "--l-slo", "0.5", "--budget-s", "1"]
