@@ -8,7 +8,6 @@ from .landscape import (
     GroundTruthLandscape,
     generate_landscape,
     generate_trace,
-    sample_cases,
 )
 from .latency import (
     OperatorTimings,

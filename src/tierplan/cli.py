@@ -13,9 +13,8 @@ import json
 import sys
 
 from . import sim as simmod
-from .landscape import generate_landscape
 from .model import Query, SchemaError, SpaceTooLargeError, _schema_errors, load_pipeline, load_topology
-from .presets import PIPELINE_TEMPLATES, default_topology, get_pipeline, speed_factors_for
+from .presets import PIPELINE_TEMPLATES, default_topology, get_pipeline, run_landscapes
 from .scheduler import (
     greedy_cost,
     greedy_goodput,
@@ -26,12 +25,14 @@ from .scheduler import (
 )
 from .search import SearchConfig, single_query_search
 
+#: ``full`` states every switch, so no config's ablations leak into a variant
+_FULL = {"warm_start": True, "prefix_cache": True, "profiler": "guided", "scheduler": "greedy"}
 ABLATION_PRESETS = {
-    "full": {},
-    "fixed-n": {"profiler": "fixed"},
-    "no-warm-start": {"warm_start": False},
-    "no-cache": {"prefix_cache": False},
-    "fcfs": {"scheduler": "fcfs"},
+    "full": _FULL,
+    "fixed-n": _FULL | {"profiler": "fixed"},
+    "no-warm-start": _FULL | {"warm_start": False},
+    "no-cache": _FULL | {"prefix_cache": False},
+    "fcfs": _FULL | {"scheduler": "fcfs"},
 }
 
 
@@ -70,12 +71,8 @@ def _cmd_plan(args) -> int:
         pipeline = load_pipeline(args.pipeline)
     topology = load_topology(args.topology) if args.topology else default_topology()
     with _schema_errors("invalid plan arguments"):
-        land = generate_landscape(
-            seed=args.seed + 1000,
-            pipeline=pipeline,
-            tier_speed_factors=speed_factors_for(topology.num_tiers),
-            **_given(args, "difficulty", "noise_scale"),
-        )
+        options = _given(args, "difficulty", "noise_scale")
+        land = run_landscapes(args.seed, {pipeline.name: pipeline}, topology.num_tiers, **options)[pipeline.name]
         query = Query(
             id="cli",
             pipeline=pipeline,

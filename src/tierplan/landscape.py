@@ -72,6 +72,11 @@ class GroundTruthLandscape:
             raise ValueError("stratum weights must sum to 1")
         if any(s < 0 for s in self.stratum_sigma):
             raise ValueError("stratum sigmas must be >= 0")
+        if not all(s > 0 for s in self.tier_speed_factors):
+            raise ValueError(f"tier speed factors must be > 0, got {self.tier_speed_factors}")
+        for name in ("op_base_time_s", "op_output_bytes"):
+            if not all(x >= 0 for row in getattr(self, name) for x in row):
+                raise ValueError(f"{name} must be >= 0")
 
     @property
     def k_true(self) -> int:
@@ -264,22 +269,6 @@ def _draw_cases(
     feats = centers[list(case_stratum)] + rng.normal(0.0, FEATURE_NOISE, size=(N_CASES, 2))
     case_features = tuple((float(a), float(b)) for a, b in feats)
     return case_stratum, case_features, tuple(float(w) for w in empirical)
-
-
-def sample_cases(
-    landscape: GroundTruthLandscape,
-    configuration: Sequence[int],
-    cases: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One accuracy observation per entry of ``cases`` (case indices), each
-    a normal at its true stratum's mean and sigma clipped to [0, 1].
-
-    Depends only on the configuration, so placement and resource changes
-    never alter the draw stream.
-    """
-    mu, sigma = landscape.case_rows(configuration)
-    return np.clip(mu[cases] + sigma[cases] * rng.standard_normal(len(cases)), 0.0, 1.0)
 
 
 def quality_latency_frontier(

@@ -23,23 +23,15 @@ from .model import PipelineSpec, PlanPoint, TierTopology
 DEFAULT_GPU_PRICE_PER_HOUR = 3.67
 
 
-def _negative(value) -> bool:
-    """Whether a number, or any entry of an array, is below zero."""
-    return bool((value < 0).any()) if isinstance(value, np.ndarray) else value < 0
-
-
 def transfer_time(size_bytes, bandwidth_mbps: float, t0_s: float = 0.0, co_located: bool = False):
     """Seconds to move ``size_bytes`` over a link: L/B + T0.
 
     Co-located operators (same machine) transfer for free. ``size_bytes``
     may be an array, which gives an array of the same elementwise values.
+    The topology, pipeline and landscape check these inputs when built.
     """
     if co_located:
         return 0.0
-    if bandwidth_mbps <= 0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth_mbps}")
-    if _negative(size_bytes) or t0_s < 0:
-        raise ValueError("size and fixed latency must be >= 0")
     return (size_bytes * 8.0 / 1e6) / bandwidth_mbps + t0_s
 
 
@@ -49,13 +41,10 @@ def compute_time(base_s, fraction: float, speed_factor: float, is_batching: bool
     Non-batching work gets ``fraction`` of the FLOPS, so time scales by
     1/fraction. Batching work shares the machine through batching and keeps
     full FLOPS: the fraction affects cost, not latency. ``fraction`` is a
-    grid value, which :class:`PlanPoint` checks at construction. ``base_s``
-    may be an array, which gives an array of the same elementwise values.
+    grid value, which :class:`PlanPoint` checks at construction, as the
+    landscape checks the others. ``base_s`` may be an array, which gives an
+    array of the same elementwise values.
     """
-    if speed_factor <= 0:
-        raise ValueError("speed factor must be > 0")
-    if _negative(base_s):
-        raise ValueError("base compute time must be >= 0")
     if is_batching:
         return base_s * speed_factor
     return base_s * speed_factor / fraction

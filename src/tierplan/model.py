@@ -350,30 +350,6 @@ def pareto_filter(items: Sequence, key) -> list:
 # JSON loaders (schema_version is mandatory in every file)
 
 
-def _require(cond: bool, msg: str, where: str) -> None:
-    if not cond:
-        raise SchemaError(f"{where}: {msg}")
-
-
-def _check_version(obj: dict, where: str) -> None:
-    _require(isinstance(obj, dict), "expected a JSON object", where)
-    _require("schema_version" in obj, "missing mandatory schema_version", where)
-    _require(
-        obj["schema_version"] == SCHEMA_VERSION,
-        f"unsupported schema_version {obj['schema_version']!r} (want {SCHEMA_VERSION})",
-        where,
-    )
-
-
-def _known_keys(obj, keys, where: str) -> None:
-    """Raise SchemaError unless ``obj`` is a JSON object whose keys all lie in ``keys``."""
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected a JSON object")
-    unknown = sorted(set(obj) - set(keys))
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {unknown}; allowed {sorted(keys)}")
-
-
 _JSON_TYPES = {
     bool: "true or false", int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object",
     None: "null",
@@ -408,10 +384,17 @@ def _read(obj, kinds: dict, where: str, versioned: bool = False) -> dict:
     ``kinds``; a key ``kinds`` lacks is a SchemaError. A ``versioned`` (file
     level) object must also carry ``schema_version`` :data:`SCHEMA_VERSION`.
     Absent keys stay absent, so the constructor's default is the only one."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected a JSON object")
     if versioned:
-        _check_version(obj, where)
+        if "schema_version" not in obj:
+            raise SchemaError(f"{where}: missing mandatory schema_version")
+        if obj["schema_version"] != SCHEMA_VERSION:
+            raise SchemaError(f"{where}: unsupported schema_version {obj['schema_version']!r} (want {SCHEMA_VERSION})")
         obj = {key: value for key, value in obj.items() if key != "schema_version"}
-    _known_keys(obj, kinds, where)
+    unknown = sorted(set(obj) - set(kinds))
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {unknown}; allowed {sorted(kinds)}")
     return {key: _typed(value, key, kinds[key], where) for key, value in obj.items()}
 
 

@@ -7,12 +7,13 @@ a 50 Mbps device uplink and a 400 Mbps MEC-cloud WAN link.
 Tier speed factors are compute-time multipliers relative to the last
 (cloud) tier. An n-tier topology gets the last n of (8, 2.5, 1) up to three
 tiers, and 3^(n-1-m) for tier m beyond that (each tier toward the device
-3x slower): :func:`speed_factors_for` is the one rule every landscape the
-CLI and the simulator build follows.
+3x slower): :func:`speed_factors_for`. :func:`run_landscapes` is the one
+rule by which the CLI and the simulator build a run's landscapes.
 """
 
 from __future__ import annotations
 
+from .landscape import generate_landscape
 from .model import OperatorSpec, PipelineSpec, Tier, TierTopology
 
 DEFAULT_SPEED_FACTORS = (8.0, 2.5, 1.0)
@@ -23,6 +24,17 @@ def speed_factors_for(num_tiers: int) -> tuple[float, ...]:
     if num_tiers <= len(DEFAULT_SPEED_FACTORS):
         return DEFAULT_SPEED_FACTORS[-num_tiers:]
     return tuple(3.0 ** (num_tiers - 1 - m) for m in range(num_tiers))
+
+
+def run_landscapes(seed: int, pipelines: dict[str, PipelineSpec], num_tiers: int, **options) -> dict:
+    """The landscapes of a run's pipelines, by name: the i-th in sorted name
+    order is generated at 1000 + i past the run's seed, on the speed factors
+    of ``num_tiers`` tiers, with ``options`` (difficulty, k_true, noise_scale)."""
+    speed = speed_factors_for(num_tiers)
+    return {
+        name: generate_landscape(seed + 1000 + i, pipe, tier_speed_factors=speed, **options)
+        for i, (name, pipe) in enumerate(sorted(pipelines.items()))
+    }
 
 
 def default_topology() -> TierTopology:

@@ -16,7 +16,8 @@ over the schedule's looks, so the repeated peeking keeps the procedure's
 size at most 1% (a group-sequential design: Pocock, Biometrika 1977; Lan &
 DeMets, Biometrika 1983). Between looks the whole block of cases and
 values is drawn at once, in place: a look makes only its two generator
-calls and writes its gathers and clips into the look's slice.
+calls and writes its gathers and clips into the look's slice, through the
+one case-value draw that the fixed-size baseline shares.
 
 A query-scoped prefix cache tracks which (operator, upstream-configuration)
 intermediate outputs already exist per case, so re-profiling a plan that
@@ -33,7 +34,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import stdtr
 
-from .landscape import N_CASES, GroundTruthLandscape, sample_cases
+from .landscape import N_CASES, GroundTruthLandscape
 from .model import PlanPoint, ProfileOutcome, Verdict
 
 #: Family-wise confidence of the sequential test, spent evenly over its looks.
@@ -116,11 +117,7 @@ def stratify(case_features: Sequence[Sequence[float]], k: int, seed: int = 0) ->
     n = len(case_features)
     if k < 1 or k > n:
         raise ValueError(f"stratum count {k} must be in [1, {n}]")
-    if k == 1:
-        labels = np.zeros(n, dtype=int)
-    else:
-        pts = np.asarray(case_features, dtype=float)
-        labels = _kmeans(pts, k, np.random.default_rng(seed))
+    labels = _kmeans(np.asarray(case_features, dtype=float), k, np.random.default_rng(seed))
     strata = tuple(tuple(np.flatnonzero(labels == j).tolist()) for j in range(k))
     weights = tuple(len(s) / n for s in strata)
     return Stratification(strata=strata, weights=weights)
@@ -219,6 +216,20 @@ def look_schedule() -> tuple[int, ...]:
 _LOOKS = look_schedule()
 
 
+def _case_values(mu, sigma, cases, rng: np.random.Generator, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Accuracy draws of ``cases`` into ``out``: normals at the cases' entries
+    of the configuration's :meth:`GroundTruthLandscape.case_rows` ``mu`` and
+    ``sigma``, clipped to [0, 1]; ``work`` is scratch. Placement and
+    resources never alter the draw stream."""
+    rng.standard_normal(out=out)
+    # every index is in range, so "clip" only skips the bounds check
+    out *= sigma.take(cases, out=work, mode="clip")
+    out += mu.take(cases, out=work, mode="clip")
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, 1.0, out=out)
+    return out
+
+
 def profile_plan(
     plan: PlanPoint,
     land: GroundTruthLandscape,
@@ -232,10 +243,9 @@ def profile_plan(
     Draws the cases up to each look in one block, stratified by
     ``allocation``, and stops at the first look whose two-sided t-test is
     significant at the Bonferroni-spent level; a session that reaches
-    DEFAULT_N_MAX undecided is inconclusive. A look's block makes the
-    generator calls of :func:`landscape.sample_cases` at the cases
-    :attr:`Stratification.draws` gives, and writes its cases and values
-    into the look's slice. Charged GPU-seconds cover only cache-missing
+    DEFAULT_N_MAX undecided is inconclusive. A look's block draws the cases
+    :attr:`Stratification.draws` gives and their :func:`_case_values` into
+    the look's slice. Charged GPU-seconds cover only cache-missing
     operators, at reference-tier full-resource compute.
     """
     alpha = (1.0 - CONFIDENCE) / len(_LOOKS)
@@ -247,14 +257,9 @@ def profile_plan(
     verdict = Verdict.INCONCLUSIVE
     n = 0
     for look in _LOOKS:
-        drawn, block, gathered = cases[n:look], values[n:look], work[n:look]
         # every index is in range, so "clip" only skips the bounds check
-        members.take(starts[n:look] + rng.integers(sizes[n:look]), out=drawn, mode="clip")
-        rng.standard_normal(out=block)
-        block *= sigma.take(drawn, out=gathered, mode="clip")
-        block += mu.take(drawn, out=gathered, mode="clip")
-        np.maximum(block, 0.0, out=block)
-        np.minimum(block, 1.0, out=block)
+        members.take(starts[n:look] + rng.integers(sizes[n:look]), out=cases[n:look], mode="clip")
+        _case_values(mu, sigma, cases[n:look], rng, values[n:look], work[n:look])
         n = look
         # shifted by the first value, so n equal values give exactly that
         # value and zero variance
@@ -280,13 +285,15 @@ def profile_plan_fixed_n(
 ) -> ProfileOutcome:
     """Fixed-size random-sampling baseline: no strata, no early stopping.
 
-    Draws ``n_samples`` uniform cases in one block; the verdict is a point
-    comparison of the sample mean against the SLO.
+    Draws ``n_samples`` uniform cases and their :func:`_case_values` in one
+    block; the verdict is a point comparison of the sample mean against the
+    SLO.
     """
     if n_samples < 1:
         raise ValueError("fixed sample size must be >= 1")
     cases = rng.integers(land.n_cases, size=n_samples)
-    mean = float(sample_cases(land, plan.configuration, cases, rng).mean())
+    mu, sigma = land.case_rows(plan.configuration)
+    mean = float(_case_values(mu, sigma, cases, rng, np.empty(n_samples), np.empty(n_samples)).mean())
     charged = cache.charge(plan.configuration, cases, land.timings_for(plan.configuration).base_compute_s)
     verdict = Verdict.PASS_ACCURACY if mean > a_slo else Verdict.FAIL_ACCURACY
     return ProfileOutcome(accuracy_estimate=mean, samples_used=n_samples, verdict=verdict, profiling_cost=charged)

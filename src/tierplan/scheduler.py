@@ -459,21 +459,19 @@ def random_scheduling_instance(
     n_queries: int = 8,
     max_plans: int = 4,
     weight_range: tuple[float, float] = (1.0, 1.0),
-    equal_cr: bool = False,
 ) -> list[tuple[Query, CandidateSet]]:
     """Random per-query candidate sets shaped like stage-one planner output.
 
     Each query gets a small Pareto-style trade-off: a cheap allocation on
     the low tiers plus progressively faster variants that move operators up
     the tier ladder and hold more resources (fractions drawn from the grid,
-    skewed toward the pruned low end). With ``equal_cr`` every plan is a
-    single half-machine operator, making all aggregate demands equal.
+    skewed toward the pruned low end).
     """
     rng = np.random.default_rng(seed)
     frac_probs = (0.1, 0.15, 0.3, 0.45)  # 1, 1/2, 1/4, 1/8
     out: list[tuple[Query, CandidateSet]] = []
     for qi in range(n_queries):
-        n_ops = 1 if equal_cr else int(rng.integers(1, RANDOM_MAX_OPS + 1))
+        n_ops = int(rng.integers(1, RANDOM_MAX_OPS + 1))
         ops = tuple(OperatorSpec(i, (f"o{i}",)) for i in range(n_ops))
         pipe = PipelineSpec(
             name=f"rand-{seed}-{qi}",
@@ -481,20 +479,15 @@ def random_scheduling_instance(
             edges=tuple((i, i + 1) for i in range(n_ops - 1)),
         )
         weight = float(rng.uniform(*weight_range))
-        n_plans = 1 if equal_cr else int(rng.integers(1, max_plans + 1))
+        n_plans = int(rng.integers(1, max_plans + 1))
         cands = []
         for j in range(n_plans):
-            if equal_cr:
-                placement = (int(rng.integers(topology.num_tiers)),)
-                resources = (0.5,)
-            else:
-                # later variants sit higher in the tier ladder and run hotter
-                ceiling = min(topology.num_tiers - 1, j)
-                placement = tuple(sorted(int(rng.integers(ceiling + 1)) for _ in range(n_ops)))
-                resources = tuple(
-                    RESOURCE_FRACTIONS[int(rng.choice(len(RESOURCE_FRACTIONS), p=frac_probs))]
-                    for _ in range(n_ops)
-                )
+            # later variants sit higher in the tier ladder and run hotter
+            ceiling = min(topology.num_tiers - 1, j)
+            placement = tuple(sorted(int(rng.integers(ceiling + 1)) for _ in range(n_ops)))
+            resources = tuple(
+                RESOURCE_FRACTIONS[int(rng.choice(len(RESOURCE_FRACTIONS), p=frac_probs))] for _ in range(n_ops)
+            )
             point = PlanPoint(configuration=(0,) * n_ops, placement=placement, resources=resources)
             cost = plan_hourly_cost(point, topology)
             cands.append(

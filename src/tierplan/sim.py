@@ -38,12 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import latency as latmod
-from .landscape import (
-    ArrivalTrace,
-    GroundTruthLandscape,
-    generate_landscape,
-    generate_trace,
-)
+from .landscape import ArrivalTrace, GroundTruthLandscape, generate_trace
 from .model import (
     SCHEMA_VERSION,
     PipelineSpec,
@@ -59,7 +54,7 @@ from .model import (
     load_json_file,
     topology_from_dict,
 )
-from .presets import default_topology, get_pipeline, speed_factors_for
+from .presets import default_topology, get_pipeline, run_landscapes
 from .scheduler import (
     DEFAULT_AGING_BETA,
     DeploymentState,
@@ -135,7 +130,8 @@ class SimConfig:
 
 def _check_references(trace, drift, pipelines, landscapes, topology, where: str) -> None:
     """Raise SchemaError, at ``where``#trace or ``where``#drift[i], for a trace
-    entry or drift event naming a pipeline, landscape or tier the config lacks."""
+    entry or drift event naming a pipeline, landscape or tier the config
+    lacks, or a bandwidth drift on a link from a tier to itself."""
     for entry in trace.entries:
         if entry.template not in pipelines:
             raise SchemaError(f"{where}#trace: trace references unknown pipeline {entry.template!r}")
@@ -148,6 +144,8 @@ def _check_references(trace, drift, pipelines, landscapes, topology, where: str)
             len(event.link) == 2 and all(isinstance(m, int) and m in tiers for m in event.link)
         ):
             raise SchemaError(f"{loc}: drift link {list(event.link)} is not a pair of tiers in 0..{len(tiers) - 1}")
+        if event.kind == "bandwidth" and event.link[0] == event.link[1]:
+            raise SchemaError(f"{loc}: drift link {list(event.link)} joins a tier to itself, whose transfers are free")
         if event.kind == "accuracy" and event.template not in landscapes:
             raise SchemaError(f"{loc}: accuracy drift names pipeline {event.template!r}, which has no landscape")
 
@@ -184,6 +182,9 @@ def sim_config_from_file(path: str) -> SimConfig:
     names = fields.pop("pipelines", ["visual-tracking"])
     if not names or not all(type(name) is str for name in names):
         raise SchemaError(f"{path}: pipelines must be a non-empty list of pipeline names, got {names!r}")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise SchemaError(f"{path}: pipelines {repeated} are named more than once")
     with _schema_errors(path):
         pipelines = {name: get_pipeline(name) for name in names}
     for pipe in pipelines.values():  # at load, whether or not a trace generator enumerates it
@@ -198,15 +199,7 @@ def sim_config_from_file(path: str) -> SimConfig:
     where = f"{path}#landscape"
     land = _read(fields.pop("landscape", {}), {"difficulty": (str, float), "k_true": int, "noise_scale": float}, where)
     with _schema_errors(where):
-        landscapes = {
-            name: generate_landscape(
-                seed=seed + 1000 + i,
-                pipeline=pipe,
-                tier_speed_factors=speed_factors_for(topology.num_tiers),
-                **land,
-            )
-            for i, (name, pipe) in enumerate(sorted(pipelines.items()))
-        }
+        landscapes = run_landscapes(seed, pipelines, topology.num_tiers, **land)
 
     trace = fields.pop("trace", {})
     if isinstance(trace, str):

@@ -413,6 +413,14 @@ def exhaustive_resource_frontier(plan, pipeline, topology, timings, l_slo, laten
 # The planning step, one look, one column and one whole pool at a time
 
 
+def sample_cases(landscape, configuration, cases, rng):
+    """One accuracy observation per entry of ``cases`` (case indices), each
+    a normal at its true stratum's mean and sigma clipped to [0, 1]: the
+    profilers' case-value draw as one out-of-place expression."""
+    mu, sigma = landscape.case_rows(configuration)
+    return np.clip(mu[cases] + sigma[cases] * rng.standard_normal(len(cases)), 0.0, 1.0)
+
+
 def sample_strata(landscape, configuration, strata, rng):
     """One accuracy observation per entry of ``strata`` (true stratum ids),
     each a normal at its stratum's mean and sigma clipped to [0, 1]."""

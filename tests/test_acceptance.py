@@ -16,6 +16,7 @@ from oracles import (
     exhaustive_resource_frontier,
     mc_sample_mean_variance,
     ReplayTrie,
+    sample_cases,
     sibling_landscape,
     true_pareto_set,
     variance_random,
@@ -26,7 +27,6 @@ from tierplan.landscape import (
     TraceEntry,
     generate_landscape,
     quality_latency_frontier,
-    sample_cases,
 )
 from tierplan.latency import OperatorTimings, pipeline_latency, plan_hourly_cost, transfer_time
 from tierplan.model import (

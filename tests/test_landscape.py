@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_plan_space, per_plan_frontier, sibling_landscape, true_pareto_set
+from oracles import enumerate_plan_space, per_plan_frontier, sample_cases, sibling_landscape, true_pareto_set
 from tierplan.landscape import (
     ArrivalTrace,
     SLO_HARDNESS,
     generate_landscape,
     generate_trace,
     quality_latency_frontier,
-    sample_cases,
 )
 from tierplan.latency import pipeline_latency, plan_hourly_cost
 from tierplan.model import (
@@ -30,7 +29,7 @@ from tierplan.model import (
     TierTopology,
 )
 from tierplan.presets import PIPELINE_TEMPLATES, default_topology, speed_factors_for
-from tierplan.profiler import NullCache, profile_plan_fixed_n
+from tierplan.profiler import NullCache, _case_values, profile_plan_fixed_n
 
 
 #: three tiers, each toward the device 3x slower
@@ -134,13 +133,20 @@ def cases_in(land, strata):
     return first[strata]
 
 
+def case_values(land, cfg, cases, rng):
+    """The profilers' case-value draw at ``cases``, into fresh arrays."""
+    mu, sigma = land.case_rows(cfg)
+    return _case_values(mu, sigma, cases, rng, np.empty(len(cases)), np.empty(len(cases)))
+
+
 class TestSampleCase:
-    """Case draws of ``sample_cases``: one per entry of an array of case ids."""
+    """Case draws of the profilers' ``_case_values``: one per entry of an
+    array of case ids."""
 
     def test_zero_variance_draws_equal_mean(self, vt_pipeline):
         land = generate_landscape(seed=2, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS, noise_scale=0.0)
         cfg = (1, 1, 1)
-        draws = sample_cases(land, cfg, cases_in(land, np.zeros(20, dtype=int)), np.random.default_rng(0))
+        draws = case_values(land, cfg, cases_in(land, np.zeros(20, dtype=int)), np.random.default_rng(0))
         assert draws.shape == (20,) and np.all(draws == land.stratum_mean(0, cfg))
 
     def test_clt_bound_on_sample_mean(self, vt_landscape):
@@ -149,7 +155,7 @@ class TestSampleCase:
         mu = vt_landscape.stratum_mean(1, cfg)
         sigma = vt_landscape.stratum_sigma[1]
         cases = cases_in(vt_landscape, np.ones(n, dtype=int))
-        draws = sample_cases(vt_landscape, cfg, cases, np.random.default_rng(3))
+        draws = case_values(vt_landscape, cfg, cases, np.random.default_rng(3))
         assert abs(np.mean(draws) - mu) <= 3 * sigma / np.sqrt(n)
 
     def test_weighted_mixture_mean(self, vt_landscape):
@@ -158,9 +164,21 @@ class TestSampleCase:
         n = 40_000
         counts = [int(round(n * p)) for p in vt_landscape.stratum_weights]
         cases = cases_in(vt_landscape, np.repeat(np.arange(vt_landscape.k_true), counts))
-        total = float(sample_cases(vt_landscape, cfg, cases, np.random.default_rng(7)).sum())
+        total = float(case_values(vt_landscape, cfg, cases, np.random.default_rng(7)).sum())
         expected = sum(p * vt_landscape.stratum_mean(k, cfg) for k, p in enumerate(vt_landscape.stratum_weights))
         assert abs(total / n - expected) < 0.002
+
+    @pytest.mark.parametrize("noise_scale", [0.0, 0.05, 0.4])
+    def test_equals_the_reference_draw_bitwise(self, vt_pipeline, noise_scale):
+        # noise 0.4 puts many draws outside [0, 1], so the clip is exercised
+        land = generate_landscape(seed=8, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS, noise_scale=noise_scale)
+        cases = np.random.default_rng(5).integers(land.n_cases, size=500)
+        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for cfg in ((0, 0, 0), (2, 3, 4), (1, 2, 0)):
+            got = case_values(land, cfg, cases, got_rng)
+            want = sample_cases(land, cfg, cases, want_rng)
+            assert got.tobytes() == want.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_accuracy_invariant_to_placement_and_resources(self, vt_landscape):
         cfg = (1, 3, 2)

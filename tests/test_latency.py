@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,15 +42,7 @@ class TestTransferTime:
         # 400 Mbit over the 400 Mbps edge-cloud link plus 20 ms setup
         assert transfer_time(400 * MBIT, 400.0, t0_s=0.02) == pytest.approx(1.02, abs=1e-12)
 
-    def test_nonpositive_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
-            transfer_time(1.0, 0.0)
-
-    def test_negative_size_rejected_elementwise(self):
-        with pytest.raises(ValueError, match="size and fixed latency must be >= 0"):
-            transfer_time(-1.0, 50.0)
-        with pytest.raises(ValueError, match="size and fixed latency must be >= 0"):
-            transfer_time(np.array([50 * MBIT, -1.0, 0.0]), 50.0)
+    def test_array_sizes_give_elementwise_values(self):
         sizes = np.array([50 * MBIT, 0.0, 3e4])
         got = transfer_time(sizes, 50.0, t0_s=0.005)
         assert got.tolist() == [transfer_time(float(x), 50.0, t0_s=0.005) for x in sizes]
@@ -65,11 +59,7 @@ class TestComputeTime:
         assert compute_time(2.0, 1.0, 3.0) == 6.0
 
     @pytest.mark.parametrize("is_batching", [False, True])
-    def test_negative_base_rejected_elementwise(self, is_batching):
-        with pytest.raises(ValueError, match="base compute time must be >= 0"):
-            compute_time(-0.1, 0.5, 2.0, is_batching)
-        with pytest.raises(ValueError, match="base compute time must be >= 0"):
-            compute_time(np.array([0.2, 0.0, -1e-9]), 0.5, 2.0, is_batching)
+    def test_array_base_gives_elementwise_values(self, is_batching):
         base = np.array([0.2, 0.0, 0.0031])
         got = compute_time(base, 0.5, 2.0, is_batching)
         assert got.tolist() == [compute_time(float(b), 0.5, 2.0, is_batching) for b in base]
@@ -98,6 +88,30 @@ def path_weights(plan, pipe, topo, timings):
 def linear_chain(n):
     ops = tuple(OperatorSpec(i, ("x",), base_output_size=1e5) for i in range(n))
     return PipelineSpec("chain", ops, tuple((i, i + 1) for i in range(n - 1)))
+
+
+class TestInputsCheckedWhereBuilt:
+    """The latency model reads its inputs unchecked: the landscape, the
+    topology and the pipeline refuse bad ones at construction."""
+
+    @pytest.mark.parametrize("speeds", [(9.0, 0.0, 1.0), (9.0, 3.0, -1.0), (float("nan"), 3.0, 1.0)])
+    def test_landscape_refuses_a_speed_factor_not_above_zero(self, vt_pipeline, speeds):
+        with pytest.raises(ValueError, match="tier speed factors must be > 0"):
+            generate_landscape(seed=3, pipeline=vt_pipeline, tier_speed_factors=speeds)
+
+    @pytest.mark.parametrize("name", ["op_base_time_s", "op_output_bytes"])
+    def test_landscape_refuses_a_negative_time_or_byte_count(self, vt_landscape, name):
+        rows = [list(row) for row in getattr(vt_landscape, name)]
+        rows[1][2] = -1e-9
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            dataclasses.replace(vt_landscape, **{name: tuple(map(tuple, rows))})
+        rows[1][2] = 0.0  # zero is a valid time and byte count
+        dataclasses.replace(vt_landscape, **{name: tuple(map(tuple, rows))})
+
+    def test_topology_refuses_a_zero_bandwidth(self):
+        tiers = (Tier("edge", 1, 1.0, 1.0), Tier("cloud", 1, 1.0, 2.0))
+        with pytest.raises(ValueError, match=r"bandwidth\[0\]\[1\] must be > 0"):
+            TierTopology(tiers, ((1000.0, 0.0), (0.0, 1000.0)), ((0.0, 0.0), (0.0, 0.0)))
 
 
 class TestPipelineLatency:

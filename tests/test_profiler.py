@@ -10,11 +10,12 @@ from oracles import (
     draw_cases,
     mc_sample_mean_variance,
     per_look_profile_plan,
+    sample_cases,
     strata_profile_plan_fixed_n,
     variance_random,
     variance_stratified,
 )
-from tierplan.landscape import N_CASES, generate_landscape, sample_cases
+from tierplan.landscape import N_CASES, generate_landscape
 from tierplan.model import PlanPoint, Verdict
 from tierplan.presets import code_generation_pipeline, speech_recognition_pipeline, visual_tracking_pipeline
 from tierplan.profiler import (

@@ -101,8 +101,14 @@ class TestGreedyGoodput:
             assert st_big.admitted_weight() >= st_small.admitted_weight() - 1e-9
 
     def test_optimal_when_all_cr_equal(self, two_tier_topology):
+        # every query has one plan, a half-machine operator on a random tier,
+        # so all aggregate demands are equal
         for seed in range(25):
-            cands = random_scheduling_instance(seed, two_tier_topology, n_queries=7, equal_cr=True)
+            tiers = np.random.default_rng(seed).integers(two_tier_topology.num_tiers, size=7)
+            cands = [
+                (make_query(f"q{i}"), CandidateSet((cand([int(t)], [0.5], two_tier_topology),)))
+                for i, t in enumerate(tiers)
+            ]
             got = greedy_goodput(cands, two_tier_topology).admitted_weight()
             inst = oracle_instance_from_candidates(cands, two_tier_topology)
             assert got == pytest.approx(ilp_oracle_limited(inst))

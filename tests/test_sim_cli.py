@@ -21,7 +21,7 @@ from tierplan.model import (
     Tier,
     TierTopology,
 )
-from tierplan import search
+from tierplan import presets, search
 from tierplan import sim as simmod
 from tierplan.presets import code_generation_pipeline, speed_factors_for
 from tierplan.scheduler import op_demands
@@ -664,6 +664,9 @@ class TestConfigFile:
             ({"pipelines": "visual-tracking"}, "pipelines"),
             ({"pipelines": []}, "pipelines"),
             ({"pipelines": ["bogus"]}, "unknown pipeline template 'bogus'"),
+            ({"pipelines": ["code-generation", "wide-search", "code-generation"]},
+             "'code-generation'] are named more than once"),
+            ({"drift": [BANDWIDTH, dict(BANDWIDTH, link=[2, 2])]}, "joins a tier to itself"),
             ({"drift": 5}, "drift"),
             ({"output_dir": 5}, "output_dir"),
             ({"landscape": {"noise_scale": float("nan")}}, "noise_scale"),
@@ -752,6 +755,8 @@ class TestConfigFile:
             "string-pipelines",
             "empty-pipelines",
             "unknown-pipeline",
+            "repeated-pipelines",
+            "drift-link-from-a-tier-to-itself",
             "integer-drift",
             "integer-output-dir",
             "nan-literal",
@@ -826,7 +831,7 @@ class TestConfigFile:
         # placements; a listed trace runs no frontier, so the load refuses it
         # before any landscape is generated, not the first arrival
         generated = []
-        monkeypatch.setattr(simmod, "generate_landscape", lambda *args, **kwargs: generated.append(args))
+        monkeypatch.setattr(presets, "generate_landscape", lambda *args, **kwargs: generated.append(args))
         topology = {
             "schema_version": SCHEMA_VERSION,
             "tiers": [TIER] * 30,
@@ -852,6 +857,11 @@ class TestConfigFile:
                 "drift link [0, 9] is not a pair of tiers in 0..2",
             ),
             (
+                {"drift": [BANDWIDTH, dict(BANDWIDTH, link=[1, 1])]},
+                "#drift[1]",
+                "drift link [1, 1] joins a tier to itself, whose transfers are free",
+            ),
+            (
                 {"drift": [{"time": 1.0, "kind": "accuracy", "template": "bogus", "delta": -0.1}]},
                 "#drift[0]",
                 "accuracy drift names pipeline 'bogus', which has no landscape",
@@ -862,7 +872,7 @@ class TestConfigFile:
                 "trace references unknown pipeline 'wide-search'",
             ),
         ],
-        ids=["drift-link", "drift-template", "trace-template"],
+        ids=["drift-link", "drift-link-to-itself", "drift-template", "trace-template"],
     )
     def test_reference_errors_name_their_place_in_the_config(self, tmp_path, capsys, overrides, where, message):
         obj = {
@@ -1020,6 +1030,36 @@ class TestCli:
         )
         assert rc == 0
         assert (tmp_path / "cmp.csv").exists()
+
+    def test_compare_variants_ignore_the_config_switches(self, tmp_path, capsys, monkeypatch):
+        # a config that turns every switch away from the full planner: full
+        # still runs the full planner and each other variant changes one
+        # switch; the config's fixed_n still sets the fixed-n sample size
+        cfg = {
+            "schema_version": SCHEMA_VERSION,
+            "pipelines": ["code-generation"],
+            "scheduler": "fcfs",
+            "ablations": {"warm_start": False, "prefix_cache": False, "profiler": "fixed", "fixed_n": 40},
+            "trace": {"generator": {"duration_s": 5.0, "load": 0.2}},
+        }
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        ran = []
+        totals = dict.fromkeys(("avg_goodput", "deployment_dollars", "profiling_dollars", "profiling_gpu_seconds"), 1.0)
+        report = simmod.MetricsReport((), (), (), totals | {"mean_response_time_s": 1.0, "completed": 1})
+        monkeypatch.setattr(simmod, "run", lambda config: ran.append(config) or report)
+        variants = ["full", "fixed-n", "no-warm-start", "no-cache", "fcfs"]
+        assert cli_main(["compare", "--config", str(path), "--variants", ",".join(variants)]) == 0
+        capsys.readouterr()
+        full = SearchConfig(warm_start=True, prefix_cache=True, profiler="guided", fixed_n=40)
+        want = {
+            "full": (full, "greedy"),
+            "fixed-n": (dataclasses.replace(full, profiler="fixed"), "greedy"),
+            "no-warm-start": (dataclasses.replace(full, warm_start=False), "greedy"),
+            "no-cache": (dataclasses.replace(full, prefix_cache=False), "greedy"),
+            "fcfs": (full, "fcfs"),
+        }
+        assert {name: (c.search, c.scheduler) for name, c in zip(variants, ran)} == want
 
     def test_compare_rejects_a_repeated_variant_before_loading_the_config(self, capsys, monkeypatch):
         loaded = []
