@@ -11,6 +11,13 @@ Stratum accuracy means blend a monotone component (better options help)
 with a rugged component (random per-option and pairwise effects) through a
 tanh squash; the monotone_tendency knob controls how often costlier
 configurations are actually more accurate.
+
+A landscape scores configurations as arrays: one ``stratum_means`` pass
+gives the stratum means of many configuration rows, each element bitwise
+the scalar formula's, and the landscape caches each configuration's
+stratum-mean row and accuracy mean once, for the frontier, the profilers'
+case rows and the simulator's SLO checks alike. A drifted copy starts
+with empty caches.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ class GroundTruthLandscape:
     case_stratum: tuple[int, ...]
     case_features: tuple[tuple[float, float], ...]
     accuracy_offset: float = 0.0
-    _mu_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _means_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _rows_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _timings_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -91,25 +98,68 @@ class GroundTruthLandscape:
         """``case_stratum`` as an index array."""
         return np.asarray(self.case_stratum, dtype=np.intp)
 
-    def stratum_mean(self, stratum: int, configuration: Sequence[int]) -> float:
-        """True accuracy mean of one stratum at a configuration."""
-        key = (stratum, tuple(configuration))
-        hit = self._mu_cache.get(key)
-        if hit is not None:
-            return hit
-        ops = self.pipeline.operators
-        mono = 0.0
-        rug = 0.0
-        for i, c in enumerate(configuration):
-            mono += self.monotone_weights[i] * (c + 1) / len(ops[i].knob_domain)
-            rug += self.option_effects[stratum][i][c]
-        for i in range(len(ops) - 1):
-            rug += self.pair_effects[stratum][i][configuration[i]][configuration[i + 1]]
-        raw = self.stratum_base[stratum] + self.monotone_tendency * mono + (1.0 - self.monotone_tendency) * rug
-        mu = ACC_CENTER + ACC_SPAN * math.tanh(raw) + self.accuracy_offset
-        mu = min(max(mu, _CLIP_LO), _CLIP_HI)
-        self._mu_cache[key] = mu
-        return mu
+    @cached_property
+    def _effect_tables(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """``option_effects`` and ``pair_effects`` as one array per operator
+        (strata, options) and per edge (strata, options, next options)."""
+        opt = [np.array([per_op[i] for per_op in self.option_effects]) for i in range(len(self.pipeline))]
+        pair = [np.array([per_pair[i] for per_pair in self.pair_effects]) for i in range(len(self.pipeline) - 1)]
+        return opt, pair
+
+    def stratum_means(self, configurations: Sequence[Sequence[int]]) -> np.ndarray:
+        """True stratum means of configuration rows, uncached: element
+        ``[k, j]`` is stratum k's mean at ``configurations[j]``.
+
+        Each element takes the scalar formula's operations in its order: the
+        monotone sum of w_i (c_i + 1) / d_i from 0.0, operator by operator;
+        the rugged sum of the option effects, then the pair effects; raw =
+        base + t mono + (1 - t) rug; ``math.tanh`` per element (numpy's tanh
+        need not match libm's bits); then 0.5 + 0.42 tanh + the accuracy
+        offset, clipped to [_CLIP_LO, _CLIP_HI]."""
+        codes = np.asarray(configurations, dtype=np.intp).reshape(-1, len(self.pipeline))
+        opt, pair = self._effect_tables
+        mono = np.zeros(len(codes))
+        rug = np.zeros((self.k_true, len(codes)))
+        for i, op in enumerate(self.pipeline.operators):
+            mono += self.monotone_weights[i] * (codes[:, i] + 1) / len(op.knob_domain)
+            rug += opt[i][:, codes[:, i]]
+        for i, table in enumerate(pair):
+            rug += table[:, codes[:, i], codes[:, i + 1]]
+        t = self.monotone_tendency
+        raw = np.asarray(self.stratum_base)[:, None] + t * mono + (1.0 - t) * rug
+        squashed = np.fromiter(map(math.tanh, raw.ravel().tolist()), float, raw.size).reshape(raw.shape)
+        mu = ACC_CENTER + ACC_SPAN * squashed + self.accuracy_offset
+        return np.minimum(np.maximum(mu, _CLIP_LO, out=mu), _CLIP_HI, out=mu)
+
+    def accuracy_means(self, configurations: Sequence[Sequence[int]]) -> list[float]:
+        """Population accuracy means of ``configurations``: the weighted
+        mixture over strata, summed in stratum order. The uncached ones are
+        scored in one :meth:`stratum_means` pass and cached with their
+        stratum means under the configuration."""
+        keys = list(map(tuple, configurations))
+        missing = [key for key in dict.fromkeys(keys) if key not in self._means_cache]
+        if missing:
+            means = self.stratum_means(missing)
+            accuracy = np.zeros(len(missing))
+            for p, row in zip(self.stratum_weights, means):
+                accuracy += p * row
+            rows = means.T.copy()
+            rows.setflags(write=False)
+            self._means_cache.update(zip(missing, zip(rows, accuracy.tolist())))
+        return [self._means_cache[key][1] for key in keys]
+
+    def _means(self, configuration: Sequence[int]) -> tuple[np.ndarray, float]:
+        """A configuration's cached stratum-mean row and accuracy mean."""
+        key = tuple(configuration)
+        hit = self._means_cache.get(key)
+        if hit is None:
+            self.accuracy_means([key])
+            hit = self._means_cache[key]
+        return hit
+
+    def accuracy_mean(self, configuration: Sequence[int]) -> float:
+        """Population accuracy mean at a configuration (see :meth:`accuracy_means`)."""
+        return self._means(configuration)[1]
 
     def case_rows(self, configuration: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Each case's true stratum mean at a configuration, and each case's
@@ -118,7 +168,7 @@ class GroundTruthLandscape:
         key = tuple(configuration)
         hit = self._rows_cache.get(key)
         if hit is None:
-            mu = np.array([self.stratum_mean(k, key) for k in range(self.k_true)])[self.case_strata]
+            mu = self._means(key)[0][self.case_strata]
             mu.setflags(write=False)
             hit = self._rows_cache[key] = mu, self._case_sigma
         return hit
@@ -128,17 +178,6 @@ class GroundTruthLandscape:
         sigma = np.asarray(self.stratum_sigma)[self.case_strata]
         sigma.setflags(write=False)
         return sigma
-
-    def accuracy_mean(self, configuration: Sequence[int]) -> float:
-        """Population accuracy mean: the weighted mixture over strata, cached
-        under the configuration (stratum means under (stratum, configuration))."""
-        key = tuple(configuration)
-        hit = self._mu_cache.get(key)
-        if hit is None:
-            hit = self._mu_cache[key] = float(
-                sum(p * self.stratum_mean(k, key) for k, p in enumerate(self.stratum_weights))
-            )
-        return hit
 
     def timings_for(self, configuration: Sequence[int]) -> latmod.OperatorTimings:
         key = tuple(configuration)
@@ -153,7 +192,7 @@ class GroundTruthLandscape:
 
     def with_accuracy_shift(self, delta: float) -> "GroundTruthLandscape":
         """Drifted copy: every stratum mean moves by ``delta`` (then clipped).
-        The copy starts with an empty mean cache."""
+        The copy starts with empty caches."""
         return dataclasses.replace(self, accuracy_offset=self.accuracy_offset + delta)
 
 _DIFFICULTY_TENDENCY = {"monotone": 1.0, "rugged": 0.15, "mixed": 0.5}
@@ -209,12 +248,12 @@ def generate_landscape(
         per_op = []
         for i in range(m):
             vals = shared_opt[i] + rng.uniform(-0.5, 0.5, size=domains[i]) / m
-            per_op.append(tuple(float(v) for v in vals))
+            per_op.append(tuple(vals.tolist()))
         option_effects.append(tuple(per_op))
         per_pair = []
         for i in range(m - 1):
             mat = shared_pair[i] + rng.uniform(-0.25, 0.25, size=(domains[i], domains[i + 1])) / m
-            per_pair.append(tuple(tuple(float(v) for v in row) for row in mat))
+            per_pair.append(tuple(map(tuple, mat.tolist())))
         pair_effects.append(tuple(per_pair))
 
     op_times = []
@@ -258,17 +297,13 @@ def _draw_cases(
     counts = np.floor(weights * N_CASES).astype(int)
     while counts.sum() < N_CASES:
         counts[int(np.argmax(weights * N_CASES - counts))] += 1
-    case_stratum = []
-    for k, c in enumerate(counts):
-        case_stratum.extend([k] * int(c))
-    case_stratum = tuple(case_stratum[i] for i in rng.permutation(N_CASES))
-    empirical = np.bincount(case_stratum, minlength=k_true) / N_CASES
+    strata = np.repeat(np.arange(k_true), counts)[rng.permutation(N_CASES)]
+    empirical = np.bincount(strata, minlength=k_true) / N_CASES
 
     angle = 2 * math.pi * np.arange(k_true) / k_true
     centers = np.stack([3.0 * np.cos(angle), 3.0 * np.sin(angle)], axis=1)
-    feats = centers[list(case_stratum)] + rng.normal(0.0, FEATURE_NOISE, size=(N_CASES, 2))
-    case_features = tuple((float(a), float(b)) for a, b in feats)
-    return case_stratum, case_features, tuple(float(w) for w in empirical)
+    feats = centers[strata] + rng.normal(0.0, FEATURE_NOISE, size=(N_CASES, 2))
+    return tuple(strata.tolist()), tuple(map(tuple, feats.tolist())), tuple(empirical.tolist())
 
 
 def quality_latency_frontier(
@@ -284,8 +319,9 @@ def quality_latency_frontier(
     Per placement, one :func:`latency.longest_path` scores every
     configuration's compute and output-byte columns with the elementwise
     sums of :func:`latency.pipeline_latency`, so each latency is bitwise the
-    scalar one. ``accuracy_mean`` runs once per configuration, which fills
-    the landscape's mean cache. Only kept rows become plans.
+    scalar one. One :meth:`GroundTruthLandscape.accuracy_means` pass scores
+    every configuration, which fills the landscape's mean cache. Only kept
+    rows become plans.
     """
     pipeline = landscape.pipeline
     m, ops, speed = len(pipeline), pipeline.operators, landscape.tier_speed_factors
@@ -294,7 +330,7 @@ def quality_latency_frontier(
     sizes = tuple(np.take(out, col) for out, col in zip(landscape.op_output_bytes, configs.T))
     timings = latmod.OperatorTimings(tuple(base), sizes, speed)
     configs, placements = list(map(tuple, configs.tolist())), list(map(tuple, placements.tolist()))
-    accuracy = [landscape.accuracy_mean(config) for config in configs]
+    accuracy = landscape.accuracy_means(configs)
     latency = []
     for placement in placements:
         node_w = [latmod.compute_time(b, 1.0, speed[tier], op.is_batching) for b, tier, op in zip(base, placement, ops)]

@@ -5,8 +5,10 @@ features. Draw j goes to the stratum with the largest deficit
 p_k (j + 1) - count_k, so no stratum ever runs a full draw ahead of its
 quota and every stratum k gets exactly n p_k of the first n draws whenever
 those are integers; the case is uniform within its stratum. The plain
-sample mean then estimates the population mean while the between-strata
-variance term drops out.
+sample mean then estimates the population mean, and the between-strata
+term drops out of that mean's variance. The t-test below still divides by
+the plain sample variance, which keeps the between-strata spread, so the
+strata do not make it stop sooner.
 
 A two-sided one-sample t-test against the accuracy SLO runs only at the
 geometric looks n_k = ceil(50 * 1.1^k), capped at 1000 (33 looks), and

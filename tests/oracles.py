@@ -7,21 +7,24 @@ decoupled from the package's own algorithms. The exhaustive Pareto oracle
 sweeps the full plan grid through the package's latency model and Pareto
 filter, which other tests check against the references here; the
 per-plan frontier scores the search pool one plan at a time through the
-scalar latency model; the sibling landscape reuses the generator's case
-draw. The per-look profiler, the column-at-a-time kernel row and the
-whole-pool vote are the planning step as it was before its tables were
-built once; the package must match them bit for bit.
+scalar latency model and the scalar stratum mean; the sibling landscape
+reuses the generator's case draw. The per-look profiler, the
+column-at-a-time kernel row and the whole-pool vote are the planning step
+as it was before its tables were built once, and the scalar stratum mean
+is the ground truth as it was before it was built as arrays; the package
+must match them bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 from tierplan import latency as latmod
-from tierplan.landscape import N_CASES, _draw_cases
+from tierplan.landscape import ACC_CENTER, ACC_SPAN, N_CASES, _CLIP_HI, _CLIP_LO, _draw_cases
 from tierplan.latency import compute_time, transfer_time
 from tierplan.model import (
     RESOURCE_FRACTIONS,
@@ -137,8 +140,36 @@ def per_plan_frontier(landscape, topology):
     rows = []
     for plan in enumerate_search_pool(landscape.pipeline, topology):
         lat = latmod.pipeline_latency(plan, landscape.pipeline, topology, landscape.timings_for(plan.configuration))
-        rows.append((plan, landscape.accuracy_mean(plan.configuration), lat))
+        rows.append((plan, scalar_accuracy_mean(landscape, plan.configuration), lat))
     return sort_sweep_pareto_filter(rows, key=lambda r: (1.0 - r[1], r[2]))
+
+
+def scalar_stratum_mean(landscape, stratum, configuration):
+    """True accuracy mean of one stratum at a configuration, one Python
+    float at a time: the monotone and option sums operator by operator,
+    the pair sums edge by edge, the tanh squash, the offset and the clip."""
+    ops = landscape.pipeline.operators
+    mono = 0.0
+    rug = 0.0
+    for i, c in enumerate(configuration):
+        mono += landscape.monotone_weights[i] * (c + 1) / len(ops[i].knob_domain)
+        rug += landscape.option_effects[stratum][i][c]
+    for i in range(len(ops) - 1):
+        rug += landscape.pair_effects[stratum][i][configuration[i]][configuration[i + 1]]
+    t = landscape.monotone_tendency
+    raw = landscape.stratum_base[stratum] + t * mono + (1.0 - t) * rug
+    mu = ACC_CENTER + ACC_SPAN * math.tanh(raw) + landscape.accuracy_offset
+    return min(max(mu, _CLIP_LO), _CLIP_HI)
+
+
+def scalar_accuracy_mean(landscape, configuration):
+    """The stratum-weighted mixture of :func:`scalar_stratum_mean`, added
+    left to right from 0.0 (not ``sum()``, which compensates from Python
+    3.12 on)."""
+    mean = 0.0
+    for k, p in enumerate(landscape.stratum_weights):
+        mean += p * scalar_stratum_mean(landscape, k, configuration)
+    return mean
 
 
 def sibling_landscape(parent, seed, perturbation):
@@ -424,7 +455,7 @@ def sample_cases(landscape, configuration, cases, rng):
 def sample_strata(landscape, configuration, strata, rng):
     """One accuracy observation per entry of ``strata`` (true stratum ids),
     each a normal at its stratum's mean and sigma clipped to [0, 1]."""
-    mu = np.array([landscape.stratum_mean(k, configuration) for k in range(landscape.k_true)])
+    mu = np.array([scalar_stratum_mean(landscape, k, configuration) for k in range(landscape.k_true)])
     sigma = np.asarray(landscape.stratum_sigma)
     return np.clip(mu[strata] + sigma[strata] * rng.standard_normal(len(strata)), 0.0, 1.0)
 

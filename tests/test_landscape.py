@@ -7,8 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_plan_space, per_plan_frontier, sample_cases, sibling_landscape, true_pareto_set
+from oracles import (
+    enumerate_plan_space,
+    per_plan_frontier,
+    sample_cases,
+    scalar_accuracy_mean,
+    scalar_stratum_mean,
+    sibling_landscape,
+    true_pareto_set,
+)
 from tierplan.landscape import (
+    _CLIP_HI,
+    _CLIP_LO,
     ArrivalTrace,
     SLO_HARDNESS,
     generate_landscape,
@@ -101,11 +111,11 @@ class TestGeneration:
     def test_drift_after_warm_cache_moves_means(self, vt_pipeline):
         land = generate_landscape(seed=11, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS)
         cfgs = [(0, 0, 0), (2, 3, 4), (1, 2, 0)]
-        before = {(k, c): land.stratum_mean(k, c) for k in range(land.k_true) for c in cfgs}
+        before = {c: land.case_rows(c)[0] for c in cfgs}  # warms the mean cache
         drifted = land.with_accuracy_shift(-0.15)
-        for (k, c), mu in before.items():
-            assert drifted.stratum_mean(k, c) == pytest.approx(max(mu - 0.15, 0.005), abs=1e-12)
-            assert land.stratum_mean(k, c) == mu  # the original is untouched
+        for c, mu in before.items():
+            assert drifted.case_rows(c)[0] == pytest.approx(np.maximum(mu - 0.15, 0.005), abs=1e-12)
+            assert np.array_equal(land.case_rows(c)[0], mu)  # the original is untouched
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 9), min_size=3, max_size=3), min_size=1, max_size=6), st.floats(-0.6, 0.6))
@@ -113,18 +123,49 @@ class TestGeneration:
         domains = [len(op.knob_domain) for op in vt_landscape.pipeline.operators]
         configs = [tuple(i % d for i, d in zip(pick, domains)) for pick in picks]
 
-        def mixture(land, cfg):  # on a copy with empty caches
-            fresh = dataclasses.replace(land)
-            return float(sum(p * fresh.stratum_mean(k, cfg) for k, p in enumerate(fresh.stratum_weights)))
-
-        before = {cfg: mixture(vt_landscape, cfg) for cfg in configs}
+        before = {cfg: scalar_accuracy_mean(vt_landscape, cfg) for cfg in configs}
         for cfg in configs:
             assert vt_landscape.accuracy_mean(cfg) == before[cfg]
             assert vt_landscape.accuracy_mean(list(cfg)) == before[cfg]
         drifted = vt_landscape.with_accuracy_shift(delta)
         for cfg in configs:
-            assert drifted.accuracy_mean(cfg) == mixture(drifted, cfg)
+            assert drifted.accuracy_mean(cfg) == scalar_accuracy_mean(drifted, cfg)
             assert vt_landscape.accuracy_mean(cfg) == before[cfg]
+
+
+class TestStratumMeans:
+    """The vectorised ground truth against the scalar reference, bit for bit."""
+
+    @pytest.mark.parametrize("offset", [-1.0, -0.37, 0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("name", sorted(PIPELINE_TEMPLATES))
+    def test_equal_the_scalar_reference_bitwise(self, name, offset):
+        pipe = PIPELINE_TEMPLATES[name]()
+        configs = list(all_configs(pipe))
+        for seed, difficulty in ((0, "rugged"), (1, "mixed"), (2, "monotone"), (3, 0.8)):
+            land = generate_landscape(seed, pipe, speed_factors_for(3), difficulty=difficulty)
+            land = land.with_accuracy_shift(offset)
+            want = np.array([[scalar_stratum_mean(land, k, c) for c in configs] for k in range(land.k_true)])
+            got = land.stratum_means(configs)
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+            assert land.accuracy_means(configs) == [scalar_accuracy_mean(land, c) for c in configs]
+            fresh = dataclasses.replace(land)  # the one-configuration path
+            c = configs[seed * 7 % len(configs)]
+            assert fresh.accuracy_mean(c) == scalar_accuracy_mean(land, c)
+            assert fresh._means_cache[c][0].tolist() == want[:, configs.index(c)].tolist()
+            assert fresh.case_rows(c)[0].tolist() == [scalar_stratum_mean(land, k, c) for k in land.case_stratum]
+        if offset == 1.0:  # each clip bound is reached at its offset
+            assert np.any(got == _CLIP_HI)
+        if offset == -1.0:
+            assert np.any(got == _CLIP_LO)
+
+    def test_repeats_and_hits_read_one_cache_entry(self, vt_landscape):
+        configs = [(0, 0, 0), (2, 3, 4), (0, 0, 0)]
+        first = vt_landscape.accuracy_means(configs)
+        assert first[0] == first[2] and len(vt_landscape._means_cache) >= 2
+        row, accuracy = vt_landscape._means_cache[(2, 3, 4)]
+        assert not row.flags.writeable and accuracy == first[1]
+        assert vt_landscape.accuracy_means([[2, 3, 4]]) == [first[1]]
+
 
 def cases_in(land, strata):
     """One case index per entry of ``strata`` (true stratum ids): the first
@@ -147,12 +188,12 @@ class TestSampleCase:
         land = generate_landscape(seed=2, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS, noise_scale=0.0)
         cfg = (1, 1, 1)
         draws = case_values(land, cfg, cases_in(land, np.zeros(20, dtype=int)), np.random.default_rng(0))
-        assert draws.shape == (20,) and np.all(draws == land.stratum_mean(0, cfg))
+        assert draws.shape == (20,) and np.all(draws == scalar_stratum_mean(land, 0, cfg))
 
     def test_clt_bound_on_sample_mean(self, vt_landscape):
         cfg = (2, 1, 0)
         n = 100_000
-        mu = vt_landscape.stratum_mean(1, cfg)
+        mu = scalar_stratum_mean(vt_landscape, 1, cfg)
         sigma = vt_landscape.stratum_sigma[1]
         cases = cases_in(vt_landscape, np.ones(n, dtype=int))
         draws = case_values(vt_landscape, cfg, cases, np.random.default_rng(3))
@@ -165,7 +206,7 @@ class TestSampleCase:
         counts = [int(round(n * p)) for p in vt_landscape.stratum_weights]
         cases = cases_in(vt_landscape, np.repeat(np.arange(vt_landscape.k_true), counts))
         total = float(case_values(vt_landscape, cfg, cases, np.random.default_rng(7)).sum())
-        expected = sum(p * vt_landscape.stratum_mean(k, cfg) for k, p in enumerate(vt_landscape.stratum_weights))
+        expected = scalar_accuracy_mean(vt_landscape, cfg)
         assert abs(total / n - expected) < 0.002
 
     @pytest.mark.parametrize("noise_scale", [0.0, 0.05, 0.4])
@@ -300,7 +341,7 @@ class TestQualityLatencyFrontier:
         got = quality_latency_frontier(land, topo)
         assert frontier_bits(got) == frontier_bits(per_plan_frontier(dataclasses.replace(land), topo))
         # every configuration's mean is cached, as the run reads it
-        assert all(c in land._mu_cache for c in all_configs(pipe))
+        assert all(c in land._means_cache for c in all_configs(pipe))
 
     def test_oversized_pool_is_refused_before_any_plan_is_built(self, topology, monkeypatch):
         # 5^6 configurations x C(3 + 6 - 1, 6) = 28 placements = 437,500 plans
@@ -313,7 +354,7 @@ class TestQualityLatencyFrontier:
         with pytest.raises(SpaceTooLargeError, match=f"437500 plans, exhaustive cap is {SEARCH_POOL_MAX_PLANS}"):
             quality_latency_frontier(land, topology)
         assert built == []
-        assert land._mu_cache == {}
+        assert land._means_cache == {}
 
 
 class TestTrace:

@@ -291,7 +291,7 @@ class TestProfilePlan:
         assert looks == [960]
         round_robin_error = 0.0
         for cfg in product(*[range(len(op.knob_domain)) for op in vt_pipeline.operators]):
-            case_mu = np.array([land.stratum_mean(t, cfg) for t in land.case_stratum])
+            case_mu = land.case_rows(cfg)[0]
             stratum_mu = np.array([case_mu[list(s)].mean() for s in strat.strata])
             truth = land.accuracy_mean(cfg)
             for n in looks:
