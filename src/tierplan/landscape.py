@@ -12,11 +12,13 @@ with a rugged component (random per-option and pairwise effects) through a
 tanh squash; the monotone_tendency knob controls how often costlier
 configurations are actually more accurate.
 
-A landscape scores configurations as arrays: one ``stratum_means`` pass
-gives the stratum means of many configuration rows, each element bitwise
-the scalar formula's, and the landscape caches each configuration's
-stratum-mean row and accuracy mean once, for the frontier, the profilers'
-case rows and the simulator's SLO checks alike. A drifted copy starts
+A landscape holds its accuracy tables and its evaluation cases as
+read-only numpy arrays, in the layout its readers index, and scores
+configurations as arrays: one ``stratum_means`` pass gives the stratum
+means of many configuration rows, each element bitwise the scalar
+formula's, and the landscape caches each configuration's stratum-mean row
+and accuracy mean once, for the frontier, the profilers' case rows and the
+simulator's SLO checks alike. A drifted copy shares the tables and starts
 with empty caches.
 """
 
@@ -53,26 +55,25 @@ FEATURE_NOISE = 0.25
 MAX_TRACE_ARRIVALS = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruthLandscape:
-    seed: int
     pipeline: PipelineSpec
     stratum_weights: tuple[float, ...]
-    stratum_base: tuple[float, ...]
-    stratum_sigma: tuple[float, ...]
+    stratum_base: np.ndarray  # [stratum]
+    stratum_sigma: np.ndarray  # [stratum]
     monotone_tendency: float
-    monotone_weights: tuple[float, ...]
-    option_effects: tuple[tuple[tuple[float, ...], ...], ...]  # [stratum][op][option]
-    pair_effects: tuple[tuple[tuple[tuple[float, ...], ...], ...], ...]  # [stratum][op][opt_i][opt_i+1]
+    monotone_weights: np.ndarray  # [op]
+    option_effects: tuple[np.ndarray, ...]  # [op][stratum, option]
+    pair_effects: tuple[np.ndarray, ...]  # [edge i -> i+1][stratum, option i, option i+1]
     op_base_time_s: tuple[tuple[float, ...], ...]  # [op][option]
     op_output_bytes: tuple[tuple[float, ...], ...]  # [op][option]
     tier_speed_factors: tuple[float, ...]
-    case_stratum: tuple[int, ...]
-    case_features: tuple[tuple[float, float], ...]
+    case_stratum: np.ndarray  # [case], intp
+    case_features: np.ndarray  # [case, feature]
     accuracy_offset: float = 0.0
-    _means_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _rows_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _timings_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _means_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _rows_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _timings_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if abs(sum(self.stratum_weights) - 1.0) > 1e-9:
@@ -84,27 +85,13 @@ class GroundTruthLandscape:
         for name in ("op_base_time_s", "op_output_bytes"):
             if not all(x >= 0 for row in getattr(self, name) for x in row):
                 raise ValueError(f"{name} must be >= 0")
+        tables = (self.stratum_base, self.stratum_sigma, self.monotone_weights, self.case_stratum, self.case_features)
+        for table in (*tables, *self.option_effects, *self.pair_effects):
+            table.setflags(write=False)
 
     @property
     def k_true(self) -> int:
         return len(self.stratum_weights)
-
-    @property
-    def n_cases(self) -> int:
-        return len(self.case_stratum)
-
-    @cached_property
-    def case_strata(self) -> np.ndarray:
-        """``case_stratum`` as an index array."""
-        return np.asarray(self.case_stratum, dtype=np.intp)
-
-    @cached_property
-    def _effect_tables(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """``option_effects`` and ``pair_effects`` as one array per operator
-        (strata, options) and per edge (strata, options, next options)."""
-        opt = [np.array([per_op[i] for per_op in self.option_effects]) for i in range(len(self.pipeline))]
-        pair = [np.array([per_pair[i] for per_pair in self.pair_effects]) for i in range(len(self.pipeline) - 1)]
-        return opt, pair
 
     def stratum_means(self, configurations: Sequence[Sequence[int]]) -> np.ndarray:
         """True stratum means of configuration rows, uncached: element
@@ -117,16 +104,15 @@ class GroundTruthLandscape:
         need not match libm's bits); then 0.5 + 0.42 tanh + the accuracy
         offset, clipped to [_CLIP_LO, _CLIP_HI]."""
         codes = np.asarray(configurations, dtype=np.intp).reshape(-1, len(self.pipeline))
-        opt, pair = self._effect_tables
         mono = np.zeros(len(codes))
         rug = np.zeros((self.k_true, len(codes)))
         for i, op in enumerate(self.pipeline.operators):
             mono += self.monotone_weights[i] * (codes[:, i] + 1) / len(op.knob_domain)
-            rug += opt[i][:, codes[:, i]]
-        for i, table in enumerate(pair):
+            rug += self.option_effects[i][:, codes[:, i]]
+        for i, table in enumerate(self.pair_effects):
             rug += table[:, codes[:, i], codes[:, i + 1]]
         t = self.monotone_tendency
-        raw = np.asarray(self.stratum_base)[:, None] + t * mono + (1.0 - t) * rug
+        raw = self.stratum_base[:, None] + t * mono + (1.0 - t) * rug
         squashed = np.fromiter(map(math.tanh, raw.ravel().tolist()), float, raw.size).reshape(raw.shape)
         mu = ACC_CENTER + ACC_SPAN * squashed + self.accuracy_offset
         return np.minimum(np.maximum(mu, _CLIP_LO, out=mu), _CLIP_HI, out=mu)
@@ -168,14 +154,14 @@ class GroundTruthLandscape:
         key = tuple(configuration)
         hit = self._rows_cache.get(key)
         if hit is None:
-            mu = self._means(key)[0][self.case_strata]
+            mu = self._means(key)[0][self.case_stratum]
             mu.setflags(write=False)
             hit = self._rows_cache[key] = mu, self._case_sigma
         return hit
 
     @cached_property
     def _case_sigma(self) -> np.ndarray:
-        sigma = np.asarray(self.stratum_sigma)[self.case_strata]
+        sigma = self.stratum_sigma[self.case_stratum]
         sigma.setflags(write=False)
         return sigma
 
@@ -192,7 +178,7 @@ class GroundTruthLandscape:
 
     def with_accuracy_shift(self, delta: float) -> "GroundTruthLandscape":
         """Drifted copy: every stratum mean moves by ``delta`` (then clipped).
-        The copy starts with empty caches."""
+        The copy shares the read-only tables and starts with empty caches."""
         return dataclasses.replace(self, accuracy_offset=self.accuracy_offset + delta)
 
 _DIFFICULTY_TENDENCY = {"monotone": 1.0, "rugged": 0.15, "mixed": 0.5}
@@ -242,19 +228,13 @@ def generate_landscape(
     # independent strata would flatten the mixture mean toward 0.5.
     shared_opt = [rng.uniform(-1.7, 1.7, size=domains[i]) / m for i in range(m)]
     shared_pair = [rng.uniform(-0.6, 0.6, size=(domains[i], domains[i + 1])) / m for i in range(m - 1)]
-    option_effects = []
-    pair_effects = []
-    for k in range(k_true):
-        per_op = []
+    option_rows = [[] for _ in range(m)]
+    pair_rows = [[] for _ in range(m - 1)]
+    for _ in range(k_true):
         for i in range(m):
-            vals = shared_opt[i] + rng.uniform(-0.5, 0.5, size=domains[i]) / m
-            per_op.append(tuple(vals.tolist()))
-        option_effects.append(tuple(per_op))
-        per_pair = []
+            option_rows[i].append(shared_opt[i] + rng.uniform(-0.5, 0.5, size=domains[i]) / m)
         for i in range(m - 1):
-            mat = shared_pair[i] + rng.uniform(-0.25, 0.25, size=(domains[i], domains[i + 1])) / m
-            per_pair.append(tuple(map(tuple, mat.tolist())))
-        pair_effects.append(tuple(per_pair))
+            pair_rows[i].append(shared_pair[i] + rng.uniform(-0.25, 0.25, size=(domains[i], domains[i + 1])) / m)
 
     op_times = []
     op_bytes = []
@@ -268,15 +248,14 @@ def generate_landscape(
 
     case_stratum, case_features, empirical = _draw_cases(rng, weights)
     return GroundTruthLandscape(
-        seed=seed,
         pipeline=pipeline,
         stratum_weights=empirical,
-        stratum_base=tuple(float(b) for b in base),
-        stratum_sigma=tuple(float(s) for s in sigmas),
+        stratum_base=base,
+        stratum_sigma=sigmas,
         monotone_tendency=tendency,
-        monotone_weights=tuple(float(w) for w in mono_w),
-        option_effects=tuple(option_effects),
-        pair_effects=tuple(pair_effects),
+        monotone_weights=mono_w,
+        option_effects=tuple(map(np.stack, option_rows)),
+        pair_effects=tuple(map(np.stack, pair_rows)),
         op_base_time_s=tuple(op_times),
         op_output_bytes=tuple(op_bytes),
         tier_speed_factors=tuple(float(s) for s in tier_speed_factors),
@@ -285,9 +264,7 @@ def generate_landscape(
     )
 
 
-def _draw_cases(
-    rng: np.random.Generator, weights: Sequence[float]
-) -> tuple[tuple[int, ...], tuple[tuple[float, float], ...], tuple[float, ...]]:
+def _draw_cases(rng: np.random.Generator, weights: Sequence[float]) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
     """``N_CASES`` evaluation cases for stratum weights ``weights``: the
     stratum of each case (counts rounded to sum to N_CASES, in a random
     order), its 2-D features around its stratum's center, and the empirical
@@ -297,13 +274,13 @@ def _draw_cases(
     counts = np.floor(weights * N_CASES).astype(int)
     while counts.sum() < N_CASES:
         counts[int(np.argmax(weights * N_CASES - counts))] += 1
-    strata = np.repeat(np.arange(k_true), counts)[rng.permutation(N_CASES)]
+    strata = np.repeat(np.arange(k_true, dtype=np.intp), counts)[rng.permutation(N_CASES)]
     empirical = np.bincount(strata, minlength=k_true) / N_CASES
 
     angle = 2 * math.pi * np.arange(k_true) / k_true
     centers = np.stack([3.0 * np.cos(angle), 3.0 * np.sin(angle)], axis=1)
     feats = centers[strata] + rng.normal(0.0, FEATURE_NOISE, size=(N_CASES, 2))
-    return tuple(strata.tolist()), tuple(map(tuple, feats.tolist())), tuple(empirical.tolist())
+    return strata, feats, tuple(empirical.tolist())
 
 
 def quality_latency_frontier(

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -90,39 +90,32 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stratification:
     """Case -> stratum map, built once per planning session and never re-fit
-    mid-session."""
+    mid-session: the stratum weights, every stratum's cases back to back,
+    and the start and the size of the stratum of each of the first
+    DEFAULT_N_MAX draws of ``allocation``, so draw j is case
+    ``members[starts[j] + u]``, u uniform below ``sizes[j]``."""
 
-    strata: tuple[tuple[int, ...], ...]
     weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if any(len(s) == 0 for s in self.strata):
-            raise ValueError("every stratum must be non-empty")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ValueError("empirical weights must sum to 1")
-
-    @cached_property
-    def draws(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every stratum's cases back to back, then the start and the size of
-        the stratum of each of the first DEFAULT_N_MAX draws of ``allocation``:
-        draw j is case ``members[starts[j] + u]``, u uniform below ``sizes[j]``."""
-        sizes = np.array([len(s) for s in self.strata])
-        order = allocation(self.weights, DEFAULT_N_MAX)
-        return np.concatenate(self.strata).astype(np.intp), (np.cumsum(sizes) - sizes)[order], sizes[order]
+    members: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
 
 
 def stratify(case_features: Sequence[Sequence[float]], k: int, seed: int = 0) -> Stratification:
-    """One-shot K-means over case features into ``k`` strata."""
+    """One-shot K-means over case features into ``k`` strata, every one
+    non-empty, whose weights are their shares of the cases."""
     n = len(case_features)
     if k < 1 or k > n:
         raise ValueError(f"stratum count {k} must be in [1, {n}]")
     labels = _kmeans(np.asarray(case_features, dtype=float), k, np.random.default_rng(seed))
-    strata = tuple(tuple(np.flatnonzero(labels == j).tolist()) for j in range(k))
-    weights = tuple(len(s) / n for s in strata)
-    return Stratification(strata=strata, weights=weights)
+    counts = np.bincount(labels, minlength=k)
+    weights = tuple((counts / n).tolist())
+    order = allocation(weights, DEFAULT_N_MAX)
+    members = np.argsort(labels, kind="stable")
+    return Stratification(weights, members, (np.cumsum(counts) - counts)[order], counts[order])
 
 
 @lru_cache(maxsize=256)
@@ -246,12 +239,12 @@ def profile_plan(
     ``allocation``, and stops at the first look whose two-sided t-test is
     significant at the Bonferroni-spent level; a session that reaches
     DEFAULT_N_MAX undecided is inconclusive. A look's block draws the cases
-    :attr:`Stratification.draws` gives and their :func:`_case_values` into
+    the :class:`Stratification` gives and their :func:`_case_values` into
     the look's slice. Charged GPU-seconds cover only cache-missing
     operators, at reference-tier full-resource compute.
     """
     alpha = (1.0 - CONFIDENCE) / len(_LOOKS)
-    members, starts, sizes = strat.draws
+    members, starts, sizes = strat.members, strat.starts, strat.sizes
     mu, sigma = land.case_rows(plan.configuration)
     cases = np.empty(DEFAULT_N_MAX, dtype=np.intp)
     values = np.empty(DEFAULT_N_MAX)
@@ -293,7 +286,7 @@ def profile_plan_fixed_n(
     """
     if n_samples < 1:
         raise ValueError("fixed sample size must be >= 1")
-    cases = rng.integers(land.n_cases, size=n_samples)
+    cases = rng.integers(N_CASES, size=n_samples)
     mu, sigma = land.case_rows(plan.configuration)
     mean = float(_case_values(mu, sigma, cases, rng, np.empty(n_samples), np.empty(n_samples)).mean())
     charged = cache.charge(plan.configuration, cases, land.timings_for(plan.configuration).base_compute_s)

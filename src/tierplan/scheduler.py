@@ -201,7 +201,9 @@ def greedy_cost(
     topology: TierTopology,
 ) -> CostDeployment:
     """Serve every query with its best benefit-to-dollar plan, then provision
-    machines per tier by first-fit-decreasing packing.
+    machines per tier by first-fit-decreasing packing. A query's weight is
+    fixed and positive, so its best weight-per-dollar plan is its
+    :meth:`CandidateSet.cheapest` one.
 
     Queries with an empty candidate set are reported unserved and never
     block the others.
@@ -212,9 +214,7 @@ def greedy_cost(
         if len(cset) == 0:
             unserved.append(query.id)
             continue
-        chosen[query.id] = min(
-            cset.plans, key=lambda c: (-(query.weight / max(c.hourly_cost, 1e-12)), c.hourly_cost, c.latency_s)
-        )
+        chosen[query.id] = cset.cheapest()
     per_tier_items: list[list[float]] = [[] for _ in topology.tiers]
     for cand in chosen.values():
         for tier, demand in op_demands(cand.plan, topology):

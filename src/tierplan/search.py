@@ -639,7 +639,7 @@ def single_query_search(
     pipeline = query.pipeline
     _check_lattice_size(pipeline)
     pool = search_pool(pipeline, topology)
-    strat = stratify(land.case_features, min(DEFAULT_PLANNER_STRATA, land.n_cases), seed=seed)
+    strat = stratify(land.case_features, DEFAULT_PLANNER_STRATA, seed=seed)
     cache: PrefixCache | NullCache = PrefixCache() if cfg.prefix_cache else NullCache()
     if warm is None:
         surrogates = SurrogatePair(pool)

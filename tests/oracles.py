@@ -153,9 +153,9 @@ def scalar_stratum_mean(landscape, stratum, configuration):
     rug = 0.0
     for i, c in enumerate(configuration):
         mono += landscape.monotone_weights[i] * (c + 1) / len(ops[i].knob_domain)
-        rug += landscape.option_effects[stratum][i][c]
+        rug += landscape.option_effects[i][stratum][c]
     for i in range(len(ops) - 1):
-        rug += landscape.pair_effects[stratum][i][configuration[i]][configuration[i + 1]]
+        rug += landscape.pair_effects[i][stratum][configuration[i]][configuration[i + 1]]
     t = landscape.monotone_tendency
     raw = landscape.stratum_base[stratum] + t * mono + (1.0 - t) * rug
     mu = ACC_CENTER + ACC_SPAN * math.tanh(raw) + landscape.accuracy_offset
@@ -181,30 +181,23 @@ def sibling_landscape(parent, seed, perturbation):
     parent's; no accuracy drift carries over."""
     rng = np.random.default_rng(seed)
     m = len(parent.pipeline)
-    option_effects = []
-    pair_effects = []
+    option_effects = [[] for _ in parent.option_effects]
+    pair_effects = [[] for _ in parent.pair_effects]
     for k in range(parent.k_true):
-        per_op = []
-        for vals in map(np.array, parent.option_effects[k]):
-            vals = vals + perturbation * rng.normal(0.0, 1.0 / m, size=len(vals))
-            per_op.append(tuple(float(v) for v in vals))
-        option_effects.append(tuple(per_op))
-        per_pair = []
-        for mat in map(np.array, parent.pair_effects[k]):
-            mat = mat + perturbation * rng.normal(0.0, 0.5 / m, size=mat.shape)
-            per_pair.append(tuple(tuple(float(v) for v in row) for row in mat))
-        pair_effects.append(tuple(per_pair))
-    base = np.array(parent.stratum_base)
+        for rows, table in zip(option_effects, parent.option_effects):
+            rows.append(table[k] + perturbation * rng.normal(0.0, 1.0 / m, size=table.shape[1]))
+        for rows, table in zip(pair_effects, parent.pair_effects):
+            rows.append(table[k] + perturbation * rng.normal(0.0, 0.5 / m, size=table.shape[1:]))
+    base = parent.stratum_base
     if perturbation > 0:
         base = base + perturbation * rng.normal(0.0, 0.1, size=parent.k_true)
     case_stratum, case_features, weights = _draw_cases(rng, parent.stratum_weights)
     return dataclasses.replace(
         parent,
-        seed=seed,
         stratum_weights=weights,
-        stratum_base=tuple(float(b) for b in base),
-        option_effects=tuple(option_effects),
-        pair_effects=tuple(pair_effects),
+        stratum_base=base,
+        option_effects=tuple(map(np.stack, option_effects)),
+        pair_effects=tuple(map(np.stack, pair_effects)),
         case_stratum=case_stratum,
         case_features=case_features,
         accuracy_offset=0.0,
@@ -456,16 +449,22 @@ def sample_strata(landscape, configuration, strata, rng):
     """One accuracy observation per entry of ``strata`` (true stratum ids),
     each a normal at its stratum's mean and sigma clipped to [0, 1]."""
     mu = np.array([scalar_stratum_mean(landscape, k, configuration) for k in range(landscape.k_true)])
-    sigma = np.asarray(landscape.stratum_sigma)
+    sigma = landscape.stratum_sigma
     return np.clip(mu[strata] + sigma[strata] * rng.standard_normal(len(strata)), 0.0, 1.0)
+
+
+def strata_members(strat):
+    """Every stratum's cases under ``strat``, in stratum order: its cases
+    back to back, split at the sizes its weights give."""
+    sizes = np.rint(np.asarray(strat.weights) * len(strat.members)).astype(np.intp)
+    return np.split(strat.members, np.cumsum(sizes)[:-1])
 
 
 def stratum_cases(strat, strata, rng):
     """One case per entry of ``strata`` (planner stratum ids), uniform within
     that stratum of ``strat``."""
-    sizes = np.array([len(s) for s in strat.strata])
-    members = np.concatenate(strat.strata).astype(np.intp)
-    return members[(np.cumsum(sizes) - sizes)[strata] + rng.integers(sizes[strata])]
+    sizes = np.array([len(s) for s in strata_members(strat)])
+    return strat.members[(np.cumsum(sizes) - sizes)[strata] + rng.integers(sizes[strata])]
 
 
 def draw_cases(strat, lo, hi, rng):
@@ -506,7 +505,7 @@ def per_look_profile_plan(plan, land, strat, cache, a_slo, rng):
     n = 0
     for look in looks:
         cases[n:look] = stratum_cases(strat, order[n:look], rng)
-        values[n:look] = sample_strata(land, plan.configuration, land.case_strata[cases[n:look]], rng)
+        values[n:look] = sample_strata(land, plan.configuration, land.case_stratum[cases[n:look]], rng)
         n = look
         shifted = values[:n] - values[0]
         offset = float(shifted.sum()) / n
@@ -522,8 +521,8 @@ def per_look_profile_plan(plan, land, strat, cache, a_slo, rng):
 
 def strata_profile_plan_fixed_n(plan, land, n_samples, cache, a_slo, rng):
     """The fixed-size baseline drawing through :func:`sample_strata`."""
-    cases = rng.integers(land.n_cases, size=n_samples)
-    mean = float(sample_strata(land, plan.configuration, land.case_strata[cases], rng).mean())
+    cases = rng.integers(N_CASES, size=n_samples)
+    mean = float(sample_strata(land, plan.configuration, land.case_stratum[cases], rng).mean())
     charged = cache.charge(plan.configuration, cases, land.timings_for(plan.configuration).base_compute_s)
     verdict = Verdict.PASS_ACCURACY if mean > a_slo else Verdict.FAIL_ACCURACY
     return ProfileOutcome(accuracy_estimate=mean, samples_used=n_samples, verdict=verdict, profiling_cost=charged)

@@ -19,6 +19,7 @@ from oracles import (
 from tierplan.landscape import (
     _CLIP_HI,
     _CLIP_LO,
+    N_CASES,
     ArrivalTrace,
     SLO_HARDNESS,
     generate_landscape,
@@ -50,16 +51,65 @@ def all_configs(pipeline):
     return product(*[range(len(op.knob_domain)) for op in pipeline.operators])
 
 
+#: The landscape fields held as numpy arrays, and those held as tuples of them.
+ARRAY_FIELDS = ("stratum_base", "stratum_sigma", "monotone_weights", "case_stratum", "case_features")
+TABLE_FIELDS = ("option_effects", "pair_effects")
+
+
+def landscape_arrays(land):
+    """Every array a landscape holds, by field name (tables by field and index)."""
+    arrays = {name: getattr(land, name) for name in ARRAY_FIELDS}
+    arrays.update({f"{name}[{i}]": a for name in TABLE_FIELDS for i, a in enumerate(getattr(land, name))})
+    return arrays
+
+
+def differing_fields(a, b):
+    """The constructor fields of two landscapes that differ, each table by
+    field and index: arrays by dtype, shape and every element, the rest by
+    ``==``."""
+    arrays_a, arrays_b = landscape_arrays(a), landscape_arrays(b)
+    differ = list(arrays_a.keys() ^ arrays_b.keys())
+    for name in arrays_a.keys() & arrays_b.keys():
+        x, y = arrays_a[name], arrays_b[name]
+        if x.dtype != y.dtype or not np.array_equal(x, y):
+            differ.append(name)
+    arrays = ARRAY_FIELDS + TABLE_FIELDS
+    others = [f.name for f in dataclasses.fields(a) if f.init and f.name not in arrays]
+    return sorted(differ + [name for name in others if getattr(a, name) != getattr(b, name)])
+
+
 class TestGeneration:
     def test_same_seed_is_bit_identical(self, vt_pipeline):
         a = generate_landscape(seed=5, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS)
         b = generate_landscape(seed=5, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS)
-        assert a == b
+        assert differing_fields(a, b) == []
 
     def test_different_seed_differs(self, vt_pipeline):
         a = generate_landscape(seed=5, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS)
         b = generate_landscape(seed=6, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS)
-        assert a != b
+        assert "stratum_base" in differing_fields(a, b)
+
+    def test_array_fields_are_read_only(self, vt_landscape):
+        arrays = landscape_arrays(vt_landscape)
+        assert len(arrays) == len(ARRAY_FIELDS) + 2 * len(vt_landscape.pipeline) - 1
+        assert vt_landscape.case_stratum.dtype == np.intp and vt_landscape.case_features.shape == (N_CASES, 2)
+        for name, array in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0
+            assert not array.flags.writeable, name
+
+    def test_a_drifted_copy_shares_the_arrays_and_starts_with_empty_caches(self, vt_pipeline):
+        land = generate_landscape(seed=5, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS)
+        land.accuracy_means([(0, 0, 0)])
+        land.case_rows((0, 0, 0))
+        land.timings_for((0, 0, 0))
+        drifted = land.with_accuracy_shift(0.1)
+        shared = landscape_arrays(drifted)
+        for name, array in landscape_arrays(land).items():
+            assert shared[name] is array, name
+        assert drifted._means_cache == drifted._rows_cache == drifted._timings_cache == {}
+        assert len(land._means_cache) == len(land._rows_cache) == len(land._timings_cache) == 1
+        assert differing_fields(land, drifted) == ["accuracy_offset"]
 
     def test_monotone_argmax_is_max_cost_config(self, vt_pipeline):
         land = generate_landscape(seed=9, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS, difficulty="monotone")
@@ -170,7 +220,7 @@ class TestStratumMeans:
 def cases_in(land, strata):
     """One case index per entry of ``strata`` (true stratum ids): the first
     case of that stratum."""
-    first = np.array([np.flatnonzero(land.case_strata == k)[0] for k in range(land.k_true)])
+    first = np.array([np.flatnonzero(land.case_stratum == k)[0] for k in range(land.k_true)])
     return first[strata]
 
 
@@ -213,7 +263,7 @@ class TestSampleCase:
     def test_equals_the_reference_draw_bitwise(self, vt_pipeline, noise_scale):
         # noise 0.4 puts many draws outside [0, 1], so the clip is exercised
         land = generate_landscape(seed=8, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS, noise_scale=noise_scale)
-        cases = np.random.default_rng(5).integers(land.n_cases, size=500)
+        cases = np.random.default_rng(5).integers(N_CASES, size=500)
         got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
         for cfg in ((0, 0, 0), (2, 3, 4), (1, 2, 0)):
             got = case_values(land, cfg, cases, got_rng)

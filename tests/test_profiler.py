@@ -11,6 +11,7 @@ from oracles import (
     mc_sample_mean_variance,
     per_look_profile_plan,
     sample_cases,
+    strata_members,
     strata_profile_plan_fixed_n,
     variance_random,
     variance_stratified,
@@ -22,6 +23,7 @@ from tierplan.profiler import (
     DEFAULT_N_MAX,
     NullCache,
     PrefixCache,
+    _kmeans,
     allocation,
     look_schedule,
     profile_plan,
@@ -76,9 +78,9 @@ class TestVarianceFormulas:
 
 def strata_labels(s):
     """Each case's stratum under the stratification ``s``."""
-    out = np.empty(sum(len(members) for members in s.strata), dtype=int)
-    for j, members in enumerate(s.strata):
-        out[list(members)] = j
+    out = np.empty(len(s.members), dtype=int)
+    for j, members in enumerate(strata_members(s)):
+        out[members] = j
     return out
 
 
@@ -92,7 +94,7 @@ def cached_cases(cache):
 class TestStratify:
     def test_single_stratum(self):
         s = stratify([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], k=1)
-        assert len(s.strata) == 1 and s.weights == (1.0,)
+        assert s.weights == (1.0,)
         assert strata_labels(s).tolist() == [0, 0, 0]
 
     def test_two_blobs_high_purity(self):
@@ -127,6 +129,26 @@ class TestStratify:
         feats = rng.normal(size=(80, 2)).tolist()
         first, second = stratify(feats, 3, seed=9), stratify(feats, 3, seed=9)
         assert strata_labels(first).tolist() == strata_labels(second).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_draws_read_the_clusters_of_kmeans(self, data):
+        # few distinct points, so a k up to n leaves clusters empty and the
+        # repair runs
+        point = st.tuples(st.sampled_from([0.0, 1.0, 5.0]), st.sampled_from([0.0, 2.0]))
+        feats = np.array(data.draw(st.lists(point, min_size=1, max_size=30)))
+        n = len(feats)
+        k, seed = data.draw(st.integers(1, n)), data.draw(st.integers(0, 1000))
+        s = stratify(feats, k, seed=seed)
+        labels = _kmeans(feats, k, np.random.default_rng(seed))
+        clusters = [np.flatnonzero(labels == j).tolist() for j in range(k)]
+        assert sorted(s.members.tolist()) == list(range(n))
+        assert s.weights == tuple(len(cluster) / n for cluster in clusters)
+        order = allocation(s.weights, DEFAULT_N_MAX)
+        assert len(s.starts) == len(s.sizes) == DEFAULT_N_MAX
+        # draw j reads the slice of cluster order[j]; each distinct triple once
+        for stratum, start, size in set(zip(order.tolist(), s.starts.tolist(), s.sizes.tolist())):
+            assert sorted(s.members[start : start + size].tolist()) == clusters[stratum]
 
 
 class TestAllocation:
@@ -168,7 +190,7 @@ class TestAllocation:
         s = self._flat_strat(2, per=25)
         rng = np.random.default_rng(2)
         cases = np.concatenate([draw_cases(s, 0, DEFAULT_N_MAX, rng) for _ in range(10_000 // DEFAULT_N_MAX)])
-        observed = np.bincount(cases, minlength=50)[list(s.strata[0])]
+        observed = np.bincount(cases, minlength=50)[strata_members(s)[0]]
         assert observed.sum() == 5_000
         assert chisquare(observed).pvalue > 0.01
 
@@ -284,18 +306,18 @@ class TestProfilePlan:
 
         land = generate_landscape(seed=26, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS, k_true=3)
         strat = stratify(land.case_features, 4, seed=1)
-        sizes = [len(s) for s in strat.strata]
+        sizes = [len(s) for s in strata_members(strat)]
         assert sizes == [80, 48, 80, 32]
         order = allocation(strat.weights, DEFAULT_N_MAX)
-        looks = [n for n in look_schedule() if all(n * size % land.n_cases == 0 for size in sizes)]
+        looks = [n for n in look_schedule() if all(n * size % N_CASES == 0 for size in sizes)]
         assert looks == [960]
         round_robin_error = 0.0
         for cfg in product(*[range(len(op.knob_domain)) for op in vt_pipeline.operators]):
             case_mu = land.case_rows(cfg)[0]
-            stratum_mu = np.array([case_mu[list(s)].mean() for s in strat.strata])
+            stratum_mu = np.array([case_mu[s].mean() for s in strata_members(strat)])
             truth = land.accuracy_mean(cfg)
             for n in looks:
-                expected = np.bincount(order[:n], minlength=len(strat.strata)) @ stratum_mu / n
+                expected = np.bincount(order[:n], minlength=len(strat.weights)) @ stratum_mu / n
                 assert expected == pytest.approx(truth, abs=1e-12)
             round_robin_error = max(round_robin_error, abs(stratum_mu.mean() - truth))
         # the strata are unequal enough that n/K draws per stratum is biased
@@ -461,7 +483,7 @@ class TestPrefixCache:
         repeats = 0
         for _ in range(300):
             cfg = tuple(int(rng.integers(len(op.knob_domain))) for op in vt_pipeline.operators)
-            block = rng.integers(land.n_cases, size=int(rng.integers(1, 40)))
+            block = rng.integers(N_CASES, size=int(rng.integers(1, 40)))
             repeats += len(np.unique(block)) < len(block)
             t = land.timings_for(cfg)
             got += cache.charge(cfg, block, t.base_compute_s)

@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_goodput, brute_force_min_bins
 from tierplan.model import (
@@ -153,6 +155,24 @@ class TestGreedyCost:
         dep = greedy_cost(qs, two_tier_topology)
         assert dep.unserved == ("none",)
         assert "ok" in dep.chosen
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.1, 5.0) | st.sampled_from([5e-324, 1e300]),
+        st.lists(
+            st.tuples(st.sampled_from([1e-13, 1e-12, 0.5, 2.0]) | st.floats(1e-6, 1e3), st.sampled_from([0.1, 0.2])),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_best_benefit_per_dollar_is_the_cheapest_plan(self, weight, rows):
+        # equal costs and equal (cost, latency) rows included, costs below
+        # the 1e-12 floor of the benefit-per-dollar quotient too
+        topo = single_tier_topology()
+        plans = tuple(CandidatePlan(PlanPoint((0,), (0,), (1.0,)), 0.9, lat, cost) for cost, lat in rows)
+        best = min(plans, key=lambda c: (-(weight / max(c.hourly_cost, 1e-12)), c.hourly_cost, c.latency_s))
+        assert best is CandidateSet(plans).cheapest()
+        assert greedy_cost([(make_query("q", weight), CandidateSet(plans))], topo).chosen["q"] is best
 
 
 class TestFFD:
