@@ -94,7 +94,7 @@ def _cmd_plan(args) -> int:
             with open(path, "w") as fh:
                 fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     out = {
-        "steps": result.steps,
+        "steps": len(result.telemetry),
         "charged_time_s": result.charged_time_s,
         "gpu_seconds": result.gpu_seconds,
         "profiling_dollars": result.dollars,

@@ -36,7 +36,6 @@ from .model import (
     RESOURCE_FRACTIONS,
     PipelineSpec,
     PlanPoint,
-    ProfileOutcome,
     Query,
     SpaceTooLargeError,
     TierTopology,
@@ -354,7 +353,7 @@ class HistorySession:
     def pool_scores(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Stored model ``i``'s acquisition scores and costs over the pool."""
         if i not in self._pool_scores:
-            self._pool_scores[i] = acquisition(*self.predicted[i], self.a_slo, self.l_slo)
+            self._pool_scores[i] = acquisition(self.predicted[i], self.a_slo, self.l_slo)
         return self._pool_scores[i]
 
     def vote_indices(self, idx: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
@@ -392,22 +391,15 @@ def prediction_gap(mu_a, mu_l, accuracy: float, latency_s: float, l_slo: float):
     return abs(mu_a - accuracy) + abs(mu_l - latency_s) / max(l_slo, 1e-9)
 
 
-def acquisition(
-    mu_a: np.ndarray,
-    sd_a: np.ndarray,
-    config: np.ndarray,
-    mu_l: np.ndarray,
-    sd_l: np.ndarray,
-    a_slo: float,
-    l_slo: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pr[accuracy >= A_slo] * Pr[latency <= L_slo] / C per candidate, and C,
-    for :class:`PoolPredictions` fields: the accuracy factor is computed
-    once per configuration and gathered at each candidate's ``config``.
+def acquisition(predicted: PoolPredictions, a_slo: float, l_slo: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pr[accuracy >= A_slo] * Pr[latency <= L_slo] / C per predicted pool
+    row, and C: the accuracy factor is computed once per configuration and
+    gathered at each row's configuration.
 
     C is the dollar cost of profiling a minimum batch of cases at the
     predicted latency, floored to keep the division bounded.
     """
+    mu_a, sd_a, config, mu_l, sd_l = predicted
     p_acc = ndtr((mu_a - a_slo) / np.maximum(sd_a, 1e-12))[config]
     p_lat = ndtr((l_slo - mu_l) / np.maximum(sd_l, 1e-12))
     costs = np.maximum(
@@ -450,28 +442,10 @@ def propose(
     elif surrogates.n_obs == 0:
         return int(step_idx[int(rng.integers(len(step_idx)))]), "cold"
     else:
-        scores, costs = acquisition(*surrogates.predict(step_idx), a_slo, l_slo)
+        scores, costs = acquisition(surrogates.predict(step_idx), a_slo, l_slo)
         costs_at = costs.__getitem__
         branch = "cmbo"
     return int(step_idx[_argmax_with_ties(scores, costs_at)]), branch
-
-
-def update(
-    surrogates: SurrogatePair,
-    history: HistorySession | None,
-    idx: int,
-    outcome: ProfileOutcome,
-    measured_latency_s: float,
-) -> None:
-    """Fold one profiled observation of pool plan ``idx`` into the history
-    session's gaps, then into the session model.
-
-    Gaps compare predictions made before this observation was seen.
-    """
-    accuracy = outcome.accuracy_estimate
-    if history is not None:
-        history.update_gaps(idx, accuracy, measured_latency_s, surrogates)
-    surrogates.fit_new_point(idx, accuracy, measured_latency_s)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +579,6 @@ class SearchConfig:
 @dataclass
 class SearchResult:
     candidates: CandidateSet
-    steps: int
     charged_time_s: float
     gpu_seconds: float
     dollars: float
@@ -656,7 +629,7 @@ def single_query_search(
     time_s = 0.0
     gpu_s = 0.0
     raw_candidates: list[CandidatePlan] = []
-    telemetry: list[dict] = []  # one row per step; the result's step counts are read from it
+    telemetry: list[dict] = []  # one row per step; every step count is read from it
     profiled = np.zeros(len(pool.plans), dtype=bool)
 
     def within_budget() -> bool:
@@ -682,7 +655,9 @@ def single_query_search(
 
         timings = land.timings_for(plan.configuration)
         model_latency = latmod.plan_latency(plan, pipeline, topology, timings)
-        update(surrogates, hist, idx, outcome, model_latency)
+        if hist is not None:  # gaps compare predictions made before this observation
+            hist.update_gaps(idx, outcome.accuracy_estimate, model_latency, surrogates)
+        surrogates.fit_new_point(idx, outcome.accuracy_estimate, model_latency)
 
         feasible = outcome.verdict == Verdict.PASS_ACCURACY and model_latency <= query.l_slo
         if feasible:
@@ -714,7 +689,6 @@ def single_query_search(
     first = next((row for row in telemetry if row["feasible"]), None)
     return SearchResult(
         candidates=candidates,
-        steps=len(telemetry),
         charged_time_s=time_s,
         gpu_seconds=gpu_s,
         dollars=dollars,

@@ -20,9 +20,13 @@ starts afresh.
 
 Each fact is kept once. A live query has one entry (query, candidates,
 observations), a pending one another (enqueue time, revalidated
-candidates). Freeing an admission writes its one ``deployment.csv`` row;
-the rows whose [admitted_s, released_s) covers a time are the running set
-then. Deployment dollars are a fold over ``cost_series``.
+candidates), a running one its admission in the deployment state; a
+query's status records only how it ended. An admission is freed by its
+release event or by a drift that violates its plan, and the run drains
+every release event, so none is held at the end. Freeing writes its one
+``deployment.csv`` row; the rows whose [admitted_s, released_s) covers a
+time are the running set then. Deployment dollars are a fold over
+``cost_series``.
 """
 
 from __future__ import annotations
@@ -248,7 +252,9 @@ class QueryRecord:
     a_slo: float
     l_slo: float
     lifespan: float
-    status: str = "planning"
+    #: How the query ended: "completed", "rejected", "degraded" or
+    #: "pending-at-end"; empty while it is live.
+    status: str = ""
     time_to_first_feasible_s: float | None = None
     planning_time_s: float = 0.0
     gpu_seconds: float = 0.0
@@ -267,8 +273,7 @@ class MetricsReport:
     cost_series: tuple[tuple[float, float], ...]
     queries: tuple[QueryRecord, ...]
     totals: dict
-    # deployment.csv: one row per admission, in admission order, ties by
-    # query id; released_s is None for an admission running at the end
+    # deployment.csv: one row per admission, in admission order, ties by query id
     admissions: tuple[tuple, ...] = ()
 
     def to_dict(self) -> dict:
@@ -381,14 +386,13 @@ class _Sim:
             del self.live[qid]
             self._mark(t)
             return
-        rec.status = "pending"
         self.pending[qid] = (t, self._revalidate(qid))
         self.epoch(t)
 
     def on_release(self, t: float, payload) -> None:
         qid, admitted_at = payload
         rec = self.records[qid]
-        if rec.status != "running" or rec.admitted_at != admitted_at:
+        if qid not in self.state.assignments or rec.admitted_at != admitted_at:
             return  # stale release (query was drift-released and replanned)
         self._free(t, qid)
         rec.status = "completed"
@@ -407,16 +411,15 @@ class _Sim:
         self.good = {qid for qid, a in assignments.items() if not self._violates(qid, a.plan.plan)}
         for qid in [qid for qid in assignments if qid not in self.good]:
             self._free(t, qid)
-            self.records[qid].status = "replanning"
             self._mark(t)
             self._start_replan(t, qid)
         for qid, (since, _) in self.pending.items():
             self.pending[qid] = (since, self._revalidate(qid))
         self.epoch(t)
 
-    def _free(self, t: float | None, qid: str) -> None:
-        """Release query ``qid``'s admission and record its deployment row;
-        ``t`` is None for an admission still running at the end of the run."""
+    def _free(self, t: float, qid: str) -> None:
+        """Release query ``qid``'s admission at time ``t``, at its release
+        event or a drift that violates its plan, and record its deployment row."""
         a = self.state.assignments[qid]
         self.state.release(qid)
         self.good.discard(qid)
@@ -431,7 +434,7 @@ class _Sim:
         rec.planning_time_s += result.charged_time_s
         rec.gpu_seconds += result.gpu_seconds
         rec.profiling_dollars += result.dollars
-        rec.search_steps += result.steps
+        rec.search_steps += len(result.telemetry)
         self.live[query.id] = _Live(query, result.candidates, result.observations)
         self.push(t + result.charged_time_s, "ready", query.id)
 
@@ -489,7 +492,6 @@ class _Sim:
                 continue
             # a drift left no candidate within the latency SLO
             del self.pending[qid]
-            self.records[qid].status = "replanning"
             self._start_replan(t, qid)
 
         before = set(self.state.assignments)
@@ -506,7 +508,6 @@ class _Sim:
         for qid in sorted(set(self.state.assignments) - before):
             rec = self.records[qid]
             plan = self.state.assignments[qid].plan
-            rec.status = "running"
             rec.admitted_at = t
             rec.hourly_cost = plan.hourly_cost
             del self.pending[qid]
@@ -536,8 +537,6 @@ class _Sim:
         for qid in self.pending:
             self.records[qid].status = "pending-at-end"
         self._mark(t)
-        for qid in sorted(self.state.assignments):
-            self._free(None, qid)
 
         horizon = t
         records = tuple(self.records[q] for q in sorted(self.records))

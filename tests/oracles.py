@@ -550,7 +550,7 @@ def whole_pool_vote(session, idx):
     combined = np.zeros(n_pool)
     cost_acc = np.zeros(n_pool)
     for w, i in zip(weights, top):
-        scores, costs = acquisition(*session.predicted[i], session.a_slo, session.l_slo)
+        scores, costs = acquisition(session.predicted[i], session.a_slo, session.l_slo)
         combined += w * scores
         cost_acc += w * costs
     return combined[idx], cost_acc[idx]

@@ -26,12 +26,10 @@ from tierplan.model import (
     OperatorSpec,
     PipelineSpec,
     PlanPoint,
-    ProfileOutcome,
     Query,
     SpaceTooLargeError,
     Tier,
     TierTopology,
-    Verdict,
     enumerate_search_pool,
 )
 from tierplan.presets import (
@@ -65,21 +63,19 @@ from tierplan.search import (
     propose,
     search_pool,
     single_query_search,
-    update,
 )
 
 
 def acq(mu_a, sd_a, mu_l, sd_l, a_slo, l_slo):
     """Acquisition score of one candidate, the only row of its configuration."""
-    scores, _ = acquisition(
-        np.array([mu_a]), np.array([sd_a]), np.array([0]), np.array([mu_l]), np.array([sd_l]), a_slo, l_slo
-    )
+    predicted = PoolPredictions(np.array([mu_a]), np.array([sd_a]), np.array([0]), np.array([mu_l]), np.array([sd_l]))
+    scores, _ = acquisition(predicted, a_slo, l_slo)
     return float(scores[0])
 
 
 def pool_scores(pair, a_slo, l_slo):
     """The pair's acquisition score at every row of its pool."""
-    return acquisition(*pair.predict(slice(None)), a_slo, l_slo)[0]
+    return acquisition(pair.predict(slice(None)), a_slo, l_slo)[0]
 
 
 def new_pair(pipe, topo):
@@ -303,16 +299,14 @@ class TestUtility:
 
     def test_confident_feasible_plan_scores_inverse_cost(self):
         mu_l = 0.2
-        scores, costs = acquisition(
-            np.array([0.9]), np.array([0.0]), np.array([0]), np.array([mu_l]), np.array([0.0]), 0.8, 0.5
-        )
+        one = PoolPredictions(np.array([0.9]), np.array([0.0]), np.array([0]), np.array([mu_l]), np.array([0.0]))
+        scores, costs = acquisition(one, 0.8, 0.5)
         # C: a 50-case minimum batch at the predicted latency, $3.67 per GPU-hour
         assert costs[0] == pytest.approx(mu_l * 50 / 3600.0 * 3.67)
         assert scores[0] == pytest.approx(1.0 / costs[0])
         # negative predicted latency is floored, not rewarded
-        _, floored = acquisition(
-            np.array([0.9]), np.array([0.1]), np.array([0]), np.array([-1.0]), np.array([0.1]), 0.8, 0.5
-        )
+        negative = PoolPredictions(np.array([0.9]), np.array([0.1]), np.array([0]), np.array([-1.0]), np.array([0.1]))
+        _, floored = acquisition(negative, 0.8, 0.5)
         assert floored[0] == 1e-6
 
     def test_accuracy_at_threshold_halves(self):
@@ -330,7 +324,7 @@ class TestUtility:
         # the accuracy of each configuration, and candidates sharing them
         mu_a, sd_a, mu_l, sd_l = np.array(plans).T
         config = rng.integers(0, 20, 30)
-        got, _ = acquisition(mu_a, sd_a, config, mu_l[config], sd_l[config], a_slo=0.8, l_slo=0.6)
+        got, _ = acquisition(PoolPredictions(mu_a, sd_a, config, mu_l[config], sd_l[config]), a_slo=0.8, l_slo=0.6)
         plans = [plans[c] for c in config]
         ref = [
             norm.cdf((mu_a - 0.8) / sd_a)
@@ -554,10 +548,7 @@ class TestUpdate:
     def test_posterior_tracks_observation(self):
         pipe, topo, land = two_op_setup()
         pair = new_pair(pipe, topo)
-        out = ProfileOutcome(
-            accuracy_estimate=0.87, samples_used=50, verdict=Verdict.PASS_ACCURACY, profiling_cost=1.0
-        )
-        update(pair, None, 3, out, 0.2)
+        pair.fit_new_point(3, 0.87, 0.2)
         assert pair.f_l.rows == [3] and pair.f_a.rows == [pair.config[3]]
         mu_a, sd_a, mu_l, _ = per_row(pair.predict([3]))
         assert abs(float(mu_a[0]) - 0.87) <= 0.02
@@ -582,13 +573,9 @@ class TestUpdate:
         for i in rng.choice(len(pool), 8, replace=False):
             plan = pool[int(i)]
             lat = pipeline_latency(plan, pipe, topo, land.timings_for(plan.configuration))
-            out = ProfileOutcome(
-                accuracy_estimate=land.accuracy_mean(plan.configuration),
-                samples_used=50,
-                verdict=Verdict.PASS_ACCURACY,
-                profiling_cost=1.0,
-            )
-            update(own, session, int(i), out, lat)
+            accuracy = land.accuracy_mean(plan.configuration)
+            session.update_gaps(int(i), accuracy, lat, own)  # before the own model sees the observation
+            own.fit_new_point(int(i), accuracy, lat)
         gaps = session.gaps
         assert gaps[0] < gaps[1]
         assert gaps[0] < 0.05
@@ -598,7 +585,6 @@ class TestUpdate:
         key = pool_key(pipe, topo.num_tiers)
         store = HistoryStore()
         store.push(fitted_pair(pipe, topo, np.random.default_rng(12), 3))
-        out = ProfileOutcome(accuracy_estimate=0.8, samples_used=50, verdict=Verdict.PASS_ACCURACY, profiling_cost=1.0)
         calls = []
         mean = GaussianProcess.mean  # predict reads its means through it too
 
@@ -611,16 +597,20 @@ class TestUpdate:
         for session in (None, HistoryStore().session(key, 0.8, 0.5), store.session((("other",), 2), 0.8, 0.5)):
             own = new_pair(pipe, topo)
             for i in (2, 5, 9):
-                update(own, session, i, out, 0.2)
+                if session is not None:  # as the session loop does without a history
+                    session.update_gaps(i, 0.8, 0.2, own)
+                own.fit_new_point(i, 0.8, 0.2)
             assert own.n_obs == 3 and calls == []
         # with stored models: one one-row mean per GP once the own model is fit,
         # at the profiled plan's configuration and at the plan
         own = new_pair(pipe, topo)
         session = store.session(key, 0.8, 0.5)
-        update(own, session, 2, out, 0.2)
+        session.update_gaps(2, 0.8, 0.2, own)
+        own.fit_new_point(2, 0.8, 0.2)
         assert calls == []
         for i in (5, 9):
-            update(own, session, i, out, 0.2)
+            session.update_gaps(i, 0.8, 0.2, own)
+            own.fit_new_point(i, 0.8, 0.2)
         assert calls == [(own.f_a, own.config[5]), (own.f_l, 5), (own.f_a, own.config[9]), (own.f_l, 9)]
         assert len(session.own_window) == 2 and session.gap_n == 3
 
@@ -655,7 +645,7 @@ class TestHistoryPoolPredictions:
                 )
         for j, pair in enumerate(pairs):
             scores, costs = session.pool_scores(j)
-            want_scores, want_costs = acquisition(*pair.predict(slice(None)), 0.8, 0.5)
+            want_scores, want_costs = acquisition(pair.predict(slice(None)), 0.8, 0.5)
             assert np.array_equal(scores, want_scores) and np.array_equal(costs, want_costs)
 
     def test_each_stored_model_predicts_the_pool_at_most_once(self, monkeypatch):
@@ -1079,7 +1069,7 @@ class TestSingleQuerySearch:
     def test_zero_budget_returns_empty(self, vt_pipeline, vt_landscape, topology):
         q = Query("z", vt_pipeline, a_slo=0.5, l_slo=1.0, response_budget_s=0.0)
         res = single_query_search(q, vt_landscape, topology, seed=0)
-        assert res.steps == 0 and len(res.candidates) == 0
+        assert res.telemetry == [] and len(res.candidates) == 0
 
     def test_deterministic_proposal_sequence(self, vt_pipeline, vt_landscape, topology, vt_query):
         a = single_query_search(vt_query, vt_landscape, topology, seed=7)
@@ -1155,8 +1145,8 @@ class TestSingleQuerySearch:
         q = dataclasses.replace(vt_query, a_slo=a_slo or vt_query.a_slo, response_budget_s=3.0)
         res = single_query_search(q, vt_landscape, topology, seed=5, config=SearchConfig(profiler=profiler))
         rows = res.telemetry
-        assert len(rows) == len(outcomes) == res.steps > 1
-        assert [r["step"] for r in rows] == list(range(1, res.steps + 1))
+        assert len(rows) == len(outcomes) > 1
+        assert [r["step"] for r in rows] == list(range(1, len(rows) + 1))
         assert [r["profiling_gpu_s"] for r in rows] == [o.profiling_cost for o in outcomes]
         assert [r["samples"] for r in rows] == [o.samples_used for o in outcomes]
         total = 0.0
@@ -1181,14 +1171,14 @@ class TestSingleQuerySearch:
     def test_gpuh_budget_mode(self, vt_pipeline, vt_landscape, topology):
         q = Query("g", vt_pipeline, a_slo=0.5, l_slo=1.0, profiling_budget_gpuh=1e-4)
         res = single_query_search(q, vt_landscape, topology, seed=1)
-        assert res.steps >= 1
+        assert len(res.telemetry) >= 1
         assert res.gpu_seconds / 3600.0 >= 1e-4  # stopped after crossing
 
     def test_pool_exhaustion_is_legal_outcome(self):
         pipe, topo, land = two_op_setup()
         q = Query("e", pipe, a_slo=0.999, l_slo=10.0, response_budget_s=1e6)
         res = single_query_search(q, land, topo, seed=0)
-        assert res.steps == len(search_pool(pipe, topo).plans)
+        assert len(res.telemetry) == len(search_pool(pipe, topo).plans)
         assert len(res.candidates) == 0  # nothing can reach 0.999
 
 
@@ -1215,11 +1205,11 @@ class TestReplan:
         from tierplan.scheduler import replan
 
         first = single_query_search(vt_query, vt_landscape, topology, seed=2)
-        assert len(first.observations.idx) == first.steps > 0
+        assert len(first.observations.idx) == len(first.telemetry) > 0
         again = replan(vt_query, vt_landscape, topology, prior=first.observations, seed=3, budget_s=2.0)
         # stale observations retained, in order, plus fresh ones
         n = len(first.observations.idx)
-        assert again.steps >= 1 and len(again.observations.idx) == n + again.steps
+        assert len(again.telemetry) >= 1 and len(again.observations.idx) == n + len(again.telemetry)
         assert all(a[:n] == b for a, b in zip(again.observations[1:], first.observations[1:], strict=True))
         # a result holds observations, no model
         assert type(again.observations) is Observations
