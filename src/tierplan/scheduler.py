@@ -85,35 +85,35 @@ class DeploymentState:
 
     def place(self, query_id: str, plan: CandidatePlan, weight: float) -> bool:
         """Admit ``plan`` for ``query_id`` by first-fit-decreasing placement
-        of every operator; all-or-nothing, so a plan that does not fit leaves
-        the state as it was."""
+        of every operator. The operators are placed on copies of their tiers'
+        residual rows, which replace the rows only if every operator fits: a
+        plan that does not fit leaves the state as it was, bit for bit."""
         if query_id in self.assignments:
             raise ValueError(f"query {query_id} already admitted")
         demands = op_demands(plan.plan, self.topology)
+        rows: dict[int, list[float]] = {}  # tier -> a copy of its row, made as its first operator is placed
         machines: list = [None] * len(demands)
-        applied: list[int] = []
         # largest demand first; the sort is stable, so ties keep operator order
         for i in sorted(range(len(demands)), key=lambda i: -demands[i][1]):
             tier, demand = demands[i]
-            row = self.residual[tier]
+            row = rows.get(tier, self.residual[tier])
             for m, res in enumerate(row):
                 if res >= demand - _EPS:
                     break
             else:
-                for j in applied:  # in the order applied: residuals are floats
-                    t, m = machines[j]
-                    self.residual[t][m] += demands[j][1]
                 return False
+            if tier not in rows:
+                row = rows[tier] = list(row)
             row[m] -= demand
             machines[i] = (tier, m)
-            applied.append(i)
+        for tier, row in rows.items():
+            self.residual[tier] = row
         self.assignments[query_id] = Assignment(plan, weight, demands, tuple(machines))
         return True
 
     def release(self, query_id: str) -> None:
-        assignment = self.assignments.pop(query_id, None)
-        if assignment is None:
-            return
+        """Free the admission that ``query_id`` holds."""
+        assignment = self.assignments.pop(query_id)
         for (tier, machine), (_, demand) in zip(assignment.machines, assignment.demands):
             self.residual[tier][machine] += demand
 
@@ -145,11 +145,12 @@ def greedy_goodput(
     The primary pass ranks all plans across queries by descending w/cr,
     where cr is the plan's capacity-normalized aggregate demand (ties
     toward lower monetary cost, then input order). A fallback pass
-    ranks them by raw weight. Each pass runs on its own copy of the
-    starting state and the heavier allocation is adopted: ratio order alone
-    can strand a heavyweight query at small instance sizes. Pass an existing
+    ranks them by raw weight. The fallback pass runs on a copy of the
+    starting state and the primary pass on the state itself, which adopts
+    the copy only if it admitted strictly more weight: ratio order alone can
+    strand a heavyweight query at small instance sizes. Pass an existing
     ``state`` to admit incrementally against current residual capacities;
-    unplaceable plans are skipped.
+    unplaceable plans are skipped. Returns the state admitted into.
     """
     st = state if state is not None else DeploymentState.fresh(topology)
     ratio_order: list[tuple] = []
@@ -164,12 +165,10 @@ def greedy_goodput(
     ratio_order.sort()
     weight_order.sort()
 
-    trial_ratio = st.copy()
-    gain_ratio = _admission_pass(ratio_order, trial_ratio)
-    trial_weight = st.copy()
-    gain_weight = _admission_pass(weight_order, trial_weight)
-    winner = trial_ratio if gain_ratio >= gain_weight else trial_weight
-    st.residual, st.assignments = winner.residual, winner.assignments
+    trial = st.copy()
+    gain_weight = _admission_pass(weight_order, trial)
+    if _admission_pass(ratio_order, st) < gain_weight:
+        st.residual, st.assignments = trial.residual, trial.assignments
     return st
 
 

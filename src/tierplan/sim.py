@@ -25,8 +25,9 @@ query's status records only how it ended. An admission is freed by its
 release event or by a drift that violates its plan, and the run drains
 every release event, so none is held at the end. Freeing writes its one
 ``deployment.csv`` row; the rows whose [admitted_s, released_s) covers a
-time are the running set then. Deployment dollars are a fold over
-``cost_series``.
+time are the running set then. Each heap event carries its handler. The
+goodput and cost series keep one point per event time, the state after
+that time's events, and both totals are folds of them by ``_integral``.
 """
 
 from __future__ import annotations
@@ -289,17 +290,13 @@ class MetricsReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _series_average(series, horizon: float) -> float:
-    """Time-weighted mean of a right-continuous step series over [0, horizon]."""
-    if horizon <= 0:
-        return 0.0
+def _integral(series, per: float = 1.0) -> float:
+    """Integral of a right-continuous step series up to its last point, each
+    step's width counted in units of ``per`` seconds."""
     total = 0.0
     for (t0, v), (t1, _) in zip(series, series[1:]):
-        total += v * (min(t1, horizon) - min(t0, horizon))
-    if series:
-        t_last, v_last = series[-1]
-        total += v_last * max(0.0, horizon - t_last)
-    return total / horizon
+        total += v * (t1 - t0) / per
+    return total
 
 
 class _Live(NamedTuple):
@@ -331,18 +328,21 @@ class _Sim:
         self._seq = 0
         self.heap: list = []
 
-    def push(self, time: float, kind: str, payload) -> None:
+    def push(self, time: float, handler, payload) -> None:
+        """Queue ``handler(time, payload)``; the unique seq orders ties, so handlers are never compared."""
         self._seq += 1
-        heapq.heappush(self.heap, (time, self._seq, kind, payload))
+        heapq.heappush(self.heap, (time, self._seq, handler, payload))
 
     def query_seed(self, idx: int, salt: int = 0) -> int:
         return int(np.random.SeedSequence((self.cfg.seed, idx, salt)).generate_state(1)[0])
 
     def _mark(self, t: float) -> None:
-        """Record cost and true goodput: an admitted plan whose true accuracy
-        misses the SLO is served but does not count."""
-        self.goodput_series.append((t, len(self.good)))
-        self.cost_series.append((t, self.state.hourly_cost()))
+        """Record cost and true goodput at ``t``, in place of a point already
+        at ``t``: an admitted plan whose true accuracy misses the SLO is
+        served but does not count."""
+        start = len(self.goodput_series) - (self.goodput_series[-1][0] == t)
+        self.goodput_series[start:] = [(t, len(self.good))]
+        self.cost_series[start:] = [(t, self.state.hourly_cost())]
 
     # -- event handlers ----------------------------------------------------
 
@@ -376,7 +376,6 @@ class _Sim:
             config=self.cfg.search,
         )
         rec.time_to_first_feasible_s = result.time_to_first_feasible_s
-        rec.candidate_count = len(result.candidates)
         self._charge(t, query, result)
 
     def on_ready(self, t: float, qid: str) -> None:
@@ -397,8 +396,6 @@ class _Sim:
         self._free(t, qid)
         rec.status = "completed"
         del self.live[qid]
-        rec.released_at = t
-        self._mark(t)
         self.epoch(t)
 
     def on_drift(self, t: float, event: DriftEvent) -> None:
@@ -411,7 +408,6 @@ class _Sim:
         self.good = {qid for qid, a in assignments.items() if not self._violates(qid, a.plan.plan)}
         for qid in [qid for qid in assignments if qid not in self.good]:
             self._free(t, qid)
-            self._mark(t)
             self._start_replan(t, qid)
         for qid, (since, _) in self.pending.items():
             self.pending[qid] = (since, self._revalidate(qid))
@@ -419,10 +415,12 @@ class _Sim:
 
     def _free(self, t: float, qid: str) -> None:
         """Release query ``qid``'s admission at time ``t``, at its release
-        event or a drift that violates its plan, and record its deployment row."""
+        event or a drift that violates its plan, and record its release time
+        and deployment row."""
         a = self.state.assignments[qid]
         self.state.release(qid)
         self.good.discard(qid)
+        self.records[qid].released_at = t
         placement = "|".join(f"{tier}:{m}" for tier, m in a.machines)
         resources = "|".join(str(f) for f in a.plan.plan.resources)
         self.admissions.append((qid, self.records[qid].admitted_at, t, placement, resources, a.plan.hourly_cost))
@@ -435,8 +433,9 @@ class _Sim:
         rec.gpu_seconds += result.gpu_seconds
         rec.profiling_dollars += result.dollars
         rec.search_steps += len(result.telemetry)
+        rec.candidate_count = len(result.candidates)
         self.live[query.id] = _Live(query, result.candidates, result.observations)
-        self.push(t + result.charged_time_s, "ready", query.id)
+        self.push(t + result.charged_time_s, self.on_ready, query.id)
 
     def _latency(self, qid: str, plan: PlanPoint) -> float:
         """Modelled latency of ``plan`` for query ``qid`` on the current topology."""
@@ -481,9 +480,6 @@ class _Sim:
     # -- scheduling --------------------------------------------------------
 
     def epoch(self, t: float) -> None:
-        if not self.pending:
-            self._mark(t)
-            return
         live: list[tuple[Query, CandidateSet]] = []
         for qid in sorted(self.pending, key=lambda q: self.records[q].arrival_time):
             cset = self.pending[qid][1]
@@ -499,7 +495,7 @@ class _Sim:
             for query, cset in live:
                 if not self.state.place(query.id, cset.cheapest(), query.weight):
                     break  # strict head-of-line blocking
-        else:
+        elif live:
             aged = age_weights(
                 [(q.id, q.weight, self.pending[q.id][0]) for q, _ in live], t, self.cfg.aging_beta
             )
@@ -513,27 +509,20 @@ class _Sim:
             del self.pending[qid]
             if not self._violates(qid, plan.plan):
                 self.good.add(qid)
-            self.push(t + rec.lifespan, "release", (qid, t))
+            self.push(t + rec.lifespan, self.on_release, (qid, t))
         self._mark(t)
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> MetricsReport:
         for idx, entry in enumerate(self.cfg.trace.entries):
-            self.push(entry.arrival_time, "arrival", idx)
+            self.push(entry.arrival_time, self.on_arrival, idx)
         for event in self.cfg.drift:
-            self.push(event.time, "drift", event)
+            self.push(event.time, self.on_drift, event)
         t = 0.0
         while self.heap:
-            t, _, kind, payload = heapq.heappop(self.heap)
-            if kind == "arrival":
-                self.on_arrival(t, payload)
-            elif kind == "ready":
-                self.on_ready(t, payload)
-            elif kind == "release":
-                self.on_release(t, payload)
-            elif kind == "drift":
-                self.on_drift(t, payload)
+            t, _, handler, payload = heapq.heappop(self.heap)
+            handler(t, payload)
         for qid in self.pending:
             self.records[qid].status = "pending-at-end"
         self._mark(t)
@@ -541,17 +530,14 @@ class _Sim:
         horizon = t
         records = tuple(self.records[q] for q in sorted(self.records))
         statuses = [r.status for r in records]
-        deployment_dollars = 0.0
-        for (t0, rate), (t1, _) in zip(self.cost_series, self.cost_series[1:]):
-            deployment_dollars += rate * max(0.0, t1 - t0) / 3600.0
         totals = {
             "arrived": len(records),
             "completed": statuses.count("completed"),
             "degraded": statuses.count("degraded"),
             "rejected": statuses.count("rejected"),
             "pending_at_end": statuses.count("pending-at-end"),
-            "avg_goodput": _series_average(self.goodput_series, horizon),
-            "deployment_dollars": deployment_dollars,
+            "avg_goodput": _integral(self.goodput_series) / horizon if horizon > 0 else 0.0,
+            "deployment_dollars": _integral(self.cost_series, 3600.0),
             "profiling_dollars": float(sum(r.profiling_dollars for r in records)),
             "profiling_gpu_seconds": float(sum(r.gpu_seconds for r in records)),
             "horizon_s": horizon,

@@ -2,11 +2,12 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_goodput, brute_force_min_bins
 from tierplan.model import (
+    RESOURCE_FRACTIONS,
     OperatorSpec,
     PipelineSpec,
     PlanPoint,
@@ -316,3 +317,26 @@ class TestOpDemands:
         state = DeploymentState.fresh(topo)
         assert not state.place("q", cand([0, 0], [1.0, 0.125], topo), 1.0)
         assert state.residual == [[1.0]] and state.assignments == {}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        capacity=st.one_of(st.just(0.3), st.floats(0.1, 3.3)),
+        machines=st.integers(1, 3),
+        prefill=st.lists(st.lists(st.sampled_from(RESOURCE_FRACTIONS), min_size=1, max_size=3), max_size=6),
+        fracs=st.lists(st.sampled_from(RESOURCE_FRACTIONS), min_size=2, max_size=4),
+    )
+    # 0.3 - 0.0375 - 0.0375 is 0.225, but 0.225 - 0.15 - 0.075 + 0.15 + 0.075 is not
+    @example(capacity=0.3, machines=1, prefill=[[0.125, 0.125]], fracs=[0.5, 0.25, 0.125])
+    def test_a_failed_placement_leaves_the_residuals_bitwise_as_they_were(self, capacity, machines, prefill, fracs):
+        # non-dyadic capacities make the demands inexact, so undoing a
+        # partial placement by adding the demands back can move a residual
+        # by an ulp
+        topo = single_tier_topology(machines=machines, capacity=capacity)
+        state = DeploymentState.fresh(topo)
+        for i, plan in enumerate(prefill):
+            state.place(f"p{i}", cand([0] * len(plan), plan, topo), 1.0)
+        before = [[r.hex() for r in row] for row in state.residual]
+        held = dict(state.assignments)
+        if not state.place("q", cand([0] * len(fracs), fracs, topo), 1.0):
+            assert [[r.hex() for r in row] for row in state.residual] == before
+            assert state.assignments == held

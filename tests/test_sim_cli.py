@@ -420,6 +420,17 @@ class TestDriftRecheck:
 
 ENDED = ("completed", "rejected", "degraded")
 
+# configs built from the small_world fixture: two with drift and replans, one plain trace
+WORLDS = pytest.mark.parametrize(
+    "world_config",
+    [
+        lambda world: tight_cluster_config(),
+        lambda world: bandwidth_drift_config(),
+        lambda world: make_config(world, [entry(world, t=float(i), lifespan=12.0) for i in range(3)]),
+    ],
+    ids=["tight-cluster", "bandwidth-drift", "small-world"],
+)
+
 
 def check_invariants(sim):
     """The simulator's admission state against a fresh recount."""
@@ -502,10 +513,10 @@ class TestSimInvariants:
         admitted = []
         push = sim.push
 
-        def counted(time, kind, payload):
-            if kind == "release":
+        def counted(time, handler, payload):
+            if handler is sim.on_release:
                 admitted.append(payload)
-            push(time, kind, payload)
+            push(time, handler, payload)
 
         sim.push = counted
         report = sim.run()
@@ -524,15 +535,7 @@ class TestSimInvariants:
             }
             assert rebuilt == assignments
 
-    @pytest.mark.parametrize(
-        "world_config",
-        [
-            lambda world: tight_cluster_config(),
-            lambda world: bandwidth_drift_config(),
-            lambda world: make_config(world, [entry(world, t=float(i), lifespan=12.0) for i in range(3)]),
-        ],
-        ids=["tight-cluster", "bandwidth-drift", "small-world"],
-    )
+    @WORLDS
     def test_every_admission_ends_at_its_release(self, world_config, small_world, tmp_path):
         # each admission pushes its release at a finite time and the run
         # drains the heap, so nothing is held at the end and every query ended
@@ -543,6 +546,46 @@ class TestSimInvariants:
         assert not sim.state.assignments
         assert rows and all(r["released_s"] != "" for r in rows)
         assert all(rec.status in ENDED + ("pending-at-end",) for rec in sim.records.values())
+
+    @WORLDS
+    def test_the_series_keep_one_point_per_time_the_state_after_its_events(self, world_config, small_world):
+        sim = _Sim(world_config(small_world))
+        handled = []
+        for name in ("on_arrival", "on_ready", "on_release", "on_drift"):
+
+            def checked(t, payload, handler=getattr(sim, name), name=name):
+                handler(t, payload)
+                handled.append(name)
+                for series in (sim.goodput_series, sim.cost_series):
+                    times = [time for time, _ in series]
+                    assert all(a < b for a, b in zip(times, times[1:]))
+                assert sim.goodput_series[-1][1] == len(sim.good)
+                assert sim.cost_series[-1][1] == sim.state.hourly_cost()
+
+            setattr(sim, name, checked)
+        sim.run()
+        assert {"on_arrival", "on_ready", "on_release"} <= set(handled)
+
+    @pytest.mark.parametrize("make_config", [tight_cluster_config, bandwidth_drift_config])
+    def test_a_query_record_keeps_its_last_admission(self, make_config, tmp_path):
+        # drift releases included: a drift-released query that replans to
+        # nothing reads its release time and the empty candidate set
+        cfg = make_config()
+        report = run(cfg)
+        write_report(report, str(tmp_path))
+        with open(tmp_path / "deployment.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {float(r["released_s"]) for r in rows} & {event.time for event in cfg.drift}
+        last = {r["query"]: r for r in rows}  # rows are in admission order
+        for q in report.queries:
+            row = last.get(q.id)
+            if row is None:
+                assert q.admitted_at is q.released_at is q.hourly_cost is None
+            else:
+                assert q.admitted_at == float(row["admitted_s"]) and q.released_at == float(row["released_s"])
+                assert q.hourly_cost == float(row["hourly_cost"])
+            if q.status in ("rejected", "degraded"):
+                assert q.candidate_count == 0
 
 
 class TestCompare:
