@@ -27,6 +27,8 @@ SCHEMA_VERSION = 1
 
 #: Discrete per-operator resource fractions (of one machine's capacity).
 RESOURCE_FRACTIONS = (1.0, 0.5, 0.25, 0.125)
+#: Grid units per machine: every fraction above is a whole number of them.
+GRID = round(1 / min(RESOURCE_FRACTIONS))
 
 
 class SchemaError(ValueError):

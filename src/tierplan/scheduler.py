@@ -6,6 +6,10 @@ serves everyone with the best benefit-to-dollar plan and bin-packs machines
 per tier. Both are validated against exhaustive integer-program oracles on
 small instances (the oracles are test/CLI equipment, never the fast path).
 
+Capacity is counted in whole grid units: a machine holds ``GRID`` and every
+resource fraction is a whole number of them on any tier, so admission,
+packing and the oracles compare integers with no tolerance.
+
 The scheduler is invoked serially by the simulation loop and owns its
 DeploymentState exclusively; admitted queries run to completion (no
 evictions on admission), though replanning may voluntarily release
@@ -22,6 +26,7 @@ import numpy as np
 
 from .latency import plan_hourly_cost
 from .model import (
+    GRID,
     RESOURCE_FRACTIONS,
     OperatorSpec,
     PipelineSpec,
@@ -40,65 +45,62 @@ from .search import (
     single_query_search,
 )
 
-_EPS = 1e-9
-
 DEFAULT_AGING_BETA = 0.01  # per second of pending time
 RANDOM_MAX_OPS = 3  # operators per query in random_scheduling_instance
+_UNITS = {frac: int(frac * GRID) for frac in RESOURCE_FRACTIONS}  # exact: each fraction is whole units
 
 
-def op_demands(plan: PlanPoint, topology: TierTopology) -> tuple[tuple[int, float], ...]:
-    """A plan's machine footprint: per operator, (tier, resource units).
+def op_demands(plan: PlanPoint) -> tuple[tuple[int, int], ...]:
+    """A plan's machine footprint: per operator, (tier, grid units).
 
-    The operator is the packing unit, so each demand fits on a single
-    machine by construction.
+    All machines of a tier share one capacity, so a fraction of a machine
+    is the same number of units on every tier. The operator is the packing
+    unit, so each demand fits on a single machine by construction.
     """
-    tiers = topology.tiers
-    return tuple([(tier, frac * tiers[tier].capacity) for frac, tier in zip(plan.resources, plan.placement)])
+    return tuple([(tier, _UNITS[frac]) for frac, tier in zip(plan.resources, plan.placement)])
 
 
 @dataclass
 class Assignment:
     plan: CandidatePlan
     weight: float
-    demands: tuple[tuple[int, float], ...]
     machines: tuple[tuple[int, int], ...]  # (tier, machine index) per operator
 
 
 @dataclass
 class DeploymentState:
-    """Per-machine residual capacity plus the admitted query->plan map.
+    """Free grid units per machine plus the admitted query->plan map.
 
-    Of ``topology`` only the tiers' machine counts and capacities are read,
-    which a drift never changes.
+    Every count stays in [0, ``GRID``], and :meth:`release` is the exact
+    inverse of :meth:`place`.
     """
 
-    topology: TierTopology
-    residual: list[list[float]]
+    units: list[list[int]]
     assignments: dict[str, Assignment] = field(default_factory=dict)
 
     @staticmethod
     def fresh(topology: TierTopology) -> "DeploymentState":
-        return DeploymentState(topology, [[t.capacity] * t.machine_count for t in topology.tiers])
+        return DeploymentState([[GRID] * t.machine_count for t in topology.tiers])
 
     def copy(self) -> "DeploymentState":
-        return DeploymentState(self.topology, [list(r) for r in self.residual], dict(self.assignments))
+        return DeploymentState([list(r) for r in self.units], dict(self.assignments))
 
     def place(self, query_id: str, plan: CandidatePlan, weight: float) -> bool:
         """Admit ``plan`` for ``query_id`` by first-fit-decreasing placement
         of every operator. The operators are placed on copies of their tiers'
-        residual rows, which replace the rows only if every operator fits: a
-        plan that does not fit leaves the state as it was, bit for bit."""
+        rows, which replace the rows only if every operator fits: a plan that
+        does not fit leaves the state as it was."""
         if query_id in self.assignments:
             raise ValueError(f"query {query_id} already admitted")
-        demands = op_demands(plan.plan, self.topology)
-        rows: dict[int, list[float]] = {}  # tier -> a copy of its row, made as its first operator is placed
+        demands = op_demands(plan.plan)
+        rows: dict[int, list[int]] = {}  # tier -> a copy of its row, made as its first operator is placed
         machines: list = [None] * len(demands)
         # largest demand first; the sort is stable, so ties keep operator order
         for i in sorted(range(len(demands)), key=lambda i: -demands[i][1]):
             tier, demand = demands[i]
-            row = rows.get(tier, self.residual[tier])
-            for m, res in enumerate(row):
-                if res >= demand - _EPS:
+            row = rows.get(tier, self.units[tier])
+            for m, free in enumerate(row):
+                if free >= demand:
                     break
             else:
                 return False
@@ -107,15 +109,15 @@ class DeploymentState:
             row[m] -= demand
             machines[i] = (tier, m)
         for tier, row in rows.items():
-            self.residual[tier] = row
-        self.assignments[query_id] = Assignment(plan, weight, demands, tuple(machines))
+            self.units[tier] = row
+        self.assignments[query_id] = Assignment(plan, weight, tuple(machines))
         return True
 
     def release(self, query_id: str) -> None:
         """Free the admission that ``query_id`` holds."""
         assignment = self.assignments.pop(query_id)
-        for (tier, machine), (_, demand) in zip(assignment.machines, assignment.demands):
-            self.residual[tier][machine] += demand
+        for (tier, machine), (_, demand) in zip(assignment.machines, op_demands(assignment.plan.plan)):
+            self.units[tier][machine] += demand
 
     def admitted_weight(self) -> float:
         return sum(a.weight for a in self.assignments.values())
@@ -149,7 +151,7 @@ def greedy_goodput(
     starting state and the primary pass on the state itself, which adopts
     the copy only if it admitted strictly more weight: ratio order alone can
     strand a heavyweight query at small instance sizes. Pass an existing
-    ``state`` to admit incrementally against current residual capacities;
+    ``state`` to admit incrementally against its free units;
     unplaceable plans are skipped. Returns the state admitted into.
     """
     st = state if state is not None else DeploymentState.fresh(topology)
@@ -168,7 +170,7 @@ def greedy_goodput(
     trial = st.copy()
     gain_weight = _admission_pass(weight_order, trial)
     if _admission_pass(ratio_order, st) < gain_weight:
-        st.residual, st.assignments = trial.residual, trial.assignments
+        st.units, st.assignments = trial.units, trial.assignments
     return st
 
 
@@ -180,14 +182,17 @@ class CostDeployment:
     hourly_dollars: float
 
 
-def ffd_bin_count(items: list[float], capacity: float) -> int:
-    """First-fit-decreasing bin count; items must each fit one bin."""
-    bins: list[float] = []
+def ffd_bin_count(items: list[int], capacity: int = GRID) -> int:
+    """First-fit-decreasing bin count of grid-unit items; items must each
+    fit one bin. Optimal when the item sizes and the capacity form a
+    divisible sequence, as 1, 2, 4 and 8 units in a machine of ``GRID`` do
+    (Coffman, Garey & Johnson 1987)."""
+    bins: list[int] = []
     for item in sorted(items, reverse=True):
-        if item > capacity + _EPS:
+        if item > capacity:
             raise ValueError(f"item {item} exceeds bin capacity {capacity}")
         for i, used in enumerate(bins):
-            if used + item <= capacity + _EPS:
+            if used + item <= capacity:
                 bins[i] = used + item
                 break
         else:
@@ -214,21 +219,18 @@ def greedy_cost(
             unserved.append(query.id)
             continue
         chosen[query.id] = cset.cheapest()
-    per_tier_items: list[list[float]] = [[] for _ in topology.tiers]
+    per_tier_items: list[list[int]] = [[] for _ in topology.tiers]
     for cand in chosen.values():
-        for tier, demand in op_demands(cand.plan, topology):
+        for tier, demand in op_demands(cand.plan):
             per_tier_items[tier].append(demand)
-    machines = []
+    machines = tuple(ffd_bin_count(items) for items in per_tier_items)
     dollars = 0.0
-    for tier_idx, items in enumerate(per_tier_items):
-        tier = topology.tiers[tier_idx]
-        k = ffd_bin_count(items, tier.capacity) if items else 0
-        machines.append(k)
+    for k, tier in zip(machines, topology.tiers):
         dollars += k * tier.machine_hourly_cost
     return CostDeployment(
         chosen=chosen,
         unserved=tuple(unserved),
-        machines_per_tier=tuple(machines),
+        machines_per_tier=machines,
         hourly_dollars=dollars,
     )
 
@@ -242,13 +244,14 @@ class OracleInstance:
     """Small scheduling instance in oracle form.
 
     ``queries``: per query, (weight, plan options), each plan a tuple of
-    per-operator (tier, resource units). ``machine_caps``: per tier, the
-    capacity of each machine. ``tier_prices``: per tier, dollars per
-    machine-hour (used by the cost oracle).
+    per-operator (tier, grid units). ``machine_caps``: per tier, the grid
+    units of each machine. ``tier_prices``: per tier, dollars per
+    machine-hour (used by the cost oracle). Units are integers, so the
+    oracles compare them exactly.
     """
 
-    queries: tuple[tuple[float, tuple[tuple[tuple[int, float], ...], ...]], ...]
-    machine_caps: tuple[tuple[float, ...], ...]
+    queries: tuple[tuple[float, tuple[tuple[tuple[int, int], ...], ...]], ...]
+    machine_caps: tuple[tuple[int, ...], ...]
     tier_prices: tuple[float, ...] = ()
 
     MAX_QUERIES = 8
@@ -267,35 +270,34 @@ def _check_oracle_size(inst: OracleInstance) -> None:
         raise SpaceTooLargeError(f"oracle limited to {OracleInstance.MAX_MACHINES} machines")
 
 
-def _canonical(residual: tuple[tuple[float, ...], ...]) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(sorted(round(r, 9) for r in tier)) for tier in residual)
+def _canonical(free: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(sorted(tier)) for tier in free)
 
 
 def _placements(
-    items: tuple[tuple[int, float], ...],
-    residual: tuple[tuple[float, ...], ...],
-) -> list[tuple[tuple[float, ...], ...]]:
-    """All distinct residual states after placing every item, with
+    items: tuple[tuple[int, int], ...],
+    free: tuple[tuple[int, ...], ...],
+) -> list[tuple[tuple[int, ...], ...]]:
+    """All distinct free-unit states after placing every item, with
     identical-machine symmetry pruning."""
     order = sorted(items, key=lambda td: -td[1])
     out: dict = {}
 
-    def go(i: int, res: tuple[tuple[float, ...], ...]) -> None:
+    def go(i: int, res: tuple[tuple[int, ...], ...]) -> None:
         if i == len(order):
             out[_canonical(res)] = res
             return
         tier, demand = order[i]
         tried = set()
         for m, avail in enumerate(res[tier]):
-            key = round(avail, 9)
-            if key in tried or avail < demand - _EPS:
+            if avail in tried or avail < demand:
                 continue
-            tried.add(key)
+            tried.add(avail)
             tier_row = list(res[tier])
             tier_row[m] = avail - demand
             go(i + 1, res[:tier] + (tuple(tier_row),) + res[tier + 1 :])
 
-    go(0, residual)
+    go(0, free)
     return list(out.values())
 
 
@@ -305,7 +307,7 @@ def ilp_oracle_limited(inst: OracleInstance) -> float:
     Each operator of a chosen plan lands on a machine of its tier, the
     granularity the greedy packs at. Enumerates admit/skip and plan/machine
     choices depth-first with weight-bound pruning and memoization on
-    (query index, canonical residual state). Refuses oversized instances.
+    (query index, canonical free-unit state). Refuses oversized instances.
     """
     _check_oracle_size(inst)
     n = len(inst.queries)
@@ -314,55 +316,51 @@ def ilp_oracle_limited(inst: OracleInstance) -> float:
         suffix[i] = suffix[i + 1] + inst.queries[i][0]
     memo: dict = {}
 
-    def solve(i: int, residual: tuple[tuple[float, ...], ...]) -> float:
+    def solve(i: int, free: tuple[tuple[int, ...], ...]) -> float:
         if i == n:
             return 0.0
-        key = (i, _canonical(residual))
+        key = (i, _canonical(free))
         hit = memo.get(key)
         if hit is not None:
             return hit
         weight, plans = inst.queries[i]
         best = 0.0
         for plan in plans:
-            for new_res in _placements(plan, residual):
+            for new_res in _placements(plan, free):
                 best = max(best, weight + solve(i + 1, new_res))
             if best >= weight + suffix[i + 1]:
                 break
-        best = max(best, solve(i + 1, residual))
+        best = max(best, solve(i + 1, free))
         memo[key] = best
         return best
 
     return solve(0, tuple(tuple(c) for c in inst.machine_caps))
 
 
-def _min_bins(items: list[float], capacity: float) -> int:
+def _min_bins(items: list[int], capacity: int) -> int:
     """Exact minimum bin count by branch and bound (FFD upper bound,
     volume lower bound)."""
-    items = sorted((x for x in items if x > _EPS), reverse=True)
-    if not items:
-        return 0
+    items = sorted(items, reverse=True)
     best = ffd_bin_count(items, capacity)
-    lower = math.ceil(sum(items) / capacity - 1e-12)
-    if best == lower:
+    if best == -(-sum(items) // capacity):
         return best
 
-    def go(i: int, bins: list[float], used: int) -> None:
+    def go(i: int, bins: list[int], used: int) -> None:
         nonlocal best
         if used >= best:
             return
         if i == len(items):
             best = used
             return
-        remaining_lb = used + max(0, math.ceil((sum(items[i:]) - sum(capacity - b for b in bins)) / capacity - 1e-12))
+        remaining_lb = used + max(0, -(-(sum(items[i:]) - sum(capacity - b for b in bins)) // capacity))
         if remaining_lb >= best:
             return
         item = items[i]
         seen = set()
         for b in range(len(bins)):
-            key = round(bins[b], 9)
-            if key in seen or bins[b] + item > capacity + _EPS:
+            if bins[b] in seen or bins[b] + item > capacity:
                 continue
-            seen.add(key)
+            seen.add(bins[b])
             bins[b] += item
             go(i + 1, bins, used)
             bins[b] -= item
@@ -388,12 +386,10 @@ def ilp_oracle_unlimited(inst: OracleInstance) -> float:
     if n == 0:
         return 0.0
     num_tiers = len(inst.tier_prices)
-    caps = [inst.machine_caps[t][0] if inst.machine_caps[t] else 1.0 for t in range(num_tiers)]
+    caps = [inst.machine_caps[t][0] if inst.machine_caps[t] else GRID for t in range(num_tiers)]
     usable: list[tuple[float, tuple]] = []
     for w, plans in inst.queries:
-        ok = tuple(
-            plan for plan in plans if all(d <= caps[t] + _EPS for t, d in plan)
-        )
+        ok = tuple(plan for plan in plans if all(d <= caps[t] for t, d in plan))
         if not ok:
             raise ValueError("cost oracle requires every query to have a machine-feasible plan")
         usable.append((w, ok))
@@ -403,21 +399,21 @@ def ilp_oracle_unlimited(inst: OracleInstance) -> float:
     for _, plans in queries:
         per_tier = [min(sum(d for t2, d in plan if t2 == t) for plan in plans) for t in range(num_tiers)]
         min_demand.append(per_tier)
-    suffix_min = [[0.0] * num_tiers for _ in range(n + 1)]
+    suffix_min = [[0] * num_tiers for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
         for t in range(num_tiers):
             suffix_min[i][t] = suffix_min[i + 1][t] + min_demand[i][t]
 
     best = math.inf
 
-    def lower_bound(placed: list[list[float]], i: int) -> float:
+    def lower_bound(placed: list[list[int]], i: int) -> float:
         lb = 0.0
         for t in range(num_tiers):
             vol = sum(placed[t]) + suffix_min[i][t]
-            lb += math.ceil(vol / caps[t] - 1e-12) * inst.tier_prices[t]
+            lb += -(-vol // caps[t]) * inst.tier_prices[t]
         return lb
 
-    def go(i: int, placed: list[list[float]]) -> None:
+    def go(i: int, placed: list[list[int]]) -> None:
         nonlocal best
         if lower_bound(placed, i) >= best - 1e-12:
             return
@@ -444,10 +440,10 @@ def oracle_instance_from_candidates(
 ) -> OracleInstance:
     queries = []
     for query, cset in candidates:
-        queries.append((query.weight, tuple(op_demands(cand.plan, topology) for cand in cset.plans)))
+        queries.append((query.weight, tuple(op_demands(cand.plan) for cand in cset.plans)))
     return OracleInstance(
         queries=tuple(queries),
-        machine_caps=tuple(tuple([t.capacity] * t.machine_count) for t in topology.tiers),
+        machine_caps=tuple(tuple([GRID] * t.machine_count) for t in topology.tiers),
         tier_prices=tuple(t.machine_hourly_cost for t in topology.tiers),
     )
 

@@ -320,26 +320,27 @@ def mc_sample_mean_variance(p, mu, sigma, n, trials, rng, stratified):
 
 def brute_force_goodput(queries, machine_caps):
     """Exact max weighted goodput by plain recursion (no memoization):
-    queries = [(weight, [plan, ...])], plan = [(tier, demand), ...]."""
+    queries = [(weight, [plan, ...])], plan = [(tier, units), ...], and
+    machine_caps the grid units of each machine per tier."""
 
-    def place(ops, residual):
+    def place(ops, free):
         if not ops:
-            yield residual
+            yield free
             return
         tier, demand = ops[0]
-        for m in range(len(residual[tier])):
-            if residual[tier][m] >= demand - 1e-9:
-                nxt = [list(r) for r in residual]
+        for m in range(len(free[tier])):
+            if free[tier][m] >= demand:
+                nxt = [list(r) for r in free]
                 nxt[tier][m] -= demand
                 yield from place(ops[1:], nxt)
 
-    def go(i, residual):
+    def go(i, free):
         if i == len(queries):
             return 0.0
         weight, plans = queries[i]
-        best = go(i + 1, residual)
+        best = go(i + 1, free)
         for plan in plans:
-            for res in place(list(plan), residual):
+            for res in place(list(plan), free):
                 best = max(best, weight + go(i + 1, res))
         return best
 
@@ -347,10 +348,8 @@ def brute_force_goodput(queries, machine_caps):
 
 
 def brute_force_min_bins(items, capacity):
-    """Exact bin count by trying every assignment (small inputs only)."""
-    items = [x for x in items if x > 1e-9]
-    if not items:
-        return 0
+    """Exact bin count of grid-unit items by trying every assignment (small
+    inputs only)."""
     best = len(items)
 
     def go(i, bins):
@@ -361,7 +360,7 @@ def brute_force_min_bins(items, capacity):
             best = min(best, len(bins))
             return
         for b in range(len(bins)):
-            if bins[b] + items[i] <= capacity + 1e-9:
+            if bins[b] + items[i] <= capacity:
                 bins[b] += items[i]
                 go(i + 1, bins)
                 bins[b] -= items[i]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_goodput, brute_force_min_bins
 from tierplan.model import (
+    GRID,
     RESOURCE_FRACTIONS,
     OperatorSpec,
     PipelineSpec,
@@ -99,8 +100,8 @@ class TestGreedyGoodput:
             st_small = greedy_goodput(cands, small)
             st_big = greedy_goodput(cands, big)
             for st in (st_small, st_big):
-                for tier in st.residual:
-                    assert all(r >= -1e-9 for r in tier)
+                for tier in st.units:
+                    assert all(u >= 0 for u in tier)
             assert st_big.admitted_weight() >= st_small.admitted_weight() - 1e-9
 
     def test_optimal_when_all_cr_equal(self, two_tier_topology):
@@ -177,43 +178,43 @@ class TestGreedyCost:
 
 
 class TestFFD:
-    def test_counts_match_brute_force_on_small_instances(self):
-        rng = np.random.default_rng(1)
-        for _ in range(40):
-            items = list(rng.choice([0.125, 0.25, 0.5, 1.0], size=int(rng.integers(1, 9))))
-            ffd = ffd_bin_count(items, 1.0)
-            assert ffd >= brute_force_min_bins(items, 1.0)
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([int(f * GRID) for f in RESOURCE_FRACTIONS]), max_size=10))
+    def test_counts_match_brute_force_on_small_instances(self, items):
+        # the grid's unit sizes each divide the next larger one, on which
+        # FFD is optimal (Coffman, Garey & Johnson 1987)
+        assert ffd_bin_count(items) == brute_force_min_bins(items, GRID)
 
     def test_oversized_item_rejected(self):
         with pytest.raises(ValueError):
-            ffd_bin_count([1.5], 1.0)
+            ffd_bin_count([GRID + 1])
 
 
 class TestOracles:
     def test_empty_instance(self):
-        inst = OracleInstance(queries=(), machine_caps=((1.0,),), tier_prices=(1.0,))
+        inst = OracleInstance(queries=(), machine_caps=((GRID,),), tier_prices=(1.0,))
         assert ilp_oracle_limited(inst) == 0.0
         assert ilp_oracle_unlimited(inst) == 0.0
 
     def test_one_query_one_plan(self):
         inst = OracleInstance(
-            queries=((1.0, ((((0, 0.5),)),)),),
-            machine_caps=((1.0,),),
+            queries=((1.0, ((((0, 4),)),)),),
+            machine_caps=((GRID,),),
             tier_prices=(3.0,),
         )
         assert ilp_oracle_limited(inst) == 1.0
         assert ilp_oracle_unlimited(inst) == 3.0
 
     def test_three_query_hand_solved_fixture(self):
-        # one machine of capacity 1.0; weights 3, 2, 2; demands 0.75, 0.5, 0.5.
+        # one machine of 8 units; weights 3, 2, 2; demands 6, 4, 4.
         # Best is {q2, q3} = weight 4 (q1 blocks both).
         inst = OracleInstance(
             queries=(
-                (3.0, (((0, 0.75),),)),
-                (2.0, (((0, 0.5),),)),
-                (2.0, (((0, 0.5),),)),
+                (3.0, (((0, 6),),)),
+                (2.0, (((0, 4),),)),
+                (2.0, (((0, 4),),)),
             ),
-            machine_caps=((1.0,),),
+            machine_caps=((GRID,),),
             tier_prices=(1.0,),
         )
         assert ilp_oracle_limited(inst) == 4.0
@@ -233,18 +234,18 @@ class TestOracles:
         # plan choice trade-off: per-query cheap-but-fragmenting vs packable
         inst = OracleInstance(
             queries=(
-                (1.0, (((0, 0.6),), ((0, 0.5),))),
-                (1.0, (((0, 0.6),), ((0, 0.5),))),
+                (1.0, (((0, 5),), ((0, 4),))),
+                (1.0, (((0, 5),), ((0, 4),))),
             ),
-            machine_caps=((1.0, 1.0),),
+            machine_caps=((GRID, GRID),),
             tier_prices=(10.0,),
         )
-        # two 0.5s pack into one machine; two 0.6s need two machines
+        # two 4s pack into one 8-unit machine; two 5s need two machines
         assert ilp_oracle_unlimited(inst) == 10.0
 
     def test_refuses_oversized(self):
-        queries = tuple((1.0, (((0, 0.5),),)) for _ in range(9))
-        inst = OracleInstance(queries=queries, machine_caps=((1.0,),), tier_prices=(1.0,))
+        queries = tuple((1.0, (((0, 4),),)) for _ in range(9))
+        inst = OracleInstance(queries=queries, machine_caps=((GRID,),), tier_prices=(1.0,))
         with pytest.raises(SpaceTooLargeError):
             ilp_oracle_limited(inst)
 
@@ -293,9 +294,10 @@ class TestScaling:
 class TestOpDemands:
     def test_one_demand_per_operator_in_its_tiers_units(self, two_tier_topology):
         c = cand([0, 1], [0.5, 0.25], two_tier_topology)
-        assert op_demands(c.plan, two_tier_topology) == ((0, 0.5), (1, 0.25))
+        assert op_demands(c.plan) == ((0, 4), (1, 2))
+        # units are fractions of a machine, whatever the tier's capacity
         topo = single_tier_topology(capacity=4.0)
-        assert op_demands(cand([0, 0], [0.5, 0.125], topo).plan, topo) == ((0, 2.0), (0, 0.5))
+        assert op_demands(cand([0, 0], [0.5, 0.125], topo).plan) == ((0, 4), (0, 1))
 
     def test_admission_holds_the_footprint_and_release_returns_it(self, two_tier_topology):
         state = DeploymentState.fresh(two_tier_topology)
@@ -303,20 +305,19 @@ class TestOpDemands:
         assert state.place("q", c, 2.0)
         a = state.assignments["q"]
         assert list(state.assignments) == ["q"] and (a.plan, a.weight) == (c, 2.0)
-        assert a.demands == op_demands(c.plan, two_tier_topology)
         assert a.machines == ((0, 0), (1, 0))
-        assert state.residual[0][0] == 0.5 and state.residual[1][0] == 0.75
+        assert state.units[0][0] == 4 and state.units[1][0] == 6
         with pytest.raises(ValueError):
             state.place("q", c, 2.0)
         state.release("q")
-        assert state.residual == DeploymentState.fresh(two_tier_topology).residual
+        assert state == DeploymentState.fresh(two_tier_topology)
 
     def test_a_plan_that_does_not_fit_leaves_the_state_as_it_was(self):
         # the larger operator fits, the second does not: all-or-nothing
         topo = single_tier_topology(machines=1)
         state = DeploymentState.fresh(topo)
         assert not state.place("q", cand([0, 0], [1.0, 0.125], topo), 1.0)
-        assert state.residual == [[1.0]] and state.assignments == {}
+        assert state.units == [[GRID]] and state.assignments == {}
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -325,18 +326,39 @@ class TestOpDemands:
         prefill=st.lists(st.lists(st.sampled_from(RESOURCE_FRACTIONS), min_size=1, max_size=3), max_size=6),
         fracs=st.lists(st.sampled_from(RESOURCE_FRACTIONS), min_size=2, max_size=4),
     )
-    # 0.3 - 0.0375 - 0.0375 is 0.225, but 0.225 - 0.15 - 0.075 + 0.15 + 0.075 is not
+    # in floats, 0.3 - 0.0375 - 0.0375 is 0.225, but 0.225 - 0.15 - 0.075 + 0.15 + 0.075 is not
     @example(capacity=0.3, machines=1, prefill=[[0.125, 0.125]], fracs=[0.5, 0.25, 0.125])
     def test_a_failed_placement_leaves_the_residuals_bitwise_as_they_were(self, capacity, machines, prefill, fracs):
-        # non-dyadic capacities make the demands inexact, so undoing a
-        # partial placement by adding the demands back can move a residual
-        # by an ulp
         topo = single_tier_topology(machines=machines, capacity=capacity)
         state = DeploymentState.fresh(topo)
         for i, plan in enumerate(prefill):
             state.place(f"p{i}", cand([0] * len(plan), plan, topo), 1.0)
-        before = [[r.hex() for r in row] for row in state.residual]
-        held = dict(state.assignments)
+        before = state.copy()
         if not state.place("q", cand([0] * len(fracs), fracs, topo), 1.0):
-            assert [[r.hex() for r in row] for row in state.residual] == before
-            assert state.assignments == held
+            assert state == before
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        capacity=st.one_of(st.just(0.3), st.floats(0.1, 3.3)),
+        machines=st.integers(1, 3),
+        calls=st.lists(
+            st.lists(st.sampled_from(RESOURCE_FRACTIONS), min_size=1, max_size=4) | st.integers(0, 7),
+            max_size=12,
+        ),
+    )
+    # in floats, these three plans fill the machine to -1.1e-16
+    @example(capacity=2.407730515573894, machines=1, calls=[[0.125], [0.125], [0.25, 0.5]])
+    def test_place_and_release_keep_every_machine_within_its_units(self, capacity, machines, calls):
+        # a list places a plan of those fractions; an integer releases the
+        # admission at that index (modulo the admissions held), if any
+        topo = single_tier_topology(machines=machines, capacity=capacity)
+        state = DeploymentState.fresh(topo)
+        for i, call in enumerate(calls):
+            if isinstance(call, list):
+                state.place(f"q{i}", cand([0] * len(call), call, topo), 1.0)
+            elif state.assignments:
+                state.release(list(state.assignments)[call % len(state.assignments)])
+            assert all(0 <= free <= GRID for row in state.units for free in row)
+        for qid in list(state.assignments):
+            state.release(qid)
+        assert state == DeploymentState.fresh(topo)

@@ -13,6 +13,7 @@ from tierplan.cli import main as cli_main
 from tierplan.landscape import ArrivalTrace, TraceEntry, generate_landscape, quality_latency_frontier
 from tierplan.latency import pipeline_latency
 from tierplan.model import (
+    GRID,
     SCHEMA_VERSION,
     SEARCH_POOL_MAX_PLANS,
     PlanPoint,
@@ -446,7 +447,6 @@ def check_invariants(sim):
         rec = sim.records[qid]
         accuracy = sim.landscapes[rec.template].accuracy_mean(a.plan.plan.configuration)
         good |= {qid} if latency(qid, a.plan.plan) <= rec.l_slo and accuracy >= rec.a_slo else set()
-        assert a.demands == op_demands(a.plan.plan, topo)
     assert sim.good == good
 
     for qid, (_, current) in sim.pending.items():
@@ -455,14 +455,13 @@ def check_invariants(sim):
         fresh = CandidateSet.build([dataclasses.replace(c, latency_s=lat) for c, lat in lats if lat <= l_slo])
         assert current == fresh
 
-    held = [[0.0] * len(row) for row in sim.state.residual]
+    held = [[0] * len(row) for row in sim.state.units]
     for a in sim.state.assignments.values():
-        for (tier, machine), (_, demand) in zip(a.machines, a.demands):
+        for (tier, machine), (_, demand) in zip(a.machines, op_demands(a.plan.plan)):
             held[tier][machine] += demand
-    for tier, residual, used in zip(topo.tiers, sim.state.residual, held):
-        for r, u in zip(residual, used):
-            assert abs(r + u - tier.capacity) <= 1e-9
-            assert -1e-9 <= r <= tier.capacity
+    for free, used in zip(sim.state.units, held):
+        for f, u in zip(free, used):
+            assert f + u == GRID and f >= 0
 
     # a query is planning, pending, running or ended; its status says how it ended
     for qid, rec in sim.records.items():
