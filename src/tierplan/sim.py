@@ -9,14 +9,14 @@ warm-started from their own observations (not models).
 
 The event loop is single-threaded and fully deterministic for a fixed
 config: per-query seeds derive from (sim seed, arrival index), so replays
-are byte-identical. Drift monitoring is event-granular. A query's plan is
-checked against its SLOs when it is admitted, and every running query is
-checked again at every drift event; the admitted queries that pass are the
-goodput. A pending query's candidates are re-validated against the latency
-SLO on the current topology when it becomes ready and at every drift;
-accuracy staleness of not-yet-admitted candidates surfaces only once the
-query is running. Latencies come from the topology's memo, which a drift
-starts afresh.
+are byte-identical. Drift monitoring is event-granular. No plan is held
+while it misses an SLO on the current topology and landscape: a violating
+admission is undone before anything records it, a running plan that a
+drift breaks is freed, and either way the query replans, so goodput is the
+number of held plans. A pending query's candidates are re-validated
+against the latency SLO on the current topology when it becomes ready and
+at every drift; their accuracy is checked at admission. Latencies come
+from the topology's memo, which a drift starts afresh.
 
 Each fact is kept once. A live query has one entry (query, candidates,
 observations), a pending one another (enqueue time, revalidated
@@ -319,8 +319,6 @@ class _Sim:
         # query id -> (time it became pending, its candidates within its
         # latency SLO on the current topology, at their current latency)
         self.pending: dict[str, tuple[float, CandidateSet]] = {}
-        # admitted queries whose SLOs hold on the current topology and landscapes
-        self.good: set[str] = set()
         self.goodput_series: list[tuple[float, int]] = [(0.0, 0)]
         self.cost_series: list[tuple[float, float]] = [(0.0, 0.0)]
         self.history = HistoryStore()
@@ -337,11 +335,10 @@ class _Sim:
         return int(np.random.SeedSequence((self.cfg.seed, idx, salt)).generate_state(1)[0])
 
     def _mark(self, t: float) -> None:
-        """Record cost and true goodput at ``t``, in place of a point already
-        at ``t``: an admitted plan whose true accuracy misses the SLO is
-        served but does not count."""
+        """Record cost and goodput, the number of held plans, at ``t``, in
+        place of a point already at ``t``."""
         start = len(self.goodput_series) - (self.goodput_series[-1][0] == t)
-        self.goodput_series[start:] = [(t, len(self.good))]
+        self.goodput_series[start:] = [(t, len(self.state.assignments))]
         self.cost_series[start:] = [(t, self.state.hourly_cost())]
 
     # -- event handlers ----------------------------------------------------
@@ -403,10 +400,7 @@ class _Sim:
             self.topology = self.topology.with_bandwidth_scaled(event.link, event.factor)
         else:
             self.landscapes[event.template] = self.landscapes[event.template].with_accuracy_shift(event.delta)
-        assignments = self.state.assignments
-        # rebuilt from every running query: a drift can also make a missed SLO hold again
-        self.good = {qid for qid, a in assignments.items() if not self._violates(qid, a.plan.plan)}
-        for qid in [qid for qid in assignments if qid not in self.good]:
+        for qid in [qid for qid, a in self.state.assignments.items() if self._violates(qid, a.plan.plan)]:
             self._free(t, qid)
             self._start_replan(t, qid)
         for qid, (since, _) in self.pending.items():
@@ -419,7 +413,6 @@ class _Sim:
         and deployment row."""
         a = self.state.assignments[qid]
         self.state.release(qid)
-        self.good.discard(qid)
         self.records[qid].released_at = t
         placement = "|".join(f"{tier}:{m}" for tier, m in a.machines)
         resources = "|".join(str(f) for f in a.plan.plan.resources)
@@ -502,13 +495,16 @@ class _Sim:
             greedy_goodput(live, self.topology, state=self.state, weights=aged)
 
         for qid in sorted(set(self.state.assignments) - before):
-            rec = self.records[qid]
+            del self.pending[qid]
             plan = self.state.assignments[qid].plan
+            if self._violates(qid, plan.plan):
+                # undone before anything records it; the freed units are offered at the next event
+                self.state.release(qid)
+                self._start_replan(t, qid)
+                continue
+            rec = self.records[qid]
             rec.admitted_at = t
             rec.hourly_cost = plan.hourly_cost
-            del self.pending[qid]
-            if not self._violates(qid, plan.plan):
-                self.good.add(qid)
             self.push(t + rec.lifespan, self.on_release, (qid, t))
         self._mark(t)
 

@@ -25,7 +25,7 @@ from tierplan.model import (
 from tierplan import presets, search
 from tierplan import sim as simmod
 from tierplan.presets import code_generation_pipeline, speed_factors_for
-from tierplan.scheduler import op_demands
+from tierplan.scheduler import DeploymentState, op_demands
 from tierplan.search import CandidateSet, SearchConfig
 from tierplan.sim import DriftEvent, QueryRecord, SimConfig, _Sim, compare, run, sim_config_from_file, write_report
 
@@ -191,14 +191,19 @@ class TestRun:
         assert rep.queries[0].replans == 0
         assert rep.queries[0].status == "completed"
 
-    def test_planner_state_dropped_when_a_query_ends(self):
-        sim = _Sim(tight_cluster_config())
-        report = sim.run()
-        statuses = {q.id: q.status for q in report.queries}
-        assert set(statuses.values()) == {"completed", "rejected", "degraded", "pending-at-end"}
-        waiting = sorted(qid for qid, status in statuses.items() if status == "pending-at-end")
-        assert sorted(sim.live) == sorted(sim.pending) == waiting
-        assert not sim.state.assignments and not sim.good
+    def test_planner_state_dropped_when_a_query_ends(self, small_world):
+        # the tight cluster's queries end rejected, degraded or pending, the
+        # small world's complete
+        seen = set()
+        for cfg in (tight_cluster_config(), make_config(small_world, [entry(small_world, t=float(i)) for i in range(3)])):
+            sim = _Sim(cfg)
+            report = sim.run()
+            statuses = {q.id: q.status for q in report.queries}
+            seen |= set(statuses.values())
+            waiting = sorted(qid for qid, status in statuses.items() if status == "pending-at-end")
+            assert sorted(sim.live) == sorted(sim.pending) == waiting
+            assert not sim.state.assignments
+        assert seen == {"completed", "rejected", "degraded", "pending-at-end"}
 
     def test_sessions_leave_observations_not_models(self, monkeypatch):
         # every surrogate pair dies with its session, replans included; the
@@ -264,6 +269,22 @@ def feasible_slos(cfg):
     return 0.6 * float(np.mean([a for _, a, _ in frontier])), 1.5 * float(np.mean([l for _, _, l in frontier]))
 
 
+def accuracy_drift_config():
+    """One medium query on the tight cluster, planned across an accuracy
+    drift of -0.5 at 1 s that a second drift of +0.5 undoes at 5 s."""
+    cfg = tight_cluster_config()
+    pipe, = cfg.pipelines.values()
+    a_slo, l_slo = feasible_slos(cfg)
+    return dataclasses.replace(
+        cfg,
+        trace=ArrivalTrace(entries=(TraceEntry(0.0, pipe.name, a_slo, l_slo, 30.0),)),
+        drift=(
+            DriftEvent(time=1.0, kind="accuracy", template=pipe.name, delta=-0.5),
+            DriftEvent(time=5.0, kind="accuracy", template=pipe.name, delta=0.5),
+        ),
+    )
+
+
 def bandwidth_drift_config():
     """One machine per tier keeps queries pending; at 15 s the device-cloud
     link falls to 1% of its bandwidth, which puts every plan that crosses
@@ -321,28 +342,34 @@ class TestDriftRecheck:
             dropped += sum(latency(c.plan) > l_slo for c in cset.plans)
         assert dropped > 0
 
-    def test_accuracy_drift_that_raises_accuracy_restores_goodput(self):
-        # the query is planned across the first drift, so it is admitted
-        # while missing a_slo; the second drift makes its plan hold again
-        cfg = tight_cluster_config()
-        pipe, = cfg.pipelines.values()
-        a_slo, l_slo = feasible_slos(cfg)
-        cfg = dataclasses.replace(
-            cfg,
-            trace=ArrivalTrace(entries=(TraceEntry(0.0, pipe.name, a_slo, l_slo, 30.0),)),
-            drift=(
-                DriftEvent(time=1.0, kind="accuracy", template=pipe.name, delta=-0.5),
-                DriftEvent(time=5.0, kind="accuracy", template=pipe.name, delta=0.5),
-            ),
-        )
-        report = run(cfg)
+    def test_an_admission_that_misses_a_slo_is_undone_and_replanned_to_degraded(self):
+        # the query is planned across the first drift, so the greedy admits
+        # a plan that misses a_slo; the admission is undone before anything
+        # records it, and the replan, on the drifted landscape, finds no
+        # candidate, so the second drift has nothing to restore
+        cfg = accuracy_drift_config()
+        sim = _Sim(cfg)
+        release, start_replan = sim.state.release, sim._start_replan
+        undone, replanned = [], []  # (query, whether the state is fresh after the release); replan times
+
+        def undo(qid):
+            release(qid)
+            undone.append((qid, sim.state == DeploymentState.fresh(cfg.topology)))
+
+        def replan(t, qid):
+            replanned.append(t)
+            start_replan(t, qid)
+
+        sim.state.release, sim._start_replan = undo, replan
+        report = sim.run()
         q, = report.queries
-        assert q.status == "completed" and q.replans == 0
-        assert 1.0 < q.admitted_at < 5.0
-        assert (q.admitted_at, 0) in report.goodput_series
-        assert all(g == 0 for t, g in report.goodput_series if t < 5.0)
-        assert (5.0, 1) in report.goodput_series
-        assert all(g == 1 for t, g in report.goodput_series if 5.0 <= t < q.released_at)
+        assert undone == [("q0000", True)]
+        (t,) = replanned
+        assert 1.0 < t < 5.0
+        assert q.status == "degraded" and q.replans == 1 and q.candidate_count == 0
+        assert q.admitted_at is q.released_at is q.hourly_cost is None
+        assert report.admissions == ()
+        assert all(g == 0 for _, g in report.goodput_series)
 
     def test_a_stale_release_leaves_the_re_admission_running(self, small_world):
         # the device-cloud link falls to 1% at 5 s, which frees the first
@@ -422,15 +449,12 @@ class TestDriftRecheck:
 ENDED = ("completed", "rejected", "degraded")
 
 # configs built from the small_world fixture: two with drift and replans, one plain trace
-WORLDS = pytest.mark.parametrize(
-    "world_config",
-    [
-        lambda world: tight_cluster_config(),
-        lambda world: bandwidth_drift_config(),
-        lambda world: make_config(world, [entry(world, t=float(i), lifespan=12.0) for i in range(3)]),
-    ],
-    ids=["tight-cluster", "bandwidth-drift", "small-world"],
-)
+WORLD_CONFIGS = {
+    "tight-cluster": lambda world: tight_cluster_config(),
+    "bandwidth-drift": lambda world: bandwidth_drift_config(),
+    "small-world": lambda world: make_config(world, [entry(world, t=float(i), lifespan=12.0) for i in range(3)]),
+}
+WORLDS = pytest.mark.parametrize("world_config", list(WORLD_CONFIGS.values()), ids=list(WORLD_CONFIGS))
 
 
 def check_invariants(sim):
@@ -442,12 +466,11 @@ def check_invariants(sim):
         timings = sim.landscapes[rec.template].timings_for(plan.configuration)
         return pipeline_latency(plan, sim.cfg.pipelines[rec.template], topo, timings)
 
-    good = set()
+    # no plan is held while it misses an SLO on the current topology and landscape
     for qid, a in sim.state.assignments.items():
         rec = sim.records[qid]
         accuracy = sim.landscapes[rec.template].accuracy_mean(a.plan.plan.configuration)
-        good |= {qid} if latency(qid, a.plan.plan) <= rec.l_slo and accuracy >= rec.a_slo else set()
-    assert sim.good == good
+        assert latency(qid, a.plan.plan) <= rec.l_slo and accuracy >= rec.a_slo
 
     for qid, (_, current) in sim.pending.items():
         l_slo = sim.records[qid].l_slo
@@ -558,12 +581,28 @@ class TestSimInvariants:
                 for series in (sim.goodput_series, sim.cost_series):
                     times = [time for time, _ in series]
                     assert all(a < b for a, b in zip(times, times[1:]))
-                assert sim.goodput_series[-1][1] == len(sim.good)
+                assert sim.goodput_series[-1][1] == len(sim.state.assignments)
                 assert sim.cost_series[-1][1] == sim.state.hourly_cost()
 
             setattr(sim, name, checked)
         sim.run()
         assert {"on_arrival", "on_ready", "on_release"} <= set(handled)
+
+    @pytest.mark.parametrize(
+        "world_config",
+        [*WORLD_CONFIGS.values(), lambda world: accuracy_drift_config()],
+        ids=[*WORLD_CONFIGS, "accuracy-drift"],
+    )
+    def test_goodput_is_the_count_of_admission_rows_covering_each_point(self, world_config, small_world, tmp_path):
+        # every held plan meets its SLOs, so at every point of the goodput
+        # series goodput is the number of deployment.csv rows whose
+        # [admitted_s, released_s) covers the point's time
+        write_report(run(world_config(small_world)), str(tmp_path))
+        with open(tmp_path / "deployment.csv", newline="") as fh:
+            rows = [(float(r["admitted_s"]), float(r["released_s"])) for r in csv.DictReader(fh)]
+        with open(tmp_path / "goodput.csv", newline="") as fh:
+            points = [(float(r["time_s"]), int(r["goodput"])) for r in csv.DictReader(fh)]
+        assert [g for _, g in points] == [sum(a <= t < b for a, b in rows) for t, _ in points]
 
     @pytest.mark.parametrize("make_config", [tight_cluster_config, bandwidth_drift_config])
     def test_a_query_record_keeps_its_last_admission(self, make_config, tmp_path):
