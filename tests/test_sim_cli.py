@@ -195,7 +195,8 @@ class TestRun:
         # the tight cluster's queries end rejected, degraded or pending, the
         # small world's complete
         seen = set()
-        for cfg in (tight_cluster_config(), make_config(small_world, [entry(small_world, t=float(i)) for i in range(3)])):
+        completing = make_config(small_world, [entry(small_world, t=float(i)) for i in range(3)])
+        for cfg in (tight_cluster_config(), completing):
             sim = _Sim(cfg)
             report = sim.run()
             statuses = {q.id: q.status for q in report.queries}
