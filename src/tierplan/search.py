@@ -18,7 +18,9 @@ its configuration index. Completed sessions leave their predictions over
 that pool in a history store and hand back their observations, which a
 replan takes in again; new sessions on the same pool let the most similar
 histories (smallest prediction gap against fresh observations) vote on
-proposals until the session's own model outpredicts them.
+proposals until the session's own model outpredicts them. A step indexes
+everything by pool row: it reads whole-pool scores and a boolean mask of
+the profiled rows, which it never picks.
 """
 
 from __future__ import annotations
@@ -217,9 +219,9 @@ def search_pool(pipeline: PipelineSpec, topology: TierTopology) -> SearchPool:
 
 class PoolPredictions(NamedTuple):
     """Predictive means and stds, as :meth:`SurrogatePair.predict` returns
-    them: accuracy over every distinct configuration, latency over the
-    predicted pool rows, and ``config``, each predicted row's
-    configuration. Row ``i``'s accuracy is ``mu_a[config[i]]``."""
+    them: accuracy over every distinct configuration, latency over every
+    pool row, and ``config``, each pool row's configuration. Row ``i``'s
+    accuracy is ``mu_a[config[i]]``."""
 
     mu_a: np.ndarray
     sd_a: np.ndarray
@@ -255,9 +257,10 @@ class SurrogatePair:
     def n_obs(self) -> int:
         return len(self.f_l.rows)
 
-    def predict(self, idx) -> PoolPredictions:
-        """Predictions at the pool rows ``idx`` (an index array or a slice)."""
-        return PoolPredictions(*self.f_a.predict(slice(None)), self.config[idx], *self.f_l.predict(idx))
+    def predict(self) -> PoolPredictions:
+        """Predictions at every pool row. Each row's is a lookup, bitwise
+        what it would be among any other rows."""
+        return PoolPredictions(*self.f_a.predict(slice(None)), self.config, *self.f_l.predict(slice(None)))
 
     def means(self, idx: int) -> tuple[float, float]:
         """Accuracy and latency means at pool plan ``idx``, bitwise those of
@@ -288,7 +291,7 @@ class HistoryStore:
     def push(self, pair: SurrogatePair) -> None:
         """Store a completed session's pool predictions, evicting the oldest
         beyond ``HISTORY_CAPACITY``."""
-        self.predictions.append((pair.pool_key, pair.predict(slice(None))))
+        self.predictions.append((pair.pool_key, pair.predict()))
         if len(self.predictions) > HISTORY_CAPACITY:
             self.predictions.pop(0)
 
@@ -356,14 +359,12 @@ class HistorySession:
             self._pool_scores[i] = acquisition(self.predicted[i], self.a_slo, self.l_slo)
         return self._pool_scores[i]
 
-    def vote_indices(self, idx: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        """Weighted-sum vote of the current top-K over pool indices ``idx``:
-        each model's acquisition scores, weighted by 1/(gap + eps), or
-        uniformly before any gap. The sums run over the whole pool and are
-        gathered at ``idx`` once. Also returns ``costs_at``, which sums the
-        models' costs with the same weights, in the same order, at the
-        positions of ``idx`` it is given (the tie-break reads only the
-        tied ones)."""
+    def vote_indices(self) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """Weighted-sum vote of the current top-K at every pool row: each
+        model's acquisition scores, weighted by 1/(gap + eps), or uniformly
+        before any gap, as a new array. Also returns ``costs_at``, which
+        sums the models' costs with the same weights, in the same order, at
+        the pool rows it is given (the tie-break reads only the tied ones)."""
         top = self.top_k()
         raw = 1.0 / (self.gaps[top] + GAP_EPS) if self.gap_n else np.ones(len(top))
         weights = raw / raw.sum()
@@ -371,14 +372,13 @@ class HistorySession:
         for w, i in zip(weights, top):
             combined += w * self.pool_scores(int(i))[0]
 
-        def costs_at(positions: np.ndarray) -> np.ndarray:
-            rows = idx[positions]
+        def costs_at(rows: np.ndarray) -> np.ndarray:
             costs = np.zeros(len(rows))
             for w, i in zip(weights, top):
                 costs += w * self.pool_scores(int(i))[1][rows]
             return costs
 
-        return combined[idx], costs_at
+        return combined, costs_at
 
     def __len__(self) -> int:
         return len(self.predicted)
@@ -392,9 +392,9 @@ def prediction_gap(mu_a, mu_l, accuracy: float, latency_s: float, l_slo: float):
 
 
 def acquisition(predicted: PoolPredictions, a_slo: float, l_slo: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pr[accuracy >= A_slo] * Pr[latency <= L_slo] / C per predicted pool
-    row, and C: the accuracy factor is computed once per configuration and
-    gathered at each row's configuration.
+    """Pr[accuracy >= A_slo] * Pr[latency <= L_slo] / C per pool row, and
+    C: the accuracy factor is computed once per configuration and gathered
+    at each row's configuration.
 
     C is the dollar cost of profiling a minimum batch of cases at the
     predicted latency, floored to keep the division bounded.
@@ -418,34 +418,36 @@ def _argmax_with_ties(scores: np.ndarray, costs_at: Callable[[np.ndarray], np.nd
 
 
 def propose(
-    step_idx: np.ndarray,
+    profiled: np.ndarray,
     a_slo: float,
     l_slo: float,
     surrogates: SurrogatePair,
     history: HistorySession | None,
     rng: np.random.Generator,
 ) -> tuple[int, str]:
-    """Pool index (one of ``step_idx``) of the next plan to profile, plus the
-    branch that chose it.
+    """Pool row of the next plan to profile, one the boolean mask
+    ``profiled`` leaves free, plus the branch that chose it.
 
     'history': the history session's stored models vote, while
-    :meth:`HistorySession.votes` says so. 'cold': a uniform pick while
-    the session has no observation. 'cmbo': argmax of the session model's
-    acquisition over the pool rows ``step_idx``.
-    Score ties go to the lowest predicted cost.
+    :meth:`HistorySession.votes` says so. 'cold': a uniform pick among the
+    free rows while the session has no observation. 'cmbo': argmax of the
+    session model's acquisition. These two score the whole pool, with the
+    profiled rows at -inf; score ties go to the lowest predicted cost.
     """
-    if len(step_idx) == 0:
-        raise ValueError("propose called with an empty pool")
+    if profiled.all():
+        raise ValueError("propose called with every pool row profiled")
     if history is not None and history.votes():
-        scores, costs_at = history.vote_indices(step_idx)
+        scores, costs_at = history.vote_indices()
         branch = "history"
     elif surrogates.n_obs == 0:
-        return int(step_idx[int(rng.integers(len(step_idx)))]), "cold"
+        free = (~profiled).nonzero()[0]
+        return int(free[rng.integers(len(free))]), "cold"
     else:
-        scores, costs = acquisition(surrogates.predict(step_idx), a_slo, l_slo)
+        scores, costs = acquisition(surrogates.predict(), a_slo, l_slo)
         costs_at = costs.__getitem__
         branch = "cmbo"
-    return int(step_idx[_argmax_with_ties(scores, costs_at)]), branch
+    scores[profiled] = -math.inf
+    return _argmax_with_ties(scores, costs_at), branch
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +639,8 @@ def single_query_search(
             return time_s < query.response_budget_s
         return gpu_s / 3600.0 < query.profiling_budget_gpuh
 
-    while within_budget():
-        unprofiled = (~profiled).nonzero()[0]
-        if len(unprofiled) == 0:
-            break
-        idx, branch = propose(unprofiled, query.a_slo, query.l_slo, surrogates, hist, rng)
+    while within_budget() and len(telemetry) < len(profiled):  # each step profiles one new row
+        idx, branch = propose(profiled, query.a_slo, query.l_slo, surrogates, hist, rng)
         plan = pool.plans[idx]
         time_s += STEP_OVERHEAD_S
         profiled[idx] = True

@@ -27,7 +27,8 @@ every release event, so none is held at the end. Freeing writes its one
 ``deployment.csv`` row; the rows whose [admitted_s, released_s) covers a
 time are the running set then. Each heap event carries its handler. The
 goodput and cost series keep one point per event time, the state after
-that time's events, and both totals are folds of them by ``_integral``.
+that time's events, up to the last event that changed state (the
+horizon), and both totals are folds of them by ``_integral``.
 """
 
 from __future__ import annotations
@@ -515,15 +516,13 @@ class _Sim:
             self.push(entry.arrival_time, self.on_arrival, idx)
         for event in self.cfg.drift:
             self.push(event.time, self.on_drift, event)
-        t = 0.0
         while self.heap:
             t, _, handler, payload = heapq.heappop(self.heap)
             handler(t, payload)
         for qid in self.pending:
             self.records[qid].status = "pending-at-end"
-        self._mark(t)
-
-        horizon = t
+        # the last event that changed state; a stale release marks nothing
+        horizon = self.goodput_series[-1][0]
         records = tuple(self.records[q] for q in sorted(self.records))
         statuses = [r.status for r in records]
         totals = {

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def acq(mu_a, sd_a, mu_l, sd_l, a_slo, l_slo):
 
 def pool_scores(pair, a_slo, l_slo):
     """The pair's acquisition score at every row of its pool."""
-    return acquisition(pair.predict(slice(None)), a_slo, l_slo)[0]
+    return acquisition(pair.predict(), a_slo, l_slo)[0]
 
 
 def new_pair(pipe, topo):
@@ -161,7 +162,7 @@ class TestGaussianProcess:
         pair.fit_new_point(4, 0.7, 0.4)
         pair.fit_new_point(0, 0.9, 0.2)  # exact repeat
         assert pair.n_obs == 3
-        predicted = pair.predict(slice(None))
+        predicted = pair.predict()
         assert all(np.all(np.isfinite(v)) for v in predicted)
         assert abs(float(predicted.mu_a[predicted.config[0]]) - 0.9) <= 1e-3
         # the same plan with another target is a new observation too
@@ -246,20 +247,25 @@ class TestPoolPosterior:
                 np.testing.assert_allclose(sd, want_sd, rtol=1e-9, atol=0)
 
     def test_a_rows_prediction_does_not_depend_on_its_batch(self):
+        # so the whole-pool prediction a step reads equals, at any rows, the
+        # prediction made at those rows alone
         pipe, topo = wide_search_pipeline(), default_topology()
         pair = new_pair(pipe, topo)
         n_pool = len(pair.config)
         rng = np.random.default_rng(13)
         for i in rng.choice(n_pool, 60, replace=False):
             pair.fit_new_point(int(i), float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.05, 0.5)))
-        whole = per_row(pair.predict(slice(None)))
-        for size in (1, 2, 7, 100, 1000, n_pool - 1):
-            idx = np.sort(rng.choice(n_pool, size, replace=False))
-            for got, want in zip(per_row(pair.predict(idx)), whole, strict=True):
-                assert np.array_equal(got, want[idx])
-        for i in rng.choice(n_pool, 300, replace=False):
-            for got, want in zip(per_row(pair.predict([int(i)])), whole, strict=True):
-                assert got[0] == want[i]
+        whole = pair.predict()
+        assert whole.config is pair.config
+        for gp, want_mu, want_sd in ((pair.f_a, whole.mu_a, whole.sd_a), (pair.f_l, whole.mu_l, whole.sd_l)):
+            n = len(gp.pool)
+            for size in (1, 2, 7, 100, n // 2, n - 1):
+                idx = np.sort(rng.choice(n, size, replace=False))
+                mu, sd = gp.predict(idx)
+                assert np.array_equal(mu, want_mu[idx]) and np.array_equal(sd, want_sd[idx])
+            for i in rng.choice(n, 300, replace=False):
+                mu, sd = gp.predict([int(i)])
+                assert mu[0] == want_mu[i] and sd[0] == want_sd[i]
 
     def test_stored_predictions_do_not_change_as_the_pair_keeps_fitting(self):
         pipe, topo, _land = two_op_setup()
@@ -269,7 +275,7 @@ class TestPoolPosterior:
         before = [v.copy() for v in store.predictions[0][1]]
         pair.fit_new_point(7, 0.55, 0.45)
         pair.fit_new_point(1, 0.95, 0.05)
-        assert not np.array_equal(pair.predict(slice(None)).mu_a, before[0])
+        assert not np.array_equal(pair.predict().mu_a, before[0])
         assert all(np.array_equal(v, w) for v, w in zip(store.predictions[0][1], before, strict=True))
 
     @pytest.mark.parametrize("pipeline", POOL_PIPELINES, ids=POOL_IDS)
@@ -289,7 +295,7 @@ class TestPoolPosterior:
             accuracy = float(rng.uniform(0.3, 1.0))
             pair.fit_new_point(i, accuracy, float(rng.uniform(0.05, 0.5)))
             full.fit(i, accuracy)
-            mu_a, sd_a, _mu_l, _sd_l = per_row(pair.predict(slice(None)))
+            mu_a, sd_a, _mu_l, _sd_l = per_row(pair.predict())
             want_mu, want_sd = full.predict(slice(None))
             assert np.array_equal(mu_a, want_mu) and np.array_equal(sd_a, want_sd)
 
@@ -415,33 +421,37 @@ class TestArgmaxWithTies:
 class TestProposeBranches:
     def test_cold_branch_without_history(self):
         pipe, topo, land = two_op_setup()
-        pool, idx, _xa, _xl = encoded_pool(pipe, topo)
+        pool, _idx, _xa, _xl = encoded_pool(pipe, topo)
         pair = new_pair(pipe, topo)
-        i, branch = propose(idx, 0.8, 0.5, pair, None, np.random.default_rng(0))
+        profiled = np.zeros(len(pool), dtype=bool)
+        i, branch = propose(profiled, 0.8, 0.5, pair, None, np.random.default_rng(0))
         assert branch == "cold" and type(i) is int
         assert i == int(np.random.default_rng(0).integers(len(pool)))
         # an empty history session is no history
         empty = HistoryStore().session(pool_key(pipe, topo.num_tiers), 0.8, 0.5)
-        i, branch = propose(idx[3:], 0.8, 0.5, pair, empty, np.random.default_rng(0))
-        assert branch == "cold" and i in idx[3:]
+        profiled[:3] = True
+        i, branch = propose(profiled, 0.8, 0.5, pair, empty, np.random.default_rng(0))
+        assert branch == "cold" and i >= 3
 
     def test_cmbo_branch_after_one_observation(self):
         pipe, topo, land = two_op_setup()
-        _pool, idx, _xa, _xl = encoded_pool(pipe, topo)
+        pool, _idx, _xa, _xl = encoded_pool(pipe, topo)
         pair = new_pair(pipe, topo)
         pair.fit_new_point(0, 0.9, 0.1)
-        i, branch = propose(idx, 0.8, 0.5, pair, None, np.random.default_rng(0))
+        profiled = np.zeros(len(pool), dtype=bool)
+        i, branch = propose(profiled, 0.8, 0.5, pair, None, np.random.default_rng(0))
         assert branch == "cmbo" and type(i) is int
         scores = pool_scores(pair, 0.8, 0.5)
         assert scores[i] == scores.max()
-        # only the step's candidates are scored
-        step = idx[idx != i]
-        j, _ = propose(step, 0.8, 0.5, pair, None, np.random.default_rng(0))
-        assert j in step and scores[j] == scores[step].max()
+        # a profiled row is never picked
+        profiled[i] = True
+        j, _ = propose(profiled, 0.8, 0.5, pair, None, np.random.default_rng(0))
+        assert j != i and scores[j] == scores[~profiled].max()
 
     def test_history_wins_when_own_gap_larger(self):
         pipe, topo, land = two_op_setup()
-        _pool, idx, _xa, _xl = encoded_pool(pipe, topo)
+        pool, _idx, _xa, _xl = encoded_pool(pipe, topo)
+        profiled = np.zeros(len(pool), dtype=bool)
         own = new_pair(pipe, topo)
         own.fit_new_point(0, 0.9, 0.1)
         hist_pair = new_pair(pipe, topo)
@@ -451,10 +461,10 @@ class TestProposeBranches:
         session = store.session(pool_key(pipe, topo.num_tiers), 0.8, 0.5)
         session.own_window.append(0.10)
         session.gaps[0], session.gap_n = 0.01, 1
-        i, branch = propose(idx, 0.8, 0.5, own, session, np.random.default_rng(0))
+        i, branch = propose(profiled, 0.8, 0.5, own, session, np.random.default_rng(0))
         assert branch == "history"
         session.gaps[0] = 5.0  # worse than own gap now
-        i, branch = propose(idx, 0.8, 0.5, own, session, np.random.default_rng(0))
+        i, branch = propose(profiled, 0.8, 0.5, own, session, np.random.default_rng(0))
         assert branch == "cmbo"
 
 
@@ -483,20 +493,21 @@ class TestHistoryStore:
             pair.fit_new_point(i % 6, 0.5 + 0.01 * i, 0.2)
             store.push(pair)
         assert len(store) == HISTORY_CAPACITY
-        assert np.array_equal(store.predictions[0][1].mu_a, pairs[2].predict(slice(None))[0])
+        assert np.array_equal(store.predictions[0][1].mu_a, pairs[2].predict()[0])
 
 
 class TestHistoryPropose:
     """The history branch of propose: gap-weighted votes of history models."""
 
     def _vote(self, pipe, topo, pairs_and_gaps, a_slo, l_slo):
-        _pool, idx, _xa, _xl = encoded_pool(pipe, topo)
+        pool, _idx, _xa, _xl = encoded_pool(pipe, topo)
         store = HistoryStore()
         for pair, _gap in pairs_and_gaps:
             store.push(pair)
         session = store.session(pool_key(pipe, topo.num_tiers), a_slo, l_slo)
         session.gaps[:], session.gap_n = [gap for _pair, gap in pairs_and_gaps], 1
-        i, branch = propose(idx, a_slo, l_slo, new_pair(pipe, topo), session, np.random.default_rng(0))
+        profiled = np.zeros(len(pool), dtype=bool)
+        i, branch = propose(profiled, a_slo, l_slo, new_pair(pipe, topo), session, np.random.default_rng(0))
         assert branch == "history"
         return i
 
@@ -550,9 +561,9 @@ class TestUpdate:
         pair = new_pair(pipe, topo)
         pair.fit_new_point(3, 0.87, 0.2)
         assert pair.f_l.rows == [3] and pair.f_a.rows == [pair.config[3]]
-        mu_a, sd_a, mu_l, _ = per_row(pair.predict([3]))
-        assert abs(float(mu_a[0]) - 0.87) <= 0.02
-        assert abs(float(mu_l[0]) - 0.2) <= 0.02
+        mu_a, sd_a, mu_l, _ = (v[3] for v in per_row(pair.predict()))
+        assert abs(float(mu_a) - 0.87) <= 0.02
+        assert abs(float(mu_l) - 0.2) <= 0.02
 
     def test_gap_decreases_for_matching_history(self):
         pipe, topo, land = two_op_setup(noise=0.0)
@@ -639,18 +650,17 @@ class TestHistoryPoolPredictions:
             session.update_gaps(int(i), 0.83, 0.21, new_pair(pipe, topo))
             assert session.gap_n == 1
             for j, pair in enumerate(pairs):
-                p = pair.predict(slice(None))
+                p = pair.predict()
                 assert session.gap_sum[j] == prediction_gap(
                     float(p.mu_a[p.config[i]]), float(p.mu_l[i]), 0.83, 0.21, 0.5
                 )
         for j, pair in enumerate(pairs):
             scores, costs = session.pool_scores(j)
-            want_scores, want_costs = acquisition(pair.predict(slice(None)), 0.8, 0.5)
+            want_scores, want_costs = acquisition(pair.predict(), 0.8, 0.5)
             assert np.array_equal(scores, want_scores) and np.array_equal(costs, want_costs)
 
     def test_each_stored_model_predicts_the_pool_at_most_once(self, monkeypatch):
         pipe, topo, _land = two_op_setup()
-        pool, idx, _xa, _xl = encoded_pool(pipe, topo)
         key = pool_key(pipe, topo.num_tiers)
         rng = np.random.default_rng(9)
         pairs = [fitted_pair(pipe, topo, rng, n_obs) for n_obs in (3, 6, 10)]
@@ -673,10 +683,10 @@ class TestHistoryPoolPredictions:
         calls.clear()
         for a_slo in (0.8, 0.6):
             session = store.session(key, a_slo, 0.5)
-            session.vote_indices(idx)
+            session.vote_indices()
             for i in (4, 11, 0):
                 session.update_gaps(i, 0.8, 0.2, new_pair(pipe, topo))
-                session.vote_indices(idx[idx != i])
+                session.vote_indices()
         assert calls == []
 
     def test_store_keeps_the_newest_pairs_predictions(self):
@@ -692,8 +702,60 @@ class TestHistoryPoolPredictions:
         # the store keeps the predictions of the newest pairs, in push order
         session = store.session(key, 0.8, 0.5)
         for pair, predicted in zip(pairs[2:], session.predicted, strict=True):
-            assert np.array_equal(predicted.mu_a, pair.predict(slice(None))[0])
-            assert np.array_equal(predicted.mu_l, pair.predict(slice(None)).mu_l)
+            assert np.array_equal(predicted.mu_a, pair.predict()[0])
+            assert np.array_equal(predicted.mu_l, pair.predict().mu_l)
+
+
+def row_types(n_rows):
+    """Each pool row's type, one of three."""
+    return st.lists(st.sampled_from((0, 1, 2)), min_size=n_rows, max_size=n_rows).map(np.array)
+
+
+def tied_predictions(data, pool, row_type, miss=False):
+    """Whole-pool predictions that build score ties: each configuration's
+    accuracy is one of three values and each row's latency that of its
+    ``row_type``, so rows of one type and of alike configurations tie; a
+    confident mean accuracy below the SLO scores rows zero, so the cost
+    breaks the tie between rows of different types. With ``miss`` every
+    configuration confidently misses an SLO of at least 0.8, so every row
+    scores zero and the cost alone decides."""
+
+    def coarse(values, n):
+        return np.array(data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+
+    n_config = len(pool.xa)
+    return PoolPredictions(
+        np.full(n_config, 0.2) if miss else coarse((0.2, 0.7, 0.9), n_config),
+        np.full(n_config, 1e-3 if miss else data.draw(st.sampled_from((1e-3, 0.1)))),
+        pool.config,
+        coarse((0.05, 0.1, 0.3, 2.0), 3)[row_type],
+        coarse((1e-3, 0.2), 3)[row_type],
+    )
+
+
+def tied_session(data, pool, a_slo, own):
+    """A history session of 1 to HISTORY_TOP_K + 3 stored models, each of
+    :func:`tied_predictions` on one shared row typing and ``miss``, after up
+    to four gap updates."""
+    row_type = data.draw(row_types(len(pool.plans)))
+    miss = data.draw(st.integers(0, 3)) == 0  # a quarter of the sessions: every row of every model misses
+    predicted = [
+        tied_predictions(data, pool, row_type, miss) for _ in range(data.draw(st.integers(1, HISTORY_TOP_K + 3)))
+    ]
+    session = HistorySession(predicted, a_slo, 0.5)
+    for i in data.draw(st.lists(st.integers(0, len(pool.plans) - 1), max_size=4)):
+        session.update_gaps(i, data.draw(st.sampled_from((0.2, 0.8))), data.draw(st.sampled_from((0.1, 0.3))), own)
+    return session
+
+
+class FixedSurrogates(NamedTuple):
+    """A stand-in for a fitted surrogate pair whose whole-pool predictions are given."""
+
+    n_obs: int
+    predicted: PoolPredictions
+
+    def predict(self) -> PoolPredictions:
+        return self.predicted
 
 
 class TestStepTablesMatchTheirOracles:
@@ -720,35 +782,68 @@ class TestStepTablesMatchTheirOracles:
         # the tie between rows of different types
         pipe, topo, _land = two_op_setup()
         pool = search_pool(pipe, topo)
-        n_config, n_rows = len(pool.xa), len(pool.plans)
-
-        def coarse(values, n):
-            return np.array(data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
-
+        n_rows = len(pool.plans)
         a_slo = data.draw(st.sampled_from((0.8, 0.95)))
-        row_type = coarse((0, 1, 2), n_rows)
-        predicted = [
-            PoolPredictions(
-                coarse((0.2, 0.7, 0.9), n_config),
-                np.full(n_config, data.draw(st.sampled_from((1e-3, 0.1)))),
-                pool.config,
-                coarse((0.05, 0.1, 0.3, 2.0), 3)[row_type],
-                coarse((1e-3, 0.2), 3)[row_type],
-            )
-            for _ in range(data.draw(st.integers(1, HISTORY_TOP_K + 3)))
-        ]
-        session = HistorySession(predicted, a_slo, 0.5)
         own = new_pair(pipe, topo)  # never fit: the stored models always vote
-        for i in data.draw(st.lists(st.integers(0, n_rows - 1), max_size=4)):
-            session.update_gaps(i, data.draw(st.sampled_from((0.2, 0.8))), data.draw(st.sampled_from((0.1, 0.3))), own)
+        session = tied_session(data, pool, a_slo, own)
         idx = np.array(sorted(data.draw(st.sets(st.integers(0, n_rows - 1), min_size=1))))
         want = int(idx[argmax_with_ties(*whole_pool_vote(session, idx))])
-        assert propose(idx, a_slo, 0.5, own, session, np.random.default_rng(0)) == (want, "history")
-        scores, costs_at = session.vote_indices(idx)
-        want_scores, want_costs = whole_pool_vote(session, idx)
+        profiled = np.ones(n_rows, dtype=bool)
+        profiled[idx] = False
+        assert propose(profiled, a_slo, 0.5, own, session, np.random.default_rng(0)) == (want, "history")
+        scores, costs_at = session.vote_indices()
+        want_scores, want_costs = whole_pool_vote(session, slice(None))
         tied = np.flatnonzero(scores == scores.max())
         assert np.array_equal(scores, want_scores) and np.array_equal(costs_at(tied), want_costs[tied])
 
+    @pytest.mark.parametrize("branch", ["history", "cmbo", "cold"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_propose_on_a_mask_picks_what_the_gathered_reference_does(self, branch, data):
+        # the reference scores only the free rows, gathered from the pool as
+        # a step did before it scored the whole pool, and maps the position
+        # of their tie-broken argmax back to a pool row
+        pipe, topo, _land = two_op_setup()
+        pool = search_pool(pipe, topo)
+        n_rows = len(pool.plans)
+        a_slo = data.draw(st.sampled_from((0.8, 0.95)))
+        # any mask, or in a quarter of the draws one that leaves a single row free
+        if data.draw(st.integers(0, 3)):
+            profiled = np.array(data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
+        else:
+            profiled = np.ones(n_rows, dtype=bool)
+        profiled[data.draw(st.integers(0, n_rows - 1))] = False
+        free = np.flatnonzero(~profiled)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        own = new_pair(pipe, topo)
+        session = None
+        if branch == "cold":  # without history, or with a session that has no stored model
+            session = data.draw(st.sampled_from((None, HistorySession([], a_slo, 0.5))))
+            want = int(free[np.random.default_rng(seed).integers(len(free))])
+        elif branch == "history":  # the own model is never fit: the stored models always vote
+            session = tied_session(data, pool, a_slo, own)
+            want = int(free[argmax_with_ties(*whole_pool_vote(session, free))])
+        elif data.draw(st.booleans()):  # a fitted pair, its latency predicted at the free rows only
+            own = fitted_pair(pipe, topo, np.random.default_rng(seed), data.draw(st.integers(1, 6)))
+            gathered = PoolPredictions(*own.f_a.predict(slice(None)), own.config[free], *own.f_l.predict(free))
+            want = int(free[argmax_with_ties(*acquisition(gathered, a_slo, 0.5))])
+        else:  # predictions that build score ties
+            p = tied_predictions(data, pool, data.draw(row_types(n_rows)), data.draw(st.booleans()))
+            own = FixedSurrogates(1, p)
+            gathered = PoolPredictions(p.mu_a, p.sd_a, p.config[free], p.mu_l[free], p.sd_l[free])
+            want = int(free[argmax_with_ties(*acquisition(gathered, a_slo, 0.5))])
+        assert propose(profiled, a_slo, 0.5, own, session, np.random.default_rng(seed)) == (want, branch)
+
+    @pytest.mark.parametrize("branch", ["history", "cmbo", "cold"])
+    def test_an_all_profiled_mask_is_refused(self, branch):
+        pipe, topo, _land = two_op_setup()
+        own = fitted_pair(pipe, topo, np.random.default_rng(3), 0 if branch == "cold" else 2)
+        store = HistoryStore()
+        if branch == "history":
+            store.push(fitted_pair(pipe, topo, np.random.default_rng(4), 2))
+        session = store.session(pool_key(pipe, topo.num_tiers), 0.8, 0.5)
+        with pytest.raises(ValueError, match="every pool row profiled"):
+            propose(np.ones(len(own.config), dtype=bool), 0.8, 0.5, own, session, np.random.default_rng(0))
 
     def test_vote_equals_the_whole_pool_vote_as_the_top_k_changes(self, monkeypatch):
         # a stored model's pool scores are computed once, when it first
@@ -764,19 +859,17 @@ class TestStepTablesMatchTheirOracles:
         scorer = search.acquisition
         monkeypatch.setattr(search, "acquisition", lambda *args: filled.append(args) or scorer(*args))
         own = new_pair(pipe, topo)
-        profiled = np.zeros(len(own.config), dtype=bool)
+        rows = np.arange(len(own.config))
         entered = set()
         for i in rng.choice(len(own.config), 14, replace=False):
-            idx = np.flatnonzero(~profiled)
-            scores, costs_at = session.vote_indices(idx)
-            want_scores, want_costs = whole_pool_vote(session, idx)
+            scores, costs_at = session.vote_indices()
+            want_scores, want_costs = whole_pool_vote(session, rows)
             assert np.array_equal(scores, want_scores)
-            assert np.array_equal(costs_at(np.arange(len(idx))), want_costs)
+            assert np.array_equal(costs_at(rows), want_costs)
             entered |= set(session.top_k().tolist())
             assert len(filled) == len(entered)
             session.update_gaps(int(i), float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.05, 0.5)), own)
             own.fit_new_point(int(i), 0.8, 0.2)
-            profiled[i] = True
         assert len(entered) > HISTORY_TOP_K
 
 class TestHistoryWeights:
@@ -795,8 +888,8 @@ class TestHistoryWeights:
         session, idx = self._session(HISTORY_TOP_K + 2)
         assert np.all(session.gaps == math.inf)
         assert session.top_k().tolist() == list(range(HISTORY_TOP_K))
-        combined, costs_at = session.vote_indices(idx)
-        costs = costs_at(np.arange(len(idx)))
+        combined, costs_at = session.vote_indices()
+        costs = costs_at(idx)
         voters = [session.pool_scores(i) for i in range(HISTORY_TOP_K)]
         assert np.allclose(combined, np.mean([scores for scores, _ in voters], axis=0), rtol=1e-12, atol=0)
         assert np.allclose(costs, np.mean([c for _, c in voters], axis=0), rtol=1e-12, atol=0)
@@ -811,7 +904,7 @@ class TestHistoryWeights:
         _pool, idx, _xa, _xl = encoded_pool(*two_op_setup()[:2])
         w = np.array([1 / (gaps[i] + 1e-6) for i in want])
         w = w / w.sum()
-        combined, _costs = session.vote_indices(idx)
+        combined, _costs = session.vote_indices()
         want_scores = sum(wi * session.pool_scores(i)[0] for wi, i in zip(w, want))
         assert np.allclose(combined, want_scores, rtol=1e-12, atol=0)
 
@@ -829,8 +922,8 @@ class TestHistoryWeights:
         own.fit_new_point(*observations[0])
         gaps = []
         for i, accuracy, latency_s in observations[1:]:
-            p = own.predict([i])  # the means update_gaps looks up, bitwise
-            gaps.append(prediction_gap(float(p.mu_a[p.config[0]]), float(p.mu_l[0]), accuracy, latency_s, 0.5))
+            p = own.predict()  # the means update_gaps looks up, bitwise
+            gaps.append(prediction_gap(float(p.mu_a[p.config[i]]), float(p.mu_l[i]), accuracy, latency_s, 0.5))
             session.update_gaps(i, accuracy, latency_s, own)
             own.fit_new_point(i, accuracy, latency_s)
             window = gaps[-GAP_WINDOW_LEN:]
@@ -867,9 +960,8 @@ class TestHistoryWeights:
                 scores, model_costs = session.pool_scores(int(j))
                 combined += w * scores[idx]
                 costs += w * model_costs[idx]
-            got_combined, costs_at = session.vote_indices(idx)
-            got_costs = costs_at(np.arange(len(idx)))
-            assert np.array_equal(got_combined, combined) and np.array_equal(got_costs, costs)
+            got_combined, costs_at = session.vote_indices()
+            assert np.array_equal(got_combined[idx], combined) and np.array_equal(costs_at(idx), costs)
 
 
 class TestSearchPool:

@@ -589,6 +589,31 @@ class TestSimInvariants:
         sim.run()
         assert {"on_arrival", "on_ready", "on_release"} <= set(handled)
 
+    def test_the_horizon_is_the_last_event_that_is_not_a_stale_release(self):
+        # q0000 is freed by the 3 s drift; its first release event, at
+        # 12.02 s, is stale and ends the run, but neither sets the horizon
+        # nor adds a series point
+        sim = _Sim(tight_cluster_config())
+        times, stale = [], []
+        for name in ("on_arrival", "on_ready", "on_release", "on_drift"):
+
+            def recorded(t, payload, handler=getattr(sim, name), name=name):
+                if name == "on_release":
+                    qid, admitted_at = payload
+                    if qid not in sim.state.assignments or sim.records[qid].admitted_at != admitted_at:
+                        stale.append(t)
+                        return handler(t, payload)
+                times.append(t)
+                handler(t, payload)
+
+            setattr(sim, name, recorded)
+        report = sim.run()
+        horizon = report.totals["horizon_s"]
+        assert horizon == max(times) == pytest.approx(10.21625, abs=1e-5)
+        assert stale and max(stale) > horizon
+        assert report.goodput_series[-1][0] == report.cost_series[-1][0] == horizon
+        assert report.totals["avg_goodput"] == pytest.approx(0.09616, abs=1e-5)
+
     @pytest.mark.parametrize(
         "world_config",
         [*WORLD_CONFIGS.values(), lambda world: accuracy_drift_config()],
