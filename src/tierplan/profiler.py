@@ -16,7 +16,9 @@ stops the session at the first look that is significant in either
 direction. The per-look level is the overall 1% Bonferroni-spent
 over the schedule's looks, so the repeated peeking keeps the procedure's
 size at most 1% (a group-sequential design: Pocock, Biometrika 1977; Lan &
-DeMets, Biometrika 1983). Between looks the whole block of cases and
+DeMets, Biometrika 1983). The test is written as per-look critical values:
+look k is significant when |t| exceeds ``T_CRIT[k]``, the two-sided
+critical |t| of its n_k - 1 degrees of freedom at that level. Between looks the whole block of cases and
 values is drawn at once, in place: a look makes only its two generator
 calls and writes its gathers and clips into the look's slice, through the
 one case-value draw that the fixed-size baseline shares.
@@ -34,7 +36,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .landscape import N_CASES, GroundTruthLandscape
 from .model import PlanPoint, ProfileOutcome, Verdict
@@ -184,21 +185,6 @@ class NullCache:
 # Group-sequential profiling
 
 
-def two_sided_p_value(mean: float, variance: float, n: int, mu0: float) -> float:
-    """p-value of the one-sample two-sided t-test of H0: population mean = mu0.
-
-    A standard error of zero, from zero variance or from one so small that
-    ``variance / n`` underflows, leaves no spread to test against: the
-    p-value is 1 at ``mu0`` and 0 anywhere else."""
-    if n < 2:
-        return 1.0
-    se = math.sqrt(variance / n) if variance > 0.0 else 0.0
-    if se == 0.0:
-        return 1.0 if mean == mu0 else 0.0
-    t = (mean - mu0) / se
-    return 2.0 * float(stdtr(n - 1, -abs(t)))
-
-
 def look_schedule() -> tuple[int, ...]:
     """Sample sizes at which the t-test runs: ceil(DEFAULT_MIN_SAMPLES * 1.1^k),
     capped at (and ending with) DEFAULT_N_MAX."""
@@ -209,6 +195,33 @@ def look_schedule() -> tuple[int, ...]:
 
 
 _LOOKS = look_schedule()
+
+#: Critical |t| of each look in ``look_schedule()``:
+#: ``-scipy.special.stdtrit(n - 1, alpha / 2)`` at look size n and the
+#: Bonferroni-spent level alpha = (1 - CONFIDENCE) / len(look_schedule()).
+T_CRIT = (
+    3.889203747383989, 3.857262705265939, 3.835783747824335, 3.8145117171663476, 3.794306170130424,
+    3.7777769217295782, 3.7622224441746104, 3.7478907183380605, 3.7348779917837707, 3.7241499071684045,
+    3.7135256258209606, 3.7040875108969002, 3.6957182535933906, 3.687852366623039, 3.6809785303821294,
+    3.674645890091112, 3.66888610798, 3.663693045430148, 3.659037702728276, 3.654739141322122,
+    3.650823555783213, 3.647289924485711, 3.644120530517123, 3.6412885533464125, 3.6386565337250922,
+    3.6362914328609097, 3.6341385874474295, 3.632164869616181, 3.6303748546209125, 3.628763285131469,
+    3.6273023426459234, 3.6259728663080715, 3.625439565193863,
+)
+
+
+def look_decides(mean: float, variance: float, n: int, t_crit: float, mu0: float) -> bool:
+    """Whether the one-sample two-sided t-test of H0: population mean =
+    mu0 rejects at critical |t| ``t_crit``, from ``n`` values' mean and
+    sample variance.
+
+    A standard error of zero, from zero variance or from one so small that
+    ``variance / n`` underflows, leaves no spread to test against: the test
+    rejects exactly when the mean is not mu0."""
+    se = math.sqrt(variance / n) if variance > 0.0 else 0.0
+    if se == 0.0:
+        return mean != mu0
+    return abs(mean - mu0) / se > t_crit
 
 
 def _case_values(mu, sigma, cases, rng: np.random.Generator, out: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -237,13 +250,13 @@ def profile_plan(
 
     Draws the cases up to each look in one block, stratified by
     ``allocation``, and stops at the first look whose two-sided t-test is
-    significant at the Bonferroni-spent level; a session that reaches
+    significant at the Bonferroni-spent level, that is whose |t| exceeds
+    the look's ``T_CRIT``; a session that reaches
     DEFAULT_N_MAX undecided is inconclusive. A look's block draws the cases
     the :class:`Stratification` gives and their :func:`_case_values` into
     the look's slice. Charged GPU-seconds cover only cache-missing
     operators, at reference-tier full-resource compute.
     """
-    alpha = (1.0 - CONFIDENCE) / len(_LOOKS)
     members, starts, sizes = strat.members, strat.starts, strat.sizes
     mu, sigma = land.case_rows(plan.configuration)
     cases = np.empty(DEFAULT_N_MAX, dtype=np.intp)
@@ -251,7 +264,7 @@ def profile_plan(
     work = np.empty(DEFAULT_N_MAX)
     verdict = Verdict.INCONCLUSIVE
     n = 0
-    for look in _LOOKS:
+    for look, t_crit in zip(_LOOKS, T_CRIT):
         # every index is in range, so "clip" only skips the bounds check
         members.take(starts[n:look] + rng.integers(sizes[n:look]), out=cases[n:look], mode="clip")
         _case_values(mu, sigma, cases[n:look], rng, values[n:look], work[n:look])
@@ -263,7 +276,7 @@ def profile_plan(
         deviations -= offset
         mean = float(values[0]) + offset
         variance = float(np.dot(deviations, deviations)) / (n - 1)
-        if two_sided_p_value(mean, variance, n, a_slo) < alpha:
+        if look_decides(mean, variance, n, t_crit, a_slo):
             verdict = Verdict.PASS_ACCURACY if mean > a_slo else Verdict.FAIL_ACCURACY
             break
     charged = cache.charge(plan.configuration, cases[:n], land.timings_for(plan.configuration).base_compute_s)

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import reduce
+from operator import add
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import latency as latmod
 from .landscape import GroundTruthLandscape
@@ -336,7 +337,8 @@ class HistorySession:
     def votes(self) -> bool:
         """Whether stored models vote: there are some, and the own model's
         mean gap over its window does not beat the best of theirs."""
-        own = float(np.mean(self.own_window)) if self.own_window else math.inf
+        # an in-order sum: numpy's mean of fewer than 8 values, bit for bit
+        own = reduce(add, self.own_window) / len(self.own_window) if self.own_window else math.inf
         return len(self.predicted) > 0 and not (own < self.gaps.min())
 
     def update_gaps(self, idx: int, accuracy: float, latency_s: float, surrogates: SurrogatePair) -> None:
@@ -353,11 +355,24 @@ class HistorySession:
         self.gap_n += 1
         self.gaps = self.gap_sum / self.gap_n
 
-    def pool_scores(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Stored model ``i``'s acquisition scores and costs over the pool."""
-        if i not in self._pool_scores:
-            self._pool_scores[i] = acquisition(self.predicted[i], self.a_slo, self.l_slo)
-        return self._pool_scores[i]
+    def pool_scores(self, models: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Acquisition scores and costs over the pool of each stored model in
+        ``models``. The models this session has not scored yet are scored
+        together, in one :func:`acquisition` call on their stacked
+        predictions; it is elementwise, so each model's row is bitwise what
+        a call on that model alone gives."""
+        new = [i for i in dict.fromkeys(models) if i not in self._pool_scores]
+        if new:
+            chosen = [self.predicted[i] for i in new]
+            stacked = PoolPredictions(
+                np.stack([p.mu_a for p in chosen]),
+                np.stack([p.sd_a for p in chosen]),
+                self._config,
+                np.stack([p.mu_l for p in chosen]),
+                np.stack([p.sd_l for p in chosen]),
+            )
+            self._pool_scores.update(zip(new, zip(*acquisition(stacked, self.a_slo, self.l_slo))))
+        return [self._pool_scores[i] for i in models]
 
     def vote_indices(self) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
         """Weighted-sum vote of the current top-K at every pool row: each
@@ -368,14 +383,15 @@ class HistorySession:
         top = self.top_k()
         raw = 1.0 / (self.gaps[top] + GAP_EPS) if self.gap_n else np.ones(len(top))
         weights = raw / raw.sum()
+        scored = self.pool_scores(top.tolist())
         combined = np.zeros(len(self._config))
-        for w, i in zip(weights, top):
-            combined += w * self.pool_scores(int(i))[0]
+        for w, (scores, _costs) in zip(weights, scored):
+            combined += w * scores
 
         def costs_at(rows: np.ndarray) -> np.ndarray:
             costs = np.zeros(len(rows))
-            for w, i in zip(weights, top):
-                costs += w * self.pool_scores(int(i))[1][rows]
+            for w, (_scores, model_costs) in zip(weights, scored):
+                costs += w * model_costs[rows]
             return costs
 
         return combined, costs_at
@@ -391,17 +407,106 @@ def prediction_gap(mu_a, mu_l, accuracy: float, latency_s: float, l_slo: float):
     return abs(mu_a - accuracy) + abs(mu_l - latency_s) / max(l_slo, 1e-9)
 
 
+# Cephes ndtr.c (S. L. Moshier): erfc(x) = exp(-x^2) P(x)/Q(x) for 1 <= x < 8
+# and exp(-x^2) R(x)/S(x) for x >= 8, erf(x) = x T(x^2)/U(x^2) for |x| < 1;
+# Q, S and U have an implicit leading coefficient of 1.
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+#: log(2^1024): erfc(x) underflows to 0 once x^2 exceeds it
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _band_table(*polys: Sequence[float]) -> np.ndarray:
+    """The polynomials ``polys`` (highest degree first) as columns, padded
+    with leading zeros to one degree: row k holds their k-th coefficients.
+    Horner's rule through a leading zero reads 0 until the first real
+    coefficient, so a padded polynomial evaluates bit for bit as itself."""
+    degree = max(map(len, polys))
+    return np.array([(0.0,) * (degree - len(p)) + tuple(p) for p in polys]).T.copy()
+
+
+# Numerators and denominators of erf's |x| < 1 band and erfc's two bands.
+_NUM = _band_table(_ERF_T, _ERFC_P, _ERFC_R)
+_DEN = _band_table((1.0, *_ERF_U), (1.0, *_ERFC_Q), (1.0, *_ERFC_S))
+
+
+def _horner(arg: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Horner's rule at ``arg`` with per-element coefficients ``coef[k]``,
+    highest degree first, as Cephes ``polevl`` evaluates it."""
+    y = coef[0].copy()
+    for c in coef[1:]:
+        y *= arg
+        y += c
+    return y
+
+
+def ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF Φ(a), elementwise, as Cephes ``ndtr`` computes it
+    (the algorithm of ``scipy.special.ndtr``). With x = a/√2: 0.5 + 0.5
+    erf(x) while |x| < 1, else 0.5 erfc(|x|), reflected for x > 0, with
+    erfc's rational function switching at |x| = 8. Every element runs its
+    own band's polynomials, so its value depends on it alone and any slice
+    of ``a`` gives the same bits. Φ is exactly 0 or 1 where erfc underflows,
+    and NaN stays NaN."""
+    x = np.multiply(a, math.sqrt(0.5))
+    z = np.abs(x)
+    small = z < 1.0
+    band = (z >= 1.0).view(np.int8) + (z >= 8.0).view(np.int8)
+    zc = np.minimum(z, 27.0)  # 27^2 > _MAXLOG, so clipping moves only underflowing elements
+    sq = zc * zc
+    arg = np.where(small, sq, zc)
+    num = _horner(arg, _NUM.take(band, axis=1))
+    den = _horner(arg, _DEN.take(band, axis=1))
+    np.negative(sq, out=sq)
+    under = sq < -_MAXLOG
+    e = np.exp(sq, out=sq)
+    e[under] = 0.0  # before any product, so no subnormal is multiplied
+    r = np.where(small, x, e)
+    r *= num
+    r /= den
+    r *= 0.5
+    return np.where(small, 0.5 + r, np.where(x > 0, 1.0 - r, r))
+
+
 def acquisition(predicted: PoolPredictions, a_slo: float, l_slo: float) -> tuple[np.ndarray, np.ndarray]:
     """Pr[accuracy >= A_slo] * Pr[latency <= L_slo] / C per pool row, and
     C: the accuracy factor is computed once per configuration and gathered
-    at each row's configuration.
+    at each row's configuration. The predictions may be stacked, one row
+    per model (``config`` stays one-dimensional); every operation is
+    elementwise, so each row is bitwise what that model alone gives.
 
     C is the dollar cost of profiling a minimum batch of cases at the
     predicted latency, floored to keep the division bounded.
     """
     mu_a, sd_a, config, mu_l, sd_l = predicted
-    p_acc = ndtr((mu_a - a_slo) / np.maximum(sd_a, 1e-12))[config]
-    p_lat = ndtr((l_slo - mu_l) / np.maximum(sd_l, 1e-12))
+    n_acc = mu_a.shape[-1]
+    # one Φ call for both factors: it is elementwise
+    p = ndtr(np.concatenate([(mu_a - a_slo) / np.maximum(sd_a, 1e-12), (l_slo - mu_l) / np.maximum(sd_l, 1e-12)], -1))
+    p_acc, p_lat = p[..., :n_acc][..., config], p[..., n_acc:]
     costs = np.maximum(
         np.maximum(mu_l, 0.0) * DEFAULT_MIN_SAMPLES / 3600.0 * latmod.DEFAULT_GPU_PRICE_PER_HOUR,
         COST_FLOOR_DOLLARS,
@@ -469,6 +574,16 @@ def _check_lattice_size(pipeline: PipelineSpec) -> None:
         )
 
 
+def _reducible(feasible: np.ndarray) -> np.ndarray:
+    """Allocations of the fraction lattice with a feasible single-step
+    reduction: some axis whose next level down (index + 1) is ``feasible``."""
+    out = np.zeros_like(feasible)
+    for axis in range(feasible.ndim):
+        head = (slice(None),) * axis
+        out[head + (slice(None, -1),)] |= feasible[head + (slice(1, None),)]
+    return out
+
+
 def pareto_optimize(
     plan: PlanPoint,
     pipeline: PipelineSpec,
@@ -509,11 +624,8 @@ def pareto_optimize(
     if lat.flat[0] > l_slo:
         raise ValueError(f"plan violates the latency SLO even over-provisioned ({lat.flat[0]:.4f}s > {l_slo:.4f}s)")
     feasible = lat <= l_slo
-    reducible = np.zeros_like(feasible)
-    for axis in range(m):
-        np.moveaxis(reducible, axis, 0)[:-1] |= np.moveaxis(feasible, axis, 0)[1:]
     rows = []
-    for state in zip(*np.nonzero(feasible & ~reducible)):
+    for state in zip(*np.nonzero(feasible & ~_reducible(feasible))):
         p = plan.with_resources(tuple(levels[k] for k in state))
         rows.append((p, latmod.plan_hourly_cost(p, topology), float(lat[state])))
     kept = topology._memo[key] = pareto_filter(rows, key=lambda r: r[1:])

@@ -8,7 +8,8 @@ sweeps the full plan grid through the package's latency model and Pareto
 filter, which other tests check against the references here; the
 per-plan frontier scores the search pool one plan at a time through the
 scalar latency model and the scalar stratum mean; the sibling landscape
-reuses the generator's case draw. The per-look profiler, the
+reuses the generator's case draw. The per-look profiler (deciding each
+look by scipy's p-value, as before the critical-|t| table), the
 column-at-a-time kernel row and the whole-pool vote are the planning step
 as it was before its tables were built once, and the scalar stratum mean
 is the ground truth as it was before it was built as arrays; the package
@@ -22,6 +23,7 @@ import math
 from itertools import combinations_with_replacement, product
 
 import numpy as np
+from scipy.special import stdtr
 
 from tierplan import latency as latmod
 from tierplan.landscape import ACC_CENTER, ACC_SPAN, N_CASES, _CLIP_HI, _CLIP_LO, _draw_cases
@@ -35,7 +37,7 @@ from tierplan.model import (
     enumerate_search_pool,
     pareto_filter,
 )
-from tierplan.profiler import CONFIDENCE, DEFAULT_N_MAX, allocation, look_schedule, two_sided_p_value
+from tierplan.profiler import CONFIDENCE, DEFAULT_N_MAX, allocation, look_schedule
 from tierplan.search import GAP_EPS, HISTORY_TOP_K, acquisition
 
 
@@ -491,10 +493,26 @@ class MaskPrefixCache:
         return charged
 
 
+def two_sided_p_value(mean: float, variance: float, n: int, mu0: float) -> float:
+    """p-value of the one-sample two-sided t-test of H0: population mean = mu0.
+
+    A standard error of zero, from zero variance or from one so small that
+    ``variance / n`` underflows, leaves no spread to test against: the
+    p-value is 1 at ``mu0`` and 0 anywhere else."""
+    if n < 2:
+        return 1.0
+    se = math.sqrt(variance / n) if variance > 0.0 else 0.0
+    if se == 0.0:
+        return 1.0 if mean == mu0 else 0.0
+    t = (mean - mu0) / se
+    return 2.0 * float(stdtr(n - 1, -abs(t)))
+
+
 def per_look_profile_plan(plan, land, strat, cache, a_slo, rng):
     """The guided profiler drawing each look's block through
     :func:`stratum_cases` at the allocation's strata and
-    :func:`sample_strata` at the cases' true strata."""
+    :func:`sample_strata` at the cases' true strata, and deciding each look
+    by scipy's t-test p-value at the Bonferroni-spent level."""
     looks = look_schedule()
     alpha = (1.0 - CONFIDENCE) / len(looks)
     order = allocation(strat.weights, DEFAULT_N_MAX)
@@ -559,3 +577,12 @@ def argmax_with_ties(scores, costs):
     """Index of the best score; ties go to the lowest cost, then index."""
     tied = np.flatnonzero(scores == scores.max())
     return int(tied[np.argmin(costs[tied])])
+
+
+def moveaxis_reducible(feasible):
+    """Lattice states with a feasible single-step reduction, one axis at a
+    time through ``np.moveaxis``."""
+    reducible = np.zeros_like(feasible)
+    for axis in range(feasible.ndim):
+        np.moveaxis(reducible, axis, 0)[:-1] |= np.moveaxis(feasible, axis, 0)[1:]
+    return reducible

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import stdtrit
 from scipy.stats import chisquare
 
 from oracles import (
@@ -13,6 +16,7 @@ from oracles import (
     sample_cases,
     strata_members,
     strata_profile_plan_fixed_n,
+    two_sided_p_value,
     variance_random,
     variance_stratified,
 )
@@ -20,16 +24,18 @@ from tierplan.landscape import N_CASES, generate_landscape
 from tierplan.model import PlanPoint, Verdict
 from tierplan.presets import code_generation_pipeline, speech_recognition_pipeline, visual_tracking_pipeline
 from tierplan.profiler import (
+    CONFIDENCE,
     DEFAULT_N_MAX,
+    T_CRIT,
     NullCache,
     PrefixCache,
     _kmeans,
     allocation,
+    look_decides,
     look_schedule,
     profile_plan,
     profile_plan_fixed_n,
     stratify,
-    two_sided_p_value,
 )
 
 #: three tiers, each toward the device 3x slower
@@ -238,8 +244,9 @@ class TestProfilePlan:
         assert inconclusive / runs >= 0.98
 
     def test_zero_variance_at_threshold_is_documented_degenerate(self, vt_pipeline):
-        # single stratum, zero noise: every draw equals the SLO exactly, the
-        # t-test never fires and the session runs to its cap
+        # single stratum, zero noise: every draw equals the SLO exactly, so
+        # the standard error is zero and no look's critical |t| is ever
+        # crossed; the session runs to its cap
         land = generate_landscape(
             seed=14, pipeline=vt_pipeline, tier_speed_factors=TIER_SPEEDS, k_true=1, noise_scale=0.0
         )
@@ -250,6 +257,8 @@ class TestProfilePlan:
         out = profile_plan(plan, land, strat, NullCache(), a_slo, np.random.default_rng(0))
         assert out.verdict == Verdict.INCONCLUSIVE
         assert out.samples_used == DEFAULT_N_MAX
+        assert out.accuracy_estimate == a_slo
+        assert not any(look_decides(a_slo, 0.0, n, t_crit, a_slo) for n, t_crit in zip(look_schedule(), T_CRIT))
 
     def test_early_stop_beats_fixed_n_on_clear_plans(self, vt_pipeline):
         from itertools import product
@@ -415,7 +424,16 @@ class TestSessionMath:
         assert out.verdict == Verdict.PASS_ACCURACY
         assert out.accuracy_estimate == pytest.approx(xs.mean(), rel=1e-12)
 
+    def test_critical_values_are_scipy_quantiles(self):
+        looks = look_schedule()
+        alpha = (1.0 - CONFIDENCE) / len(looks)
+        assert len(T_CRIT) == len(looks)
+        for n, t_crit in zip(looks, T_CRIT):
+            assert t_crit == pytest.approx(-float(stdtrit(n - 1, alpha / 2)), rel=1e-12, abs=0)
+
     def test_p_value_against_scipy(self):
+        # the oracle's p-value is scipy's t-test, and at every look size the
+        # table decides as that test does at the Bonferroni-spent level
         from scipy.stats import ttest_1samp
 
         rng = np.random.default_rng(6)
@@ -423,11 +441,25 @@ class TestSessionMath:
         p_ref = ttest_1samp(xs, 0.72).pvalue
         p_got = two_sided_p_value(float(xs.mean()), float(xs.var(ddof=1)), len(xs), 0.72)
         assert p_got == pytest.approx(p_ref, rel=1e-9)
+        looks = look_schedule()
+        alpha = (1.0 - CONFIDENCE) / len(looks)
+        decided = 0
+        for n, t_crit in zip(looks, T_CRIT):
+            xs = rng.normal(0.75, 0.05, n)
+            mu0 = 0.75 + rng.uniform(-2.0, 2.0) * t_crit * 0.05 / math.sqrt(n)
+            want = ttest_1samp(xs, mu0).pvalue < alpha
+            decided += want
+            assert look_decides(float(xs.mean()), float(xs.var(ddof=1)), n, t_crit, mu0) == want
+        assert 0 < decided < len(looks)
 
     def test_a_standard_error_that_underflows_counts_as_zero_variance(self):
         # 5e-324 / 50 rounds to 0: no spread, so the mean decides alone
         assert two_sided_p_value(0.5, 5e-324, 50, 0.4) == 0.0
         assert two_sided_p_value(0.4, 5e-324, 50, 0.4) == 1.0
+        assert look_decides(0.5, 5e-324, 50, T_CRIT[0], 0.4)
+        assert not look_decides(0.4, 5e-324, 50, T_CRIT[0], 0.4)
+        assert look_decides(0.5, 0.0, 50, T_CRIT[0], 0.4)
+        assert not look_decides(0.4, 0.0, 50, T_CRIT[0], 0.4)
 
     @given(
         st.floats(allow_nan=False, allow_infinity=False),
@@ -439,6 +471,32 @@ class TestSessionMath:
     @settings(deadline=None)
     def test_p_value_lies_in_the_unit_interval(self, mean, variance, n, mu0):
         assert 0.0 <= two_sided_p_value(mean, variance, n, mu0) <= 1.0
+
+    @given(
+        st.integers(0, len(T_CRIT) - 1),
+        st.floats(0.0, 1.0),
+        st.floats(min_value=0.0, max_value=1.0),  # subnormals included
+        st.floats(0.0, 2.0) | st.floats(min_value=-1e300, max_value=1e300),  # |t| / critical |t|, or any mean
+        st.booleans(),
+    )
+    @example(0, 0.4, 5e-324, 0.1, True)
+    @example(0, 0.4, 0.0, 0.0, True)
+    @settings(max_examples=500, deadline=None)
+    def test_table_decides_as_the_p_value_away_from_the_critical_value(self, k, mu0, variance, ratio, above):
+        # |t| a factor ``ratio`` of the look's critical value, or the mean
+        # itself when ``ratio`` is large; the p-value and the table agree
+        # wherever |t| is not within 1e-9 (relative) of the critical value
+        n, t_crit = look_schedule()[k], T_CRIT[k]
+        alpha = (1.0 - CONFIDENCE) / len(T_CRIT)
+        se = math.sqrt(variance / n) if variance > 0.0 else 0.0
+        if abs(ratio) <= 2.0:
+            mean = mu0 + (1.0 if above else -1.0) * ratio * t_crit * se
+        else:
+            mean = ratio
+        if se > 0.0:
+            assume(abs(abs(mean - mu0) / se - t_crit) > 1e-9 * t_crit)
+        want = two_sided_p_value(mean, variance, n, mu0) < alpha
+        assert look_decides(mean, variance, n, t_crit, mu0) == want
 
 
 class TestPrefixCache:

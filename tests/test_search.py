@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
+from scipy.special import ndtr as scipy_ndtr
 from scipy.stats import norm
 
 from oracles import (
@@ -16,6 +17,7 @@ from oracles import (
     column_kernel_row,
     encode_pool,
     exhaustive_resource_frontier,
+    moveaxis_reducible,
     one_hot,
     sibling_landscape,
     true_pareto_set,
@@ -57,7 +59,9 @@ from tierplan.search import (
     SearchConfig,
     SurrogatePair,
     _argmax_with_ties,
+    _reducible,
     acquisition,
+    ndtr,
     pareto_optimize,
     pool_key,
     prediction_gap,
@@ -655,7 +659,7 @@ class TestHistoryPoolPredictions:
                     float(p.mu_a[p.config[i]]), float(p.mu_l[i]), 0.83, 0.21, 0.5
                 )
         for j, pair in enumerate(pairs):
-            scores, costs = session.pool_scores(j)
+            [(scores, costs)] = session.pool_scores([j])
             want_scores, want_costs = acquisition(pair.predict(), 0.8, 0.5)
             assert np.array_equal(scores, want_scores) and np.array_equal(costs, want_costs)
 
@@ -847,30 +851,35 @@ class TestStepTablesMatchTheirOracles:
 
     def test_vote_equals_the_whole_pool_vote_as_the_top_k_changes(self, monkeypatch):
         # a stored model's pool scores are computed once, when it first
-        # enters the top K; more models than K, and gaps that move, change
-        # the top K mid-session, so scores are computed between votes
+        # enters the top K, in one stacked acquisition call with the other
+        # newcomers; more models than K, and gaps that move, change the top
+        # K mid-session, so scores are computed between votes
         pipe, topo = visual_tracking_pipeline(), default_topology()
         rng = np.random.default_rng(23)
         store = HistoryStore()
         for n_obs in range(1, HISTORY_TOP_K + 8):
             store.push(fitted_pair(pipe, topo, rng, n_obs))
         session = store.session(pool_key(pipe, topo.num_tiers), 0.8, 0.5)
-        filled = []
+        scored_rows = []  # models scored by each acquisition call
         scorer = search.acquisition
-        monkeypatch.setattr(search, "acquisition", lambda *args: filled.append(args) or scorer(*args))
+        monkeypatch.setattr(search, "acquisition", lambda *args: scored_rows.append(len(args[0].mu_l)) or scorer(*args))
         own = new_pair(pipe, topo)
         rows = np.arange(len(own.config))
         entered = set()
         for i in rng.choice(len(own.config), 14, replace=False):
+            calls = len(scored_rows)
             scores, costs_at = session.vote_indices()
             want_scores, want_costs = whole_pool_vote(session, rows)
             assert np.array_equal(scores, want_scores)
             assert np.array_equal(costs_at(rows), want_costs)
-            entered |= set(session.top_k().tolist())
-            assert len(filled) == len(entered)
+            newcomers = set(session.top_k().tolist()) - entered
+            entered |= newcomers
+            assert scored_rows[calls:] == ([len(newcomers)] if newcomers else [])
+            assert sum(scored_rows) == len(entered)
             session.update_gaps(int(i), float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.05, 0.5)), own)
             own.fit_new_point(int(i), 0.8, 0.2)
         assert len(entered) > HISTORY_TOP_K
+        assert max(scored_rows) == HISTORY_TOP_K and len(scored_rows) < len(entered)
 
 class TestHistoryWeights:
     """Which stored models vote, and with what weight."""
@@ -890,7 +899,7 @@ class TestHistoryWeights:
         assert session.top_k().tolist() == list(range(HISTORY_TOP_K))
         combined, costs_at = session.vote_indices()
         costs = costs_at(idx)
-        voters = [session.pool_scores(i) for i in range(HISTORY_TOP_K)]
+        voters = session.pool_scores(range(HISTORY_TOP_K))
         assert np.allclose(combined, np.mean([scores for scores, _ in voters], axis=0), rtol=1e-12, atol=0)
         assert np.allclose(costs, np.mean([c for _, c in voters], axis=0), rtol=1e-12, atol=0)
 
@@ -905,7 +914,7 @@ class TestHistoryWeights:
         w = np.array([1 / (gaps[i] + 1e-6) for i in want])
         w = w / w.sum()
         combined, _costs = session.vote_indices()
-        want_scores = sum(wi * session.pool_scores(i)[0] for wi, i in zip(w, want))
+        want_scores = sum(wi * scores for wi, (scores, _) in zip(w, session.pool_scores(want)))
         assert np.allclose(combined, want_scores, rtol=1e-12, atol=0)
 
     def test_own_gap_is_the_mean_of_the_trailing_window(self):
@@ -957,7 +966,7 @@ class TestHistoryWeights:
             raw = 1.0 / (session.gaps[top] + 1e-6)
             combined, costs = np.zeros(len(idx)), np.zeros(len(idx))
             for w, j in zip(raw / raw.sum(), top):
-                scores, model_costs = session.pool_scores(int(j))
+                [(scores, model_costs)] = session.pool_scores([int(j)])
                 combined += w * scores[idx]
                 costs += w * model_costs[idx]
             got_combined, costs_at = session.vote_indices()
@@ -1339,3 +1348,68 @@ class TestWarmStart:
         cold = [c if c is not None else math.inf for c in cold]
         warm = [w if w is not None else math.inf for w in warm]
         assert np.median(warm) <= np.median(cold)
+
+
+class TestNdtr:
+    """The numpy Φ against scipy's Cephes ``ndtr``."""
+
+    def grid(self):
+        near = []
+        for edge in (math.sqrt(2.0), 8.0 * math.sqrt(2.0)):  # the band edges |a|/√2 = 1 and 8
+            for v in (edge, -edge):
+                near.append(v)
+                w = v
+                for _ in range(20):
+                    w = float(np.nextafter(w, math.inf))
+                    near.append(w)
+                w = v
+                for _ in range(20):
+                    w = float(np.nextafter(w, -math.inf))
+                    near.append(w)
+        edges = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e300, -1e300]
+        return np.concatenate([np.linspace(-40.0, 40.0, 400_001), near, edges])
+
+    def test_agrees_with_scipy(self):
+        import warnings
+
+        a = self.grid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ndtr(a)
+        want = scipy_ndtr(a)
+        normal = want >= 1e-300
+        assert np.all(np.abs(got[normal] - want[normal]) <= 1e-15 * want[normal])
+        assert np.array_equal(got == 0.0, want == 0.0) and np.array_equal(got == 1.0, want == 1.0)
+        assert np.all(got[~normal] <= 1e-300)
+        assert np.isnan(ndtr(np.array([math.nan]))[0])
+
+    def test_a_2d_input_equals_its_rows_bitwise(self):
+        a = np.random.default_rng(4).normal(0.0, 12.0, (7, 513))
+        got = ndtr(a)
+        for row, want in zip(a, got):
+            assert np.array_equal(ndtr(row), want)
+            assert all(np.array_equal(ndtr(row[j : j + 3]), want[j : j + 3]) for j in range(0, 513, 41))
+
+
+class TestOwnGapMean:
+    @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=GAP_WINDOW_LEN))
+    @settings(max_examples=500, deadline=None)
+    def test_own_window_mean_is_numpys(self, window):
+        session = HistorySession([], 0.8, 0.5)
+        session.own_window = window
+        own = float(np.mean(window))
+        # votes() compares the own mean against the best stored gap
+        session.predicted, session.gaps = [None], np.array([np.nextafter(own, math.inf)])
+        assert not session.votes()
+        session.gaps = np.array([own])
+        assert session.votes()
+
+
+class TestReducible:
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_index_tuples_equal_the_moveaxis_form(self, m, data):
+        shape = tuple(data.draw(st.integers(1, 4)) for _ in range(m))
+        bits = data.draw(st.lists(st.booleans(), min_size=math.prod(shape), max_size=math.prod(shape)))
+        feasible = np.array(bits, dtype=bool).reshape(shape)
+        assert np.array_equal(_reducible(feasible), moveaxis_reducible(feasible))
