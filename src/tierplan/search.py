@@ -18,7 +18,9 @@ its configuration index. Completed sessions leave their predictions over
 that pool in a history store and hand back their observations, which a
 replan takes in again; new sessions on the same pool let the most similar
 histories (smallest prediction gap against fresh observations) vote on
-proposals until the session's own model outpredicts them. A step indexes
+proposals until the session's own model outpredicts them; each stored
+model keeps its vote scores at the SLO pairs it was last scored at, so a
+query repeating an earlier one's SLOs reads them. A step indexes
 everything by pool row: it reads whole-pool scores and a boolean mask of
 the profiled rows, which it never picks.
 """
@@ -71,6 +73,10 @@ VARIANCE_INFLATION = 25.0
 GAP_WINDOW_LEN = 5
 #: Completed sessions the history store keeps (oldest evicted first).
 HISTORY_CAPACITY = 32
+#: (a_slo, l_slo) pairs a stored model keeps vote scores for (least recently read evicted first).
+SCORED_SLO_PAIRS = 4
+#: Elements :func:`ndtr` evaluates at a time, which bounds its temporaries.
+NDTR_BLOCK = 8192
 
 
 class OneHot(NamedTuple):
@@ -283,23 +289,34 @@ class HistoryStore:
     A finished session's pair is never fit again and later sessions read only
     its predictions, so the store keeps each pair's :func:`pool_key` and its
     :meth:`SurrogatePair.predict` over the whole pool (computed once, at
-    push), not the pair. Gaps live in each query's :class:`HistorySession`
-    snapshot, so concurrent sessions never share mutable state."""
+    push), not the pair. Beside each entry it keeps the entry's ``rows``,
+    the one memo of vote scores: the entry's acquisition scores and costs
+    over the pool by (a_slo, l_slo), read and filled by every session that
+    votes with the entry and dropped with it. An entry keeps at most
+    ``SCORED_SLO_PAIRS`` score rows and one cost row (costs read the latency
+    means alone), so the memo holds at most 32 x 5 x 6,480 x 8 B = 8.3 MB on
+    wide-search's pool. It belongs to the store, so two runs never share
+    it. Gaps live in each query's :class:`HistorySession` snapshot."""
 
     def __init__(self):
         self.predictions: list[tuple[tuple, PoolPredictions]] = []
+        self.rows: list[dict[tuple[float, float], tuple[np.ndarray, np.ndarray]]] = []
 
     def push(self, pair: SurrogatePair) -> None:
         """Store a completed session's pool predictions, evicting the oldest
-        beyond ``HISTORY_CAPACITY``."""
+        entry and its score rows beyond ``HISTORY_CAPACITY``."""
         self.predictions.append((pair.pool_key, pair.predict()))
+        self.rows.append({})
         if len(self.predictions) > HISTORY_CAPACITY:
             self.predictions.pop(0)
+            self.rows.pop(0)
 
     def session(self, key: tuple, a_slo: float, l_slo: float) -> "HistorySession":
         """Snapshot the stored predictions whose pool has :func:`pool_key`
-        ``key``, ready to vote on that pool against the SLOs."""
-        return HistorySession([predicted for k, predicted in self.predictions if k == key], a_slo, l_slo)
+        ``key``, and their score rows, ready to vote on that pool against
+        the SLOs."""
+        kept = [i for i, (k, _) in enumerate(self.predictions) if k == key]
+        return HistorySession([self.predictions[i][1] for i in kept], a_slo, l_slo, [self.rows[i] for i in kept])
 
     def __len__(self) -> int:
         return len(self.predictions)
@@ -313,10 +330,11 @@ class HistorySession:
     ``own_window`` holds the session's own model's last ``GAP_WINDOW_LEN``
     gaps. Gaps and votes read the same :class:`PoolPredictions`: a gap looks
     up the means at the profiled row (accuracy through its configuration),
-    in the stored models' means stacked once per session, and votes score
-    the whole pool once per session against this query's SLOs."""
+    in the stored models' means stacked once per session, and votes read
+    each model's whole-pool scores at this query's SLOs from its
+    ``rows`` (the store's, or new ones when not given)."""
 
-    def __init__(self, predicted: list[PoolPredictions], a_slo: float, l_slo: float):
+    def __init__(self, predicted: list[PoolPredictions], a_slo: float, l_slo: float, rows: list[dict] | None = None):
         self.predicted = predicted
         self.a_slo = a_slo
         self.l_slo = l_slo
@@ -324,7 +342,7 @@ class HistorySession:
         self.gap_n = 0
         self.gaps = np.full(len(predicted), math.inf)
         self.own_window: list[float] = []
-        self._pool_scores: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.rows = [{} for _ in predicted] if rows is None else rows
         if predicted:  # one row of means per stored model
             self._config = predicted[0].config
             self._mu_a = np.stack([p.mu_a for p in predicted])
@@ -357,11 +375,15 @@ class HistorySession:
 
     def pool_scores(self, models: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
         """Acquisition scores and costs over the pool of each stored model in
-        ``models``. The models this session has not scored yet are scored
-        together, in one :func:`acquisition` call on their stacked
-        predictions; it is elementwise, so each model's row is bitwise what
-        a call on that model alone gives."""
-        new = [i for i in dict.fromkeys(models) if i not in self._pool_scores]
+        ``models``, read from its ``rows`` at this session's
+        (a_slo, l_slo). The models without rows there are scored together,
+        in one :func:`acquisition` call on their stacked predictions; it is
+        elementwise, so each model's row is bitwise what a call on that
+        model alone gives. Each model keeps the rows read last, at most
+        ``SCORED_SLO_PAIRS``, all sharing its first cost row."""
+        slo = (self.a_slo, self.l_slo)
+        scored = {i: self.rows[i].pop(slo, None) for i in dict.fromkeys(models)}  # kept again below, as the newest
+        new = [i for i, rows in scored.items() if rows is None]
         if new:
             chosen = [self.predicted[i] for i in new]
             stacked = PoolPredictions(
@@ -371,8 +393,14 @@ class HistorySession:
                 np.stack([p.mu_l for p in chosen]),
                 np.stack([p.sd_l for p in chosen]),
             )
-            self._pool_scores.update(zip(new, zip(*acquisition(stacked, self.a_slo, self.l_slo))))
-        return [self._pool_scores[i] for i in models]
+            for i, scores, costs in zip(new, *acquisition(stacked, *slo)):
+                first = next(iter(self.rows[i].values()), None)  # holds the model's one cost row
+                scored[i] = scores.copy(), costs.copy() if first is None else first[1]  # no kept row holds the stack
+        for i, rows in scored.items():
+            self.rows[i][slo] = rows
+            if len(self.rows[i]) > SCORED_SLO_PAIRS:
+                del self.rows[i][next(iter(self.rows[i]))]
+        return [scored[i] for i in models]
 
     def vote_indices(self) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
         """Weighted-sum vote of the current top-K at every pool row: each
@@ -470,8 +498,18 @@ def ndtr(a: np.ndarray) -> np.ndarray:
     erf(x) while |x| < 1, else 0.5 erfc(|x|), reflected for x > 0, with
     erfc's rational function switching at |x| = 8. Every element runs its
     own band's polynomials, so its value depends on it alone and any slice
-    of ``a`` gives the same bits. Φ is exactly 0 or 1 where erfc underflows,
-    and NaN stays NaN."""
+    of ``a`` gives the same bits; ``a`` is evaluated ``NDTR_BLOCK`` elements
+    at a time, which bounds the temporaries. Φ is exactly 0 or 1 where erfc
+    underflows, and NaN stays NaN."""
+    a = np.asarray(a, dtype=float)
+    out = np.empty(a.shape)
+    flat, flat_out = a.reshape(-1), out.reshape(-1)
+    for lo in range(0, len(flat), NDTR_BLOCK):
+        flat_out[lo : lo + NDTR_BLOCK] = _ndtr_block(flat[lo : lo + NDTR_BLOCK])
+    return out
+
+
+def _ndtr_block(a: np.ndarray) -> np.ndarray:
     x = np.multiply(a, math.sqrt(0.5))
     z = np.abs(x)
     small = z < 1.0

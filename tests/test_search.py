@@ -50,6 +50,8 @@ from tierplan.search import (
     HISTORY_CAPACITY,
     HISTORY_TOP_K,
     MAX_LATTICE_OPERATORS,
+    NDTR_BLOCK,
+    SCORED_SLO_PAIRS,
     VARIANCE_INFLATION,
     GaussianProcess,
     HistorySession,
@@ -190,13 +192,21 @@ class TestGaussianProcess:
         assert np.array_equal(pair.f_a.predict(slice(None))[0][pool.config], want.predict(slice(None))[0])
         store = HistoryStore()
         store.push(pair)
-        # the store holds the pool key and plain arrays over the pool: no pair, no GP
-        assert list(vars(store)) == ["predictions"]
+        # the store holds the pool key, plain arrays over the pool and their
+        # score rows: no pair, no GP
+        assert list(vars(store)) == ["predictions", "rows"]
         ((key, predicted),) = store.predictions
         assert key == pool_key(pipe, topo.num_tiers)
         assert all(type(v) is np.ndarray for v in predicted)
         assert predicted.mu_a.shape == predicted.sd_a.shape == (len(pool.xa),)
         assert predicted.config.shape == predicted.mu_l.shape == predicted.sd_l.shape == (len(pool.plans),)
+        # its score rows are plain arrays over the pool, by SLO pair, filled by votes
+        (rows,) = store.rows
+        assert rows == {}
+        store.session(key, 0.8, 0.5).vote_indices()
+        store.session(key, 0.6, 0.5).vote_indices()
+        assert list(rows) == [(0.8, 0.5), (0.6, 0.5)]
+        assert all(type(v) is np.ndarray and v.shape == (len(pool.plans),) for row in rows.values() for v in row)
 
     def test_prior_before_fit(self):
         gp = GaussianProcess(np.zeros((3, 2), dtype=int))
@@ -881,6 +891,72 @@ class TestStepTablesMatchTheirOracles:
         assert len(entered) > HISTORY_TOP_K
         assert max(scored_rows) == HISTORY_TOP_K and len(scored_rows) < len(entered)
 
+
+class TestStoreScoreMemo:
+    """The history store's memo of vote rows, shared by the sessions of one
+    store: the same votes as the whole-pool vote, no scoring of a model at
+    an SLO pair it keeps, and the bounds."""
+
+    SLO_PAIRS = ((0.8, 0.5), (0.95, 0.5), (0.8, 0.3), (0.6, 0.2), (0.9, 0.4), (0.7, 0.6))
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_sessions_of_one_store_vote_as_the_whole_pool_vote_within_the_bounds(self, data):
+        pipe, topo, _land = two_op_setup()
+        other = PipelineSpec("s3", (OperatorSpec(0, ("a0", "a1")), OperatorSpec(1, ("b0", "b1"))), ((0, 1),))
+        key = pool_key(pipe, topo.num_tiers)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        store = HistoryStore()
+        held = {}  # each stored model's SLO pairs, least recently read first, as the memo should hold them
+        pushed = []  # every stored model's predictions, kept alive so that their ids stay unique
+        scored_rows = []  # models scored by each acquisition call
+        scorer = search.acquisition
+
+        def counted(*args):
+            scored_rows.append(len(args[0].mu_l))
+            return scorer(*args)
+
+        search.acquisition = counted
+        try:
+            for _ in range(data.draw(st.integers(1, 14))):
+                for _ in range(data.draw(st.integers(0, HISTORY_CAPACITY // 4))):
+                    oldest = store.rows[0] if len(store) == HISTORY_CAPACITY else None
+                    store.push(fitted_pair(other if data.draw(st.integers(0, 4)) == 0 else pipe, topo, rng, 2))
+                    pushed.append(store.predictions[-1][1])
+                    # an evicted entry's rows leave the store with it
+                    assert len(store.rows) == len(store.predictions) <= HISTORY_CAPACITY
+                    assert oldest is None or all(rows is not oldest for rows in store.rows)
+                a_slo, l_slo = data.draw(st.sampled_from(self.SLO_PAIRS))
+                session = store.session(key, a_slo, l_slo)
+                own = new_pair(pipe, topo)  # never fit: the stored models always vote
+                for i in data.draw(st.lists(st.integers(0, len(own.config) - 1), max_size=5)) + [None]:
+                    if not session.predicted:
+                        break
+                    calls = len(scored_rows)
+                    scores, costs_at = session.vote_indices()
+                    want_scores, want_costs = whole_pool_vote(session, slice(None))
+                    every_row = np.arange(len(own.config))
+                    assert np.array_equal(scores, want_scores) and np.array_equal(costs_at(every_row), want_costs)
+                    # only the top-K models not holding this SLO pair are scored, in one call
+                    top = [id(session.predicted[j]) for j in session.top_k().tolist()]
+                    new = [m for m in top if (a_slo, l_slo) not in held.get(m, ())]
+                    assert scored_rows[calls:] == ([len(new)] if new else [])
+                    for m in top:
+                        pairs = [p for p in held.get(m, ()) if p != (a_slo, l_slo)] + [(a_slo, l_slo)]
+                        held[m] = pairs[-SCORED_SLO_PAIRS:]
+                    if i is not None:
+                        session.update_gaps(i, float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.05, 0.5)), own)
+                # the memo holds what was read last, within its bound, one cost row per model
+                for (_, predicted), rows in zip(store.predictions, store.rows, strict=True):
+                    assert list(rows) == held.get(id(predicted), [])
+                    assert len({id(costs) for _, costs in rows.values()}) <= 1
+                    for slo, (scores, costs) in rows.items():
+                        want_scores, want_costs = acquisition(predicted, *slo)
+                        assert np.array_equal(scores, want_scores) and np.array_equal(costs, want_costs)
+        finally:
+            search.acquisition = scorer
+
+
 class TestHistoryWeights:
     """Which stored models vote, and with what weight."""
 
@@ -1389,6 +1465,25 @@ class TestNdtr:
         for row, want in zip(a, got):
             assert np.array_equal(ndtr(row), want)
             assert all(np.array_equal(ndtr(row[j : j + 3]), want[j : j + 3]) for j in range(0, 513, 41))
+
+    @pytest.mark.parametrize("shape", [(3 * NDTR_BLOCK + 17,), (9, NDTR_BLOCK // 3 + 5)])
+    def test_an_input_of_several_blocks_equals_its_rows_bitwise(self, shape):
+        # random values and the grid's band edges and extremes, over more
+        # than one block: the bits of pieces shorter than a block and of one
+        # evaluation of the whole input, within Cephes' tolerance
+        size = math.prod(shape)
+        a = np.random.default_rng(5).normal(0.0, 12.0, size)
+        near = self.grid()[400_001:]
+        a[:: size // len(near)][: len(near)] = near
+        a = a.reshape(shape)
+        got = ndtr(a)
+        pieces = np.array_split(a, range(1000, size, 1000)) if a.ndim == 1 else a
+        assert got.shape == shape
+        assert np.array_equal(got.reshape(-1), np.concatenate([ndtr(piece) for piece in pieces]))
+        assert np.array_equal(got.reshape(-1), search._ndtr_block(a.reshape(-1)))
+        want = scipy_ndtr(a)
+        normal = want >= 1e-300
+        assert np.all(np.abs(got[normal] - want[normal]) <= 1e-15 * want[normal])
 
 
 class TestOwnGapMean:
